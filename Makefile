@@ -19,7 +19,7 @@ RACE_PARALLEL_PKGS := ./internal/trellis/ ./internal/experiments/ ./internal/swi
 # invocation, hence the explicit list.
 FUZZTIME ?= 10s
 
-.PHONY: all lint test race race-parallel fuzz bench bench-json bench-compare bench-speedup
+.PHONY: all lint test race race-parallel fuzz bench bench-check bench-json bench-compare bench-speedup
 
 all: lint test race
 
@@ -60,7 +60,7 @@ race-parallel:
 	$(GO) test -race -run 'Parallel' ./internal/trellis/
 	$(GO) test -race -run 'Sweep|Fig|MBAC|Latency|Chernoff' ./internal/experiments/
 	$(GO) test -race -run 'Parallel' ./internal/switchfab/
-	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC' ./internal/datapath/
+	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC|Table' ./internal/datapath/
 
 # fuzz smokes every fuzz target for FUZZTIME each: long enough to catch
 # shallow regressions in the parsers, short enough for every CI run.
@@ -75,6 +75,16 @@ fuzz:
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSignalThroughput -benchtime=1x ./internal/netproto/
+
+# bench-check builds, vets and tests the benchmark driver. bench/ is a
+# nested module (its go.mod replaces rcbr with ..) that `./...` from the
+# root never reaches, so an internal/ API change that breaks it would
+# otherwise surface only when the benchmark pipeline runs. CI runs this
+# target; TestMakefileBenchCheck pins it.
+bench-check:
+	$(GO) -C bench build ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # bench-json records the tier-1 benchmark baseline (ns/op, B/op, allocs/op)
 # into BENCH_trellis.json. CI runs it at -benchtime=1x as a smoke step and

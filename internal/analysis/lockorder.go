@@ -33,9 +33,8 @@ import (
 //     lock-free on both sides, and the hot path's push→pop window must stay
 //     that way — a function that pushes onto an MPSC-named ring and later
 //     pops/peeks/advances one must not acquire any mutex in between. The
-//     forwarder's sweep holds only its shard read lock *around* the push,
-//     never across to the consumer side; a lock inside the window would sit
-//     on the wire-rate path of every group goroutine.
+//     forwarder's sweep takes no lock at all; a lock inside the window
+//     would sit on the wire-rate path of every group goroutine.
 //
 // A re-acquisition of the very same lock expression via Lock (not RLock) is
 // additionally flagged as a self-deadlock. The walk is structural, like

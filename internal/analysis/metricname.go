@@ -13,7 +13,7 @@ import (
 // MetricName enforces the repository's metric-naming contract:
 //
 //  1. Every metric name passed to the metrics registry (Registry.Counter,
-//     Registry.Gauge, Registry.Histogram) is either a package-level
+//     Registry.CounterFunc, Registry.Gauge, Registry.Histogram) is either a package-level
 //     constant named Metric*, or the result of a helper builder whose
 //     name ends in Counter, Gauge, or Histogram (PortReservedGauge,
 //     AdmitCounter, ...). Raw string literals and ad-hoc variables are

@@ -24,6 +24,8 @@ func register(reg *metrics.Registry) {
 	name := "pkg.var_total"
 	reg.Counter(name) // want "package-level Metric"
 	reg.Histogram(MetricGood, nil)
+	reg.CounterFunc(MetricGood, nil)
+	reg.CounterFunc("pkg.raw_view", nil) // want "string literal"
 	reg.Gauge(portGauge(3))
 	reg.Counter(buildName(3)) // want "must end in Counter, Gauge, or Histogram"
 }

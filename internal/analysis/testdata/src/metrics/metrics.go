@@ -24,6 +24,8 @@ func (h *Histogram) ObserveSince(start int64) {}
 
 func (r *Registry) Counter(name string) *Counter { return &Counter{} }
 
+func (r *Registry) CounterFunc(name string, fn func() int64) {}
+
 func (r *Registry) Gauge(name string) *Gauge { return &Gauge{} }
 
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram { return &Histogram{} }

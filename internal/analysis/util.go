@@ -74,15 +74,15 @@ func methodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method *ty
 	return sel.X, m
 }
 
-// registryCall reports whether call is Registry.Counter, Registry.Gauge,
-// or Registry.Histogram on a metrics.Registry, returning the method name.
+// registryCall reports whether call is Registry.Counter, CounterFunc, Gauge
+// or Histogram on a metrics.Registry, returning the method name.
 func registryCall(info *types.Info, call *ast.CallExpr) (kind string, ok bool) {
 	recv, method := methodCall(info, call)
 	if method == nil {
 		return "", false
 	}
 	switch method.Name() {
-	case "Counter", "Gauge", "Histogram":
+	case "Counter", "CounterFunc", "Gauge", "Histogram":
 	default:
 		return "", false
 	}

@@ -3,8 +3,9 @@
 // traffic needs only small FIFO output buffers. Where internal/mux
 // *simulates* a multiplexer queue, this package *forwards* real 53-byte
 // cells: per-port SPSC ring buffers, a batched forwarding loop that drains
-// up to K cells per port visit, VCID routing through a sharded table, and a
-// per-VC token-bucket shaper enforcing the currently granted rate.
+// up to K cells per port visit, VCID routing through a direct-index table
+// (table.go), and a per-VC token-bucket shaper enforcing the currently
+// granted rate.
 // Conforming cells are copied to the egress port's ring; excess is policed
 // and counted as real per-VC drops, and an egress ring that fills overflows
 // — the heuristic's estimated buffer overflows become honestly counted
@@ -20,13 +21,20 @@
 // direct calls) adds, retargets, and removes VCs concurrently with all of
 // it.
 //
-// Per-VC shaper state is owned by the goroutine that drains the VC's
-// ingress port — all cells of a VC enter through one port, so exactly one
-// group goroutine touches its token bucket — and is guarded against
-// teardown by the table shard's reader lock; rate retargets cross from the
-// control plane through a single atomic. The steady-state forwarding path
-// takes no locks other than that shard read lock and allocates nothing
-// (//rcbr:zeroalloc, pinned by TestForwardSteadyStateAllocs).
+// Per-VC shaper state and counters are owned by the goroutine that drains
+// the VC's ingress port — all cells of a VC enter through one port, so
+// exactly one group goroutine touches its token bucket; rate retargets
+// cross from the control plane through a single atomic, and teardown only
+// unpublishes the entry (the garbage collector retires it once the owner
+// has let go). The forwarding path takes no lock at all and allocates
+// nothing (//rcbr:zeroalloc, pinned by TestForwardSteadyStateAllocs).
+//
+// One counter per fact: a cell that enters, crosses or leaves a ring is
+// counted by that ring's cursor and nowhere else; what the sweep decides
+// (forwarded, policed, overflow, unroutable, bad header) is counted once
+// per VC and flushed to the ingress port's ledger once per burst; the
+// registry's datapath.cells_* counters are views computed from the port
+// ledgers when the registry is read.
 //
 // Two driving modes share that contract:
 //
@@ -113,16 +121,9 @@ const unsetNanos = math.MinInt64
 // instruments caches registry handles; all nil-safe no-ops without a
 // registry.
 type instruments struct {
-	arrived     *metrics.Counter
-	forwarded   *metrics.Counter
-	policed     *metrics.Counter
-	overflow    *metrics.Counter
-	unroutable  *metrics.Counter
-	badHeader   *metrics.Counter
-	transmitted *metrics.Counter
-	batches     *metrics.Counter
-	vcMisses    *metrics.Counter
-	batchCells  *metrics.Histogram
+	batches    *metrics.Counter
+	vcMisses   *metrics.Counter
+	batchCells *metrics.Histogram
 }
 
 // Port is one switch port's pair of cell rings: an ingress ring filled by
@@ -137,21 +138,16 @@ type Port struct {
 	in    *Ring
 	out   *MPSCRing
 
-	// Ingress-attributed counts: every cell accepted by Inject ends in
-	// exactly one of badHeader, unroutable, policed, overflow, forwarded,
-	// or is still queued in the ingress ring — the per-port conservation
-	// invariant.
-	arrived    atomic.Int64
+	// Ingress-attributed counts, written by the owning group goroutine
+	// once per burst: every cell accepted by Inject (in.Pushed) ends in
+	// exactly one of these or is still queued in the ingress ring — the
+	// per-port conservation invariant. The egress side needs no counters
+	// of its own: enqueued and transmitted are out's two cursors.
 	badHeader  atomic.Int64
 	unroutable atomic.Int64
 	policed    atomic.Int64
 	overflow   atomic.Int64
 	forwarded  atomic.Int64
-
-	// Egress-attributed counts: enqueued == transmitted + out.Len().
-	enqueued    atomic.Int64
-	transmitted atomic.Int64
-	orphaned    atomic.Int64
 }
 
 // ID returns the port number.
@@ -178,75 +174,61 @@ type PortStats struct {
 
 	Enqueued    int64
 	Transmitted int64
-	Orphaned    int64
 
 	InQueued  int
 	OutQueued int
 }
 
-// Stats snapshots the port. Exact when the port is quiescent.
+// Stats snapshots the port. Exact when the port is quiescent; while its
+// group goroutine is mid-burst, up to a burst of cells has left the ingress
+// ring without yet showing in the drop and forward counts.
 func (p *Port) Stats() PortStats {
 	return PortStats{
-		Arrived:     p.arrived.Load(),
+		Arrived:     p.in.Pushed(),
 		BadHeader:   p.badHeader.Load(),
 		Unroutable:  p.unroutable.Load(),
 		Policed:     p.policed.Load(),
 		Overflow:    p.overflow.Load(),
 		Forwarded:   p.forwarded.Load(),
-		Enqueued:    p.enqueued.Load(),
-		Transmitted: p.transmitted.Load(),
-		Orphaned:    p.orphaned.Load(),
+		Enqueued:    p.out.Pushed(),
+		Transmitted: p.out.Popped(),
 		InQueued:    p.in.Len(),
 		OutQueued:   p.out.Len(),
 	}
 }
 
-// vcEntry is one VC's forwarding state. The shaper fields (tb, curRate,
-// lastNanos) are owned by the forwarder goroutine, which only touches them
-// under the entry's shard read lock; RemoveVC excludes it with the write
-// lock before freeing the entry. rateBits is the control plane's mailbox:
-// a renegotiation stores the new granted rate there atomically and the
-// forwarder folds it into the bucket on the VC's next cell.
+// vcEntry is one VC's forwarding state. The shaper (tb, lastNanos) belongs
+// to the group goroutine that drains the VC's ingress port and is touched
+// by nobody else, so it needs no lock; the same goroutine is the only
+// writer of the three counters, which are atomic for VCStats' sake.
+// rateBits is the control plane's mailbox: a renegotiation stores the new
+// granted rate there atomically and the forwarder folds it into the bucket
+// on the VC's next cell.
 type vcEntry struct {
 	egress    *Port
 	rateBits  atomic.Uint64 // granted rate, float64 bits
-	tb        *shaper.TokenBucket
-	curRate   float64
+	tb        shaper.TokenBucket
 	lastNanos int64
 
-	seen      atomic.Int64
 	forwarded atomic.Int64
 	policed   atomic.Int64
 	overflow  atomic.Int64
-	queued    atomic.Int64
 }
 
-// VCStats is a snapshot of one VC's counters: Seen == Policed + Overflow +
-// Forwarded always, and Queued == 0 once every forwarded cell has been
-// transmitted.
+// VCStats is a snapshot of one VC's counters. Seen is their sum: every cell
+// the VC's entry was found for was forwarded, policed or overflowed.
 type VCStats struct {
 	Rate      float64
 	Seen      int64
 	Forwarded int64
 	Policed   int64
 	Overflow  int64
-	Queued    int64
-}
-
-// shard is one lock domain of the VC table, deliberately shaped like
-// switchfab's: the same rank in the repo lock order, the same cache-line
-// pad.
-type shard struct {
-	mu  sync.RWMutex
-	vcs map[switchfab.VCID]*vcEntry
-	_   [24]byte
 }
 
 // Forwarder is the cell data path of one switch. See the package comment
 // for the concurrency contract.
 type Forwarder struct {
-	shards    []shard
-	shardMask uint32
+	vcs vcTable
 
 	// portsMu guards the ports map and the group round-robin cursor;
 	// portList is the forwarding goroutines' lock-free snapshot,
@@ -319,7 +301,9 @@ func WithDepthCells(n int) Option {
 	}
 }
 
-// WithMetrics publishes the datapath.* counters into reg.
+// WithMetrics publishes the datapath.* counters into reg. The cell counters
+// are views over the port ledgers, so reg keeps the forwarder's ports
+// reachable for as long as it lives.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(f *Forwarder) { f.reg = reg }
 }
@@ -362,7 +346,6 @@ func WithManualClock() Option {
 // New returns an empty forwarder: add ports, then VCs, then pump it.
 func New(opts ...Option) *Forwarder {
 	f := &Forwarder{
-		shards:    make([]shard, switchfab.DefaultShards),
 		ports:     make(map[int]*Port),
 		burst:     DefaultBurst,
 		ringCells: DefaultRingCells,
@@ -374,32 +357,35 @@ func New(opts ...Option) *Forwarder {
 			opt(f)
 		}
 	}
-	f.shardMask = uint32(len(f.shards) - 1)
-	for i := range f.shards {
-		f.shards[i].vcs = make(map[switchfab.VCID]*vcEntry)
-	}
 	if f.reg != nil {
 		f.ins = instruments{
-			arrived:     f.reg.Counter(MetricCellsArrived),
-			forwarded:   f.reg.Counter(MetricCellsForwarded),
-			policed:     f.reg.Counter(MetricCellsPoliced),
-			overflow:    f.reg.Counter(MetricCellsOverflow),
-			unroutable:  f.reg.Counter(MetricCellsUnroutable),
-			badHeader:   f.reg.Counter(MetricCellsBadHeader),
-			transmitted: f.reg.Counter(MetricCellsTransmitted),
-			batches:     f.reg.Counter(MetricForwardBatches),
-			vcMisses:    f.reg.Counter(MetricVCMisses),
-			batchCells:  f.reg.Histogram(MetricBatchCells, metrics.ExpBuckets(1, 2, 12)),
+			batches:    f.reg.Counter(MetricForwardBatches),
+			vcMisses:   f.reg.Counter(MetricVCMisses),
+			batchCells: f.reg.Histogram(MetricBatchCells, metrics.ExpBuckets(1, 2, 12)),
 		}
+		f.reg.CounterFunc(MetricCellsArrived, f.view(func(s PortStats) int64 { return s.Arrived }))
+		f.reg.CounterFunc(MetricCellsForwarded, f.view(func(s PortStats) int64 { return s.Forwarded }))
+		f.reg.CounterFunc(MetricCellsPoliced, f.view(func(s PortStats) int64 { return s.Policed }))
+		f.reg.CounterFunc(MetricCellsOverflow, f.view(func(s PortStats) int64 { return s.Overflow }))
+		f.reg.CounterFunc(MetricCellsUnroutable, f.view(func(s PortStats) int64 { return s.Unroutable }))
+		f.reg.CounterFunc(MetricCellsBadHeader, f.view(func(s PortStats) int64 { return s.BadHeader }))
+		f.reg.CounterFunc(MetricCellsTransmitted, f.view(func(s PortStats) int64 { return s.Transmitted }))
 	}
 	empty := []*Port{}
 	f.portList.Store(&empty)
 	return f
 }
 
-//rcbr:zeroalloc
-func (f *Forwarder) shard(id switchfab.VCID) *shard {
-	return &f.shards[uint32(id)&f.shardMask]
+// view returns a registry view counter: one PortStats field summed over
+// every port, read when the registry is.
+func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
+	return func() int64 {
+		var sum int64
+		for _, p := range *f.portList.Load() {
+			sum += field(p.Stats())
+		}
+		return sum
+	}
 }
 
 // AddPort registers a port and its ring pair, assigning it to a port group
@@ -445,21 +431,9 @@ func (f *Forwarder) AddVC(id switchfab.VCID, egressPort int, rate float64) error
 	if out == nil {
 		return fmt.Errorf("datapath: no egress port %d", egressPort)
 	}
-	e := &vcEntry{
-		egress:    out,
-		tb:        shaper.New(rate, f.depthBits),
-		curRate:   rate,
-		lastNanos: unsetNanos,
-	}
+	e := &vcEntry{egress: out, tb: *shaper.New(rate, f.depthBits), lastNanos: unsetNanos}
 	e.rateBits.Store(math.Float64bits(rate))
-	sh := f.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.vcs[id]; ok {
-		return fmt.Errorf("datapath: vc %s exists", id)
-	}
-	sh.vcs[id] = e
-	return nil
+	return f.vcs.put(id, e)
 }
 
 // SetVCRate retargets a VC's granted rate. The store is atomic; the
@@ -472,10 +446,7 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 	if math.IsInf(rate, 1) {
 		return fmt.Errorf("shaper: invalid rate %g", rate)
 	}
-	sh := f.shard(id)
-	sh.mu.RLock()
-	e := sh.vcs[id]
-	sh.mu.RUnlock()
+	e := f.vcs.get(id)
 	if e == nil {
 		f.ins.vcMisses.Inc()
 		return fmt.Errorf("datapath: no vc %s", id)
@@ -484,40 +455,35 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 	return nil
 }
 
-// RemoveVC tears a VC out of the table, returning its final stats. Taking
-// the shard exclusively guarantees the forwarder is not mid-cell on the VC
-// when its shaper is freed. Cells of the VC still queued on the egress
-// ring are transmitted as orphans.
+// RemoveVC unpublishes a VC, returning its final stats. It does not wait
+// for the forwarder: a group goroutine that looked the VC up just before
+// may finish that one cell on the unpublished entry (counted in the port
+// ledgers like any other, so per-port conservation stays exact), and the
+// returned stats are exact when the VC's ingress port is quiescent. Cells
+// of the VC already on an egress ring are transmitted like any others.
 func (f *Forwarder) RemoveVC(id switchfab.VCID) (VCStats, error) {
-	sh := f.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.vcs[id]
+	e := f.vcs.remove(id)
 	if e == nil {
 		f.ins.vcMisses.Inc()
 		return VCStats{}, fmt.Errorf("datapath: no vc %s", id)
 	}
-	delete(sh.vcs, id)
 	return e.stats(), nil
 }
 
 func (e *vcEntry) stats() VCStats {
-	return VCStats{
+	s := VCStats{
 		Rate:      math.Float64frombits(e.rateBits.Load()),
-		Seen:      e.seen.Load(),
 		Forwarded: e.forwarded.Load(),
 		Policed:   e.policed.Load(),
 		Overflow:  e.overflow.Load(),
-		Queued:    e.queued.Load(),
 	}
+	s.Seen = s.Forwarded + s.Policed + s.Overflow
+	return s
 }
 
 // VCStats snapshots a VC's counters.
 func (f *Forwarder) VCStats(id switchfab.VCID) (VCStats, bool) {
-	sh := f.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.vcs[id]
+	e := f.vcs.get(id)
 	if e == nil {
 		return VCStats{}, false
 	}
@@ -525,15 +491,7 @@ func (f *Forwarder) VCStats(id switchfab.VCID) (VCStats, bool) {
 }
 
 // VCCount returns the number of routed VCs.
-func (f *Forwarder) VCCount() int {
-	n := 0
-	for i := range f.shards {
-		f.shards[i].mu.RLock()
-		n += len(f.shards[i].vcs)
-		f.shards[i].mu.RUnlock()
-	}
-	return n
-}
+func (f *Forwarder) VCCount() int { return int(f.vcs.n.Load()) }
 
 // Inject offers a cell to a port's ingress ring — the port's wire-receive
 // path, one producer goroutine per port. It reports false when the ring is
@@ -541,14 +499,7 @@ func (f *Forwarder) VCCount() int {
 // receive FIFO would.
 //
 //rcbr:zeroalloc
-func (f *Forwarder) Inject(p *Port, c *Cell) bool {
-	if !p.in.Push(c) {
-		return false
-	}
-	p.arrived.Add(1)
-	f.ins.arrived.Inc()
-	return true
-}
+func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 
 // Forward runs one sweep of the forwarding loop at virtual time nowNanos:
 // it visits every port (all groups) and drains up to the configured burst
@@ -727,47 +678,38 @@ func (f *Forwarder) runGroup(g int, base int64, start time.Time, done <-chan str
 }
 
 // forwardPort drains up to burst cells from one ingress ring. Per cell:
-// verify the header (table-driven HEC), look the VCID up in the sharded
-// table under a read lock, fold any pending rate retarget into the shaper,
-// tick the bucket to nowNanos and take one cell's payload worth of tokens;
-// a conforming cell is copied to the egress MPSC ring (safe from any
-// group), a non-conforming one is policed, a full egress ring counts an
-// overflow. Every cell leaves the ingress ring exactly once, into exactly
-// one counter. Only the goroutine owning p's group may call this.
+// verify the header (table-driven HEC), index the VC table (three loads, no
+// lock), fold any pending rate retarget into the shaper, tick the bucket to
+// nowNanos and take one cell's payload worth of tokens; a conforming cell
+// is copied to the egress MPSC ring (safe from any group), a non-conforming
+// one is policed, a full egress ring counts an overflow. Every cell leaves
+// the ingress ring exactly once, into exactly one per-VC counter (or
+// unroutable / bad header), and the burst's totals reach the port ledger in
+// one flush at the end. Only the goroutine owning p's group may call this.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) forwardPort(p *Port, now int64) int {
 	n := 0
 	var fwd, pol, ovf, unr, bad int64
-	for n < f.burst {
+	for ; n < f.burst; n++ {
 		c := p.in.Peek()
 		if c == nil {
 			break
 		}
-		n++
 		h, err := cell.ParseHeader(c[:cell.HeaderSize])
 		if err != nil {
 			bad++
-			p.badHeader.Add(1)
 			p.in.Advance()
 			continue
 		}
-		id := switchfab.MakeVCID(h.VPI, h.VCI)
-		sh := f.shard(id)
-		sh.mu.RLock()
-		e := sh.vcs[id]
+		e := f.vcs.get(switchfab.MakeVCID(h.VPI, h.VCI))
 		if e == nil {
-			sh.mu.RUnlock()
 			unr++
-			p.unroutable.Add(1)
 			p.in.Advance()
 			continue
 		}
-		// Shaper state is touched only here, under the shard read lock
-		// that RemoveVC excludes.
-		if rate := math.Float64frombits(e.rateBits.Load()); rate != e.curRate {
+		if rate := math.Float64frombits(e.rateBits.Load()); rate != e.tb.Rate() {
 			e.tb.SetRate(rate)
-			e.curRate = rate
 		}
 		if e.lastNanos == unsetNanos {
 			e.lastNanos = now
@@ -775,37 +717,35 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 			e.tb.Tick(float64(dt) * 1e-9)
 			e.lastNanos = now
 		}
-		e.seen.Add(1)
-		if !e.tb.Take(CellPayloadBits) {
+		switch {
+		case !e.tb.Take(CellPayloadBits):
 			e.policed.Add(1)
-			sh.mu.RUnlock()
 			pol++
-			p.policed.Add(1)
-			p.in.Advance()
-			continue
-		}
-		out := e.egress
-		if out.out.Push(c) {
+		case e.egress.out.Push(c):
 			e.forwarded.Add(1)
-			e.queued.Add(1)
-			sh.mu.RUnlock()
-			out.enqueued.Add(1)
 			fwd++
-			p.forwarded.Add(1)
-		} else {
+		default:
 			e.overflow.Add(1)
-			sh.mu.RUnlock()
 			ovf++
-			p.overflow.Add(1)
 		}
 		p.in.Advance()
 	}
-	if n > 0 {
-		f.ins.forwarded.Add(fwd)
-		f.ins.policed.Add(pol)
-		f.ins.overflow.Add(ovf)
-		f.ins.unroutable.Add(unr)
-		f.ins.badHeader.Add(bad)
+	// Only what moved: a sweep over a quiet port carries a cell or two, and
+	// five locked adds would cost it more than the cells did.
+	if fwd > 0 {
+		p.forwarded.Add(fwd)
+	}
+	if pol > 0 {
+		p.policed.Add(pol)
+	}
+	if ovf > 0 {
+		p.overflow.Add(ovf)
+	}
+	if unr > 0 {
+		p.unroutable.Add(unr)
+	}
+	if bad > 0 {
+		p.badHeader.Add(bad)
 	}
 	return n
 }
@@ -813,8 +753,8 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 // Transmit drains up to max cells from a port's egress ring, the port's
 // wire-send path. One consumer goroutine per port (the MPSC contract);
 // different ports may be drained by different goroutines, concurrently
-// with each other and with a running forwarder (the per-VC queued
-// accounting is atomic under the shard read lock).
+// with each other and with a running forwarder. It touches nothing but the
+// ring: the ring's consumer cursor is the port's transmitted count.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) Transmit(p *Port, max int) int {
@@ -829,40 +769,26 @@ func (f *Forwarder) Transmit(p *Port, max int) int {
 //rcbr:zeroalloc
 func (f *Forwarder) TransmitTo(p *Port, max int, sink func(*Cell)) int {
 	n := 0
-	for n < max {
+	for ; n < max; n++ {
 		c := p.out.Peek()
 		if c == nil {
 			break
 		}
-		vpi, vci := cell.PeekVCID(c[:])
-		id := switchfab.MakeVCID(vpi, vci)
-		sh := f.shard(id)
-		sh.mu.RLock()
-		if e := sh.vcs[id]; e != nil {
-			e.queued.Add(-1)
-		} else {
-			p.orphaned.Add(1)
-		}
-		sh.mu.RUnlock()
 		if sink != nil {
 			sink(c)
 		}
 		p.out.Advance()
-		p.transmitted.Add(1)
-		n++
-	}
-	if n > 0 {
-		f.ins.transmitted.Add(int64(n))
 	}
 	return n
 }
 
 // DataPlane hooks: a Forwarder plugs into switchfab.WithDataPlane so the
 // control plane mirrors every VC lifecycle change into the table. The
-// hooks run under the switch's port mutex and must not block; all three
-// are O(1) plus one shard lock. Setup failures (unknown egress port) and
-// changes for unknown VCs count into datapath.vc_misses rather than
-// erroring the signaling path.
+// hooks run under the switch's port mutex and must not block: setup and
+// teardown are O(1) under the table's writer mutex (a leaf in the lock
+// order), a rate change takes no lock at all. Setup failures (unknown
+// egress port) and changes for unknown VCs count into datapath.vc_misses
+// rather than erroring the signaling path.
 
 // OnSetup implements switchfab.DataPlane.
 func (f *Forwarder) OnSetup(port int, id switchfab.VCID, rate float64) {
@@ -875,14 +801,9 @@ func (f *Forwarder) OnSetup(port int, id switchfab.VCID, rate float64) {
 //
 //rcbr:zeroalloc
 func (f *Forwarder) OnRateChange(port int, id switchfab.VCID, rate float64) {
-	sh := f.shard(id)
-	sh.mu.RLock()
-	e := sh.vcs[id]
-	if e != nil {
+	if e := f.vcs.get(id); e != nil {
 		e.rateBits.Store(math.Float64bits(rate))
-	}
-	sh.mu.RUnlock()
-	if e == nil {
+	} else {
 		f.ins.vcMisses.Inc()
 	}
 }

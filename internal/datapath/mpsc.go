@@ -89,6 +89,13 @@ func (r *MPSCRing) Len() int {
 	return int(n)
 }
 
+// Pushed returns how many cells the ring has accepted since it was made
+// (the producers' claim cursor, so like Len it includes slots claimed but
+// not yet published) and Popped how many its consumer has released. They
+// are the egress port's enqueued and transmitted ledgers.
+func (r *MPSCRing) Pushed() int64 { return int64(r.head.Load()) }
+func (r *MPSCRing) Popped() int64 { return int64(r.tail.Load()) }
+
 // Push copies c into the ring, returning false (writing nothing) when the
 // ring is full. Safe from any number of goroutines.
 //

@@ -82,6 +82,11 @@ func (r *Ring) Len() int {
 	return int(n)
 }
 
+// Pushed returns how many cells the ring has accepted since it was made:
+// the producer's cursor counts exactly the successful Pushes, so the port
+// ledger reads it instead of keeping a second counter.
+func (r *Ring) Pushed() int64 { return int64(r.head.Load()) }
+
 // Push copies c into the ring, returning false (dropping nothing, writing
 // nothing) when the ring is full. Producer side only.
 //

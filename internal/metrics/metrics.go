@@ -14,6 +14,9 @@
 //     branch when metrics are disabled instead of threading conditionals
 //     through their logic. Likewise a nil *Registry hands out nil
 //     instruments.
+//   - A count that a component already keeps in its own ledger is not
+//     incremented a second time: CounterFunc publishes it as a view the
+//     registry evaluates when it is read.
 //   - Snapshot returns plain structs/maps (JSON-ready), decoupled from the
 //     live instruments, so exposition (HTTP endpoints, end-of-run dumps)
 //     never perturbs the measured system beyond the atomic loads.
@@ -183,6 +186,7 @@ var DefBuckets = ExpBuckets(100e-6, 2, 17)
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
+	views      map[string][]func() int64
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
@@ -191,6 +195,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
+		views:      make(map[string][]func() int64),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
@@ -214,6 +219,23 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// CounterFunc registers a view counter: a count some component already
+// keeps in its own ledger, which fn reads when the registry is read
+// (Snapshot, /metrics) instead of the component incrementing a second
+// counter per event. Views that share a name — and a plain Counter of that
+// name, if one exists — read as their sum, so several components publishing
+// into one registry add up as they would on a shared Counter. fn runs under
+// the registry's read lock: it must be safe for concurrent use and must not
+// call back into the registry.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.views[name] = append(r.views[name], fn)
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -302,6 +324,11 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
+	}
+	for name, fns := range r.views {
+		for _, fn := range fns {
+			s.Counters[name] += fn()
+		}
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()

@@ -29,11 +29,40 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestCounterFuncViews covers the snapshot-time counters: a view is
+// evaluated on every read, views sharing a name add up (with a plain
+// counter of that name too), and a name with no view still hands out an
+// ordinary counter.
+func TestCounterFuncViews(t *testing.T) {
+	r := NewRegistry()
+	var ledger [2]int64
+	r.CounterFunc("cells", func() int64 { return ledger[0] })
+	r.CounterFunc("cells", func() int64 { return ledger[1] })
+	if got := r.Snapshot().Counters["cells"]; got != 0 {
+		t.Fatalf("fresh views read %d", got)
+	}
+	ledger = [2]int64{3, 4}
+	if got := r.Snapshot().Counters["cells"]; got != 7 {
+		t.Fatalf("views read %d, want 3+4", got)
+	}
+	r.Counter("cells").Add(10)
+	r.Counter("plain").Inc()
+	s := r.Snapshot()
+	if s.Counters["cells"] != 17 || s.Counters["plain"] != 1 {
+		t.Fatalf("snapshot %+v, want cells 17 and plain 1", s.Counters)
+	}
+	r.CounterFunc("ignored", nil)
+	if _, ok := r.Snapshot().Counters["ignored"]; ok {
+		t.Fatal("a nil view registered")
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("x")
 	h := r.Histogram("x", DefBuckets)
+	r.CounterFunc("x", func() int64 { return 1 })
 	var ring *EventLog
 	// All of these must be no-ops, not panics.
 	c.Inc()

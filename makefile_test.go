@@ -37,6 +37,33 @@ func TestMakefileRaceParallelSync(t *testing.T) {
 	}
 }
 
+// TestMakefileBenchCheck pins the bench-check target: the nested benchmark
+// module is built, vetted and tested from its own directory, and CI runs
+// the target, so an internal/ change that breaks bench/ fails CI rather
+// than the benchmark pipeline.
+func TestMakefileBenchCheck(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("reading Makefile: %v", err)
+	}
+	want := []string{
+		"$(GO) -C bench build ./...",
+		"$(GO) -C bench vet ./...",
+		"$(GO) -C bench test ./...",
+	}
+	got := recipeLines(t, string(src), "bench-check")
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("bench-check recipe:\n  got:  %q\n  want: %q", got, want)
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatalf("reading ci.yml: %v", err)
+	}
+	if !strings.Contains(string(ci), "run: make bench-check\n") {
+		t.Error("ci.yml does not run `make bench-check`")
+	}
+}
+
 // makefileVar returns the whitespace-separated values of a simple `NAME :=`
 // Makefile assignment.
 func makefileVar(t *testing.T, src, name string) []string {
@@ -52,27 +79,35 @@ func makefileVar(t *testing.T, src, name string) []string {
 	return nil
 }
 
+// recipeLines returns the recipe of the named Makefile target, one trimmed
+// command per line.
+func recipeLines(t *testing.T, src, target string) []string {
+	t.Helper()
+	lines := strings.Split(src, "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, target+":") {
+			continue
+		}
+		var recipe []string
+		for _, line := range lines[i+1:] {
+			if !strings.HasPrefix(line, "\t") {
+				break
+			}
+			recipe = append(recipe, strings.TrimSpace(line))
+		}
+		return recipe
+	}
+	t.Fatalf("no %s target in Makefile", target)
+	return nil
+}
+
 // recipePackages collects the unique ./-prefixed package arguments from the
 // recipe lines of the named Makefile target.
 func recipePackages(t *testing.T, src, target string) []string {
 	t.Helper()
-	lines := strings.Split(src, "\n")
-	start := -1
-	for i, line := range lines {
-		if strings.HasPrefix(line, target+":") {
-			start = i + 1
-			break
-		}
-	}
-	if start < 0 {
-		t.Fatalf("no %s target in Makefile", target)
-	}
 	seen := make(map[string]bool)
 	var pkgs []string
-	for _, line := range lines[start:] {
-		if !strings.HasPrefix(line, "\t") {
-			break
-		}
+	for _, line := range recipeLines(t, src, target) {
 		for _, f := range strings.Fields(line) {
 			if strings.HasPrefix(f, "./") && !seen[f] {
 				seen[f] = true
