@@ -7,13 +7,13 @@ GO ?= go
 # Concurrency-sensitive packages run under the race detector in CI. The
 # trellis and experiments packages gained worker pools; their parallel and
 # sweep tests run raced via race-parallel below.
-RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./cmd/rcbrd/
+RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./cmd/rcbrd/
 
 # Packages whose worker-pool tests run raced through the race-parallel
 # target (each with its own -run filter, so they get explicit recipe lines).
 # TestMakefileRaceParallelSync asserts the recipe stays in sync with this
 # list — update both together.
-RACE_PARALLEL_PKGS := ./internal/trellis/ ./internal/experiments/ ./internal/switchfab/ ./internal/datapath/
+RACE_PARALLEL_PKGS := ./internal/trellis/ ./internal/experiments/ ./internal/switchfab/ ./internal/datapath/ ./internal/vctable/
 
 # Per-fuzz-target smoke budget. `go test -fuzz` takes one target per
 # invocation, hence the explicit list.
@@ -52,15 +52,16 @@ race:
 	$(MAKE) race-parallel
 
 # race-parallel covers the worker pools added for the parallel optimizer
-# and the experiment sweep runner, plus the sharded-fabric churn shim behind
-# the scaling benchmarks. The datapath line pins GOMAXPROCS=4 so the
-# port-group goroutines truly interleave under the detector even on
-# smaller CI runners.
+# and the experiment sweep runner, plus the fabric's churn and same-id
+# lifecycle shims. The datapath line pins GOMAXPROCS=4 so the port-group
+# goroutines truly interleave under the detector even on smaller CI
+# runners; its Table pattern reaches the VC table's tests in both packages
+# that hold them (the table itself, and its churn under forwarding).
 race-parallel:
 	$(GO) test -race -run 'Parallel' ./internal/trellis/
 	$(GO) test -race -run 'Sweep|Fig|MBAC|Latency|Chernoff' ./internal/experiments/
 	$(GO) test -race -run 'Parallel' ./internal/switchfab/
-	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC|Table' ./internal/datapath/
+	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC|Table' ./internal/datapath/ ./internal/vctable/
 
 # fuzz smokes every fuzz target for FUZZTIME each: long enough to catch
 # shallow regressions in the parsers, short enough for every CI run.

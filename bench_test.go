@@ -556,18 +556,13 @@ func BenchmarkRMCellRoundTrip(b *testing.B) {
 	}
 }
 
-// --- Sharded fabric at scale (tracked subset of internal/switchfab) ---
+// --- Switch fabric at scale (tracked subset of internal/switchfab) ---
 
 // benchFabricSwitch builds a fabric with vcs established circuits striped
-// over 64 ports; shards 0 means the default shard count, 1 the legacy
-// single-lock layout.
-func benchFabricSwitch(b *testing.B, shards, vcs int) *switchfab.Switch {
+// over 64 ports.
+func benchFabricSwitch(b *testing.B, vcs int) *switchfab.Switch {
 	b.Helper()
-	var opts []switchfab.Option
-	if shards > 0 {
-		opts = append(opts, switchfab.WithShards(shards))
-	}
-	sw := switchfab.New(opts...)
+	sw := switchfab.New()
 	const ports = 64
 	for p := 0; p < ports; p++ {
 		if err := sw.AddPort(p, 1e12); err != nil {
@@ -583,8 +578,9 @@ func benchFabricSwitch(b *testing.B, shards, vcs int) *switchfab.Switch {
 	return sw
 }
 
-func benchFabricRM(b *testing.B, shards, vcs int) {
-	sw := benchFabricSwitch(b, shards, vcs)
+func BenchmarkFabricRM64k(b *testing.B) {
+	const vcs = 65536
+	sw := benchFabricSwitch(b, vcs)
 	m := cell.RM{Resync: true, ER: 100e3}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -598,12 +594,9 @@ func benchFabricRM(b *testing.B, shards, vcs int) {
 	}
 }
 
-func BenchmarkFabricRMSharded64k(b *testing.B) { benchFabricRM(b, 0, 65536) }
-func BenchmarkFabricRMLegacy64k(b *testing.B)  { benchFabricRM(b, 1, 65536) }
-
 func BenchmarkFabricRMBatch(b *testing.B) {
 	const vcs = 16384
-	sw := benchFabricSwitch(b, 0, vcs)
+	sw := benchFabricSwitch(b, vcs)
 	const k = 32
 	items := make([]switchfab.RMItem, k)
 	for i := range items {
@@ -646,8 +639,17 @@ func BenchmarkSwitchHandleRM(b *testing.B) {
 
 // --- Call-scale churn: the setup path after the global-mutex removal ---
 
+// benchChurnResident is the population a churn benchmark's switch already
+// carries: the even VCIs of VPI 0.
+const benchChurnResident = 32768
+
 // benchChurnSwitch is a fabric sized for setup benchmarks: capacity out of
-// the way so the measured cost is the signaling path, not blocking.
+// the way so the measured cost is the signaling path, not blocking, and a
+// resident population on the even VCIs of VPI 0. Calls churn on the odd
+// VCIs in between (benchChurnID), so a call arrives into table pages that
+// other VCs already hold, as it does on a switch in service. The price of
+// the first VC in a page — one or two 2 KB pages allocated, and dropped
+// again when it leaves — is recorded in EXPERIMENTS.md instead.
 func benchChurnSwitch(b *testing.B, opts ...switchfab.Option) *switchfab.Switch {
 	b.Helper()
 	sw := switchfab.New(opts...)
@@ -656,7 +658,18 @@ func benchChurnSwitch(b *testing.B, opts ...switchfab.Option) *switchfab.Switch 
 			b.Fatal(err)
 		}
 	}
+	for i := 0; i < benchChurnResident; i++ {
+		if err := sw.SetupID(switchfab.MakeVCID(0, uint16(2*i)), i%64, 64e3); err != nil {
+			b.Fatal(err)
+		}
+	}
 	return sw
+}
+
+// benchChurnID is the i-th churned call's VC: the odd VCIs of VPI 0, round
+// and round.
+func benchChurnID(i int) switchfab.VCID {
+	return switchfab.MakeVCID(0, uint16(2*(i%benchChurnResident)+1))
 }
 
 // BenchmarkSetupChurnSerial measures one setup/teardown pair on a single
@@ -666,7 +679,7 @@ func BenchmarkSetupChurnSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := switchfab.MakeVCID(uint8(i>>16), uint16(i))
+		id := benchChurnID(i)
 		if err := sw.SetupID(id, i%64, 100e3); err != nil {
 			b.Fatal(err)
 		}
@@ -677,19 +690,22 @@ func BenchmarkSetupChurnSerial(b *testing.B) {
 }
 
 // BenchmarkSetupChurnParallel runs setup/teardown pairs from concurrent
-// goroutines striped across ports and shards. Before the per-port admission
-// refactor every pair serialized on one switch-wide mutex; now contention is
-// only among pairs landing on the same port.
+// goroutines striped across ports. Contention is only among pairs landing
+// on the same port, plus the table's writer mutex for the publish itself.
+// Each goroutine churns its own block of the odd VCIs, so no two ever hold
+// the same id however long one of them is descheduled.
 func BenchmarkSetupChurnParallel(b *testing.B) {
-	sw := benchChurnSwitch(b, switchfab.WithShards(1024))
-	var next atomic.Uint32
+	sw := benchChurnSwitch(b)
+	block := benchChurnResident / runtime.GOMAXPROCS(0) // RunParallel starts GOMAXPROCS goroutines
+	var workers atomic.Int32
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1)
-			id := switchfab.VCID(i % (1 << 24))
-			if err := sw.SetupID(id, int(i)%64, 100e3); err != nil {
+		base := int(workers.Add(1)-1) * block
+		for k := 0; pb.Next(); k++ {
+			i := base + k%block
+			id := benchChurnID(i)
+			if err := sw.SetupID(id, i%64, 100e3); err != nil {
 				b.Fatal(err)
 			}
 			if err := sw.TeardownID(id); err != nil {
@@ -712,7 +728,7 @@ func BenchmarkSetupChurnMemoryAdmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := switchfab.MakeVCID(uint8(i>>16), uint16(i))
+		id := benchChurnID(i)
 		if err := sw.SetupID(id, i%64, rates[i%len(rates)]); err != nil {
 			b.Fatal(err)
 		}
@@ -746,13 +762,13 @@ func BenchmarkAdmitDecisionMemoryLive(b *testing.B) {
 // established VC (heap growth across b.N setups after forced collections,
 // divided by b.N) as a custom "bytes/vc" metric alongside the setup rate.
 func BenchmarkChurnBytesPerVC(b *testing.B) {
-	sw := benchChurnSwitch(b, switchfab.WithShards(1024))
+	sw := benchChurnSwitch(b)
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := switchfab.VCID(i % (1 << 24))
+		id := switchfab.VCID(1<<16 + i) // VPI 1 upward: clear of the resident VCs
 		if err := sw.SetupID(id, i%64, 100e3); err != nil {
 			b.Fatal(err)
 		}
@@ -764,7 +780,7 @@ func BenchmarkChurnBytesPerVC(b *testing.B) {
 	// forced GC collects every VC before the measurement.
 	runtime.KeepAlive(sw)
 	if after.HeapInuse > before.HeapInuse {
-		b.ReportMetric(float64(after.HeapInuse-before.HeapInuse)/float64(min(b.N, 1<<24)), "bytes/vc")
+		b.ReportMetric(float64(after.HeapInuse-before.HeapInuse)/float64(b.N), "bytes/vc")
 	}
 }
 

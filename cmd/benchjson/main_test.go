@@ -203,7 +203,7 @@ func TestZeroAllocContractNames(t *testing.T) {
 	for name, want := range map[string]bool{
 		"BenchmarkDataPathForward8Port100kVC": true,
 		"BenchmarkFabricCellAppend":           true,
-		"BenchmarkFabricRMSharded64k":         false,
+		"BenchmarkFabricRM64k":                false,
 		"BenchmarkFig2OPT":                    false,
 	} {
 		if got := zeroAllocContract(name); got != want {

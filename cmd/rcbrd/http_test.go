@@ -145,7 +145,7 @@ func TestPprofGating(t *testing.T) {
 // a bare GET), explicit limit/offset walk the table exactly once in (VPI,
 // VCI) order, and malformed or abusive parameters are rejected.
 func TestVCsPagination(t *testing.T) {
-	sw := switchfab.New(switchfab.WithShards(16))
+	sw := switchfab.New()
 	if err := sw.AddPort(1, 1e9); err != nil {
 		t.Fatal(err)
 	}

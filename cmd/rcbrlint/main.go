@@ -2,7 +2,7 @@
 // internal/analysis) over the module: nine analyzers enforcing the
 // conventions the concurrent signaling plane and switch fabric depend on —
 // registered metric names, lock scopes that never span blocking calls, the
-// shard→port lock hierarchy, context plumbing through the signaling
+// one-port-lock-at-a-time rule, context plumbing through the signaling
 // surface, errors.Is sentinel matching, live event kinds and histograms,
 // //rcbr:zeroalloc hot paths free of allocation, atomic access discipline,
 // and finite-rate validation between the wire and the books.

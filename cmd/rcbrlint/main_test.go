@@ -34,7 +34,7 @@ func TestWriteJSON(t *testing.T) {
 		{
 			Pos:      token.Position{Filename: "/repo/internal/switchfab/switch.go", Line: 7, Column: 3},
 			Analyzer: "lockorder",
-			Message:  "the fabric lock order is shard before port",
+			Message:  "the fabric never holds two port locks at once",
 		},
 		{
 			Pos:      token.Position{Filename: "elsewhere/file.go", Line: 1, Column: 1},
@@ -51,7 +51,7 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	want := []jsonDiag{
-		{File: "internal/switchfab/switch.go", Line: 7, Col: 3, Analyzer: "lockorder", Message: "the fabric lock order is shard before port"},
+		{File: "internal/switchfab/switch.go", Line: 7, Col: 3, Analyzer: "lockorder", Message: "the fabric never holds two port locks at once"},
 		{File: "elsewhere/file.go", Line: 1, Col: 1, Analyzer: "zeroalloc", Message: "make allocates"},
 	}
 	if len(got) != len(want) {

@@ -14,7 +14,7 @@ import (
 )
 
 // churnRun drives the call-scale churn generator (internal/churn) against a
-// live sharded switch: ramp to a target concurrent-VC population under the
+// live switch: ramp to a target concurrent-VC population under the
 // chosen admission policy, then hold it in setup/teardown/renegotiation
 // equilibrium for a budget of call events, reporting setup latency,
 // admit-decision cost, and retained bytes per VC.
@@ -23,7 +23,6 @@ func churnRun(args []string) error {
 	vcs := fs.Int("vcs", 1_000_000, "target concurrent VC population")
 	ports := fs.Int("ports", 256, "output ports on the switch")
 	portCap := fs.Float64("portcap", 1.5e9, "per-port capacity (bits/s)")
-	shards := fs.Int("shards", 1024, "VC table shards (power of two)")
 	workers := fs.Int("workers", 0, "generator goroutines (0 = GOMAXPROCS)")
 	events := fs.Int("churn", 2_000_000, "churn-phase call-event budget")
 	admit := fs.String("admit", "memory", "admission policy: memory | none")
@@ -43,10 +42,7 @@ func churnRun(args []string) error {
 
 	classes := churn.DefaultClasses()
 	reg := metrics.NewRegistry()
-	opts := []switchfab.Option{
-		switchfab.WithMetrics(reg),
-		switchfab.WithShards(*shards),
-	}
+	opts := []switchfab.Option{switchfab.WithMetrics(reg)}
 	switch *admit {
 	case "memory":
 		ad, err := switchfab.NewMemoryAdmitter(churn.LevelSet(classes), *target)
@@ -69,8 +65,8 @@ func churnRun(args []string) error {
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("churn: target %d VCs over %d ports (%.3g b/s each), %d shards, %d workers, admit=%s\n",
-		*vcs, *ports, *portCap, *shards, w, *admit)
+	fmt.Printf("churn: target %d VCs over %d ports (%.3g b/s each), %d workers, admit=%s\n",
+		*vcs, *ports, *portCap, w, *admit)
 
 	res, err := churn.Run(churn.Config{
 		Switch:      sw,

@@ -13,7 +13,7 @@ import (
 func TestChurnRunSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "churn.json")
 	err := churnRun([]string{
-		"-vcs", "2000", "-ports", "8", "-shards", "32", "-workers", "4",
+		"-vcs", "2000", "-ports", "8", "-workers", "4",
 		"-churn", "5000", "-drain", "-json", out,
 	})
 	if err != nil {
@@ -38,7 +38,7 @@ func TestChurnRunSmoke(t *testing.T) {
 		t.Errorf("books unbalanced in JSON result: %d setups, %d teardowns", res.Setups, res.Teardowns)
 	}
 
-	if err := churnRun([]string{"-vcs", "500", "-ports", "4", "-shards", "8",
+	if err := churnRun([]string{"-vcs", "500", "-ports", "4",
 		"-churn", "1000", "-admit", "none"}); err != nil {
 		t.Fatalf("admit=none: %v", err)
 	}

@@ -76,8 +76,6 @@ func main() {
 		err = rvbrCompare(args)
 	case "signal":
 		err = signalRun(args)
-	case "fabric":
-		err = fabricRun(args)
 	case "churn":
 		err = churnRun(args)
 	case "topology":
@@ -97,7 +95,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `rcbrsim regenerates the RCBR paper's figures.
-commands: fig2 fig5 fig6 fig7 fig8 fig9 analysis section2 muxcmp datapath latency chernoff fit rvbr signal fabric churn topology
+commands: fig2 fig5 fig6 fig7 fig8 fig9 analysis section2 muxcmp datapath latency chernoff fit rvbr signal churn topology
 run "rcbrsim <command> -h" for per-command flags`)
 }
 

@@ -22,9 +22,9 @@
 // And the invariant-grade analyzers, which reason through the package call
 // graph (see CallGraph and Facts):
 //
-//   - lockorder: mutex acquisitions respect the ranked shard→port
-//     hierarchy, never hold two ranked same-class locks, and form no
-//     acquisition-order cycles — including through direct callees.
+//   - lockorder: a path never holds two port locks at once and mutex
+//     acquisitions form no acquisition-order cycles — including through
+//     direct callees.
 //   - zeroalloc: functions annotated //rcbr:zeroalloc avoid
 //     allocation-inducing constructs outside cold error paths.
 //   - atomicmix: a struct field accessed via sync/atomic anywhere is never

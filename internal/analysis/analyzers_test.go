@@ -31,8 +31,8 @@ func TestEventKind(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.EventKind, "eventkind")
 }
 
-// TestLockOrder covers the ranked shard→port hierarchy, callee
-// propagation, self-deadlocks, unranked cycles, and line-scoped ignores.
+// TestLockOrder covers the one-port-lock-at-a-time rule, callee
+// propagation, self-deadlocks, cycles, and line-scoped ignores.
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockOrder, "lockorder")
 }

@@ -8,33 +8,35 @@ import (
 	"strings"
 )
 
-// LockOrder enforces the sharded fabric's documented lock hierarchy
-// (DESIGN §11–13) mechanically instead of by convention. Every mutex
-// acquisition is classified by the struct field that owns it — "shard.mu",
-// "port.mu", "Switch.admitMu" — and the analyzer builds an intra-package
+// LockOrder enforces the switch's documented lock rules (DESIGN §11–15)
+// mechanically instead of by convention. Every mutex acquisition is
+// classified by the struct field that owns it — "port.mu",
+// "Switch.admitMu" — and the analyzer builds an intra-package
 // acquisition-order graph: an edge A→B means some path acquires class B
 // while a class-A lock is held, including acquisitions made by direct (and
-// transitive) intra-package callees. Three invariants are checked:
+// transitive) intra-package callees. Four invariants are checked:
 //
-//  1. Rank order: the fabric classes are ranked shard(1) → port(2); a path
-//     holding a port lock must never acquire a shard lock.
-//  2. Single holding per ranked class: a path never holds two shard locks
-//     or two port locks at once — HandleRMBatch's strictly-sequential shard
-//     groups depend on it.
-//  3. No cycles: for unranked classes, mutually inverted acquisition orders
-//     (A→B somewhere, B→A somewhere else) are a latent deadlock and are
-//     reported at the edge that closes the cycle.
-//  4. Never-ring: ring buffers are single-producer/single-consumer by
+//  1. One port at a time: a path never holds two port locks at once. Every
+//     switch operation works under exactly one port mutex, which is what
+//     makes the fabric deadlock-free without an order among ports.
+//  2. No cycles: mutually inverted acquisition orders (A→B somewhere, B→A
+//     somewhere else) are a latent deadlock and are reported at the edge
+//     that closes the cycle.
+//  3. Never-ring: ring buffers are single-producer/single-consumer by
 //     contract (DESIGN §14) and synchronize with atomics alone. A
 //     ring-named struct type declaring a mutex field, or any acquisition of
-//     a mutex owned by a ring-named type, is reported — the hierarchy ends
-//     at shard → port → never a ring lock.
-//  5. MPSC window: the multi-producer egress rings (DESIGN §15) are
+//     a mutex owned by a ring-named type, is reported.
+//  4. MPSC window: the multi-producer egress rings (DESIGN §15) are
 //     lock-free on both sides, and the hot path's push→pop window must stay
 //     that way — a function that pushes onto an MPSC-named ring and later
 //     pops/peeks/advances one must not acquire any mutex in between. The
 //     forwarder's sweep takes no lock at all; a lock inside the window
 //     would sit on the wire-rate path of every group goroutine.
+//
+// The walk is per package, so the VC table's writer mutex (internal/vctable,
+// taken under a port mutex by both planes) is out of its sight; that mutex
+// is a leaf by construction — vctable calls nothing while holding it — and
+// its doc comment says so.
 //
 // A re-acquisition of the very same lock expression via Lock (not RLock) is
 // additionally flagged as a self-deadlock. The walk is structural, like
@@ -46,18 +48,17 @@ import (
 // their own locking contract instead.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "mutex acquisitions respect the shard→port hierarchy, never double up a ranked class, and form no cycles",
+	Doc:  "mutex acquisitions never hold two port locks at once, form no cycles, and stay off the rings",
 	Run:  runLockOrder,
 }
 
-// lockOrderRank ranks the fabric's lock classes by the struct type that
-// declares the mutex. Lower rank is acquired first; two locks of one
-// ranked class are never held together.
-var lockOrderRank = map[string]int{"shard": 1, "port": 2}
+// lockOrderSingle is the lock class, named by the struct type that declares
+// the mutex, of which a path holds at most one at a time.
+const lockOrderSingle = "port"
 
 // heldLock is one lock the walker believes is currently held.
 type heldLock struct {
-	expr  string // rendered receiver ("sh.mu"), for exact-expression checks
+	expr  string // rendered receiver ("p.mu"), for exact-expression checks
 	class string // "Type.field" owning class, or "" for locals
 	write bool   // Lock rather than RLock
 }
@@ -278,7 +279,7 @@ func mutexAcquire(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method s
 }
 
 // lockClass names the lock's owning class as "Type.field" when the receiver
-// is a mutex field selected from a named struct type ("shard.mu",
+// is a mutex field selected from a named struct type ("port.mu",
 // "Switch.admitMu"). Locals and package-level mutexes have no class and are
 // only subject to the exact-expression self-deadlock check.
 func lockClass(info *types.Info, recv ast.Expr) string {
@@ -499,22 +500,15 @@ func (w *orderWalker) checkAcquire(pos token.Pos, recv, class string, write bool
 				w.edges[key] = pos
 			}
 		}
-		ht, at := classType(h.class), classType(class)
-		hr, hok := lockOrderRank[ht]
-		ar, aok := lockOrderRank[at]
-		switch {
-		case hok && aok && ht == at:
+		if at := classType(class); at == lockOrderSingle && at == classType(h.class) {
 			w.pass.Reportf(pos, "acquires a second %s lock%s while one is held; the fabric never holds two %s locks at once", at, suffix, at)
-		case hok && aok && ar < hr:
-			w.pass.Reportf(pos, "acquires %s lock%s while holding %s lock; the fabric lock order is shard before port", at, suffix, ht)
 		}
 	}
 }
 
 // reportCycles finds acquisition-order cycles among the recorded edges and
-// reports each edge that closes one. Rank violations are already reported
-// pointwise, so this pass is what catches inverted orders between unranked
-// classes (the classic two-mutex deadlock).
+// reports each edge that closes one: inverted orders between two classes
+// (the classic two-mutex deadlock).
 func (w *orderWalker) reportCycles() {
 	adj := make(map[string][]string)
 	for key := range w.edges {
@@ -535,21 +529,12 @@ func (w *orderWalker) reportCycles() {
 	})
 	for _, key := range keys {
 		// Edge from→to closes a cycle iff `from` is reachable from `to`.
-		if bothRanked(key[0], key[1]) {
-			continue // rank rules already cover the fabric classes
-		}
 		if reachable(adj, key[1], key[0]) {
 			w.pass.Reportf(w.edges[key],
 				"acquires %s while holding %s, but another path acquires them in the opposite order: lock-order cycle",
 				key[1], key[0])
 		}
 	}
-}
-
-func bothRanked(a, b string) bool {
-	_, aok := lockOrderRank[classType(a)]
-	_, bok := lockOrderRank[classType(b)]
-	return aok && bok
 }
 
 // reachable reports whether to is reachable from from in adj.

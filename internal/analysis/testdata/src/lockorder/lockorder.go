@@ -1,11 +1,14 @@
-// Package lockorder seeds violations of the fabric lock hierarchy: the
-// ranked shard→port order, the one-ranked-lock-at-a-time rule, callee
-// propagation, self-deadlocks, and an unranked acquisition-order cycle.
+// Package lockorder seeds violations of the fabric lock rules: never two
+// port locks at once (directly, in a branch, or through callees),
+// self-deadlocks, an acquisition-order cycle, never-ring and the MPSC
+// window.
 package lockorder
 
 import "sync"
 
-type shard struct {
+// table stands for any other lock class a port lock may nest over — the VC
+// table's writer mutex in the real fabric.
+type table struct {
 	mu sync.RWMutex
 }
 
@@ -13,44 +16,20 @@ type port struct {
 	mu sync.Mutex
 }
 
-// correct follows the hierarchy: shard before port, one of each.
-func correct(s *shard, p *port) {
-	s.mu.Lock()
+// correct follows the fabric's shape: one port lock, a leaf lock under it.
+func correct(t *table, p *port) {
 	p.mu.Lock()
-	p.mu.Unlock()
-	s.mu.Unlock()
-}
-
-// readCorrect does the same under a shard read lock.
-func readCorrect(s *shard, p *port) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p.mu.Lock()
+	t.mu.Lock()
+	t.mu.Unlock()
 	p.mu.Unlock()
 }
 
-// inverted takes the port lock first: the ranked order is violated.
-func inverted(s *shard, p *port) {
-	p.mu.Lock()
-	s.mu.Lock() // want "shard before port"
-	s.mu.Unlock()
-	p.mu.Unlock()
-}
-
-// invertedRead violates the order with a read lock under a deferred unlock.
-func invertedRead(s *shard, p *port) {
+// readCorrect does the same with a read lock under a deferred unlock.
+func readCorrect(t *table, p *port) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s.mu.RLock() // want "shard before port"
-	s.mu.RUnlock()
-}
-
-// twoShards holds two shard locks at once.
-func twoShards(a, b *shard) {
-	a.mu.Lock()
-	b.mu.Lock() // want "second shard lock"
-	b.mu.Unlock()
-	a.mu.Unlock()
+	t.mu.RLock()
+	t.mu.RUnlock()
 }
 
 // twoPorts holds two port locks at once.
@@ -61,6 +40,14 @@ func twoPorts(a, b *port) {
 	a.mu.Unlock()
 }
 
+// twoPortsDeferred does so under a deferred unlock.
+func twoPortsDeferred(a, b *port) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b.mu.Lock() // want "second port lock"
+	b.mu.Unlock()
+}
+
 // selfDeadlock re-locks the mutex it already holds.
 func selfDeadlock() {
 	var mu sync.Mutex
@@ -69,46 +56,45 @@ func selfDeadlock() {
 	mu.Unlock()
 }
 
-// branchScoped releases in one branch only; the walk keeps the lock held
-// after the if, so the shard acquisition below still violates the order
-// only inside the branch that kept it. The else branch unlocks first.
-func branchScoped(s *shard, p *port, cond bool) {
-	p.mu.Lock()
+// branchScoped takes the second port lock only inside a branch; once the
+// first is released, locking the other port is fine.
+func branchScoped(a, b *port, cond bool) {
+	a.mu.Lock()
 	if cond {
-		s.mu.Lock() // want "shard before port"
-		s.mu.Unlock()
+		b.mu.Lock() // want "second port lock"
+		b.mu.Unlock()
 	}
-	p.mu.Unlock()
-	s.mu.Lock()
-	s.mu.Unlock()
+	a.mu.Unlock()
+	b.mu.Lock()
+	b.mu.Unlock()
 }
 
-// lockShard acquires a shard lock on behalf of its caller.
-func lockShard(s *shard) {
-	s.mu.Lock()
-	s.mu.Unlock()
-}
-
-// lockShardDeep reaches the shard lock two calls down.
-func lockShardDeep(s *shard) {
-	lockShard(s)
-}
-
-// viaCallee violates the order through a direct callee.
-func viaCallee(s *shard, p *port) {
+// lockPort acquires a port lock on behalf of its caller.
+func lockPort(p *port) {
 	p.mu.Lock()
-	lockShard(s) // want "via call to lockShard"
 	p.mu.Unlock()
 }
 
-// viaDeepCallee violates the order through a transitive callee.
-func viaDeepCallee(s *shard, p *port) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	lockShardDeep(s) // want "via call to lockShardDeep"
+// lockPortDeep reaches the port lock two calls down.
+func lockPortDeep(p *port) {
+	lockPort(p)
 }
 
-// alpha and beta are unranked classes whose acquisition orders invert
+// viaCallee takes the second port lock through a direct callee.
+func viaCallee(a, b *port) {
+	a.mu.Lock()
+	lockPort(b) // want "via call to lockPort"
+	a.mu.Unlock()
+}
+
+// viaDeepCallee takes it through a transitive callee.
+func viaDeepCallee(a, b *port) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	lockPortDeep(b) // want "via call to lockPortDeep"
+}
+
+// alpha and beta are classes whose acquisition orders invert
 // between cycleAB and cycleBA: a classic two-mutex deadlock.
 type alpha struct {
 	mu sync.Mutex
@@ -133,23 +119,23 @@ func cycleBA(a *alpha, b *beta) {
 }
 
 // suppressed shows an ignore directive scoping: the directive suppresses
-// the inversion on the next line only, not the rest of the file — the
-// violations above and below still report.
-func suppressed(s *shard, p *port) {
-	p.mu.Lock()
-	//rcbrlint:ignore lockorder teardown path drains the port before shard rebalance
-	s.mu.Lock()
-	s.mu.Unlock()
-	p.mu.Unlock()
+// the second port lock on the next line only, not the rest of the file —
+// the violations above and below still report.
+func suppressed(a, b *port) {
+	a.mu.Lock()
+	//rcbrlint:ignore lockorder migration moves a VC between two quiesced ports
+	b.mu.Lock()
+	b.mu.Unlock()
+	a.mu.Unlock()
 }
 
 // notSuppressed sits after the directive in source order and still reports:
 // the ignore above is line-scoped.
-func notSuppressed(s *shard, p *port) {
-	p.mu.Lock()
-	s.mu.Lock() // want "shard before port"
-	s.mu.Unlock()
-	p.mu.Unlock()
+func notSuppressed(a, b *port) {
+	a.mu.Lock()
+	b.mu.Lock() // want "second port lock"
+	b.mu.Unlock()
+	a.mu.Unlock()
 }
 
 // cellRing models a ring buffer that wrongly grew a mutex: the never-ring
@@ -175,7 +161,7 @@ func lockRingUnderPort(p *port, r *cellRing) {
 }
 
 // resultString contains "ring" only inside another word: not a ring type,
-// so its mutex is an ordinary unranked class and reports nothing.
+// so its mutex is an ordinary class and reports nothing.
 type resultString struct {
 	mu sync.Mutex
 }
@@ -196,8 +182,8 @@ func (r *mpscCellRing) Pop() *int       { return nil }
 
 // mpscLockedWindow acquires a mutex between the MPSC push and the consumer
 // side: the lock sits on the wire-rate window and is reported even though
-// the shard lock alone violates no ordering rule.
-func mpscLockedWindow(r *mpscCellRing, s *shard) {
+// the table lock alone violates no ordering rule.
+func mpscLockedWindow(r *mpscCellRing, s *table) {
 	r.Push(1)
 	s.mu.Lock() // want "push→pop window is lock-free"
 	s.mu.Unlock()
@@ -206,7 +192,7 @@ func mpscLockedWindow(r *mpscCellRing, s *shard) {
 
 // mpscLockedWindowRead is the same violation through a read lock and the
 // Peek/Advance consumer pair.
-func mpscLockedWindowRead(r *mpscCellRing, s *shard) {
+func mpscLockedWindowRead(r *mpscCellRing, s *table) {
 	r.Push(1)
 	s.mu.RLock() // want "push→pop window is lock-free"
 	s.mu.RUnlock()
@@ -216,9 +202,8 @@ func mpscLockedWindowRead(r *mpscCellRing, s *shard) {
 }
 
 // mpscCleanProducer locks before the push and pops before locking again:
-// no acquisition lands inside the push→pop window, so nothing reports —
-// this is the forwarder's actual shape (shard RLock around the push).
-func mpscCleanProducer(r *mpscCellRing, s *shard) {
+// no acquisition lands inside the push→pop window, so nothing reports.
+func mpscCleanProducer(r *mpscCellRing, s *table) {
 	s.mu.RLock()
 	r.Push(1)
 	s.mu.RUnlock()
@@ -235,7 +220,7 @@ type plainCellRing struct{}
 func (r *plainCellRing) Push(c int) bool { return true }
 func (r *plainCellRing) Pop() *int       { return nil }
 
-func mpscCleanSPSC(r *plainCellRing, s *shard) {
+func mpscCleanSPSC(r *plainCellRing, s *table) {
 	r.Push(1)
 	s.mu.Lock()
 	s.mu.Unlock()

@@ -144,7 +144,7 @@ func (f *fabric) dispatchUnderLock() {
 	f.mu.Unlock()
 }
 
-// shard mirrors the sharded switch fabric: VC state lives in per-shard maps
+// shard models a lock-sharded table: VC state lives in per-shard maps
 // behind per-shard RWMutexes, with per-port accounting behind its own
 // mutex nested inside (lock order: shard before port, never two shards at
 // once).

@@ -23,7 +23,7 @@ func newChurnSwitch(t *testing.T, ports int, capacity float64, opts ...switchfab
 // fabric back empty with balanced books.
 func TestRunReachesTargetAndDrains(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := newChurnSwitch(t, 8, 1e9, switchfab.WithMetrics(reg), switchfab.WithShards(64))
+	s := newChurnSwitch(t, 8, 1e9, switchfab.WithMetrics(reg))
 	res, err := Run(Config{
 		Switch:      s,
 		Ports:       8,
@@ -79,7 +79,7 @@ func TestRunUnderMemoryAdmitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ports = 4
-	s := newChurnSwitch(t, ports, 1e9, switchfab.WithAdmitter(ad), switchfab.WithShards(32))
+	s := newChurnSwitch(t, ports, 1e9, switchfab.WithAdmitter(ad))
 	res, err := Run(Config{
 		Switch:      s,
 		Ports:       ports,

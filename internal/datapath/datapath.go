@@ -4,7 +4,7 @@
 // *simulates* a multiplexer queue, this package *forwards* real 53-byte
 // cells: per-port SPSC ring buffers, a batched forwarding loop that drains
 // up to K cells per port visit, VCID routing through a direct-index table
-// (table.go), and a per-VC token-bucket shaper enforcing the currently
+// (internal/vctable), and a per-VC token-bucket shaper enforcing the currently
 // granted rate.
 // Conforming cells are copied to the egress port's ring; excess is policed
 // and counted as real per-VC drops, and an egress ring that fills overflows
@@ -64,6 +64,7 @@ import (
 	"rcbr/internal/metrics"
 	"rcbr/internal/shaper"
 	"rcbr/internal/switchfab"
+	"rcbr/internal/vctable"
 )
 
 // CellPayloadBits is the token cost of forwarding one cell: its 48-byte
@@ -228,7 +229,7 @@ type VCStats struct {
 // Forwarder is the cell data path of one switch. See the package comment
 // for the concurrency contract.
 type Forwarder struct {
-	vcs vcTable
+	vcs vctable.Table[vcEntry]
 
 	// portsMu guards the ports map and the group round-robin cursor;
 	// portList is the forwarding goroutines' lock-free snapshot,
@@ -433,7 +434,10 @@ func (f *Forwarder) AddVC(id switchfab.VCID, egressPort int, rate float64) error
 	}
 	e := &vcEntry{egress: out, tb: *shaper.New(rate, f.depthBits), lastNanos: unsetNanos}
 	e.rateBits.Store(math.Float64bits(rate))
-	return f.vcs.put(id, e)
+	if err := f.vcs.Put(uint32(id), e); err != nil {
+		return fmt.Errorf("datapath: vc %#x: %w", uint32(id), err)
+	}
+	return nil
 }
 
 // SetVCRate retargets a VC's granted rate. The store is atomic; the
@@ -446,7 +450,7 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 	if math.IsInf(rate, 1) {
 		return fmt.Errorf("shaper: invalid rate %g", rate)
 	}
-	e := f.vcs.get(id)
+	e := f.vcs.Get(uint32(id))
 	if e == nil {
 		f.ins.vcMisses.Inc()
 		return fmt.Errorf("datapath: no vc %s", id)
@@ -462,7 +466,7 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 // returned stats are exact when the VC's ingress port is quiescent. Cells
 // of the VC already on an egress ring are transmitted like any others.
 func (f *Forwarder) RemoveVC(id switchfab.VCID) (VCStats, error) {
-	e := f.vcs.remove(id)
+	e := f.vcs.Remove(uint32(id))
 	if e == nil {
 		f.ins.vcMisses.Inc()
 		return VCStats{}, fmt.Errorf("datapath: no vc %s", id)
@@ -483,7 +487,7 @@ func (e *vcEntry) stats() VCStats {
 
 // VCStats snapshots a VC's counters.
 func (f *Forwarder) VCStats(id switchfab.VCID) (VCStats, bool) {
-	e := f.vcs.get(id)
+	e := f.vcs.Get(uint32(id))
 	if e == nil {
 		return VCStats{}, false
 	}
@@ -491,7 +495,7 @@ func (f *Forwarder) VCStats(id switchfab.VCID) (VCStats, bool) {
 }
 
 // VCCount returns the number of routed VCs.
-func (f *Forwarder) VCCount() int { return int(f.vcs.n.Load()) }
+func (f *Forwarder) VCCount() int { return f.vcs.Len() }
 
 // Inject offers a cell to a port's ingress ring — the port's wire-receive
 // path, one producer goroutine per port. It reports false when the ring is
@@ -702,7 +706,7 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 			p.in.Advance()
 			continue
 		}
-		e := f.vcs.get(switchfab.MakeVCID(h.VPI, h.VCI))
+		e := f.vcs.Get(uint32(switchfab.MakeVCID(h.VPI, h.VCI)))
 		if e == nil {
 			unr++
 			p.in.Advance()
@@ -801,7 +805,7 @@ func (f *Forwarder) OnSetup(port int, id switchfab.VCID, rate float64) {
 //
 //rcbr:zeroalloc
 func (f *Forwarder) OnRateChange(port int, id switchfab.VCID, rate float64) {
-	if e := f.vcs.get(id); e != nil {
+	if e := f.vcs.Get(uint32(id)); e != nil {
 		e.rateBits.Store(math.Float64bits(rate))
 	} else {
 		f.ins.vcMisses.Inc()

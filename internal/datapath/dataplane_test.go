@@ -84,3 +84,34 @@ func TestDataPlaneMissesCount(t *testing.T) {
 		t.Fatalf("vc_misses = %d, want 3", got)
 	}
 }
+
+// TestWideVCIDRefusedBeforeTheBooks is the regression test for a VCID wider
+// than 24 bits: the switch used to admit it and reserve its rate while the
+// forwarder refused it, leaving a reservation no cell or RM header could
+// ever address (and listing it under the id its low 24 bits spell). Both
+// planes index one table type now, so setup refuses it first.
+func TestWideVCIDRefusedBeforeTheBooks(t *testing.T) {
+	reg := metrics.NewRegistry()
+	f := New(WithMetrics(reg))
+	f.AddPort(1)
+	sw := switchfab.New(switchfab.WithDataPlane(f))
+	sw.AddPort(1, 10e6)
+
+	err := sw.SetupID(switchfab.VCID(1<<24|7), 1, 4e6)
+	if err == nil || switchfab.IsReject(err) {
+		t.Fatalf("SetupID(1<<24|7) = %v, want a plain error", err)
+	}
+	if reserved, _, _ := sw.PortLoad(1); reserved != 0 {
+		t.Errorf("port reserved %g for a VC that was refused", reserved)
+	}
+	if sw.VCCount() != 0 || f.VCCount() != 0 || len(sw.VCs()) != 0 {
+		t.Errorf("switch holds %d VCs (lists %d), forwarder %d; want none", sw.VCCount(), len(sw.VCs()), f.VCCount())
+	}
+	if got := reg.Snapshot().Counters[MetricVCMisses]; got != 0 {
+		t.Errorf("vc_misses = %d: the refused setup reached the data plane", got)
+	}
+	// The id its low 24 bits spell is still free.
+	if err := sw.SetupID(switchfab.MakeVCID(0, 7), 1, 4e6); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,73 +2,12 @@ package datapath
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"rcbr/internal/switchfab"
 )
-
-// TestTableMatchesMapModel drives the radix table and a plain map through
-// the same random add / remove / re-add / get sequence and requires them to
-// agree after every step. The id pool mixes a dense run, VCIs scattered
-// over several VPIs, the all-ones VCID and ids wider than 24 bits (which
-// name no VC), so pages are created, shared, emptied and created again.
-func TestTableMatchesMapModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pool := []switchfab.VCID{0, 0xFFFFFF, 0xFFFF00, 0x00FFFF, 1 << 24, 0xFFFFFFFF}
-	for i := 0; i < 300; i++ {
-		pool = append(pool, switchfab.MakeVCID(3, uint16(0x1000+i)))
-	}
-	for i := 0; i < 64; i++ {
-		pool = append(pool, switchfab.MakeVCID(uint8(rng.Intn(5)*63), uint16(rng.Intn(1<<16))))
-	}
-
-	var tab vcTable
-	model := make(map[switchfab.VCID]*vcEntry)
-	check := func(step int, id switchfab.VCID) {
-		t.Helper()
-		if got := tab.get(id); got != model[id] {
-			t.Fatalf("step %d: get(%#x) = %p, model has %p", step, uint32(id), got, model[id])
-		}
-		if int(tab.n.Load()) != len(model) {
-			t.Fatalf("step %d: table counts %d entries, model %d", step, tab.n.Load(), len(model))
-		}
-	}
-	for step := 0; step < 20000; step++ {
-		id := pool[rng.Intn(len(pool))]
-		switch rng.Intn(3) {
-		case 0:
-			e := new(vcEntry)
-			_, taken := model[id]
-			err := tab.put(id, e)
-			if want := !taken && id>>24 == 0; (err == nil) != want {
-				t.Fatalf("step %d: put(%#x) = %v, want success %v", step, uint32(id), err, want)
-			}
-			if err == nil {
-				model[id] = e
-			}
-		case 1:
-			if got := tab.remove(id); got != model[id] {
-				t.Fatalf("step %d: remove(%#x) = %p, model has %p", step, uint32(id), got, model[id])
-			}
-			delete(model, id)
-		}
-		check(step, id)
-		check(step, pool[rng.Intn(len(pool))])
-	}
-
-	// Emptied pages are unlinked: a table with no entries holds no pages.
-	for id := range model {
-		tab.remove(id)
-	}
-	for i := range tab.root.slots {
-		if tab.root.slots[i].Load() != nil {
-			t.Fatalf("VPI %d still holds a page after its last VC left", i)
-		}
-	}
-}
 
 // TestTableChurnUnderForwarding is the table's race test: two group
 // goroutines forward cells of VCs that share one leaf page while a writer

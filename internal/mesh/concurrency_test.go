@@ -18,7 +18,7 @@ import (
 // reserved past its capacity, and after the storm every hop's reservation
 // equals the sum of the rates its paths believe they hold. Run under
 // -race this also exercises the path semaphore and the switch's
-// shard/port locking from 32 goroutines at once.
+// per-port locking from 32 goroutines at once.
 func TestConcurrentBottleneckNoOvercommit(t *testing.T) {
 	const (
 		nPaths     = 32

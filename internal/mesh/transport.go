@@ -26,9 +26,9 @@
 // propagation waits and (for netproto-backed hops) real network I/O, and
 // the repo's lockscope analyzer forbids holding a sync.Mutex across
 // either. The mesh's own mutex guards only the topology maps and is never
-// held across hop I/O. Per-switch locking is unchanged from switchfab
-// (setup mutex → shard → port); the mesh layer adds no lock that nests
-// inside those.
+// held across hop I/O. Per-switch locking is switchfab's (one port mutex
+// per operation, the VC table's writer mutex a leaf under it); the mesh
+// layer adds no lock that nests inside those.
 package mesh
 
 import (

@@ -107,7 +107,7 @@ func batchTestRig(t *testing.T, reg *metrics.Registry, copts ...ClientOption) (*
 	}
 	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(srv.Addr().String(), copts...)
+	c, err := DialContext(context.Background(), srv.Addr().String(), copts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestClientBatchV2PeerFallback(t *testing.T) {
 	}
 	addr := v2OnlyServer(t, sw)
 	reg := metrics.NewRegistry()
-	c, err := Dial(addr.String(),
+	c, err := DialContext(context.Background(), addr.String(),
 		WithBatchWindow(10*time.Millisecond),
 		WithTimeout(50*time.Millisecond), WithRetries(0),
 		WithClientMetrics(reg))

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,7 +46,7 @@ func benchSignalThroughput(b *testing.B, workers int, serialize bool) {
 
 	proxy := newShapingProxy(b, srv.Addr().String(), nil,
 		func(int) time.Duration { return wireDelay })
-	cl, err := Dial(proxy.Addr(), WithTimeout(2*time.Second), WithRetries(3))
+	cl, err := DialContext(context.Background(), proxy.Addr(), WithTimeout(2*time.Second), WithRetries(3))
 	if err != nil {
 		b.Fatal(err)
 	}

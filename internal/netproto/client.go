@@ -165,19 +165,9 @@ func WithClientMetrics(reg *metrics.Registry) ClientOption {
 	}
 }
 
-// Dial connects to a switch daemon with default settings (500ms per-attempt
-// timeout, 3 retries) unless overridden by options.
-//
-// Deprecated: use DialContext, which honors the caller's context during
-// address resolution and socket setup.
-//
-//rcbrlint:ignore ctxfirst pre-context constructor kept for callers without a context; new code uses DialContext
-func Dial(addr string, opts ...ClientOption) (*Client, error) {
-	return DialContext(context.Background(), addr, opts...)
-}
-
-// DialContext is Dial honoring the context during address resolution and
-// socket setup.
+// DialContext connects to a switch daemon with default settings (500ms
+// per-attempt timeout, 3 retries) unless overridden by options, honoring the
+// context during address resolution and socket setup.
 func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "udp", addr)

@@ -115,7 +115,7 @@ func startServer(t *testing.T, capacity float64) (*switchfab.Switch, *Server, *C
 	}
 	go srv.Serve() //nolint:errcheck // exits via Close
 	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(srv.Addr().String(), WithTimeout(200*time.Millisecond), WithRetries(2))
+	cl, err := DialContext(context.Background(), srv.Addr().String(), WithTimeout(200*time.Millisecond), WithRetries(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestClientTimeout(t *testing.T) {
 	}
 	addr := hole.Addr().String()
 	hole.Close() // nothing listens anymore
-	cl, err := Dial(addr, WithTimeout(50*time.Millisecond), WithRetries(1))
+	cl, err := DialContext(context.Background(), addr, WithTimeout(50*time.Millisecond), WithRetries(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(vci uint16) {
 			defer wg.Done()
-			cl, err := Dial(srvAddr, WithTimeout(300*time.Millisecond), WithRetries(3))
+			cl, err := DialContext(context.Background(), srvAddr, WithTimeout(300*time.Millisecond), WithRetries(3))
 			if err != nil {
 				errs <- err
 				return
@@ -385,7 +385,7 @@ func TestContextDeadline(t *testing.T) {
 	}
 	addr := hole.Addr().String()
 	hole.Close() // nothing listens anymore
-	cl, err := Dial(addr, WithTimeout(2*time.Second), WithRetries(10))
+	cl, err := DialContext(context.Background(), addr, WithTimeout(2*time.Second), WithRetries(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestContextCancelMidFlight(t *testing.T) {
 			}
 		}
 	}()
-	cl, err := Dial(sink.LocalAddr().String(),
+	cl, err := DialContext(context.Background(), sink.LocalAddr().String(),
 		WithTimeout(10*time.Second), WithRetries(0))
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +456,7 @@ func TestServerMetrics(t *testing.T) {
 	}
 	defer srv.Close()
 	go srv.Serve() //nolint:errcheck
-	cl, err := Dial(srv.Addr().String(), WithTimeout(200*time.Millisecond), WithRetries(2))
+	cl, err := DialContext(context.Background(), srv.Addr().String(), WithTimeout(200*time.Millisecond), WithRetries(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -182,7 +183,7 @@ func TestServeShedsLoadWhenQueueFull(t *testing.T) {
 			burst, s.Counters)
 	}
 	// The server is still alive and serving.
-	cl, err := Dial(srv.Addr().String(), WithTimeout(500*time.Millisecond), WithRetries(5))
+	cl, err := DialContext(context.Background(), srv.Addr().String(), WithTimeout(500*time.Millisecond), WithRetries(5))
 	if err != nil {
 		t.Fatal(err)
 	}

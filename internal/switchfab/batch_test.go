@@ -67,57 +67,6 @@ func TestVPIAddressing(t *testing.T) {
 	}
 }
 
-func TestWithShardsRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {32, 32}, {100, 128}, {0, DefaultShards}, {-4, DefaultShards},
-	} {
-		if got := New(WithShards(tc.in)).ShardCount(); got != tc.want {
-			t.Errorf("WithShards(%d) -> %d shards, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestShardEquivalence runs the same mixed workload on a 1-shard (legacy
-// single-lock) and a default sharded switch and demands identical results.
-func TestShardEquivalence(t *testing.T) {
-	run := func(s *Switch) ([]VCInfo, Stats) {
-		for p := 0; p < 4; p++ {
-			if err := s.AddPort(p, 50e6); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 256; i++ {
-			if err := s.Setup(uint16(i), i%4, 100e3); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 256; i++ {
-			if _, _, err := s.Renegotiate(uint16(i), 100e3+float64(i)*1e3); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 256; i += 3 {
-			if err := s.Teardown(uint16(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s.VCs(), s.Stats()
-	}
-	vcs1, st1 := run(New(WithShards(1)))
-	vcsN, stN := run(New())
-	if st1 != stN {
-		t.Errorf("stats diverge: 1 shard %+v vs default %+v", st1, stN)
-	}
-	if len(vcs1) != len(vcsN) {
-		t.Fatalf("VC count diverges: %d vs %d", len(vcs1), len(vcsN))
-	}
-	for i := range vcs1 {
-		if vcs1[i] != vcsN[i] {
-			t.Errorf("VC %d diverges: %+v vs %+v", i, vcs1[i], vcsN[i])
-		}
-	}
-}
-
 func batchSwitch(t *testing.T, opts ...Option) *Switch {
 	t.Helper()
 	s := New(opts...)
@@ -220,42 +169,44 @@ func TestHandleRMBatchDeny(t *testing.T) {
 	}
 }
 
-// TestHandleRMBatchAcrossShards spreads a batch over many shards (and a
-// chunk boundary) and checks every valid entry is answered.
-func TestHandleRMBatchAcrossShards(t *testing.T) {
-	s := New(WithShards(8))
+// TestHandleRMBatchLong sends one batch longer than any bookkeeping word
+// (more than 64 items), with VCs on several VPIs out of id order, and checks
+// every entry is answered exactly once, in request order.
+func TestHandleRMBatchLong(t *testing.T) {
+	s := New()
 	if err := s.AddPort(1, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	const n = 100 // > batchChunk, striped over all 8 shards
+	const n = 100
 	items := make([]RMItem, 0, n)
 	for i := 0; i < n; i++ {
-		vci := uint16(i + 1)
-		if err := s.Setup(vci, 1, 1e6); err != nil {
+		id := MakeVCID(uint8(i%3), uint16(n-i)) // descending VCIs, VPIs interleaved
+		if err := s.SetupID(id, 1, 1e6); err != nil {
 			t.Fatal(err)
 		}
-		items = append(items, RMItem{VCI: vci, M: cell.RM{ER: 1e6, Seq: 1}})
+		items = append(items, RMItem{VPI: id.VPI(), VCI: id.VCI(), M: cell.RM{ER: 1e6, Seq: 1}})
 	}
 	out := s.HandleRMBatch(items, make([]RMItem, 0, n))
 	if len(out) != n {
 		t.Fatalf("got %d replies, want %d", len(out), n)
 	}
-	seen := map[uint16]bool{}
-	for _, r := range out {
-		if seen[r.VCI] {
-			t.Errorf("VC %d answered twice", r.VCI)
+	for i, r := range out {
+		if r.VPI != items[i].VPI || r.VCI != items[i].VCI {
+			t.Fatalf("reply %d is for VC %d.%d, request %d was for %d.%d", i, r.VPI, r.VCI, i, items[i].VPI, items[i].VCI)
 		}
-		seen[r.VCI] = true
 		if r.M.Deny || r.M.ER != 2e6 {
-			t.Errorf("VC %d reply %+v, want grant of 2e6", r.VCI, r.M)
+			t.Errorf("VC %d.%d reply %+v, want grant of 2e6", r.VPI, r.VCI, r.M)
 		}
+	}
+	if st := s.Stats(); st.Grants != n || st.BatchCells != n {
+		t.Errorf("stats %+v, want %d grants from one %d-cell batch", st, n, n)
 	}
 }
 
-// TestBatchMetrics checks the new shard/batch instruments are published.
+// TestBatchMetrics checks the batch counters are published.
 func TestBatchMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := New(WithMetrics(reg), WithShards(4))
+	s := New(WithMetrics(reg))
 	if err := s.AddPort(1, 1e9); err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +226,6 @@ func TestBatchMetrics(t *testing.T) {
 	} {
 		if got, ok := snap.Counters[name]; !ok || got != want {
 			t.Errorf("counter %s = %d (present=%v), want %d", name, got, ok, want)
-		}
-	}
-	for name, want := range map[string]float64{
-		MetricShardCount:  4,
-		MetricShardVCsMax: 2, // 6 VCs striped over 4 shards: fullest has 2
-	} {
-		if got, ok := snap.Gauges[name]; !ok || got != want {
-			t.Errorf("gauge %s = %g (present=%v), want %g", name, got, ok, want)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // benchPorts spreads benchmark VCs over enough output ports that port-mutex
-// contention does not mask the shard-lock behavior under measurement.
+// contention does not mask the VC-lookup cost under measurement.
 const benchPorts = 64
 
 // benchID maps a dense VC index onto the (VPI, VCI) space: indexes past
@@ -21,14 +21,10 @@ func benchID(i int) VCID {
 }
 
 // newBenchSwitch builds a fabric with vcs established circuits striped over
-// benchPorts ports. shards <= 0 means the default shard count.
-func newBenchSwitch(tb testing.TB, shards, vcs int) *Switch {
+// benchPorts ports.
+func newBenchSwitch(tb testing.TB, vcs int) *Switch {
 	tb.Helper()
-	var opts []Option
-	if shards > 0 {
-		opts = append(opts, WithShards(shards))
-	}
-	s := New(opts...)
+	s := New()
 	for p := 0; p < benchPorts; p++ {
 		if err := s.AddPort(p, 1e12); err != nil {
 			tb.Fatal(err)
@@ -43,35 +39,26 @@ func newBenchSwitch(tb testing.TB, shards, vcs int) *Switch {
 }
 
 // BenchmarkSwitchHandleRM measures parallel renegotiation throughput as the
-// established-VC population grows, sharded (default) vs. legacy (one shard =
-// the pre-sharding single global lock). Requests are idempotent resyncs so
-// the working rates never drift; each worker walks its own VC stride.
+// established-VC population grows. Requests are idempotent resyncs so the
+// working rates never drift; each worker walks its own VC stride.
 func BenchmarkSwitchHandleRM(b *testing.B) {
 	for _, vcs := range []int{1, 16384, 65536, 100000} {
-		for _, cfg := range []struct {
-			name   string
-			shards int
-		}{
-			{"sharded", 0},
-			{"legacy", 1},
-		} {
-			b.Run(fmt.Sprintf("vcs=%d/%s", vcs, cfg.name), func(b *testing.B) {
-				s := newBenchSwitch(b, cfg.shards, vcs)
-				m := cell.RM{Resync: true, ER: 100e3}
-				var next atomic.Uint64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := int(next.Add(1)) % vcs
-						id := benchID(i)
-						h := cell.Header{VPI: id.VPI(), VCI: id.VCI()}
-						if _, err := s.HandleRM(h, m); err != nil {
-							b.Fatal(err)
-						}
+		b.Run(fmt.Sprintf("vcs=%d", vcs), func(b *testing.B) {
+			s := newBenchSwitch(b, vcs)
+			m := cell.RM{Resync: true, ER: 100e3}
+			var next atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := int(next.Add(1)) % vcs
+					id := benchID(i)
+					h := cell.Header{VPI: id.VPI(), VCI: id.VCI()}
+					if _, err := s.HandleRM(h, m); err != nil {
+						b.Fatal(err)
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -81,7 +68,7 @@ func BenchmarkRMBatch(b *testing.B) {
 	const vcs = 16384
 	for _, k := range []int{8, 32} {
 		b.Run(fmt.Sprintf("batch=%d", k), func(b *testing.B) {
-			s := newBenchSwitch(b, 0, vcs)
+			s := newBenchSwitch(b, vcs)
 			items := make([]RMItem, k)
 			for i := range items {
 				id := benchID(i * 37 % vcs)
@@ -97,7 +84,7 @@ func BenchmarkRMBatch(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("singleton=%d", k), func(b *testing.B) {
-			s := newBenchSwitch(b, 0, vcs)
+			s := newBenchSwitch(b, vcs)
 			m := cell.RM{Resync: true, ER: 100e3}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -113,14 +100,14 @@ func BenchmarkRMBatch(b *testing.B) {
 
 // TestParallelFabricChurn is the race-detector shim behind the fabric
 // benchmarks (make race-parallel): setups, teardowns, singleton RM cells,
-// batches, and table listings all running against each other across shards.
+// batches, and table listings all running against each other.
 func TestParallelFabricChurn(t *testing.T) {
 	const (
 		workers = 8
 		vcs     = 512
 		rounds  = 200
 	)
-	s := newBenchSwitch(t, 8, vcs)
+	s := newBenchSwitch(t, vcs)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -137,7 +124,7 @@ func TestParallelFabricChurn(t *testing.T) {
 						return
 					}
 				}
-			case 1: // batches across shards
+			case 1: // batches
 				items := make([]RMItem, 16)
 				out := make([]RMItem, 0, 16)
 				for i := 0; i < rounds; i++ {

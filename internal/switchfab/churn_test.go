@@ -141,7 +141,7 @@ func TestSetupTeardownDrift(t *testing.T) {
 // TestVCsPage checks that pages concatenate to exactly the full sorted
 // listing, for page sizes that do and do not divide the population.
 func TestVCsPage(t *testing.T) {
-	s := New(nil, WithShards(8))
+	s := New(nil)
 	for p := 0; p < 4; p++ {
 		if err := s.AddPort(p, 1e9); err != nil {
 			t.Fatal(err)
@@ -223,7 +223,7 @@ func (c *countingLifecycle) OnDepart(port int, id VCID, rate float64) {
 }
 
 // TestParallelSetupChurnStorm hammers setup/renegotiate/teardown from many
-// goroutines across ports and shards with the stateful memory admitter
+// goroutines across ports with the stateful memory admitter
 // installed. Run under -race (the Makefile's race target does), this is the
 // proof that removing the global setup mutex kept the stateful-admission
 // path correct: lifecycle notifications balance operations exactly and the
@@ -235,7 +235,7 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &countingLifecycle{inner: inner}
-	s := New(WithAdmitter(counter), WithShards(64))
+	s := New(WithAdmitter(counter))
 	for p := 0; p < ports; p++ {
 		if err := s.AddPort(p, 1e12); err != nil { // capacity out of the way: exercise accounting, not blocking
 			t.Fatal(err)

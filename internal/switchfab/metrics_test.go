@@ -1,6 +1,7 @@
 package switchfab
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -284,5 +285,81 @@ func TestVCsListing(t *testing.T) {
 		if vcs[i].VCI != want || vcs[i].Rate != float64(want)*1e3 || vcs[i].Port != 1 {
 			t.Fatalf("vcs[%d] = %+v", i, vcs[i])
 		}
+	}
+}
+
+// TestCountersAreViewsOfStats pins one counter per fact: after a run that
+// moves every activity counter, each switch.* counter in the registry
+// snapshot reads exactly the matching Stats field — the registry views the
+// switch's own counters instead of keeping a second set.
+func TestCountersAreViewsOfStats(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sw := New(WithMetrics(reg))
+	if err := sw.AddPort(1, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Setup(1, 1, 100e3); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Setup(2, 1, 100e3); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Setup(3, 1, 5e6); !IsReject(err) {
+		t.Fatalf("over-capacity setup: %v", err)
+	}
+	h := cell.Header{VCI: 1, PTI: cell.PTIRM}
+	sw.HandleRM(h, cell.RM{ER: 100e3, Seq: 1})               // grant
+	sw.HandleRM(h, cell.RM{ER: 100e3, Seq: 1})               // duplicate drop
+	sw.HandleRM(h, cell.RM{ER: 300e3, Resync: true, Seq: 2}) // resync
+	sw.Renegotiate(1, 5e6)                                   // denial
+	sw.RenegotiateBest(2, 5e6)                               // partial grant
+	sw.RenegotiateBest(1, 5e6)                               // no headroom left: denial
+	sw.HandleRMBatch([]RMItem{
+		{VCI: 1, M: cell.RM{Decrease: true, ER: 50e3, Seq: 3}},
+		{VCI: 2, M: cell.RM{Decrease: true, ER: 50e3, Seq: 1}},
+	}, nil)
+	if err := sw.Teardown(2); err != nil {
+		t.Fatal(err)
+	}
+	p := sw.port(1)
+	p.mu.Lock()
+	reserved := p.reserved
+	sw.setReserved(p, -1) // force the clamp
+	sw.setReserved(p, reserved)
+	p.mu.Unlock()
+
+	st, snap := sw.Stats(), reg.Snapshot()
+	for name, want := range map[string]int64{
+		MetricSetups:          st.Setups,
+		MetricSetupRejects:    st.SetupRejects,
+		MetricTeardowns:       st.Teardowns,
+		MetricRenegs:          st.Renegotiations,
+		MetricGrants:          st.Grants,
+		MetricDenials:         st.Denials,
+		MetricPartialGrants:   st.PartialGrants,
+		MetricResyncs:         st.Resyncs,
+		MetricDupDrops:        st.DupDrops,
+		MetricRMBatches:       st.Batches,
+		MetricRMBatchCells:    st.BatchCells,
+		MetricReservedClamped: st.ReservedClamps,
+	} {
+		if want == 0 {
+			t.Errorf("%s: the run never moved this counter", name)
+		}
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (present=%v), Stats says %d", name, got, ok, want)
+		}
+	}
+	if st.Renegotiations != st.Grants+st.Denials {
+		t.Errorf("renegotiations %d != grants %d + denials %d", st.Renegotiations, st.Grants, st.Denials)
+	}
+	n := 0
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "switch.") {
+			n++
+		}
+	}
+	if n != 12 {
+		t.Errorf("registry holds %d switch.* counters, the test checks 12", n)
 	}
 }

@@ -13,26 +13,28 @@
 // mirroring the paper's split between heavyweight setup and lightweight
 // renegotiation.
 //
-// Concurrency: the VC table is sharded. Each of the N (power-of-two) shards
-// owns an RWMutex and its slice of the VC map, selected by the low bits of
-// the VC identifier, so renegotiations on different VCs contend only when
-// they land in the same shard — and even then only on a reader-shared lock.
-// Each port has its own mutex guarding its reservation and the rate (and RM
-// sequence state) of the VCs homed on it. A renegotiation therefore touches
-// exactly one shard lock (shared) and one port mutex. Lock order is always
-// shard before port, and never two shard locks and never two port locks at
-// once (HandleRMBatch applies its shard groups strictly sequentially).
-// Setup and teardown take the owning shard exclusively — which is what keeps
-// teardown from freeing a VC out from under an in-flight RM cell. Setups on
-// different ports run concurrently: the admission decision and the
-// reservation update happen under the one port's mutex, so admission state
-// shards with the fabric. A LifecycleAdmitter is invoked with the VC's port
-// mutex held — per-port serialization is the concurrency contract its
-// implementations rely on — while a legacy plain Admitter is additionally
-// serialized under an internal admit mutex (acquired after the port mutex,
-// released before any other lock is taken), preserving the old
+// Concurrency: the VC table is internal/vctable's direct-index table, the
+// same one the cell path uses, keyed by the 24-bit VCID. Lookups take no
+// lock. Each port has its own mutex guarding its reservation and the rate,
+// RM sequence state and gone flag of the VCs homed on it; every operation
+// on a VC is "look it up, lock its port, check gone", so a renegotiation
+// touches exactly one mutex, and one that raced a teardown (it found the
+// entry just before the teardown unpublished it) sees gone set and reports
+// ErrNoVC. Setup checks for a duplicate, decides capacity and admission,
+// publishes the entry and reserves under one hold of the target port's
+// mutex, so setups on different ports overlap except for the table's own
+// writer mutex — a leaf taken under the port mutex, the same order the
+// DataPlane hooks use for the cell path's table. Teardown runs the admitter
+// and DataPlane hooks before it unpublishes the entry, still under the port
+// mutex: until the id is free no setup can reuse it, so a setup of the same
+// id on another port never reaches the data plane ahead of the teardown.
+// Never two port locks at once. A LifecycleAdmitter is invoked with the
+// VC's port mutex held — per-port serialization is the concurrency contract
+// its implementations rely on — while a legacy plain Admitter is
+// additionally serialized under an internal admit mutex (acquired after the
+// port mutex, released before any other lock is taken), preserving the old
 // never-concurrent contract those implementations were written against.
-// Activity counters are atomics.
+// Activity counters are atomics, published into the registry as views.
 //
 // VC identifiers: the paper's switch is an ATM switch, so a VC is named by
 // the cell header's (VPI, VCI) pair — 24 bits, far past the 65,536 circuits
@@ -51,7 +53,7 @@
 // unsequenced (legacy) cell and bypasses the check.
 //
 // Construction uses functional options (WithAdmitter, WithMetrics,
-// WithEventTrace, WithShards); observability is opt-in and free when absent,
+// WithEventTrace, WithDataPlane); observability is opt-in and free when absent,
 // because every instrument is nil-safe and cached at construction time — the
 // renegotiation hot path never looks anything up by name.
 package switchfab
@@ -60,14 +62,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
+	"rcbr/internal/vctable"
 )
 
 // Errors returned by switch operations.
@@ -159,7 +160,7 @@ type LifecycleAdmitter interface {
 
 // DataPlane mirrors VC lifecycle changes into a forwarding plane (the cell
 // data path of internal/datapath, or any other consumer of granted rates).
-// Every hook runs with the affected VC's shard and port locks held, after
+// Every hook runs with the affected VC's port mutex held, after
 // the reservation bookkeeping succeeded, so the data plane sees lifecycle
 // events in the exact order the control plane committed them and never a
 // rate the fabric rejected. Hooks must not block and must not call back
@@ -179,7 +180,10 @@ type Stats struct {
 	SetupRejects   int64
 	Teardowns      int64
 	Renegotiations int64
-	Denials        int64
+	// Grants counts renegotiations and resyncs applied, in full or in part;
+	// Renegotiations == Grants + Denials.
+	Grants  int64
+	Denials int64
 	// PartialGrants counts RenegotiateBestID requests settled below the
 	// asked-for rate but above the old one (denials and full grants are
 	// counted under Denials and Renegotiations as usual).
@@ -206,6 +210,7 @@ type statCounters struct {
 	setupRejects   atomic.Int64
 	teardowns      atomic.Int64
 	renegotiations atomic.Int64
+	grants         atomic.Int64
 	denials        atomic.Int64
 	partialGrants  atomic.Int64
 	resyncs        atomic.Int64
@@ -233,43 +238,24 @@ type vcState struct {
 	// p is the VC's output port, fixed at setup — cached here so the
 	// renegotiation hot path never consults the port table.
 	p *port
-	// rate, lastSeq, and seqSeen are guarded by the owning port's mutex.
+	// rate, lastSeq, seqSeen and gone are guarded by the owning port's mutex.
 	rate    float64
 	lastSeq uint32
 	seqSeen bool
+	// gone is set by teardown. Lookups are lock-free, so an operation may
+	// find the entry just before teardown unpublishes it and reach the port
+	// mutex after; it sees gone and reports ErrNoVC.
+	gone bool
 }
 
-// shard is one slice of the VC table: its own lock, its own map. The
-// renegotiation hot path takes the lock shared; setup and teardown take it
-// exclusively.
-type shard struct {
-	mu  sync.RWMutex
-	vcs map[VCID]*vcState
-	// pad keeps neighbouring shards' locks off one cache line, so shard
-	// parallelism is not silently serialized by false sharing.
-	_ [24]byte
-}
-
-// instruments caches the switch's registry handles. All fields are nil-safe
+// instruments caches the switch's histogram handles. All are nil-safe
 // no-ops when no registry is configured, so the hot path records
-// unconditionally.
+// unconditionally. Counters are not here: the registry reads statCounters
+// through views (see New).
 type instruments struct {
-	setups          *metrics.Counter
-	setupRejects    *metrics.Counter
-	teardowns       *metrics.Counter
-	renegs          *metrics.Counter
-	grants          *metrics.Counter
-	denials         *metrics.Counter
-	partialGrants   *metrics.Counter
-	resyncs         *metrics.Counter
-	dupDrops        *metrics.Counter
-	batches         *metrics.Counter
-	batchCells      *metrics.Counter
-	reservedClamped *metrics.Counter
-	renegLatency    *metrics.Histogram
-	setupLatency    *metrics.Histogram
-	admitLatency    *metrics.Histogram
-	shardVCsMax     *metrics.Gauge
+	renegLatency *metrics.Histogram
+	setupLatency *metrics.Histogram
+	admitLatency *metrics.Histogram
 }
 
 // Metric and event names exposed by the switch.
@@ -286,11 +272,6 @@ const (
 	MetricResyncs       = "switch.resyncs"
 	MetricDupDrops      = "switch.rm_duplicates_dropped"
 	MetricRenegLatency  = "switch.renegotiation_seconds"
-	// MetricShardCount is the configured shard count (a gauge, set once at
-	// construction); MetricShardVCsMax tracks the high-water VC occupancy of
-	// the fullest shard, a cheap balance check for the VCI->shard spread.
-	MetricShardCount  = "switch.shard.count"
-	MetricShardVCsMax = "switch.shard.vcs_max"
 	// MetricRMBatches / MetricRMBatchCells count HandleRMBatch invocations
 	// and the RM messages they coalesced.
 	MetricRMBatches    = "switch.rm_batches"
@@ -318,22 +299,10 @@ func PortCapacityGauge(portID int) string {
 	return fmt.Sprintf("switch.port.%d.capacity_bps", portID)
 }
 
-// DefaultShards is the default VC-table shard count. Power of two; high
-// enough that a renegotiation storm across tens of thousands of VCs spreads
-// over independent locks, low enough that an idle switch stays small.
-const DefaultShards = 32
-
-// maxShards bounds WithShards; past this the shard array itself is the
-// memory cost, not the contention relief.
-const maxShards = 1 << 14
-
 // Switch is a software RCBR switch. It is safe for concurrent use;
-// renegotiations contend only when they share a VC-table shard (a
-// reader-shared lock) or an output port.
+// renegotiations contend only when they share an output port.
 type Switch struct {
-	// shards holds the VC table; shardMask is len(shards)-1 (power of two).
-	shards    []shard
-	shardMask uint32
+	vcs vctable.Table[vcState]
 
 	// portMu guards the ports map itself (registration and lookup); each
 	// port's accounting has its own mutex.
@@ -347,11 +316,6 @@ type Switch struct {
 	// the admitter implements LifecycleAdmitter (whose contract is per-port
 	// serialization instead).
 	admitMu sync.Mutex
-	// maxShardVCs is the high-water occupancy of the fullest shard,
-	// maintained by CAS — setups on different ports race to update it.
-	maxShardVCs atomic.Int64
-
-	vcCount atomic.Int64
 
 	admitter Admitter
 	// lifecycle is admitter's LifecycleAdmitter form, resolved once at
@@ -390,31 +354,11 @@ func WithEventTrace(ring *metrics.EventLog) Option {
 }
 
 // WithDataPlane attaches a forwarding plane: every committed setup, granted
-// rate change, and teardown is mirrored into dp under the switch's locks,
+// rate change, and teardown is mirrored into dp under the VC's port mutex,
 // so a renegotiation atomically retargets the VC's shaper the moment it is
 // granted.
 func WithDataPlane(dp DataPlane) Option {
 	return func(s *Switch) { s.dataplane = dp }
-}
-
-// WithShards sets the VC-table shard count, rounded up to a power of two
-// and clamped to [1, 16384]. One shard reproduces the pre-sharding fabric —
-// a single reader-shared lock over one map — and is the "legacy" baseline
-// the fabric benchmarks compare against. Values <= 0 keep the default.
-func WithShards(n int) Option {
-	return func(s *Switch) {
-		if n <= 0 {
-			return
-		}
-		if n > maxShards {
-			n = maxShards
-		}
-		p := 1
-		for p < n {
-			p <<= 1
-		}
-		s.shards = make([]shard, p)
-	}
 }
 
 // New returns an empty switch configured by the options. With no options it
@@ -428,34 +372,28 @@ func New(opts ...Option) *Switch {
 			opt(s)
 		}
 	}
-	if s.shards == nil {
-		s.shards = make([]shard, DefaultShards)
-	}
-	s.shardMask = uint32(len(s.shards) - 1)
-	for i := range s.shards {
-		s.shards[i].vcs = make(map[VCID]*vcState)
-	}
 	s.lifecycle, _ = s.admitter.(LifecycleAdmitter)
 	if s.reg != nil {
 		s.ins = instruments{
-			setups:          s.reg.Counter(MetricSetups),
-			setupRejects:    s.reg.Counter(MetricSetupRejects),
-			teardowns:       s.reg.Counter(MetricTeardowns),
-			renegs:          s.reg.Counter(MetricRenegs),
-			grants:          s.reg.Counter(MetricGrants),
-			denials:         s.reg.Counter(MetricDenials),
-			partialGrants:   s.reg.Counter(MetricPartialGrants),
-			resyncs:         s.reg.Counter(MetricResyncs),
-			dupDrops:        s.reg.Counter(MetricDupDrops),
-			batches:         s.reg.Counter(MetricRMBatches),
-			batchCells:      s.reg.Counter(MetricRMBatchCells),
-			reservedClamped: s.reg.Counter(MetricReservedClamped),
-			renegLatency:    s.reg.Histogram(MetricRenegLatency, metrics.DefBuckets),
-			setupLatency:    s.reg.Histogram(MetricSetupLatency, metrics.DefBuckets),
-			admitLatency:    s.reg.Histogram(MetricAdmitLatency, metrics.DefBuckets),
-			shardVCsMax:     s.reg.Gauge(MetricShardVCsMax),
+			renegLatency: s.reg.Histogram(MetricRenegLatency, metrics.DefBuckets),
+			setupLatency: s.reg.Histogram(MetricSetupLatency, metrics.DefBuckets),
+			admitLatency: s.reg.Histogram(MetricAdmitLatency, metrics.DefBuckets),
 		}
-		s.reg.Gauge(MetricShardCount).Set(float64(len(s.shards)))
+		// One counter per fact: the registry reads the Stats counters when
+		// it is read instead of the switch bumping a second counter per
+		// event.
+		s.reg.CounterFunc(MetricSetups, s.stats.setups.Load)
+		s.reg.CounterFunc(MetricSetupRejects, s.stats.setupRejects.Load)
+		s.reg.CounterFunc(MetricTeardowns, s.stats.teardowns.Load)
+		s.reg.CounterFunc(MetricRenegs, s.stats.renegotiations.Load)
+		s.reg.CounterFunc(MetricGrants, s.stats.grants.Load)
+		s.reg.CounterFunc(MetricDenials, s.stats.denials.Load)
+		s.reg.CounterFunc(MetricPartialGrants, s.stats.partialGrants.Load)
+		s.reg.CounterFunc(MetricResyncs, s.stats.resyncs.Load)
+		s.reg.CounterFunc(MetricDupDrops, s.stats.dupDrops.Load)
+		s.reg.CounterFunc(MetricRMBatches, s.stats.batches.Load)
+		s.reg.CounterFunc(MetricRMBatchCells, s.stats.batchCells.Load)
+		s.reg.CounterFunc(MetricReservedClamped, s.stats.reservedClamps.Load)
 	}
 	return s
 }
@@ -470,17 +408,6 @@ func New(opts ...Option) *Switch {
 //rcbr:zeroalloc
 func validRate(rate float64) bool {
 	return rate >= 0 && !math.IsInf(rate, 1)
-}
-
-// ShardCount returns the configured number of VC-table shards.
-func (s *Switch) ShardCount() int { return len(s.shards) }
-
-// shard selects the owning shard of a VC. Sequential VCIs stripe round-robin
-// across shards, so the common dense allocation pattern balances perfectly.
-//
-//rcbr:zeroalloc
-func (s *Switch) shard(id VCID) *shard {
-	return &s.shards[uint32(id)&s.shardMask]
 }
 
 // port resolves a registered port by id, or nil.
@@ -525,7 +452,6 @@ func (s *Switch) AddPort(id int, capacity float64) error {
 func (s *Switch) setReserved(p *port, v float64) {
 	if v < 0 {
 		s.stats.reservedClamps.Add(1)
-		s.ins.reservedClamped.Inc()
 		s.events.Record(metrics.Event{Kind: metrics.EventReservedClamp, Port: p.id, Requested: v})
 		v = 0
 	}
@@ -540,12 +466,18 @@ func (s *Switch) Setup(vci uint16, portID int, rate float64) error {
 	return s.SetupID(VCID(vci), portID, rate)
 }
 
-// SetupID is Setup addressing the full (VPI, VCI) space. Setups on
-// different ports run concurrently: the only locks taken are the VC's shard
-// (exclusive) and the target port's mutex, in that order, with the admission
-// decision and the reservation applied under the same port-mutex hold so no
-// concurrent setup can invalidate the decision.
+// SetupID is Setup addressing the full (VPI, VCI) space. An id wider than
+// 24 bits names no VC — no cell header can carry it — and is refused before
+// the books are touched. Setups on different ports run concurrently: the
+// duplicate check, the capacity and admission decisions, the publication of
+// the entry and the reservation all happen under one hold of the target
+// port's mutex, so no concurrent setup can invalidate the decision. Two
+// setups of one id on different ports are arbitrated by the table: the
+// second Put fails and nothing was reserved for it.
 func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
+	if id>>24 != 0 {
+		return fmt.Errorf("switchfab: vc id %#x is wider than 24 bits", uint32(id))
+	}
 	if !validRate(rate) {
 		return fmt.Errorf("%w: %g", ErrInvalidRate, rate)
 	}
@@ -554,14 +486,11 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	if p == nil {
 		return fmt.Errorf("%w: %d", ErrNoPort, portID)
 	}
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.vcs[id]; ok {
-		return fmt.Errorf("%w: %s", ErrVCExists, id)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if s.vcs.Get(uint32(id)) != nil {
+		return fmt.Errorf("%w: %s", ErrVCExists, id)
+	}
 	if p.reserved+rate > p.capacity {
 		s.rejectSetup(id, portID, rate)
 		return fmt.Errorf("%w: port %d has %g of %g reserved",
@@ -571,18 +500,18 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 		s.rejectSetup(id, portID, rate)
 		return ErrAdmission
 	}
+	if s.vcs.Put(uint32(id), &vcState{p: p, rate: rate}) != nil {
+		// A setup of the same id on another port published first.
+		return fmt.Errorf("%w: %s", ErrVCExists, id)
+	}
 	s.setReserved(p, p.reserved+rate)
-	sh.vcs[id] = &vcState{p: p, rate: rate}
 	if s.lifecycle != nil {
 		s.lifecycle.OnAdmit(portID, id, rate)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnSetup(portID, id, rate)
 	}
-	s.vcCount.Add(1)
-	s.noteShardSize(len(sh.vcs))
 	s.stats.setups.Add(1)
-	s.ins.setups.Inc()
 	s.events.Record(metrics.Event{Kind: metrics.EventSetup, VPI: id.VPI(), VCI: id.VCI(), Port: portID, Rate: rate})
 	return nil
 }
@@ -611,24 +540,6 @@ func (s *Switch) admitCall(portID int, rate, reserved, capacity float64) bool {
 	return ok
 }
 
-// noteShardSize CAS-raises the fullest-shard high-water mark. Called with
-// the grown shard's lock held, so n is that shard's exact size.
-//
-//rcbr:zeroalloc
-func (s *Switch) noteShardSize(n int) {
-	v := int64(n)
-	for {
-		cur := s.maxShardVCs.Load()
-		if v <= cur {
-			return
-		}
-		if s.maxShardVCs.CompareAndSwap(cur, v) {
-			s.ins.shardVCsMax.Set(float64(v))
-			return
-		}
-	}
-}
-
 // setupStart returns the setup-latency timer start, or the zero time when
 // the histogram is disabled (so uninstrumented switches skip clock reads).
 func (s *Switch) setupStart() time.Time {
@@ -650,7 +561,6 @@ func (s *Switch) observeSetupLatency(start time.Time) {
 
 func (s *Switch) rejectSetup(id VCID, portID int, rate float64) {
 	s.stats.setupRejects.Add(1)
-	s.ins.setupRejects.Inc()
 	s.events.Record(metrics.Event{
 		Kind: metrics.EventSetupReject, VPI: id.VPI(), VCI: id.VCI(), Port: portID, Requested: rate,
 	})
@@ -661,19 +571,21 @@ func (s *Switch) Teardown(vci uint16) error {
 	return s.TeardownID(VCID(vci))
 }
 
-// TeardownID is Teardown addressing the full (VPI, VCI) space. Taking the
-// shard exclusively guarantees no RM cell is mid-flight on the VC when its
-// state is freed.
+// TeardownID is Teardown addressing the full (VPI, VCI) space. The
+// admitter and data-plane hooks run before the entry is unpublished: while
+// the id is still taken no setup can reuse it, so a setup of the same id on
+// another port cannot reach the data plane ahead of this teardown.
 func (s *Switch) TeardownID(id VCID) error {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	vc, ok := sh.vcs[id]
-	if !ok {
+	vc := s.vcs.Get(uint32(id))
+	if vc == nil {
 		return fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	p := vc.p
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if vc.gone {
+		return fmt.Errorf("%w: %s", ErrNoVC, id)
+	}
 	s.setReserved(p, p.reserved-vc.rate)
 	if s.lifecycle != nil {
 		s.lifecycle.OnDepart(p.id, id, vc.rate)
@@ -681,11 +593,9 @@ func (s *Switch) TeardownID(id VCID) error {
 	if s.dataplane != nil {
 		s.dataplane.OnTeardown(p.id, id)
 	}
-	p.mu.Unlock()
-	delete(sh.vcs, id)
-	s.vcCount.Add(-1)
+	vc.gone = true
+	s.vcs.Remove(uint32(id))
 	s.stats.teardowns.Add(1)
-	s.ins.teardowns.Inc()
 	s.events.Record(metrics.Event{Kind: metrics.EventTeardown, VPI: id.VPI(), VCI: id.VCI(), Port: p.id})
 	return nil
 }
@@ -706,16 +616,16 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, newRate)
 	}
 	defer s.observeRenegLatency(s.renegStart())
-	sh := s.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	vc := sh.vcs[id]
+	vc := s.vcs.Get(uint32(id))
 	if vc == nil {
 		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	p := vc.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if vc.gone {
+		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
+	}
 	granted, ok = s.applyRate(id, vc, p, newRate, newRate, metrics.EventRenegGrant)
 	return granted, ok, nil
 }
@@ -742,16 +652,16 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, target)
 	}
 	defer s.observeRenegLatency(s.renegStart())
-	sh := s.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	vc := sh.vcs[id]
+	vc := s.vcs.Get(uint32(id))
 	if vc == nil {
 		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	p := vc.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if vc.gone {
+		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
+	}
 	best := target
 	if p.reserved-vc.rate+target > p.capacity {
 		headroom := p.capacity - p.reserved
@@ -765,9 +675,7 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 		// (III-A.1). Record it on the deny path, not as a grant of the
 		// old rate.
 		s.stats.renegotiations.Add(1)
-		s.ins.renegs.Inc()
 		s.stats.denials.Add(1)
-		s.ins.denials.Inc()
 		s.events.Record(metrics.Event{
 			Kind: metrics.EventRenegDeny, VPI: id.VPI(), VCI: id.VCI(), Port: p.id,
 			Rate: vc.rate, Requested: target,
@@ -778,7 +686,6 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 	full = granted == target
 	if !full {
 		s.stats.partialGrants.Add(1)
-		s.ins.partialGrants.Inc()
 	}
 	return granted, full, nil
 }
@@ -809,7 +716,7 @@ func (s *Switch) observeRenegLatency(start time.Time) {
 }
 
 // applyRate is the paper's one-compare renegotiation decision. It must be
-// called with the VC's shard lock held shared (or exclusive) and p.mu held.
+// called with p.mu held, on a VC that is not gone.
 // grantKind is the event recorded on success (renegotiate-grant, or resync
 // when the request carried an absolute rate). requested is the rate the
 // source originally asked for; it differs from newRate only on the partial
@@ -819,7 +726,6 @@ func (s *Switch) observeRenegLatency(start time.Time) {
 //rcbr:zeroalloc
 func (s *Switch) applyRate(id VCID, vc *vcState, p *port, newRate, requested float64, grantKind metrics.EventKind) (float64, bool) {
 	s.stats.renegotiations.Add(1)
-	s.ins.renegs.Inc()
 	if p.reserved-vc.rate+newRate <= p.capacity {
 		old := vc.rate
 		s.setReserved(p, p.reserved+newRate-old)
@@ -830,7 +736,7 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, newRate, requested flo
 		if s.dataplane != nil && newRate != old {
 			s.dataplane.OnRateChange(p.id, id, newRate)
 		}
-		s.ins.grants.Inc()
+		s.stats.grants.Add(1)
 		ev := metrics.Event{
 			Kind: grantKind, VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: newRate,
 		}
@@ -842,7 +748,6 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, newRate, requested flo
 	}
 	// Denied: the source keeps the bandwidth it already has (III-A.1).
 	s.stats.denials.Add(1)
-	s.ins.denials.Inc()
 	s.events.Record(metrics.Event{
 		Kind: metrics.EventRenegDeny, VPI: id.VPI(), VCI: id.VCI(), Port: p.id,
 		Rate: vc.rate, Requested: newRate,
@@ -874,36 +779,38 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	}
 	defer s.observeRenegLatency(s.renegStart())
 	id := MakeVCID(h.VPI, h.VCI)
-	sh := s.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	vc := sh.vcs[id]
-	if vc == nil {
+	back, ok := s.handleRM(id, m)
+	if !ok {
 		return cell.RM{}, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
-	return s.handleRMLocked(id, vc, m), nil
+	return back, nil
 }
 
-// handleRMLocked applies one validated forward RM message to an established
-// VC and builds the backward cell. The VC's shard lock must be held (shared
-// suffices); the port mutex is taken here.
+// handleRM applies one validated forward RM message and builds the backward
+// cell; ok is false when id names no established VC.
 //
 //rcbr:zeroalloc
-func (s *Switch) handleRMLocked(id VCID, vc *vcState, m cell.RM) cell.RM {
+func (s *Switch) handleRM(id VCID, m cell.RM) (back cell.RM, ok bool) {
+	vc := s.vcs.Get(uint32(id))
+	if vc == nil {
+		return cell.RM{}, false
+	}
 	p := vc.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if vc.gone {
+		return cell.RM{}, false
+	}
 	if m.Seq != 0 {
 		if !m.Resync && vc.seqSeen && m.Seq <= vc.lastSeq {
 			s.stats.dupDrops.Add(1)
-			s.ins.dupDrops.Inc()
 			return cell.RM{
 				Backward: true,
 				Response: true,
 				Resync:   true, // ER below is absolute
 				ER:       vc.rate,
 				Seq:      m.Seq,
-			}
+			}, true
 		}
 		vc.lastSeq = m.Seq
 		vc.seqSeen = true
@@ -915,7 +822,6 @@ func (s *Switch) handleRMLocked(id VCID, vc *vcState, m cell.RM) cell.RM {
 		want = m.ER
 		grantKind = metrics.EventResync
 		s.stats.resyncs.Add(1)
-		s.ins.resyncs.Inc()
 	case m.Decrease:
 		want = vc.rate - m.ER
 		if want < 0 {
@@ -924,15 +830,15 @@ func (s *Switch) handleRMLocked(id VCID, vc *vcState, m cell.RM) cell.RM {
 	default:
 		want = vc.rate + m.ER
 	}
-	granted, ok := s.applyRate(id, vc, p, want, want, grantKind)
+	granted, full := s.applyRate(id, vc, p, want, want, grantKind)
 	return cell.RM{
 		Backward: true,
 		Response: true,
 		Resync:   true, // ER below is absolute: any reply resynchronizes
-		Deny:     !ok,
+		Deny:     !full,
 		ER:       granted,
 		Seq:      m.Seq,
-	}
+	}, true
 }
 
 // RMItem is one VC's RM message inside a coalesced batch: the forward
@@ -943,18 +849,10 @@ type RMItem struct {
 	M   cell.RM
 }
 
-// batchChunk bounds the items a single done-bitmask tracks in
-// HandleRMBatch; longer batches are processed in consecutive chunks.
-const batchChunk = 64
-
 // HandleRMBatch processes a coalesced batch of forward RM messages for
-// distinct VCs and appends the backward cells to out (which may be nil; it
-// is returned grown, so callers can reuse one slice across batches for an
-// allocation-free steady state). Items are grouped by VC-table shard and
-// each group is applied under a single shared acquisition of that shard's
-// lock — one lock round-trip per shard touched instead of one per cell —
-// with shard groups processed strictly sequentially, preserving the
-// never-two-shards lock invariant.
+// distinct VCs and appends the backward cells to out in request order (out
+// may be nil; it is returned grown, so callers can reuse one slice across
+// batches for an allocation-free steady state).
 //
 // Per-item semantics are exactly HandleRM's (sequence duplicate-drop,
 // resync, deny accounting, events), with one wire-shaped difference:
@@ -969,41 +867,13 @@ func (s *Switch) HandleRMBatch(items []RMItem, out []RMItem) []RMItem {
 	defer s.observeRenegLatency(s.renegStart())
 	s.stats.batches.Add(1)
 	s.stats.batchCells.Add(int64(len(items)))
-	s.ins.batches.Inc()
-	s.ins.batchCells.Add(int64(len(items)))
-	var shards [batchChunk]*shard
-	for base := 0; base < len(items); base += batchChunk {
-		chunk := items[base:]
-		if len(chunk) > batchChunk {
-			chunk = chunk[:batchChunk]
+	for i := range items {
+		it := &items[i]
+		if it.M.Backward || it.M.Response || !validRate(it.M.ER) {
+			continue
 		}
-		for i := range chunk {
-			shards[i] = s.shard(MakeVCID(chunk[i].VPI, chunk[i].VCI))
-		}
-		// pending tracks items not yet applied; a shift of 64 is defined as 0
-		// in Go, so a full chunk yields the all-ones mask.
-		pending := uint64(1)<<uint(len(chunk)) - 1
-		for pending != 0 {
-			sh := shards[bits.TrailingZeros64(pending)]
-			sh.mu.RLock()
-			for rest := pending; rest != 0; rest &= rest - 1 {
-				j := bits.TrailingZeros64(rest)
-				if shards[j] != sh {
-					continue
-				}
-				pending &^= 1 << uint(j)
-				m := chunk[j].M
-				if m.Backward || m.Response || !validRate(m.ER) {
-					continue
-				}
-				id := MakeVCID(chunk[j].VPI, chunk[j].VCI)
-				vc := sh.vcs[id]
-				if vc == nil {
-					continue
-				}
-				out = append(out, RMItem{VPI: id.VPI(), VCI: id.VCI(), M: s.handleRMLocked(id, vc, m)})
-			}
-			sh.mu.RUnlock()
+		if back, ok := s.handleRM(MakeVCID(it.VPI, it.VCI), it.M); ok {
+			out = append(out, RMItem{VPI: it.VPI, VCI: it.VCI, M: back})
 		}
 	}
 	return out
@@ -1016,15 +886,15 @@ func (s *Switch) VCRate(vci uint16) (float64, error) {
 
 // VCRateID is VCRate addressing the full (VPI, VCI) space.
 func (s *Switch) VCRateID(id VCID) (float64, error) {
-	sh := s.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	vc := sh.vcs[id]
+	vc := s.vcs.Get(uint32(id))
 	if vc == nil {
 		return 0, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	vc.p.mu.Lock()
 	defer vc.p.mu.Unlock()
+	if vc.gone {
+		return 0, fmt.Errorf("%w: %s", ErrNoVC, id)
+	}
 	return vc.rate, nil
 }
 
@@ -1041,7 +911,7 @@ func (s *Switch) PortLoad(id int) (reserved, capacity float64, err error) {
 
 // VCCount returns the number of established VCs.
 func (s *Switch) VCCount() int {
-	return int(s.vcCount.Load())
+	return s.vcs.Len()
 }
 
 // VCInfo describes one established VC.
@@ -1052,37 +922,27 @@ type VCInfo struct {
 	Rate float64 `json:"rate_bps"`
 }
 
-// VCs returns every established VC sorted by (VPI, VCI). Shards are visited
-// one at a time, so the listing never holds more than one shard lock — but
-// the result materializes the whole table, which at million-VC populations
-// is memory-hostile; servers should page through VCsPage instead.
-func (s *Switch) VCs() []VCInfo {
-	out := make([]VCInfo, 0, s.VCCount())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id, vc := range sh.vcs {
-			vc.p.mu.Lock()
-			rate := vc.rate
-			vc.p.mu.Unlock()
-			out = append(out, VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: vc.p.id, Rate: rate})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].VPI != out[j].VPI {
-			return out[i].VPI < out[j].VPI
-		}
-		return out[i].VCI < out[j].VCI
-	})
-	return out
+// info snapshots one table entry under its port mutex; ok is false for an
+// entry a teardown is unpublishing.
+func (vc *vcState) info(id VCID) (VCInfo, bool) {
+	vc.p.mu.Lock()
+	defer vc.p.mu.Unlock()
+	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: vc.p.id, Rate: vc.rate}, !vc.gone
 }
 
-// vcPageEntry pairs a VCInfo with its packed identifier, the page sort key
-// ((VPI, VCI) order is exactly VCID numeric order).
-type vcPageEntry struct {
-	id   VCID
-	info VCInfo
+// VCs returns every established VC in (VPI, VCI) order — the order the
+// table is walked in. The result materializes the whole table, which at
+// million-VC populations is memory-hostile; servers should page through
+// VCsPage instead.
+func (s *Switch) VCs() []VCInfo {
+	out := make([]VCInfo, 0, s.VCCount())
+	s.vcs.Range(func(id uint32, vc *vcState) bool {
+		if info, ok := vc.info(VCID(id)); ok {
+			out = append(out, info)
+		}
+		return true
+	})
+	return out
 }
 
 // VCsPage returns one page of the established-VC table in (VPI, VCI) order —
@@ -1090,87 +950,28 @@ type vcPageEntry struct {
 // at scan time. limit <= 0 returns an empty page (with the total, so callers
 // can size their paging); a negative offset reads from the start.
 //
-// Unlike VCs, memory is bounded by the page, not the table: shards are
-// visited one at a time under a shared lock and entries stream through a
-// max-heap of offset+limit elements, so a million-VC switch serves a
-// 256-entry page in O(offset+limit) space. The table can churn between
-// shard visits, so under concurrent setup/teardown a page is a consistent
-// snapshot per shard, not of the whole switch — same as VCs.
+// Memory is bounded by the page, not the table: the walk is in order, so it
+// counts past offset entries, keeps the next limit and stops. The walk takes
+// no table lock, so under concurrent setup/teardown a page (like VCs) holds
+// every VC that was up throughout the scan and may or may not hold one that
+// came or went during it.
 func (s *Switch) VCsPage(offset, limit int) ([]VCInfo, int) {
 	total := s.VCCount()
-	if offset < 0 {
-		offset = 0
-	}
 	if limit <= 0 {
 		return nil, total
 	}
-	keep := offset + limit
-	if keep < 0 { // offset+limit overflowed int
-		keep = math.MaxInt
-	}
-	// h is a max-heap on id holding the smallest keep identifiers seen.
-	h := make([]vcPageEntry, 0, min(keep, total+1))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id, vc := range sh.vcs {
-			if len(h) == keep && id >= h[0].id {
-				continue
-			}
-			vc.p.mu.Lock()
-			rate := vc.rate
-			vc.p.mu.Unlock()
-			e := vcPageEntry{id: id, info: VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: vc.p.id, Rate: rate}}
-			if len(h) < keep {
-				h = append(h, e)
-				vcPageUp(h, len(h)-1)
-			} else {
-				h[0] = e
-				vcPageDown(h, 0)
-			}
+	var out []VCInfo
+	s.vcs.Range(func(id uint32, vc *vcState) bool {
+		if offset > 0 {
+			offset--
+			return true
 		}
-		sh.mu.RUnlock()
-	}
-	if offset >= len(h) {
-		return nil, total
-	}
-	sort.Slice(h, func(i, j int) bool { return h[i].id < h[j].id })
-	out := make([]VCInfo, 0, len(h)-offset)
-	for _, e := range h[offset:] {
-		out = append(out, e.info)
-	}
+		if info, ok := vc.info(VCID(id)); ok {
+			out = append(out, info)
+		}
+		return len(out) < limit
+	})
 	return out, total
-}
-
-// vcPageUp restores the max-heap property after appending at index i.
-func vcPageUp(h []vcPageEntry, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].id >= h[i].id {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-// vcPageDown restores the max-heap property after replacing the root.
-func vcPageDown(h []vcPageEntry, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < len(h) && h[l].id > h[largest].id {
-			largest = l
-		}
-		if r < len(h) && h[r].id > h[largest].id {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h[i], h[largest] = h[largest], h[i]
-		i = largest
-	}
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -1180,6 +981,7 @@ func (s *Switch) Stats() Stats {
 		SetupRejects:   s.stats.setupRejects.Load(),
 		Teardowns:      s.stats.teardowns.Load(),
 		Renegotiations: s.stats.renegotiations.Load(),
+		Grants:         s.stats.grants.Load(),
 		PartialGrants:  s.stats.partialGrants.Load(),
 		Denials:        s.stats.denials.Load(),
 		Resyncs:        s.stats.resyncs.Load(),

@@ -29,8 +29,6 @@ const (
 	MetricSwitchResyncs       = switchfab.MetricResyncs
 	MetricSwitchDupDrops      = switchfab.MetricDupDrops
 	MetricSwitchRenegLatency  = switchfab.MetricRenegLatency
-	MetricSwitchShardCount    = switchfab.MetricShardCount
-	MetricSwitchShardVCsMax   = switchfab.MetricShardVCsMax
 	MetricSwitchRMBatches     = switchfab.MetricRMBatches
 	MetricSwitchRMBatchCells  = switchfab.MetricRMBatchCells
 	MetricSwitchClamps        = switchfab.MetricReservedClamped

@@ -250,7 +250,7 @@ func TestSwitchMemoryAdmitter(t *testing.T) {
 	}
 	var _ rcbr.LifecycleAdmitter = adm // the switch gets lifecycle callbacks
 
-	sw := rcbr.NewSwitch(nil, rcbr.WithAdmitter(adm), rcbr.WithSwitchShards(4))
+	sw := rcbr.NewSwitch(nil, rcbr.WithAdmitter(adm))
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
