@@ -792,6 +792,59 @@ func BenchmarkChurnBytesPerVC(b *testing.B) {
 // are set far above the offered load so the hot path runs end to end
 // (header parse, VC lookup, token accounting, egress push) without
 // policing, and the reported cells/s is pure forwarding throughput.
+// The ring alone, in the two forms the cell path uses it: 64 cells through
+// an SPSC ring one cursor store per cell on each side (Inject's form), and
+// the same 64 staged, published once, read in place and released once (the
+// sweep's and the transmitter's form). One op is 64 cells in both, so the
+// ratio of the two ns/op is what a burst saves on one hop.
+func BenchmarkRingPerCell64(b *testing.B) {
+	r := datapath.NewRing(datapath.DefaultRingCells)
+	var c datapath.Cell
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			if !r.Push(&c) {
+				b.Fatal("ring full")
+			}
+		}
+		for j := 0; j < 64; j++ {
+			if r.Peek() == nil {
+				b.Fatal("ring empty")
+			}
+			r.Advance()
+		}
+	}
+}
+
+// ringBenchSink keeps the burst benchmark's in-place reads alive.
+var ringBenchSink byte
+
+func BenchmarkRingBurst64(b *testing.B) {
+	r := datapath.NewRing(datapath.DefaultRingCells)
+	var c datapath.Cell
+	var sum byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			if !r.Stage(&c) {
+				b.Fatal("ring full")
+			}
+		}
+		r.Publish()
+		n := r.Ready(64)
+		if n != 64 {
+			b.Fatalf("%d cells ready, want 64", n)
+		}
+		for j := 0; j < n; j++ {
+			sum += r.At(j)[0]
+		}
+		r.Release(n)
+	}
+	ringBenchSink = sum
+}
+
 func benchDataPathForward(b *testing.B, ports, vcs int) {
 	f := datapath.New()
 	pl := make([]*datapath.Port, ports)
@@ -853,13 +906,13 @@ func BenchmarkDataPathForward8Port100kVC(b *testing.B) { benchDataPathForward(b,
 // caller-managed group mode: one worker goroutine per port group, each
 // cycling inject → ForwardGroup → Transmit on its own port and clock. Every
 // VC on port g egresses on port (g+1) mod groups, so with more than one
-// group every forwarded cell crosses goroutines through the egress MPSC
-// ring. Workers drift freely (no per-cycle barrier — that is the production
-// shape), so the final check is exact conservation rather than zero loss:
-// with the rings sized ≥ one full cycle of drift per port, overflow stays
-// possible in principle but policing must be zero, and every arrived cell
-// must be forwarded, policed, or overflowed — nothing lost, nothing
-// duplicated. ns/op is one cycle of 64 cells on every group at once;
+// group every forwarded cell crosses goroutines through the egress port's
+// SPSC ring for the producing group. Workers drift freely (no per-cycle
+// barrier — that is the production shape), so the final check is exact
+// conservation rather than zero loss: with the rings sized ≥ one full cycle
+// of drift per port, overflow stays possible in principle but policing must
+// be zero, and every arrived cell must be forwarded, policed, or overflowed
+// — nothing lost, nothing duplicated. ns/op is one cycle of 64 cells on every group at once;
 // cells/s aggregates transmissions across all workers.
 func benchDataPathForwardParallel(b *testing.B, groups int) {
 	const (

@@ -14,7 +14,7 @@ import (
 // "Switch.admitMu" — and the analyzer builds an intra-package
 // acquisition-order graph: an edge A→B means some path acquires class B
 // while a class-A lock is held, including acquisitions made by direct (and
-// transitive) intra-package callees. Four invariants are checked:
+// transitive) intra-package callees. Three invariants are checked:
 //
 //  1. One port at a time: a path never holds two port locks at once. Every
 //     switch operation works under exactly one port mutex, which is what
@@ -26,12 +26,6 @@ import (
 //     contract (DESIGN §14) and synchronize with atomics alone. A
 //     ring-named struct type declaring a mutex field, or any acquisition of
 //     a mutex owned by a ring-named type, is reported.
-//  4. MPSC window: the multi-producer egress rings (DESIGN §15) are
-//     lock-free on both sides, and the hot path's push→pop window must stay
-//     that way — a function that pushes onto an MPSC-named ring and later
-//     pops/peeks/advances one must not acquire any mutex in between. The
-//     forwarder's sweep takes no lock at all; a lock inside the window
-//     would sit on the wire-rate path of every group goroutine.
 //
 // The walk is per package, so the VC table's writer mutex (internal/vctable,
 // taken under a port mutex by both planes) is out of its sight; that mutex
@@ -113,100 +107,7 @@ func runLockOrder(pass *Pass) error {
 	}
 	w.reportCycles()
 	reportRingMutexDecls(pass)
-	reportMPSCLockWindows(pass)
 	return nil
-}
-
-// mpscRingNamed reports whether a type name denotes a multi-producer ring:
-// a ring-named type whose name also carries the MPSC marker ("MPSCRing",
-// "mpscCellRing").
-func mpscRingNamed(name string) bool {
-	return ringNamed(name) && strings.Contains(strings.ToLower(name), "mpsc")
-}
-
-// reportMPSCLockWindows flags mutex acquisitions inside an MPSC push→pop
-// window: within one function body (function literals excluded), any
-// Lock/RLock positioned after a Push on an MPSC-named ring and before a
-// Pop/Peek/Advance on one. The scan is positional, not path-sensitive — the
-// fabric's hot paths keep the producer and consumer sides in separate
-// functions, so a single function straddling both with a lock between is a
-// contract violation wherever control flows.
-func reportMPSCLockWindows(pass *Pass) {
-	info := pass.Pkg.Info
-	const (
-		evPush = iota
-		evPop
-		evLock
-	)
-	type event struct {
-		pos  token.Pos
-		kind int
-		what string // lock expression or ring type name
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			var events []event
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if recv, method, isMutex := mutexAcquire(info, call); isMutex {
-					if method == "Lock" || method == "RLock" {
-						events = append(events, event{call.Pos(), evLock,
-							types.ExprString(recv) + "." + method})
-					}
-					return true
-				}
-				recvExpr, fn := methodCall(info, call)
-				if fn == nil {
-					return true
-				}
-				owner := namedType(info.TypeOf(recvExpr))
-				if owner == nil || !mpscRingNamed(owner.Obj().Name()) {
-					return true
-				}
-				switch fn.Name() {
-				case "Push":
-					events = append(events, event{call.Pos(), evPush, owner.Obj().Name()})
-				case "Pop", "Peek", "Advance":
-					events = append(events, event{call.Pos(), evPop, owner.Obj().Name()})
-				}
-				return true
-			})
-			sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-			for i, e := range events {
-				if e.kind != evLock {
-					continue
-				}
-				pushBefore := ""
-				for _, p := range events[:i] {
-					if p.kind == evPush {
-						pushBefore = p.what
-						break
-					}
-				}
-				if pushBefore == "" {
-					continue
-				}
-				for _, p := range events[i+1:] {
-					if p.kind == evPop {
-						pass.Reportf(e.pos,
-							"%s() acquired between %s.Push and the consumer side; the MPSC push→pop window is lock-free by contract",
-							e.what, pushBefore)
-						break
-					}
-				}
-			}
-		}
-	}
 }
 
 // ringNamed reports whether a type name denotes a ring buffer: "ring",

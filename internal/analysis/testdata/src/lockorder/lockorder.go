@@ -1,7 +1,6 @@
 // Package lockorder seeds violations of the fabric lock rules: never two
 // port locks at once (directly, in a branch, or through callees),
-// self-deadlocks, an acquisition-order cycle, never-ring and the MPSC
-// window.
+// self-deadlocks, an acquisition-order cycle and never-ring.
 package lockorder
 
 import "sync"
@@ -169,60 +168,4 @@ type resultString struct {
 func lockString(x *resultString) {
 	x.mu.Lock()
 	x.mu.Unlock()
-}
-
-// mpscCellRing models the fabric's multi-producer egress ring: lock-free
-// on both sides, synchronized by per-slot sequence numbers.
-type mpscCellRing struct{}
-
-func (r *mpscCellRing) Push(c int) bool { return true }
-func (r *mpscCellRing) Peek() *int      { return nil }
-func (r *mpscCellRing) Advance()        {}
-func (r *mpscCellRing) Pop() *int       { return nil }
-
-// mpscLockedWindow acquires a mutex between the MPSC push and the consumer
-// side: the lock sits on the wire-rate window and is reported even though
-// the table lock alone violates no ordering rule.
-func mpscLockedWindow(r *mpscCellRing, s *table) {
-	r.Push(1)
-	s.mu.Lock() // want "push→pop window is lock-free"
-	s.mu.Unlock()
-	r.Pop()
-}
-
-// mpscLockedWindowRead is the same violation through a read lock and the
-// Peek/Advance consumer pair.
-func mpscLockedWindowRead(r *mpscCellRing, s *table) {
-	r.Push(1)
-	s.mu.RLock() // want "push→pop window is lock-free"
-	s.mu.RUnlock()
-	if r.Peek() != nil {
-		r.Advance()
-	}
-}
-
-// mpscCleanProducer locks before the push and pops before locking again:
-// no acquisition lands inside the push→pop window, so nothing reports.
-func mpscCleanProducer(r *mpscCellRing, s *table) {
-	s.mu.RLock()
-	r.Push(1)
-	s.mu.RUnlock()
-	r.Pop()
-	s.mu.Lock()
-	s.mu.Unlock()
-}
-
-// mpscCleanSPSC pushes and pops a plain SPSC-named ring around a lock: the
-// MPSC window rule only watches MPSC-named rings (the SPSC rings have their
-// own never-ring rule and single-owner contract).
-type plainCellRing struct{}
-
-func (r *plainCellRing) Push(c int) bool { return true }
-func (r *plainCellRing) Pop() *int       { return nil }
-
-func mpscCleanSPSC(r *plainCellRing, s *table) {
-	r.Push(1)
-	s.mu.Lock()
-	s.mu.Unlock()
-	r.Pop()
 }

@@ -2,10 +2,10 @@
 // executable form of the paper's Section III-A claim that renegotiated
 // traffic needs only small FIFO output buffers. Where internal/mux
 // *simulates* a multiplexer queue, this package *forwards* real 53-byte
-// cells: per-port SPSC ring buffers, a batched forwarding loop that drains
-// up to K cells per port visit, VCID routing through a direct-index table
-// (internal/vctable), and a per-VC token-bucket shaper enforcing the currently
-// granted rate.
+// cells: SPSC ring buffers on every hop, a batched forwarding loop that
+// drains up to K cells per port visit, VCID routing through a direct-index
+// table (internal/vctable), and a per-VC token-bucket shaper enforcing the
+// currently granted rate.
 // Conforming cells are copied to the egress port's ring; excess is policed
 // and counted as real per-VC drops, and an egress ring that fills overflows
 // — the heuristic's estimated buffer overflows become honestly counted
@@ -14,12 +14,21 @@
 // Concurrency model: any number of producer goroutines inject, one per
 // ingress port (the SPSC contract); ports are partitioned into PORT GROUPS
 // (WithPortGroups, default 1), each owned by one forwarding goroutine that
-// drains its ports' ingress rings. Egress rings are multi-producer/
-// single-consumer (MPSCRing): any group may deposit cells onto any egress
-// port, while exactly one consumer goroutine per port calls Transmit/
-// TransmitTo. The control plane (switchfab via the DataPlane hooks, or
-// direct calls) adds, retargets, and removes VCs concurrently with all of
-// it.
+// drains its ports' ingress rings. An egress port is one SPSC ring per
+// producer group: any group may deposit cells onto any egress port, each
+// into the ring that is its alone, while exactly one consumer goroutine per
+// port calls Transmit/TransmitTo and serves those rings round-robin. A
+// shared output FIFO owes its VCs per-VC order only, and a VC's cells all
+// enter through one ingress port, so through one group and one ring; no
+// total order across producers is kept, hence no multi-producer ring. The
+// control plane (switchfab via the DataPlane hooks, or direct calls) adds,
+// retargets, and removes VCs concurrently with all of it.
+//
+// Rings are worked in bursts: a sweep reads a port's burst in place,
+// stages conforming cells onto egress rings, publishes each touched egress
+// ring with one cursor store and releases the ingress ring with another; a
+// Transmit call releases each ring it served once. Staged cells are
+// published before forwardPort returns, so nothing waits on a later burst.
 //
 // Per-VC shaper state and counters are owned by the goroutine that drains
 // the VC's ingress port — all cells of a VC enter through one port, so
@@ -127,23 +136,27 @@ type instruments struct {
 	batchCells *metrics.Histogram
 }
 
-// Port is one switch port's pair of cell rings: an ingress ring filled by
-// the port's producer (the wire) and drained by the forwarder, and an
-// egress ring filled by the forwarder and drained by the port's
-// transmitter. Counters are atomic so stats can be read while traffic
-// flows; drops are attributed to the *ingress* port the cell arrived on,
-// whichever egress ring it failed to enter.
+// Port is one switch port's cell rings: an ingress ring filled by the
+// port's producer (the wire) and drained by the forwarder, and the egress
+// FIFO — one ring per port group, out[g] filled by group g's goroutine
+// alone — drained by the port's transmitter. Counters are atomic so stats
+// can be read while traffic flows; drops are attributed to the *ingress*
+// port the cell arrived on, whichever egress ring it failed to enter.
 type Port struct {
 	id    int
 	group int
 	in    *Ring
-	out   *MPSCRing
+	out   []*Ring
+	// txNext is the group ring the next Transmit starts at: one past the
+	// last ring served, so no ring waits behind a busier one. Owned by the
+	// port's transmitter.
+	txNext int
 
 	// Ingress-attributed counts, written by the owning group goroutine
 	// once per burst: every cell accepted by Inject (in.Pushed) ends in
 	// exactly one of these or is still queued in the ingress ring — the
 	// per-port conservation invariant. The egress side needs no counters
-	// of its own: enqueued and transmitted are out's two cursors.
+	// of its own: enqueued and transmitted are sums of out's cursors.
 	badHeader  atomic.Int64
 	unroutable atomic.Int64
 	policed    atomic.Int64
@@ -160,9 +173,15 @@ func (p *Port) Group() int { return p.group }
 // InLen returns the ingress ring occupancy.
 func (p *Port) InLen() int { return p.in.Len() }
 
-// OutLen returns the egress ring occupancy — the paper's FIFO output
-// buffer.
-func (p *Port) OutLen() int { return p.out.Len() }
+// OutLen returns the egress occupancy, summed over the group rings — the
+// paper's FIFO output buffer.
+func (p *Port) OutLen() int {
+	n := 0
+	for _, r := range p.out {
+		n += r.Len()
+	}
+	return n
+}
 
 // PortStats is a snapshot of one port's counters and queue depths.
 type PortStats struct {
@@ -181,21 +200,24 @@ type PortStats struct {
 }
 
 // Stats snapshots the port. Exact when the port is quiescent; while its
-// group goroutine is mid-burst, up to a burst of cells has left the ingress
-// ring without yet showing in the drop and forward counts.
+// group goroutine is finishing a burst, up to a burst of cells shows in the
+// drop and forward counts and is still counted in the ingress ring.
 func (p *Port) Stats() PortStats {
-	return PortStats{
-		Arrived:     p.in.Pushed(),
-		BadHeader:   p.badHeader.Load(),
-		Unroutable:  p.unroutable.Load(),
-		Policed:     p.policed.Load(),
-		Overflow:    p.overflow.Load(),
-		Forwarded:   p.forwarded.Load(),
-		Enqueued:    p.out.Pushed(),
-		Transmitted: p.out.Popped(),
-		InQueued:    p.in.Len(),
-		OutQueued:   p.out.Len(),
+	s := PortStats{
+		Arrived:    p.in.Pushed(),
+		BadHeader:  p.badHeader.Load(),
+		Unroutable: p.unroutable.Load(),
+		Policed:    p.policed.Load(),
+		Overflow:   p.overflow.Load(),
+		Forwarded:  p.forwarded.Load(),
+		InQueued:   p.in.Len(),
 	}
+	for _, r := range p.out {
+		s.Enqueued += r.Pushed()
+		s.Transmitted += r.Popped()
+		s.OutQueued += r.Len()
+	}
+	return s
 }
 
 // vcEntry is one VC's forwarding state. The shaper (tb, lastNanos) belongs
@@ -280,10 +302,11 @@ func WithBurst(k int) Option {
 	}
 }
 
-// WithRingCells sets the per-port ring capacity in cells, rounded up to a
-// power of two (default DefaultRingCells). The egress ring is the paper's
-// small FIFO output buffer, so this is the knob an overflow experiment
-// turns. Values < 1 keep the default.
+// WithRingCells sets the capacity in cells of a port's ingress ring and of
+// each of its egress rings (one per port group), rounded up to a power of
+// two (default DefaultRingCells). The egress rings are the paper's small
+// FIFO output buffer, so this is the knob an overflow experiment turns.
+// Values < 1 keep the default.
 func WithRingCells(n int) Option {
 	return func(f *Forwarder) {
 		if n >= 1 {
@@ -389,7 +412,7 @@ func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
 	}
 }
 
-// AddPort registers a port and its ring pair, assigning it to a port group
+// AddPort registers a port and its rings, assigning it to a port group
 // (round-robin in add order, unless pinned with WithGroupOf).
 func (f *Forwarder) AddPort(id int) (*Port, error) {
 	f.portsMu.Lock()
@@ -402,7 +425,10 @@ func (f *Forwarder) AddPort(id int) (*Port, error) {
 		g = f.nextGroup
 		f.nextGroup = (f.nextGroup + 1) % f.groups
 	}
-	p := &Port{id: id, group: g % f.groups, in: NewRing(f.ringCells), out: NewMPSCRing(f.ringCells)}
+	p := &Port{id: id, group: g % f.groups, in: NewRing(f.ringCells), out: make([]*Ring, f.groups)}
+	for i := range p.out {
+		p.out[i] = NewRing(f.ringCells)
+	}
 	f.ports[id] = p
 	old := *f.portList.Load()
 	next := make([]*Port, len(old), len(old)+1)
@@ -515,47 +541,40 @@ func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 //
 //rcbr:zeroalloc
 func (f *Forwarder) Forward(nowNanos int64) int {
-	if f.running.Load() {
-		panic("datapath: Forward called while Run is active")
-	}
-	total := 0
-	ports := *f.portList.Load()
-	for _, p := range ports {
-		total += f.forwardPort(p, nowNanos)
-	}
-	f.noteNow(nowNanos)
-	f.ins.batches.Inc()
-	f.ins.batchCells.Observe(float64(total))
-	return total
+	return f.ForwardGroup(allGroups, nowNanos)
 }
+
+// allGroups is the group argument that makes a sweep visit every port.
+const allGroups = -1
 
 // ForwardGroup runs one sweep over the ingress ports of one group only.
 // It is the caller-managed parallel mode: a driver may run one goroutine
 // per group, each calling ForwardGroup(g, now) with its own nondecreasing
 // clock, without starting Run. At most one goroutine per group, never
 // concurrently with Forward or an active Run (it panics on the latter).
-// Batch metrics count only non-empty sweeps, so an idle polling driver
-// does not drown the histogram in zeros.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) ForwardGroup(g int, nowNanos int64) int {
 	if f.running.Load() {
-		panic("datapath: ForwardGroup called while Run is active")
+		panic("datapath: Forward or ForwardGroup called while Run is active")
 	}
 	total := f.sweepGroup(g, nowNanos)
 	f.noteNow(nowNanos)
 	return total
 }
 
-// sweepGroup is one batched Forward tick over group g's ports: the unit of
-// work of both ForwardGroup and the Run goroutines.
+// sweepGroup is one batched Forward tick over group g's ports (every port
+// for allGroups): the unit of work of Forward, ForwardGroup and the Run
+// goroutines. Batch metrics count only non-empty sweeps, so an idle polling
+// driver — a Run goroutine, a slot-driven relay — does not drown the
+// histogram in zeros.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) sweepGroup(g int, nowNanos int64) int {
 	total := 0
 	ports := *f.portList.Load()
 	for _, p := range ports {
-		if p.group == g {
+		if g == allGroups || p.group == g {
 			total += f.forwardPort(p, nowNanos)
 		}
 	}
@@ -681,35 +700,46 @@ func (f *Forwarder) runGroup(g int, base int64, start time.Time, done <-chan str
 	}
 }
 
-// forwardPort drains up to burst cells from one ingress ring. Per cell:
-// verify the header (table-driven HEC), index the VC table (three loads, no
-// lock), fold any pending rate retarget into the shaper, tick the bucket to
-// nowNanos and take one cell's payload worth of tokens; a conforming cell
-// is copied to the egress MPSC ring (safe from any group), a non-conforming
-// one is policed, a full egress ring counts an overflow. Every cell leaves
-// the ingress ring exactly once, into exactly one per-VC counter (or
-// unroutable / bad header), and the burst's totals reach the port ledger in
-// one flush at the end. Only the goroutine owning p's group may call this.
+// maxTouched is how many distinct egress rings one burst may leave staged
+// before it publishes them early: the scratch that lets a burst publish
+// what it touched without walking every port.
+const maxTouched = 8
+
+// forwardPort drains up to burst cells from one ingress ring, reading them
+// in place. Per cell: verify the header (table-driven HEC), index the VC
+// table (three loads, no lock), fold any pending rate retarget into the
+// shaper, tick the bucket to nowNanos and take one cell's payload worth of
+// tokens; a conforming cell is staged onto the egress port's ring for p's
+// group (this goroutine is its only producer), a non-conforming one is
+// policed, a full egress ring counts an overflow. Every cell leaves the
+// ingress ring exactly once, into exactly one per-VC counter (or unroutable
+// / bad header). The burst ends with one head store per egress ring it
+// touched, one flush of its totals to the port ledger, and one tail store
+// releasing the ingress ring — in that order, so a cell is never off both
+// rings and every staged cell is published before the function returns.
+// Only the goroutine owning p's group may call this.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) forwardPort(p *Port, now int64) int {
-	n := 0
-	var fwd, pol, ovf, unr, bad int64
-	for ; n < f.burst; n++ {
-		c := p.in.Peek()
-		if c == nil {
-			break
-		}
+	n := p.in.Ready(f.burst)
+	if n == 0 {
+		return 0
+	}
+	var (
+		fwd, pol, ovf, unr, bad int64
+		touched                 [maxTouched]*Ring
+		nt                      int
+	)
+	for i := 0; i < n; i++ {
+		c := p.in.At(i)
 		h, err := cell.ParseHeader(c[:cell.HeaderSize])
 		if err != nil {
 			bad++
-			p.in.Advance()
 			continue
 		}
 		e := f.vcs.Get(uint32(switchfab.MakeVCID(h.VPI, h.VCI)))
 		if e == nil {
 			unr++
-			p.in.Advance()
 			continue
 		}
 		if rate := math.Float64frombits(e.rateBits.Load()); rate != e.tb.Rate() {
@@ -721,19 +751,31 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 			e.tb.Tick(float64(dt) * 1e-9)
 			e.lastNanos = now
 		}
-		switch {
-		case !e.tb.Take(CellPayloadBits):
+		if !e.tb.Take(CellPayloadBits) {
 			e.policed.Add(1)
 			pol++
-		case e.egress.out.Push(c):
-			e.forwarded.Add(1)
-			fwd++
-		default:
+			continue
+		}
+		out := e.egress.out[p.group]
+		first := !out.Staged()
+		if !out.Stage(c) {
 			e.overflow.Add(1)
 			ovf++
+			continue
 		}
-		p.in.Advance()
+		e.forwarded.Add(1)
+		fwd++
+		if first {
+			if nt == maxTouched {
+				// Scratch full: publish early rather than track more.
+				publishAll(touched[:])
+				nt = 0
+			}
+			touched[nt] = out
+			nt++
+		}
 	}
+	publishAll(touched[:nt])
 	// Only what moved: a sweep over a quiet port carries a cell or two, and
 	// five locked adds would cost it more than the cells did.
 	if fwd > 0 {
@@ -751,14 +793,25 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 	if bad > 0 {
 		p.badHeader.Add(bad)
 	}
+	p.in.Release(n)
 	return n
 }
 
-// Transmit drains up to max cells from a port's egress ring, the port's
-// wire-send path. One consumer goroutine per port (the MPSC contract);
-// different ports may be drained by different goroutines, concurrently
-// with each other and with a running forwarder. It touches nothing but the
-// ring: the ring's consumer cursor is the port's transmitted count.
+// publishAll publishes what a burst staged on each of rings.
+//
+//rcbr:zeroalloc
+func publishAll(rings []*Ring) {
+	for _, r := range rings {
+		r.Publish()
+	}
+}
+
+// Transmit drains up to max cells from a port's egress rings, the port's
+// wire-send path. One consumer goroutine per port (the SPSC contract of
+// every group ring); different ports may be drained by different goroutines,
+// concurrently with each other and with a running forwarder. It touches
+// nothing but the rings: their consumer cursors are the port's transmitted
+// count.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) Transmit(p *Port, max int) int {
@@ -768,20 +821,33 @@ func (f *Forwarder) Transmit(p *Port, max int) int {
 // TransmitTo is Transmit delivering each cell to sink (when non-nil)
 // before its slot is released; the mesh relay uses it to carry cells onto
 // the next hop's ingress ring. The *Cell aliases the ring slot and must
-// not be retained past the callback.
+// not be retained past the callback. Group rings are served round-robin,
+// starting one past the ring the previous call served last, and each ring
+// served is released once, after the last callback on its cells: within a
+// ring — so within a VC — order is arrival order, across rings it is
+// service order, which no VC can observe.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) TransmitTo(p *Port, max int, sink func(*Cell)) int {
 	n := 0
-	for ; n < max; n++ {
-		c := p.out.Peek()
-		if c == nil {
-			break
+	at := p.txNext
+	for k := 0; k < len(p.out) && n < max; k++ {
+		r := p.out[at]
+		if at++; at == len(p.out) {
+			at = 0
+		}
+		m := r.Ready(max - n)
+		if m == 0 {
+			continue
 		}
 		if sink != nil {
-			sink(c)
+			for i := 0; i < m; i++ {
+				sink(r.At(i))
+			}
 		}
-		p.out.Advance()
+		r.Release(m)
+		n += m
+		p.txNext = at
 	}
 	return n
 }

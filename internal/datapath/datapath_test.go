@@ -443,3 +443,40 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state forwarding allocates %.1f per cycle, want 0", allocs)
 	}
 }
+
+// TestEmptySweepsAreNotBatches: one rule for what a batch is, whichever
+// entry point sweeps — Forward used to count and observe every call, so a
+// slot-driven relay calling it on mostly idle ports drowned
+// datapath.batch_cells in zeros while ForwardGroup and Run skipped them.
+func TestEmptySweepsAreNotBatches(t *testing.T) {
+	reg := metrics.NewRegistry()
+	f := New(WithMetrics(reg))
+	in, err := f.AddPort(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := switchfab.MakeVCID(0, 5)
+	if err := f.AddVC(id, 1, 1e12); err != nil {
+		t.Fatal(err)
+	}
+	c := mkCell(t, id, 0)
+	for now := int64(0); now < 10; now++ {
+		f.Forward(now)
+		f.ForwardGroup(0, now)
+	}
+	f.Inject(in, &c)
+	f.Inject(in, &c)
+	if n := f.Forward(10); n != 2 {
+		t.Fatalf("Forward processed %d cells, want 2", n)
+	}
+	f.Inject(in, &c)
+	if n := f.ForwardGroup(0, 11); n != 1 {
+		t.Fatalf("ForwardGroup processed %d cells, want 1", n)
+	}
+	snap := reg.Snapshot()
+	h := snap.Histograms[MetricBatchCells]
+	if snap.Counters[MetricForwardBatches] != 2 || h.Count != 2 || h.Sum != 3 {
+		t.Fatalf("22 sweeps, 2 of them non-empty: %d batches, histogram count %d sum %g; want 2, 2, 3",
+			snap.Counters[MetricForwardBatches], h.Count, h.Sum)
+	}
+}

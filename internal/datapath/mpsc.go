@@ -4,12 +4,17 @@ import "sync/atomic"
 
 // MPSCRing is a multi-producer/single-consumer ring of cells with
 // power-of-two capacity: any number of goroutines may Push concurrently,
-// exactly one goroutine may Peek/Advance. It is the egress side of the
-// multi-core forwarder — every port-group goroutine can deposit cells onto
-// any egress port's ring, while the port's single transmitter drains it —
-// and, like the SPSC Ring, it never takes a lock (the lockorder analyzer's
-// never-ring rule covers this class too, including its lock-free
-// push-to-pop window).
+// exactly one goroutine may Peek/Advance. Like the SPSC Ring it never takes
+// a lock (the lockorder analyzer's never-ring rule covers this class too).
+//
+// The forwarder does not use it. It was the egress ring of the multi-core
+// forwarder until an egress port became one SPSC Ring per producer group
+// (DESIGN §15): an output FIFO owes its VCs per-VC order only, so nothing
+// needs the total order across producers that this ring pays a CAS and two
+// sequence stores per cell to keep. The type stays for one caller: the
+// benchmark driver's datapath.mpsc_ns probe (bench/probes.go) builds against
+// NewMPSCRing, and the benchmark may not change in the same PR as the code
+// it measures. It goes when that probe does.
 //
 // The design is the bounded-queue-with-slot-sequences scheme (Vyukov):
 // each slot carries a sequence number, initialized to its index. A
@@ -25,10 +30,7 @@ import "sync/atomic"
 //
 // Ordering guarantee: cells pushed by ONE producer goroutine dequeue in
 // that producer's push order (its CAS claims strictly increasing
-// positions). Cells from different producers interleave arbitrarily —
-// which is exactly the guarantee per-VC FIFO needs, because all cells of a
-// VC enter through one ingress port and are therefore pushed by the one
-// group goroutine that owns that port.
+// positions). Cells from different producers interleave arbitrarily.
 //
 // A producer that claims a slot and stalls before publishing delays the
 // consumer at that slot (cells behind it wait); the window is a handful of

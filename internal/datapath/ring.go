@@ -13,21 +13,33 @@ import (
 type Cell = [cell.Size]byte
 
 // Ring is a single-producer/single-consumer ring of cells with power-of-two
-// capacity. Exactly one goroutine may call the producer methods (Push) and
-// exactly one the consumer methods (Peek, Advance); under that contract no
-// method takes a lock — by design and by lint (the lockorder analyzer
-// rejects any mutex guarded by a ring type).
+// capacity. Exactly one goroutine may call the producer methods (Push,
+// Stage, Publish) and exactly one the consumer methods (Peek, Advance,
+// Ready, At, Release); under that contract no method takes a lock — by
+// design and by lint (the lockorder analyzer rejects any mutex guarded by a
+// ring type).
 //
-// The memory-ordering argument: head is advanced by the producer only
-// after the slot write, and Go's sync/atomic operations are sequentially
-// consistent (stronger than the release/acquire pair this needs), so a
-// consumer that loads head and sees slot i published also sees the 53
-// bytes written to it. Symmetrically tail is advanced by the consumer only
-// after it is done reading the slot, so a producer that sees tail past i
-// may freely overwrite it. Each side also keeps a local cache of the
-// other's index (cachedTail, cachedHead) and refreshes it only when the
-// cached value implies full/empty — in steady state a Push or Peek touches
-// one cache line of indices, not two.
+// Each side has a per-cell form and a burst form over the same cursors. On
+// amd64 every atomic store is a locked instruction (XCHG), so what a ring
+// costs is its cursor stores; the burst forms pay one per burst instead of
+// one per cell. The producer Stages cells into free slots — visible to
+// nobody — and Publishes them all with a single head store; the consumer
+// learns how many cells are Ready with a single head load, reads them in
+// place through At, and Releases them all with a single tail store. Push is
+// Stage and Publish of one cell, Peek and Advance are At(0) and Release(1),
+// so the two forms mix freely.
+//
+// The memory-ordering argument: head is stored by the producer only after
+// the slot writes of everything it publishes — one cell or a whole burst —
+// and Go's sync/atomic operations are sequentially consistent (stronger
+// than the release/acquire pair this needs), so a consumer that loads head
+// and sees slots up to i published also sees the 53 bytes written to each.
+// Symmetrically tail is stored by the consumer only after it is done
+// reading every slot it releases, so a producer that sees tail past i may
+// freely overwrite it. Each side also keeps a local cache of the other's
+// index (cachedTail, cachedHead) and refreshes it only when the cached
+// value implies full/empty — in steady state a Stage or Ready touches one
+// cache line of indices, not two.
 //
 // The index fields are padded onto separate cache lines so the producer's
 // head publications do not invalidate the consumer's tail line and vice
@@ -38,8 +50,11 @@ type Ring struct {
 	mask uint64
 	_    [64]byte
 	// head is the producer's publication cursor: cells [tail, head) are
-	// readable. cachedTail is producer-private.
+	// readable. staged is the producer's write cursor, producer-private:
+	// cells [head, staged) are written but not yet published. cachedTail
+	// is producer-private too.
 	head       atomic.Uint64
+	staged     uint64
 	cachedTail uint64
 	_          [64]byte
 	// tail is the consumer's publication cursor. cachedHead is
@@ -62,13 +77,14 @@ func NewRing(capacity int) *Ring {
 // Capacity returns the number of slots.
 func (r *Ring) Capacity() int { return len(r.buf) }
 
-// Len returns the number of cells currently queued. It is exact when the
-// ring is quiescent and a consistent snapshot bound otherwise. The loads
-// are ordered tail before head: loading head first can observe a head from
-// before a consumer advance and a tail from after it, making the difference
-// wrap negative. With tail loaded first the head observed afterwards is
-// always at least the tail observed, so the difference stays meaningful;
-// the clamps keep even a pathological interleaving inside [0, Capacity].
+// Len returns the number of published cells currently queued; staged cells
+// do not count until Publish. It is exact when the ring is quiescent and a
+// consistent snapshot bound otherwise. The loads are ordered tail before
+// head: loading head first can observe a head from before a consumer
+// advance and a tail from after it, making the difference wrap negative.
+// With tail loaded first the head observed afterwards is always at least
+// the tail observed, so the difference stays meaningful; the clamps keep
+// even a pathological interleaving inside [0, Capacity].
 func (r *Ring) Len() int {
 	tail := r.tail.Load()
 	head := r.head.Load()
@@ -82,26 +98,94 @@ func (r *Ring) Len() int {
 	return int(n)
 }
 
-// Pushed returns how many cells the ring has accepted since it was made:
-// the producer's cursor counts exactly the successful Pushes, so the port
-// ledger reads it instead of keeping a second counter.
+// Pushed returns how many cells the ring has published since it was made:
+// the producer's cursor counts exactly the successful Pushes and published
+// Stages, so the port ledger reads it instead of keeping a second counter.
 func (r *Ring) Pushed() int64 { return int64(r.head.Load()) }
 
-// Push copies c into the ring, returning false (dropping nothing, writing
-// nothing) when the ring is full. Producer side only.
+// Popped returns how many cells the consumer has released since the ring
+// was made: the consumer's cursor, read by the port ledger like Pushed.
+func (r *Ring) Popped() int64 { return int64(r.tail.Load()) }
+
+// Stage copies c into the next free slot without publishing it, returning
+// false (writing nothing) when the ring is full; staged cells occupy slots
+// but stay invisible to the consumer, Len and Pushed until Publish.
+// Producer side only.
 //
 //rcbr:zeroalloc
-func (r *Ring) Push(c *Cell) bool {
-	head := r.head.Load()
-	if head-r.cachedTail >= uint64(len(r.buf)) {
+func (r *Ring) Stage(c *Cell) bool {
+	at := r.staged
+	if at-r.cachedTail >= uint64(len(r.buf)) {
 		r.cachedTail = r.tail.Load()
-		if head-r.cachedTail >= uint64(len(r.buf)) {
+		if at-r.cachedTail >= uint64(len(r.buf)) {
 			return false
 		}
 	}
-	r.buf[head&r.mask] = *c
-	r.head.Store(head + 1)
+	r.buf[at&r.mask] = *c
+	r.staged = at + 1
 	return true
+}
+
+// Staged reports whether the ring holds staged cells awaiting Publish.
+// Producer side only.
+//
+//rcbr:zeroalloc
+func (r *Ring) Staged() bool { return r.staged != r.head.Load() }
+
+// Publish makes every staged cell visible to the consumer with one store
+// of head. Producer side only.
+//
+//rcbr:zeroalloc
+func (r *Ring) Publish() { r.head.Store(r.staged) }
+
+// Push copies c into the ring and publishes it — together with anything
+// staged before it, which keeps FIFO order — returning false (dropping
+// nothing, writing nothing) when the ring is full. Producer side only.
+//
+//rcbr:zeroalloc
+func (r *Ring) Push(c *Cell) bool {
+	if !r.Stage(c) {
+		return false
+	}
+	r.Publish()
+	return true
+}
+
+// Ready returns how many published cells wait to be read, up to max,
+// refreshing the consumer's view of head only when its cached view cannot
+// satisfy max. Cells 0..n-1 are then readable through At until Release.
+// Consumer side only.
+//
+//rcbr:zeroalloc
+func (r *Ring) Ready(max int) int {
+	tail := r.tail.Load()
+	n := r.cachedHead - tail
+	if n < uint64(max) {
+		r.cachedHead = r.head.Load()
+		n = r.cachedHead - tail
+		if n < uint64(max) {
+			return int(n)
+		}
+	}
+	return max
+}
+
+// At returns a pointer to the i-th oldest queued cell, 0 <= i < the count
+// Ready last returned. The pointer aliases the slot and is valid until the
+// slot is Released. Consumer side only.
+//
+//rcbr:zeroalloc
+func (r *Ring) At(i int) *Cell {
+	return &r.buf[(r.tail.Load()+uint64(i))&r.mask]
+}
+
+// Release consumes the n oldest queued cells with one store of tail,
+// handing their slots back to the producer; n must not exceed the count
+// Ready last returned. Consumer side only.
+//
+//rcbr:zeroalloc
+func (r *Ring) Release(n int) {
+	r.tail.Store(r.tail.Load() + uint64(n))
 }
 
 // Peek returns a pointer to the oldest queued cell, or nil when the ring is
@@ -110,14 +194,10 @@ func (r *Ring) Push(c *Cell) bool {
 //
 //rcbr:zeroalloc
 func (r *Ring) Peek() *Cell {
-	tail := r.tail.Load()
-	if tail == r.cachedHead {
-		r.cachedHead = r.head.Load()
-		if tail == r.cachedHead {
-			return nil
-		}
+	if r.Ready(1) == 0 {
+		return nil
 	}
-	return &r.buf[tail&r.mask]
+	return r.At(0)
 }
 
 // Advance consumes the cell last returned by Peek, releasing its slot to
@@ -125,6 +205,4 @@ func (r *Ring) Peek() *Cell {
 // corrupts the ring.
 //
 //rcbr:zeroalloc
-func (r *Ring) Advance() {
-	r.tail.Store(r.tail.Load() + 1)
-}
+func (r *Ring) Advance() { r.Release(1) }

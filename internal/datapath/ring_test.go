@@ -2,9 +2,11 @@ package datapath
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func TestRingCapacityRounding(t *testing.T) {
@@ -136,5 +138,185 @@ func TestRingSPSCStorm(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 0 {
 		t.Fatalf("ring not empty after storm: %d", r.Len())
+	}
+}
+
+// TestRingBurstMatchesSliceModel drives random interleavings of both forms
+// of both sides — Stage, Publish, Push, Ready/At/Release, Peek/Advance —
+// against a slice model, on rings small enough that the cursors wrap past
+// the capacity hundreds of times. After every step the ring must agree with
+// the model on what each call returned, on FIFO contents read in place, on
+// full and empty, and on the ledger (Len, Pushed, Popped): in particular
+// staged cells occupy slots (they can fill the ring) but are invisible to
+// Len, Pushed and Ready until published, and a Push publishes what was
+// staged before it, in order.
+func TestRingBurstMatchesSliceModel(t *testing.T) {
+	prop := func(seed int64, capSel uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRing(2 << (capSel % 4)) // 2, 4, 8, 16 slots
+		slots := r.Capacity()
+		var (
+			pub, staged    []uint64 // published and staged-only stamps, oldest first
+			next           uint64   // next stamp to write
+			pushed, popped int64
+			c              Cell
+			fail           = func(format string, args ...any) bool {
+				t.Errorf("seed %d cap %d: "+format, append([]any{seed, slots}, args...)...)
+				return false
+			}
+		)
+		for step := 0; step < 3000; step++ {
+			room := len(pub)+len(staged) < slots
+			switch rng.Intn(6) {
+			case 0, 1:
+				binary.BigEndian.PutUint64(c[:8], next)
+				if got := r.Stage(&c); got != room {
+					return fail("step %d: Stage = %v with %d+%d of %d slots used", step, got, len(pub), len(staged), slots)
+				}
+				if room {
+					staged = append(staged, next)
+					next++
+				}
+			case 2:
+				r.Publish()
+				pushed += int64(len(staged))
+				pub, staged = append(pub, staged...), staged[:0]
+			case 3:
+				binary.BigEndian.PutUint64(c[:8], next)
+				if got := r.Push(&c); got != room {
+					return fail("step %d: Push = %v with %d+%d of %d slots used", step, got, len(pub), len(staged), slots)
+				}
+				if room {
+					pushed += int64(len(staged)) + 1
+					pub, staged = append(append(pub, staged...), next), staged[:0]
+					next++
+				}
+			case 4:
+				max := 1 + rng.Intn(slots+2)
+				n := r.Ready(max)
+				if want := min(max, len(pub)); n != want {
+					return fail("step %d: Ready(%d) = %d, want %d", step, max, n, want)
+				}
+				for i := 0; i < n; i++ {
+					if got := binary.BigEndian.Uint64(r.At(i)[:8]); got != pub[i] {
+						return fail("step %d: At(%d) = cell %d, want %d", step, i, got, pub[i])
+					}
+				}
+				if k := rng.Intn(n + 1); k > 0 {
+					r.Release(k)
+					pub = pub[k:]
+					popped += int64(k)
+				}
+			case 5:
+				p := r.Peek()
+				if (p == nil) != (len(pub) == 0) {
+					return fail("step %d: Peek nil = %v with %d published", step, p == nil, len(pub))
+				}
+				if p != nil {
+					if got := binary.BigEndian.Uint64(p[:8]); got != pub[0] {
+						return fail("step %d: Peek = cell %d, want %d", step, got, pub[0])
+					}
+					r.Advance()
+					pub = pub[1:]
+					popped++
+				}
+			}
+			if r.Len() != len(pub) || r.Pushed() != pushed || r.Popped() != popped || r.Staged() != (len(staged) > 0) {
+				return fail("step %d: Len %d Pushed %d Popped %d Staged %v, model %d %d %d %v", step,
+					r.Len(), r.Pushed(), r.Popped(), r.Staged(), len(pub), pushed, popped, len(staged) > 0)
+			}
+		}
+		if next < uint64(8*slots) {
+			return fail("only %d cells written: the cursors never wrapped", next)
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRingBurstStorm runs a burst producer against a burst consumer — the
+// forwarder's two sides of an egress ring — and checks, under the race
+// detector in `make race`, exact count, exact order and intact contents:
+// a whole burst's slot writes precede its single head store, and a whole
+// burst's reads precede its single tail store. Both sides mix in the
+// per-cell forms now and then, as Inject beside a burst consumer does.
+func TestRingBurstStorm(t *testing.T) {
+	const total = 200000
+	r := NewRing(64)
+	fill := func(c *Cell, i uint64) {
+		binary.BigEndian.PutUint64(c[:8], i)
+		b := byte(i)
+		for j := 8; j < len(c); j++ {
+			c[j] = b + byte(j)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var c Cell
+		rng := rand.New(rand.NewSource(1))
+		for i := uint64(0); i < total; {
+			if rng.Intn(8) == 0 {
+				fill(&c, i)
+				if r.Push(&c) {
+					i++
+				} else {
+					runtime.Gosched()
+				}
+				continue
+			}
+			for burst := 1 + rng.Intn(17); burst > 0 && i < total; burst-- {
+				fill(&c, i)
+				if !r.Stage(&c) {
+					break
+				}
+				i++
+			}
+			if r.Staged() {
+				r.Publish()
+			} else {
+				runtime.Gosched() // full with nothing staged: let the consumer run
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(2))
+	check := func(c *Cell, want uint64) {
+		if i := binary.BigEndian.Uint64(c[:8]); i != want {
+			t.Fatalf("cell %d arrived when %d expected", i, want)
+		}
+		b := byte(want)
+		for j := 8; j < len(c); j++ {
+			if c[j] != b+byte(j) {
+				t.Fatalf("cell %d: torn byte %d", want, j)
+			}
+		}
+	}
+	var got uint64
+	for got < total {
+		if rng.Intn(8) == 0 {
+			if c := r.Peek(); c != nil {
+				check(c, got)
+				r.Advance()
+				got++
+			}
+			continue
+		}
+		n := r.Ready(1 + rng.Intn(24))
+		if n == 0 {
+			runtime.Gosched()
+			continue
+		}
+		for i := 0; i < n; i++ {
+			check(r.At(i), got+uint64(i))
+		}
+		r.Release(n)
+		got += uint64(n)
+	}
+	wg.Wait()
+	if r.Len() != 0 || r.Pushed() != total || r.Popped() != total {
+		t.Fatalf("after storm: Len %d Pushed %d Popped %d, want 0 %d %d", r.Len(), r.Pushed(), r.Popped(), total, total)
 	}
 }

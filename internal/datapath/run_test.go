@@ -33,14 +33,15 @@ func TestPortGroupAssignment(t *testing.T) {
 // TestRunForwardsAcrossGroups starts a 4-group forwarder, injects from
 // per-port producers while it runs, and checks every cell comes out of the
 // egress rings — including cells whose egress port belongs to another
-// group, which cross between goroutines through the MPSC ring.
+// group, which cross between goroutines through the egress port's ring
+// for the producing group.
 func TestRunForwardsAcrossGroups(t *testing.T) {
 	const (
 		ports   = 4
 		perPort = 2000
 	)
 	// Rings sized to hold a full port's load: even if a consumer goroutine
-	// is descheduled for the whole run, the egress MPSC ring never fills,
+	// is descheduled for the whole run, no egress ring ever fills,
 	// so the exact-count assertion below cannot be defeated by overflow
 	// drops (which are legitimate behavior, covered by the conservation
 	// property test).

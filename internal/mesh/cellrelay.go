@@ -72,32 +72,43 @@ type timedCell struct {
 	c   datapath.Cell
 }
 
-// delayLine is an unbounded FIFO of in-flight cells, ordered by due slot
-// (pushes carry nondecreasing due times). It is measurement harness, not
-// hot path: it grows as needed.
+// delayLine is the FIFO of cells in flight on one link, ordered by due slot
+// (pushes carry nondecreasing due times): a fixed ring, sized once for the
+// link. A link carries one cell per slot and holds each for delaySlots, so
+// delaySlots+1 slots hold everything it can have in flight; Step transmits
+// onto a line only while it has room, so the relay never grows it.
 type delayLine struct {
-	q    []timedCell
-	head int
+	q          []timedCell
+	head, tail uint64 // cells [head, tail) are in flight
 }
+
+func newDelayLine(delaySlots int64) delayLine {
+	return delayLine{q: make([]timedCell, delaySlots+1)}
+}
+
+func (l *delayLine) full() bool { return l.tail-l.head == uint64(len(l.q)) }
 
 func (l *delayLine) push(due int64, c *datapath.Cell) {
-	l.q = append(l.q, timedCell{due: due, c: *c})
+	tc := &l.q[l.tail%uint64(len(l.q))]
+	tc.due, tc.c = due, *c
+	l.tail++
 }
 
+// pop returns the oldest cell if it is due; the pointer aliases the line's
+// slot and is valid until the next push.
 func (l *delayLine) pop(now int64) *datapath.Cell {
-	if l.head >= len(l.q) || l.q[l.head].due > now {
+	if l.head == l.tail {
 		return nil
 	}
-	c := &l.q[l.head].c
-	l.head++
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
+	tc := &l.q[l.head%uint64(len(l.q))]
+	if tc.due > now {
+		return nil
 	}
-	return c
+	l.head++
+	return &tc.c
 }
 
-func (l *delayLine) inFlight() int { return len(l.q) - l.head }
+func (l *delayLine) inFlight() int { return int(l.tail - l.head) }
 
 // CellPath is a chain of forwarders relaying cells from a source to a
 // sink. Build one with NewCellPath, inject with InjectStamped, drive with
@@ -125,7 +136,7 @@ func NewCellPath(hops []CellHop, slotNanos int64) (*CellPath, error) {
 	if slotNanos <= 0 {
 		return nil, fmt.Errorf("mesh: slotNanos %d must be positive", slotNanos)
 	}
-	cp := &CellPath{hops: hops, slotNanos: slotNanos, lines: make([]delayLine, len(hops))}
+	cp := &CellPath{hops: hops, slotNanos: slotNanos}
 	for i, h := range hops {
 		if h.FW == nil {
 			return nil, fmt.Errorf("mesh: hop %d has no forwarder", i)
@@ -140,6 +151,7 @@ func NewCellPath(hops []CellHop, slotNanos int64) (*CellPath, error) {
 		}
 		cp.inPorts = append(cp.inPorts, in)
 		cp.outPorts = append(cp.outPorts, out)
+		cp.lines = append(cp.lines, newDelayLine(h.DelaySlots))
 	}
 	return cp, nil
 }
@@ -178,11 +190,15 @@ func (cp *CellPath) Step(slot int64) {
 		} else {
 			fw.Forward(now)
 		}
-		line := &cp.lines[k]
-		due := slot + cp.hops[k].DelaySlots
-		cp.hops[k].FW.TransmitTo(cp.outPorts[k], 1, func(c *datapath.Cell) {
-			line.push(due, c)
-		})
+		// A full line means this slot already carried its cell (Step was
+		// called again for the same slot): the next cell waits in the
+		// egress ring, as it would behind a busy link.
+		if line := &cp.lines[k]; !line.full() {
+			due := slot + cp.hops[k].DelaySlots
+			cp.hops[k].FW.TransmitTo(cp.outPorts[k], 1, func(c *datapath.Cell) {
+				line.push(due, c)
+			})
+		}
 	}
 	// Deliver: line k feeds hop k+1; the last line is the sink.
 	for k := range cp.lines {

@@ -234,3 +234,79 @@ func TestNewCellPathValidation(t *testing.T) {
 		t.Fatal("negative delay accepted")
 	}
 }
+
+// TestDelayLineStaysFixedUnderFullLoad is the regression test for the
+// delay line that grew without bound: with a cell on every slot a link was
+// never empty, so the line (which only reset when it emptied) appended one
+// timedCell per cell forever. A million full-load slots must leave every
+// line at the capacity it was built with, deliver every cell at the exact
+// pipeline delay, and a Step must allocate nothing.
+func TestDelayLineStaysFixedUnderFullLoad(t *testing.T) {
+	const slotNanos = int64(1e6)
+	id := switchfab.MakeVCID(0, 7)
+	cp, _ := buildCellChain(t, id, 1e12, slotNanos)
+	caps := make([]int, len(cp.lines))
+	for k := range cp.lines {
+		caps[k] = cap(cp.lines[k].q)
+		if want := int(cp.hops[k].DelaySlots) + 1; caps[k] != want {
+			t.Fatalf("line %d built with %d slots, want DelaySlots+1 = %d", k, caps[k], want)
+		}
+	}
+	slots := int64(1_000_000)
+	if testing.Short() {
+		slots = 50_000
+	}
+	slot := int64(0)
+	for ; slot < slots; slot++ {
+		if !cp.InjectStamped(id, slot) {
+			t.Fatalf("slot %d: inject refused", slot)
+		}
+		cp.Step(slot)
+	}
+	for k := range cp.lines {
+		if got := cap(cp.lines[k].q); got != caps[k] {
+			t.Fatalf("line %d grew from %d to %d slots", k, caps[k], got)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		cp.InjectStamped(id, slot)
+		cp.Step(slot)
+		slot++
+	}); allocs != 0 {
+		t.Fatalf("Step allocates %.1f times per slot at full load, want 0", allocs)
+	}
+	for end := slot + 100; slot < end; slot++ {
+		cp.Step(slot)
+	}
+	s := cp.Stats()
+	if s.Delivered != s.Injected || s.LinkDrops != 0 || cp.InFlight() != 0 {
+		t.Fatalf("stats %+v, %d in flight: want every cell delivered", s, cp.InFlight())
+	}
+	if s.MaxDelaySlots != 12 || s.MeanDelaySlots() != 12 {
+		t.Fatalf("delay mean %.2f max %d, want exactly 12", s.MeanDelaySlots(), s.MaxDelaySlots)
+	}
+}
+
+// TestStepRepeatedSlotHoldsTheLink: Step called again for the same slot
+// must not put a second cell on a link that carries one cell per slot; the
+// cell waits in the egress ring and nothing is lost.
+func TestStepRepeatedSlotHoldsTheLink(t *testing.T) {
+	id := switchfab.MakeVCID(0, 7)
+	cp, _ := buildCellChain(t, id, 1e12, 1e6)
+	const cells = 20 // inside the shaper depth: no clock runs between them
+	for i := 0; i < cells; i++ {
+		if !cp.InjectStamped(id, 0) {
+			t.Fatal("inject refused")
+		}
+		cp.Step(0)
+	}
+	if got, max := cp.lines[0].inFlight(), cap(cp.lines[0].q); got > max {
+		t.Fatalf("%d cells on a link that holds %d", got, max)
+	}
+	for slot := int64(1); slot < 200; slot++ {
+		cp.Step(slot)
+	}
+	if s := cp.Stats(); s.Delivered != cells || s.LinkDrops != 0 {
+		t.Fatalf("stats %+v, want all %d delivered", s, cells)
+	}
+}

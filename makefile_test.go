@@ -2,6 +2,7 @@ package rcbr
 
 import (
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -34,6 +35,26 @@ func TestMakefileRaceParallelSync(t *testing.T) {
 	if strings.Join(declared, " ") != strings.Join(recipe, " ") {
 		t.Errorf("RACE_PARALLEL_PKGS and the race-parallel recipe disagree:\n  variable: %v\n  recipe:   %v",
 			declared, recipe)
+	}
+	// The datapath line is the one that races the cell path's lock-free
+	// parts with goroutines that truly interleave; each of these names a
+	// family of tests that line must keep reaching.
+	var datapathLine string
+	for _, line := range recipeLines(t, string(src), "race-parallel") {
+		if strings.Contains(line, "./internal/datapath/") {
+			datapathLine = line
+		}
+	}
+	if !strings.HasPrefix(datapathLine, "GOMAXPROCS=4 ") {
+		t.Errorf("race-parallel datapath line does not pin GOMAXPROCS=4: %q", datapathLine)
+	}
+	_, pattern, _ := strings.Cut(datapathLine, "-run '")
+	pattern, _, _ = strings.Cut(pattern, "'")
+	have := strings.Split(pattern, "|")
+	for _, want := range []string{"Conservation", "Run", "Table", "Ring", "Burst", "CrossGroup"} {
+		if !slices.Contains(have, want) {
+			t.Errorf("race-parallel datapath -run pattern %q lacks %q", pattern, want)
+		}
 	}
 }
 
