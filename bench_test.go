@@ -25,6 +25,7 @@ import (
 	"rcbr/internal/ld"
 	"rcbr/internal/markov"
 	"rcbr/internal/mesh"
+	"rcbr/internal/metrics"
 	"rcbr/internal/mux"
 	"rcbr/internal/queue"
 	"rcbr/internal/shaper"
@@ -758,11 +759,78 @@ func BenchmarkAdmitDecisionMemoryLive(b *testing.B) {
 	}
 }
 
+// benchMBACLevels is the level set of the MBAC benchmarks: 1..7 Mb/s.
+var benchMBACLevels = []float64{1e6, 2e6, 3e6, 4e6, 5e6, 6e6, 7e6}
+
+// BenchmarkRenegotiateMemoryAdmit is the paper's lightweight path on a
+// switch wired the way a live one is — memory admitter, forwarder behind
+// WithDataPlane, registry — carrying 100,000 VCs over 4 ports: one op is
+// RenegotiateID of a randomly picked VC to a randomly picked level (seeded,
+// drawn before the timer starts), so nearly every op is a granted rate
+// change that moves the call's MBAC record and retargets its shaper. It is
+// under benchjson's zero-alloc gate.
+func BenchmarkRenegotiateMemoryAdmit(b *testing.B) {
+	const vcs, ports = 100_000, 4
+	ad, err := switchfab.NewMemoryAdmitter(benchMBACLevels, 1e-3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	fw := datapath.New(datapath.WithMetrics(reg))
+	sw := switchfab.New(switchfab.WithAdmitter(ad), switchfab.WithDataPlane(fw), switchfab.WithMetrics(reg))
+	for p := 0; p < ports; p++ {
+		if _, err := fw.AddPort(p); err != nil {
+			b.Fatal(err)
+		}
+		if err := sw.AddPort(p, 1e12); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < vcs; i++ {
+		if err := sw.SetupID(switchfab.VCID(i), i%ports, benchMBACLevels[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	type pick struct {
+		id   switchfab.VCID
+		rate float64
+	}
+	rng := stats.NewRNG(15)
+	picks := make([]pick, 1<<16)
+	for i := range picks {
+		picks[i] = pick{switchfab.VCID(rng.Intn(vcs)), benchMBACLevels[rng.Intn(len(benchMBACLevels))]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pk := picks[i%len(picks)]
+		if _, ok, err := sw.RenegotiateID(pk.id, pk.rate); err != nil || !ok {
+			b.Fatalf("renegotiate %s: ok=%v err=%v", pk.id, ok, err)
+		}
+	}
+}
+
 // BenchmarkChurnBytesPerVC reports the retained switch-side bytes per
 // established VC (heap growth across b.N setups after forced collections,
 // divided by b.N) as a custom "bytes/vc" metric alongside the setup rate.
-func BenchmarkChurnBytesPerVC(b *testing.B) {
-	sw := benchChurnSwitch(b)
+// No admitter is installed: this is the fabric-only floor — the VC record
+// and its table slot — which no switch running MBAC can reach; see
+// BenchmarkChurnBytesPerVCMemoryAdmit for that one.
+func BenchmarkChurnBytesPerVC(b *testing.B) { benchChurnBytesPerVC(b) }
+
+// BenchmarkChurnBytesPerVCMemoryAdmit is BenchmarkChurnBytesPerVC with the
+// live memory-based MBAC installed: the floor plus the call record the
+// admitter hangs on every VC.
+func BenchmarkChurnBytesPerVCMemoryAdmit(b *testing.B) {
+	ad, err := switchfab.NewMemoryAdmitter(benchMBACLevels, 1e-3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchChurnBytesPerVC(b, switchfab.WithAdmitter(ad))
+}
+
+func benchChurnBytesPerVC(b *testing.B, opts ...switchfab.Option) {
+	sw := benchChurnSwitch(b, opts...)
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

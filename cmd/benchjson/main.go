@@ -120,7 +120,7 @@ func main() {
 // -compare fails them on any nonzero count. A recorded 0 is indistinguishable
 // from "not measured with -benchmem" in the JSON (both marshal away), so the
 // gate keys on the name contract, not the baseline value.
-var zeroAllocPrefixes = []string{"BenchmarkDataPath", "BenchmarkFabricCell"}
+var zeroAllocPrefixes = []string{"BenchmarkDataPath", "BenchmarkFabricCell", "BenchmarkRenegotiateMemoryAdmit"}
 
 // zeroAllocContract reports whether name is under the zero-alloc gate.
 func zeroAllocContract(name string) bool {

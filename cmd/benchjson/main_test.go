@@ -203,6 +203,8 @@ func TestZeroAllocContractNames(t *testing.T) {
 	for name, want := range map[string]bool{
 		"BenchmarkDataPathForward8Port100kVC": true,
 		"BenchmarkFabricCellAppend":           true,
+		"BenchmarkRenegotiateMemoryAdmit":     true,
+		"BenchmarkSetupChurnMemoryAdmit":      false,
 		"BenchmarkFabricRM64k":                false,
 		"BenchmarkFig2OPT":                    false,
 	} {

@@ -25,6 +25,15 @@ import (
 // the difference between a microsecond admit decision and one that scans a
 // million calls.
 //
+// The handle form — Enter, Move, Leave over a *Call the caller owns — is
+// the implementation: the controller keeps the pooled sums and a count of
+// the calls present, and never finds a call, because the caller hands it
+// the call's record. A live switch keeps that record on its own VC entry
+// (switchfab.MemoryAdmitter), so a call is indexed once, by the switch. The
+// id-keyed Controller methods (OnAdmit, OnRateChange, OnDepart) are an
+// adapter for callers that name calls by number (callsim): a map from id to
+// record in front of the same three functions, touched by nothing else.
+//
 // Like every Controller, LiveMemory is not safe for concurrent use; the
 // switch-side adapter (switchfab.MemoryAdmitter) wraps one instance per
 // port behind that port's serialization.
@@ -35,7 +44,8 @@ type LiveMemory struct {
 	flushed  []float64 // completed dwell mass per level, present calls only
 	active   []float64 // calls currently at each level
 	sinceSum []float64 // Σ level-entry times of the calls in active
-	calls    map[int]*liveCall
+	present  int       // calls entered and not yet left
+	byID     map[int]*Call
 
 	// weights and probs are reused by dist so Admit stays allocation-free
 	// in steady state.
@@ -43,12 +53,38 @@ type LiveMemory struct {
 	probs   []float64
 }
 
-// liveCall is one present call's contribution, retained so departure can
-// subtract exactly what the call added.
-type liveCall struct {
+// Call is one present call's contribution to a LiveMemory pool, retained so
+// departure can subtract exactly what the call added. Whoever admits the
+// call owns its record — makes it with NewCall, enters it, and hands it back
+// on every rate change and on departure; only the controller reads or
+// writes its fields, under whatever serializes that controller.
+type Call struct {
 	dwell []float64 // completed dwell per level
-	level int       // index of the current level
 	since float64   // when the current level was entered
+	level int       // index of the current level; -1 while in no pool
+}
+
+// callSlots is the dwell storage that rides in the same heap object as a
+// Call: seven levels, the widest set any caller or workload here uses.
+const callSlots = 7
+
+// NewCall returns the record of a call for a controller over the given
+// number of levels. Up to callSlots levels, record and dwell storage are one
+// heap object; a wider level set pays a second object for the dwell slice.
+func NewCall(levels int) *Call {
+	var c *Call
+	if levels <= callSlots {
+		o := new(struct {
+			Call
+			slots [callSlots]float64
+		})
+		c = &o.Call
+		c.dwell = o.slots[:levels:levels]
+	} else {
+		c = &Call{dwell: make([]float64, levels)}
+	}
+	c.level = -1
+	return c
 }
 
 // NewLiveMemory builds the incremental history-based controller over the
@@ -73,7 +109,7 @@ func NewLiveMemory(levels []float64, capacity, target float64) (*LiveMemory, err
 		flushed:  make([]float64, n),
 		active:   make([]float64, n),
 		sinceSum: make([]float64, n),
-		calls:    make(map[int]*liveCall),
+		byID:     make(map[int]*Call),
 		weights:  make([]float64, n),
 		probs:    make([]float64, n),
 	}, nil
@@ -99,7 +135,7 @@ func (m *LiveMemory) index(rate float64) int {
 func (m *LiveMemory) dist(now float64) (ld.Dist, bool) {
 	// The pool is defined over the calls present; with none, any remaining
 	// weight is subtraction residue, not evidence.
-	if len(m.calls) == 0 {
+	if m.present == 0 {
 		return ld.Dist{}, false
 	}
 	var total float64
@@ -122,34 +158,29 @@ func (m *LiveMemory) dist(now float64) (ld.Dist, bool) {
 
 // Admit implements Controller.
 func (m *LiveMemory) Admit(now, _ float64) bool {
-	if len(m.calls) == 0 {
-		return true
-	}
 	dist, ok := m.dist(now)
 	if !ok {
 		return true
 	}
-	return chernoffAdmit(dist, m.capacity, m.target, len(m.calls))
+	return chernoffAdmit(dist, m.capacity, m.target, m.present)
 }
 
-// OnAdmit implements Controller.
-func (m *LiveMemory) OnAdmit(id int, now, rate float64) {
-	i := m.index(rate)
-	m.calls[id] = &liveCall{
-		dwell: make([]float64, len(m.levels)),
-		level: i,
-		since: now,
+// Enter adds the call behind c, a fresh record from NewCall(len(levels)),
+// to the pool at the given rate. Entering a record that is already in a pool
+// would count its call twice, so it panics.
+func (m *LiveMemory) Enter(c *Call, now, rate float64) {
+	if c.level != -1 {
+		panic("admission: Enter of a call record already in a pool")
 	}
-	m.active[i]++
-	m.sinceSum[i] += now
+	c.level = m.index(rate)
+	c.since = now
+	m.active[c.level]++
+	m.sinceSum[c.level] += now
+	m.present++
 }
 
-// OnRateChange implements Controller.
-func (m *LiveMemory) OnRateChange(id int, now, _, newRate float64) {
-	c, ok := m.calls[id]
-	if !ok {
-		return
-	}
+// Move records that the entered call behind c now holds newRate.
+func (m *LiveMemory) Move(c *Call, now, newRate float64) {
 	if d := now - c.since; d > 0 {
 		c.dwell[c.level] += d
 		m.flushed[c.level] += d
@@ -162,13 +193,11 @@ func (m *LiveMemory) OnRateChange(id int, now, _, newRate float64) {
 	m.sinceSum[c.level] += now
 }
 
-// OnDepart implements Controller. As in Memory, a departed call's history
-// leaves the pool entirely.
-func (m *LiveMemory) OnDepart(id int, _, _ float64) {
-	c, ok := m.calls[id]
-	if !ok {
-		return
-	}
+// Leave removes the entered call behind c from the pool. As in Memory, a
+// departed call's history leaves the pool entirely. The record is spent: a
+// Move or Leave of it afterwards is a caller bug and panics on its level of
+// -1, the first thing either indexes with, before any pooled sum is touched.
+func (m *LiveMemory) Leave(c *Call) {
 	m.active[c.level]--
 	m.sinceSum[c.level] -= c.since
 	for i, d := range c.dwell {
@@ -177,11 +206,46 @@ func (m *LiveMemory) OnDepart(id int, _, _ float64) {
 			m.flushed[i] = 0
 		}
 	}
-	delete(m.calls, id)
+	c.level = -1
+	m.present--
+}
+
+// OnAdmit implements Controller. An id the controller already tracks is a
+// new call under a reused number: the old call leaves first, so its share
+// of the pooled sums goes with it.
+func (m *LiveMemory) OnAdmit(id int, now, rate float64) {
+	if old, ok := m.byID[id]; ok {
+		m.Leave(old)
+	}
+	c := NewCall(len(m.levels))
+	m.byID[id] = c
+	m.Enter(c, now, rate)
+}
+
+// OnRateChange implements Controller.
+func (m *LiveMemory) OnRateChange(id int, now, _, newRate float64) {
+	if c, ok := m.byID[id]; ok {
+		m.Move(c, now, newRate)
+	}
+}
+
+// OnDepart implements Controller.
+func (m *LiveMemory) OnDepart(id int, _, _ float64) {
+	if c, ok := m.byID[id]; ok {
+		m.Leave(c)
+		delete(m.byID, id)
+	}
 }
 
 // Calls returns the number of calls currently in the system.
-func (m *LiveMemory) Calls() int { return len(m.calls) }
+func (m *LiveMemory) Calls() int { return m.present }
+
+// Active returns the number of calls currently at each level, in level
+// order. A call that entered and never left shows here even when another's
+// double departure has put Calls right again.
+func (m *LiveMemory) Active() []float64 {
+	return append([]float64(nil), m.active...)
+}
 
 // Name implements Controller.
 func (m *LiveMemory) Name() string { return "memory-live" }

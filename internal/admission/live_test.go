@@ -8,11 +8,13 @@ import (
 )
 
 // TestLiveMemoryMatchesMemory drives the same random lifecycle sequence
-// through the O(calls) Memory controller and the O(levels) LiveMemory and
-// requires the pooled estimates — and therefore the admit decisions — to
-// agree at every probe point. This is the correctness claim behind running
-// the memory scheme in a live setup path: the incremental decomposition is
-// the same estimator, not an approximation of it.
+// through the O(calls) Memory controller and both forms of the O(levels)
+// LiveMemory — calls named by id, and calls named by the record the caller
+// holds — and requires the call counts to agree at every step and the
+// pooled estimates, and therefore the admit decisions, at every probe
+// point. This is the correctness claim behind running the memory scheme in
+// a live setup path: the incremental decomposition is the same estimator,
+// not an approximation of it, whichever way the caller finds its calls.
 func TestLiveMemoryMatchesMemory(t *testing.T) {
 	levels := []float64{64e3, 512e3, 1e6, 2e6, 4e6}
 	const capacity, target = 50e6, 1e-3
@@ -24,8 +26,24 @@ func TestLiveMemoryMatchesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	handles, err := NewLiveMemory(levels, capacity, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forms := map[string]*LiveMemory{"id": live, "handle": handles}
+	type call struct {
+		rate float64
+		rec  *Call // the handle form's record, held by the caller
+	}
 	rng := stats.NewRNG(7)
-	present := make(map[int]float64) // id -> current rate
+	present := make(map[int]call) // id -> current rate and record
+	anyCall := func() (int, call) {
+		// Map iteration order is fine: all three see the same choice.
+		for id, c := range present {
+			return id, c
+		}
+		panic("empty")
+	}
 	nextID := 0
 	now := 0.0
 	for step := 0; step < 5000; step++ {
@@ -37,65 +55,157 @@ func TestLiveMemoryMatchesMemory(t *testing.T) {
 			nextID++
 			ref.OnAdmit(id, now, rate)
 			live.OnAdmit(id, now, rate)
-			present[id] = rate
+			rec := NewCall(len(levels))
+			handles.Enter(rec, now, rate)
+			present[id] = call{rate, rec}
 		case op == 1: // renegotiate
-			id, old := anyCall(present)
+			id, c := anyCall()
 			newRate := levels[rng.Intn(len(levels))]
-			ref.OnRateChange(id, now, old, newRate)
-			live.OnRateChange(id, now, old, newRate)
-			present[id] = newRate
+			ref.OnRateChange(id, now, c.rate, newRate)
+			live.OnRateChange(id, now, c.rate, newRate)
+			handles.Move(c.rec, now, newRate)
+			present[id] = call{newRate, c.rec}
 		default: // depart
-			id, rate := anyCall(present)
-			ref.OnDepart(id, now, rate)
-			live.OnDepart(id, now, rate)
+			id, c := anyCall()
+			ref.OnDepart(id, now, c.rate)
+			live.OnDepart(id, now, c.rate)
+			handles.Leave(c.rec)
 			delete(present, id)
 		}
-		if live.Calls() != len(present) {
-			t.Fatalf("step %d: live tracks %d calls, want %d", step, live.Calls(), len(present))
+		if live.Calls() != len(present) || handles.Calls() != len(present) {
+			t.Fatalf("step %d: id form tracks %d calls, handle form %d, want %d",
+				step, live.Calls(), handles.Calls(), len(present))
 		}
 		if step%25 != 0 {
 			continue
 		}
 		probe := now + rng.ExpFloat64(1)
 		refDist, refOK := ref.estimate(probe)
-		liveDist, liveOK := live.dist(probe)
-		if refOK != liveOK {
-			t.Fatalf("step %d: estimate ok %v vs %v", step, refOK, liveOK)
-		}
-		if refOK {
-			for i := range refDist.P {
-				if math.Abs(refDist.P[i]-liveDist.P[i]) > 1e-9 {
-					t.Fatalf("step %d level %d: P %.12g vs %.12g", step, i, refDist.P[i], liveDist.P[i])
+		for name, m := range forms {
+			dist, ok := m.dist(probe)
+			if refOK != ok {
+				t.Fatalf("step %d %s form: estimate ok %v vs %v", step, name, refOK, ok)
+			}
+			if refOK {
+				for i := range refDist.P {
+					if math.Abs(refDist.P[i]-dist.P[i]) > 1e-9 {
+						t.Fatalf("step %d %s form level %d: P %.12g vs %.12g", step, name, i, refDist.P[i], dist.P[i])
+					}
 				}
 			}
-		}
-		if refAdmit, liveAdmit := ref.Admit(probe, 0), live.Admit(probe, 0); refAdmit != liveAdmit {
-			t.Fatalf("step %d: Admit %v vs %v", step, refAdmit, liveAdmit)
+			if refAdmit, admit := ref.Admit(probe, 0), m.Admit(probe, 0); refAdmit != admit {
+				t.Fatalf("step %d %s form: Admit %v vs %v", step, name, refAdmit, admit)
+			}
 		}
 	}
 	// Drain completely: the live controller must return to an exactly empty
 	// pool, not one with residual dwell mass.
-	for id, rate := range present {
-		live.OnDepart(id, now, rate)
+	for id, c := range present {
+		live.OnDepart(id, now, c.rate)
+		handles.Leave(c.rec)
 	}
-	if live.Calls() != 0 {
-		t.Fatalf("calls after drain = %d", live.Calls())
-	}
-	if _, ok := live.dist(now + 10); ok {
-		t.Fatal("drained controller still reports dwell mass")
-	}
-	if !live.Admit(now+10, 64e3) {
-		t.Fatal("empty controller must admit")
+	for name, m := range forms {
+		if m.Calls() != 0 {
+			t.Fatalf("%s form: calls after drain = %d", name, m.Calls())
+		}
+		if _, ok := m.dist(now + 10); ok {
+			t.Fatalf("%s form: drained controller still reports dwell mass", name)
+		}
+		if !m.Admit(now+10, 64e3) {
+			t.Fatalf("%s form: empty controller must admit", name)
+		}
 	}
 }
 
-// anyCall returns an arbitrary present call (map iteration order is fine —
-// both controllers see the same choice).
-func anyCall(present map[int]float64) (int, float64) {
-	for id, rate := range present {
-		return id, rate
+// TestLiveMemoryReadmitRetiresOldCall is the regression for the id-keyed
+// adapter overwriting a tracked id: the old call's active and sinceSum
+// shares used to stay in the pooled estimate forever. Admitting id 7 twice
+// at different levels and departing once must leave exactly an empty
+// controller.
+func TestLiveMemoryReadmitRetiresOldCall(t *testing.T) {
+	levels := []float64{64e3, 512e3, 4e6}
+	m, err := NewLiveMemory(levels, 50e6, 1e-3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	panic("empty")
+	m.OnAdmit(7, 1, levels[0])
+	m.OnRateChange(7, 2, levels[0], levels[1]) // gives the old call flushed dwell to leak too
+	m.OnAdmit(7, 3, levels[2])
+	if got := m.Calls(); got != 1 {
+		t.Fatalf("Calls after re-admitting id 7 = %d, want 1", got)
+	}
+	m.OnDepart(7, 4, levels[2])
+	if got := m.Calls(); got != 0 {
+		t.Fatalf("Calls after the one departure = %d, want 0", got)
+	}
+	for i := range levels {
+		if m.flushed[i] != 0 || m.active[i] != 0 || m.sinceSum[i] != 0 {
+			t.Errorf("level %d: flushed %v active %v sinceSum %v, want an empty controller's zeros",
+				i, m.flushed[i], m.active[i], m.sinceSum[i])
+		}
+	}
+	if len(m.byID) != 0 {
+		t.Errorf("%d ids still tracked", len(m.byID))
+	}
+}
+
+// TestNewCallIsOneObject pins the record's allocation: record and dwell
+// storage are one object up to callSlots levels, two beyond, and the dwell
+// slice is exactly as long as asked either way.
+func TestNewCallIsOneObject(t *testing.T) {
+	for levels := 1; levels <= callSlots+3; levels++ {
+		want := 1.0
+		if levels > callSlots {
+			want = 2
+		}
+		var c *Call
+		if got := testing.AllocsPerRun(100, func() { c = NewCall(levels) }); got != want {
+			t.Errorf("NewCall(%d) allocates %v objects, want %v", levels, got, want)
+		}
+		if len(c.dwell) != levels || cap(c.dwell) != levels || c.level != -1 {
+			t.Errorf("NewCall(%d): len %d cap %d level %d", levels, len(c.dwell), cap(c.dwell), c.level)
+		}
+	}
+}
+
+// TestCallRecordMisusePanics pins the record's life cycle: entering a record
+// twice, and moving or leaving one that already left, panic and leave the
+// pooled sums as they were.
+func TestCallRecordMisusePanics(t *testing.T) {
+	levels := []float64{64e3, 512e3, 4e6}
+	m, err := NewLiveMemory(levels, 50e6, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, spent := NewCall(len(levels)), NewCall(len(levels))
+	m.Enter(live, 1, levels[0])
+	m.Enter(spent, 1, levels[1])
+	m.Move(spent, 2, levels[2])
+	m.Leave(spent)
+	for name, misuse := range map[string]func(){
+		"Enter of an entered record":      func() { m.Enter(live, 3, levels[1]) },
+		"Move after Leave":                func() { m.Move(spent, 3, levels[0]) },
+		"Move after Leave, no time since": func() { m.Move(spent, 2, levels[0]) },
+		"Leave after Leave":               func() { m.Leave(spent) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			misuse()
+		}()
+	}
+	m.Leave(live)
+	if m.Calls() != 0 {
+		t.Errorf("Calls = %d after the misuse, want 0", m.Calls())
+	}
+	for i := range levels {
+		if m.flushed[i] != 0 || m.active[i] != 0 || m.sinceSum[i] != 0 {
+			t.Errorf("level %d: flushed %v active %v sinceSum %v, want zeros", i, m.flushed[i], m.active[i], m.sinceSum[i])
+		}
+	}
 }
 
 func TestLiveMemoryValidation(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // LockOrder enforces the switch's documented lock rules (DESIGN §11–15)
 // mechanically instead of by convention. Every mutex acquisition is
 // classified by the struct field that owns it — "port.mu",
-// "Switch.admitMu" — and the analyzer builds an intra-package
+// "serialAdmitter.mu" — and the analyzer builds an intra-package
 // acquisition-order graph: an edge A→B means some path acquires class B
 // while a class-A lock is held, including acquisitions made by direct (and
 // transitive) intra-package callees. Three invariants are checked:
@@ -181,7 +181,7 @@ func mutexAcquire(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method s
 
 // lockClass names the lock's owning class as "Type.field" when the receiver
 // is a mutex field selected from a named struct type ("port.mu",
-// "Switch.admitMu"). Locals and package-level mutexes have no class and are
+// "serialAdmitter.mu"). Locals and package-level mutexes have no class and are
 // only subject to the exact-expression self-deadlock check.
 func lockClass(info *types.Info, recv ast.Expr) string {
 	sel, ok := ast.Unparen(recv).(*ast.SelectorExpr)

@@ -10,6 +10,7 @@ import (
 
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
+	"rcbr/internal/stats"
 )
 
 // TestSetupRejectsNonFiniteRates is the headline poisoning regression: a NaN
@@ -197,29 +198,57 @@ func TestVCsPage(t *testing.T) {
 // countingLifecycle wraps a LifecycleAdmitter and counts every notification,
 // so a storm can assert the switch delivered exactly one OnAdmit per
 // successful setup and one OnDepart per teardown — no double-counted admits,
-// no leaked departures.
+// no leaked departures — and that every record it handed back was one
+// OnAdmit returned and OnDepart had not yet taken.
 type countingLifecycle struct {
 	inner                        LifecycleAdmitter
 	admits, rateChanges, departs atomic.Int64
+	// strays counts OnRateChange and OnDepart calls whose record was not
+	// live: never returned by OnAdmit, or already departed.
+	strays atomic.Int64
+
+	mu   sync.Mutex
+	live map[*CallRecord]bool
 }
 
 func (c *countingLifecycle) AdmitCall(port int, rate, reserved, capacity float64) bool {
 	return c.inner.AdmitCall(port, rate, reserved, capacity)
 }
 
-func (c *countingLifecycle) OnAdmit(port int, id VCID, rate float64) {
+func (c *countingLifecycle) OnAdmit(port int, id VCID, rate float64) *CallRecord {
 	c.admits.Add(1)
-	c.inner.OnAdmit(port, id, rate)
+	rec := c.inner.OnAdmit(port, id, rate)
+	c.mu.Lock()
+	c.live[rec] = true
+	c.mu.Unlock()
+	return rec
 }
 
-func (c *countingLifecycle) OnRateChange(port int, id VCID, oldRate, newRate float64) {
+func (c *countingLifecycle) OnRateChange(port int, rec *CallRecord, oldRate, newRate float64) {
 	c.rateChanges.Add(1)
-	c.inner.OnRateChange(port, id, oldRate, newRate)
+	c.mu.Lock()
+	ok := c.live[rec]
+	c.mu.Unlock()
+	if !ok {
+		c.strays.Add(1)
+		return // moving a departed record would panic inside the controller
+	}
+	c.inner.OnRateChange(port, rec, oldRate, newRate)
 }
 
-func (c *countingLifecycle) OnDepart(port int, id VCID, rate float64) {
+func (c *countingLifecycle) OnDepart(port int, rec *CallRecord, rate float64) {
 	c.departs.Add(1)
-	c.inner.OnDepart(port, id, rate)
+	c.mu.Lock()
+	ok := c.live[rec]
+	// Departed records stay in the map, as false: that keeps them reachable,
+	// so no later record can reuse the address and hide a stray.
+	c.live[rec] = false
+	c.mu.Unlock()
+	if !ok {
+		c.strays.Add(1)
+		return
+	}
+	c.inner.OnDepart(port, rec, rate)
 }
 
 // TestParallelSetupChurnStorm hammers setup/renegotiate/teardown from many
@@ -227,33 +256,61 @@ func (c *countingLifecycle) OnDepart(port int, id VCID, rate float64) {
 // installed. Run under -race (the Makefile's race target does), this is the
 // proof that removing the global setup mutex kept the stateful-admission
 // path correct: lifecycle notifications balance operations exactly and the
-// fabric drains to zero everywhere.
+// fabric drains to zero everywhere. Beside each worker churning its own 16
+// ids, two raiders renegotiate ids picked across every worker's block, so
+// renegotiations race the owners' teardowns and re-setups of the same VC:
+// the gone check under the port mutex must keep a record from moving after
+// it left.
 func TestParallelSetupChurnStorm(t *testing.T) {
 	const ports = 8
 	inner, err := NewMemoryAdmitter([]float64{64e3, 512e3, 1e6, 2e6, 4e6}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &countingLifecycle{inner: inner}
+	counter := &countingLifecycle{inner: inner, live: make(map[*CallRecord]bool)}
 	s := New(WithAdmitter(counter))
 	for p := 0; p < ports; p++ {
 		if err := s.AddPort(p, 1e12); err != nil { // capacity out of the way: exercise accounting, not blocking
 			t.Fatal(err)
 		}
 	}
-	workers := 8
+	const workers, live = 8, 16
 	iters := stormIters
 	if testing.Short() {
 		iters = 200
 	}
 	rates := []float64{64e3, 512e3, 1e6, 2e6, 4e6}
 	var setups, teardowns, renegGrants atomic.Int64
-	var wg sync.WaitGroup
+	var wg, raiders sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		raiders.Add(1)
+		go func(r int) {
+			defer raiders.Done()
+			rng := stats.NewRNG(uint64(r) + 1)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				id := VCID(rng.Intn(workers)*1000 + rng.Intn(live))
+				_, ok, err := s.RenegotiateID(id, rates[rng.Intn(len(rates))])
+				switch {
+				case errors.Is(err, ErrNoVC): // lost the race to the owner's teardown
+				case err != nil:
+					t.Error(err)
+					return
+				case ok:
+					renegGrants.Add(1)
+				}
+			}
+		}(r)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			const live = 16
 			base := VCID(w * 1000)
 			for i := 0; i < iters; i++ {
 				id := base + VCID(i%live)
@@ -291,6 +348,8 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(done)
+	raiders.Wait()
 	if t.Failed() {
 		return
 	}
@@ -299,6 +358,9 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	}
 	if got := counter.departs.Load(); got != teardowns.Load() {
 		t.Errorf("OnDepart count %d != teardowns %d", got, teardowns.Load())
+	}
+	if got := counter.strays.Load(); got != 0 {
+		t.Errorf("%d lifecycle calls carried a record that was not live", got)
 	}
 	// Renegotiating to the same rate is a grant without a rate change, so
 	// OnRateChange is bounded by grants, never exceeds them.
@@ -319,9 +381,80 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 		if calls := inner.PortCalls(p); calls != 0 {
 			t.Errorf("admitter still tracks %d calls on drained port %d", calls, p)
 		}
+		// The count alone can be right with a record entered and never
+		// left, if another left twice; the per-level occupancy cannot.
+		for level, n := range inner.lookup(p).ctl.Active() {
+			if n != 0 {
+				t.Errorf("port %d level %d: %v calls still active after drain", p, level, n)
+			}
+		}
 	}
 	if clamps := s.Stats().ReservedClamps; clamps != 0 {
 		t.Errorf("ReservedClamps = %d, want 0", clamps)
+	}
+}
+
+// TestParallelPlainAdmitterSerialized drives setups on 8 ports at once
+// through a plain AdmitterFunc whose state is a bare, unsynchronised
+// counter. WithAdmitter's wrapper is all that stands between the ports'
+// mutexes (which do not exclude each other) and that counter: under -race an
+// unserialized call is a reported race, and the in/out flag catches a
+// concurrent entry even without the detector. One AdmitCall per setup, no
+// more: the lifecycle hooks of the wrapper must not reach the function.
+func TestParallelPlainAdmitterSerialized(t *testing.T) {
+	const ports = 8
+	var calls int      // the admitter's own state: no lock, no atomic
+	var inside bool    // likewise
+	var overlapped int // likewise
+	s := New(WithAdmitter(AdmitterFunc(func(int, float64, float64, float64) bool {
+		if inside {
+			overlapped++
+		}
+		inside = true
+		calls++
+		inside = false
+		return true
+	})))
+	for p := 0; p < ports; p++ {
+		if err := s.AddPort(p, 1e12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	iters := stormIters
+	if testing.Short() {
+		iters = 200
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < ports; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			id := VCID(p)
+			for i := 0; i < iters; i++ {
+				if err := s.SetupID(id, p, 64e3); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := s.RenegotiateID(id, 128e3); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.TeardownID(id); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if want := ports * iters; calls != want {
+		t.Errorf("AdmitCall ran %d times for %d setups", calls, want)
+	}
+	if overlapped != 0 {
+		t.Errorf("AdmitCall was entered %d times while already running", overlapped)
 	}
 }
 

@@ -15,10 +15,16 @@ import (
 // shards exactly with the fabric — a setup on port 7 never touches port 9's
 // controller, and setups on different ports proceed fully in parallel.
 //
+// It holds no per-call container: OnAdmit allocates a call's record and
+// dwell storage as one object and returns it, the switch keeps it on the VC
+// entry and hands it back, and the port's controller keeps only the pooled
+// sums and a count. The only map here is the one from port id to controller.
+//
 // The switch invokes every method with the affected port's mutex held
 // (the LifecycleAdmitter contract), which already serializes same-port
-// calls; each per-port controller still carries its own mutex so the
-// admitter is safe even if driven directly, outside a switch.
+// calls; each per-port controller still carries its own mutex for callers
+// that drive the admitter directly, outside a switch (AdmitCall from a
+// probe, PortCalls from a test).
 //
 // Time for the dwell histories is wall-clock seconds since the admitter was
 // constructed.
@@ -104,28 +110,32 @@ func (a *MemoryAdmitter) AdmitCall(port int, rate, _, capacity float64) bool {
 }
 
 // OnAdmit implements LifecycleAdmitter.
-func (a *MemoryAdmitter) OnAdmit(port int, id VCID, rate float64) {
-	if pa := a.lookup(port); pa != nil {
-		pa.mu.Lock()
-		pa.ctl.OnAdmit(int(id), a.now(), rate)
-		pa.mu.Unlock()
+func (a *MemoryAdmitter) OnAdmit(port int, _ VCID, rate float64) *CallRecord {
+	pa := a.lookup(port)
+	if pa == nil {
+		return nil
 	}
+	rec := admission.NewCall(len(a.levels))
+	pa.mu.Lock()
+	pa.ctl.Enter(rec, a.now(), rate)
+	pa.mu.Unlock()
+	return rec
 }
 
 // OnRateChange implements LifecycleAdmitter.
-func (a *MemoryAdmitter) OnRateChange(port int, id VCID, oldRate, newRate float64) {
-	if pa := a.lookup(port); pa != nil {
+func (a *MemoryAdmitter) OnRateChange(port int, rec *CallRecord, _, newRate float64) {
+	if pa := a.lookup(port); pa != nil && rec != nil {
 		pa.mu.Lock()
-		pa.ctl.OnRateChange(int(id), a.now(), oldRate, newRate)
+		pa.ctl.Move(rec, a.now(), newRate)
 		pa.mu.Unlock()
 	}
 }
 
 // OnDepart implements LifecycleAdmitter.
-func (a *MemoryAdmitter) OnDepart(port int, id VCID, rate float64) {
-	if pa := a.lookup(port); pa != nil {
+func (a *MemoryAdmitter) OnDepart(port int, rec *CallRecord, _ float64) {
+	if pa := a.lookup(port); pa != nil && rec != nil {
 		pa.mu.Lock()
-		pa.ctl.OnDepart(int(id), a.now(), rate)
+		pa.ctl.Leave(rec)
 		pa.mu.Unlock()
 	}
 }

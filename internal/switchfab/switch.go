@@ -28,12 +28,11 @@
 // and DataPlane hooks before it unpublishes the entry, still under the port
 // mutex: until the id is free no setup can reuse it, so a setup of the same
 // id on another port never reaches the data plane ahead of the teardown.
-// Never two port locks at once. A LifecycleAdmitter is invoked with the
-// VC's port mutex held — per-port serialization is the concurrency contract
-// its implementations rely on — while a legacy plain Admitter is
-// additionally serialized under an internal admit mutex (acquired after the
-// port mutex, released before any other lock is taken), preserving the old
-// never-concurrent contract those implementations were written against.
+// Never two port locks at once. The admitter is invoked with the VC's port
+// mutex held — per-port serialization is the concurrency contract a
+// LifecycleAdmitter relies on; a plain Admitter is wrapped once, by
+// WithAdmitter, in a lifecycle form that serializes AdmitCall under a mutex
+// of its own, so it never runs concurrently with itself.
 // Activity counters are atomics, published into the registry as views.
 //
 // VC identifiers: the paper's switch is an ATM switch, so a VC is named by
@@ -66,6 +65,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rcbr/internal/admission"
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
 	"rcbr/internal/vctable"
@@ -115,10 +115,10 @@ func (id VCID) String() string {
 }
 
 // Admitter is the call-admission hook consulted at setup time (never during
-// renegotiation). Implementations may be stateful; the switch serializes
-// calls under an internal admit mutex, so a plain Admitter never runs
-// concurrently with itself — but it also serializes setups across ports.
-// Implementations that want setups on different ports to proceed in
+// renegotiation). Implementations may be stateful: WithAdmitter serializes
+// a plain Admitter's calls under one mutex, so it never runs concurrently
+// with itself — but that also serializes the admission decisions of setups
+// on different ports. Implementations that want those to proceed in
 // parallel should implement LifecycleAdmitter instead.
 type Admitter interface {
 	// AdmitCall reports whether a new call asking for rate bits/second may
@@ -134,29 +134,68 @@ func (f AdmitterFunc) AdmitCall(port int, rate, reserved, capacity float64) bool
 	return f(port, rate, reserved, capacity)
 }
 
+// CallRecord is the per-call history a LifecycleAdmitter keeps for a call it
+// admitted: the memory-based scheme's level, level-entry time and per-level
+// dwell. Its layout belongs to admission.LiveMemory and only MemoryAdmitter
+// makes one; the name is exported so another policy can spell the
+// LifecycleAdmitter method set, with nil for every record.
+type CallRecord = admission.Call
+
 // LifecycleAdmitter is a call-admission policy that additionally observes the
 // full life of every admitted call, mirroring admission.Controller: admit,
 // rate changes from granted renegotiations, and departure. It is the
 // interface a measurement-based scheme (the paper's Section VI) needs to
 // maintain per-call bandwidth history inside a live switch.
 //
+// The history rides on the switch's own VC entry, so a call is found once,
+// by the switch, and never a second time by the admitter: OnAdmit allocates
+// and returns the call's record (nil if the policy keeps none), the switch
+// stores that one pointer beside the VC's rate and hands it back to
+// OnRateChange and OnDepart. The switch never looks inside a record and
+// hands it to nothing else; after OnDepart it drops it. The record is the
+// memory-based scheme's and nothing else can build one, so any other policy
+// must return nil from OnAdmit and is handed nil back: the later hooks carry
+// no VC id, and a policy that wants per-call state of its own has nothing to
+// index it by.
+//
 // Concurrency contract: the switch invokes every method with the affected
-// VC's port mutex held, so calls for the same port are serialized while
-// calls for different ports run concurrently. Implementations therefore
-// shard their state per port (see MemoryAdmitter) and must not call back
-// into the switch. Unlike a plain Admitter, no global admit mutex is taken —
-// this is what lets setups on different ports proceed in parallel.
+// VC's port mutex held, so calls for the same port — and therefore every use
+// of one call's record — are serialized while calls for different ports run
+// concurrently. Implementations therefore shard their state per port (see
+// MemoryAdmitter) and must not call back into the switch. A teardown sets
+// the VC gone under that mutex before it releases it, so no OnRateChange
+// follows a call's OnDepart.
 type LifecycleAdmitter interface {
 	Admitter
 	// OnAdmit notifies that VC id entered port at the given rate, after
-	// AdmitCall said yes and the reservation was applied.
-	OnAdmit(port int, id VCID, rate float64)
-	// OnRateChange notifies that VC id's reserved rate changed (a granted,
-	// possibly partial, renegotiation or resync).
-	OnRateChange(port int, id VCID, oldRate, newRate float64)
-	// OnDepart notifies that VC id left port, releasing rate.
-	OnDepart(port int, id VCID, rate float64)
+	// AdmitCall said yes and the reservation was applied, and returns the
+	// call's record.
+	OnAdmit(port int, id VCID, rate float64) *CallRecord
+	// OnRateChange notifies that the reserved rate of the call behind rec
+	// changed (a granted, possibly partial, renegotiation or resync).
+	OnRateChange(port int, rec *CallRecord, oldRate, newRate float64)
+	// OnDepart notifies that the call behind rec left port, releasing rate.
+	OnDepart(port int, rec *CallRecord, rate float64)
 }
+
+// serialAdmitter is the lifecycle form of a plain Admitter: AdmitCall under
+// one mutex (taken with the admitting port's mutex held, released before
+// anything else is locked), no records, nothing to do on the other hooks.
+type serialAdmitter struct {
+	mu sync.Mutex
+	a  Admitter
+}
+
+func (s *serialAdmitter) AdmitCall(port int, rate, reserved, capacity float64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	//rcbrlint:ignore ratetaint pass-through: SetupID validated rate before admitCall; reserved and capacity are the port's own books
+	return s.a.AdmitCall(port, rate, reserved, capacity)
+}
+
+func (*serialAdmitter) OnAdmit(int, VCID, float64) *CallRecord          { return nil }
+func (*serialAdmitter) OnRateChange(int, *CallRecord, float64, float64) {}
+func (*serialAdmitter) OnDepart(int, *CallRecord, float64)              {}
 
 // DataPlane mirrors VC lifecycle changes into a forwarding plane (the cell
 // data path of internal/datapath, or any other consumer of granted rates).
@@ -238,6 +277,10 @@ type vcState struct {
 	// p is the VC's output port, fixed at setup — cached here so the
 	// renegotiation hot path never consults the port table.
 	p *port
+	// rec is what the admitter's OnAdmit returned for this call: nil when no
+	// admitter is installed or it keeps no history. Like the fields below it
+	// is guarded by the owning port's mutex.
+	rec *CallRecord
 	// rate, lastSeq, seqSeen and gone are guarded by the owning port's mutex.
 	rate    float64
 	lastSeq uint32
@@ -309,18 +352,9 @@ type Switch struct {
 	portMu sync.RWMutex
 	ports  map[int]*port
 
-	// admitMu serializes AdmitCall on a legacy plain Admitter so a stateful
-	// implementation never runs concurrently with itself, exactly as under
-	// the old global setup lock. It is acquired with the admitting port's
-	// mutex held and released before anything else, and is never taken when
-	// the admitter implements LifecycleAdmitter (whose contract is per-port
-	// serialization instead).
-	admitMu sync.Mutex
-
-	admitter Admitter
-	// lifecycle is admitter's LifecycleAdmitter form, resolved once at
-	// construction so the setup path never repeats the type assertion.
-	lifecycle LifecycleAdmitter
+	// admitter is the admission policy in lifecycle form (WithAdmitter wraps
+	// a plain one); nil admits every call that fits.
+	admitter LifecycleAdmitter
 	// dataplane, when set, receives every committed VC lifecycle change.
 	dataplane DataPlane
 	stats     statCounters
@@ -337,8 +371,19 @@ type Option func(*Switch)
 
 // WithAdmitter installs the call-admission policy consulted at setup time.
 // A nil admitter (the default) admits every call that fits within capacity.
+// A LifecycleAdmitter is installed as it is; a plain Admitter is wrapped in
+// one that serializes its AdmitCall and keeps no records.
 func WithAdmitter(a Admitter) Option {
-	return func(s *Switch) { s.admitter = a }
+	return func(s *Switch) {
+		switch a := a.(type) {
+		case nil:
+			s.admitter = nil
+		case LifecycleAdmitter:
+			s.admitter = a
+		default:
+			s.admitter = &serialAdmitter{a: a}
+		}
+	}
 }
 
 // WithMetrics publishes the switch's counters, per-port reserved gauges,
@@ -372,7 +417,6 @@ func New(opts ...Option) *Switch {
 			opt(s)
 		}
 	}
-	s.lifecycle, _ = s.admitter.(LifecycleAdmitter)
 	if s.reg != nil {
 		s.ins = instruments{
 			renegLatency: s.reg.Histogram(MetricRenegLatency, metrics.DefBuckets),
@@ -500,13 +544,14 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 		s.rejectSetup(id, portID, rate)
 		return ErrAdmission
 	}
-	if s.vcs.Put(uint32(id), &vcState{p: p, rate: rate}) != nil {
+	vc := &vcState{p: p, rate: rate}
+	if s.vcs.Put(uint32(id), vc) != nil {
 		// A setup of the same id on another port published first.
 		return fmt.Errorf("%w: %s", ErrVCExists, id)
 	}
 	s.setReserved(p, p.reserved+rate)
-	if s.lifecycle != nil {
-		s.lifecycle.OnAdmit(portID, id, rate)
+	if s.admitter != nil {
+		vc.rec = s.admitter.OnAdmit(portID, id, rate)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnSetup(portID, id, rate)
@@ -517,23 +562,14 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 }
 
 // admitCall runs the admission decision with the admitting port's mutex
-// held, timing it into switch.admit_seconds. A LifecycleAdmitter relies on
-// exactly that per-port serialization; a legacy plain Admitter is
-// additionally serialized under admitMu so stateful implementations keep
-// the old never-concurrent contract.
+// held — the per-port serialization a LifecycleAdmitter relies on — timing
+// it into switch.admit_seconds.
 func (s *Switch) admitCall(portID int, rate, reserved, capacity float64) bool {
 	start := time.Time{}
 	if s.ins.admitLatency != nil {
 		start = time.Now()
 	}
-	var ok bool
-	if s.lifecycle != nil {
-		ok = s.admitter.AdmitCall(portID, rate, reserved, capacity)
-	} else {
-		s.admitMu.Lock()
-		ok = s.admitter.AdmitCall(portID, rate, reserved, capacity)
-		s.admitMu.Unlock()
-	}
+	ok := s.admitter.AdmitCall(portID, rate, reserved, capacity)
 	if !start.IsZero() {
 		s.ins.admitLatency.ObserveSince(start)
 	}
@@ -587,8 +623,8 @@ func (s *Switch) TeardownID(id VCID) error {
 		return fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	s.setReserved(p, p.reserved-vc.rate)
-	if s.lifecycle != nil {
-		s.lifecycle.OnDepart(p.id, id, vc.rate)
+	if s.admitter != nil {
+		s.admitter.OnDepart(p.id, vc.rec, vc.rate)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnTeardown(p.id, id)
@@ -730,8 +766,8 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, newRate, requested flo
 		old := vc.rate
 		s.setReserved(p, p.reserved+newRate-old)
 		vc.rate = newRate
-		if s.lifecycle != nil && newRate != old {
-			s.lifecycle.OnRateChange(p.id, id, old, newRate)
+		if s.admitter != nil && newRate != old {
+			s.admitter.OnRateChange(p.id, vc.rec, old, newRate)
 		}
 		if s.dataplane != nil && newRate != old {
 			s.dataplane.OnRateChange(p.id, id, newRate)

@@ -121,8 +121,15 @@ type (
 	Admitter = switchfab.Admitter
 	// LifecycleAdmitter extends Admitter with rate-change and departure
 	// notifications so a stateful policy (e.g. the live memory-based
-	// MBAC) can track the calls it admitted.
+	// MBAC) can track the calls it admitted; the switch keeps each call's
+	// record on its VC entry and hands it back, so the policy never looks
+	// a call up.
 	LifecycleAdmitter = switchfab.LifecycleAdmitter
+	// CallRecord is the per-call history a LifecycleAdmitter returns from
+	// OnAdmit and gets back on every later notification for that call.
+	// Only SwitchMemoryAdmitter makes one; the name is here so that another
+	// policy can declare the three hooks, and it must return nil.
+	CallRecord = switchfab.CallRecord
 	// SwitchMemoryAdmitter runs the memory-based MBAC live inside a
 	// Switch, sharding admission state per output port.
 	SwitchMemoryAdmitter = switchfab.MemoryAdmitter
