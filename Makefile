@@ -56,13 +56,15 @@ race:
 # lifecycle shims. The datapath line pins GOMAXPROCS=4 so the port-group
 # goroutines truly interleave under the detector even on smaller CI
 # runners; its Table pattern reaches the VC table's tests in both packages
-# that hold them (the table itself, and its churn under forwarding), and
-# Ring|Burst|CrossGroup the burst-form rings and the per-group egress FIFOs.
+# that hold them (the table itself, and its churn under forwarding),
+# Ring|Burst|CrossGroup the burst-form rings and the per-group egress FIFOs,
+# and StagedSweep|VCEntry the two-stage sweep against its per-cell model
+# and the one-line entry it works on.
 race-parallel:
 	$(GO) test -race -run 'Parallel' ./internal/trellis/
 	$(GO) test -race -run 'Sweep|Fig|MBAC|Latency|Chernoff' ./internal/experiments/
 	$(GO) test -race -run 'Parallel' ./internal/switchfab/
-	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC|Table|Ring|Burst|CrossGroup' ./internal/datapath/ ./internal/vctable/
+	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC|Table|Ring|Burst|CrossGroup|StagedSweep|VCEntry' ./internal/datapath/ ./internal/vctable/
 
 # fuzz smokes every fuzz target for FUZZTIME each: long enough to catch
 # shallow regressions in the parsers, short enough for every CI run.

@@ -1106,6 +1106,74 @@ func BenchmarkDataPathForwardParallel1(b *testing.B) { benchDataPathForwardParal
 func BenchmarkDataPathForwardParallel2(b *testing.B) { benchDataPathForwardParallel(b, 2) }
 func BenchmarkDataPathForwardParallel4(b *testing.B) { benchDataPathForwardParallel(b, 4) }
 
+// BenchmarkDataPathRelaySlot prices a sweep at batch-of-one: one op is one
+// cell slot of a 3-hop mesh.CellPath — a Forward and a one-cell Transmit at
+// every hop, the links in between — carrying 16 VCs whose aggregate is
+// 1/1.2 of the line rate (five slots in six bring a cell), so a sweep finds
+// at most a cell or two on a port. That is the regime a slot-driven relay
+// lives in, where a burst amortises nothing and any fixed per-sweep cost
+// shows in full; the DataPathForward benchmarks above, at 64 cells per
+// port, would hide it. The BenchmarkDataPath prefix puts it under
+// cmd/benchjson's zero-alloc gate.
+func BenchmarkDataPathRelaySlot(b *testing.B) {
+	const (
+		hops      = 3
+		vcs       = 16
+		linkSlots = 2
+		slotNanos = 2726 // one cell time at 155.52 Mb/s
+	)
+	// Each VC is granted a sixteenth of the line and offers 1/1.2 of that.
+	grant := datapath.CellPayloadBits / (vcs * slotNanos * 1e-9)
+	ids := make([]switchfab.VCID, vcs)
+	for i := range ids {
+		ids[i] = switchfab.MakeVCID(1, uint16(100+i))
+	}
+	cellHops := make([]mesh.CellHop, hops)
+	for k := range cellHops {
+		fw := datapath.New()
+		for port := 0; port < 2; port++ {
+			if _, err := fw.AddPort(port); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, id := range ids {
+			if err := fw.AddVC(id, 1, grant); err != nil {
+				b.Fatal(err)
+			}
+		}
+		cellHops[k] = mesh.CellHop{FW: fw, In: 0, Out: 1, DelaySlots: linkSlots}
+	}
+	cp, err := mesh.NewCellPath(cellHops, slotNanos)
+	if err != nil {
+		b.Fatal(err)
+	}
+	slot, vc := int64(0), 0
+	step := func() {
+		if slot%6 != 5 {
+			cp.InjectStamped(ids[vc], slot)
+			vc = (vc + 1) % vcs
+		}
+		cp.Step(slot)
+		slot++
+	}
+	for i := 0; i < 1000; i++ { // fill the pipeline
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	for i := 0; i < 1000 && cp.Stats().Delivered < cp.Stats().Injected; i++ {
+		cp.Step(slot)
+		slot++
+	}
+	if s := cp.Stats(); s.Delivered != s.Injected || s.LinkDrops != 0 {
+		b.Fatalf("relay lost cells (policed, overflowed or stuck): %+v", s)
+	}
+}
+
 // --- Data-cell codec (tracked subset of internal/cell) ---
 
 func BenchmarkFabricCellAppend(b *testing.B) {

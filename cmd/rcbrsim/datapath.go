@@ -56,8 +56,8 @@ func datapathRun(args []string) error {
 	if *hopCount < 1 {
 		return fmt.Errorf("need at least one forwarder, got -hops %d", *hopCount)
 	}
-	if *hopDelay < 0 {
-		return fmt.Errorf("negative -hopdelay %d", *hopDelay)
+	if *hopDelay < 0 || *hopDelay > mesh.MaxLinkDelaySlots {
+		return fmt.Errorf("-hopdelay %d outside [0, %d] slots", *hopDelay, mesh.MaxLinkDelaySlots)
 	}
 	if *cores < 1 {
 		return fmt.Errorf("need at least one core, got -cores %d", *cores)

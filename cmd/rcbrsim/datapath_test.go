@@ -78,6 +78,11 @@ func TestDatapathRunFlagValidation(t *testing.T) {
 	if err := datapathRun([]string{"-hopdelay", "-1"}); err == nil {
 		t.Fatal("negative hop delay accepted")
 	}
+	// Each link's delay line is allocated before the replay starts: 1e10
+	// slots of it used to be an out-of-memory kill, not an error.
+	if err := datapathRun([]string{"-hopdelay", "10000000000"}); err == nil {
+		t.Fatal("-hopdelay of 1e10 slots accepted")
+	}
 	if err := datapathRun([]string{"-cores", "0"}); err == nil {
 		t.Fatal("zero cores accepted")
 	}

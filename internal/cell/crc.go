@@ -41,11 +41,32 @@ var crc10Table = func() (t [256]uint16) {
 	return t
 }()
 
+// hecTable[k][x] is the CRC-8 of byte x followed by k zero bytes:
+// hecTable[0] is crc8Table, and each further zero byte is one more trip
+// through it. The CRC (zero initial register) is linear over XOR, so a
+// header's CRC is the XOR of its bytes' separate contributions — four
+// lookups none of which waits for another, where the byte-serial loop is a
+// chain of four dependent ones.
+var hecTable = func() (t [4][256]byte) {
+	t[0] = crc8Table
+	for k := 1; k < len(t); k++ {
+		for x := range t[k] {
+			t[k][x] = crc8Table[t[k-1][x]]
+		}
+	}
+	return t
+}()
+
 // hec computes the ATM header error control byte: CRC-8 with polynomial
 // x^8+x^2+x+1 over the first four header bytes, XORed with 0x55 (I.432).
+// A four-byte header takes the sliced form above; any other length the
+// byte-serial loop.
 //
 //rcbr:zeroalloc
 func hec(b []byte) byte {
+	if len(b) == 4 {
+		return hecTable[3][b[0]] ^ hecTable[2][b[1]] ^ hecTable[1][b[2]] ^ hecTable[0][b[3]] ^ 0x55
+	}
 	var crc byte
 	for _, x := range b {
 		crc = crc8Table[crc^x]

@@ -53,6 +53,24 @@ func TestCRCTablesMatchBitSerial(t *testing.T) {
 			t.Fatalf("crc10(%x) = %#x, bit-serial %#x", buf, got, want)
 		}
 	}
+	// The four-byte header takes hec's sliced form: every single-byte header
+	// at each position pins one table each, random headers their XOR.
+	for pos := 0; pos < 4; pos++ {
+		for x := 0; x < 256; x++ {
+			var hdr [4]byte
+			hdr[pos] = byte(x)
+			if got, want := hec(hdr[:]), hecRef(hdr[:]); got != want {
+				t.Fatalf("hec(%x) = %#x, bit-serial %#x", hdr, got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 100_000; trial++ {
+		var hdr [4]byte
+		rng.Read(hdr[:])
+		if got, want := hec(hdr[:]), hecRef(hdr[:]); got != want {
+			t.Fatalf("hec(%x) = %#x, bit-serial %#x", hdr, got, want)
+		}
+	}
 }
 
 func TestDataCellRoundTrip(t *testing.T) {

@@ -24,19 +24,25 @@
 // control plane (switchfab via the DataPlane hooks, or direct calls) adds,
 // retargets, and removes VCs concurrently with all of it.
 //
-// Rings are worked in bursts: a sweep reads a port's burst in place,
-// stages conforming cells onto egress rings, publishes each touched egress
-// ring with one cursor store and releases the ingress ring with another; a
-// Transmit call releases each ring it served once. Staged cells are
-// published before forwardPort returns, so nothing waits on a later burst.
+// Rings are worked in bursts, and a burst stage by stage: a sweep reads a
+// port's burst in place and first looks every cell of it up — header check
+// and table walk, loads only, so the burst's cache misses overlap instead
+// of queueing behind one another's counter updates — then shapes the cells
+// in arrival order on the entries it found, stages the conforming ones onto
+// egress rings, publishes each touched egress ring with one cursor store
+// and releases the ingress ring with another; a Transmit call releases each
+// ring it served once. Staged cells are published before forwardPort
+// returns, so nothing waits on a later burst.
 //
 // Per-VC shaper state and counters are owned by the goroutine that drains
 // the VC's ingress port — all cells of a VC enter through one port, so
 // exactly one group goroutine touches its token bucket; rate retargets
 // cross from the control plane through a single atomic, and teardown only
 // unpublishes the entry (the garbage collector retires it once the owner
-// has let go). The forwarding path takes no lock at all and allocates
-// nothing (//rcbr:zeroalloc, pinned by TestForwardSteadyStateAllocs).
+// has let go, which is at most a burst later). A VC's whole forwarding
+// state is one 64-byte cache line. The forwarding path takes no lock at all
+// and allocates nothing (//rcbr:zeroalloc, pinned by
+// TestForwardSteadyStateAllocs).
 //
 // One counter per fact: a cell that enters, crosses or leaves a ring is
 // counted by that ring's cursor and nowhere else; what the sweep decides
@@ -151,6 +157,12 @@ type Port struct {
 	// last ring served, so no ring waits behind a busier one. Owned by the
 	// port's transmitter.
 	txNext int
+	// lookups is the sweep's scratch, one slot per cell of a burst: stage 1
+	// of forwardPort fills it with the cells' table entries, stage 2 clears
+	// each slot as it consumes it, so between sweeps every slot is nil and
+	// no unpublished entry is kept alive. Owned by the port's group
+	// goroutine, like the ingress ring's consumer cursor.
+	lookups []*vcEntry
 
 	// Ingress-attributed counts, written by the owning group goroutine
 	// once per burst: every cell accepted by Inject (in.Pushed) ends in
@@ -201,7 +213,9 @@ type PortStats struct {
 
 // Stats snapshots the port. Exact when the port is quiescent; while its
 // group goroutine is finishing a burst, up to a burst of cells shows in the
-// drop and forward counts and is still counted in the ingress ring.
+// drop and forward counts and is still counted in the ingress ring. A VC
+// removed in mid-burst changes none of that: its looked-up cells are shaped
+// on the unpublished entry and land in these counts like any others.
 func (p *Port) Stats() PortStats {
 	s := PortStats{
 		Arrived:    p.in.Pushed(),
@@ -220,22 +234,27 @@ func (p *Port) Stats() PortStats {
 	return s
 }
 
-// vcEntry is one VC's forwarding state. The shaper (tb, lastNanos) belongs
-// to the group goroutine that drains the VC's ingress port and is touched
-// by nobody else, so it needs no lock; the same goroutine is the only
-// writer of the three counters, which are atomic for VCStats' sake.
-// rateBits is the control plane's mailbox: a renegotiation stores the new
-// granted rate there atomically and the forwarder folds it into the bucket
-// on the VC's next cell.
+// vcEntry is one VC's forwarding state: 56 bytes, so one 64-byte allocation
+// and one aligned cache line per VC (pinned by TestVCEntryIsOneCacheLine).
+// The shaper is a token bucket held as two words — tokens (bits) and
+// lastNanos (when they were last refilled) — with its arithmetic in
+// shaper.Refill; the bucket's other two parameters are not stored twice:
+// its rate is rateBits and its depth is the forwarder's depthBits. tokens
+// and lastNanos belong to the group goroutine that drains the VC's ingress
+// port and are touched by nobody else, so they need no lock; the same
+// goroutine is the only writer of the three counters, which are atomic for
+// VCStats' sake. rateBits is the control plane's mailbox: a renegotiation
+// stores the new granted rate there atomically and the forwarder refills at
+// whatever rate it finds there on the VC's next cell, keeping earned credit.
 type vcEntry struct {
-	egress    *Port
-	rateBits  atomic.Uint64 // granted rate, float64 bits
-	tb        shaper.TokenBucket
-	lastNanos int64
+	egress    *Port         // offset 0
+	rateBits  atomic.Uint64 // 8: granted rate, float64 bits
+	tokens    float64       // 16
+	lastNanos int64         // 24
 
-	forwarded atomic.Int64
-	policed   atomic.Int64
-	overflow  atomic.Int64
+	forwarded atomic.Int64 // 32
+	policed   atomic.Int64 // 40
+	overflow  atomic.Int64 // 48
 }
 
 // VCStats is a snapshot of one VC's counters. Seen is their sum: every cell
@@ -425,7 +444,11 @@ func (f *Forwarder) AddPort(id int) (*Port, error) {
 		g = f.nextGroup
 		f.nextGroup = (f.nextGroup + 1) % f.groups
 	}
-	p := &Port{id: id, group: g % f.groups, in: NewRing(f.ringCells), out: make([]*Ring, f.groups)}
+	p := &Port{
+		id: id, group: g % f.groups,
+		in: NewRing(f.ringCells), out: make([]*Ring, f.groups),
+		lookups: make([]*vcEntry, f.burst),
+	}
 	for i := range p.out {
 		p.out[i] = NewRing(f.ringCells)
 	}
@@ -458,7 +481,7 @@ func (f *Forwarder) AddVC(id switchfab.VCID, egressPort int, rate float64) error
 	if out == nil {
 		return fmt.Errorf("datapath: no egress port %d", egressPort)
 	}
-	e := &vcEntry{egress: out, tb: *shaper.New(rate, f.depthBits), lastNanos: unsetNanos}
+	e := &vcEntry{egress: out, tokens: f.depthBits, lastNanos: unsetNanos}
 	e.rateBits.Store(math.Float64bits(rate))
 	if err := f.vcs.Put(uint32(id), e); err != nil {
 		return fmt.Errorf("datapath: vc %#x: %w", uint32(id), err)
@@ -467,8 +490,8 @@ func (f *Forwarder) AddVC(id switchfab.VCID, egressPort int, rate float64) error
 }
 
 // SetVCRate retargets a VC's granted rate. The store is atomic; the
-// forwarder folds it into the token bucket on the VC's next cell, keeping
-// earned credit (see shaper.SetRate).
+// forwarder refills the bucket at the new rate from the VC's next cell on,
+// keeping earned credit (the semantics of shaper.SetRate).
 func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 	if err := shaper.Validate(rate, 0); err != nil {
 		return err
@@ -486,11 +509,12 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 }
 
 // RemoveVC unpublishes a VC, returning its final stats. It does not wait
-// for the forwarder: a group goroutine that looked the VC up just before
-// may finish that one cell on the unpublished entry (counted in the port
-// ledgers like any other, so per-port conservation stays exact), and the
-// returned stats are exact when the VC's ingress port is quiescent. Cells
-// of the VC already on an egress ring are transmitted like any others.
+// for the forwarder: a sweep looks a whole burst up before it shapes any of
+// it, so a group goroutine that looked the VC up just before may finish up
+// to one burst of its cells on the unpublished entry (counted there and in
+// the port ledgers like any others, so per-port conservation stays exact),
+// and the returned stats are exact when the VC's ingress port is quiescent.
+// Cells of the VC already on an egress ring are transmitted like any others.
 func (f *Forwarder) RemoveVC(id switchfab.VCID) (VCStats, error) {
 	e := f.vcs.Remove(uint32(id))
 	if e == nil {
@@ -706,17 +730,32 @@ func (f *Forwarder) runGroup(g int, base int64, start time.Time, done <-chan str
 const maxTouched = 8
 
 // forwardPort drains up to burst cells from one ingress ring, reading them
-// in place. Per cell: verify the header (table-driven HEC), index the VC
-// table (three loads, no lock), fold any pending rate retarget into the
-// shaper, tick the bucket to nowNanos and take one cell's payload worth of
-// tokens; a conforming cell is staged onto the egress port's ring for p's
-// group (this goroutine is its only producer), a non-conforming one is
-// policed, a full egress ring counts an overflow. Every cell leaves the
-// ingress ring exactly once, into exactly one per-VC counter (or unroutable
-// / bad header). The burst ends with one head store per egress ring it
-// touched, one flush of its totals to the port ledger, and one tail store
-// releasing the ingress ring — in that order, so a cell is never off both
-// rings and every staged cell is published before the function returns.
+// in place, and works the burst stage by stage rather than cell by cell.
+//
+// Stage 1, lookup, is loads only: for every cell of the burst, verify the
+// header (table-driven HEC) and index the VC table (three loads, no lock),
+// leaving the entry pointer in p.lookups. It writes nothing but that scratch
+// and two local counts — a bad header or an unknown VC is decided here and
+// its slot left nil — and above all it executes no locked instruction: on
+// amd64 an atomic add is a full fence, which in a cell-by-cell loop holds
+// the next cell's table walk back until this cell's counter has retired.
+// Without one, the burst's walks are independent and their cache misses
+// overlap.
+//
+// Stage 2, shaping, walks the scratch in arrival order. Per routed cell:
+// refill the VC's bucket to now at the rate found in its mailbox and take
+// one cell's payload worth of tokens; a conforming cell is staged onto the
+// egress port's ring for p's group (this goroutine is its only producer), a
+// non-conforming one is policed, a full egress ring counts an overflow.
+// Every cell leaves the ingress ring exactly once, into exactly one per-VC
+// counter (or unroutable / bad header).
+//
+// The burst ends with one head store per egress ring it touched, one flush
+// of its totals to the port ledger, and one tail store releasing the
+// ingress ring — in that order, so a cell is never off both rings and every
+// staged cell is published before the function returns. Lookups lead
+// shaping by up to one burst, so a VC removed meanwhile still has that
+// burst's cells finished on its unpublished entry (see RemoveVC).
 // Only the goroutine owning p's group may call this.
 //
 //rcbr:zeroalloc
@@ -730,7 +769,8 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 		touched                 [maxTouched]*Ring
 		nt                      int
 	)
-	for i := 0; i < n; i++ {
+	entries := p.lookups[:n]
+	for i := range entries {
 		c := p.in.At(i)
 		h, err := cell.ParseHeader(c[:cell.HeaderSize])
 		if err != nil {
@@ -742,23 +782,29 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 			unr++
 			continue
 		}
-		if rate := math.Float64frombits(e.rateBits.Load()); rate != e.tb.Rate() {
-			e.tb.SetRate(rate)
+		entries[i] = e
+	}
+	for i, e := range entries {
+		if e == nil {
+			continue
 		}
+		entries[i] = nil
 		if e.lastNanos == unsetNanos {
 			e.lastNanos = now
 		} else if dt := now - e.lastNanos; dt > 0 {
-			e.tb.Tick(float64(dt) * 1e-9)
+			rate := math.Float64frombits(e.rateBits.Load())
+			e.tokens = shaper.Refill(e.tokens, rate, float64(dt)*1e-9, f.depthBits)
 			e.lastNanos = now
 		}
-		if !e.tb.Take(CellPayloadBits) {
+		if CellPayloadBits > e.tokens {
 			e.policed.Add(1)
 			pol++
 			continue
 		}
+		e.tokens -= CellPayloadBits
 		out := e.egress.out[p.group]
 		first := !out.Staged()
-		if !out.Stage(c) {
+		if !out.Stage(p.in.At(i)) {
 			e.overflow.Add(1)
 			ovf++
 			continue

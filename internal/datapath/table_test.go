@@ -13,8 +13,15 @@ import (
 // goroutines forward cells of VCs that share one leaf page while a writer
 // adds and removes that page's other VCs, one VC that carries cells, and an
 // isolated VC whose pages come and go with it. Conservation is exact at the
-// end, and the two untouched VCs saw every one of their cells. Run under
-// -race by `make race`.
+// end, and the two untouched VCs saw every one of their cells.
+//
+// A sweep looks a whole burst up before it shapes any of it, so the flapped
+// VC is routinely taken down (and set up again) between the lookup of its
+// cells and their shaping: those cells finish on the unpublished entry. The
+// test keeps every entry the writer retires and checks that not one such
+// cell was lost to the books: summed over all the VC's incarnations, plus
+// the cells that found it down, the entries saw exactly the cells port 0
+// accepted for it. Run under -race by `make race`.
 func TestTableChurnUnderForwarding(t *testing.T) {
 	f := New(WithPortGroups(2), WithRingCells(64), WithBurst(16))
 	var pp []*Port
@@ -40,7 +47,8 @@ func TestTableChurnUnderForwarding(t *testing.T) {
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
 	bg.Add(2)
-	go func() { // the writer
+	var retired []*vcEntry // every incarnation of flapping the writer took down
+	go func() {            // the writer
 		defer bg.Done()
 		lonely := switchfab.MakeVCID(200, 0xBEEF)
 		for i := 0; ; i++ {
@@ -51,7 +59,12 @@ func TestTableChurnUnderForwarding(t *testing.T) {
 			}
 			for _, id := range []switchfab.VCID{flapping, leaf(uint8(3 + i%250)), lonely} {
 				if err := f.AddVC(id, 2, 1e12); err != nil {
-					_, _ = f.RemoveVC(id) // it was up: take it down instead
+					// It was up: take it down instead. The writer is the
+					// only one, so what it finds is what it removes.
+					if id == flapping {
+						retired = append(retired, f.vcs.Get(uint32(id)))
+					}
+					_, _ = f.RemoveVC(id)
 				}
 			}
 			runtime.Gosched()
@@ -72,6 +85,7 @@ func TestTableChurnUnderForwarding(t *testing.T) {
 	}()
 	var prod sync.WaitGroup
 	var offered [2]int64 // cells of stable[i] accepted by port i
+	var flapped int64    // cells of flapping accepted by port 0
 	for i := 0; i < 2; i++ {
 		prod.Add(1)
 		go func(i int) {
@@ -82,10 +96,13 @@ func TestTableChurnUnderForwarding(t *testing.T) {
 				if i == 0 && n%2 == 1 {
 					k = 1
 				}
-				if !f.Inject(pp[i], &cells[k]) {
-					runtime.Gosched()
-				} else if k == 0 {
+				for !f.Inject(pp[i], &cells[k]) {
+					runtime.Gosched() // ring full: wait for the sweep, lose nothing
+				}
+				if k == 0 {
 					offered[i]++
+				} else {
+					flapped++
 				}
 			}
 		}(i)
@@ -120,6 +137,20 @@ func TestTableChurnUnderForwarding(t *testing.T) {
 	if ps := pp[1].Stats(); ps.Unroutable != 0 {
 		t.Errorf("port 1 carried only a stable VC, yet %d cells were unroutable", ps.Unroutable)
 	}
+	// Only flapping's cells can have been unroutable on port 0; every other
+	// one of them was shaped on some incarnation's entry, published or not.
+	seen := pp[0].Stats().Unroutable
+	if vs, ok := f.VCStats(flapping); ok {
+		seen += vs.Seen
+	}
+	for _, e := range retired {
+		seen += e.stats().Seen
+	}
+	if seen != flapped {
+		t.Errorf("flapped vc: %d incarnations and the unroutable count account for %d cells, port 0 accepted %d",
+			len(retired), seen, flapped)
+	}
+	t.Logf("flapped vc: %d cells over %d incarnations", flapped, len(retired))
 }
 
 // TestVCIDReuseKeepsBooks is the regression test for the reuse bug: a VC
@@ -172,6 +203,11 @@ const (
 	mapDenseBytesPerVC = 127.6  // 100,000 VCs on consecutive ids
 )
 
+// What a dense VC may cost now: a 64-byte entry, its 8-byte slot and its
+// share of the pages' headers measure 73.1 B. With the 80-byte entry (the
+// 96-byte size class would have been next) the figure was 89.1.
+const denseBytesPerVCBound = 75
+
 // heapOf returns the live heap build's result holds on to.
 func heapOf(build func() *Forwarder) int64 {
 	var before, after runtime.MemStats
@@ -188,7 +224,8 @@ func heapOf(build func() *Forwarder) int64 {
 
 // TestTableMemory pins the table's footprint: pages appear with their first
 // VC, so an empty or a small forwarder costs no more than it did with the
-// map (within 5 %), and a dense table costs less per VC.
+// map (within 5 %), and a dense table costs one cache line of entry plus
+// the table's ~9 bytes per VC.
 func TestTableMemory(t *testing.T) {
 	twoPorts := func(vcs int, id func(i int) switchfab.VCID) func() *Forwarder {
 		return func() *Forwarder {
@@ -215,8 +252,9 @@ func TestTableMemory(t *testing.T) {
 	ports := heapOf(twoPorts(0, nil))
 	full := heapOf(twoPorts(dense, func(i int) switchfab.VCID { return switchfab.MakeVCID(uint8(1+i>>16), uint16(i)) }))
 	perVC := float64(full-ports) / dense
-	if perVC >= mapDenseBytesPerVC {
-		t.Errorf("dense table costs %.1f B/VC, the map cost %.1f", perVC, mapDenseBytesPerVC)
+	if perVC > denseBytesPerVCBound {
+		t.Errorf("dense table costs %.1f B/VC, over the %d a one-line entry and its slot allow (the map cost %.1f)",
+			perVC, denseBytesPerVCBound, mapDenseBytesPerVC)
 	}
 	t.Logf("empty %d B, 16 VCs %d B, dense %.1f B/VC (map: %d, %d, %.1f)",
 		empty, sixteen, perVC, mapEmptyBytes, mapSixteenVCBytes, mapDenseBytesPerVC)

@@ -35,9 +35,16 @@ import (
 // asynchronous: a cell may need extra Step calls before the hop's
 // goroutine has forwarded it.
 
+// MaxLinkDelaySlots bounds a hop's DelaySlots. A link's delay line is a
+// fixed ring of DelaySlots+1 in-flight cells (64 bytes each) allocated when
+// the path is built, so the delay is a memory request: the bound keeps the
+// largest line at 64 MB — at 155 Mb/s cell times, 2.8 s of propagation —
+// and turns anything larger into an error instead of an out-of-memory kill.
+const MaxLinkDelaySlots = 1 << 20
+
 // CellHop is one switch on a cell path: cells enter the forwarder on
 // ingress port In, leave on egress port Out, and the link out of Out has
-// DelaySlots of propagation delay.
+// DelaySlots of propagation delay, at most MaxLinkDelaySlots.
 type CellHop struct {
 	FW         *datapath.Forwarder
 	In, Out    int
@@ -128,7 +135,8 @@ type CellPath struct {
 // NewCellPath assembles a relay over the given hops. slotNanos is the real
 // duration of one slot (one cell time at line rate), which scales the
 // forwarders' shaper clocks; it must be positive. Every hop's ports must
-// already exist on its forwarder.
+// already exist on its forwarder, and its DelaySlots lie in
+// [0, MaxLinkDelaySlots].
 func NewCellPath(hops []CellHop, slotNanos int64) (*CellPath, error) {
 	if len(hops) == 0 {
 		return nil, fmt.Errorf("mesh: empty cell path")
@@ -141,8 +149,8 @@ func NewCellPath(hops []CellHop, slotNanos int64) (*CellPath, error) {
 		if h.FW == nil {
 			return nil, fmt.Errorf("mesh: hop %d has no forwarder", i)
 		}
-		if h.DelaySlots < 0 {
-			return nil, fmt.Errorf("mesh: hop %d has negative delay", i)
+		if h.DelaySlots < 0 || h.DelaySlots > MaxLinkDelaySlots {
+			return nil, fmt.Errorf("mesh: hop %d delay %d slots outside [0, %d]", i, h.DelaySlots, MaxLinkDelaySlots)
 		}
 		in := h.FW.Port(h.In)
 		out := h.FW.Port(h.Out)

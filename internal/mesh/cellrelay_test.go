@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -232,6 +233,13 @@ func TestNewCellPathValidation(t *testing.T) {
 	}
 	if _, err := NewCellPath([]CellHop{{FW: fw, In: 0, Out: 0, DelaySlots: -1}}, 1); err == nil {
 		t.Fatal("negative delay accepted")
+	}
+	// The delay line is allocated up front: a delay past the bound is an
+	// error, not a 600 GB make.
+	for _, d := range []int64{MaxLinkDelaySlots + 1, 1e10, math.MaxInt64} {
+		if _, err := NewCellPath([]CellHop{{FW: fw, In: 0, Out: 0, DelaySlots: d}}, 1); err == nil {
+			t.Fatalf("delay of %d slots accepted", d)
+		}
 	}
 }
 

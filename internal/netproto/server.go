@@ -209,12 +209,15 @@ func (s *Server) Serve() error {
 				if reply == nil {
 					continue
 				}
+				// Counted before the write: the write is what lets the
+				// client return, and whoever it releases must find the
+				// reply already counted. A failed write takes it back.
+				s.ins.tx.Inc()
 				if _, err := s.conn.WriteTo(reply, j.from); err != nil {
+					s.ins.tx.Add(-1)
 					if s.log != nil {
 						s.log.Printf("netproto: write to %v: %v", j.from, err)
 					}
-				} else {
-					s.ins.tx.Inc()
 				}
 			}
 		}()

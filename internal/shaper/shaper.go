@@ -58,12 +58,28 @@ func (tb *TokenBucket) Depth() float64 { return tb.depth }
 // Tokens returns the current token level in bits.
 func (tb *TokenBucket) Tokens() float64 { return tb.tokens }
 
+// Refill is the bucket's refill step as a pure function: the token level
+// after dt seconds at rate, capped at depth. It is the one definition of
+// that arithmetic — Tick calls it, and so does the cell path, which keeps a
+// VC's tokens in its table entry instead of in a TokenBucket. The cap is a
+// compare rather than math.Min: for the finite non-negative operands every
+// caller validates the two agree bit for bit (TestRefillIsMin), and Min's
+// NaN and signed-zero handling is not free on a per-cell path.
+//
+//rcbr:zeroalloc
+func Refill(tokens, rate, dt, depth float64) float64 {
+	if t := tokens + rate*dt; t < depth {
+		return t
+	}
+	return depth
+}
+
 // Tick adds dt seconds worth of tokens, capped at the depth.
 func (tb *TokenBucket) Tick(dt float64) {
 	if dt < 0 {
 		panic("shaper: negative tick")
 	}
-	tb.tokens = math.Min(tb.depth, tb.tokens+tb.rate*dt)
+	tb.tokens = Refill(tb.tokens, tb.rate, dt, tb.depth)
 }
 
 // Conforms reports whether bits could be sent now without violating the

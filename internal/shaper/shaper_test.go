@@ -62,6 +62,40 @@ func TestSetRate(t *testing.T) {
 	}
 }
 
+// TestRefillIsMin pins Refill's compare to the math.Min it replaced: bit for
+// bit the same level over finite non-negative operands — the only ones a
+// validated bucket holds — including the scales a cell path lives at
+// (nanosecond ticks, a level a few hundred bits under the depth).
+func TestRefillIsMin(t *testing.T) {
+	same := func(tokens, rate, dt, depth float64) bool {
+		return math.Float64bits(Refill(tokens, rate, dt, depth)) ==
+			math.Float64bits(math.Min(depth, tokens+rate*dt))
+	}
+	for _, c := range [][4]float64{
+		{0, 0, 0, 0}, {0, 0, 1, 5}, {5, 0, 1, 5}, {5, 1, 0, 5}, {4, 1, 1, 5}, {4, 1, 2, 5},
+		{0, math.MaxFloat64, math.MaxFloat64, 1}, // rate*dt overflows to +Inf
+		{12288 - 384, 1e6, 384e-6, 12288},        // refills to the depth exactly
+	} {
+		if !same(c[0], c[1], c[2], c[3]) {
+			t.Errorf("Refill(%v) = %g, math.Min gives %g", c, Refill(c[0], c[1], c[2], c[3]), math.Min(c[3], c[0]+c[1]*c[2]))
+		}
+	}
+	wide := func(tokens, rate, dt, depth float64) bool {
+		return same(math.Abs(tokens), math.Abs(rate), math.Abs(dt), math.Abs(depth))
+	}
+	if err := quick.Check(wide, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	// quick draws from the whole float64 range; these are a policer's.
+	cellScale := func(tokens, cells, nanos uint32, depthCells uint8) bool {
+		depth := float64(depthCells) * 384
+		return same(math.Mod(float64(tokens), depth+1), float64(cells)*384, float64(nanos)*1e-9, depth)
+	}
+	if err := quick.Check(cellScale, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestBucketPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"neg rate":    func() { New(-1, 1) },

@@ -51,7 +51,7 @@ func TestMakefileRaceParallelSync(t *testing.T) {
 	_, pattern, _ := strings.Cut(datapathLine, "-run '")
 	pattern, _, _ = strings.Cut(pattern, "'")
 	have := strings.Split(pattern, "|")
-	for _, want := range []string{"Conservation", "Run", "Table", "Ring", "Burst", "CrossGroup"} {
+	for _, want := range []string{"Conservation", "Run", "Table", "Ring", "Burst", "CrossGroup", "StagedSweep", "VCEntry"} {
 		if !slices.Contains(have, want) {
 			t.Errorf("race-parallel datapath -run pattern %q lacks %q", pattern, want)
 		}
