@@ -595,27 +595,6 @@ func BenchmarkFabricRM64k(b *testing.B) {
 	}
 }
 
-func BenchmarkFabricRMBatch(b *testing.B) {
-	const vcs = 16384
-	sw := benchFabricSwitch(b, vcs)
-	const k = 32
-	items := make([]switchfab.RMItem, k)
-	for i := range items {
-		id := switchfab.MakeVCID(0, uint16(i*37%vcs))
-		items[i] = switchfab.RMItem{VPI: id.VPI(), VCI: id.VCI(),
-			M: cell.RM{Resync: true, ER: 100e3}}
-	}
-	out := make([]switchfab.RMItem, 0, k)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += k {
-		out = sw.HandleRMBatch(items, out[:0])
-		if len(out) != k {
-			b.Fatalf("%d replies, want %d", len(out), k)
-		}
-	}
-}
-
 func BenchmarkSwitchHandleRM(b *testing.B) {
 	sw := switchfab.New(nil)
 	if err := sw.AddPort(1, 155e6); err != nil {

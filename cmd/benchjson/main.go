@@ -10,27 +10,18 @@
 // stdout untouched, so the command can sit at the end of a pipe without
 // hiding failures.
 //
-// With -compare it instead diffs two recorded baselines:
+// With -compare it instead checks a new run against the zero-alloc contract:
 //
-//	benchjson -compare -threshold 15 BENCH_trellis.json BENCH_new.json
+//	benchjson -compare BENCH_trellis.json BENCH_new.json
 //
-// and exits non-zero if any benchmark present in both files regressed by
-// more than the threshold percent in ns/op. Benchmarks that appear in only
-// one file are reported but never fatal, so adding or retiring a benchmark
-// does not break the gate.
-//
-// Benchmarks under the zero-alloc contract (the hot-path DataPath* and
-// FabricCell* families) are additionally gated on allocs/op: any nonzero
-// allocation count in the new run fails the comparison outright, whatever
-// the ns/op delta — a single escaped allocation is a contract break, not a
-// 15% slowdown.
-//
-// The -gate flag selects which failures are fatal. The default, "all",
-// fails on ns/op regressions and zero-alloc breaks alike. "zeroalloc"
-// still prints the full diff but only a broken zero-alloc contract exits
-// non-zero: timing is machine-dependent and noisy at smoke benchtimes, but
-// allocs/op is deterministic, so CI runs the timing comparison advisory
-// and the zero-alloc comparison required.
+// Benchmarks under the contract (the hot-path DataPath* and FabricCell*
+// families, and renegotiation under the MBAC) must report exactly 0
+// allocs/op in the new run; any other count exits non-zero. allocs/op is
+// deterministic, so this gate is required in CI. The ns/op of every
+// benchmark is printed beside its baseline figure, and benchmarks present in
+// only one file are listed, for the reader: timing at a smoke benchtime on a
+// shared runner is no verdict, so none is given (bench/ and BENCHMARK.json
+// judge time, on paired runs).
 package main
 
 import (
@@ -67,25 +58,19 @@ type Baseline struct {
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	compare := flag.Bool("compare", false, "compare two baseline files instead of recording")
-	threshold := flag.Float64("threshold", 15, "ns/op regression percent that fails -compare")
-	gate := flag.String("gate", "all", "which -compare failures are fatal: all, or zeroalloc")
+	compare := flag.Bool("compare", false, "check a new baseline file against the zero-alloc contract instead of recording")
 	flag.Parse()
 	if *compare {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two baseline files")
 			os.Exit(2)
 		}
-		if *gate != "all" && *gate != "zeroalloc" {
-			fmt.Fprintln(os.Stderr, "benchjson: -gate must be all or zeroalloc")
-			os.Exit(2)
-		}
-		cmp, err := compareBaselines(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
+		allocBroken, err := compareBaselines(os.Stdout, flag.Arg(0), flag.Arg(1))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
-		if cmp.allocBroken || (*gate == "all" && cmp.nsRegressed) {
+		if allocBroken {
 			os.Exit(1)
 		}
 		return
@@ -132,25 +117,17 @@ func zeroAllocContract(name string) bool {
 	return false
 }
 
-// comparison separates the two failure kinds -compare can find, so the
-// -gate flag can make one fatal and the other advisory.
-type comparison struct {
-	nsRegressed bool // some shared benchmark slowed past the threshold
-	allocBroken bool // some zero-alloc benchmark reported allocations
-}
-
-// compareBaselines diffs the benchmarks shared by two baseline files and
-// reports whether any regressed by more than threshold percent in ns/op, or
-// broke the zero-alloc contract.
-func compareBaselines(w io.Writer, oldPath, newPath string, threshold float64) (comparison, error) {
-	var cmp comparison
+// compareBaselines prints the new run's ns/op beside the old baseline's and
+// reports whether any benchmark under the zero-alloc contract allocated in
+// the new run, which is the one thing -compare fails on.
+func compareBaselines(w io.Writer, oldPath, newPath string) (allocBroken bool, err error) {
 	oldBase, err := readBaseline(oldPath)
 	if err != nil {
-		return cmp, err
+		return false, err
 	}
 	newBase, err := readBaseline(newPath)
 	if err != nil {
-		return cmp, err
+		return false, err
 	}
 	oldByName := make(map[string]Result, len(oldBase.Results))
 	for _, r := range oldBase.Results {
@@ -164,7 +141,7 @@ func compareBaselines(w io.Writer, oldPath, newPath string, threshold float64) (
 			// entry: a brand-new hot-path bench must arrive clean.
 			fmt.Fprintf(w, "ALLOCS %-40s %12.0f allocs/op (zero-alloc contract)\n",
 				nr.Name, nr.AllocsPerOp)
-			cmp.allocBroken = true
+			allocBroken = true
 		}
 		or, ok := oldByName[nr.Name]
 		if !ok {
@@ -174,24 +151,18 @@ func compareBaselines(w io.Writer, oldPath, newPath string, threshold float64) (
 		if or.NsPerOp <= 0 {
 			continue
 		}
-		delta := (nr.NsPerOp - or.NsPerOp) / or.NsPerOp * 100
-		verdict := "ok    "
-		if delta > threshold {
-			verdict = "REGRESSED"
-			cmp.nsRegressed = true
-		}
-		fmt.Fprintf(w, "%-6s %-40s %12.1f -> %12.1f ns/op (%+.1f%%)\n",
-			verdict, nr.Name, or.NsPerOp, nr.NsPerOp, delta)
+		fmt.Fprintf(w, "       %-40s %12.1f -> %12.1f ns/op (%+.1f%%)\n",
+			nr.Name, or.NsPerOp, nr.NsPerOp, (nr.NsPerOp-or.NsPerOp)/or.NsPerOp*100)
 	}
 	for _, or := range oldBase.Results {
 		if !seen[or.Name] {
 			fmt.Fprintf(w, "gone   %-40s %12.1f ns/op (not in new run)\n", or.Name, or.NsPerOp)
 		}
 	}
-	if cmp.nsRegressed || cmp.allocBroken {
-		fmt.Fprintf(w, "benchjson: regression beyond %.0f%% ns/op threshold or broken zero-alloc contract\n", threshold)
+	if allocBroken {
+		fmt.Fprintln(w, "benchjson: broken zero-alloc contract")
 	}
-	return cmp, nil
+	return allocBroken, nil
 }
 
 func readBaseline(path string) (Baseline, error) {

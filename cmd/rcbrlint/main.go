@@ -1,11 +1,11 @@
 // Command rcbrlint runs the repository's static-analysis suite (package
-// internal/analysis) over the module: nine analyzers enforcing the
+// internal/analysis) over the module: eight analyzers enforcing the
 // conventions the concurrent signaling plane and switch fabric depend on —
 // registered metric names, lock scopes that never span blocking calls, the
 // one-port-lock-at-a-time rule, context plumbing through the signaling
 // surface, errors.Is sentinel matching, live event kinds and histograms,
-// //rcbr:zeroalloc hot paths free of allocation, atomic access discipline,
-// and finite-rate validation between the wire and the books.
+// //rcbr:zeroalloc hot paths free of allocation, and finite-rate validation
+// between the wire and the books.
 //
 // Usage:
 //
@@ -20,9 +20,8 @@
 // same deterministic position order, so CI can archive and diff reports
 // between runs; the exit status still distinguishes findings (1) from
 // driver errors (2). The cross-package checks (metric-name ownership,
-// event-kind emission liveness, atomic access discipline) only see the
-// packages named on the command line, so run it over ./... for
-// authoritative results. Individual findings can be suppressed with a
+// event-kind emission liveness) only see the packages named on the command
+// line, so run it over ./... for authoritative results. Individual findings can be suppressed with a
 // "//rcbrlint:ignore <analyzer> <reason>" comment on the flagged line or
 // the line above it; a bare or unknown-analyzer directive is itself a
 // finding.

@@ -1,5 +1,5 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// for the rcbr repository, plus the nine project-specific analyzers that
+// for the rcbr repository, plus the eight project-specific analyzers that
 // cmd/rcbrlint runs over it. The signaling plane and switch fabric rest on
 // conventions the compiler cannot see — metric names must be registered
 // constants, fabric locks must not be held across blocking operations and
@@ -27,8 +27,6 @@
 //     direct callees.
 //   - zeroalloc: functions annotated //rcbr:zeroalloc avoid
 //     allocation-inducing constructs outside cold error paths.
-//   - atomicmix: a struct field accessed via sync/atomic anywhere is never
-//     read or written plainly elsewhere.
 //   - ratetaint: float64 values originating from netproto decodes or
 //     exported fabric entry points pass finite-rate validation before
 //     reaching reserved accounting or admission.

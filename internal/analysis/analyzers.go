@@ -4,7 +4,6 @@ package analysis
 // it. The order is stable so diagnostics sort deterministically.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix,
 		CtxFirst,
 		EventKind,
 		LockOrder,

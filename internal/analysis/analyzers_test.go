@@ -44,12 +44,6 @@ func TestZeroAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ZeroAlloc, "zeroalloc")
 }
 
-// TestAtomicMix covers mixed atomic/plain access to one field, including
-// across packages, and line-scoped ignores.
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.AtomicMix, "atomicmix", "atomicmix/sub")
-}
-
 // TestRateTaint covers decode- and entry-point-originated taint, sanitizer
 // calls, sink-reaching callees, and line-scoped ignores.
 func TestRateTaint(t *testing.T) {

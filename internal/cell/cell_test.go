@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -204,6 +205,20 @@ func TestParseRMErrors(t *testing.T) {
 	p[0] = 1 // ABR, not RCBR
 	if _, err := ParseRM(p); !errors.Is(err, ErrProtocol) {
 		t.Errorf("protocol: %v", err)
+	}
+	// Rate codes EncodeRate16 never emits decode to a rate that re-encodes
+	// to other bytes, so a payload carrying one is refused even under a
+	// good CRC: the reserved mantissa bit, and a zero with bits set.
+	for _, er := range []uint16{1<<15 | 1<<9, 1 << 9, 1} {
+		good, err := RM{ER: 64000, Seq: 7}.MarshalPayload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint16(good[2:4], er)
+		binary.BigEndian.PutUint16(good[46:48], crc10(good[:PayloadSize-2]))
+		if _, err := ParseRM(good[:]); !errors.Is(err, ErrProtocol) {
+			t.Errorf("rate code %#x: %v", er, err)
+		}
 	}
 }
 

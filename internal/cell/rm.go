@@ -84,8 +84,9 @@ func (m RM) MarshalPayload() ([PayloadSize]byte, error) {
 }
 
 // ParseRM decodes and verifies a 48-byte RM payload. Reserved bytes and
-// undefined flag bits must be zero: the codec is strict so that every
-// accepted payload re-marshals to identical wire bytes.
+// undefined flag bits must be zero and ER must be a code EncodeRate16 emits
+// (reserved mantissa bit clear, zero spelled 0): the codec is strict so that
+// every accepted payload re-marshals to identical wire bytes.
 //
 //rcbr:zeroalloc
 func ParseRM(p []byte) (RM, error) {
@@ -107,6 +108,10 @@ func ParseRM(p []byte) (RM, error) {
 			return RM{}, fmt.Errorf("%w: nonzero reserved byte %d", ErrProtocol, i)
 		}
 	}
+	er := binary.BigEndian.Uint16(p[2:4])
+	if er&(1<<9) != 0 || er&(1<<15) == 0 && er != 0 {
+		return RM{}, fmt.Errorf("%w: non-canonical rate code %#x", ErrProtocol, er)
+	}
 	f := p[1]
 	return RM{
 		Backward: f&flagBackward != 0,
@@ -114,7 +119,7 @@ func ParseRM(p []byte) (RM, error) {
 		Resync:   f&flagResync != 0,
 		Deny:     f&flagDeny != 0,
 		Decrease: f&flagDecrease != 0,
-		ER:       DecodeRate16(binary.BigEndian.Uint16(p[2:4])),
+		ER:       DecodeRate16(er),
 		Seq:      binary.BigEndian.Uint32(p[4:8]),
 	}, nil
 }

@@ -5,24 +5,23 @@ import (
 	"time"
 
 	"rcbr/internal/cell"
-	"rcbr/internal/switchfab"
 )
 
-// This file is the client half of batched RM signaling (framing v3). With
-// WithBatchWindow(d), Renegotiate calls enqueue their sequenced delta here
-// instead of sending a datagram each; the window's entries are flushed as
-// one TypeRMBatch frame when d elapses, when MaxRMBatch entries accumulate,
-// or when a second renegotiation arrives for a VC already in the window
-// (batch entries must be distinct VCs so replies can be matched back).
+// This file is the client's RM coalescing. With WithBatchWindow(d),
+// Renegotiate calls enqueue their sequenced delta here instead of sending a
+// datagram each; the window's entries are flushed as one RM frame of one
+// cell per entry when d elapses, when MaxRMBatch entries accumulate, or when
+// a second renegotiation arrives for a VC already in the window (a frame's
+// cells must be distinct VCs so reply cells can be matched back).
 //
-// Correctness relies on two properties of the switch. Batch entries are
+// Correctness relies on two properties of the switch. The cells are
 // sequenced deltas, so the whole frame is retransmitted unchanged on
-// timeout and a replayed entry is dropped by the duplicate filter and
-// answered with the absolute rate. And any entry the batch path cannot
-// resolve — a missing reply entry, a batch-level error, a v2-only peer that
-// rejects version 3 outright — falls back to the per-VC resync path, which
-// carries the absolute target rate and needs nothing from the batch
-// attempt. Batching therefore never changes outcomes, only datagram count.
+// timeout and a replayed cell is dropped by the duplicate filter and
+// answered with the absolute rate. And any entry the frame cannot resolve —
+// a missing reply cell, an error reply — falls back to the per-VC resync
+// path, which carries the absolute target rate and needs nothing from the
+// coalesced attempt. Coalescing therefore never changes outcomes, only
+// datagram count.
 
 // batchEntry is one caller's renegotiation waiting in the window.
 type batchEntry struct {
@@ -109,7 +108,7 @@ func (c *Client) flushTimer() {
 	}
 }
 
-// flushBatch sends one coalesced batch frame and delivers every entry's
+// flushBatch sends one coalesced RM frame and delivers every entry's
 // outcome exactly once. It runs outside any lock. The frame retransmits
 // unchanged across attempts (see the file comment for why that is safe);
 // flushing is not bound to any one caller's context — each caller's wait
@@ -117,45 +116,45 @@ func (c *Client) flushTimer() {
 func (c *Client) flushBatch(entries []batchEntry) {
 	c.ins.batches.Inc()
 	c.ins.batchCells.Add(int64(len(entries)))
-	items := make([]switchfab.RMItem, len(entries))
-	for i, e := range entries {
-		items[i] = switchfab.RMItem{VPI: e.vpi, VCI: e.vci, M: e.m}
-	}
 	id := c.newID()
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
 	f, err := c.roundTrip(context.Background(), id, true, func(int) ([]byte, error) {
-		return AppendRMBatch((*bufp)[:0], id, items)
+		pkt := appendHeader((*bufp)[:0], TypeRM, id)
+		for _, e := range entries {
+			var err error
+			if pkt, err = appendRMCell(pkt, cell.Header{VPI: e.vpi, VCI: e.vci}, e.m); err != nil {
+				return nil, err
+			}
+		}
+		return pkt, nil
 	})
-	if err != nil || f.Type != TypeRMBatchReply {
-		// Timeout, socket error, remote error, or a peer that does not
-		// speak version 3: every entry resolves individually.
-		c.deliverFallback(entries)
-		return
+	// A timeout, a socket error or an error reply resolves nothing, and what
+	// a reply does not resolve — a cell left out, a cell that fails its
+	// checks — resolves individually.
+	var cells []byte
+	if err == nil && f.Type == TypeRMReply {
+		if _, err := rmCells(f.Payload); err == nil {
+			cells = f.Payload
+		}
 	}
-	replies, derr := DecodeRMBatch(f.Payload, nil)
-	if derr != nil {
-		c.deliverFallback(entries)
-		return
-	}
-	for _, e := range entries {
-		delivered := false
-		for _, r := range replies {
-			if r.VPI == e.vpi && r.VCI == e.vci {
-				e.done <- batchOutcome{m: r.M}
-				delivered = true
+	var resolved [MaxRMBatch]bool // the window flushes at MaxRMBatch entries
+	for ; len(cells) > 0; cells = cells[cell.Size:] {
+		h, m, err := DecodeRM(cells[:cell.Size])
+		if err != nil {
+			break
+		}
+		for j, e := range entries {
+			if !resolved[j] && e.vpi == h.VPI && e.vci == h.VCI {
+				e.done <- batchOutcome{m: m}
+				resolved[j] = true
 				break
 			}
 		}
-		if !delivered {
+	}
+	for j, e := range entries {
+		if !resolved[j] {
 			e.done <- batchOutcome{fallback: true}
 		}
-	}
-}
-
-// deliverFallback resolves every entry to the per-VC path.
-func (c *Client) deliverFallback(entries []batchEntry) {
-	for _, e := range entries {
-		e.done <- batchOutcome{fallback: true}
 	}
 }

@@ -1,9 +1,9 @@
 package netproto
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -12,85 +12,139 @@ import (
 	"rcbr/internal/switchfab"
 )
 
-func TestRMBatchCodecRoundTrip(t *testing.T) {
-	items := []switchfab.RMItem{
-		{VPI: 0, VCI: 1, M: cell.RM{ER: 1e6, Seq: 7}},
-		{VPI: 3, VCI: 2, M: cell.RM{Decrease: true, ER: 5e5, Seq: 8}},
-		{VPI: 0, VCI: 3, M: cell.RM{Resync: true, ER: 4e6, Seq: 9}},
-		{VPI: 255, VCI: 65535, M: cell.RM{Backward: true, Response: true, Deny: true, ER: 2e6, Seq: 10}},
+// rmItem is one cell of an RM frame under test.
+type rmItem struct {
+	h cell.Header
+	m cell.RM
+}
+
+// rmFrame builds an RM frame of the given type the way the coalescing client
+// does: the header, then one cell per item.
+func rmFrame(t testing.TB, typ uint8, reqID uint32, items ...rmItem) []byte {
+	t.Helper()
+	b := appendHeader(nil, typ, reqID)
+	for _, it := range items {
+		var err error
+		if b, err = appendRMCell(b, it.h, it.m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, err := AppendRMBatch(nil, 42, items)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return b
+}
+
+// rmFrameCells splits an RM frame back into its cells, failing the test on
+// anything the strict codec refuses.
+func rmFrameCells(t testing.TB, b []byte, typ uint8, reqID uint32) []rmItem {
+	t.Helper()
 	f, err := ParseFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Version != VersionBatch || f.Type != TypeRMBatch || f.ReqID != 42 {
-		t.Fatalf("frame = %+v", f)
+	if f.Version != Version || f.Type != typ || f.ReqID != reqID {
+		t.Fatalf("frame = %+v, want type %d req %d", f, typ, reqID)
 	}
-	got, err := DecodeRMBatch(f.Payload, nil)
+	k, err := rmCells(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(items) {
-		t.Fatalf("decoded %d items, want %d", len(got), len(items))
-	}
+	items := make([]rmItem, k)
 	for i := range items {
-		want := items[i]
-		// ER crosses the wire in TM 4.0 16-bit form; compare post-quantization.
-		er16, _ := cell.EncodeRate16(want.M.ER)
-		want.M.ER = cell.DecodeRate16(er16)
-		if got[i] != want {
-			t.Errorf("item %d = %+v, want %+v", i, got[i], want)
+		if items[i].h, items[i].m, err = DecodeRM(f.Payload[i*cell.Size : (i+1)*cell.Size]); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
 		}
 	}
+	return items
 }
 
+// quantized is m as it reads after one trip through the 16-bit rate code.
+func quantized(m cell.RM) cell.RM {
+	er16, _ := cell.EncodeRate16(m.ER)
+	m.ER = cell.DecodeRate16(er16)
+	return m
+}
+
+func TestRMBatchCodecRoundTrip(t *testing.T) {
+	items := []rmItem{
+		{cell.Header{VCI: 1}, cell.RM{ER: 1e6, Seq: 7}},
+		{cell.Header{VPI: 3, VCI: 2}, cell.RM{Decrease: true, ER: 5e5, Seq: 8}},
+		{cell.Header{VCI: 3, GFC: 5, CLP: true}, cell.RM{Resync: true, ER: 4e6, Seq: 9}},
+		{cell.Header{VPI: 255, VCI: 65535}, cell.RM{Backward: true, Response: true, Deny: true, ER: 2e6, Seq: 10}},
+	}
+	b := rmFrame(t, TypeRM, 42, items...)
+	got := rmFrameCells(t, b, TypeRM, 42)
+	if len(got) != len(items) {
+		t.Fatalf("decoded %d cells, want %d", len(got), len(items))
+	}
+	for i, want := range items {
+		want.h.PTI = cell.PTIRM
+		want.m = quantized(want.m)
+		if got[i] != want {
+			t.Errorf("cell %d = %+v, want %+v", i, got[i], want)
+		}
+	}
+	// What was accepted re-encodes to the bytes that arrived.
+	if again := rmFrame(t, TypeRM, 42, got...); !bytes.Equal(again, b) {
+		t.Errorf("re-encoded frame differs:\n got %x\nwant %x", again, b)
+	}
+	// The frame of one is the single-RM datagram, byte for byte.
+	single, err := AppendRM(nil, 42, items[1].h, items[1].m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one := rmFrame(t, TypeRM, 42, items[1]); !bytes.Equal(one, single) {
+		t.Errorf("frame of one differs from AppendRM:\n got %x\nwant %x", one, single)
+	}
+}
+
+// TestRMBatchCodecLimits: an RM payload is 1..MaxRMBatch whole cells and
+// nothing else, and DecodeRM takes exactly one cell — bytes after it are not
+// ignored.
 func TestRMBatchCodecLimits(t *testing.T) {
-	if _, err := AppendRMBatch(nil, 1, nil); !errors.Is(err, ErrFrame) {
-		t.Errorf("empty batch: %v", err)
+	if MaxRMBatch != 9 {
+		t.Fatalf("MaxRMBatch = %d, want 9 cells in a %d-byte frame", MaxRMBatch, maxFrame)
 	}
-	big := make([]switchfab.RMItem, MaxRMBatch+1)
-	if _, err := AppendRMBatch(nil, 1, big); !errors.Is(err, ErrFrame) {
-		t.Errorf("oversized batch: %v", err)
-	}
-	full := make([]switchfab.RMItem, MaxRMBatch)
+	full := make([]rmItem, MaxRMBatch+1)
 	for i := range full {
-		full[i] = switchfab.RMItem{VCI: uint16(i), M: cell.RM{ER: 1e6, Seq: uint32(i + 1)}}
+		full[i] = rmItem{cell.Header{VCI: uint16(i + 1)}, cell.RM{ER: 1e6, Seq: uint32(i + 1)}}
 	}
-	b, err := AppendRMBatch(nil, 1, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	over := rmFrame(t, TypeRM, 1, full...)
+	b := over[:len(over)-cell.Size]
 	if len(b) > maxFrame {
-		t.Fatalf("full batch frame is %d bytes, exceeds maxFrame %d", len(b), maxFrame)
+		t.Fatalf("full frame is %d bytes, exceeds maxFrame %d", len(b), maxFrame)
 	}
-	// Truncated and trailing-garbage payloads must be rejected.
-	f, _ := ParseFrame(b)
-	if _, err := DecodeRMBatch(f.Payload[:len(f.Payload)-1], nil); !errors.Is(err, ErrFrame) {
-		t.Errorf("truncated payload: %v", err)
+	if got := rmFrameCells(t, b, TypeRM, 1); len(got) != MaxRMBatch {
+		t.Fatalf("full frame decodes to %d cells", len(got))
 	}
-	if _, err := DecodeRMBatch(append(append([]byte{}, f.Payload...), 0), nil); !errors.Is(err, ErrFrame) {
-		t.Errorf("trailing byte: %v", err)
+	sw := switchfab.New()
+	s := &Server{sw: sw}
+	for name, frame := range map[string][]byte{
+		"no cells":              b[:headerLen],
+		"partial cell":          b[:headerLen+cell.Size-1],
+		"one cell and a byte":   b[:headerLen+cell.Size+1],
+		"nine cells and a byte": append(append([]byte{}, b...), 0),
+		"ten cells":             over,
+	} {
+		payload := frame[headerLen:]
+		if _, err := rmCells(payload); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: rmCells: %v", name, err)
+		}
+		if _, _, err := DecodeRM(payload); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: DecodeRM: %v", name, err)
+		}
+		f, err := ParseFrame(s.handle(frame, newScratch()))
+		if err != nil || f.Type != TypeErr || len(f.Payload) == 0 || f.Payload[0] != ErrCodeProto {
+			t.Errorf("%s: server answered %+v, %v; want a protocol error", name, f, err)
+		}
 	}
-}
-
-func TestParseFrameRejectsBatchAtV2(t *testing.T) {
-	b, err := AppendRMBatch(nil, 9, []switchfab.RMItem{{VCI: 1, M: cell.RM{ER: 1, Seq: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[1] = Version // rewrite the version byte to 2
-	if _, err := ParseFrame(b); !errors.Is(err, ErrVersion) {
-		t.Errorf("batch frame at v2: %v", err)
+	// DecodeRM is the frame of one: two whole cells are a frame, not a cell.
+	if _, _, err := DecodeRM(b[headerLen : headerLen+2*cell.Size]); !errors.Is(err, ErrFrame) {
+		t.Errorf("DecodeRM of two cells: %v", err)
 	}
 }
 
 // batchTestRig stands up a switch, server, and batching client over
 // loopback UDP.
-func batchTestRig(t *testing.T, reg *metrics.Registry, copts ...ClientOption) (*switchfab.Switch, *Client) {
+func batchTestRig(t *testing.T, reg *metrics.Registry, copts ...ClientOption) *Client {
 	t.Helper()
 	sw := switchfab.New()
 	if err := sw.AddPort(1, 1e9); err != nil {
@@ -112,14 +166,14 @@ func batchTestRig(t *testing.T, reg *metrics.Registry, copts ...ClientOption) (*
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return sw, c
+	return c
 }
 
 // TestClientBatchWindow coalesces concurrent renegotiations into batch
 // frames and checks every caller gets its own grant.
 func TestClientBatchWindow(t *testing.T) {
 	reg := metrics.NewRegistry()
-	sw, c := batchTestRig(t, reg,
+	c := batchTestRig(t, reg,
 		WithBatchWindow(20*time.Millisecond), WithClientMetrics(reg))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -152,22 +206,23 @@ func TestClientBatchWindow(t *testing.T) {
 			t.Errorf("VC %d granted %g, want %g", r.vci, r.granted, q)
 		}
 	}
-	if got := sw.Stats().Batches; got == 0 {
-		t.Error("switch saw no batches; coalescing did not engage")
-	}
 	snap := reg.Snapshot()
 	if snap.Counters[MetricClientBatchCells] != n {
 		t.Errorf("client batch cells = %d, want %d", snap.Counters[MetricClientBatchCells], n)
 	}
-	if snap.Counters[MetricServerBatches] == 0 {
-		t.Error("server batch counter never moved")
+	// Coalescing engaged if the cells arrived in fewer RM frames than there
+	// were cells; sixteen do not fit one frame, so the window also flushed
+	// at MaxRMBatch. (A retransmitted frame would add to both counts.)
+	frames, cells := snap.Counters[MetricServerRM], snap.Counters[MetricServerBatchCells]
+	if cells < n || frames >= cells {
+		t.Errorf("server saw %d cells in %d RM frames, want at least %d cells in fewer frames", cells, frames, n)
 	}
 }
 
 // TestClientBatchDuplicateVCI: two renegotiations of one VC in the same
 // window must both resolve (the window flushes early to keep VCs distinct).
 func TestClientBatchDuplicateVCI(t *testing.T) {
-	_, c := batchTestRig(t, nil, WithBatchWindow(20*time.Millisecond))
+	c := batchTestRig(t, nil, WithBatchWindow(20*time.Millisecond))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	done := make(chan error, 2)
@@ -191,7 +246,7 @@ func TestClientBatchDuplicateVCI(t *testing.T) {
 // from the reply and must surface through the fallback path as ErrNoVC.
 func TestClientBatchUnknownVCFallback(t *testing.T) {
 	reg := metrics.NewRegistry()
-	_, c := batchTestRig(t, nil, WithBatchWindow(20*time.Millisecond), WithClientMetrics(reg))
+	c := batchTestRig(t, nil, WithBatchWindow(20*time.Millisecond), WithClientMetrics(reg))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	errs := make(chan error, 2)
@@ -217,98 +272,5 @@ func TestClientBatchUnknownVCFallback(t *testing.T) {
 	}
 	if reg.Snapshot().Counters[MetricClientBatchFallbacks] == 0 {
 		t.Error("fallback counter never moved")
-	}
-}
-
-// v2OnlyServer mimics a pre-batch peer: it answers v2 RM frames but drops
-// anything at version 3, exactly as the old ParseFrame rejected unknown
-// versions.
-func v2OnlyServer(t *testing.T, sw *switchfab.Switch) net.Addr {
-	t.Helper()
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	go func() {
-		buf := make([]byte, maxFrame)
-		for {
-			n, from, err := conn.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			if n < headerLen || buf[0] != Magic || buf[1] != Version {
-				continue // a v2-only peer drops version-3 frames on the floor
-			}
-			f, err := ParseFrame(buf[:n])
-			if err != nil || f.Type != TypeRM {
-				continue
-			}
-			h, m, err := DecodeRM(f.Payload)
-			if err != nil {
-				continue
-			}
-			resp, err := sw.HandleRM(h, m)
-			if err != nil {
-				continue
-			}
-			reply, err := EncodeRMReply(f.ReqID, h, resp)
-			if err != nil {
-				continue
-			}
-			conn.WriteTo(reply, from)
-		}
-	}()
-	return conn.LocalAddr()
-}
-
-// TestClientBatchV2PeerFallback: against a v2-only peer the batch frame
-// goes unanswered and every entry must still succeed via per-VC resync.
-func TestClientBatchV2PeerFallback(t *testing.T) {
-	sw := switchfab.New()
-	if err := sw.AddPort(1, 1e9); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 4; i++ {
-		if err := sw.Setup(uint16(i), 1, 1e6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addr := v2OnlyServer(t, sw)
-	reg := metrics.NewRegistry()
-	c, err := DialContext(context.Background(), addr.String(),
-		WithBatchWindow(10*time.Millisecond),
-		WithTimeout(50*time.Millisecond), WithRetries(0),
-		WithClientMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	er16, _ := cell.EncodeRate16(2e6)
-	want := cell.DecodeRate16(er16) // the rate as quantized on the wire
-	done := make(chan error, 4)
-	for i := 1; i <= 4; i++ {
-		go func(vci uint16) {
-			g, ok, err := c.Renegotiate(ctx, vci, 1e6, 2e6)
-			if err == nil && (!ok || g != want) {
-				err = errors.New("wrong grant")
-			}
-			done <- err
-		}(uint16(i))
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if reg.Snapshot().Counters[MetricClientBatchFallbacks] == 0 {
-		t.Error("fallback counter never moved against a v2-only peer")
-	}
-	for i := 1; i <= 4; i++ {
-		if r, _ := sw.VCRate(uint16(i)); r != want {
-			t.Errorf("VC %d rate %g, want %g", i, r, want)
-		}
 	}
 }

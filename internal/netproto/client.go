@@ -23,8 +23,8 @@ const (
 	MetricClientRMSent   = "signal.client.rm_cells_sent"
 	MetricClientRMRecv   = "signal.client.rm_cells_received"
 	MetricClientRTT      = "signal.client.rtt_seconds"
-	// Batch coalescing (WithBatchWindow): whole batch frames sent, the RM
-	// messages they carried, and entries that fell back to the per-VC path.
+	// Coalescing (WithBatchWindow): coalesced RM frames sent, the RM cells
+	// they carried, and entries that fell back to the per-VC path.
 	MetricClientBatches        = "signal.batch.client_batches"
 	MetricClientBatchCells     = "signal.batch.client_cells"
 	MetricClientBatchFallbacks = "signal.batch.client_fallbacks"
@@ -124,15 +124,14 @@ func WithRetries(n int) ClientOption {
 }
 
 // WithBatchWindow enables client-side RM coalescing: Renegotiate calls
-// arriving within d of each other are merged into one version-3 batch frame
-// of up to MaxRMBatch entries (distinct VCs; a repeat for a VC already in
-// the window flushes it early). Batched entries are sequenced deltas, so
-// the whole frame retransmits unchanged on timeout — the switch's duplicate
-// filter makes the replay harmless. An entry the batch path cannot resolve
-// (a v2-only peer, an unknown VC, a batch-level error) falls back to the
-// per-VC resync path transparently, so enabling the window never changes
-// results — only datagram count and latency. Zero or negative d leaves
-// batching off (the default).
+// arriving within d of each other leave as one RM frame of up to MaxRMBatch
+// cells (distinct VCs; a repeat for a VC already in the window flushes it
+// early). The cells are sequenced deltas, so the whole frame retransmits
+// unchanged on timeout — the switch's duplicate filter makes the replay
+// harmless. An entry the frame cannot resolve (an unknown VC, an error
+// reply) falls back to the per-VC resync path transparently, so enabling
+// the window never changes results — only datagram count and latency. Zero
+// or negative d leaves coalescing off (the default).
 func WithBatchWindow(d time.Duration) ClientOption {
 	return func(c *Client) {
 		if d > 0 {

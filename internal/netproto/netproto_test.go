@@ -20,17 +20,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		if len(payload) > maxFrame-headerLen {
 			payload = payload[:maxFrame-headerLen]
 		}
-		ver := uint8(Version)
-		if typ == TypeRMBatch || typ == TypeRMBatchReply {
-			ver = VersionBatch // batch types are only legal at version 3
-		}
-		b := appendHeader(nil, ver, typ, reqID)
+		b := appendHeader(nil, typ, reqID)
 		b = append(b, payload...)
 		got, err := ParseFrame(b)
 		if err != nil {
 			return false
 		}
-		if got.Version != ver || got.Type != typ || got.ReqID != reqID || len(got.Payload) != len(payload) {
+		if got.Version != Version || got.Type != typ || got.ReqID != reqID || len(got.Payload) != len(payload) {
 			return false
 		}
 		for i := range payload {
@@ -52,8 +48,12 @@ func TestFrameErrors(t *testing.T) {
 	if _, err := ParseFrame([]byte{0, 1, 1, 0, 0, 0, 0}); !errors.Is(err, ErrFrame) {
 		t.Errorf("magic: %v", err)
 	}
-	if _, err := ParseFrame([]byte{Magic, 9, 1, 0, 0, 0, 0}); !errors.Is(err, ErrVersion) {
-		t.Errorf("version: %v", err)
+	// Exactly one version is spoken.
+	for ver := 0; ver < 256; ver++ {
+		_, err := ParseFrame([]byte{Magic, uint8(ver), TypeRM, 0, 0, 0, 0})
+		if (err == nil) != (ver == Version) || err != nil && !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: %v", ver, err)
+		}
 	}
 }
 
@@ -475,12 +475,13 @@ func TestServerMetrics(t *testing.T) {
 	}
 	s := reg.Snapshot()
 	for name, want := range map[string]int64{
-		MetricServerRx:        4,
-		MetricServerTx:        4,
-		MetricServerSetups:    2,
-		MetricServerTeardowns: 1,
-		MetricServerRM:        1,
-		MetricServerErrors:    1,
+		MetricServerRx:         4,
+		MetricServerTx:         4,
+		MetricServerSetups:     2,
+		MetricServerTeardowns:  1,
+		MetricServerRM:         1,
+		MetricServerBatchCells: 1,
+		MetricServerErrors:     1,
 	} {
 		if got := s.Counters[name]; got != want {
 			t.Fatalf("%s = %d, want %d (all: %+v)", name, got, want, s.Counters)

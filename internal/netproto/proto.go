@@ -14,14 +14,16 @@
 // target rate, which is safe to repeat (footnote 2's drift repair doubles as
 // the retry mechanism).
 //
+// An RM frame (TypeRM, and its TypeRMReply) carries k whole RM cells back to
+// back, 1 <= k <= MaxRMBatch: a single renegotiation is the frame of one
+// cell, and a client coalescing renegotiations (WithBatchWindow) puts one
+// cell per VC in the same frame. cell.Build and cell.Parse are the only RM
+// codec on the wire, and there is one framing version: a peer either speaks
+// it or answers ErrVersion.
+//
 // Error replies (TypeErr) carry a one-byte error code ahead of the message
 // text, mapping the switch's sentinel errors onto the wire so clients can
-// match them with errors.Is; version 2 of the framing introduced the code
-// byte. Version 3 introduced batched RM frames (TypeRMBatch/TypeRMBatchReply)
-// coalescing up to MaxRMBatch renegotiations into one datagram; every other
-// message type still travels at version 2, so the version byte itself is the
-// negotiation: a v2-only peer rejects batch frames as an unsupported version
-// and the client's per-VC fallback path takes over.
+// match them with errors.Is.
 //
 // Allocation discipline: every Encode* function has an Append* core that
 // writes into a caller-provided buffer, so the steady-state renegotiation
@@ -43,10 +45,8 @@ import (
 // Wire constants.
 const (
 	Magic = 0xC5
-	// Version is the framing version of all non-batch messages.
+	// Version is the framing version of every message.
 	Version = 2
-	// VersionBatch is the framing version carrying batched RM messages.
-	VersionBatch = 3
 
 	headerLen = 7
 	maxFrame  = 512
@@ -61,20 +61,11 @@ const (
 	TypeTeardownOK
 	TypeRM
 	TypeRMReply
-	// TypeRMBatch / TypeRMBatchReply (version 3) carry up to MaxRMBatch
-	// coalesced RM messages for distinct VCs.
-	TypeRMBatch
-	TypeRMBatchReply
 )
 
-// MaxRMBatch is the most RM messages one batch frame can carry. At 10 bytes
-// per entry a full batch is a 328-byte datagram, comfortably inside
-// maxFrame and any sane path MTU.
-const MaxRMBatch = 32
-
-// rmEntryLen is the wire size of one batch entry:
-// VPI(1) + VCI(2) + flags(1) + ER16(2) + Seq(4).
-const rmEntryLen = 10
+// MaxRMBatch is the most RM cells one frame carries: what fits in maxFrame
+// behind the header (9 cells, a 484-byte datagram).
+const MaxRMBatch = (maxFrame - headerLen) / cell.Size
 
 // Errors returned by the codec.
 var (
@@ -90,18 +81,17 @@ type Frame struct {
 	Payload []byte
 }
 
-// appendHeader writes the common frame header at the given version.
+// appendHeader writes the common frame header.
 //
 //rcbr:zeroalloc
-func appendHeader(b []byte, version, typ uint8, reqID uint32) []byte {
-	b = append(b, Magic, version, typ)
+func appendHeader(b []byte, typ uint8, reqID uint32) []byte {
+	b = append(b, Magic, Version, typ)
 	var id [4]byte
 	binary.BigEndian.PutUint32(id[:], reqID)
 	return append(b, id[:]...)
 }
 
-// ParseFrame decodes a datagram's framing. Versions 2 and 3 are accepted;
-// batch message types require version 3.
+// ParseFrame decodes a datagram's framing.
 func ParseFrame(b []byte) (Frame, error) {
 	if len(b) < headerLen {
 		return Frame{}, ErrFrame
@@ -109,11 +99,8 @@ func ParseFrame(b []byte) (Frame, error) {
 	if b[0] != Magic {
 		return Frame{}, fmt.Errorf("%w: bad magic %#x", ErrFrame, b[0])
 	}
-	if b[1] != Version && b[1] != VersionBatch {
+	if b[1] != Version {
 		return Frame{}, fmt.Errorf("%w: %d", ErrVersion, b[1])
-	}
-	if (b[2] == TypeRMBatch || b[2] == TypeRMBatchReply) && b[1] != VersionBatch {
-		return Frame{}, fmt.Errorf("%w: batch frame at version %d", ErrVersion, b[1])
 	}
 	return Frame{
 		Version: b[1],
@@ -135,7 +122,7 @@ type SetupReq struct {
 //
 //rcbr:zeroalloc
 func AppendSetup(dst []byte, reqID uint32, req SetupReq) []byte {
-	dst = appendHeader(dst, Version, TypeSetup, reqID)
+	dst = appendHeader(dst, TypeSetup, reqID)
 	var p [12]byte
 	binary.BigEndian.PutUint16(p[0:2], req.VCI)
 	binary.BigEndian.PutUint16(p[2:4], req.Port)
@@ -172,7 +159,7 @@ func DecodeSetup(p []byte) (SetupReq, error) {
 
 // AppendTeardown appends a teardown request for a VCI to dst.
 func AppendTeardown(dst []byte, reqID uint32, vci uint16) []byte {
-	dst = appendHeader(dst, Version, TypeTeardown, reqID)
+	dst = appendHeader(dst, TypeTeardown, reqID)
 	var p [2]byte
 	binary.BigEndian.PutUint16(p[:], vci)
 	return append(dst, p[:]...)
@@ -194,7 +181,7 @@ func DecodeTeardown(p []byte) (uint16, error) {
 // AppendOK appends a success reply of the given type (TypeSetupOK or
 // TypeTeardownOK) to dst.
 func AppendOK(dst []byte, typ uint8, reqID uint32) []byte {
-	return appendHeader(dst, Version, typ, reqID)
+	return appendHeader(dst, typ, reqID)
 }
 
 // EncodeOK builds a success reply of the given type (TypeSetupOK or
@@ -254,7 +241,7 @@ func AppendErr(dst []byte, reqID uint32, code uint8, msg string) []byte {
 	if len(msg) > maxFrame-headerLen-1 {
 		msg = msg[:maxFrame-headerLen-1]
 	}
-	dst = appendHeader(dst, Version, TypeErr, reqID)
+	dst = appendHeader(dst, TypeErr, reqID)
 	dst = append(dst, code)
 	return append(dst, msg...)
 }
@@ -274,23 +261,34 @@ func DecodeErr(p []byte) (code uint8, msg string) {
 	return p[0], string(p[1:])
 }
 
-// appendRMCell appends a framed RM cell of the given type to dst.
+// appendRMCell appends one 53-byte RM cell to dst.
 //
 //rcbr:zeroalloc
-func appendRMCell(dst []byte, typ uint8, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
+func appendRMCell(dst []byte, h cell.Header, m cell.RM) ([]byte, error) {
 	raw, err := cell.Build(h, m)
 	if err != nil {
 		return dst, err
 	}
-	dst = appendHeader(dst, Version, typ, reqID)
 	return append(dst, raw[:]...), nil
+}
+
+// appendRMFrame appends an RM frame of one cell; on error dst comes back as
+// it was given.
+//
+//rcbr:zeroalloc
+func appendRMFrame(dst []byte, typ uint8, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
+	out, err := appendRMCell(appendHeader(dst, typ, reqID), h, m)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 // AppendRM appends a renegotiation datagram wrapping a full RM cell to dst.
 //
 //rcbr:zeroalloc
 func AppendRM(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
-	return appendRMCell(dst, TypeRM, reqID, h, m)
+	return appendRMFrame(dst, TypeRM, reqID, h, m)
 }
 
 // EncodeRM builds a renegotiation datagram wrapping a full RM cell.
@@ -303,7 +301,7 @@ func EncodeRM(reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
 //
 //rcbr:zeroalloc
 func AppendRMReply(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
-	return appendRMCell(dst, TypeRMReply, reqID, h, m)
+	return appendRMFrame(dst, TypeRMReply, reqID, h, m)
 }
 
 // EncodeRMReply builds a reply datagram wrapping the backward RM cell.
@@ -311,121 +309,28 @@ func EncodeRMReply(reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
 	return AppendRMReply(make([]byte, 0, headerLen+cell.Size), reqID, h, m)
 }
 
-// DecodeRM parses an RM payload back into header and message.
+// rmCells returns the number of cells k in an RM payload. The framing is
+// strict — k whole cells, 1 <= k <= MaxRMBatch, nothing before, between or
+// after them — and so is cell.Parse, so every accepted payload re-encodes to
+// the bytes that arrived. An accepted payload is walked cell.Size bytes at a
+// time.
+//
+//rcbr:zeroalloc
+func rmCells(p []byte) (int, error) {
+	k := len(p) / cell.Size
+	if k == 0 || k > MaxRMBatch || len(p) != k*cell.Size {
+		return 0, fmt.Errorf("%w: RM payload of %d bytes", ErrFrame, len(p))
+	}
+	return k, nil
+}
+
+// DecodeRM parses the payload of a one-cell RM frame back into header and
+// message.
 //
 //rcbr:zeroalloc
 func DecodeRM(p []byte) (cell.Header, cell.RM, error) {
-	if len(p) < cell.Size {
+	if len(p) != cell.Size {
 		return cell.Header{}, cell.RM{}, ErrFrame
 	}
-	return cell.Parse(p[:cell.Size])
-}
-
-// Batch entry flag bits, mirroring the RM-cell flag byte (cell/rm.go).
-const (
-	batchFlagBackward = 1 << iota
-	batchFlagResponse
-	batchFlagResync
-	batchFlagDeny
-	batchFlagDecrease
-)
-
-// appendRMBatch appends a batch frame of the given type. The payload is a
-// count byte followed by count fixed-size entries; rates travel in the same
-// TM 4.0 16-bit encoding as RM cells, so a batched renegotiation quantizes
-// exactly like a singleton one.
-//
-//rcbr:zeroalloc
-func appendRMBatch(dst []byte, typ uint8, reqID uint32, items []switchfab.RMItem) ([]byte, error) {
-	if len(items) == 0 || len(items) > MaxRMBatch {
-		return dst, fmt.Errorf("%w: batch of %d items", ErrFrame, len(items))
-	}
-	dst = appendHeader(dst, VersionBatch, typ, reqID)
-	dst = append(dst, uint8(len(items)))
-	for _, it := range items {
-		var flags uint8
-		if it.M.Backward {
-			flags |= batchFlagBackward
-		}
-		if it.M.Response {
-			flags |= batchFlagResponse
-		}
-		if it.M.Resync {
-			flags |= batchFlagResync
-		}
-		if it.M.Deny {
-			flags |= batchFlagDeny
-		}
-		if it.M.Decrease {
-			flags |= batchFlagDecrease
-		}
-		er, err := cell.EncodeRate16(it.M.ER)
-		if err != nil {
-			return dst, err
-		}
-		var e [rmEntryLen]byte
-		e[0] = it.VPI
-		binary.BigEndian.PutUint16(e[1:3], it.VCI)
-		e[3] = flags
-		binary.BigEndian.PutUint16(e[4:6], er)
-		binary.BigEndian.PutUint32(e[6:10], it.M.Seq)
-		dst = append(dst, e[:]...)
-	}
-	return dst, nil
-}
-
-// AppendRMBatch appends a version-3 batch request frame coalescing the
-// items' RM messages to dst.
-//
-//rcbr:zeroalloc
-func AppendRMBatch(dst []byte, reqID uint32, items []switchfab.RMItem) ([]byte, error) {
-	return appendRMBatch(dst, TypeRMBatch, reqID, items)
-}
-
-// AppendRMBatchReply appends a version-3 batch reply frame to dst.
-//
-//rcbr:zeroalloc
-func AppendRMBatchReply(dst []byte, reqID uint32, items []switchfab.RMItem) ([]byte, error) {
-	return appendRMBatch(dst, TypeRMBatchReply, reqID, items)
-}
-
-// DecodeRMBatch parses a batch payload (request or reply), appending the
-// entries to items — pass a reused slice's [:0] for an allocation-free
-// steady state. The codec is strict: undefined flag bits and trailing bytes
-// are rejected, so every accepted payload re-encodes to identical wire
-// bytes.
-//
-//rcbr:zeroalloc
-func DecodeRMBatch(p []byte, items []switchfab.RMItem) ([]switchfab.RMItem, error) {
-	if len(p) < 1 {
-		return items, ErrFrame
-	}
-	n := int(p[0])
-	if n == 0 || n > MaxRMBatch {
-		return items, fmt.Errorf("%w: batch of %d items", ErrFrame, n)
-	}
-	if len(p) != 1+n*rmEntryLen {
-		return items, fmt.Errorf("%w: batch payload length %d", ErrFrame, len(p))
-	}
-	for i := 0; i < n; i++ {
-		e := p[1+i*rmEntryLen:]
-		flags := e[3]
-		if flags&^(batchFlagBackward|batchFlagResponse|batchFlagResync|batchFlagDeny|batchFlagDecrease) != 0 {
-			return items, fmt.Errorf("%w: undefined batch flag bits %#x", ErrFrame, flags)
-		}
-		items = append(items, switchfab.RMItem{
-			VPI: e[0],
-			VCI: binary.BigEndian.Uint16(e[1:3]),
-			M: cell.RM{
-				Backward: flags&batchFlagBackward != 0,
-				Response: flags&batchFlagResponse != 0,
-				Resync:   flags&batchFlagResync != 0,
-				Deny:     flags&batchFlagDeny != 0,
-				Decrease: flags&batchFlagDecrease != 0,
-				ER:       cell.DecodeRate16(binary.BigEndian.Uint16(e[4:6])),
-				Seq:      binary.BigEndian.Uint32(e[6:10]),
-			},
-		})
-	}
-	return items, nil
+	return cell.Parse(p)
 }

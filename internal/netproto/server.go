@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
 	"rcbr/internal/switchfab"
 )
@@ -22,9 +23,8 @@ const (
 	MetricServerErrors     = "signal.server.error_replies"
 	MetricServerDropped    = "signal.server.dropped_datagrams"
 	MetricServerReadErrors = "signal.server.read_errors"
-	// Batch frames (framing v3) are counted separately: whole batches and
-	// the RM messages they carried.
-	MetricServerBatches    = "signal.batch.server_batches"
+	// MetricServerBatchCells counts the RM cells the RM frames carried
+	// (MetricServerRM counts the frames).
 	MetricServerBatchCells = "signal.batch.server_cells"
 )
 
@@ -49,7 +49,6 @@ type serverInstruments struct {
 	errors     *metrics.Counter
 	dropped    *metrics.Counter
 	readErrors *metrics.Counter
-	batches    *metrics.Counter
 	batchCells *metrics.Counter
 }
 
@@ -124,7 +123,6 @@ func WithServerMetrics(reg *metrics.Registry) ServerOption {
 			errors:     reg.Counter(MetricServerErrors),
 			dropped:    reg.Counter(MetricServerDropped),
 			readErrors: reg.Counter(MetricServerReadErrors),
-			batches:    reg.Counter(MetricServerBatches),
 			batchCells: reg.Counter(MetricServerBatchCells),
 		}
 	}
@@ -170,22 +168,15 @@ type job struct {
 }
 
 // scratch is one worker's reusable working memory: the reply frame under
-// construction and the decoded/processed batch slices. Each worker owns one
-// scratch and finishes writing a reply before handling the next datagram,
-// so the steady-state request path (decode, switch call, reply encode)
-// allocates nothing.
+// construction. Each worker owns one scratch and finishes writing a reply
+// before handling the next datagram, so the steady-state request path
+// (decode, switch call, reply encode) allocates nothing.
 type scratch struct {
 	reply []byte
-	items []switchfab.RMItem
-	out   []switchfab.RMItem
 }
 
 func newScratch() *scratch {
-	return &scratch{
-		reply: make([]byte, 0, maxFrame),
-		items: make([]switchfab.RMItem, 0, MaxRMBatch),
-		out:   make([]switchfab.RMItem, 0, MaxRMBatch),
-	}
+	return &scratch{reply: make([]byte, 0, maxFrame)}
 }
 
 // Serve processes datagrams until Close. It always returns a non-nil error;
@@ -329,40 +320,37 @@ func (s *Server) handle(b []byte, sc *scratch) []byte {
 		return AppendOK(sc.reply[:0], TypeTeardownOK, f.ReqID)
 
 	case TypeRM:
+		// One reply cell per cell the switch resolved, in request order. A
+		// cell it could not resolve (unknown VC, invalid request) is left
+		// out, and the sender matches replies by (VPI, VCI); a frame in
+		// which nothing resolved is answered with its first cell's error,
+		// which for the frame of one is that renegotiation's error. A cell
+		// that fails the codec's checks fails the frame where it stands:
+		// the cells ahead of it have been applied, and the sender's
+		// fallback is an absolute resync, which that does not disturb.
 		s.ins.rm.Inc()
-		h, m, err := DecodeRM(f.Payload)
+		k, err := rmCells(f.Payload)
 		if err != nil {
 			return s.errReply(sc, f.ReqID, err)
 		}
-		resp, err := s.sw.HandleRM(h, m)
-		if err != nil {
-			return s.errReply(sc, f.ReqID, err)
+		s.ins.batchCells.Add(int64(k))
+		reply := appendHeader(sc.reply[:0], TypeRMReply, f.ReqID)
+		var unresolved error
+		for p := f.Payload; len(p) > 0; p = p[cell.Size:] {
+			h, m, err := DecodeRM(p[:cell.Size])
+			if err != nil {
+				return s.errReply(sc, f.ReqID, err)
+			}
+			resp, err := s.sw.HandleRM(h, m)
+			if err == nil {
+				reply, err = appendRMCell(reply, h, resp)
+			}
+			if err != nil && unresolved == nil {
+				unresolved = err
+			}
 		}
-		reply, err := AppendRMReply(sc.reply[:0], f.ReqID, h, resp)
-		if err != nil {
-			return s.errReply(sc, f.ReqID, err)
-		}
-		return reply
-
-	case TypeRMBatch:
-		s.ins.batches.Inc()
-		items, err := DecodeRMBatch(f.Payload, sc.items[:0])
-		sc.items = items[:0]
-		if err != nil {
-			return s.errReply(sc, f.ReqID, err)
-		}
-		s.ins.batchCells.Add(int64(len(items)))
-		out := s.sw.HandleRMBatch(items, sc.out[:0])
-		sc.out = out[:0]
-		if len(out) == 0 {
-			// Nothing in the batch resolved to an established VC; an empty
-			// batch is not encodable, so answer with the sentinel and let
-			// the client's per-VC fallback obtain precise errors.
-			return s.errReply(sc, f.ReqID, switchfab.ErrNoVC)
-		}
-		reply, err := AppendRMBatchReply(sc.reply[:0], f.ReqID, out)
-		if err != nil {
-			return s.errReply(sc, f.ReqID, err)
+		if len(reply) == headerLen {
+			return s.errReply(sc, f.ReqID, unresolved)
 		}
 		return reply
 

@@ -62,45 +62,9 @@ func BenchmarkSwitchHandleRM(b *testing.B) {
 	}
 }
 
-// BenchmarkRMBatch compares a full HandleRMBatch against the same work done
-// as singleton HandleRM calls; ns/op is per RM message in both cases.
-func BenchmarkRMBatch(b *testing.B) {
-	const vcs = 16384
-	for _, k := range []int{8, 32} {
-		b.Run(fmt.Sprintf("batch=%d", k), func(b *testing.B) {
-			s := newBenchSwitch(b, vcs)
-			items := make([]RMItem, k)
-			for i := range items {
-				id := benchID(i * 37 % vcs)
-				items[i] = RMItem{VPI: id.VPI(), VCI: id.VCI(), M: cell.RM{Resync: true, ER: 100e3}}
-			}
-			out := make([]RMItem, 0, k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i += k {
-				out = s.HandleRMBatch(items, out[:0])
-				if len(out) != k {
-					b.Fatalf("%d replies, want %d", len(out), k)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("singleton=%d", k), func(b *testing.B) {
-			s := newBenchSwitch(b, vcs)
-			m := cell.RM{Resync: true, ER: 100e3}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := benchID(i % k * 37 % vcs)
-				h := cell.Header{VPI: id.VPI(), VCI: id.VCI()}
-				if _, err := s.HandleRM(h, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestParallelFabricChurn is the race-detector shim behind the fabric
-// benchmarks (make race-parallel): setups, teardowns, singleton RM cells,
-// batches, and table listings all running against each other.
+// benchmarks (make race-parallel): setups, teardowns, RM cells and table
+// listings all running against each other.
 func TestParallelFabricChurn(t *testing.T) {
 	const (
 		workers = 8
@@ -114,8 +78,8 @@ func TestParallelFabricChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			switch w % 4 {
-			case 0: // singleton renegotiations
-				m := cell.RM{Resync: true, ER: 200e3}
+			case 0, 1: // renegotiations, two target rates pulling on the same VCs
+				m := cell.RM{Resync: true, ER: 200e3 - float64(w%4)*50e3}
 				for i := 0; i < rounds*8; i++ {
 					id := benchID((i*7 + w) % vcs)
 					h := cell.Header{VPI: id.VPI(), VCI: id.VCI()}
@@ -123,16 +87,6 @@ func TestParallelFabricChurn(t *testing.T) {
 						t.Error(err)
 						return
 					}
-				}
-			case 1: // batches
-				items := make([]RMItem, 16)
-				out := make([]RMItem, 0, 16)
-				for i := 0; i < rounds; i++ {
-					for j := range items {
-						id := benchID((i*16 + j*3 + w) % vcs)
-						items[j] = RMItem{VPI: id.VPI(), VCI: id.VCI(), M: cell.RM{Resync: true, ER: 150e3}}
-					}
-					out = s.HandleRMBatch(items, out[:0])
 				}
 			case 2: // churn a private VC range up and down
 				base := 1 << 20 * (w/4 + 1) // VPIs far above the shared set

@@ -39,10 +39,6 @@ func TestSetupRejectsNonFiniteRates(t *testing.T) {
 		if _, err := s.HandleRM(cell.Header{VCI: 10}, cell.RM{ER: rate}); !errors.Is(err, ErrInvalidRate) {
 			t.Errorf("HandleRM(ER=%v): %v, want ErrInvalidRate", rate, err)
 		}
-		out := s.HandleRMBatch([]RMItem{{VCI: 10, M: cell.RM{ER: rate, Seq: 1}}}, nil)
-		if len(out) != 0 {
-			t.Errorf("HandleRMBatch(ER=%v) produced a reply: %+v", rate, out)
-		}
 	}
 	// The port must be untouched by all of the rejected messages: still the
 	// one valid call, still finite, still renegotiable.

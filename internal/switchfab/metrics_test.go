@@ -314,10 +314,6 @@ func TestCountersAreViewsOfStats(t *testing.T) {
 	sw.Renegotiate(1, 5e6)                                   // denial
 	sw.RenegotiateBest(2, 5e6)                               // partial grant
 	sw.RenegotiateBest(1, 5e6)                               // no headroom left: denial
-	sw.HandleRMBatch([]RMItem{
-		{VCI: 1, M: cell.RM{Decrease: true, ER: 50e3, Seq: 3}},
-		{VCI: 2, M: cell.RM{Decrease: true, ER: 50e3, Seq: 1}},
-	}, nil)
 	if err := sw.Teardown(2); err != nil {
 		t.Fatal(err)
 	}
@@ -339,8 +335,6 @@ func TestCountersAreViewsOfStats(t *testing.T) {
 		MetricPartialGrants:   st.PartialGrants,
 		MetricResyncs:         st.Resyncs,
 		MetricDupDrops:        st.DupDrops,
-		MetricRMBatches:       st.Batches,
-		MetricRMBatchCells:    st.BatchCells,
 		MetricReservedClamped: st.ReservedClamps,
 	} {
 		if want == 0 {
@@ -359,7 +353,7 @@ func TestCountersAreViewsOfStats(t *testing.T) {
 			n++
 		}
 	}
-	if n != 12 {
-		t.Errorf("registry holds %d switch.* counters, the test checks 12", n)
+	if n != 10 {
+		t.Errorf("registry holds %d switch.* counters, the test checks 10", n)
 	}
 }

@@ -231,10 +231,6 @@ type Stats struct {
 	// DupDrops counts sequenced delta RM cells dropped as delayed
 	// duplicates (see HandleRM).
 	DupDrops int64
-	// Batches counts HandleRMBatch calls; BatchCells the RM messages they
-	// carried.
-	Batches    int64
-	BatchCells int64
 	// ReservedClamps counts the times a port's reserved figure went negative
 	// (floating-point residue under churn) and was clamped back to zero.
 	// A nonzero value on a workload with exactly-representable rates is an
@@ -254,8 +250,6 @@ type statCounters struct {
 	partialGrants  atomic.Int64
 	resyncs        atomic.Int64
 	dupDrops       atomic.Int64
-	batches        atomic.Int64
-	batchCells     atomic.Int64
 	reservedClamps atomic.Int64
 }
 
@@ -315,10 +309,6 @@ const (
 	MetricResyncs       = "switch.resyncs"
 	MetricDupDrops      = "switch.rm_duplicates_dropped"
 	MetricRenegLatency  = "switch.renegotiation_seconds"
-	// MetricRMBatches / MetricRMBatchCells count HandleRMBatch invocations
-	// and the RM messages they coalesced.
-	MetricRMBatches    = "switch.rm_batches"
-	MetricRMBatchCells = "switch.rm_batch_cells"
 	// MetricReservedClamped counts negative-residue clamps of a port's
 	// reserved figure (see Stats.ReservedClamps).
 	MetricReservedClamped = "switch.port.reserved_clamped"
@@ -435,8 +425,6 @@ func New(opts ...Option) *Switch {
 		s.reg.CounterFunc(MetricPartialGrants, s.stats.partialGrants.Load)
 		s.reg.CounterFunc(MetricResyncs, s.stats.resyncs.Load)
 		s.reg.CounterFunc(MetricDupDrops, s.stats.dupDrops.Load)
-		s.reg.CounterFunc(MetricRMBatches, s.stats.batches.Load)
-		s.reg.CounterFunc(MetricRMBatchCells, s.stats.batchCells.Load)
 		s.reg.CounterFunc(MetricReservedClamped, s.stats.reservedClamps.Load)
 	}
 	return s
@@ -740,8 +728,7 @@ func (s *Switch) renegStart() time.Time {
 // observeRenegLatency records one renegotiation-latency observation. Both
 // Renegotiate and HandleRM observe on every path past argument validation —
 // grant, deny, duplicate drop, and error alike — so the histogram is a
-// faithful per-request latency record. HandleRMBatch observes once per
-// batch: the batch is the request.
+// faithful per-request latency record.
 //
 //rcbr:zeroalloc
 func (s *Switch) observeRenegLatency(start time.Time) {
@@ -815,27 +802,15 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	}
 	defer s.observeRenegLatency(s.renegStart())
 	id := MakeVCID(h.VPI, h.VCI)
-	back, ok := s.handleRM(id, m)
-	if !ok {
-		return cell.RM{}, fmt.Errorf("%w: %s", ErrNoVC, id)
-	}
-	return back, nil
-}
-
-// handleRM applies one validated forward RM message and builds the backward
-// cell; ok is false when id names no established VC.
-//
-//rcbr:zeroalloc
-func (s *Switch) handleRM(id VCID, m cell.RM) (back cell.RM, ok bool) {
 	vc := s.vcs.Get(uint32(id))
 	if vc == nil {
-		return cell.RM{}, false
+		return cell.RM{}, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	p := vc.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if vc.gone {
-		return cell.RM{}, false
+		return cell.RM{}, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	if m.Seq != 0 {
 		if !m.Resync && vc.seqSeen && m.Seq <= vc.lastSeq {
@@ -846,7 +821,7 @@ func (s *Switch) handleRM(id VCID, m cell.RM) (back cell.RM, ok bool) {
 				Resync:   true, // ER below is absolute
 				ER:       vc.rate,
 				Seq:      m.Seq,
-			}, true
+			}, nil
 		}
 		vc.lastSeq = m.Seq
 		vc.seqSeen = true
@@ -874,45 +849,7 @@ func (s *Switch) handleRM(id VCID, m cell.RM) (back cell.RM, ok bool) {
 		Deny:     !full,
 		ER:       granted,
 		Seq:      m.Seq,
-	}, true
-}
-
-// RMItem is one VC's RM message inside a coalesced batch: the forward
-// message on the way in, the backward cell on the way out.
-type RMItem struct {
-	VPI uint8
-	VCI uint16
-	M   cell.RM
-}
-
-// HandleRMBatch processes a coalesced batch of forward RM messages for
-// distinct VCs and appends the backward cells to out in request order (out
-// may be nil; it is returned grown, so callers can reuse one slice across
-// batches for an allocation-free steady state).
-//
-// Per-item semantics are exactly HandleRM's (sequence duplicate-drop,
-// resync, deny accounting, events), with one wire-shaped difference:
-// invalid items (backward/response set, non-finite or negative ER) and unknown VCs
-// produce no reply entry instead of an error, so callers match replies to
-// requests by (VPI, VCI) and treat a missing entry as a per-VC failure to
-// resolve on the singleton path. The renegotiation-latency histogram
-// records one observation for the whole batch.
-//
-//rcbr:zeroalloc
-func (s *Switch) HandleRMBatch(items []RMItem, out []RMItem) []RMItem {
-	defer s.observeRenegLatency(s.renegStart())
-	s.stats.batches.Add(1)
-	s.stats.batchCells.Add(int64(len(items)))
-	for i := range items {
-		it := &items[i]
-		if it.M.Backward || it.M.Response || !validRate(it.M.ER) {
-			continue
-		}
-		if back, ok := s.handleRM(MakeVCID(it.VPI, it.VCI), it.M); ok {
-			out = append(out, RMItem{VPI: it.VPI, VCI: it.VCI, M: back})
-		}
-	}
-	return out
+	}, nil
 }
 
 // VCRate returns the reserved rate of a VC (VPI 0).
@@ -1022,8 +959,6 @@ func (s *Switch) Stats() Stats {
 		Denials:        s.stats.denials.Load(),
 		Resyncs:        s.stats.resyncs.Load(),
 		DupDrops:       s.stats.dupDrops.Load(),
-		Batches:        s.stats.batches.Load(),
-		BatchCells:     s.stats.batchCells.Load(),
 		ReservedClamps: s.stats.reservedClamps.Load(),
 	}
 }

@@ -16,6 +16,8 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("RCBT"))
 	f.Add([]byte{})
+	// A header claiming 3.4e9 frames with four bytes behind it.
+	f.Add([]byte("RCBT\x00\x01\x00\x00]\xc0\x00\x00\x00\x00\xc8\x01\xac\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

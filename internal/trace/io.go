@@ -74,8 +74,11 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if count > maxFrames {
 		return nil, fmt.Errorf("trace: frame count %d exceeds limit", count)
 	}
-	frames := make([]int64, count)
-	for i := range frames {
+	// The count is the header's claim, not yet backed by data — 18 bytes can
+	// claim 2^32 frames — so reserve for a bounded part of it and let the
+	// slice grow with the frames that arrive.
+	frames := make([]int64, 0, min(count, 1<<16))
+	for i := uint64(0); i < count; i++ {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: reading frame %d: %w", i, err)
@@ -83,7 +86,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if v > 1<<62 {
 			return nil, fmt.Errorf("trace: frame %d size overflows", i)
 		}
-		frames[i] = int64(v)
+		frames = append(frames, int64(v))
 	}
 	return New(frames, fps), nil
 }

@@ -83,6 +83,14 @@ func TestMakefileBenchCheck(t *testing.T) {
 	if !strings.Contains(string(ci), "run: make bench-check\n") {
 		t.Error("ci.yml does not run `make bench-check`")
 	}
+	// The tracked baseline is re-recorded by hand at a real benchtime; CI
+	// holds its smoke run to the zero-alloc contract and writes nothing back.
+	if !strings.Contains(string(ci), "run: go run ./cmd/benchjson -compare BENCH_trellis.json BENCH_new.json\n") {
+		t.Error("ci.yml does not run the zero-alloc contract gate")
+	}
+	if strings.Contains(string(ci), "cp BENCH_new.json") {
+		t.Error("ci.yml overwrites the tracked baseline with its smoke run")
+	}
 }
 
 // makefileVar returns the whitespace-separated values of a simple `NAME :=`

@@ -29,8 +29,6 @@ const (
 	MetricSwitchResyncs       = switchfab.MetricResyncs
 	MetricSwitchDupDrops      = switchfab.MetricDupDrops
 	MetricSwitchRenegLatency  = switchfab.MetricRenegLatency
-	MetricSwitchRMBatches     = switchfab.MetricRMBatches
-	MetricSwitchRMBatchCells  = switchfab.MetricRMBatchCells
 	MetricSwitchClamps        = switchfab.MetricReservedClamped
 	MetricSwitchSetupLatency  = switchfab.MetricSetupLatency
 	MetricSwitchAdmitLatency  = switchfab.MetricAdmitLatency
@@ -45,11 +43,10 @@ const (
 	MetricSignalClientRMRecv   = netproto.MetricClientRMRecv
 	MetricSignalClientRTT      = netproto.MetricClientRTT
 
-	// Batched renegotiation (owners: internal/netproto, internal/switchfab).
+	// Coalesced renegotiation (owner: internal/netproto).
 	MetricSignalClientBatches       = netproto.MetricClientBatches
 	MetricSignalClientBatchCells    = netproto.MetricClientBatchCells
 	MetricSignalClientBatchFallback = netproto.MetricClientBatchFallbacks
-	MetricSignalServerBatches       = netproto.MetricServerBatches
 	MetricSignalServerBatchCells    = netproto.MetricServerBatchCells
 
 	// Signaling server (owner: internal/netproto).

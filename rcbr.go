@@ -319,10 +319,11 @@ func WithSignalMetrics(reg *MetricsRegistry) SignalClientOption {
 }
 
 // WithSignalBatchWindow makes a SignalClient coalesce renegotiations that
-// arrive within d of each other into one batch RM frame (framing v3, up to
-// 32 cells). Against a pre-batch peer the client falls back to per-VC
-// resyncs, so the option is safe against any switch. Zero disables
-// coalescing (the default).
+// arrive within d of each other into one RM frame — the same frame a single
+// renegotiation travels in, carrying one RM cell per VC, at most 9 to a
+// datagram. A VC the frame does not resolve falls back to a per-VC resync,
+// so the option changes datagram count and latency, never results. Zero
+// disables coalescing (the default).
 func WithSignalBatchWindow(d time.Duration) SignalClientOption {
 	return netproto.WithBatchWindow(d)
 }
