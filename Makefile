@@ -5,21 +5,21 @@
 GO ?= go
 
 # Concurrency-sensitive packages run under the race detector in CI. The
-# trellis and experiments packages gained worker pools; their parallel and
-# sweep tests run raced via race-parallel below.
+# experiments package has a worker pool (Sweep); its sweep tests run raced
+# via race-parallel below.
 RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./cmd/rcbrd/
 
 # Packages whose worker-pool tests run raced through the race-parallel
 # target (each with its own -run filter, so they get explicit recipe lines).
 # TestMakefileRaceParallelSync asserts the recipe stays in sync with this
 # list — update both together.
-RACE_PARALLEL_PKGS := ./internal/trellis/ ./internal/experiments/ ./internal/switchfab/ ./internal/datapath/ ./internal/vctable/
+RACE_PARALLEL_PKGS := ./internal/experiments/ ./internal/switchfab/ ./internal/datapath/ ./internal/vctable/
 
 # Per-fuzz-target smoke budget. `go test -fuzz` takes one target per
 # invocation, hence the explicit list.
 FUZZTIME ?= 10s
 
-.PHONY: all lint test race race-parallel fuzz bench bench-check bench-json bench-speedup
+.PHONY: all lint test race race-parallel fuzz examples bench bench-check bench-json
 
 all: lint test race
 
@@ -51,17 +51,15 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(MAKE) race-parallel
 
-# race-parallel covers the worker pools added for the parallel optimizer
-# and the experiment sweep runner, plus the fabric's churn and same-id
-# lifecycle shims. The datapath line pins GOMAXPROCS=4 so the port-group
-# goroutines truly interleave under the detector even on smaller CI
-# runners; its Table pattern reaches the VC table's tests in both packages
+# race-parallel covers the experiment sweep runner's worker pool, plus the
+# fabric's churn and same-id lifecycle shims. The datapath line pins
+# GOMAXPROCS=4 so the port-group goroutines truly interleave under the
+# detector even on smaller CI runners; its Table pattern reaches the VC table's tests in both packages
 # that hold them (the table itself, and its churn under forwarding),
 # Ring|Burst|CrossGroup the burst-form rings and the per-group egress FIFOs,
 # and StagedSweep|VCEntry the two-stage sweep against its per-cell model
 # and the one-line entry it works on.
 race-parallel:
-	$(GO) test -race -run 'Parallel' ./internal/trellis/
 	$(GO) test -race -run 'Sweep|Fig|MBAC|Latency|Chernoff' ./internal/experiments/
 	$(GO) test -race -run 'Parallel' ./internal/switchfab/
 	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC|Table|Ring|Burst|CrossGroup|StagedSweep|VCEntry' ./internal/datapath/ ./internal/vctable/
@@ -76,6 +74,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime $(FUZZTIME) ./internal/analysis/
+
+# examples runs the five example programs to completion (~7 s in all): the
+# README's snippets mirror them, so this is what checks those snippets
+# against code that executes.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/interactive
+	$(GO) run ./examples/storedvideo
+	$(GO) run ./examples/admission
+	$(GO) run ./examples/bookahead
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSignalThroughput -benchtime=1x ./internal/netproto/
@@ -101,9 +109,3 @@ BENCHJSON ?= BENCH_trellis.json
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) -timeout 30m . \
 		| $(GO) run ./cmd/benchjson -o $(BENCHJSON)
-
-# bench-speedup runs the full two-hour-trace optimization serial vs
-# Parallelism=4 — the EXPERIMENTS.md speedup record.
-bench-speedup:
-	RCBR_FULL_BENCH=1 $(GO) test -run '^$$' -bench BenchmarkTrellisFullTrace \
-		-benchmem -benchtime=$(or $(FULLBENCHTIME),3x) -timeout 60m .

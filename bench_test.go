@@ -211,35 +211,10 @@ func BenchmarkTrellisLevels10(b *testing.B) { benchTrellisLevels(b, 10) }
 func BenchmarkTrellisLevels20(b *testing.B) { benchTrellisLevels(b, 20) }
 func BenchmarkTrellisLevels50(b *testing.B) { benchTrellisLevels(b, 50) }
 
-// --- Parallel trellis advance (Options.Parallelism) ---
-
-func benchTrellisParallel(b *testing.B, workers int) {
-	tr := benchTrace(b)
-	levels := experiments.FeasibleLevels(tr, 300e3, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, err := trellis.Optimize(tr, trellis.Options{
-			Levels:         levels,
-			BufferBits:     300e3,
-			BufferGridBits: 300e3 / 2048,
-			Cost:           core.CostModel{Alpha: 1e6, Beta: 1},
-			Parallelism:    workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrellisParallel1(b *testing.B) { benchTrellisParallel(b, 1) }
-func BenchmarkTrellisParallel2(b *testing.B) { benchTrellisParallel(b, 2) }
-func BenchmarkTrellisParallel4(b *testing.B) { benchTrellisParallel(b, 4) }
-
-// Full-length StarWars optimization, the EXPERIMENTS.md speedup workload.
-// Two hours of video is too heavy for the CI smoke run, so these only fire
-// when RCBR_FULL_BENCH is set (see `make bench-speedup`).
-func benchTrellisFullTrace(b *testing.B, workers int) {
+// BenchmarkTrellisFullTrace is the full-length StarWars optimization of the
+// EXPERIMENTS.md tables. Two hours of video is too heavy for the CI smoke
+// run, so it only fires when RCBR_FULL_BENCH is set.
+func BenchmarkTrellisFullTrace(b *testing.B) {
 	if os.Getenv("RCBR_FULL_BENCH") == "" {
 		b.Skip("set RCBR_FULL_BENCH=1 to run the full-trace benchmark")
 	}
@@ -253,16 +228,12 @@ func benchTrellisFullTrace(b *testing.B, workers int) {
 			BufferBits:     300e3,
 			BufferGridBits: 300e3 / 2048,
 			Cost:           core.CostModel{Alpha: 1e6, Beta: 1},
-			Parallelism:    workers,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkTrellisFullTraceSerial(b *testing.B)    { benchTrellisFullTrace(b, 1) }
-func BenchmarkTrellisFullTraceParallel4(b *testing.B) { benchTrellisFullTrace(b, 4) }
 
 // --- Ablation: Lemma-1 pruning rules ---
 
@@ -490,7 +461,7 @@ func benchMeshRenegotiate(b *testing.B, nHops int) {
 	names := make([]string, nHops+1)
 	for i := 0; i < nHops; i++ {
 		names[i] = "s" + strconv.Itoa(i)
-		if err := m.AddSwitch(names[i], switchfab.New(nil)); err != nil {
+		if err := m.AddSwitch(names[i], switchfab.New()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -596,7 +567,7 @@ func BenchmarkFabricRM64k(b *testing.B) {
 }
 
 func BenchmarkSwitchHandleRM(b *testing.B) {
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(1, 155e6); err != nil {
 		b.Fatal(err)
 	}

@@ -204,3 +204,24 @@ func TestZeroAllocContractNames(t *testing.T) {
 		}
 	}
 }
+
+// TestTrackedBaselineHasNoSmokeCaptures holds the tracked baseline to the
+// benchtime it is recorded at (`make bench-json BENCHTIME=2s`): a one-
+// iteration entry is a -benchtime=1x smoke capture — cold caches, no
+// averaging — unless the operation itself takes over a second, as the
+// RCBR_FULL_BENCH full-trace runs do.
+func TestTrackedBaselineHasNoSmokeCaptures(t *testing.T) {
+	base, err := readBaseline("../../BENCH_trellis.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Results) == 0 {
+		t.Fatal("BENCH_trellis.json tracks no benchmark")
+	}
+	for _, r := range base.Results {
+		if r.Iterations == 1 && r.NsPerOp < 1e9 {
+			t.Errorf("%s: iterations 1 at %.0f ns/op is a smoke capture; re-record with `make bench-json BENCHTIME=2s`",
+				r.Name, r.NsPerOp)
+		}
+	}
+}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestAddPorts(t *testing.T) {
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := addPorts(sw, "1:155e6, 2:622e6,"); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAddPortsErrors(t *testing.T) {
 		"zero cap":  "1:0",
 		"duplicate": "1:10,1:20",
 	} {
-		sw := switchfab.New(nil)
+		sw := switchfab.New()
 		if err := addPorts(sw, spec); err == nil {
 			t.Errorf("%s (%q): accepted", name, spec)
 		}

@@ -47,6 +47,9 @@ func datapathRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkBuffer(*buffer); err != nil {
+		return err
+	}
 	if *frames <= 0 || *frames > 14400 {
 		*frames = 2400 // cell-level replay; keep it short
 	}

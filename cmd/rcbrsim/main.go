@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -190,6 +191,15 @@ func buildTrace(frames int, seed uint64) *trace.Trace {
 	return tr
 }
 
+// checkBuffer refuses a -buffer the queue and source models panic on: a flag
+// value is input, so it comes back as an error.
+func checkBuffer(bits float64) error {
+	if !(bits > 0) || math.IsInf(bits, 0) {
+		return fmt.Errorf("-buffer must be a positive finite number of bits, got %g", bits)
+	}
+	return nil
+}
+
 func fig2(args []string) error {
 	fs := flag.NewFlagSet("fig2", flag.ExitOnError)
 	frames, seed := commonFlags(fs)
@@ -199,6 +209,12 @@ func fig2(args []string) error {
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if err := checkBuffer(*buffer); err != nil {
+		return err
+	}
+	if *levels < 1 {
+		return fmt.Errorf("-levels must be at least 1, got %d", *levels)
 	}
 	stopProf, err := prof.start()
 	if err != nil {
@@ -447,6 +463,9 @@ func latency(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkBuffer(*buffer); err != nil {
+		return err
+	}
 	stopProf, err := prof.start()
 	if err != nil {
 		return err
@@ -567,6 +586,9 @@ func rvbrCompare(args []string) error {
 	buffer := fs.Float64("buffer", 300e3, "RCBR source buffer (bits)")
 	margin := fs.Float64("margin", 1.0, "RVBR token-rate margin (>= 1)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkBuffer(*buffer); err != nil {
 		return err
 	}
 	tr := buildTrace(*frames, *seed)

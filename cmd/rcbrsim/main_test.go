@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("1, 2,30")
@@ -35,5 +38,28 @@ func TestBuildTrace(t *testing.T) {
 	tr := buildTrace(240, 1)
 	if tr.Len() != 240 {
 		t.Fatalf("len %d", tr.Len())
+	}
+}
+
+// TestBufferAndLevelsFlagValidation pins error-not-panic for the flag values
+// the level grid and the queue and source models panic on, one row per
+// subcommand that hands them over.
+func TestBufferAndLevelsFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"fig2", fig2, []string{"-buffer", "-5"}},
+		{"fig2", fig2, []string{"-levels", "0"}},
+		{"latency", latency, []string{"-buffer", "0"}},
+		{"rvbr", rvbrCompare, []string{"-buffer", "-5"}},
+		{"datapath", datapathRun, []string{"-buffer", "0"}},
+		{"signal", signalRun, []string{"-buffer", "NaN"}},
+		{"topology", topologyRun, []string{"-buffer", "+Inf"}},
+	} {
+		if err := tc.run(append([]string{"-frames", "240"}, tc.args...)); err == nil {
+			t.Errorf("rcbrsim %s %s: accepted", tc.name, strings.Join(tc.args, " "))
+		}
 	}
 }

@@ -37,6 +37,9 @@ func signalRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkBuffer(*buffer); err != nil {
+		return err
+	}
 	if *frames <= 0 || *frames > 28800 {
 		*frames = 2880
 	}

@@ -39,3 +39,21 @@ func TestRunBadMode(t *testing.T) {
 		t.Fatal("unknown mode accepted")
 	}
 }
+
+// TestRunBadInputIsAnError pins that flag values the library would panic on
+// come back as errors: each of these used to end in a goroutine dump.
+func TestRunBadInputIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-levels", "0"},
+		{"-levels", "-3"},
+		{"-buffer", "-5"},
+		{"-buffer", "NaN"},
+		{"-buffer", "+Inf"},
+		{"-mode", "online", "-buffer", "0"},
+	} {
+		args = append([]string{"-frames", "240"}, args...)
+		if err := run(args, &strings.Builder{}); err == nil {
+			t.Errorf("schedule %s: accepted", strings.Join(args, " "))
+		}
+	}
+}

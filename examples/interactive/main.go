@@ -36,11 +36,11 @@ func main() {
 		src.Duration(), src.MeanRate())
 
 	// Switch + signaling plane.
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(portID, linkCapacity); err != nil {
 		log.Fatal(err)
 	}
-	srv, err := netproto.NewServer("127.0.0.1:0", sw, nil)
+	srv, err := netproto.NewServer("127.0.0.1:0", sw)
 	if err != nil {
 		log.Fatal(err)
 	}

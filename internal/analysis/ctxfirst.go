@@ -6,9 +6,9 @@ import (
 )
 
 // CtxFirst enforces context plumbing through the signaling surface — the
-// netproto package, the mesh package, and the rcbr facade, the layers
-// whose exported entry points perform (or lead directly to) network I/O
-// or model its latency with real timers:
+// netproto and mesh packages, the layers whose exported entry points
+// perform (or lead directly to) network I/O or model its latency with real
+// timers:
 //
 //  1. An exported function or method that takes a context.Context must
 //     take it as the first parameter.
@@ -31,7 +31,7 @@ var CtxFirst = &Analyzer{
 }
 
 // ctxScopePkgs names the package basenames the analyzer applies to.
-var ctxScopePkgs = map[string]bool{"netproto": true, "rcbr": true, "mesh": true}
+var ctxScopePkgs = map[string]bool{"netproto": true, "mesh": true}
 
 func runCtxFirst(pass *Pass) error {
 	if !ctxScopePkgs[pkgBase(pass.Pkg.Path)] {

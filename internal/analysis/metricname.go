@@ -20,11 +20,11 @@ import (
 //     rejected: a typo'd literal silently records to a dead name.
 //  2. Every Metric* string constant matches ^[a-z]+(\.[a-z_]+)+$ — the
 //     dotted lower-case namespace the README metric tables document.
-//  3. Every metric name literal is declared in exactly one package
-//     repo-wide. Another package wanting the name re-exports the owning
-//     constant (Metric* = owner.Metric*); redeclaring the literal lets
-//     the two drift apart. Findings are reported at every declaration
-//     outside the owning (import-path-smallest) package.
+//  3. Every metric name is declared exactly once repo-wide. Another
+//     package wanting the name uses the owning constant; a second
+//     declaration lets the two drift apart. Findings are reported at
+//     every declaration outside the owning (import-path-smallest)
+//     package.
 //
 // The uniqueness check is repo-wide, so it is only meaningful when
 // rcbrlint runs over the whole module (./...), as CI does.
@@ -109,35 +109,29 @@ func calleeName(info *types.Info, call *ast.CallExpr) (string, bool) {
 
 // metricDecl is one Metric* constant declaration found in library code.
 type metricDecl struct {
-	pkg     string
-	name    string
-	value   string
-	pos     token.Pos
-	literal bool // declared from a string literal (owns the name)
+	pkg   string
+	name  string
+	value string
+	pos   token.Pos
 }
 
 // checkMetricConstDecls validates the Metric* constants the current
-// package declares, including repo-wide literal uniqueness.
+// package declares, including repo-wide uniqueness.
 func checkMetricConstDecls(pass *Pass) {
 	mine := metricDecls(pass.Pkg)
 	if len(mine) == 0 {
 		return
 	}
-	// Literal owners across the whole repo, by metric name value.
+	// Declarations across the whole repo, by metric name value.
 	owners := make(map[string][]metricDecl)
 	for _, pkg := range pass.Repo.Sorted() {
 		for _, d := range metricDecls(pkg) {
-			if d.literal {
-				owners[d.value] = append(owners[d.value], d)
-			}
+			owners[d.value] = append(owners[d.value], d)
 		}
 	}
 	for _, d := range mine {
 		if !metricNameRE.MatchString(d.value) {
 			pass.Reportf(d.pos, "metric name %q does not match %s", d.value, metricNameRE)
-		}
-		if !d.literal {
-			continue
 		}
 		dups := owners[d.value]
 		if len(dups) < 2 {
@@ -151,7 +145,7 @@ func checkMetricConstDecls(pass *Pass) {
 		})
 		if owner := dups[0]; owner.pkg != d.pkg {
 			pass.Reportf(d.pos,
-				"metric name %q is owned by %s (%s); re-export that constant instead of redeclaring the literal",
+				"metric name %q is owned by %s (%s); use that constant instead of declaring it again",
 				d.value, owner.pkg, owner.name)
 		} else if owner.pos != d.pos {
 			pass.Reportf(d.pos,
@@ -175,7 +169,7 @@ func metricDecls(pkg *Package) []metricDecl {
 				if !ok {
 					continue
 				}
-				for i, name := range vs.Names {
+				for _, name := range vs.Names {
 					if !strings.HasPrefix(name.Name, "Metric") {
 						continue
 					}
@@ -183,16 +177,11 @@ func metricDecls(pkg *Package) []metricDecl {
 					if !ok || obj.Val().Kind() != constant.String {
 						continue
 					}
-					literal := false
-					if i < len(vs.Values) {
-						_, literal = ast.Unparen(vs.Values[i]).(*ast.BasicLit)
-					}
 					out = append(out, metricDecl{
-						pkg:     pkg.Path,
-						name:    name.Name,
-						value:   constant.StringVal(obj.Val()),
-						pos:     name.Pos(),
-						literal: literal,
+						pkg:   pkg.Path,
+						name:  name.Name,
+						value: constant.StringVal(obj.Val()),
+						pos:   name.Pos(),
 					})
 				}
 			}

@@ -1,10 +1,5 @@
-// Package sub redeclares a metric literal owned by its parent package —
-// the drift the uniqueness rule exists to prevent — and shows the
-// sanctioned alternative: re-exporting the owning constant.
+// Package sub redeclares a metric name owned by its parent package —
+// the drift the uniqueness rule exists to prevent.
 package sub
 
-import "metricname"
-
 const MetricShared = "pkg.shared_rate" // want "owned by metricname"
-
-const MetricSharedAlias = metricname.MetricDup

@@ -396,9 +396,7 @@ func New(opts ...Option) *Forwarder {
 		groups:    DefaultPortGroups,
 	}
 	for _, opt := range opts {
-		if opt != nil {
-			opt(f)
-		}
+		opt(f)
 	}
 	if f.reg != nil {
 		f.ins = instruments{

@@ -372,6 +372,9 @@ func Run(tr *trace.Trace, B float64, p Params, net Negotiator) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
+	if !(B > 0) {
+		return Result{}, fmt.Errorf("heuristic: buffer must be positive, got %g", B)
+	}
 	initial := p.InitialRate
 	if initial == 0 {
 		initial = p.Granularity

@@ -376,6 +376,11 @@ func TestRunInvalidParams(t *testing.T) {
 	if _, err := Run(constTrace(1, 10), 1e5, Params{}, nil); err == nil {
 		t.Fatal("invalid params accepted")
 	}
+	for _, B := range []float64{0, -5, math.NaN()} {
+		if _, err := Run(constTrace(1, 10), B, DefaultParams(64e3), nil); err == nil {
+			t.Fatalf("buffer of %v bits accepted", B)
+		}
+	}
 }
 
 func TestMaxRateCap(t *testing.T) {

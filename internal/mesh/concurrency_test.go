@@ -28,7 +28,7 @@ func TestConcurrentBottleneckNoOvercommit(t *testing.T) {
 	m := New()
 	// Parking lot: a dedicated ingress switch per path, all funneling
 	// into one shared bottleneck switch.
-	shared := switchfab.New(nil)
+	shared := switchfab.New()
 	if err := m.AddSwitch("bneck", shared); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestConcurrentBottleneckNoOvercommit(t *testing.T) {
 	paths := make([]*Path, nPaths)
 	for i := 0; i < nPaths; i++ {
 		name := "in" + string(rune('a'+i/26)) + string(rune('a'+i%26))
-		if err := m.AddSwitch(name, switchfab.New(nil)); err != nil {
+		if err := m.AddSwitch(name, switchfab.New()); err != nil {
 			t.Fatal(err)
 		}
 		// Generous ingress links: the shared link is the only bottleneck.
@@ -122,7 +122,7 @@ func TestMinAlongPathProperty(t *testing.T) {
 		minCeiling := float64(capacity)
 		for i := range names {
 			names[i] = "s" + string(rune('a'+i))
-			if err := m.AddSwitch(names[i], switchfab.New(nil)); err != nil {
+			if err := m.AddSwitch(names[i], switchfab.New()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -245,12 +245,6 @@ type Hop struct {
 	delay time.Duration
 }
 
-// NewHop builds a hop directly, outside any registered topology; its
-// latency histogram is inactive. Route is the usual way to obtain hops.
-func NewHop(name string, tr Transport, port int, delay time.Duration) Hop {
-	return Hop{node: &node{name: name, tr: tr}, port: port, delay: delay}
-}
-
 // Name returns the hop's node name.
 func (h Hop) Name() string { return h.node.name }
 

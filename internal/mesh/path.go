@@ -14,7 +14,7 @@ import (
 // RateError reports an end-to-end rate request the path could not grant in
 // full, carrying the bottleneck hop and the counter-offer the path settled
 // at (Offered equals the old rate on a flat denial). It unwraps to
-// switchfab.ErrCapacity, so errors.Is(err, rcbr.ErrCapacity) holds.
+// switchfab.ErrCapacity, so errors.Is(err, switchfab.ErrCapacity) holds.
 type RateError struct {
 	// Hop and HopName identify the bottleneck: the hop whose grant bound
 	// the end-to-end minimum.

@@ -29,7 +29,7 @@ func TestAppendRMZeroAlloc(t *testing.T) {
 }
 
 func TestDecodeRMZeroAlloc(t *testing.T) {
-	pkt, err := EncodeRM(9, cell.Header{VCI: 42}, cell.RM{ER: 1e6, Seq: 7})
+	pkt, err := AppendRM(nil, 9, cell.Header{VCI: 42}, cell.RM{ER: 1e6, Seq: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

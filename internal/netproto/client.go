@@ -100,8 +100,7 @@ var ErrTimeout = errors.New("netproto: request timed out")
 // and friends work on the client side too.
 var ErrRemote = errors.New("netproto: remote error")
 
-// ClientOption configures a Client at dial time. A nil ClientOption is
-// ignored.
+// ClientOption configures a Client at dial time.
 type ClientOption func(*Client)
 
 // WithTimeout sets the per-attempt reply deadline (default 500ms).
@@ -181,9 +180,7 @@ func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Clien
 		readerDone: make(chan struct{}),
 	}
 	for _, opt := range opts {
-		if opt != nil {
-			opt(c)
-		}
+		opt(c)
 	}
 	go c.readLoop()
 	return c, nil

@@ -13,15 +13,15 @@ import (
 // frame.
 func FuzzServerHandle(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeSetup(1, SetupReq{VCI: 1, Port: 1, Rate: 1e5}))
-	f.Add(EncodeTeardown(2, 1))
-	f.Add(EncodeErr(3, ErrCodeGeneric, "x"))
+	f.Add(AppendSetup(nil, 1, SetupReq{VCI: 1, Port: 1, Rate: 1e5}))
+	f.Add(AppendTeardown(nil, 2, 1))
+	f.Add(AppendErr(nil, 3, ErrCodeGeneric, "x"))
 	f.Add([]byte{Magic, Version, 99, 0, 0, 0, 0})
 	for _, seed := range rmFrameSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sw := switchfab.New(nil)
+		sw := switchfab.New()
 		if err := sw.AddPort(1, 1e6); err != nil {
 			t.Fatal(err)
 		}

@@ -121,11 +121,11 @@ func (p *lossyProxy) serverLoop() {
 }
 
 func TestRetriesSurvivePacketLoss(t *testing.T) {
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", sw, nil)
+	srv, err := NewServer("127.0.0.1:0", sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestDeltaNotAppliedTwiceUnderLoss(t *testing.T) {
 	// delta cannot be double-applied. Here we drop nothing on the wire but
 	// force a timeout on the first attempt by dropping exactly the first
 	// datagram after the setup exchange completes.
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", sw, nil)
+	srv, err := NewServer("127.0.0.1:0", sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDelayedDeltaNotAppliedAfterResync(t *testing.T) {
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", sw, nil)
+	srv, err := NewServer("127.0.0.1:0", sw)
 	if err != nil {
 		t.Fatal(err)
 	}

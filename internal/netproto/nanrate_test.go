@@ -22,9 +22,9 @@ func TestServeRejectsNaNRateDatagram(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := newScriptedConn(
-		scriptStep{data: EncodeSetup(9, SetupReq{VCI: 5, Port: 1, Rate: math.NaN()})},
-		scriptStep{data: EncodeSetup(10, SetupReq{VCI: 5, Port: 1, Rate: math.Inf(1)})},
-		scriptStep{data: EncodeSetup(11, SetupReq{VCI: 5, Port: 1, Rate: 1e5})},
+		scriptStep{data: AppendSetup(nil, 9, SetupReq{VCI: 5, Port: 1, Rate: math.NaN()})},
+		scriptStep{data: AppendSetup(nil, 10, SetupReq{VCI: 5, Port: 1, Rate: math.Inf(1)})},
+		scriptStep{data: AppendSetup(nil, 11, SetupReq{VCI: 5, Port: 1, Rate: 1e5})},
 	)
 	srv := NewServerWithConn(conn, sw, WithWorkers(1))
 	go srv.Serve() //nolint:errcheck

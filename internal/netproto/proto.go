@@ -25,11 +25,10 @@
 // text, mapping the switch's sentinel errors onto the wire so clients can
 // match them with errors.Is.
 //
-// Allocation discipline: every Encode* function has an Append* core that
-// writes into a caller-provided buffer, so the steady-state renegotiation
-// path (client request encode, server reply encode, both decodes) runs
-// without heap allocation; the Encode* forms remain as allocating
-// conveniences.
+// Allocation discipline: every encoder is an Append* function that writes
+// into a caller-provided buffer, so the steady-state renegotiation path
+// (client request encode, server reply encode, both decodes) runs without
+// heap allocation.
 package netproto
 
 import (
@@ -130,11 +129,6 @@ func AppendSetup(dst []byte, reqID uint32, req SetupReq) []byte {
 	return append(dst, p[:]...)
 }
 
-// EncodeSetup builds a setup request datagram.
-func EncodeSetup(reqID uint32, req SetupReq) []byte {
-	return AppendSetup(make([]byte, 0, headerLen+12), reqID, req)
-}
-
 // DecodeSetup parses a setup payload. The rate is validated here, at the
 // wire boundary: all 2^64 bit patterns are reachable from the network, and a
 // NaN rate would pass a bare negative check downstream only to poison the
@@ -165,11 +159,6 @@ func AppendTeardown(dst []byte, reqID uint32, vci uint16) []byte {
 	return append(dst, p[:]...)
 }
 
-// EncodeTeardown builds a teardown request for a VCI.
-func EncodeTeardown(reqID uint32, vci uint16) []byte {
-	return AppendTeardown(make([]byte, 0, headerLen+2), reqID, vci)
-}
-
 // DecodeTeardown parses a teardown payload.
 func DecodeTeardown(p []byte) (uint16, error) {
 	if len(p) < 2 {
@@ -182,12 +171,6 @@ func DecodeTeardown(p []byte) (uint16, error) {
 // TypeTeardownOK) to dst.
 func AppendOK(dst []byte, typ uint8, reqID uint32) []byte {
 	return appendHeader(dst, typ, reqID)
-}
-
-// EncodeOK builds a success reply of the given type (TypeSetupOK or
-// TypeTeardownOK).
-func EncodeOK(typ uint8, reqID uint32) []byte {
-	return AppendOK(make([]byte, 0, headerLen), typ, reqID)
 }
 
 // Error codes carried in the first byte of an Err payload. They mirror the
@@ -246,12 +229,6 @@ func AppendErr(dst []byte, reqID uint32, code uint8, msg string) []byte {
 	return append(dst, msg...)
 }
 
-// EncodeErr builds an error reply carrying an error code and a message
-// string.
-func EncodeErr(reqID uint32, code uint8, msg string) []byte {
-	return AppendErr(make([]byte, 0, headerLen+1+len(msg)), reqID, code, msg)
-}
-
 // DecodeErr splits an Err payload into its code and message. An empty
 // payload decodes as a generic error.
 func DecodeErr(p []byte) (code uint8, msg string) {
@@ -291,22 +268,12 @@ func AppendRM(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error
 	return appendRMFrame(dst, TypeRM, reqID, h, m)
 }
 
-// EncodeRM builds a renegotiation datagram wrapping a full RM cell.
-func EncodeRM(reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
-	return AppendRM(make([]byte, 0, headerLen+cell.Size), reqID, h, m)
-}
-
 // AppendRMReply appends a reply datagram wrapping the backward RM cell to
 // dst.
 //
 //rcbr:zeroalloc
 func AppendRMReply(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
 	return appendRMFrame(dst, TypeRMReply, reqID, h, m)
-}
-
-// EncodeRMReply builds a reply datagram wrapping the backward RM cell.
-func EncodeRMReply(reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
-	return AppendRMReply(make([]byte, 0, headerLen+cell.Size), reqID, h, m)
 }
 
 // rmCells returns the number of cells k in an RM payload. The framing is

@@ -216,7 +216,7 @@ func TestServerRMFrameFull(t *testing.T) {
 
 // TestRMFrameGolden pins the frame of one to the bytes the single-RM framing
 // put on the wire before the batch codec was folded into it (captured from
-// EncodeRM and Server.handle at commit 13d3a25, in this order against one
+// AppendRM and Server.handle at commit 13d3a25, in this order against one
 // switch): requests and replies, the TypeErr replies included, are unchanged
 // byte for byte.
 func TestRMFrameGolden(t *testing.T) {
@@ -258,7 +258,7 @@ func TestRMFrameGolden(t *testing.T) {
 			"c502060000000d003002acd30601a5e80000000a000000000000000000000000000000000000000000000000000000000000000000000000000001cc",
 			"c502030000000d007377697463686661623a2048616e646c65524d206f6e2061206261636b776172642f726573706f6e73652063656c6c"},
 	} {
-		req, err := EncodeRM(c.id, c.h, c.m)
+		req, err := AppendRM(nil, c.id, c.h, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}

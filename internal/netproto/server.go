@@ -74,9 +74,7 @@ type Server struct {
 	done   chan struct{}
 }
 
-// ServerOption configures a Server at construction time. A nil ServerOption
-// is ignored (so legacy call sites passing a nil logger positionally keep
-// compiling).
+// ServerOption configures a Server at construction time.
 type ServerOption func(*Server)
 
 // WithLogger directs signaling errors to logger; the default discards them.
@@ -149,9 +147,7 @@ func NewServerWithConn(conn net.PacketConn, sw *switchfab.Switch, opts ...Server
 		done:    make(chan struct{}),
 	}
 	for _, opt := range opts {
-		if opt != nil {
-			opt(s)
-		}
+		opt(s)
 	}
 	return s
 }

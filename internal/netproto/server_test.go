@@ -90,7 +90,7 @@ func TestServeSurvivesTransientReadErrors(t *testing.T) {
 	conn := newScriptedConn(
 		scriptStep{err: transient},
 		scriptStep{err: transient},
-		scriptStep{data: EncodeSetup(7, SetupReq{VCI: 3, Port: 1, Rate: 1e5})},
+		scriptStep{data: AppendSetup(nil, 7, SetupReq{VCI: 3, Port: 1, Rate: 1e5})},
 	)
 	reg := metrics.NewRegistry()
 	srv := NewServerWithConn(conn, sw, WithServerMetrics(reg), WithWorkers(2))
@@ -167,7 +167,7 @@ func TestServeShedsLoadWhenQueueFull(t *testing.T) {
 	// keeps up with loopback sends only because handling (switch work +
 	// reply write) is slower than dropping; some datagrams must be shed.
 	const burst = 2000
-	pkt := EncodeSetup(1, SetupReq{VCI: 1, Port: 1, Rate: 1e3})
+	pkt := AppendSetup(nil, 1, SetupReq{VCI: 1, Port: 1, Rate: 1e3})
 	for i := 0; i < burst; i++ {
 		if _, err := conn.Write(pkt); err != nil {
 			t.Fatal(err)

@@ -51,7 +51,7 @@ func TestWireCodesCoverSentinels(t *testing.T) {
 }
 
 // TestWireErrorRoundTrip drives each sentinel through the full path a
-// remote failure takes: errCode on the server, EncodeErr / ParseFrame /
+// remote failure takes: errCode on the server, AppendErr / ParseFrame /
 // DecodeErr across the wire, and remoteError on the client. The resulting
 // error must satisfy errors.Is for both ErrRemote and the original
 // sentinel — including when the server-side error wraps the sentinel.
@@ -62,10 +62,10 @@ func TestWireErrorRoundTrip(t *testing.T) {
 				t.Errorf("errCode(%v) = %d, want %d", serverErr, got, code)
 				continue
 			}
-			frame := EncodeErr(7, code, serverErr.Error())
+			frame := AppendErr(nil, 7, code, serverErr.Error())
 			f, err := ParseFrame(frame)
 			if err != nil {
-				t.Fatalf("ParseFrame(EncodeErr(code %d)): %v", code, err)
+				t.Fatalf("ParseFrame(AppendErr(code %d)): %v", code, err)
 			}
 			if f.Type != TypeErr || f.ReqID != 7 {
 				t.Fatalf("error frame decoded as type %d reqID %d", f.Type, f.ReqID)
@@ -85,7 +85,7 @@ func TestWireErrorRoundTrip(t *testing.T) {
 // does not know decodes to a generic remote error instead of aliasing onto
 // some other sentinel.
 func TestWireErrorUnknownCode(t *testing.T) {
-	frame := EncodeErr(9, 0xEE, "from the future")
+	frame := AppendErr(nil, 9, 0xEE, "from the future")
 	f, err := ParseFrame(frame)
 	if err != nil {
 		t.Fatalf("ParseFrame: %v", err)

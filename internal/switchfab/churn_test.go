@@ -138,7 +138,7 @@ func TestSetupTeardownDrift(t *testing.T) {
 // TestVCsPage checks that pages concatenate to exactly the full sorted
 // listing, for page sizes that do and do not divide the population.
 func TestVCsPage(t *testing.T) {
-	s := New(nil)
+	s := New()
 	for p := 0; p < 4; p++ {
 		if err := s.AddPort(p, 1e9); err != nil {
 			t.Fatal(err)

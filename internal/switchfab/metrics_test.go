@@ -244,26 +244,24 @@ func TestResyncEventsAndLatencyAccounting(t *testing.T) {
 	}
 }
 
-// TestUninstrumentedSwitchStillWorks covers the nil-options path: New()
-// and New(nil) (the legacy positional-nil-admitter call) behave identically
-// and record nothing.
+// TestUninstrumentedSwitchStillWorks covers the no-options path: a switch
+// built by New() works and records nothing.
 func TestUninstrumentedSwitchStillWorks(t *testing.T) {
-	for _, sw := range []*Switch{New(), New(nil)} {
-		if err := sw.AddPort(1, 1e6); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.Setup(1, 1, 100e3); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, err := sw.Renegotiate(1, 200e3); err != nil || !ok {
-			t.Fatalf("renegotiate: ok=%v err=%v", ok, err)
-		}
-		if err := sw.Teardown(1); err != nil {
-			t.Fatal(err)
-		}
-		if st := sw.Stats(); st.Setups != 1 || st.Renegotiations != 1 {
-			t.Fatalf("stats %+v", st)
-		}
+	sw := New()
+	if err := sw.AddPort(1, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Setup(1, 1, 100e3); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := sw.Renegotiate(1, 200e3); err != nil || !ok {
+		t.Fatalf("renegotiate: ok=%v err=%v", ok, err)
+	}
+	if err := sw.Teardown(1); err != nil {
+		t.Fatal(err)
+	}
+	if st := sw.Stats(); st.Setups != 1 || st.Renegotiations != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

@@ -354,9 +354,7 @@ type Switch struct {
 	events *metrics.EventLog
 }
 
-// Option configures a Switch at construction time. A nil Option is ignored,
-// so legacy call sites passing a nil admitter positionally (New(nil)) keep
-// compiling and behaving as before.
+// Option configures a Switch at construction time.
 type Option func(*Switch)
 
 // WithAdmitter installs the call-admission policy consulted at setup time.
@@ -403,9 +401,7 @@ func New(opts ...Option) *Switch {
 		ports: make(map[int]*port),
 	}
 	for _, opt := range opts {
-		if opt != nil {
-			opt(s)
-		}
+		opt(s)
 	}
 	if s.reg != nil {
 		s.ins = instruments{

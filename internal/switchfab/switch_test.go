@@ -11,7 +11,7 @@ import (
 
 func newTestSwitch(t *testing.T, capacity float64) *Switch {
 	t.Helper()
-	s := New(nil)
+	s := New()
 	if err := s.AddPort(1, capacity); err != nil {
 		t.Fatal(err)
 	}

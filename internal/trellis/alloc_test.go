@@ -1,0 +1,80 @@
+package trellis
+
+import (
+	"testing"
+
+	"rcbr/internal/core"
+	"rcbr/internal/trace"
+)
+
+// TestSteadyStateAllocations is the regression test for the scratch-slice
+// reuse: with a single level there are no rate switches (so no per-segment
+// event allocations beyond slot 0), and once the pooled arenas are warm a
+// whole Optimize call must not allocate per slot. The sort-based global
+// merge this replaced allocated on every slot, which this bound catches.
+func TestSteadyStateAllocations(t *testing.T) {
+	bits := make([]int64, 2000)
+	for i := range bits {
+		bits[i] = 10
+	}
+	tr := trace.New(bits, 1)
+	opt := Options{
+		Levels:     []float64{10},
+		BufferBits: 100,
+		Cost:       core.CostModel{Alpha: 5, Beta: 1},
+	}
+	// Warm the pool so the measured runs reuse the arena.
+	if _, _, err := Optimize(tr, opt); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := Optimize(tr, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Per-call overhead: caps slice, schedule + segments, the pool
+	// round-trip and a few fixed-size headers — nothing proportional to
+	// the 2000 slots.
+	if allocs > 25 {
+		t.Fatalf("Optimize allocated %.0f times for a 2000-slot trace; "+
+			"per-slot scratch is regrowing", allocs)
+	}
+}
+
+// TestMultiLevelAllocationsScaleWithSegments checks the multi-rate steady
+// state. A surviving rate-switch state legitimately allocates one event
+// node (that is the documented one-node-per-segment-candidate design), so
+// the zero-growth assertion needs a workload whose steady state accepts no
+// switch candidates at all: with levels {1, 10}, 10 bits/slot and B = 5,
+// every switch down to rate 1 lands at occupancy 9 > B and is rejected on
+// the buffer cap before any entry or event exists. What remains per slot is
+// the global merge and the cross-rate prune — exactly the machinery whose
+// sort- and scratch-allocations this PR removed — and they must cost
+// nothing as the trace doubles.
+func TestMultiLevelAllocationsScaleWithSegments(t *testing.T) {
+	allocsAt := func(T int) float64 {
+		bits := make([]int64, T)
+		for i := range bits {
+			bits[i] = 10
+		}
+		tr := trace.New(bits, 1)
+		opt := Options{
+			Levels:     []float64{1, 10},
+			BufferBits: 5,
+			Cost:       core.CostModel{Alpha: 50, Beta: 1},
+		}
+		if _, _, err := Optimize(tr, opt); err != nil { // warm pool
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := Optimize(tr, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocsAt(500), allocsAt(1000)
+	if grow := long - short; grow > 50 {
+		t.Fatalf("allocations grew by %.0f over 500 extra slots (%.0f -> %.0f)",
+			grow, short, long)
+	}
+}

@@ -20,9 +20,8 @@
 // segment rather than one per slot. All per-slot scratch (frontiers, the
 // merged global frontier, merge cursors) lives in a pooled arena reused
 // across Optimize calls, so steady-state slots allocate no frontier entries.
-// With Options.Parallelism > 1 the per-slot advance runs on a bounded worker
-// pool, one destination rate per task (see DESIGN.md §10); the schedule is
-// identical to the serial one.
+// Optimize is serial; callers with many grid points to solve run them side
+// by side instead (experiments.Sweep, DESIGN.md §10).
 package trellis
 
 import (
@@ -92,13 +91,6 @@ type Options struct {
 	// FinalSlackBits is the terminal occupancy allowance under
 	// RequireDrained.
 	FinalSlackBits float64
-	// Parallelism, when > 1, advances up to that many destination rates
-	// concurrently within each slot (capped at len(Levels)). Each rate's
-	// new frontier depends only on the previous slot's per-rate frontiers
-	// and the merged global frontier, both frozen during the advance, so
-	// the parallel schedule is bit-identical to the serial one: same cost,
-	// same renegotiation instants. 0 or 1 runs fully serial.
-	Parallelism int
 }
 
 // Stats reports the work done by the optimizer.
@@ -148,7 +140,7 @@ type optimizer struct {
 	ws            []float64 // truncateFrontiers scratch
 	drain         []float64 // bits per slot at each level
 	slotCost      []float64 // beta cost of one slot at each level
-	nodes         []int64   // per-rate NodesExpanded counters
+	nodes         int64     // NodesExpanded
 }
 
 var optPool = sync.Pool{New: func() any { return new(optimizer) }}
@@ -163,15 +155,11 @@ func getOptimizer(k int) *optimizer {
 		o.heap = make([]int32, k)
 		o.drain = make([]float64, k)
 		o.slotCost = make([]float64, k)
-		o.nodes = make([]int64, k)
 	}
 	o.cursor = o.cursor[:k]
 	o.drain = o.drain[:k]
 	o.slotCost = o.slotCost[:k]
-	o.nodes = o.nodes[:k]
-	for i := range o.nodes {
-		o.nodes[i] = 0
-	}
+	o.nodes = 0
 	return o
 }
 
@@ -215,15 +203,6 @@ func Optimize(tr *trace.Trace, opt Options) (*core.Schedule, Stats, error) {
 	}
 
 	run := &slotRun{o: o, opt: &opt}
-	workers := opt.Parallelism
-	if workers > K {
-		workers = K
-	}
-	if workers > 1 {
-		run.startWorkers(workers)
-		defer run.stopWorkers()
-	}
-
 	for t := 0; t < tr.Len(); t++ {
 		run.t = int32(t)
 		run.a = float64(tr.FrameBits[t])
@@ -233,12 +212,8 @@ func Optimize(tr *trace.Trace, opt Options) (*core.Schedule, Stats, error) {
 		} else {
 			run.global = nil
 		}
-		if workers > 1 {
-			run.dispatch(K)
-		} else {
-			for k := 0; k < K; k++ {
-				run.advanceRate(k)
-			}
+		for k := 0; k < K; k++ {
+			run.advanceRate(k)
 		}
 		o.fronts, o.spare = o.spare, o.fronts
 		var total int
@@ -260,9 +235,7 @@ func Optimize(tr *trace.Trace, opt Options) (*core.Schedule, Stats, error) {
 		}
 		o.materialize(int32(t))
 	}
-	for _, n := range o.nodes {
-		st.NodesExpanded += n
-	}
+	st.NodesExpanded = o.nodes
 
 	best, ok := bestEntry(o.fronts, opt)
 	if !ok {
@@ -276,11 +249,8 @@ func Optimize(tr *trace.Trace, opt Options) (*core.Schedule, Stats, error) {
 	return buildSchedule(best.ev, tr.Len(), slotSec, opt.Levels), st, nil
 }
 
-// slotRun carries the per-slot state shared between the coordinating
-// goroutine and the advance workers. The coordinator writes t, a, bcap and
-// global before dispatching; workers only read them and only write their own
-// rate's spare frontier and node counter, so the channel send / WaitGroup
-// barrier is the only synchronization needed.
+// slotRun carries one slot's inputs to advanceRate: the slot index, its
+// arrival and occupancy cap, and the previous slot's merged global frontier.
 type slotRun struct {
 	o      *optimizer
 	opt    *Options
@@ -288,38 +258,10 @@ type slotRun struct {
 	a      float64
 	bcap   float64
 	global []entry
-	tasks  chan int
-	wg     sync.WaitGroup
 }
-
-// startWorkers launches n persistent advance workers for the whole call.
-func (r *slotRun) startWorkers(n int) {
-	r.tasks = make(chan int, len(r.o.fronts))
-	for i := 0; i < n; i++ {
-		go func() {
-			for k := range r.tasks {
-				r.advanceRate(k)
-				r.wg.Done()
-			}
-		}()
-	}
-}
-
-// dispatch fans the K destination rates out to the workers and waits for
-// the slot's merge barrier.
-func (r *slotRun) dispatch(k int) {
-	r.wg.Add(k)
-	for i := 0; i < k; i++ {
-		r.tasks <- i
-	}
-	r.wg.Wait()
-}
-
-func (r *slotRun) stopWorkers() { close(r.tasks) }
 
 // advanceRate computes destination rate k's next frontier into the spare
-// buffer. Safe to run concurrently for distinct k: it reads the frozen
-// previous frontiers and writes only spare[k] and nodes[k].
+// buffer, reading the previous slot's frontiers.
 func (r *slotRun) advanceRate(k int) {
 	o := r.o
 	out := o.spare[k][:0]
@@ -330,12 +272,12 @@ func (r *slotRun) advanceRate(k int) {
 				b: b, w: o.slotCost[k], rate: int32(k),
 				ev: &event{slot: 0, rate: int32(k)},
 			})
-			o.nodes[k]++
+			o.nodes++
 		}
 	} else {
 		out = advance(out, o.fronts[k], r.global, r.a,
 			o.drain[k], o.slotCost[k], r.opt.Cost.Alpha, r.bcap,
-			r.opt.BufferGridBits, int32(k), r.opt.Pruning, &o.nodes[k])
+			r.opt.BufferGridBits, int32(k), r.opt.Pruning, &o.nodes)
 	}
 	o.spare[k] = out
 }
@@ -390,9 +332,6 @@ func validateOptions(tr *trace.Trace, opt Options) error {
 	}
 	if opt.FinalSlackBits < 0 {
 		return fmt.Errorf("trellis: negative final slack")
-	}
-	if opt.Parallelism < 0 {
-		return fmt.Errorf("trellis: negative parallelism")
 	}
 	return nil
 }
