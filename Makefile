@@ -5,15 +5,15 @@
 GO ?= go
 
 # Concurrency-sensitive packages run under the race detector in CI. The
-# experiments package has a worker pool (Sweep); its sweep tests run raced
-# via race-parallel below.
-RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./cmd/rcbrd/
+# experiments package is here for its worker pool (Sweep), which every
+# figure sweep in the package runs on.
+RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./internal/experiments/ ./cmd/rcbrd/
 
 # Packages whose worker-pool tests run raced through the race-parallel
 # target (each with its own -run filter, so they get explicit recipe lines).
 # TestMakefileRaceParallelSync asserts the recipe stays in sync with this
 # list — update both together.
-RACE_PARALLEL_PKGS := ./internal/experiments/ ./internal/switchfab/ ./internal/datapath/ ./internal/vctable/
+RACE_PARALLEL_PKGS := ./internal/switchfab/ ./internal/datapath/ ./internal/vctable/
 
 # Per-fuzz-target smoke budget. `go test -fuzz` takes one target per
 # invocation, hence the explicit list.
@@ -51,8 +51,8 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(MAKE) race-parallel
 
-# race-parallel covers the experiment sweep runner's worker pool, plus the
-# fabric's churn and same-id lifecycle shims. The datapath line pins
+# race-parallel covers the fabric's churn and same-id lifecycle shims and
+# the cell path's lock-free parts. The datapath line pins
 # GOMAXPROCS=4 so the port-group goroutines truly interleave under the
 # detector even on smaller CI runners; its Table pattern reaches the VC table's tests in both packages
 # that hold them (the table itself, and its churn under forwarding),
@@ -60,7 +60,6 @@ race:
 # and StagedSweep|VCEntry the two-stage sweep against its per-cell model
 # and the one-line entry it works on.
 race-parallel:
-	$(GO) test -race -run 'Sweep|Fig|MBAC|Latency|Chernoff' ./internal/experiments/
 	$(GO) test -race -run 'Parallel' ./internal/switchfab/
 	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC|Table|Ring|Burst|CrossGroup|StagedSweep|VCEntry' ./internal/datapath/ ./internal/vctable/
 

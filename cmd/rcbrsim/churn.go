@@ -16,8 +16,9 @@ import (
 // churnRun drives the call-scale churn generator (internal/churn) against a
 // live switch: ramp to a target concurrent-VC population under the
 // chosen admission policy, then hold it in setup/teardown/renegotiation
-// equilibrium for a budget of call events, reporting setup latency,
-// admit-decision cost, and retained bytes per VC.
+// equilibrium for a budget of call events, reporting setup latency, the
+// time from a setup's entry to its admission verdict, and retained bytes
+// per VC.
 func churnRun(args []string) error {
 	fs := flag.NewFlagSet("churn", flag.ExitOnError)
 	vcs := fs.Int("vcs", 1_000_000, "target concurrent VC population")
@@ -90,7 +91,7 @@ func churnRun(args []string) error {
 	fmt.Fprintf(tw, "blocked setups\t%d\n", res.Blocked)
 	fmt.Fprintf(tw, "final VCs\t%d\n", res.FinalVCs)
 	fmt.Fprintf(tw, "setup latency\tmean %v\tp99 <= %v\n", res.SetupMean, res.SetupP99)
-	fmt.Fprintf(tw, "admit decision\tmean %v\tp99 <= %v\n", res.AdmitMean, res.AdmitP99)
+	fmt.Fprintf(tw, "entry to admit verdict\tmean %v\tp99 <= %v\n", res.AdmitMean, res.AdmitP99)
 	fmt.Fprintf(tw, "bytes per VC\t%.0f\n", res.BytesPerVC)
 	if err := tw.Flush(); err != nil {
 		return err

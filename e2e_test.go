@@ -257,15 +257,13 @@ func TestFacadeExtensions(t *testing.T) {
 }
 
 // TestSwitchMemoryAdmitter wires the live memory-based MBAC into a switch: a
-// LifecycleAdmitter installed with WithAdmitter sees setups and teardowns,
-// and its denials are ordinary rejections.
+// MemoryAdmitter installed with WithAdmitter sees setups and teardowns, and
+// its denials are ordinary rejections.
 func TestSwitchMemoryAdmitter(t *testing.T) {
 	adm, err := switchfab.NewMemoryAdmitter([]float64{64e3, 4e6}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ switchfab.LifecycleAdmitter = adm // the switch gets lifecycle callbacks
-
 	sw := switchfab.New(switchfab.WithAdmitter(adm))
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,9 @@ import (
 //     registered and cached but never fed records a permanent zero,
 //     which reads as "nothing is slow" on every dashboard. The check
 //     ties each Registry.Histogram call to the field or variable it is
-//     stored in and looks for an Observe/ObserveSince through that name.
+//     stored in and looks for an Observe/ObserveSince through that name,
+//     or for that name handed to a function as a *Histogram argument (a
+//     shared observe helper; the Observe is then the callee's).
 //
 // The emission check scans every package the run loaded, so — like
 // metricname's uniqueness rule — it is meaningful for whole-module runs
@@ -148,6 +150,14 @@ func checkHistogramLiveness(pass *Pass) {
 	}
 	var creations []creation
 	observed := make(map[string]bool)
+	markObserved := func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			observed[e.Sel.Name] = true
+		case *ast.Ident:
+			observed[e.Name] = true
+		}
+	}
 	anonCreations := 0
 	totalObserves := 0
 	for _, f := range nonTestFiles(pass.Pkg) {
@@ -164,17 +174,18 @@ func checkHistogramLiveness(pass *Pass) {
 				}
 				return true
 			}
+			for _, arg := range call.Args {
+				if isNamed(info.TypeOf(arg), "metrics", "Histogram") {
+					markObserved(arg)
+				}
+			}
 			recv, fn := methodCall(info, call)
 			if fn == nil {
 				return true
 			}
 			if (fn.Name() == "Observe" || fn.Name() == "ObserveSince") && isNamed(info.TypeOf(recv), "metrics", "Histogram") {
 				totalObserves++
-				if sel, ok := ast.Unparen(recv).(*ast.SelectorExpr); ok {
-					observed[sel.Sel.Name] = true
-				} else if id, ok := ast.Unparen(recv).(*ast.Ident); ok {
-					observed[id.Name] = true
-				}
+				markObserved(recv)
 			}
 			return true
 		})

@@ -33,16 +33,21 @@ func emitGhost() Event { return Event{Kind: EventGhost} }
 
 type instruments struct {
 	setupLatency *metrics.Histogram
+	renegLatency *metrics.Histogram
 	deadLatency  *metrics.Histogram
 }
 
 func newInstruments(reg *metrics.Registry) instruments {
 	return instruments{
 		setupLatency: reg.Histogram("event.setup_seconds", nil),
-		deadLatency:  reg.Histogram("event.dead_seconds", nil), // want "never observed"
+		renegLatency: reg.Histogram("event.reneg_seconds", nil), // handed to observe below
+		deadLatency:  reg.Histogram("event.dead_seconds", nil),  // want "never observed"
 	}
 }
 
 func (i instruments) record(v float64) {
 	i.setupLatency.Observe(v)
+	observe(i.renegLatency, v)
 }
+
+func observe(h *metrics.Histogram, v float64) { h.Observe(v) }

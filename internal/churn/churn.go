@@ -13,8 +13,8 @@
 // at rate population/E[hold] balancing departures — for a fixed budget of
 // call events. Virtual time (the arrival/holding/renegotiation processes)
 // advances as fast as the switch can process events; wall-clock setup
-// latency and admit-decision cost are taken from the switch's own
-// histograms.
+// latency and entry-to-admission-verdict time are taken from the switch's
+// own histograms.
 package churn
 
 import (
@@ -122,9 +122,11 @@ type Result struct {
 	// RampWall and ChurnWall are the wall-clock phase durations.
 	RampWall  time.Duration `json:"ramp_wall_ns"`
 	ChurnWall time.Duration `json:"churn_wall_ns"`
-	// SetupMean/SetupP99 summarize the switch's setup-latency histogram;
-	// AdmitMean/AdmitP99 its admit-decision histogram. Zero without a
-	// Registry.
+	// SetupMean/SetupP99 summarize the switch's setup-latency histogram
+	// (entry to return); AdmitMean/AdmitP99 its switch.admit_seconds
+	// histogram, which runs from the same entry to the admission verdict —
+	// port lookup and the wait for the port mutex included, not the
+	// decision alone. Zero without a Registry.
 	SetupMean time.Duration `json:"setup_mean_ns"`
 	SetupP99  time.Duration `json:"setup_p99_ns"`
 	AdmitMean time.Duration `json:"admit_mean_ns"`

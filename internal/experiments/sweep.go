@@ -52,9 +52,13 @@ func Sweep[R any](ctx context.Context, workers, n int, fn func(ctx context.Conte
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			// Cancellation is tested before an index is claimed, never after:
+			// a claimed index always runs. Indices are claimed in increasing
+			// order, so every index below one that failed was claimed first
+			// and runs too — the lowest failure is always among the errors.
+			for sctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= n || sctx.Err() != nil {
+				if i >= n {
 					return
 				}
 				r, err := fn(sctx, i)

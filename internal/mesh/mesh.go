@@ -256,7 +256,7 @@ func (h Hop) Port() int { return h.port }
 func (h Hop) Delay() time.Duration { return h.delay }
 
 // observe records one hop-operation latency.
-func (h Hop) observe(start time.Time) {
+func (h Hop) observe(start int64) {
 	if h.node != nil {
 		h.node.lat.ObserveSince(start)
 	}

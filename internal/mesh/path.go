@@ -230,7 +230,7 @@ func (p *Path) decrease(ctx context.Context, cur, target float64) (float64, erro
 		if i > 0 {
 			err = m.wait(hctx, p.hops[i-1].delay)
 		}
-		start := time.Now()
+		start := metrics.Nanotime()
 		if err == nil {
 			_, _, err = h.node.tr.RenegotiateBest(hctx, p.id, cur, target)
 		}
@@ -270,7 +270,7 @@ func (p *Path) increase(ctx context.Context, cur, target float64) (float64, erro
 		if i > 0 {
 			err = m.wait(hctx, p.hops[i-1].delay)
 		}
-		start := time.Now()
+		start := metrics.Nanotime()
 		var g float64
 		if err == nil {
 			g, _, err = h.node.tr.RenegotiateBest(hctx, p.id, cur, want)

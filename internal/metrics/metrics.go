@@ -33,6 +33,18 @@ import (
 	"time"
 )
 
+// processStart anchors Nanotime. time.Now stamps it with a monotonic reading,
+// so time.Since(processStart) is one monotonic clock read and a subtraction —
+// no wall-clock read, and no step when the wall clock is set.
+var processStart = time.Now()
+
+// Nanotime is the repository's one clock for measuring and for ordering:
+// monotonic nanoseconds since the process started. The control path reads it
+// once per operation and hands the reading down (see switchfab) instead of
+// asking again; wall-clock stamps meant for people (Event.Time,
+// Snapshot.TakenAt) are the only other time reads.
+func Nanotime() int64 { return int64(time.Since(processStart)) }
+
 // Counter is a monotonically increasing int64. The zero value is ready to
 // use; a nil Counter ignores updates and reads as zero.
 type Counter struct {
@@ -144,13 +156,13 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the elapsed seconds since start; a convenience for
-// latency histograms.
-func (h *Histogram) ObserveSince(start time.Time) {
+// ObserveSince records the seconds elapsed since start, a Nanotime reading.
+// A nil histogram reads no clock.
+func (h *Histogram) ObserveSince(start int64) {
 	if h == nil {
 		return
 	}
-	h.Observe(time.Since(start).Seconds())
+	h.Observe(time.Duration(Nanotime() - start).Seconds())
 }
 
 // Count returns the number of observations.

@@ -57,6 +57,22 @@ func TestCounterFuncViews(t *testing.T) {
 	}
 }
 
+// TestNanotime pins the clock's contract: readings never go backwards, and
+// ObserveSince records the seconds between a reading and now.
+func TestNanotime(t *testing.T) {
+	a := Nanotime()
+	time.Sleep(2 * time.Millisecond)
+	b := Nanotime()
+	if a < 0 || b-a < int64(2*time.Millisecond) {
+		t.Fatalf("readings %d then %d across a 2 ms sleep", a, b)
+	}
+	reg := NewRegistry()
+	reg.Histogram("lat", DefBuckets).ObserveSince(a)
+	if got := reg.Snapshot().Histograms["lat"]; got.Count != 1 || got.Sum < 2e-3 || got.Sum > 60 {
+		t.Fatalf("count %d, sum %g s; want one observation of at least 2 ms", got.Count, got.Sum)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
@@ -70,7 +86,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	h.ObserveSince(time.Now())
+	h.ObserveSince(Nanotime())
 	ring.Record(Event{Kind: EventSetup})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || ring.Total() != 0 {
 		t.Fatal("nil instruments must read as zero")

@@ -300,7 +300,7 @@ func (c *Client) roundTrip(ctx context.Context, reqID uint32, rm bool, resend fu
 		if err != nil {
 			return Frame{}, err
 		}
-		sentAt := time.Now()
+		sentAt := metrics.Nanotime()
 		if _, err := c.conn.Write(pkt); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return Frame{}, cerr

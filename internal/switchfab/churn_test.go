@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
@@ -191,36 +190,42 @@ func TestVCsPage(t *testing.T) {
 	}
 }
 
-// countingLifecycle wraps a LifecycleAdmitter and counts every notification,
-// so a storm can assert the switch delivered exactly one OnAdmit per
-// successful setup and one OnDepart per teardown — no double-counted admits,
+// countingLifecycle wraps a lifecycleAdmitter and counts every notification,
+// so a storm can assert the switch delivered exactly one onAdmit per
+// successful setup and one onDepart per teardown — no double-counted admits,
 // no leaked departures — and that every record it handed back was one
-// OnAdmit returned and OnDepart had not yet taken.
+// onAdmit returned and onDepart had not yet taken.
 type countingLifecycle struct {
-	inner                        LifecycleAdmitter
+	inner                        lifecycleAdmitter
 	admits, rateChanges, departs atomic.Int64
-	// strays counts OnRateChange and OnDepart calls whose record was not
-	// live: never returned by OnAdmit, or already departed.
+	// strays counts onRateChange and onDepart calls whose record was not
+	// live: never returned by onAdmit, or already departed.
 	strays atomic.Int64
 
 	mu   sync.Mutex
-	live map[*CallRecord]bool
+	live map[*callRecord]bool
 }
 
+// AdmitCall makes the wrapper an Admitter, so WithAdmitter accepts it; the
+// switch drives it through the lifecycle methods and never calls this.
 func (c *countingLifecycle) AdmitCall(port int, rate, reserved, capacity float64) bool {
-	return c.inner.AdmitCall(port, rate, reserved, capacity)
+	panic("countingLifecycle: the switch called AdmitCall on a lifecycle admitter")
 }
 
-func (c *countingLifecycle) OnAdmit(port int, id VCID, rate float64) *CallRecord {
+func (c *countingLifecycle) admit(port int, now int64, rate, reserved, capacity float64) bool {
+	return c.inner.admit(port, now, rate, reserved, capacity)
+}
+
+func (c *countingLifecycle) onAdmit(port int, now int64, rate float64) *callRecord {
 	c.admits.Add(1)
-	rec := c.inner.OnAdmit(port, id, rate)
+	rec := c.inner.onAdmit(port, now, rate)
 	c.mu.Lock()
 	c.live[rec] = true
 	c.mu.Unlock()
 	return rec
 }
 
-func (c *countingLifecycle) OnRateChange(port int, rec *CallRecord, oldRate, newRate float64) {
+func (c *countingLifecycle) onRateChange(port int, rec *callRecord, now int64, newRate float64) {
 	c.rateChanges.Add(1)
 	c.mu.Lock()
 	ok := c.live[rec]
@@ -229,10 +234,10 @@ func (c *countingLifecycle) OnRateChange(port int, rec *CallRecord, oldRate, new
 		c.strays.Add(1)
 		return // moving a departed record would panic inside the controller
 	}
-	c.inner.OnRateChange(port, rec, oldRate, newRate)
+	c.inner.onRateChange(port, rec, now, newRate)
 }
 
-func (c *countingLifecycle) OnDepart(port int, rec *CallRecord, rate float64) {
+func (c *countingLifecycle) onDepart(port int, rec *callRecord) {
 	c.departs.Add(1)
 	c.mu.Lock()
 	ok := c.live[rec]
@@ -244,7 +249,7 @@ func (c *countingLifecycle) OnDepart(port int, rec *CallRecord, rate float64) {
 		c.strays.Add(1)
 		return
 	}
-	c.inner.OnDepart(port, rec, rate)
+	c.inner.onDepart(port, rec)
 }
 
 // TestParallelSetupChurnStorm hammers setup/renegotiate/teardown from many
@@ -263,7 +268,7 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &countingLifecycle{inner: inner, live: make(map[*CallRecord]bool)}
+	counter := &countingLifecycle{inner: inner, live: make(map[*callRecord]bool)}
 	s := New(WithAdmitter(counter))
 	for p := 0; p < ports; p++ {
 		if err := s.AddPort(p, 1e12); err != nil { // capacity out of the way: exercise accounting, not blocking
@@ -467,6 +472,7 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(WithAdmitter(ad))
+	s.clock = new(tickClock).read // a millisecond per operation: dwell mass accrues at the 4 Mb/s level
 	if err := s.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +482,6 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 	if err := s.SetupID(2, 1, 4e6); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(time.Millisecond) // accrue dwell mass at the 4 Mb/s level
 	if err := s.SetupID(3, 1, 64e3); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("third call: %v, want ErrAdmission (history-based denial)", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rcbr/internal/admission"
+	"rcbr/internal/metrics"
 )
 
 // MemoryAdmitter runs the paper's memory-based measurement MBAC (Section VI)
@@ -15,23 +16,25 @@ import (
 // shards exactly with the fabric — a setup on port 7 never touches port 9's
 // controller, and setups on different ports proceed fully in parallel.
 //
-// It holds no per-call container: OnAdmit allocates a call's record and
+// It holds no per-call container: onAdmit allocates a call's record and
 // dwell storage as one object and returns it, the switch keeps it on the VC
 // entry and hands it back, and the port's controller keeps only the pooled
 // sums and a count. The only map here is the one from port id to controller.
 //
 // The switch invokes every method with the affected port's mutex held
-// (the LifecycleAdmitter contract), which already serializes same-port
+// (the lifecycleAdmitter contract), which already serializes same-port
 // calls; each per-port controller still carries its own mutex for callers
 // that drive the admitter directly, outside a switch (AdmitCall from a
 // probe, PortCalls from a test).
 //
-// Time for the dwell histories is wall-clock seconds since the admitter was
-// constructed.
+// Time for the dwell histories is not the admitter's to read: every hook is
+// handed the switch's clock reading for the operation (metrics.Nanotime
+// nanoseconds, taken once on the way into SetupID, RenegotiateID or
+// HandleRM), and the controller sees it in seconds. A direct AdmitCall,
+// which is handed none, reads that same clock once.
 type MemoryAdmitter struct {
 	levels []float64
 	target float64
-	epoch  time.Time
 
 	mu    sync.RWMutex // guards the ports map, not the per-port state
 	ports map[int]*portMBAC
@@ -56,13 +59,9 @@ func NewMemoryAdmitter(levels []float64, target float64) (*MemoryAdmitter, error
 	return &MemoryAdmitter{
 		levels: append([]float64(nil), levels...),
 		target: target,
-		epoch:  time.Now(),
 		ports:  make(map[int]*portMBAC),
 	}, nil
 }
-
-// now is the controller clock: seconds since construction.
-func (a *MemoryAdmitter) now() float64 { return time.Since(a.epoch).Seconds() }
 
 // portState returns port's controller, creating it on first use with the
 // given capacity. Lifecycle notifications always follow an AdmitCall for the
@@ -97,42 +96,52 @@ func (a *MemoryAdmitter) lookup(port int) *portMBAC {
 	return pa
 }
 
-// AdmitCall implements Admitter.
-func (a *MemoryAdmitter) AdmitCall(port int, rate, _, capacity float64) bool {
+// AdmitCall implements Admitter for a caller outside a switch, deciding at
+// the time of the call. A switch never calls it: it hands admit the
+// operation's own reading.
+func (a *MemoryAdmitter) AdmitCall(port int, rate, reserved, capacity float64) bool {
+	return a.admit(port, metrics.Nanotime(), rate, reserved, capacity)
+}
+
+// seconds is a clock reading in the unit admission.LiveMemory keeps time in.
+func seconds(now int64) float64 { return time.Duration(now).Seconds() }
+
+// admit implements lifecycleAdmitter.
+func (a *MemoryAdmitter) admit(port int, now int64, rate, _, capacity float64) bool {
 	pa := a.portState(port, capacity)
 	if pa == nil {
 		return false
 	}
 	pa.mu.Lock()
-	ok := pa.ctl.Admit(a.now(), rate)
+	ok := pa.ctl.Admit(seconds(now), rate)
 	pa.mu.Unlock()
 	return ok
 }
 
-// OnAdmit implements LifecycleAdmitter.
-func (a *MemoryAdmitter) OnAdmit(port int, _ VCID, rate float64) *CallRecord {
+// onAdmit implements lifecycleAdmitter.
+func (a *MemoryAdmitter) onAdmit(port int, now int64, rate float64) *callRecord {
 	pa := a.lookup(port)
 	if pa == nil {
 		return nil
 	}
 	rec := admission.NewCall(len(a.levels))
 	pa.mu.Lock()
-	pa.ctl.Enter(rec, a.now(), rate)
+	pa.ctl.Enter(rec, seconds(now), rate)
 	pa.mu.Unlock()
 	return rec
 }
 
-// OnRateChange implements LifecycleAdmitter.
-func (a *MemoryAdmitter) OnRateChange(port int, rec *CallRecord, _, newRate float64) {
+// onRateChange implements lifecycleAdmitter.
+func (a *MemoryAdmitter) onRateChange(port int, rec *callRecord, now int64, newRate float64) {
 	if pa := a.lookup(port); pa != nil && rec != nil {
 		pa.mu.Lock()
-		pa.ctl.Move(rec, a.now(), newRate)
+		pa.ctl.Move(rec, seconds(now), newRate)
 		pa.mu.Unlock()
 	}
 }
 
-// OnDepart implements LifecycleAdmitter.
-func (a *MemoryAdmitter) OnDepart(port int, rec *CallRecord, _ float64) {
+// onDepart implements lifecycleAdmitter.
+func (a *MemoryAdmitter) onDepart(port int, rec *callRecord) {
 	if pa := a.lookup(port); pa != nil && rec != nil {
 		pa.mu.Lock()
 		pa.ctl.Leave(rec)

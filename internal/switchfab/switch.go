@@ -29,11 +29,23 @@
 // mutex: until the id is free no setup can reuse it, so a setup of the same
 // id on another port never reaches the data plane ahead of the teardown.
 // Never two port locks at once. The admitter is invoked with the VC's port
-// mutex held — per-port serialization is the concurrency contract a
-// LifecycleAdmitter relies on; a plain Admitter is wrapped once, by
-// WithAdmitter, in a lifecycle form that serializes AdmitCall under a mutex
-// of its own, so it never runs concurrently with itself.
+// mutex held — per-port serialization is the concurrency contract the
+// MemoryAdmitter relies on; any other Admitter is wrapped once, by
+// WithAdmitter, in a form that serializes AdmitCall under a mutex of its
+// own, so it never runs concurrently with itself.
 // Activity counters are atomics, published into the registry as views.
+//
+// Time: the switch reads one clock, metrics.Nanotime, and reads it once on
+// the way into SetupID, RenegotiateID, RenegotiateBestID and HandleRM. That
+// reading is both the start of the operation's latency observation and the
+// time the admission policy sees for the call's dwell history; it is handed
+// down, never asked for again. A latency histogram costs one more read when
+// it is observed, so with a registry a setup reads the clock three times
+// (entry, admission verdict, exit), a renegotiation twice, a teardown never
+// — and a switch with no registry and no MemoryAdmitter never reads it at
+// all. The reading is taken before the port mutex, so two operations on one
+// port may hand the policy readings a lock wait out of order;
+// admission.LiveMemory counts a non-positive dwell as none.
 //
 // VC identifiers: the paper's switch is an ATM switch, so a VC is named by
 // the cell header's (VPI, VCI) pair — 24 bits, far past the 65,536 circuits
@@ -63,7 +75,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rcbr/internal/admission"
 	"rcbr/internal/cell"
@@ -116,10 +127,10 @@ func (id VCID) String() string {
 
 // Admitter is the call-admission hook consulted at setup time (never during
 // renegotiation). Implementations may be stateful: WithAdmitter serializes
-// a plain Admitter's calls under one mutex, so it never runs concurrently
-// with itself — but that also serializes the admission decisions of setups
-// on different ports. Implementations that want those to proceed in
-// parallel should implement LifecycleAdmitter instead.
+// an Admitter's calls under one mutex, so it never runs concurrently with
+// itself — but that also serializes the admission decisions of setups on
+// different ports. The one policy that follows every call through its life,
+// per port and in parallel across ports, is MemoryAdmitter.
 type Admitter interface {
 	// AdmitCall reports whether a new call asking for rate bits/second may
 	// enter a port with the given reserved and capacity figures.
@@ -134,68 +145,67 @@ func (f AdmitterFunc) AdmitCall(port int, rate, reserved, capacity float64) bool
 	return f(port, rate, reserved, capacity)
 }
 
-// CallRecord is the per-call history a LifecycleAdmitter keeps for a call it
-// admitted: the memory-based scheme's level, level-entry time and per-level
-// dwell. Its layout belongs to admission.LiveMemory and only MemoryAdmitter
-// makes one; the name is exported so another policy can spell the
-// LifecycleAdmitter method set, with nil for every record.
-type CallRecord = admission.Call
+// callRecord is the per-call history the memory-based scheme keeps for a
+// call it admitted: level, level-entry time and per-level dwell. Its layout
+// belongs to admission.LiveMemory; the switch only carries the pointer.
+type callRecord = admission.Call
 
-// LifecycleAdmitter is a call-admission policy that additionally observes the
-// full life of every admitted call, mirroring admission.Controller: admit,
-// rate changes from granted renegotiations, and departure. It is the
-// interface a measurement-based scheme (the paper's Section VI) needs to
-// maintain per-call bandwidth history inside a live switch.
+// lifecycleAdmitter is the admission policy as the switch drives it: the
+// decision, then the full life of every admitted call — admit, rate changes
+// from granted renegotiations, departure — mirroring admission.Controller.
+// It is unexported because it admits one stateful implementation,
+// MemoryAdmitter (a callRecord cannot be built anywhere else); every other
+// policy is an Admitter, which WithAdmitter wraps in serialAdmitter.
+//
+// now is the operation's one clock reading (see the package comment), in
+// the clock's nanoseconds.
 //
 // The history rides on the switch's own VC entry, so a call is found once,
-// by the switch, and never a second time by the admitter: OnAdmit allocates
+// by the switch, and never a second time by the admitter: onAdmit allocates
 // and returns the call's record (nil if the policy keeps none), the switch
 // stores that one pointer beside the VC's rate and hands it back to
-// OnRateChange and OnDepart. The switch never looks inside a record and
-// hands it to nothing else; after OnDepart it drops it. The record is the
-// memory-based scheme's and nothing else can build one, so any other policy
-// must return nil from OnAdmit and is handed nil back: the later hooks carry
-// no VC id, and a policy that wants per-call state of its own has nothing to
-// index it by.
+// onRateChange and onDepart. The switch never looks inside a record and
+// hands it to nothing else; after onDepart it drops it.
 //
 // Concurrency contract: the switch invokes every method with the affected
 // VC's port mutex held, so calls for the same port — and therefore every use
 // of one call's record — are serialized while calls for different ports run
-// concurrently. Implementations therefore shard their state per port (see
-// MemoryAdmitter) and must not call back into the switch. A teardown sets
-// the VC gone under that mutex before it releases it, so no OnRateChange
-// follows a call's OnDepart.
-type LifecycleAdmitter interface {
-	Admitter
-	// OnAdmit notifies that VC id entered port at the given rate, after
-	// AdmitCall said yes and the reservation was applied, and returns the
-	// call's record.
-	OnAdmit(port int, id VCID, rate float64) *CallRecord
-	// OnRateChange notifies that the reserved rate of the call behind rec
-	// changed (a granted, possibly partial, renegotiation or resync).
-	OnRateChange(port int, rec *CallRecord, oldRate, newRate float64)
-	// OnDepart notifies that the call behind rec left port, releasing rate.
-	OnDepart(port int, rec *CallRecord, rate float64)
+// concurrently. Implementations therefore shard their state per port and
+// must not call back into the switch. A teardown sets the VC gone under that
+// mutex before it releases it, so no onRateChange follows a call's onDepart.
+type lifecycleAdmitter interface {
+	// admit reports whether a new call asking for rate may enter port.
+	admit(port int, now int64, rate, reserved, capacity float64) bool
+	// onAdmit notifies that a call entered port at the given rate, after
+	// admit said yes and the reservation was applied, and returns the call's
+	// record.
+	onAdmit(port int, now int64, rate float64) *callRecord
+	// onRateChange notifies that the reserved rate of the call behind rec is
+	// now newRate (a granted, possibly partial, renegotiation or resync).
+	onRateChange(port int, rec *callRecord, now int64, newRate float64)
+	// onDepart notifies that the call behind rec left port.
+	onDepart(port int, rec *callRecord)
 }
 
 // serialAdmitter is the lifecycle form of a plain Admitter: AdmitCall under
 // one mutex (taken with the admitting port's mutex held, released before
-// anything else is locked), no records, nothing to do on the other hooks.
+// anything else is locked), no records, no use for the time, nothing to do
+// on the other hooks.
 type serialAdmitter struct {
 	mu sync.Mutex
 	a  Admitter
 }
 
-func (s *serialAdmitter) AdmitCall(port int, rate, reserved, capacity float64) bool {
+func (s *serialAdmitter) admit(port int, _ int64, rate, reserved, capacity float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//rcbrlint:ignore ratetaint pass-through: SetupID validated rate before admitCall; reserved and capacity are the port's own books
+	//rcbrlint:ignore ratetaint pass-through: SetupID validated rate before admit; reserved and capacity are the port's own books
 	return s.a.AdmitCall(port, rate, reserved, capacity)
 }
 
-func (*serialAdmitter) OnAdmit(int, VCID, float64) *CallRecord          { return nil }
-func (*serialAdmitter) OnRateChange(int, *CallRecord, float64, float64) {}
-func (*serialAdmitter) OnDepart(int, *CallRecord, float64)              {}
+func (*serialAdmitter) onAdmit(int, int64, float64) *callRecord       { return nil }
+func (*serialAdmitter) onRateChange(int, *callRecord, int64, float64) {}
+func (*serialAdmitter) onDepart(int, *callRecord)                     {}
 
 // DataPlane mirrors VC lifecycle changes into a forwarding plane (the cell
 // data path of internal/datapath, or any other consumer of granted rates).
@@ -271,10 +281,10 @@ type vcState struct {
 	// p is the VC's output port, fixed at setup — cached here so the
 	// renegotiation hot path never consults the port table.
 	p *port
-	// rec is what the admitter's OnAdmit returned for this call: nil when no
+	// rec is what the admitter's onAdmit returned for this call: nil when no
 	// admitter is installed or it keeps no history. Like the fields below it
 	// is guarded by the owning port's mutex.
-	rec *CallRecord
+	rec *callRecord
 	// rate, lastSeq, seqSeen and gone are guarded by the owning port's mutex.
 	rate    float64
 	lastSeq uint32
@@ -312,11 +322,13 @@ const (
 	// MetricReservedClamped counts negative-residue clamps of a port's
 	// reserved figure (see Stats.ReservedClamps).
 	MetricReservedClamped = "switch.port.reserved_clamped"
-	// MetricSetupLatency observes the wall time of every SetupID call past
-	// argument validation — accept and reject alike — and MetricAdmitLatency
-	// the admission decision alone (recorded only when an Admitter is
-	// installed), so setup cost and admit-decision cost separate cleanly
-	// under churn.
+	// MetricSetupLatency observes every SetupID call past argument
+	// validation, from its entry clock reading to its return — accept and
+	// reject alike. MetricAdmitLatency runs from the same entry reading to
+	// the admission verdict (recorded only when an Admitter is installed and
+	// the call fit the port's capacity), so it includes the port lookup and
+	// the wait for the port mutex; setup minus admit is what committing an
+	// admitted call costs.
 	MetricSetupLatency = "switch.setup_seconds"
 	MetricAdmitLatency = "switch.admit_seconds"
 )
@@ -344,7 +356,7 @@ type Switch struct {
 
 	// admitter is the admission policy in lifecycle form (WithAdmitter wraps
 	// a plain one); nil admits every call that fits.
-	admitter LifecycleAdmitter
+	admitter lifecycleAdmitter
 	// dataplane, when set, receives every committed VC lifecycle change.
 	dataplane DataPlane
 	stats     statCounters
@@ -352,6 +364,13 @@ type Switch struct {
 	reg    *metrics.Registry
 	ins    instruments
 	events *metrics.EventLog
+
+	// clock is metrics.Nanotime; a field so this package's tests can script
+	// it. timed is whether anything uses a reading — a registry's latency
+	// histograms or a MemoryAdmitter's dwell history; without either an
+	// operation never calls clock.
+	clock func() int64
+	timed bool
 }
 
 // Option configures a Switch at construction time.
@@ -359,14 +378,15 @@ type Option func(*Switch)
 
 // WithAdmitter installs the call-admission policy consulted at setup time.
 // A nil admitter (the default) admits every call that fits within capacity.
-// A LifecycleAdmitter is installed as it is; a plain Admitter is wrapped in
-// one that serializes its AdmitCall and keeps no records.
+// A *MemoryAdmitter is installed as it is and follows every admitted call
+// through its rate changes and departure; any other Admitter is wrapped in a
+// form that serializes its AdmitCall and keeps no records.
 func WithAdmitter(a Admitter) Option {
 	return func(s *Switch) {
 		switch a := a.(type) {
 		case nil:
 			s.admitter = nil
-		case LifecycleAdmitter:
+		case lifecycleAdmitter:
 			s.admitter = a
 		default:
 			s.admitter = &serialAdmitter{a: a}
@@ -399,10 +419,13 @@ func WithDataPlane(dp DataPlane) Option {
 func New(opts ...Option) *Switch {
 	s := &Switch{
 		ports: make(map[int]*port),
+		clock: metrics.Nanotime,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
+	_, timeless := s.admitter.(*serialAdmitter)
+	s.timed = s.reg != nil || (s.admitter != nil && !timeless)
 	if s.reg != nil {
 		s.ins = instruments{
 			renegLatency: s.reg.Histogram(MetricRenegLatency, metrics.DefBuckets),
@@ -509,7 +532,8 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	if !validRate(rate) {
 		return fmt.Errorf("%w: %g", ErrInvalidRate, rate)
 	}
-	defer s.observeSetupLatency(s.setupStart())
+	now := s.enter()
+	defer s.observe(s.ins.setupLatency, now)
 	p := s.port(portID)
 	if p == nil {
 		return fmt.Errorf("%w: %d", ErrNoPort, portID)
@@ -524,9 +548,13 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 		return fmt.Errorf("%w: port %d has %g of %g reserved",
 			ErrCapacity, portID, p.reserved, p.capacity)
 	}
-	if s.admitter != nil && !s.admitCall(portID, rate, p.reserved, p.capacity) {
-		s.rejectSetup(id, portID, rate)
-		return ErrAdmission
+	if s.admitter != nil {
+		ok := s.admitter.admit(portID, now, rate, p.reserved, p.capacity)
+		s.observe(s.ins.admitLatency, now)
+		if !ok {
+			s.rejectSetup(id, portID, rate)
+			return ErrAdmission
+		}
 	}
 	vc := &vcState{p: p, rate: rate}
 	if s.vcs.Put(uint32(id), vc) != nil {
@@ -535,7 +563,7 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	}
 	s.setReserved(p, p.reserved+rate)
 	if s.admitter != nil {
-		vc.rec = s.admitter.OnAdmit(portID, id, rate)
+		vc.rec = s.admitter.onAdmit(portID, now, rate)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnSetup(portID, id, rate)
@@ -545,38 +573,29 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	return nil
 }
 
-// admitCall runs the admission decision with the admitting port's mutex
-// held — the per-port serialization a LifecycleAdmitter relies on — timing
-// it into switch.admit_seconds.
-func (s *Switch) admitCall(portID int, rate, reserved, capacity float64) bool {
-	start := time.Time{}
-	if s.ins.admitLatency != nil {
-		start = time.Now()
+// enter is an operation's one clock reading, taken on the way in: the start
+// of its latency observation and the time the admission policy sees. A
+// switch that times nothing does not read the clock.
+//
+//rcbr:zeroalloc
+func (s *Switch) enter() int64 {
+	if !s.timed {
+		return 0
 	}
-	ok := s.admitter.AdmitCall(portID, rate, reserved, capacity)
-	if !start.IsZero() {
-		s.ins.admitLatency.ObserveSince(start)
-	}
-	return ok
+	return s.clock()
 }
 
-// setupStart returns the setup-latency timer start, or the zero time when
-// the histogram is disabled (so uninstrumented switches skip clock reads).
-func (s *Switch) setupStart() time.Time {
-	if s.ins.setupLatency == nil {
-		return time.Time{}
+// observe records the time since an operation's entry reading into h; on a
+// switch without a registry h is nil and the clock is not read. Each latency
+// histogram is observed on every path past argument validation — setup
+// accepted or refused; renegotiation granted, denied, dropped as a duplicate
+// or failed on an unknown VC — so its count is the operations attempted.
+//
+//rcbr:zeroalloc
+func (s *Switch) observe(h *metrics.Histogram, entered int64) {
+	if h != nil {
+		h.Observe(seconds(s.clock() - entered))
 	}
-	return time.Now()
-}
-
-// observeSetupLatency records one setup-latency observation; like the
-// renegotiation histogram it covers every path past argument validation —
-// accept, capacity reject, and admission reject alike.
-func (s *Switch) observeSetupLatency(start time.Time) {
-	if s.ins.setupLatency == nil || start.IsZero() {
-		return
-	}
-	s.ins.setupLatency.ObserveSince(start)
 }
 
 func (s *Switch) rejectSetup(id VCID, portID int, rate float64) {
@@ -608,7 +627,7 @@ func (s *Switch) TeardownID(id VCID) error {
 	}
 	s.setReserved(p, p.reserved-vc.rate)
 	if s.admitter != nil {
-		s.admitter.OnDepart(p.id, vc.rec, vc.rate)
+		s.admitter.onDepart(p.id, vc.rec)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnTeardown(p.id, id)
@@ -635,7 +654,8 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 	if !validRate(newRate) {
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, newRate)
 	}
-	defer s.observeRenegLatency(s.renegStart())
+	now := s.enter()
+	defer s.observe(s.ins.renegLatency, now)
 	vc := s.vcs.Get(uint32(id))
 	if vc == nil {
 		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
@@ -646,7 +666,7 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 	if vc.gone {
 		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
-	granted, ok = s.applyRate(id, vc, p, newRate, newRate, metrics.EventRenegGrant)
+	granted, ok = s.applyRate(id, vc, p, now, newRate, newRate, metrics.EventRenegGrant)
 	return granted, ok, nil
 }
 
@@ -671,7 +691,8 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 	if !validRate(target) {
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, target)
 	}
-	defer s.observeRenegLatency(s.renegStart())
+	now := s.enter()
+	defer s.observe(s.ins.renegLatency, now)
 	vc := s.vcs.Get(uint32(id))
 	if vc == nil {
 		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
@@ -702,7 +723,7 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 		})
 		return vc.rate, false, nil
 	}
-	granted, _ = s.applyRate(id, vc, p, best, target, metrics.EventRenegGrant)
+	granted, _ = s.applyRate(id, vc, p, now, best, target, metrics.EventRenegGrant)
 	full = granted == target
 	if !full {
 		s.stats.partialGrants.Add(1)
@@ -710,32 +731,9 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 	return granted, full, nil
 }
 
-// renegStart returns the latency-timer start, or the zero time when the
-// histogram is disabled (so uninstrumented switches skip the clock reads).
-//
-//rcbr:zeroalloc
-func (s *Switch) renegStart() time.Time {
-	if s.ins.renegLatency == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeRenegLatency records one renegotiation-latency observation. Both
-// Renegotiate and HandleRM observe on every path past argument validation —
-// grant, deny, duplicate drop, and error alike — so the histogram is a
-// faithful per-request latency record.
-//
-//rcbr:zeroalloc
-func (s *Switch) observeRenegLatency(start time.Time) {
-	if s.ins.renegLatency == nil || start.IsZero() {
-		return
-	}
-	s.ins.renegLatency.ObserveSince(start)
-}
-
 // applyRate is the paper's one-compare renegotiation decision. It must be
-// called with p.mu held, on a VC that is not gone.
+// called with p.mu held, on a VC that is not gone. now is the operation's
+// entry clock reading, for the admitter's dwell history.
 // grantKind is the event recorded on success (renegotiate-grant, or resync
 // when the request carried an absolute rate). requested is the rate the
 // source originally asked for; it differs from newRate only on the partial
@@ -743,14 +741,14 @@ func (s *Switch) observeRenegLatency(start time.Time) {
 // the trace shows the shortfall.
 //
 //rcbr:zeroalloc
-func (s *Switch) applyRate(id VCID, vc *vcState, p *port, newRate, requested float64, grantKind metrics.EventKind) (float64, bool) {
+func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, requested float64, grantKind metrics.EventKind) (float64, bool) {
 	s.stats.renegotiations.Add(1)
 	if p.reserved-vc.rate+newRate <= p.capacity {
 		old := vc.rate
 		s.setReserved(p, p.reserved+newRate-old)
 		vc.rate = newRate
 		if s.admitter != nil && newRate != old {
-			s.admitter.OnRateChange(p.id, vc.rec, old, newRate)
+			s.admitter.onRateChange(p.id, vc.rec, now, newRate)
 		}
 		if s.dataplane != nil && newRate != old {
 			s.dataplane.OnRateChange(p.id, id, newRate)
@@ -796,7 +794,8 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	if !validRate(m.ER) {
 		return cell.RM{}, fmt.Errorf("%w: %g", ErrInvalidRate, m.ER)
 	}
-	defer s.observeRenegLatency(s.renegStart())
+	now := s.enter()
+	defer s.observe(s.ins.renegLatency, now)
 	id := MakeVCID(h.VPI, h.VCI)
 	vc := s.vcs.Get(uint32(id))
 	if vc == nil {
@@ -837,7 +836,7 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	default:
 		want = vc.rate + m.ER
 	}
-	granted, full := s.applyRate(id, vc, p, want, want, grantKind)
+	granted, full := s.applyRate(id, vc, p, now, want, want, grantKind)
 	return cell.RM{
 		Backward: true,
 		Response: true,

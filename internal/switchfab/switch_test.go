@@ -307,7 +307,7 @@ func TestHandleRMResyncResetsSequence(t *testing.T) {
 	if r, _ := s.VCRate(8); math.Abs(r-150e3) > 1 {
 		t.Fatalf("rate after restart resync = %v", r)
 	}
-	// And its next delta (Seq 2) is fresh, not a duplicate of the old epoch.
+	// And its next delta (Seq 2) is fresh, not a duplicate from before the restart.
 	if resp, err := s.HandleRM(h, cell.RM{ER: 50e3, Seq: 2}); err != nil || resp.Deny || math.Abs(resp.ER-200e3) > 1 {
 		t.Fatalf("post-restart delta: %+v %v", resp, err)
 	}
