@@ -1065,7 +1065,17 @@ func BenchmarkDataPathForwardParallel4(b *testing.B) { benchDataPathForwardParal
 // shows in full; the DataPathForward benchmarks above, at 64 cells per
 // port, would hide it. The BenchmarkDataPath prefix puts it under
 // cmd/benchjson's zero-alloc gate.
-func BenchmarkDataPathRelaySlot(b *testing.B) {
+func BenchmarkDataPathRelaySlot(b *testing.B) { benchDataPathRelaySlot(b, nil) }
+
+// BenchmarkDataPathRelaySlotMetrics is the same relay with every hop
+// publishing into a registry: the ratio of the two is what telemetry costs
+// a slot (the batch histogram's observation per non-empty sweep; the cell
+// counters are views and cost the sweep nothing).
+func BenchmarkDataPathRelaySlotMetrics(b *testing.B) {
+	benchDataPathRelaySlot(b, metrics.NewRegistry())
+}
+
+func benchDataPathRelaySlot(b *testing.B, reg *metrics.Registry) {
 	const (
 		hops      = 3
 		vcs       = 16
@@ -1080,7 +1090,7 @@ func BenchmarkDataPathRelaySlot(b *testing.B) {
 	}
 	cellHops := make([]mesh.CellHop, hops)
 	for k := range cellHops {
-		fw := datapath.New()
+		fw := datapath.New(datapath.WithMetrics(reg))
 		for port := 0; port < 2; port++ {
 			if _, err := fw.AddPort(port); err != nil {
 				b.Fatal(err)

@@ -5,10 +5,11 @@
 //
 // Each "Benchmark..." result line becomes one record with ns/op and, when
 // -benchmem is on, B/op and allocs/op. The goos/goarch/pkg/cpu header lines
-// are captured so a baseline records the machine it was measured on. Lines
-// that are not benchmark results (test chatter, PASS/ok) pass through to
-// stdout untouched, so the command can sit at the end of a pipe without
-// hiding failures.
+// are captured, and beside them the CPU count, the GOMAXPROCS the benchmarks
+// ran at and the Go version, so a baseline records the machine and toolchain
+// it was measured on. Lines that are not benchmark results (test chatter,
+// PASS/ok) pass through to stdout untouched, so the command can sit at the
+// end of a pipe without hiding failures.
 //
 // With -compare it instead checks a new run against the zero-alloc contract:
 //
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -47,13 +49,20 @@ type Result struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
-// Baseline is the file format of BENCH_trellis.json.
+// Baseline is the file format of BENCH_trellis.json. NumCPU and GoVersion
+// are this process's own — the recorder runs at the end of the pipe, on the
+// host and toolchain that ran the benchmarks — and GOMAXPROCS is the -N
+// suffix `go test` put on the benchmark names (none means 1), left out when
+// the names do not agree on one.
 type Baseline struct {
-	GOOS    string   `json:"goos,omitempty"`
-	GOARCH  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
+	GOOS       string   `json:"goos,omitempty"`
+	GOARCH     string   `json:"goarch,omitempty"`
+	Pkg        string   `json:"pkg,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
+	Results    []Result `json:"results"`
 }
 
 func main() {
@@ -178,7 +187,7 @@ func readBaseline(path string) (Baseline, error) {
 }
 
 func parse(sc *bufio.Scanner) (Baseline, error) {
-	var base Baseline
+	base := Baseline{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
@@ -196,6 +205,11 @@ func parse(sc *bufio.Scanner) (Baseline, error) {
 			if !ok {
 				fmt.Println(line)
 				continue
+			}
+			if _, procs := stripProcs(strings.Fields(line)[0]); len(base.Results) == 0 {
+				base.GOMAXPROCS = procs
+			} else if procs != base.GOMAXPROCS {
+				base.GOMAXPROCS = 0 // a -cpu list: no one value, so none is recorded
 			}
 			base.Results = append(base.Results, r)
 		default:
@@ -223,8 +237,9 @@ func parseResult(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
+	name, _ := stripProcs(fields[0])
 	r := Result{
-		Name:       stripProcs(fields[0]),
+		Name:       name,
 		Iterations: iters,
 		NsPerOp:    ns,
 	}
@@ -248,19 +263,19 @@ func parseResult(line string) (Result, bool) {
 	return r, true
 }
 
-// stripProcs removes the trailing -GOMAXPROCS that `go test` appends to
+// stripProcs splits off the trailing -GOMAXPROCS that `go test` appends to
 // benchmark names (only a final all-digit dash group — a "Levels50" in the
 // name itself survives), so baselines diff cleanly across machines with
-// different core counts.
-func stripProcs(name string) string {
+// different core counts and the header can say which count it was. `go
+// test` appends nothing at GOMAXPROCS 1.
+func stripProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
-	if i < 0 || i == len(name)-1 {
-		return name
+	if i < 0 || strings.TrimLeft(name[i+1:], "0123456789") != "" {
+		return name, 1
 	}
-	for _, c := range name[i+1:] {
-		if c < '0' || c > '9' {
-			return name
-		}
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil { // a trailing dash, or digits past an int
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -43,17 +44,23 @@ func TestParseResultExtraMetrics(t *testing.T) {
 }
 
 func TestStripProcs(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkFig2OPT-8":              "BenchmarkFig2OPT",
-		"BenchmarkTrellisLevels50-16":     "BenchmarkTrellisLevels50",
-		"BenchmarkOptimizeParallel/p4-8":  "BenchmarkOptimizeParallel/p4",
-		"BenchmarkNoSuffix":               "BenchmarkNoSuffix",
-		"BenchmarkTrailingDash-":          "BenchmarkTrailingDash-",
-		"BenchmarkOptimizeParallel/p4-x8": "BenchmarkOptimizeParallel/p4-x8",
+	type stripped struct {
+		name  string
+		procs int
+	}
+	cases := map[string]stripped{
+		"BenchmarkFig2OPT-8":              {"BenchmarkFig2OPT", 8},
+		"BenchmarkTrellisLevels50-16":     {"BenchmarkTrellisLevels50", 16},
+		"BenchmarkOptimizeParallel/p4-8":  {"BenchmarkOptimizeParallel/p4", 8},
+		"BenchmarkNoSuffix":               {"BenchmarkNoSuffix", 1}, // what GOMAXPROCS=1 prints
+		"BenchmarkTrellisLevels50":        {"BenchmarkTrellisLevels50", 1},
+		"BenchmarkTrailingDash-":          {"BenchmarkTrailingDash-", 1},
+		"BenchmarkOptimizeParallel/p4-x8": {"BenchmarkOptimizeParallel/p4-x8", 1},
+		"BenchmarkSigned-+8":              {"BenchmarkSigned-+8", 1},
 	}
 	for in, want := range cases {
-		if got := stripProcs(in); got != want {
-			t.Fatalf("stripProcs(%q) = %q, want %q", in, got, want)
+		if name, procs := stripProcs(in); name != want.name || procs != want.procs {
+			t.Fatalf("stripProcs(%q) = %q, %d, want %q, %d", in, name, procs, want.name, want.procs)
 		}
 	}
 }
@@ -151,11 +158,31 @@ ok  	rcbr	12.3s
 		base.CPU != "Fake CPU @ 2.00GHz" {
 		t.Fatalf("header %+v", base)
 	}
+	// The host fingerprint: GOMAXPROCS from the names' suffix, CPU count and
+	// Go version from the recorder itself, all three in the file.
+	if base.GOMAXPROCS != 8 || base.NumCPU != runtime.NumCPU() || base.GoVersion != runtime.Version() {
+		t.Fatalf("host fingerprint %+v", base)
+	}
+	enc, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"num_cpu":`, `"gomaxprocs":8`, `"go_version":"go`} {
+		if !strings.Contains(string(enc), key) {
+			t.Errorf("encoded baseline lacks %s: %s", key, enc)
+		}
+	}
 	if len(base.Results) != 2 {
 		t.Fatalf("results = %d", len(base.Results))
 	}
 	if base.Results[1].Name != "BenchmarkTrellisLevels5" || base.Results[1].BytesPerOp != 0 {
 		t.Fatalf("second result %+v", base.Results[1])
+	}
+	// A -cpu list ran at no one GOMAXPROCS: the field is left out, not set
+	// to whichever line came last.
+	mixed, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkA 10 5.0 ns/op\nBenchmarkA-2 10 5.0 ns/op\nBenchmarkA-4 10 5.0 ns/op\n")))
+	if err != nil || len(mixed.Results) != 3 || mixed.GOMAXPROCS != 0 {
+		t.Fatalf("-cpu 1,2,4 output: %+v, %v; want 3 results and no gomaxprocs", mixed, err)
 	}
 }
 

@@ -303,10 +303,11 @@ func datapathRun(args []string) error {
 	for _, name := range []string{
 		datapath.MetricCellsArrived, datapath.MetricCellsForwarded,
 		datapath.MetricCellsPoliced, datapath.MetricCellsOverflow,
-		datapath.MetricCellsTransmitted, datapath.MetricForwardBatches,
+		datapath.MetricCellsTransmitted,
 	} {
 		fmt.Fprintf(tw, "%s\t%d\n", name, snap.Counters[name])
 	}
+	fmt.Fprintf(tw, "%s (count)\t%d\n", datapath.MetricBatchCells, snap.Histograms[datapath.MetricBatchCells].Count)
 	if err := tw.Flush(); err != nil {
 		return err
 	}

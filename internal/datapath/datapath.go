@@ -47,7 +47,8 @@
 // One counter per fact: a cell that enters, crosses or leaves a ring is
 // counted by that ring's cursor and nowhere else; what the sweep decides
 // (forwarded, policed, overflow, unroutable, bad header) is counted once
-// per VC and flushed to the ingress port's ledger once per burst; the
+// per VC, its drops flushed to the ingress port's ledger once per burst
+// (what the port forwarded is what its ring released less those); the
 // registry's datapath.cells_* counters are views computed from the port
 // ledgers when the registry is read.
 //
@@ -97,7 +98,6 @@ const (
 	MetricCellsUnroutable  = "datapath.cells_unroutable"
 	MetricCellsBadHeader   = "datapath.cells_bad_header"
 	MetricCellsTransmitted = "datapath.cells_transmitted"
-	MetricForwardBatches   = "datapath.forward_batches"
 	MetricVCMisses         = "datapath.vc_misses"
 	MetricBatchCells       = "datapath.batch_cells"
 )
@@ -137,7 +137,6 @@ const unsetNanos = math.MinInt64
 // instruments caches registry handles; all nil-safe no-ops without a
 // registry.
 type instruments struct {
-	batches    *metrics.Counter
 	vcMisses   *metrics.Counter
 	batchCells *metrics.Histogram
 }
@@ -163,17 +162,19 @@ type Port struct {
 	// no unpublished entry is kept alive. Owned by the port's group
 	// goroutine, like the ingress ring's consumer cursor.
 	lookups []*vcEntry
+	// swept is the time of the last sweep over this port: the group
+	// goroutine's plain word, which Run folds into the forwarder's clock.
+	swept int64
 
-	// Ingress-attributed counts, written by the owning group goroutine
-	// once per burst: every cell accepted by Inject (in.Pushed) ends in
-	// exactly one of these or is still queued in the ingress ring — the
-	// per-port conservation invariant. The egress side needs no counters
-	// of its own: enqueued and transmitted are sums of out's cursors.
+	// Ingress-attributed drop counts, written by the owning group goroutine
+	// once per burst. Every cell the sweep released from the ingress ring
+	// (in.Popped) went into exactly one of these or was forwarded, so the
+	// forwarded count is the difference and is not kept. The egress side
+	// needs none of its own: enqueued and transmitted are out's cursors.
 	badHeader  atomic.Int64
 	unroutable atomic.Int64
 	policed    atomic.Int64
 	overflow   atomic.Int64
-	forwarded  atomic.Int64
 }
 
 // ID returns the port number.
@@ -211,21 +212,26 @@ type PortStats struct {
 	OutQueued int
 }
 
-// Stats snapshots the port. Exact when the port is quiescent; while its
-// group goroutine is finishing a burst, up to a burst of cells shows in the
-// drop and forward counts and is still counted in the ingress ring. A VC
-// removed in mid-burst changes none of that: its looked-up cells are shaped
-// on the unpublished entry and land in these counts like any others.
+// Stats snapshots the port. Forwarded is derived: what the ingress ring
+// released less the four drop counts, all loaded between two equal reads of
+// the release cursor, which also keeps InQueued within [0, capacity]. Exact
+// when the port is quiescent. A burst flushes its drops just before it
+// releases its cells, so a live Forwarded never runs ahead but may trail by
+// the drops of the one burst being finished (and step back by as much on the
+// next read); it is held at 0 rather than go below. A VC removed in mid-burst
+// changes nothing: its looked-up cells are shaped on the unpublished entry
+// and land in these counts like any others.
 func (p *Port) Stats() PortStats {
-	s := PortStats{
-		Arrived:    p.in.Pushed(),
-		BadHeader:  p.badHeader.Load(),
-		Unroutable: p.unroutable.Load(),
-		Policed:    p.policed.Load(),
-		Overflow:   p.overflow.Load(),
-		Forwarded:  p.forwarded.Load(),
-		InQueued:   p.in.Len(),
+	var s PortStats
+	popped := int64(-1)
+	for tail := p.in.Popped(); tail != popped; tail = p.in.Popped() {
+		popped = tail
+		s.BadHeader, s.Unroutable = p.badHeader.Load(), p.unroutable.Load()
+		s.Policed, s.Overflow = p.policed.Load(), p.overflow.Load()
+		s.Arrived = p.in.Pushed()
 	}
+	s.InQueued = int(s.Arrived - popped)
+	s.Forwarded = max(0, popped-s.BadHeader-s.Unroutable-s.Policed-s.Overflow)
 	for _, r := range p.out {
 		s.Enqueued += r.Pushed()
 		s.Transmitted += r.Popped()
@@ -292,9 +298,9 @@ type Forwarder struct {
 
 	// Run/Stop lifecycle. running gates the single-driver entry points
 	// (Forward, ForwardGroup) against the group goroutines; clockNanos is
-	// both the SetNow manual clock and the high-water mark of the last
-	// virtual Forward clock, so a Run resumes where virtual time stopped
-	// and per-VC clocks never go backwards.
+	// the SetNow manual clock and, once Run has folded every port's swept
+	// into it, the high-water mark of the sweeps' clock, so a Run resumes
+	// where virtual time stopped and per-VC clocks never go backwards.
 	running     atomic.Bool
 	manualClock bool
 	clockNanos  atomic.Int64
@@ -400,7 +406,6 @@ func New(opts ...Option) *Forwarder {
 	}
 	if f.reg != nil {
 		f.ins = instruments{
-			batches:    f.reg.Counter(MetricForwardBatches),
 			vcMisses:   f.reg.Counter(MetricVCMisses),
 			batchCells: f.reg.Histogram(MetricBatchCells, metrics.ExpBuckets(1, 2, 12)),
 		}
@@ -580,16 +585,14 @@ func (f *Forwarder) ForwardGroup(g int, nowNanos int64) int {
 	if f.running.Load() {
 		panic("datapath: Forward or ForwardGroup called while Run is active")
 	}
-	total := f.sweepGroup(g, nowNanos)
-	f.noteNow(nowNanos)
-	return total
+	return f.sweepGroup(g, nowNanos)
 }
 
 // sweepGroup is one batched Forward tick over group g's ports (every port
 // for allGroups): the unit of work of Forward, ForwardGroup and the Run
-// goroutines. Batch metrics count only non-empty sweeps, so an idle polling
-// driver — a Run goroutine, a slot-driven relay — does not drown the
-// histogram in zeros.
+// goroutines. The batch histogram (its count is the number of batches) sees
+// only non-empty sweeps, so an idle polling driver — a Run goroutine, a
+// slot-driven relay — does not drown it in zeros.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) sweepGroup(g int, nowNanos int64) int {
@@ -597,18 +600,17 @@ func (f *Forwarder) sweepGroup(g int, nowNanos int64) int {
 	ports := *f.portList.Load()
 	for _, p := range ports {
 		if g == allGroups || p.group == g {
+			p.swept = nowNanos
 			total += f.forwardPort(p, nowNanos)
 		}
 	}
 	if total > 0 {
-		f.ins.batches.Inc()
 		f.ins.batchCells.Observe(float64(total))
 	}
 	return total
 }
 
-// noteNow raises the forwarder's clock high-water mark to nowNanos, so a
-// later Run resumes from where virtual time stopped.
+// noteNow raises the forwarder's clock to nowNanos; it never goes backwards.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) noteNow(nowNanos int64) {
@@ -634,10 +636,10 @@ func (f *Forwarder) Running() bool { return f.running.Load() }
 // Forward ticks over its own ports until ctx is canceled or Stop is
 // called. Egress draining remains the caller's: exactly one goroutine per
 // port may call Transmit/TransmitTo concurrently with a Run. Time comes
-// from the wall clock anchored at the last virtual tick, or from SetNow
-// under WithManualClock. Run returns an error if the forwarder is already
-// running; call Stop (even after ctx cancellation) before using the
-// single-driver entry points again.
+// from the wall clock anchored at the last sweep (a virtual Forward tick or
+// an earlier Run's), or from SetNow under WithManualClock. Run returns an
+// error if the forwarder is already running; call Stop (even after ctx
+// cancellation) before using the single-driver entry points again.
 func (f *Forwarder) Run(ctx context.Context) error {
 	f.runMu.Lock()
 	defer f.runMu.Unlock()
@@ -648,6 +650,9 @@ func (f *Forwarder) Run(ctx context.Context) error {
 	f.stopDone = make(chan struct{})
 	f.stopping = false
 	f.running.Store(true)
+	for _, p := range *f.portList.Load() {
+		f.noteNow(p.swept)
+	}
 	base := f.clockNanos.Load()
 	start := time.Now()
 	var done <-chan struct{}
@@ -763,9 +768,9 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 		return 0
 	}
 	var (
-		fwd, pol, ovf, unr, bad int64
-		touched                 [maxTouched]*Ring
-		nt                      int
+		pol, ovf, unr, bad int64
+		touched            [maxTouched]*Ring
+		nt                 int
 	)
 	entries := p.lookups[:n]
 	for i := range entries {
@@ -808,7 +813,6 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 			continue
 		}
 		e.forwarded.Add(1)
-		fwd++
 		if first {
 			if nt == maxTouched {
 				// Scratch full: publish early rather than track more.
@@ -820,11 +824,8 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 		}
 	}
 	publishAll(touched[:nt])
-	// Only what moved: a sweep over a quiet port carries a cell or two, and
-	// five locked adds would cost it more than the cells did.
-	if fwd > 0 {
-		p.forwarded.Add(fwd)
-	}
+	// Only what was dropped: a sweep over a quiet port carries a cell or
+	// two, and four locked adds would cost it more than the cells did.
 	if pol > 0 {
 		p.policed.Add(pol)
 	}

@@ -101,11 +101,13 @@ func TestForwardRoutesAndCounts(t *testing.T) {
 		MetricCellsArrived:     1,
 		MetricCellsForwarded:   1,
 		MetricCellsTransmitted: 1,
-		MetricForwardBatches:   1,
 	} {
 		if snap.Counters[name] != want {
 			t.Errorf("%s = %d, want %d", name, snap.Counters[name], want)
 		}
+	}
+	if h := snap.Histograms[MetricBatchCells]; h.Count != 1 || h.Sum != 1 {
+		t.Errorf("%s: %d batches of %g cells, want 1 of 1", MetricBatchCells, h.Count, h.Sum)
 	}
 }
 
@@ -473,10 +475,8 @@ func TestEmptySweepsAreNotBatches(t *testing.T) {
 	if n := f.ForwardGroup(0, 11); n != 1 {
 		t.Fatalf("ForwardGroup processed %d cells, want 1", n)
 	}
-	snap := reg.Snapshot()
-	h := snap.Histograms[MetricBatchCells]
-	if snap.Counters[MetricForwardBatches] != 2 || h.Count != 2 || h.Sum != 3 {
-		t.Fatalf("22 sweeps, 2 of them non-empty: %d batches, histogram count %d sum %g; want 2, 2, 3",
-			snap.Counters[MetricForwardBatches], h.Count, h.Sum)
+	h := reg.Snapshot().Histograms[MetricBatchCells]
+	if h.Count != 2 || h.Sum != 3 {
+		t.Fatalf("22 sweeps, 2 of them non-empty: histogram count %d sum %g; want 2, 3", h.Count, h.Sum)
 	}
 }

@@ -235,3 +235,61 @@ func TestRunManualClock(t *testing.T) {
 		t.Fatalf("after SetNow(1s): %+v, want 2 forwarded / 1 policed", vs)
 	}
 }
+
+// TestRunResumesFromVirtualTime: sweeps do not raise the forwarder's shared
+// clock — each leaves its time on the ports it visited and Run folds those
+// in before it anchors the wall clock — and this pins what that fold is
+// for. A virtual hour of single-driver time empties a finite-rate VC's
+// bucket; a Run started afterwards must count wall time from that hour, or
+// the VC's clock would sit an hour ahead of the sweeps', earn nothing, and
+// police every cell. The same must hold when a second Run follows the first.
+func TestRunResumesFromVirtualTime(t *testing.T) {
+	const depth = 4
+	f := New(WithDepthCells(depth))
+	in, err := f.AddPort(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AddPort(2); err != nil {
+		t.Fatal(err)
+	}
+	id := switchfab.VCID(3)
+	// A cell per microsecond: a millisecond of wall time refills the bucket
+	// hundreds of times over, an hour's deficit would take an hour.
+	if err := f.AddVC(id, 2, 1e6*CellPayloadBits); err != nil {
+		t.Fatal(err)
+	}
+	c := mkCell(t, id, 0)
+	offer := func() {
+		t.Helper()
+		for i := 0; i < depth; i++ {
+			if !f.Inject(in, &c) {
+				t.Fatal("inject refused")
+			}
+		}
+	}
+	offer()
+	if n := f.Forward(int64(time.Hour)); n != depth {
+		t.Fatalf("Forward processed %d cells, want %d", n, depth)
+	}
+	want := int64(depth)
+	for run, pause := range []time.Duration{time.Millisecond, 20 * time.Millisecond, time.Millisecond} {
+		if err := f.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// The pause refills the bucket; the second run is the long one, so a
+		// third that restarted from where the second began would trail the
+		// VC's clock by most of it.
+		time.Sleep(pause)
+		offer()
+		want += depth
+		deadline := time.Now().Add(30 * time.Second)
+		for vs, _ := f.VCStats(id); vs.Seen < want && time.Now().Before(deadline); vs, _ = f.VCStats(id) {
+			runtime.Gosched()
+		}
+		f.Stop()
+		if vs, _ := f.VCStats(id); vs.Forwarded != want || vs.Policed != 0 {
+			t.Fatalf("run %d: %+v, want %d forwarded and none policed", run, vs, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package mesh
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -246,9 +247,10 @@ func TestNewCellPathValidation(t *testing.T) {
 // TestDelayLineStaysFixedUnderFullLoad is the regression test for the
 // delay line that grew without bound: with a cell on every slot a link was
 // never empty, so the line (which only reset when it emptied) appended one
-// timedCell per cell forever. A million full-load slots must leave every
-// line at the capacity it was built with, deliver every cell at the exact
-// pipeline delay, and a Step must allocate nothing.
+// timedCell per cell forever. Over a million full-load slots no line may
+// ever hold more than the DelaySlots+1 cells its link can have in flight or
+// leave the capacity it was built with, every cell must be delivered at the
+// exact pipeline delay, and a Step must allocate nothing.
 func TestDelayLineStaysFixedUnderFullLoad(t *testing.T) {
 	const slotNanos = int64(1e6)
 	id := switchfab.MakeVCID(0, 7)
@@ -270,6 +272,11 @@ func TestDelayLineStaysFixedUnderFullLoad(t *testing.T) {
 			t.Fatalf("slot %d: inject refused", slot)
 		}
 		cp.Step(slot)
+		for k := range cp.lines {
+			if got, max := cp.lines[k].inFlight(), int(cp.hops[k].DelaySlots)+1; got > max {
+				t.Fatalf("slot %d: %d cells in flight on line %d, which carries %d", slot, got, k, max)
+			}
+		}
 	}
 	for k := range cp.lines {
 		if got := cap(cp.lines[k].q); got != caps[k] {
@@ -317,4 +324,135 @@ func TestStepRepeatedSlotHoldsTheLink(t *testing.T) {
 	if s := cp.Stats(); s.Delivered != cells || s.LinkDrops != 0 {
 		t.Fatalf("stats %+v, want all %d delivered", s, cells)
 	}
+}
+
+// cellPathGolden is what one TestCellPathGolden script leaves behind: the
+// relay's counters and, per hop, the ingress then the egress port's.
+type cellPathGolden struct {
+	stats CellPathStats
+	hops  [3][2]datapath.PortStats
+}
+
+// runCellPathGoldenScript drives the golden script over three hops of the
+// given link delay. Four VCs of a seeded on/off source offer about a cell
+// per slot between them, in bursts of up to four. The first hop grants each
+// the whole line behind 8-cell rings, so its egress FIFO overflows and a
+// ten-cell clump every 501st slot is partly dropped on the wire; the second
+// grants an eighth of the line each and polices; the third has a shallow
+// bucket and does not route the last VC. Every 97th slot is stepped twice
+// with an injection in between: a full line must hold the link.
+func runCellPathGoldenScript(t *testing.T, delaySlots int64) cellPathGolden {
+	t.Helper()
+	const (
+		slots     = 20_000
+		slotNanos = 2726
+		vcs       = 4
+	)
+	line := datapath.CellPayloadBits / (slotNanos * 1e-9)
+	ids := make([]switchfab.VCID, vcs)
+	for i := range ids {
+		ids[i] = switchfab.MakeVCID(uint8(i), uint16(40+i))
+	}
+	var hops []CellHop
+	for k := 0; k < 3; k++ {
+		opts, rate, routed := []datapath.Option(nil), line/8, ids
+		switch k {
+		case 0:
+			opts, rate = append(opts, datapath.WithRingCells(8)), line
+		case 2:
+			opts, routed = append(opts, datapath.WithDepthCells(4)), ids[:vcs-1]
+		}
+		fw := datapath.New(opts...)
+		for port := 0; port < 2; port++ {
+			if _, err := fw.AddPort(port); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range routed {
+			if err := fw.AddVC(id, 1, rate); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hops = append(hops, CellHop{FW: fw, In: 0, Out: 1, DelaySlots: delaySlots})
+	}
+	cp, err := NewCellPath(hops, slotNanos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1995))
+	on := make([]bool, vcs)
+	for slot := int64(0); slot < slots; slot++ {
+		for i, id := range ids {
+			if rng.Intn(64) == 0 {
+				on[i] = !on[i]
+			}
+			if on[i] && rng.Intn(2) == 0 {
+				cp.InjectStamped(id, slot)
+			}
+		}
+		if slot%501 == 500 {
+			for i := 0; i < 10; i++ {
+				cp.InjectStamped(ids[1], slot)
+			}
+		}
+		cp.Step(slot)
+		if slot%97 == 0 {
+			cp.InjectStamped(ids[0], slot)
+			cp.Step(slot)
+		}
+	}
+	got := cellPathGolden{stats: cp.Stats()}
+	for k := range got.hops {
+		in, out := cp.Hop(k)
+		got.hops[k] = [2]datapath.PortStats{in.Stats(), out.Stats()}
+	}
+	return got
+}
+
+// TestCellPathGolden pins the relay's slot semantics to the cell: the same
+// script must leave exactly the counters it left at 6164ee5, the commit
+// before the one-cell sweep's ledger was trimmed (captured there), on every
+// link delay — wire drops, overflow, policing, unroutable cells, what is
+// still queued and the delay sums included.
+func TestCellPathGolden(t *testing.T) {
+	for d, want := range cellPathGoldens {
+		if got := runCellPathGoldenScript(t, d); got != want {
+			t.Errorf("DelaySlots %d:\n got %+v\nwant %+v", d, got, want)
+		}
+	}
+}
+
+var cellPathGoldens = map[int64]cellPathGolden{
+	0: {
+		stats: CellPathStats{Injected: 20401, Delivered: 4883, LinkDrops: 129, SumDelaySlots: 29697, MaxDelaySlots: 9},
+		hops: [3][2]datapath.PortStats{
+			{{Arrived: 20272, Unroutable: 0, Policed: 0, Overflow: 3811, Forwarded: 16461, InQueued: 0}, {Enqueued: 16461, Transmitted: 16457, OutQueued: 4}},
+			{{Arrived: 16457, Unroutable: 0, Policed: 6644, Overflow: 0, Forwarded: 9812, InQueued: 1}, {Enqueued: 9812, Transmitted: 9812, OutQueued: 0}},
+			{{Arrived: 9812, Unroutable: 2439, Policed: 2489, Overflow: 0, Forwarded: 4883, InQueued: 1}, {Enqueued: 4883, Transmitted: 4883, OutQueued: 0}},
+		},
+	},
+	1: {
+		stats: CellPathStats{Injected: 20401, Delivered: 4882, LinkDrops: 129, SumDelaySlots: 44900, MaxDelaySlots: 13},
+		hops: [3][2]datapath.PortStats{
+			{{Arrived: 20272, Unroutable: 0, Policed: 0, Overflow: 3921, Forwarded: 16351, InQueued: 0}, {Enqueued: 16351, Transmitted: 16346, OutQueued: 5}},
+			{{Arrived: 16345, Unroutable: 0, Policed: 6544, Overflow: 0, Forwarded: 9800, InQueued: 1}, {Enqueued: 9800, Transmitted: 9800, OutQueued: 0}},
+			{{Arrived: 9799, Unroutable: 2430, Policed: 2487, Overflow: 0, Forwarded: 4882, InQueued: 0}, {Enqueued: 4882, Transmitted: 4882, OutQueued: 0}},
+		},
+	},
+	2: {
+		stats: CellPathStats{Injected: 20401, Delivered: 4882, LinkDrops: 129, SumDelaySlots: 59544, MaxDelaySlots: 16},
+		hops: [3][2]datapath.PortStats{
+			{{Arrived: 20272, Unroutable: 0, Policed: 0, Overflow: 3921, Forwarded: 16351, InQueued: 0}, {Enqueued: 16351, Transmitted: 16346, OutQueued: 5}},
+			{{Arrived: 16344, Unroutable: 0, Policed: 6544, Overflow: 0, Forwarded: 9799, InQueued: 1}, {Enqueued: 9799, Transmitted: 9799, OutQueued: 0}},
+			{{Arrived: 9798, Unroutable: 2429, Policed: 2486, Overflow: 0, Forwarded: 4882, InQueued: 1}, {Enqueued: 4882, Transmitted: 4882, OutQueued: 0}},
+		},
+	},
+	5: {
+		stats: CellPathStats{Injected: 20401, Delivered: 4880, LinkDrops: 129, SumDelaySlots: 103433, MaxDelaySlots: 25},
+		hops: [3][2]datapath.PortStats{
+			{{Arrived: 20272, Unroutable: 0, Policed: 0, Overflow: 3921, Forwarded: 16351, InQueued: 0}, {Enqueued: 16351, Transmitted: 16346, OutQueued: 5}},
+			{{Arrived: 16341, Unroutable: 0, Policed: 6543, Overflow: 0, Forwarded: 9797, InQueued: 1}, {Enqueued: 9797, Transmitted: 9797, OutQueued: 0}},
+			{{Arrived: 9792, Unroutable: 2424, Policed: 2486, Overflow: 0, Forwarded: 4881, InQueued: 1}, {Enqueued: 4881, Transmitted: 4881, OutQueued: 0}},
+		},
+	},
 }

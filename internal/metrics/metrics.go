@@ -114,12 +114,11 @@ func (g *Gauge) Value() float64 {
 
 // Histogram counts observations into fixed buckets defined by ascending
 // upper bounds; observations above the last bound land in an implicit
-// overflow bucket. Sum and Count are tracked alongside so means are
-// recoverable. A nil Histogram ignores observations.
+// overflow bucket. The sum is tracked alongside so means are recoverable; the
+// count is the buckets' total. A nil Histogram ignores observations.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; immutable after creation
 	buckets []atomic.Int64
-	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
@@ -146,7 +145,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -165,12 +163,15 @@ func (h *Histogram) ObserveSince(start int64) {
 	h.Observe(time.Duration(Nanotime() - start).Seconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
+// Count returns the number of observations: the buckets' total.
+func (h *Histogram) Count() (n int64) {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // ExpBuckets returns n ascending bounds starting at start, each factor times
@@ -349,11 +350,11 @@ func (r *Registry) Snapshot() Snapshot {
 		hs := HistogramSnapshot{
 			Bounds: append([]float64(nil), h.bounds...),
 			Counts: make([]int64, len(h.buckets)),
-			Count:  h.count.Load(),
 			Sum:    math.Float64frombits(h.sumBits.Load()),
 		}
 		for i := range h.buckets {
 			hs.Counts[i] = h.buckets[i].Load()
+			hs.Count += hs.Counts[i]
 		}
 		s.Histograms[name] = hs
 	}

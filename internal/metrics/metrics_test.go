@@ -179,6 +179,50 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotSelfConsistent: a histogram keeps no count beside its
+// buckets, so a snapshot taken while four goroutines observe — each between
+// one observation's two updates as often as not — still has Count equal to
+// the sum of Counts, every time, which a separate count word read at another
+// moment could not promise.
+func TestHistogramSnapshotSelfConsistent(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", ExpBuckets(1, 2, 6))
+	const (
+		observers   = 4
+		perObserver = 20_000
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < observers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perObserver; i++ {
+				h.Observe(float64((i + w) % 100))
+			}
+		}(w)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	for done := false; !done; {
+		select {
+		case <-finished:
+			done = true // one more snapshot, of the final state
+		default:
+		}
+		hs := r.Snapshot().Histograms["lat"]
+		var sum int64
+		for _, c := range hs.Counts {
+			sum += c
+		}
+		if hs.Count != sum {
+			t.Fatalf("snapshot count %d, buckets %v sum to %d", hs.Count, hs.Counts, sum)
+		}
+		if done && (hs.Count != observers*perObserver || h.Count() != hs.Count) {
+			t.Fatalf("final count %d (Count() %d), want %d", hs.Count, h.Count(), observers*perObserver)
+		}
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(3)

@@ -119,7 +119,7 @@ func (c *Client) flushBatch(entries []batchEntry) {
 	id := c.newID()
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
-	f, err := c.roundTrip(context.Background(), id, true, func(int) ([]byte, error) {
+	f, err := c.roundTrip(context.Background(), id, len(entries), func(int) ([]byte, error) {
 		pkt := appendHeader((*bufp)[:0], TypeRM, id)
 		for _, e := range entries {
 			var err error

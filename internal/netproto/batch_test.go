@@ -217,6 +217,12 @@ func TestClientBatchWindow(t *testing.T) {
 	if cells < n || frames >= cells {
 		t.Errorf("server saw %d cells in %d RM frames, want at least %d cells in fewer frames", cells, frames, n)
 	}
+	// The client counts RM cells, not datagrams: what it sent is what the
+	// server unpacked, and every caller's cell came back (a retransmitted
+	// frame's second reply is dropped unread, so received may trail sent).
+	if sent, recv := snap.Counters[MetricClientRMSent], snap.Counters[MetricClientRMRecv]; sent != cells || recv < n {
+		t.Errorf("client sent %d and received %d RM cells, server saw %d of %d", sent, recv, cells, n)
+	}
 }
 
 // TestClientBatchDuplicateVCI: two renegotiations of one VC in the same

@@ -279,9 +279,11 @@ func (c *Client) unregister(reqID uint32) {
 // retransmitting on timeout, until ctx is done or the retries are
 // exhausted. resend generates the datagram for each attempt (attempt 0 is
 // the original), letting callers switch to an idempotent encoding for
-// retries. rm marks RM-cell traffic for the metrics split. Concurrent
-// round trips share the socket; each paces its own timer.
-func (c *Client) roundTrip(ctx context.Context, reqID uint32, rm bool, resend func(attempt int) ([]byte, error)) (Frame, error) {
+// retries. rmCells is how many RM cells the datagram carries (0 for setup
+// and teardown), for the metrics split; an RM reply counts the cells it
+// brings back. Concurrent round trips share the socket; each paces its own
+// timer.
+func (c *Client) roundTrip(ctx context.Context, reqID uint32, rmCells int, resend func(attempt int) ([]byte, error)) (Frame, error) {
 	c.ins.requests.Inc()
 	ch := make(chan rxResult, 1)
 	if err := c.register(reqID, ch); err != nil {
@@ -308,8 +310,8 @@ func (c *Client) roundTrip(ctx context.Context, reqID uint32, rm bool, resend fu
 			return Frame{}, err
 		}
 		c.ins.sent.Inc()
-		if rm {
-			c.ins.rmSent.Inc()
+		if rmCells > 0 {
+			c.ins.rmSent.Add(int64(rmCells))
 		}
 		if timer == nil {
 			timer = time.NewTimer(c.timeout)
@@ -325,8 +327,8 @@ func (c *Client) roundTrip(ctx context.Context, reqID uint32, rm bool, resend fu
 				return Frame{}, r.err
 			}
 			c.ins.recv.Inc()
-			if rm {
-				c.ins.rmRecv.Inc()
+			if r.frame.Type == TypeRMReply {
+				c.ins.rmRecv.Add(int64(len(r.frame.Payload) / cell.Size))
 			}
 			c.ins.rtt.ObserveSince(sentAt)
 			return r.frame, nil
@@ -349,7 +351,7 @@ func (c *Client) Setup(ctx context.Context, vci uint16, port int, rate float64) 
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
 	pkt := AppendSetup((*bufp)[:0], id, SetupReq{VCI: vci, Port: uint16(port), Rate: rate})
-	f, err := c.roundTrip(ctx, id, false, func(int) ([]byte, error) { return pkt, nil })
+	f, err := c.roundTrip(ctx, id, 0, func(int) ([]byte, error) { return pkt, nil })
 	if err != nil {
 		return err
 	}
@@ -369,7 +371,7 @@ func (c *Client) Teardown(ctx context.Context, vci uint16) error {
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
 	pkt := AppendTeardown((*bufp)[:0], id, vci)
-	f, err := c.roundTrip(ctx, id, false, func(int) ([]byte, error) { return pkt, nil })
+	f, err := c.roundTrip(ctx, id, 0, func(int) ([]byte, error) { return pkt, nil })
 	if err != nil {
 		return err
 	}
@@ -397,7 +399,7 @@ func (c *Client) Renegotiate(ctx context.Context, vci uint16, current, target fl
 	h := cell.Header{VCI: vci}
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
-	f, err := c.roundTrip(ctx, id, true, func(attempt int) ([]byte, error) {
+	f, err := c.roundTrip(ctx, id, 1, func(attempt int) ([]byte, error) {
 		seq := c.nextSeq.Add(1)
 		if attempt == 0 {
 			return AppendRM((*bufp)[:0], id, h, deltaRM(current, target, seq))
@@ -430,7 +432,7 @@ func (c *Client) Resync(ctx context.Context, vci uint16, rate float64) (granted 
 	h := cell.Header{VCI: vci}
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
-	f, err := c.roundTrip(ctx, id, true, func(int) ([]byte, error) {
+	f, err := c.roundTrip(ctx, id, 1, func(int) ([]byte, error) {
 		return AppendRM((*bufp)[:0], id, h, cell.RM{Resync: true, ER: rate, Seq: c.nextSeq.Add(1)})
 	})
 	if err != nil {

@@ -390,8 +390,15 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 			}
 		}
 	}
-	if clamps := s.Stats().ReservedClamps; clamps != 0 {
-		t.Errorf("ReservedClamps = %d, want 0", clamps)
+	st := s.Stats()
+	if st.ReservedClamps != 0 {
+		t.Errorf("ReservedClamps = %d, want 0", st.ReservedClamps)
+	}
+	// One counter per fact: a decision is a grant or a denial and is counted
+	// as that alone; the callers' own tally says how many grants there were.
+	if st.Renegotiations != st.Grants+st.Denials || st.Grants != renegGrants.Load() {
+		t.Errorf("%d renegotiations, %d grants, %d denials; callers saw %d grants",
+			st.Renegotiations, st.Grants, st.Denials, renegGrants.Load())
 	}
 }
 

@@ -163,10 +163,13 @@ func TestClockReadBudget(t *testing.T) {
 			if err := s.AddPort(1, 10e6); err != nil {
 				t.Fatal(err)
 			}
-			var setups, admits, renegs int64
+			var setups, admits, renegs, outcomes int64
 			for _, st := range steps {
 				before := clk.reads
 				got, err := st.op(s)
+				if got != "" {
+					outcomes++
+				}
 				if n := clk.reads - before; n != st.reads[cfg.col] {
 					t.Errorf("%s: %d clock reads, want %d", st.name, n, st.reads[cfg.col])
 				}
@@ -195,8 +198,15 @@ func TestClockReadBudget(t *testing.T) {
 					t.Errorf("%s: outcome %q, want %q", st.name, got, st.want)
 				}
 			}
-			if got := s.Stats().DupDrops; got != 1 {
-				t.Errorf("%d duplicate drops, want 1", got)
+			stats := s.Stats()
+			if stats.DupDrops != 1 {
+				t.Errorf("%d duplicate drops, want 1", stats.DupDrops)
+			}
+			// Every outcome but the dropped duplicate was a decision, and a
+			// decision is counted once, as a grant or as a denial.
+			if stats.Renegotiations != stats.Grants+stats.Denials || stats.Renegotiations != outcomes-stats.DupDrops {
+				t.Errorf("%d renegotiations, %d grants, %d denials, want %d decisions",
+					stats.Renegotiations, stats.Grants, stats.Denials, outcomes-stats.DupDrops)
 			}
 			if !cfg.reg {
 				return

@@ -225,12 +225,12 @@ type DataPlane interface {
 
 // Stats is a snapshot of switch activity counters.
 type Stats struct {
-	Setups         int64
-	SetupRejects   int64
-	Teardowns      int64
+	Setups       int64
+	SetupRejects int64
+	Teardowns    int64
+	// Renegotiations is Grants + Denials, summed when the snapshot is taken.
 	Renegotiations int64
-	// Grants counts renegotiations and resyncs applied, in full or in part;
-	// Renegotiations == Grants + Denials.
+	// Grants counts renegotiations and resyncs applied, in full or in part.
 	Grants  int64
 	Denials int64
 	// PartialGrants counts RenegotiateBestID requests settled below the
@@ -254,7 +254,6 @@ type statCounters struct {
 	setups         atomic.Int64
 	setupRejects   atomic.Int64
 	teardowns      atomic.Int64
-	renegotiations atomic.Int64
 	grants         atomic.Int64
 	denials        atomic.Int64
 	partialGrants  atomic.Int64
@@ -438,7 +437,7 @@ func New(opts ...Option) *Switch {
 		s.reg.CounterFunc(MetricSetups, s.stats.setups.Load)
 		s.reg.CounterFunc(MetricSetupRejects, s.stats.setupRejects.Load)
 		s.reg.CounterFunc(MetricTeardowns, s.stats.teardowns.Load)
-		s.reg.CounterFunc(MetricRenegs, s.stats.renegotiations.Load)
+		s.reg.CounterFunc(MetricRenegs, func() int64 { return s.stats.grants.Load() + s.stats.denials.Load() })
 		s.reg.CounterFunc(MetricGrants, s.stats.grants.Load)
 		s.reg.CounterFunc(MetricDenials, s.stats.denials.Load)
 		s.reg.CounterFunc(MetricPartialGrants, s.stats.partialGrants.Load)
@@ -715,7 +714,6 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 		// Zero headroom: a flat denial; the source keeps what it has
 		// (III-A.1). Record it on the deny path, not as a grant of the
 		// old rate.
-		s.stats.renegotiations.Add(1)
 		s.stats.denials.Add(1)
 		s.events.Record(metrics.Event{
 			Kind: metrics.EventRenegDeny, VPI: id.VPI(), VCI: id.VCI(), Port: p.id,
@@ -742,7 +740,6 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 //
 //rcbr:zeroalloc
 func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, requested float64, grantKind metrics.EventKind) (float64, bool) {
-	s.stats.renegotiations.Add(1)
 	if p.reserved-vc.rate+newRate <= p.capacity {
 		old := vc.rate
 		s.setReserved(p, p.reserved+newRate-old)
@@ -944,11 +941,10 @@ func (s *Switch) VCsPage(offset, limit int) ([]VCInfo, int) {
 
 // Stats returns a snapshot of the activity counters.
 func (s *Switch) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Setups:         s.stats.setups.Load(),
 		SetupRejects:   s.stats.setupRejects.Load(),
 		Teardowns:      s.stats.teardowns.Load(),
-		Renegotiations: s.stats.renegotiations.Load(),
 		Grants:         s.stats.grants.Load(),
 		PartialGrants:  s.stats.partialGrants.Load(),
 		Denials:        s.stats.denials.Load(),
@@ -956,4 +952,6 @@ func (s *Switch) Stats() Stats {
 		DupDrops:       s.stats.dupDrops.Load(),
 		ReservedClamps: s.stats.reservedClamps.Load(),
 	}
+	st.Renegotiations = st.Grants + st.Denials
+	return st
 }
