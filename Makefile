@@ -23,7 +23,7 @@ FUZZTIME ?= 10s
 
 all: lint test race
 
-# lint runs the repository's own eight-analyzer suite (cmd/rcbrlint) plus go
+# lint runs the repository's own six-analyzer suite (cmd/rcbrlint) plus go
 # vet. Staticcheck and govulncheck run in CI at pinned versions; run them
 # locally with `make lint-extra` if they are installed.
 lint:
@@ -101,7 +101,9 @@ bench-check:
 # into BENCH_trellis.json. CI runs it at -benchtime=1x into BENCH_new.json
 # and holds that run to the zero-alloc contract (benchjson -compare); the
 # tracked file is only ever re-recorded by hand: `make bench-json
-# BENCHTIME=2s`.
+# BENCHTIME=2s`. benchjson folds repeated lines of one benchmark (go test
+# -count N, run by hand into the same pipe) into one record with the median
+# and quartiles; it needs no flag for that and this target no variable.
 BENCHTIME ?= 1x
 BENCHJSON ?= BENCH_trellis.json
 

@@ -4,7 +4,10 @@
 //	go test -run '^$' -bench . -benchmem . | benchjson -o BENCH_trellis.json
 //
 // Each "Benchmark..." result line becomes one record with ns/op and, when
-// -benchmem is on, B/op and allocs/op. The goos/goarch/pkg/cpu header lines
+// -benchmem is on, B/op and allocs/op. A benchmark that was run more than
+// once (`go test -count N` repeats its line) becomes one record all the
+// same: the median ns/op, the quartiles beside it and the number of runs,
+// so a baseline carries its own spread. The goos/goarch/pkg/cpu header lines
 // are captured, and beside them the CPU count, the GOMAXPROCS the benchmarks
 // ran at and the Go version, so a baseline records the machine and toolchain
 // it was measured on. Lines that are not benchmark results (test chatter,
@@ -33,6 +36,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -40,10 +44,18 @@ import (
 // Result is one benchmark measurement. Custom metrics reported via
 // b.ReportMetric (any unit other than ns/op, B/op, allocs/op — e.g. the
 // churn benchmarks' "bytes/vc") are recorded under Extra keyed by unit.
+//
+// A benchmark run once is its line. One run N > 1 times is folded (see
+// fold): NsPerOp is the median of the runs with Q1 and Q3 its quartiles and
+// Runs their number, AllocsPerOp the largest any run reported, and the rest
+// is the median run's.
 type Result struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
+	Q1          float64            `json:"q1,omitempty"`
+	Q3          float64            `json:"q3,omitempty"`
+	Runs        int                `json:"runs,omitempty"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
@@ -188,6 +200,11 @@ func readBaseline(path string) (Baseline, error) {
 
 func parse(sc *bufio.Scanner) (Baseline, error) {
 	base := Baseline{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
+	// runs holds every line of one benchmark, in order of first appearance
+	// and keyed by the name as printed: under a -cpu list one benchmark at
+	// two GOMAXPROCS is two records, as it always was.
+	var runs [][]Result
+	byLine := make(map[string]int)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
@@ -206,19 +223,54 @@ func parse(sc *bufio.Scanner) (Baseline, error) {
 				fmt.Println(line)
 				continue
 			}
-			if _, procs := stripProcs(strings.Fields(line)[0]); len(base.Results) == 0 {
+			printed := strings.Fields(line)[0]
+			if _, procs := stripProcs(printed); len(runs) == 0 {
 				base.GOMAXPROCS = procs
 			} else if procs != base.GOMAXPROCS {
 				base.GOMAXPROCS = 0 // a -cpu list: no one value, so none is recorded
 			}
-			base.Results = append(base.Results, r)
+			i, seen := byLine[printed]
+			if !seen {
+				i = len(runs)
+				byLine[printed] = i
+				runs = append(runs, nil)
+			}
+			runs[i] = append(runs[i], r)
 		default:
 			if line != "" {
 				fmt.Println(line)
 			}
 		}
 	}
+	for _, rs := range runs {
+		base.Results = append(base.Results, fold(rs))
+	}
 	return base, sc.Err()
+}
+
+// fold makes one record of the runs of one benchmark. A single run is
+// returned as it is. Several are sorted by ns/op: the record is the median
+// run's, with NsPerOp the median proper (the mean of the middle two when
+// the count is even), Q1 and Q3 the quartiles by linear interpolation, and
+// AllocsPerOp the largest of the runs — the zero-alloc gate must not pass
+// on a run that happened to be clean.
+func fold(runs []Result) Result {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].NsPerOp < runs[j].NsPerOp })
+	quantile := func(p float64) float64 {
+		at := p * float64(len(runs)-1)
+		lo := int(at)
+		hi := min(lo+1, len(runs)-1)
+		return runs[lo].NsPerOp + (at-float64(lo))*(runs[hi].NsPerOp-runs[lo].NsPerOp)
+	}
+	r := runs[len(runs)/2]
+	r.NsPerOp, r.Q1, r.Q3, r.Runs = quantile(0.5), quantile(0.25), quantile(0.75), len(runs)
+	for _, run := range runs {
+		r.AllocsPerOp = max(r.AllocsPerOp, run.AllocsPerOp)
+	}
+	return r
 }
 
 // parseResult decodes one result line, e.g.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -183,6 +184,54 @@ ok  	rcbr	12.3s
 	mixed, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkA 10 5.0 ns/op\nBenchmarkA-2 10 5.0 ns/op\nBenchmarkA-4 10 5.0 ns/op\n")))
 	if err != nil || len(mixed.Results) != 3 || mixed.GOMAXPROCS != 0 {
 		t.Fatalf("-cpu 1,2,4 output: %+v, %v; want 3 results and no gomaxprocs", mixed, err)
+	}
+}
+
+// TestParseFoldsRepeatedRuns: `go test -count N` prints a benchmark's line N
+// times, and the recorder reads the repetition off its input — one record a
+// benchmark, the median with its quartiles and the run count; a benchmark
+// run once is its line, with none of the three. The zero-alloc gate then
+// sees the worst run, not the median one.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	const out = `BenchmarkOnce-2 	100	 40.0 ns/op	 8 B/op	 1 allocs/op
+BenchmarkDataPathTwice-2 	100	 30.0 ns/op	 0 B/op	 0 allocs/op
+BenchmarkFive-2 	100	 50.0 ns/op	 7.0 bytes/vc
+BenchmarkFive-2 	101	 10.0 ns/op	 1.0 bytes/vc
+BenchmarkDataPathTwice-2 	200	 10.0 ns/op	 16 B/op	 1 allocs/op
+BenchmarkFive-2 	102	 40.0 ns/op	 4.0 bytes/vc
+BenchmarkFive-2 	103	 20.0 ns/op	 2.0 bytes/vc
+BenchmarkFive-2 	104	 30.0 ns/op	 3.0 bytes/vc
+`
+	base, err := parse(bufio.NewScanner(strings.NewReader(out)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Results) != 3 || base.GOMAXPROCS != 2 {
+		t.Fatalf("%d records at gomaxprocs %d, want 3 (one a benchmark, in order of first appearance) at 2: %+v",
+			len(base.Results), base.GOMAXPROCS, base.Results)
+	}
+	once, twice, five := base.Results[0], base.Results[1], base.Results[2]
+	if want, _ := parseResult(out[:strings.IndexByte(out, '\n')]); !reflect.DeepEqual(once, want) || once.Runs != 0 {
+		t.Errorf("one line: %+v, want the line as parsed: %+v", once, want)
+	}
+	if enc, _ := json.Marshal(once); strings.Contains(string(enc), "runs") || strings.Contains(string(enc), "q1") {
+		t.Errorf("a single run encodes spread fields: %s", enc)
+	}
+	// Two lines: the median is their mean, the quartiles a quarter in from
+	// each, and the one allocating run is the allocs/op on record.
+	if twice.Name != "BenchmarkDataPathTwice" || twice.Runs != 2 || twice.NsPerOp != 20 || twice.Q1 != 15 || twice.Q3 != 25 || twice.AllocsPerOp != 1 {
+		t.Errorf("two lines: %+v, want median 20 in [15, 25] over 2 runs, 1 allocs/op", twice)
+	}
+	// Five lines: the order statistics themselves, and the rest of the
+	// record is the median run's.
+	if five.Runs != 5 || five.NsPerOp != 30 || five.Q1 != 20 || five.Q3 != 40 || five.Iterations != 104 || five.Extra["bytes/vc"] != 3 {
+		t.Errorf("five lines: %+v, want median 30 in [20, 40] over 5 runs, from the 104-iteration run", five)
+	}
+
+	path := writeBaseline(t, "new.json", base.Results...)
+	var buf strings.Builder
+	if allocBroken, err := compareBaselines(&buf, path, path); err != nil || !allocBroken {
+		t.Errorf("a zero-alloc benchmark that allocated in one run of two passed the gate (%v):\n%s", err, buf.String())
 	}
 }
 

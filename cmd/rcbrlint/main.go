@@ -1,11 +1,10 @@
 // Command rcbrlint runs the repository's static-analysis suite (package
-// internal/analysis) over the module: eight analyzers enforcing the
-// conventions the concurrent signaling plane and switch fabric depend on —
-// registered metric names, lock scopes that never span blocking calls, the
-// one-port-lock-at-a-time rule, context plumbing through the signaling
-// surface, errors.Is sentinel matching, live event kinds and histograms,
-// //rcbr:zeroalloc hot paths free of allocation, and finite-rate validation
-// between the wire and the books.
+// internal/analysis) over the module: six analyzers enforcing the
+// conventions the concurrent signaling plane and switch fabric depend on
+// and no test can hold — registered metric names, lock scopes that never
+// span blocking calls, context plumbing through the signaling surface,
+// errors.Is sentinel matching, live event kinds and histograms, and
+// //rcbr:zeroalloc hot paths free of allocation.
 //
 // Usage:
 //

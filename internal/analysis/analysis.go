@@ -1,12 +1,10 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// for the rcbr repository, plus the eight project-specific analyzers that
+// for the rcbr repository, plus the six project-specific analyzers that
 // cmd/rcbrlint runs over it. The signaling plane and switch fabric rest on
-// conventions the compiler cannot see — metric names must be registered
-// constants, fabric locks must not be held across blocking operations and
-// must follow the shard→port hierarchy, hot paths must stay at 0
-// allocs/op, wire-decoded rates must be validated finite before they reach
-// the books — and at production scale those conventions only hold if a
-// machine checks them. The style analyzers are:
+// conventions the compiler cannot see and no test can reach — metric names
+// must be registered constants, fabric locks must not be held across
+// blocking operations, hot paths must stay at 0 allocs/op on the branches
+// no benchmark takes — so a machine checks them on every source line:
 //
 //   - metricname: metric strings passed to the metrics registry are
 //     package-level Metric* constants (or *Counter/*Gauge/*Histogram
@@ -18,18 +16,12 @@
 //   - sentinelcmp: sentinel errors are matched with errors.Is, never ==.
 //   - eventkind: every EventKind constant is named and emitted, and every
 //     histogram instrument a package creates is observed by that package.
-//
-// And the invariant-grade analyzers, which reason through the package call
-// graph (see CallGraph and Facts):
-//
-//   - lockorder: a path never holds two port locks at once and mutex
-//     acquisitions form no acquisition-order cycles — including through
-//     direct callees.
 //   - zeroalloc: functions annotated //rcbr:zeroalloc avoid
 //     allocation-inducing constructs outside cold error paths.
-//   - ratetaint: float64 values originating from netproto decodes or
-//     exported fabric entry points pass finite-rate validation before
-//     reaching reserved accounting or admission.
+//
+// Rules a short test can hold are held by tests beside the code instead
+// (DESIGN §9): finite-rate validation at every entry point, one port lock
+// at a time, no mutex on a ring.
 //
 // The framework deliberately mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, testdata-driven tests)

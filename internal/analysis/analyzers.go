@@ -6,10 +6,8 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		CtxFirst,
 		EventKind,
-		LockOrder,
 		LockScope,
 		MetricName,
-		RateTaint,
 		SentinelCmp,
 		ZeroAlloc,
 	}

@@ -31,21 +31,9 @@ func TestEventKind(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.EventKind, "eventkind")
 }
 
-// TestLockOrder covers the one-port-lock-at-a-time rule, callee
-// propagation, self-deadlocks, cycles, and line-scoped ignores.
-func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.LockOrder, "lockorder")
-}
-
 // TestZeroAlloc covers the //rcbr:zeroalloc annotation: every
 // allocation-inducing construct class, the cold-error-path exemption, and
 // line-scoped ignores.
 func TestZeroAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ZeroAlloc, "zeroalloc")
-}
-
-// TestRateTaint covers decode- and entry-point-originated taint, sanitizer
-// calls, sink-reaching callees, and line-scoped ignores.
-func TestRateTaint(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.RateTaint, "ratetaint")
 }

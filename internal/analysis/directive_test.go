@@ -70,7 +70,7 @@ func FuzzIgnoreDirective(f *testing.F) {
 	f.Add("//rcbrlint:ignore sentinelcmp")
 	f.Add("//rcbrlint:ignore all everything is fine here")
 	f.Add("//rcbrlint:ignoreall mangled")
-	f.Add("//rcbrlint:ignore\tlockorder\ttabs as separators")
+	f.Add("//rcbrlint:ignore\tlockscope\ttabs as separators")
 	f.Add("// plain comment")
 	f.Add("")
 	f.Add("//rcbrlint:ignore zeroalloc   multiple   spaces   ")

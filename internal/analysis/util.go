@@ -33,9 +33,10 @@ func isNamed(t types.Type, pkg, name string) bool {
 	return path == pkg || strings.HasSuffix(path, "/"+pkg)
 }
 
-// pkgFuncCall reports whether call invokes the package-level function
-// pkg.name (pkg matched as in isNamed).
-func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
+// calleeFunc resolves the function object a call statically invokes: a
+// plain function, a method on a concrete receiver, or an interface method.
+// Calls through function values and built-ins resolve to nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -43,10 +44,17 @@ func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return false
+		return nil
 	}
-	obj, ok := info.Uses[id].(*types.Func)
-	if !ok || obj.Name() != name || obj.Pkg() == nil {
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// pkgFuncCall reports whether call invokes the package-level function
+// pkg.name (pkg matched as in isNamed).
+func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
+	obj := calleeFunc(info, call)
+	if obj == nil || obj.Name() != name || obj.Pkg() == nil {
 		return false
 	}
 	if recv := obj.Type().(*types.Signature).Recv(); recv != nil {

@@ -271,3 +271,128 @@ func TestPortStatsConservationByConstruction(t *testing.T) {
 	}
 	t.Logf("%d snapshots", snapshots)
 }
+
+// TestConservationUnderOverload is overload, exactly (ROADMAP 1d, the data
+// plane's half): loss is bounded by the rings and every lost cell is counted
+// where it was lost. Each of two ingress ports is offered twice its ring
+// with no sweep running — the ring's capacity is accepted, the rest refused
+// at the wire; then one sweep carries both full rings, twice the egress
+// FIFO, onto one egress port — the first ingress port's cells fill it, every
+// cell of the second overflows, and each VC's share is known in advance.
+// After the drain the ledgers close and every ring is empty, and once the
+// switch in front (the forwarder is its data plane) has torn the VCs down,
+// the port has exactly nothing reserved.
+func TestConservationUnderOverload(t *testing.T) {
+	for _, tc := range []struct {
+		name                          string
+		ringCells, groups, vcsPerPort int
+	}{
+		{"ring 8, one VC a port", 8, 1, 1},
+		{"ring 64, four VCs a port", 64, 1, 4},
+		{"ring 100 rounds to 128, two groups, three VCs a port", 100, 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			capacity := NewRing(tc.ringCells).Capacity()
+			// One sweep takes a whole ring, and no bucket runs dry.
+			f := New(WithRingCells(tc.ringCells), WithPortGroups(tc.groups), WithBurst(capacity), WithDepthCells(capacity))
+			sw := switchfab.New(switchfab.WithDataPlane(f))
+			// Added in0, out, in1: round-robin puts both ingress ports in
+			// group 0 whether there are one or two groups, so both feed the
+			// same egress FIFO of out, and in0 is swept first.
+			const in0, out, in1 = 0, 1, 2
+			pp := make([]*Port, 3)
+			for id := range pp {
+				p, err := f.AddPort(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pp[id] = p
+				if err := sw.AddPort(id, 1e9); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vcID := func(port, v int) switchfab.VCID { return switchfab.MakeVCID(uint8(port), uint16(100+v)) }
+			accepted := make(map[switchfab.VCID]int64)
+			for _, port := range []int{in0, in1} {
+				cells := make([]Cell, tc.vcsPerPort)
+				for v := range cells {
+					if err := sw.SetupID(vcID(port, v), out, float64(v+1)*1e6); err != nil {
+						t.Fatal(err)
+					}
+					cells[v] = mkCell(t, vcID(port, v), 0)
+				}
+				offered, refused := 2*capacity, 0
+				for n := 0; n < offered; n++ {
+					if f.Inject(pp[port], &cells[n%len(cells)]) {
+						accepted[vcID(port, n%len(cells))]++
+					} else {
+						refused++
+					}
+				}
+				if refused != offered-capacity {
+					t.Fatalf("port %d refused %d of %d offered, want offered - capacity = %d", port, refused, offered, offered-capacity)
+				}
+			}
+
+			if n := f.Forward(0); n != 2*capacity {
+				t.Fatalf("the sweep processed %d cells, want both full rings, %d", n, 2*capacity)
+			}
+			for _, port := range []int{in0, in1} {
+				ps := pp[port].Stats()
+				want := PortStats{Arrived: int64(capacity), Forwarded: int64(capacity)}
+				if port == in1 {
+					want = PortStats{Arrived: int64(capacity), Overflow: int64(capacity)}
+				}
+				if ps != want {
+					t.Errorf("port %d after the sweep: %+v, want %+v", port, ps, want)
+				}
+				for v := 0; v < tc.vcsPerPort; v++ {
+					vs, _ := f.VCStats(vcID(port, v))
+					n := accepted[vcID(port, v)]
+					wantVC := VCStats{Rate: vs.Rate, Seen: n, Forwarded: n}
+					if port == in1 {
+						wantVC = VCStats{Rate: vs.Rate, Seen: n, Overflow: n}
+					}
+					if vs != wantVC {
+						t.Errorf("vc %s after the sweep: %+v, want %+v", vcID(port, v), vs, wantVC)
+					}
+				}
+			}
+			if ps := pp[out].Stats(); ps.Enqueued != int64(capacity) || ps.OutQueued != capacity {
+				t.Errorf("egress port holds %+v, want its FIFO full at %d", ps, capacity)
+			}
+
+			for f.Forward(1)+f.Transmit(pp[out], capacity) > 0 {
+			}
+			var forwarded, transmitted int64
+			for id, p := range pp {
+				ps := p.Stats()
+				if ps.InQueued != 0 || ps.OutQueued != 0 {
+					t.Errorf("port %d not drained: %+v", id, ps)
+				}
+				if ps.Arrived != ps.Forwarded+ps.Policed+ps.Overflow+ps.Unroutable+ps.BadHeader {
+					t.Errorf("port %d ledger does not close: %+v", id, ps)
+				}
+				forwarded += ps.Forwarded
+				transmitted += ps.Transmitted
+			}
+			if transmitted != forwarded || transmitted != int64(capacity) {
+				t.Errorf("transmitted %d, forwarded %d, want both %d", transmitted, forwarded, capacity)
+			}
+
+			for _, port := range []int{in1, in0} {
+				for v := 0; v < tc.vcsPerPort; v++ {
+					if err := sw.TeardownID(vcID(port, v)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if reserved, _, err := sw.PortLoad(out); err != nil || reserved != 0 {
+				t.Errorf("PortLoad after the teardowns = %v, %v, want exactly 0", reserved, err)
+			}
+			if f.VCCount() != 0 || sw.VCCount() != 0 || sw.Stats().ReservedClamps != 0 {
+				t.Errorf("left behind: %d forwarder VCs, %d switch VCs, %d clamps", f.VCCount(), sw.VCCount(), sw.Stats().ReservedClamps)
+			}
+		})
+	}
+}

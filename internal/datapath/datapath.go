@@ -290,11 +290,9 @@ type Forwarder struct {
 	ringCells int
 	depthBits float64
 
-	// Port-group configuration: groups is the number of forwarding
-	// goroutines Run spawns; groupPins holds WithGroupOf static overrides
-	// (port id → group), applied when the port is added.
-	groups    int
-	groupPins map[int]int
+	// groups is the number of forwarding goroutines Run spawns; ports
+	// join them round-robin in AddPort order.
+	groups int
 
 	// Run/Stop lifecycle. running gates the single-driver entry points
 	// (Forward, ForwardGroup) against the group goroutines; clockNanos is
@@ -358,28 +356,13 @@ func WithMetrics(reg *metrics.Registry) Option {
 }
 
 // WithPortGroups partitions ports across n forwarding goroutines (default
-// DefaultPortGroups). Ports are assigned round-robin in AddPort order
-// unless pinned with WithGroupOf. Values < 1 keep the default.
+// DefaultPortGroups). Ports are assigned round-robin in AddPort order.
+// Values < 1 keep the default.
 func WithPortGroups(n int) Option {
 	return func(f *Forwarder) {
 		if n >= 1 {
 			f.groups = n
 		}
-	}
-}
-
-// WithGroupOf pins a port (by id) to a specific group, overriding the
-// round-robin assignment when that port is added. Groups wrap modulo the
-// configured group count, so a pin stays valid if WithPortGroups shrinks.
-func WithGroupOf(port, group int) Option {
-	return func(f *Forwarder) {
-		if f.groupPins == nil {
-			f.groupPins = make(map[int]int)
-		}
-		if group < 0 {
-			group = 0
-		}
-		f.groupPins[port] = group
 	}
 }
 
@@ -434,27 +417,23 @@ func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
 	}
 }
 
-// AddPort registers a port and its rings, assigning it to a port group
-// (round-robin in add order, unless pinned with WithGroupOf).
+// AddPort registers a port and its rings, assigning it to the next port
+// group, round-robin in add order.
 func (f *Forwarder) AddPort(id int) (*Port, error) {
 	f.portsMu.Lock()
 	defer f.portsMu.Unlock()
 	if _, ok := f.ports[id]; ok {
 		return nil, fmt.Errorf("datapath: port %d exists", id)
 	}
-	g, pinned := f.groupPins[id]
-	if !pinned {
-		g = f.nextGroup
-		f.nextGroup = (f.nextGroup + 1) % f.groups
-	}
 	p := &Port{
-		id: id, group: g % f.groups,
+		id: id, group: f.nextGroup,
 		in: NewRing(f.ringCells), out: make([]*Ring, f.groups),
 		lookups: make([]*vcEntry, f.burst),
 	}
 	for i := range p.out {
 		p.out[i] = NewRing(f.ringCells)
 	}
+	f.nextGroup = (f.nextGroup + 1) % f.groups
 	f.ports[id] = p
 	old := *f.portList.Load()
 	next := make([]*Port, len(old), len(old)+1)

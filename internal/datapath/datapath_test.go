@@ -192,8 +192,33 @@ func TestSetVCRateRetargets(t *testing.T) {
 	if err := f.SetVCRate(switchfab.VCID(1234), 1); err == nil {
 		t.Fatal("SetVCRate on unknown VC succeeded")
 	}
-	if err := f.SetVCRate(id, math.NaN()); err == nil {
-		t.Fatal("NaN rate accepted")
+}
+
+// TestRateEntryPointsRejectBadRates is the data plane's half of the bad-rate
+// tables (DESIGN §9, "What a test holds instead"): both entry points that
+// take a rate are fed every kind of bad one and must refuse it with the
+// table exactly as it was — a NaN in a bucket's rate makes every refill NaN
+// and every conformance test false, so the VC polices forever.
+func TestRateEntryPointsRejectBadRates(t *testing.T) {
+	f := New()
+	f.AddPort(1)
+	const id, rate = switchfab.VCID(9), 1e6
+	if err := f.AddVC(id, 1, rate); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if err := f.AddVC(id+1, 1, bad); err == nil {
+			t.Errorf("AddVC(%v) accepted", bad)
+		}
+		if err := f.SetVCRate(id, bad); err == nil {
+			t.Errorf("SetVCRate(%v) accepted", bad)
+		}
+		if _, ok := f.VCStats(id + 1); ok || f.VCCount() != 1 {
+			t.Fatalf("AddVC(%v) published a VC", bad)
+		}
+		if vs, _ := f.VCStats(id); vs.Rate != rate {
+			t.Fatalf("SetVCRate(%v) left rate %v, want %v", bad, vs.Rate, rate)
+		}
 	}
 }
 

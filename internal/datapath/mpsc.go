@@ -5,7 +5,7 @@ import "sync/atomic"
 // MPSCRing is a multi-producer/single-consumer ring of cells with
 // power-of-two capacity: any number of goroutines may Push concurrently,
 // exactly one goroutine may Peek/Advance. Like the SPSC Ring it never takes
-// a lock (the lockorder analyzer's never-ring rule covers this class too).
+// a lock (TestLockRulesInSource's never-ring rule covers this type too).
 //
 // The forwarder does not use it. It was the egress ring of the multi-core
 // forwarder until an egress port became one SPSC Ring per producer group

@@ -16,8 +16,8 @@ type Cell = [cell.Size]byte
 // capacity. Exactly one goroutine may call the producer methods (Push,
 // Stage, Publish) and exactly one the consumer methods (Peek, Advance,
 // Ready, At, Release); under that contract no method takes a lock — by
-// design and by lint (the lockorder analyzer rejects any mutex guarded by a
-// ring type).
+// design and by test (TestLockRulesInSource, in the repository root, fails
+// on a ring-named struct that declares a mutex).
 //
 // Each side has a per-cell form and a burst form over the same cursors. On
 // amd64 every atomic store is a locked instruction (XCHG), so what a ring

@@ -10,19 +10,16 @@ import (
 )
 
 // TestPortGroupAssignment checks the static partitioning: round-robin in
-// AddPort order by default, WithGroupOf pins override it, and pins wrap
-// modulo the group count.
+// AddPort order, whatever the port ids.
 func TestPortGroupAssignment(t *testing.T) {
-	f := New(WithPortGroups(3), WithGroupOf(10, 2), WithGroupOf(11, 7))
+	f := New(WithPortGroups(3))
 	for _, id := range []int{0, 1, 2, 3, 10, 11} {
 		if _, err := f.AddPort(id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, tc := range []struct{ port, group int }{
-		{0, 0}, {1, 1}, {2, 2}, {3, 0}, // round-robin in add order
-		{10, 2}, // pinned
-		{11, 1}, // pinned to 7, wraps mod 3
+		{0, 0}, {1, 1}, {2, 2}, {3, 0}, {10, 1}, {11, 2},
 	} {
 		if got := f.Port(tc.port).Group(); got != tc.group {
 			t.Errorf("port %d in group %d, want %d", tc.port, got, tc.group)

@@ -16,7 +16,8 @@ import (
 // requests according to drop(i) for the i-th client datagram and optionally
 // delaying (reordering) them according to delay(i). Replies are never
 // dropped (dropping the request is equivalent for the client's retry logic
-// and keeps the bookkeeping simple).
+// and keeps the bookkeeping simple), but the j-th reply is held for
+// replyDelay(j) when that is set.
 type lossyProxy struct {
 	front net.PacketConn // clients talk to this
 	back  *net.UDPConn   // towards the real server
@@ -26,7 +27,10 @@ type lossyProxy struct {
 	drop   func(i int) bool
 	delay  func(i int) time.Duration // nil: deliver immediately
 	client net.Addr
-	closed bool
+
+	nReply     int
+	replyDelay func(j int) time.Duration // nil: deliver immediately
+	closed     bool
 }
 
 func newLossyProxy(t testing.TB, serverAddr string, drop func(i int) bool) *lossyProxy {
@@ -110,8 +114,21 @@ func (p *lossyProxy) serverLoop() {
 		}
 		p.mu.Lock()
 		to := p.client
+		var hold time.Duration
+		if p.replyDelay != nil {
+			hold = p.replyDelay(p.nReply)
+		}
+		p.nReply++
 		p.mu.Unlock()
 		if to == nil {
+			continue
+		}
+		if hold > 0 {
+			held := append([]byte(nil), buf[:n]...)
+			go func() {
+				time.Sleep(hold)
+				p.front.WriteTo(held, to) //nolint:errcheck
+			}()
 			continue
 		}
 		if _, err := p.front.WriteTo(buf[:n], to); err != nil {
@@ -294,5 +311,78 @@ func TestDelayedDeltaNotAppliedAfterResync(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters[switchfab.MetricDupDrops]; got != 1 {
 		t.Fatalf("%s = %d, want 1", switchfab.MetricDupDrops, got)
+	}
+}
+
+// TestStaleResyncRetryDoesNotRestoreOldRate is ROADMAP 1c's schedule over the
+// wire, the reordering a long-RTT path makes routine: attempt 0's delta is
+// applied but its reply is held past the client's timeout, so the client
+// retries with a resync carrying the same target; the late reply then
+// completes the request, the next Renegotiate moves the VC on, and only then
+// does the retry's resync reach the switch. It is older than the VC's state
+// and must be dropped — applying it put the switch back at the old rate
+// while the source believed the new one.
+func TestStaleResyncRetryDoesNotRestoreOldRate(t *testing.T) {
+	sw := switchfab.New()
+	if err := sw.AddPort(1, 10e6); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer("127.0.0.1:0", sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve() //nolint:errcheck
+
+	// Requests: 0 setup, 1 delta to r1, 2 its resync retry (held), 3 delta
+	// to r2. Replies: 0 setup, 1 the first delta's (held past the timeout).
+	const (
+		timeout   = 100 * time.Millisecond
+		holdReply = 150 * time.Millisecond
+		holdRetry = 400 * time.Millisecond
+		r1, r2    = 256e3, 384e3 // exact in the RM cell's 16-bit rate code
+	)
+	proxy := newShapingProxy(t, srv.Addr().String(), nil, func(i int) time.Duration {
+		if i == 2 {
+			return holdRetry
+		}
+		return 0
+	})
+	proxy.mu.Lock()
+	proxy.replyDelay = func(j int) time.Duration {
+		if j == 1 {
+			return holdReply
+		}
+		return 0
+	}
+	proxy.mu.Unlock()
+	cl, err := DialContext(context.Background(), proxy.Addr(), WithTimeout(timeout), WithRetries(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if err := cl.Setup(ctx, 9, 1, 128e3); err != nil {
+		t.Fatal(err)
+	}
+	if granted, ok, err := cl.Renegotiate(ctx, 9, 128e3, r1); err != nil || !ok || granted != r1 {
+		t.Fatalf("first renegotiate: %v %v %v", granted, ok, err)
+	}
+	granted, ok, err := cl.Renegotiate(ctx, 9, r1, r2)
+	if err != nil || !ok || granted != r2 {
+		t.Fatalf("second renegotiate: %v %v %v", granted, ok, err)
+	}
+
+	// Wait for the held retry to reach the switch: dropped as a duplicate,
+	// the rate the source believes still in force.
+	deadline := time.Now().Add(5 * holdRetry)
+	for sw.Stats().DupDrops == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := sw.Stats(); st.DupDrops == 0 {
+		t.Fatalf("the overtaken retry was not dropped as a duplicate: %+v", st)
+	}
+	if r, _ := sw.VCRate(9); r != granted {
+		t.Fatalf("switch rate = %v, source believes %v: the overtaken retry restored the old rate", r, granted)
 	}
 }

@@ -1,10 +1,12 @@
 package netproto
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
+	"rcbr/internal/cell"
 	"rcbr/internal/switchfab"
 )
 
@@ -15,22 +17,31 @@ import (
 // serviceable for the next, valid, request. Before the fix, the NaN passed
 // the bare negative-rate check, was added into port.reserved, and made every
 // later capacity comparison on the port false: a one-datagram permanent
-// denial of service.
+// denial of service. The setup frame is the one place a raw float64 crosses
+// the wire; an RM cell's 16-bit rate code has no encoding for any of the
+// four, so AppendRM refuses to frame them. Since PR 22 this table is what
+// holds the wire half of the rule a taint analyzer held before (DESIGN §9).
 func TestServeRejectsNaNRateDatagram(t *testing.T) {
 	sw := switchfab.New()
 	if err := sw.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	conn := newScriptedConn(
-		scriptStep{data: AppendSetup(nil, 9, SetupReq{VCI: 5, Port: 1, Rate: math.NaN()})},
-		scriptStep{data: AppendSetup(nil, 10, SetupReq{VCI: 5, Port: 1, Rate: math.Inf(1)})},
-		scriptStep{data: AppendSetup(nil, 11, SetupReq{VCI: 5, Port: 1, Rate: 1e5})},
-	)
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+	var steps []scriptStep
+	for i, rate := range bad {
+		steps = append(steps, scriptStep{data: AppendSetup(nil, uint32(i), SetupReq{VCI: 5, Port: 1, Rate: rate})})
+		if _, err := AppendRM(nil, 0, cell.Header{VCI: 5}, cell.RM{ER: rate}); !errors.Is(err, cell.ErrRateRange) {
+			t.Errorf("AppendRM(ER=%v): %v, want cell.ErrRateRange", rate, err)
+		}
+	}
+	steps = append(steps, scriptStep{data: AppendSetup(nil, 11, SetupReq{VCI: 5, Port: 1, Rate: 1e5})})
+	conn := newScriptedConn(steps...)
 	srv := NewServerWithConn(conn, sw, WithWorkers(1))
 	go srv.Serve() //nolint:errcheck
 	defer srv.Close()
 
-	for _, wantReq := range []uint32{9, 10} {
+	for i := range bad {
+		wantReq := uint32(i)
 		select {
 		case reply := <-conn.wrote:
 			f, err := ParseFrame(reply)
@@ -67,5 +78,8 @@ func TestServeRejectsNaNRateDatagram(t *testing.T) {
 	}
 	if sw.VCCount() != 1 {
 		t.Fatalf("VCCount = %d, want 1", sw.VCCount())
+	}
+	if st := sw.Stats(); st.Setups != 1 || st.SetupRejects != 0 {
+		t.Fatalf("stats = %+v: a poisoned setup reached the switch", st)
 	}
 }

@@ -12,44 +12,77 @@ import (
 	"rcbr/internal/stats"
 )
 
-// TestSetupRejectsNonFiniteRates is the headline poisoning regression: a NaN
-// rate passes a bare `rate < 0` check (NaN fails every ordered comparison),
-// lands in port.reserved, and then every capacity comparison on the port is
-// false forever — permanent overcommit from one crafted message. Every
-// boundary that accepts a rate must reject NaN and +Inf explicitly.
+// bookRecorder is an Admitter and a DataPlane that counts what it is told:
+// a refused rate must reach neither.
+type bookRecorder struct{ calls int }
+
+func (r *bookRecorder) AdmitCall(int, float64, float64, float64) bool { r.calls++; return true }
+func (r *bookRecorder) OnSetup(int, VCID, float64)                    { r.calls++ }
+func (r *bookRecorder) OnRateChange(int, VCID, float64)               { r.calls++ }
+func (r *bookRecorder) OnTeardown(int, VCID)                          { r.calls++ }
+
+// TestSetupRejectsNonFiniteRates is the headline poisoning regression, and
+// since PR 22 the whole of what a taint analyzer held for this package
+// before (DESIGN §9): a NaN rate passes a bare `rate < 0` check (NaN fails
+// every ordered comparison), lands in port.reserved, and then every
+// capacity comparison on the port is false forever — permanent overcommit
+// from one crafted message. So every exported entry point that takes a rate
+// is fed every kind of bad one and must answer ErrInvalidRate with the
+// books exactly as they were: the port's load, the VC's rate, the counters,
+// and nothing said to the admitter or the data plane.
 func TestSetupRejectsNonFiniteRates(t *testing.T) {
-	s := newTestSwitch(t, 1e6)
-	bad := []float64{math.NaN(), math.Inf(1)}
-	for _, rate := range bad {
-		if err := s.SetupID(10, 1, rate); !errors.Is(err, ErrInvalidRate) {
-			t.Errorf("SetupID(%v): %v, want ErrInvalidRate", rate, err)
-		}
+	rec := &bookRecorder{}
+	s := New(WithAdmitter(rec), WithDataPlane(rec))
+	if err := s.AddPort(1, 1e6); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.SetupID(10, 1, 100e3); err != nil {
 		t.Fatal(err)
 	}
-	for _, rate := range bad {
-		if _, _, err := s.RenegotiateID(10, rate); !errors.Is(err, ErrInvalidRate) {
-			t.Errorf("RenegotiateID(%v): %v, want ErrInvalidRate", rate, err)
-		}
-		if _, _, err := s.RenegotiateBestID(10, rate); !errors.Is(err, ErrInvalidRate) {
-			t.Errorf("RenegotiateBestID(%v): %v, want ErrInvalidRate", rate, err)
-		}
-		if _, err := s.HandleRM(cell.Header{VCI: 10}, cell.RM{ER: rate}); !errors.Is(err, ErrInvalidRate) {
-			t.Errorf("HandleRM(ER=%v): %v, want ErrInvalidRate", rate, err)
+	handleRM := func(m cell.RM) error { _, err := s.HandleRM(cell.Header{VCI: 10}, m); return err }
+	entries := []struct {
+		name string
+		call func(rate float64) error
+	}{
+		{"AddPort", func(r float64) error { return s.AddPort(2, r) }},
+		{"Setup", func(r float64) error { return s.Setup(11, 1, r) }},
+		{"SetupID", func(r float64) error { return s.SetupID(11, 1, r) }},
+		{"Renegotiate", func(r float64) error { _, _, err := s.Renegotiate(10, r); return err }},
+		{"RenegotiateID", func(r float64) error { _, _, err := s.RenegotiateID(10, r); return err }},
+		{"RenegotiateBest", func(r float64) error { _, _, err := s.RenegotiateBest(10, r); return err }},
+		{"RenegotiateBestID", func(r float64) error { _, _, err := s.RenegotiateBestID(10, r); return err }},
+		{"HandleRM delta", func(r float64) error { return handleRM(cell.RM{ER: r, Seq: 1}) }},
+		{"HandleRM resync", func(r float64) error { return handleRM(cell.RM{ER: r, Resync: true}) }},
+	}
+	stats, told := s.Stats(), rec.calls
+	for _, e := range entries {
+		for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			if err := e.call(rate); !errors.Is(err, ErrInvalidRate) {
+				t.Errorf("%s(%v): %v, want ErrInvalidRate", e.name, rate, err)
+			}
+			if reserved, _, err := s.PortLoad(1); err != nil || reserved != 100e3 {
+				t.Fatalf("%s(%v): PortLoad = %v, %v, want 100e3", e.name, rate, reserved, err)
+			}
+			if r, err := s.VCRateID(10); err != nil || r != 100e3 {
+				t.Fatalf("%s(%v): VCRateID = %v, %v, want 100e3", e.name, rate, r, err)
+			}
+			if got := s.Stats(); got != stats {
+				t.Fatalf("%s(%v): stats moved: %+v, were %+v", e.name, rate, got, stats)
+			}
+			if rec.calls != told {
+				t.Fatalf("%s(%v): the admitter or the data plane heard of it", e.name, rate)
+			}
 		}
 	}
-	// The port must be untouched by all of the rejected messages: still the
-	// one valid call, still finite, still renegotiable.
-	reserved, _, err := s.PortLoad(1)
-	if err != nil || reserved != 100e3 {
-		t.Fatalf("PortLoad after poison attempts = %v, %v", reserved, err)
+	if _, _, err := s.PortLoad(2); !errors.Is(err, ErrNoPort) {
+		t.Errorf("a port with an invalid capacity exists: %v", err)
 	}
-	if granted, ok, err := s.RenegotiateID(10, 200e3); err != nil || !ok || granted != 200e3 {
-		t.Fatalf("port poisoned: renegotiate after NaN attempts = %v %v %v", granted, ok, err)
+	if s.VCCount() != 1 {
+		t.Errorf("VCCount = %d, want 1", s.VCCount())
 	}
-	if err := s.AddPort(2, math.NaN()); !errors.Is(err, ErrInvalidRate) {
-		t.Errorf("AddPort(NaN): %v, want ErrInvalidRate", err)
+	// The sequence state is a book too: Seq 1 was refused, not seen.
+	if resp, err := s.HandleRM(cell.Header{VCI: 10}, cell.RM{ER: 100e3, Seq: 1}); err != nil || resp.Deny || resp.ER != 200e3 {
+		t.Fatalf("port poisoned: delta after the bad rates = %+v %v", resp, err)
 	}
 }
 

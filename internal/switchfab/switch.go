@@ -54,14 +54,14 @@
 // VCID. HandleRM always honors the header's VPI, so cell-driven signaling
 // reaches the whole space.
 //
-// RM-cell sequence numbers: delta cells are not idempotent, so the switch
-// tracks the last-seen sequence number per VC and drops a sequenced delta
-// cell at or below it (a delayed duplicate whose effect was superseded by
-// the sender's idempotent resync retry), acknowledging with the current
-// absolute rate instead. Resync cells carry absolute rates, so they are
-// always applied and reset the per-VC sequence — which also lets a restarted
-// source (sequence counter back at 1) re-adopt a VC. Seq 0 marks an
-// unsequenced (legacy) cell and bypasses the check.
+// RM-cell sequence numbers: delta cells are not idempotent, and a resync
+// that a later request overtook asserts a rate the source has moved on
+// from, so the switch tracks the last-seen sequence number per VC and drops
+// any sequenced cell at or below it, acknowledging with the current
+// absolute rate instead. Seq 0 marks an unsequenced (legacy) cell and
+// bypasses the check; an unsequenced resync also clears the VC's last-seen
+// number, which is how a restarted source (sequence counter back at 1)
+// re-adopts a VC.
 //
 // Construction uses functional options (WithAdmitter, WithMetrics,
 // WithEventTrace, WithDataPlane); observability is opt-in and free when absent,
@@ -199,7 +199,6 @@ type serialAdmitter struct {
 func (s *serialAdmitter) admit(port int, _ int64, rate, reserved, capacity float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//rcbrlint:ignore ratetaint pass-through: SetupID validated rate before admit; reserved and capacity are the port's own books
 	return s.a.AdmitCall(port, rate, reserved, capacity)
 }
 
@@ -238,8 +237,8 @@ type Stats struct {
 	// counted under Denials and Renegotiations as usual).
 	PartialGrants int64
 	Resyncs       int64
-	// DupDrops counts sequenced delta RM cells dropped as delayed
-	// duplicates (see HandleRM).
+	// DupDrops counts sequenced RM cells, delta or resync, dropped as
+	// delayed duplicates (see HandleRM).
 	DupDrops int64
 	// ReservedClamps counts the times a port's reserved figure went negative
 	// (floating-point residue under churn) and was clamped back to zero.
@@ -284,10 +283,10 @@ type vcState struct {
 	// admitter is installed or it keeps no history. Like the fields below it
 	// is guarded by the owning port's mutex.
 	rec *callRecord
-	// rate, lastSeq, seqSeen and gone are guarded by the owning port's mutex.
+	// rate, lastSeq and gone are guarded by the owning port's mutex. lastSeq
+	// is 0 until the VC's first sequenced RM cell (Seq 0 means unsequenced).
 	rate    float64
 	lastSeq uint32
-	seqSeen bool
 	// gone is set by teardown. Lookups are lock-free, so an operation may
 	// find the entry just before teardown unpublishes it and reach the port
 	// mutex after; it sees gone and reports ErrNoVC.
@@ -776,12 +775,14 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, re
 // now in force (absolute), so the source can resynchronize from any reply.
 // The VC is addressed by the header's full (VPI, VCI) pair.
 //
-// Sequenced delta cells (Seq != 0) at or below the VC's last-seen sequence
-// number are dropped as delayed duplicates — the delta was already
-// superseded by the sender's idempotent resync retry, and applying it again
-// would leave the rate off by the delta forever. The reply to a dropped
-// duplicate carries the current absolute rate with Resync set and is not a
-// denial. Resync cells always apply and reset the per-VC sequence state.
+// Sequenced cells (Seq != 0) at or below the VC's last-seen sequence number
+// are dropped as delayed duplicates: a delta there was already superseded by
+// the sender's idempotent resync retry, and applying it again would leave
+// the rate off by the delta forever; a resync there is a retry that the
+// source's next request overtook, and applying it would put the VC back at
+// a rate the source no longer believes. The reply to a dropped duplicate
+// carries the current absolute rate with Resync set and is not a denial. An
+// unsequenced resync always applies and clears the last-seen number.
 //
 //rcbr:zeroalloc
 func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
@@ -805,7 +806,7 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 		return cell.RM{}, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	if m.Seq != 0 {
-		if !m.Resync && vc.seqSeen && m.Seq <= vc.lastSeq {
+		if m.Seq <= vc.lastSeq {
 			s.stats.dupDrops.Add(1)
 			return cell.RM{
 				Backward: true,
@@ -816,7 +817,8 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 			}, nil
 		}
 		vc.lastSeq = m.Seq
-		vc.seqSeen = true
+	} else if m.Resync {
+		vc.lastSeq = 0
 	}
 	var want float64
 	grantKind := metrics.EventRenegGrant

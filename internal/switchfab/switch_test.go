@@ -237,8 +237,8 @@ func TestHandleRMErrors(t *testing.T) {
 // TestHandleRMSequenceSemantics pins down the per-VC sequence rules: a
 // sequenced delta at or below the last-seen number is dropped as a delayed
 // duplicate (reply carries the absolute current rate, Resync set, no Deny),
-// resync cells always apply and reset the sequence state, and Seq 0 cells
-// bypass the check entirely (legacy unsequenced senders).
+// a resync above it applies, and Seq 0 cells bypass the check entirely
+// (legacy unsequenced senders).
 func TestHandleRMSequenceSemantics(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
 	if err := s.Setup(5, 1, 100e3); err != nil {
@@ -288,10 +288,60 @@ func TestHandleRMSequenceSemantics(t *testing.T) {
 	}
 }
 
+// TestHandleRMStaleResyncDropped is the schedule of ROADMAP 1c at the
+// switch: the client's first attempt (delta Seq 5, to R1) is applied but its
+// reply is late, so the client retries with a resync (Seq 6, carrying R1);
+// the late reply completes the request first and the next renegotiation
+// (delta Seq 7, to R2) overtakes the retry. The resync that then arrives is
+// older than the VC's state and must be dropped like a duplicate delta — not
+// put the VC back at R1 and rewind lastSeq so that a replay of Seq 7 applies
+// a second time.
+func TestHandleRMStaleResyncDropped(t *testing.T) {
+	s := newTestSwitch(t, 1e6)
+	if err := s.Setup(7, 1, 100e3); err != nil {
+		t.Fatal(err)
+	}
+	h := cell.Header{VCI: 7, PTI: cell.PTIRM}
+	const r1, r2 = 200e3, 250e3
+	if resp, err := s.HandleRM(h, cell.RM{ER: r1 - 100e3, Seq: 5}); err != nil || resp.Deny {
+		t.Fatalf("delta seq 5: %+v %v", resp, err)
+	}
+	if resp, err := s.HandleRM(h, cell.RM{ER: r2 - r1, Seq: 7}); err != nil || resp.Deny {
+		t.Fatalf("delta seq 7: %+v %v", resp, err)
+	}
+	resp, err := s.HandleRM(h, cell.RM{ER: r1, Resync: true, Seq: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Deny || !resp.Resync || resp.Seq != 6 || resp.ER != r2 {
+		t.Fatalf("stale resync reply = %+v, want non-deny echo of seq 6 carrying %g", resp, r2)
+	}
+	if r, _ := s.VCRate(7); r != r2 {
+		t.Fatalf("rate after stale resync = %g, want %g (the overtaken retry restored the old rate)", r, r2)
+	}
+	// lastSeq was not rewound: a replay of Seq 7 is still a duplicate.
+	if resp, err := s.HandleRM(h, cell.RM{ER: r2 - r1, Seq: 7}); err != nil || resp.ER != r2 {
+		t.Fatalf("replayed delta seq 7: %+v %v, want the rate in force %g", resp, err, r2)
+	}
+	// A replayed resync at lastSeq is as stale as a delta there.
+	if resp, err := s.HandleRM(h, cell.RM{ER: r1, Resync: true, Seq: 7}); err != nil || resp.ER != r2 {
+		t.Fatalf("resync at lastSeq: %+v %v, want the rate in force %g", resp, err, r2)
+	}
+	if reserved, _, _ := s.PortLoad(1); reserved != r2 {
+		t.Fatalf("port reserved = %g, want %g", reserved, r2)
+	}
+	if st := s.Stats(); st.DupDrops != 3 || st.Resyncs != 0 || st.Grants != 2 {
+		t.Fatalf("stats = %+v, want 3 duplicate drops, no resync applied, 2 grants", st)
+	}
+}
+
+// TestHandleRMResyncResetsSequence walks the way back in for a source that
+// crashed and numbers from 1 again (DESIGN §8). Its sequenced cells, resync
+// included, are below the VC's last-seen number and are dropped, each reply
+// carrying the rate in force; one unsequenced resync asserts its rate
+// unconditionally and clears the sequence state, and the restarted
+// numbering is fresh from there.
 func TestHandleRMResyncResetsSequence(t *testing.T) {
-	// A source that crashes and restarts begins numbering from 1 again. Its
-	// first cell is a resync (absolute rate), which must both apply and
-	// reset the switch's sequence state so the restarted numbering works.
 	s := newTestSwitch(t, 1e6)
 	if err := s.Setup(8, 1, 100e3); err != nil {
 		t.Fatal(err)
@@ -300,19 +350,26 @@ func TestHandleRMResyncResetsSequence(t *testing.T) {
 	if _, err := s.HandleRM(h, cell.RM{ER: 100e3, Seq: 41}); err != nil {
 		t.Fatal(err)
 	}
-	// Restarted source: resync Seq 1 applies despite 1 <= 41.
-	if resp, err := s.HandleRM(h, cell.RM{ER: 150e3, Resync: true, Seq: 1}); err != nil || resp.Deny {
-		t.Fatalf("restart resync: %+v %v", resp, err)
+	// Restarted source, still sequenced: told the rate in force, not adopted.
+	if resp, err := s.HandleRM(h, cell.RM{ER: 150e3, Resync: true, Seq: 1}); err != nil || resp.Deny || resp.ER != 200e3 {
+		t.Fatalf("sequenced restart resync: %+v %v, want the rate in force", resp, err)
 	}
-	if r, _ := s.VCRate(8); math.Abs(r-150e3) > 1 {
+	if st := s.Stats(); st.DupDrops != 1 {
+		t.Fatalf("DupDrops = %d, want 1", st.DupDrops)
+	}
+	// The unsequenced resync applies and resets the sequence state.
+	if resp, err := s.HandleRM(h, cell.RM{ER: 150e3, Resync: true}); err != nil || resp.Deny {
+		t.Fatalf("unsequenced restart resync: %+v %v", resp, err)
+	}
+	if r, _ := s.VCRate(8); r != 150e3 {
 		t.Fatalf("rate after restart resync = %v", r)
 	}
-	// And its next delta (Seq 2) is fresh, not a duplicate from before the restart.
-	if resp, err := s.HandleRM(h, cell.RM{ER: 50e3, Seq: 2}); err != nil || resp.Deny || math.Abs(resp.ER-200e3) > 1 {
+	// Its next delta (Seq 2) is fresh, not a duplicate from before the restart.
+	if resp, err := s.HandleRM(h, cell.RM{ER: 50e3, Seq: 2}); err != nil || resp.Deny || resp.ER != 200e3 {
 		t.Fatalf("post-restart delta: %+v %v", resp, err)
 	}
-	if st := s.Stats(); st.DupDrops != 0 {
-		t.Fatalf("DupDrops = %d, want 0", st.DupDrops)
+	if st := s.Stats(); st.DupDrops != 1 {
+		t.Fatalf("DupDrops = %d, want 1", st.DupDrops)
 	}
 }
 

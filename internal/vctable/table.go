@@ -44,8 +44,9 @@ type page[T any] struct {
 //
 // Lock order: mu is a leaf. Nothing in this package calls out of it while
 // holding mu, so a caller may Put or Remove under any lock of its own (the
-// switch does so under a port mutex) without creating an ordering edge the
-// per-package lockorder analyzer would need to see across the import.
+// switch does so under a port mutex) without creating an ordering edge.
+// TestLockRulesInSource (repository root) holds the caller's half: a
+// switchfab function locks one mutex itself.
 type Table[T any] struct {
 	root page[page[page[T]]]
 	mu   sync.Mutex

@@ -69,3 +69,65 @@ func TestControlPathReadsOneClock(t *testing.T) {
 		}
 	}
 }
+
+// TestLockRulesInSource holds the two lock rules of DESIGN §11 that can be
+// read off the source (a lint analyzer's job until PR 22, DESIGN §9). Rings
+// are single-producer/single-consumer and synchronize with atomics alone, so
+// no ring-named struct in internal/datapath declares or embeds a mutex. And a
+// switch operation works under exactly one port mutex — which is what makes
+// the fabric deadlock-free with no order among ports — so no function in
+// internal/switchfab calls Lock twice: whatever else is locked under a port
+// (an admitter's mutex, the VC table's writer mutex) is locked by a callee
+// that locks nothing further.
+func TestLockRulesInSource(t *testing.T) {
+	fset := token.NewFileSet()
+	isMutex := func(e ast.Expr) bool {
+		if star, ok := e.(*ast.StarExpr); ok {
+			e = star.X
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		x, ok := sel.X.(*ast.Ident)
+		return ok && x.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex")
+	}
+	for _, f := range nonTestFiles(t, fset, "internal/datapath") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !(strings.Contains(ts.Name.Name, "Ring") || strings.HasPrefix(ts.Name.Name, "ring")) {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					if isMutex(field.Type) {
+						t.Errorf("%s: ring type %s holds a mutex; rings synchronize with atomics only",
+							fset.Position(field.Pos()), ts.Name.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range nonTestFiles(t, fset, "internal/switchfab") {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			locks := 0
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Lock" {
+						locks++
+					}
+				}
+				return true
+			})
+			if locks > 1 {
+				t.Errorf("%s: %s calls Lock %d times; a switchfab function locks one mutex",
+					fset.Position(fd.Pos()), fd.Name.Name, locks)
+			}
+		}
+	}
+}
