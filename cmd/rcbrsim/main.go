@@ -9,10 +9,16 @@
 //	rcbrsim fig8  [-frames N] [-seed S]            memoryless MBAC utilization
 //	rcbrsim fig9  [-frames N] [-seed S]            memory MBAC (extension)
 //	rcbrsim analysis                               eqs. (9)-(11) on Fig. 4 model
+//	rcbrsim section2 [-bucket B]                   the one-shot descriptor dilemma, quantified
+//	rcbrsim muxcmp [-n N] [-util U]                cell-level buffering: CBR vs VBR bursts
+//	rcbrsim datapath [-n N] [-hops H] [-csv F]     real cells through a forwarder chain: loss/delay CSV
+//	rcbrsim latency [-buffer B] [-delta D]         online performance vs signaling delay
+//	rcbrsim chernoff [-alpha A] [-samples N]       eq. (12) estimate vs Monte-Carlo
+//	rcbrsim fit [-classes K] [-buffer B]           fit an MTS model to a trace, check eq. 9
+//	rcbrsim rvbr [-alpha A] [-margin M]            renegotiated CBR vs renegotiated token bucket
 //	rcbrsim signal [-n N] [-json out.json]         online sources over a live UDP switch
 //	rcbrsim churn  [-vcs N] [-admit memory|none]   call-scale churn against a live switch
 //	rcbrsim topology [-n N] [-preset P] [-csv F]   parking-lot mesh, utilization + fairness CSV
-//	rcbrsim datapath [-n N] [-hops H] [-csv F]     real cells through a forwarder chain: loss/delay CSV
 //
 // Full-length runs (-frames 0 selects the whole two-hour trace) reproduce
 // the paper's setup; shorter traces keep the shapes with less wall time.
@@ -39,65 +45,70 @@ import (
 	"rcbr/internal/trace"
 )
 
+// command is one subcommand. The table drives dispatch and usage(), and a
+// test holds the package comment to it, name and summary.
+type command struct {
+	name, summary string
+	run           func(args []string) error
+}
+
+var commands = []command{
+	{"fig2", "renegotiation tradeoff", fig2},
+	{"fig5", "(c, B) curve", fig5},
+	{"fig6", "SMG of the three scenarios", fig6},
+	{"fig7", "memoryless MBAC failure", func(args []string) error {
+		return mbac(args, "memoryless", "fig7: memoryless MBAC renegotiation failure probability")
+	}},
+	{"fig8", "memoryless MBAC utilization", func(args []string) error {
+		return mbac(args, "memoryless", "fig8: memoryless MBAC normalized utilization")
+	}},
+	{"fig9", "memory MBAC (extension)", func(args []string) error {
+		return mbac(args, "memory", "fig9 (extension): memory-based MBAC")
+	}},
+	{"analysis", "eqs. (9)-(11) on Fig. 4 model", analysis},
+	{"section2", "the one-shot descriptor dilemma, quantified", section2},
+	{"muxcmp", "cell-level buffering: CBR vs VBR bursts", muxcmp},
+	{"datapath", "real cells through a forwarder chain: loss/delay CSV", datapathRun},
+	{"latency", "online performance vs signaling delay", latency},
+	{"chernoff", "eq. (12) estimate vs Monte-Carlo", chernoff},
+	{"fit", "fit an MTS model to a trace, check eq. 9", fitModel},
+	{"rvbr", "renegotiated CBR vs renegotiated token bucket", rvbrCompare},
+	{"signal", "online sources over a live UDP switch", signalRun},
+	{"churn", "call-scale churn against a live switch", churnRun},
+	{"topology", "parking-lot mesh, utilization + fairness CSV", topologyRun},
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "fig2":
-		err = fig2(args)
-	case "fig5":
-		err = fig5(args)
-	case "fig6":
-		err = fig6(args)
-	case "fig7":
-		err = mbac(args, "memoryless", "fig7: memoryless MBAC renegotiation failure probability")
-	case "fig8":
-		err = mbac(args, "memoryless", "fig8: memoryless MBAC normalized utilization")
-	case "fig9":
-		err = mbac(args, "memory", "fig9 (extension): memory-based MBAC")
-	case "analysis":
-		err = analysis(args)
-	case "section2":
-		err = section2(args)
-	case "muxcmp":
-		err = muxcmp(args)
-	case "datapath":
-		err = datapathRun(args)
-	case "latency":
-		err = latency(args)
-	case "chernoff":
-		err = chernoff(args)
-	case "fit":
-		err = fitModel(args)
-	case "rvbr":
-		err = rvbrCompare(args)
-	case "signal":
-		err = signalRun(args)
-	case "churn":
-		err = churnRun(args)
-	case "topology":
-		err = topologyRun(args)
-	case "-h", "--help", "help":
+	name, args := os.Args[1], os.Args[2:]
+	if name == "-h" || name == "--help" || name == "help" {
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "rcbrsim: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
+		return
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcbrsim %s: %v\n", cmd, err)
-		os.Exit(1)
+	for _, c := range commands {
+		if c.name != name {
+			continue
+		}
+		if err := c.run(args); err != nil {
+			fmt.Fprintf(os.Stderr, "rcbrsim %s: %v\n", name, err)
+			os.Exit(1)
+		}
+		return
 	}
+	fmt.Fprintf(os.Stderr, "rcbrsim: unknown command %q\n", name)
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `rcbrsim regenerates the RCBR paper's figures.
-commands: fig2 fig5 fig6 fig7 fig8 fig9 analysis section2 muxcmp datapath latency chernoff fit rvbr signal churn topology
-run "rcbrsim <command> -h" for per-command flags`)
+	fmt.Fprintln(os.Stderr, "rcbrsim regenerates the RCBR paper's figures.\ncommands:")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-9s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(os.Stderr, `run "rcbrsim <command> -h" for per-command flags`)
 }
 
 // commonFlags registers the trace-selection flags shared by the figure

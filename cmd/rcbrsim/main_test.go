@@ -1,9 +1,35 @@
 package main
 
 import (
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 )
+
+// TestPackageCommentListsEveryCommand holds the usage block of the package
+// comment to the command table: one "rcbrsim <name> ... <summary>" line per
+// command, and no line for a command that is not there.
+func TestPackageCommentListsEveryCommand(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "rcbrsim ") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != len(commands) {
+		t.Errorf("package comment has %d usage lines, the table %d commands", len(lines), len(commands))
+	}
+	for i, c := range commands {
+		if i < len(lines) && !(strings.HasPrefix(lines[i], "rcbrsim "+c.name+" ") && strings.HasSuffix(lines[i], c.summary)) {
+			t.Errorf("usage line %d is %q; want command %q, summary %q", i, lines[i], c.name, c.summary)
+		}
+	}
+}
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("1, 2,30")

@@ -391,9 +391,14 @@ func Run(cfg Config) (Result, error) {
 		res.BytesPerVC = float64(heapInUse()-heapBefore) / float64(res.RampedVCs)
 	}
 
-	perWorker := cfg.ChurnEvents / workers
 	start = time.Now()
-	runPhase(func(w *worker) { w.churn(perWorker) })
+	runPhase(func(w *worker) {
+		n := cfg.ChurnEvents / workers
+		if w.index < cfg.ChurnEvents%workers {
+			n++
+		}
+		w.churn(n)
+	})
 	res.ChurnWall = time.Since(start)
 	res.FinalVCs = cfg.Switch.VCCount()
 

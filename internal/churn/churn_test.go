@@ -69,6 +69,35 @@ func TestRunReachesTargetAndDrains(t *testing.T) {
 	}
 }
 
+// TestChurnRunsEveryEvent: the churn phase performs exactly ChurnEvents switch
+// operations, whatever is left over when the budget is split across workers
+// — a budget below the worker count included. The ramp is the same for a
+// given seed on a switch that never blocks, so a run with no churn phase is
+// the baseline.
+func TestChurnRunsEveryEvent(t *testing.T) {
+	ops := func(events int) int64 {
+		t.Helper()
+		res, err := Run(Config{
+			Switch:      newChurnSwitch(t, 2, 1e12),
+			Ports:       2,
+			TargetVCs:   60,
+			Workers:     3,
+			ChurnEvents: events,
+			Seed:        11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Setups + res.Blocked + res.Teardowns + res.Renegs
+	}
+	ramp := ops(0)
+	for _, n := range []int{1, 7, 1001} {
+		if got := ops(n) - ramp; got != int64(n) {
+			t.Errorf("ChurnEvents %d: the churn phase ran %d operations", n, got)
+		}
+	}
+}
+
 // TestRunUnderMemoryAdmitter exercises the full tentpole stack — generator,
 // concurrent setup path, and the live memory MBAC — and checks the admitter's
 // per-port books drain with the fabric.

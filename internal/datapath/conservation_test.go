@@ -56,7 +56,7 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 		vcsPerPort = 4
 	)
 	rng := rand.New(rand.NewSource(int64(seed)))
-	f := New(WithPortGroups(groups), WithRingCells(64), WithBurst(16), WithDepthCells(2))
+	f := New(WithPortGroups(groups), WithRingCells(64), withBurst(16), WithDepthCells(2))
 	pp := make([]*Port, ports)
 	for i := range pp {
 		p, err := f.AddPort(i)
@@ -213,7 +213,7 @@ func TestPortStatsConservationByConstruction(t *testing.T) {
 		ring  = 64
 		cells = 40_000
 	)
-	f := New(WithBurst(burst), WithRingCells(ring), WithDepthCells(2))
+	f := New(withBurst(burst), WithRingCells(ring), WithDepthCells(2))
 	in, err := f.AddPort(0)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestConservationUnderOverload(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			capacity := NewRing(tc.ringCells).Capacity()
 			// One sweep takes a whole ring, and no bucket runs dry.
-			f := New(WithRingCells(tc.ringCells), WithPortGroups(tc.groups), WithBurst(capacity), WithDepthCells(capacity))
+			f := New(WithRingCells(tc.ringCells), WithPortGroups(tc.groups), withBurst(capacity), WithDepthCells(capacity))
 			sw := switchfab.New(switchfab.WithDataPlane(f))
 			// Added in0, out, in1: round-robin puts both ingress ports in
 			// group 0 whether there are one or two groups, so both feed the

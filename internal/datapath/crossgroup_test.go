@@ -38,7 +38,7 @@ func TestCrossGroupEgressOrder(t *testing.T) {
 			)
 			// Every ring holds the whole load, so a descheduled transmitter
 			// cannot turn into overflow drops and a gap in a sequence.
-			f := New(WithPortGroups(groups), WithBurst(16), WithRingCells(ingress*2*perVC))
+			f := New(WithPortGroups(groups), withBurst(16), WithRingCells(ingress*2*perVC))
 			egress, err := f.AddPort(100)
 			if err != nil {
 				t.Fatal(err)

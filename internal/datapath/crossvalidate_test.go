@@ -33,7 +33,7 @@ func TestOccupancyMatchesMuxSimulation(t *testing.T) {
 	// simulated FIFO. Shapers are configured non-binding (the flows already
 	// conform by construction) so the only cell-dropping mechanism is the
 	// egress ring overflowing, exactly like mux's bufferCells check.
-	f := New(WithRingCells(bufferCells), WithBurst(1), WithDepthCells(64))
+	f := New(WithRingCells(bufferCells), withBurst(1), WithDepthCells(64))
 	in, err := f.AddPort(0)
 	if err != nil {
 		t.Fatal(err)

@@ -315,16 +315,6 @@ type Forwarder struct {
 // Option configures a Forwarder.
 type Option func(*Forwarder)
 
-// WithBurst sets how many cells one Forward call drains per port visit
-// (default DefaultBurst). Values < 1 keep the default.
-func WithBurst(k int) Option {
-	return func(f *Forwarder) {
-		if k >= 1 {
-			f.burst = k
-		}
-	}
-}
-
 // WithRingCells sets the capacity in cells of a port's ingress ring and of
 // each of its egress rings (one per port group), rounded up to a power of
 // two (default DefaultRingCells). The egress rings are the paper's small
@@ -538,7 +528,7 @@ func (f *Forwarder) VCCount() int { return f.vcs.Len() }
 func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 
 // Forward runs one sweep of the forwarding loop at virtual time nowNanos:
-// it visits every port (all groups) and drains up to the configured burst
+// it visits every port (all groups) and drains up to a burst (DefaultBurst)
 // of cells from each ingress ring, shaping and routing each to its egress
 // ring. It returns the number of cells processed (forwarded or dropped).
 // Single-driver mode only — it panics while a Run is active, because the

@@ -12,6 +12,13 @@ import (
 	"rcbr/internal/switchfab"
 )
 
+// withBurst sets how many cells one sweep drains per port visit. A forwarder
+// outside these tests runs at DefaultBurst; they shrink the burst to cross
+// many burst boundaries with few cells, and size it to pin overflow counts.
+func withBurst(k int) Option {
+	return func(f *Forwarder) { f.burst = k }
+}
+
 // mkCell builds a data cell for the VC with an optional 8-byte stamp.
 func mkCell(t testing.TB, id switchfab.VCID, stamp uint64) Cell {
 	t.Helper()
@@ -45,7 +52,7 @@ func drain(f *Forwarder, ports []*Port, now, step int64) int64 {
 
 func TestForwardRoutesAndCounts(t *testing.T) {
 	reg := metrics.NewRegistry()
-	f := New(WithMetrics(reg), WithBurst(8))
+	f := New(WithMetrics(reg), withBurst(8))
 	in, err := f.AddPort(1)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +230,7 @@ func TestRateEntryPointsRejectBadRates(t *testing.T) {
 }
 
 func TestEgressOverflowCounts(t *testing.T) {
-	f := New(WithRingCells(4), WithBurst(64), WithDepthCells(64))
+	f := New(WithRingCells(4), withBurst(64), WithDepthCells(64))
 	in, _ := f.AddPort(1)
 	f.AddPort(2)
 	id := switchfab.VCID(7)
@@ -284,7 +291,7 @@ func TestConservationStorm(t *testing.T) {
 		perProducer = 20000
 	)
 	reg := metrics.NewRegistry()
-	f := New(WithMetrics(reg), WithRingCells(64), WithBurst(16), WithDepthCells(2))
+	f := New(WithMetrics(reg), WithRingCells(64), withBurst(16), WithDepthCells(2))
 	pp := make([]*Port, ports)
 	var ids []switchfab.VCID
 	for i := 0; i < ports; i++ {
@@ -444,7 +451,7 @@ func TestConservationStorm(t *testing.T) {
 // TestForwardSteadyStateAllocs pins the tentpole acceptance criterion: the
 // inject → forward → transmit cycle allocates nothing in steady state.
 func TestForwardSteadyStateAllocs(t *testing.T) {
-	f := New(WithBurst(32))
+	f := New(withBurst(32))
 	in, _ := f.AddPort(1)
 	out, _ := f.AddPort(2)
 	const vcs = 64

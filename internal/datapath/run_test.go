@@ -42,7 +42,7 @@ func TestRunForwardsAcrossGroups(t *testing.T) {
 	// so the exact-count assertion below cannot be defeated by overflow
 	// drops (which are legitimate behavior, covered by the conservation
 	// property test).
-	f := New(WithPortGroups(4), WithBurst(16), WithRingCells(perPort+64))
+	f := New(WithPortGroups(4), withBurst(16), WithRingCells(perPort+64))
 	pp := make([]*Port, ports)
 	for i := range pp {
 		p, err := f.AddPort(i)

@@ -128,7 +128,7 @@ func stagedSweepRun(t *testing.T, burst, ring int, seed int64, events *PortStats
 		sweeps  = 400
 	)
 	rng := rand.New(rand.NewSource(seed))
-	f := New(WithBurst(burst), WithRingCells(ring))
+	f := New(withBurst(burst), WithRingCells(ring))
 	m := &perCellModel{vcs: map[switchfab.VCID]*modelVC{}, burst: burst, ring: ring}
 	var pp []*Port
 	for i := 0; i < nPorts; i++ {

@@ -23,7 +23,7 @@ import (
 // the cells that found it down, the entries saw exactly the cells port 0
 // accepted for it. Run under -race by `make race`.
 func TestTableChurnUnderForwarding(t *testing.T) {
-	f := New(WithPortGroups(2), WithRingCells(64), WithBurst(16))
+	f := New(WithPortGroups(2), WithRingCells(64), withBurst(16))
 	var pp []*Port
 	for i := 0; i < 3; i++ {
 		p, err := f.AddPort(i) // ports 0 and 1 are ingress, one per group; 2 is egress

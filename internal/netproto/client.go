@@ -23,27 +23,19 @@ const (
 	MetricClientRMSent   = "signal.client.rm_cells_sent"
 	MetricClientRMRecv   = "signal.client.rm_cells_received"
 	MetricClientRTT      = "signal.client.rtt_seconds"
-	// Coalescing (WithBatchWindow): coalesced RM frames sent, the RM cells
-	// they carried, and entries that fell back to the per-VC path.
-	MetricClientBatches        = "signal.batch.client_batches"
-	MetricClientBatchCells     = "signal.batch.client_cells"
-	MetricClientBatchFallbacks = "signal.batch.client_fallbacks"
 )
 
 // clientInstruments caches the client's registry handles; every field is a
 // nil-safe no-op when metrics are disabled.
 type clientInstruments struct {
-	requests       *metrics.Counter
-	sent           *metrics.Counter
-	recv           *metrics.Counter
-	retries        *metrics.Counter
-	timeouts       *metrics.Counter
-	rmSent         *metrics.Counter
-	rmRecv         *metrics.Counter
-	rtt            *metrics.Histogram
-	batches        *metrics.Counter
-	batchCells     *metrics.Counter
-	batchFallbacks *metrics.Counter
+	requests *metrics.Counter
+	sent     *metrics.Counter
+	recv     *metrics.Counter
+	retries  *metrics.Counter
+	timeouts *metrics.Counter
+	rmSent   *metrics.Counter
+	rmRecv   *metrics.Counter
+	rtt      *metrics.Histogram
 }
 
 // rxResult is one delivery from the reader goroutine to a waiting request:
@@ -73,13 +65,6 @@ type Client struct {
 	mu      sync.Mutex // guards pending and closed
 	pending map[uint32]chan rxResult
 	closed  bool
-
-	// batchWindow > 0 enables RM coalescing (WithBatchWindow); bmu guards
-	// the window's pending entries and flush timer.
-	batchWindow time.Duration
-	bmu         sync.Mutex
-	bpend       []batchEntry
-	btimer      *time.Timer
 
 	readerDone chan struct{}
 }
@@ -122,23 +107,6 @@ func WithRetries(n int) ClientOption {
 	}
 }
 
-// WithBatchWindow enables client-side RM coalescing: Renegotiate calls
-// arriving within d of each other leave as one RM frame of up to MaxRMBatch
-// cells (distinct VCs; a repeat for a VC already in the window flushes it
-// early). The cells are sequenced deltas, so the whole frame retransmits
-// unchanged on timeout — the switch's duplicate filter makes the replay
-// harmless. An entry the frame cannot resolve (an unknown VC, an error
-// reply) falls back to the per-VC resync path transparently, so enabling
-// the window never changes results — only datagram count and latency. Zero
-// or negative d leaves coalescing off (the default).
-func WithBatchWindow(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.batchWindow = d
-		}
-	}
-}
-
 // WithClientMetrics publishes the client's signaling counters (datagrams
 // sent/received, retries, timeouts, RM cells) and round-trip histogram into
 // reg.
@@ -148,17 +116,14 @@ func WithClientMetrics(reg *metrics.Registry) ClientOption {
 			return
 		}
 		c.ins = clientInstruments{
-			requests:       reg.Counter(MetricClientRequests),
-			sent:           reg.Counter(MetricClientSent),
-			recv:           reg.Counter(MetricClientRecv),
-			retries:        reg.Counter(MetricClientRetries),
-			timeouts:       reg.Counter(MetricClientTimeouts),
-			rmSent:         reg.Counter(MetricClientRMSent),
-			rmRecv:         reg.Counter(MetricClientRMRecv),
-			rtt:            reg.Histogram(MetricClientRTT, metrics.DefBuckets),
-			batches:        reg.Counter(MetricClientBatches),
-			batchCells:     reg.Counter(MetricClientBatchCells),
-			batchFallbacks: reg.Counter(MetricClientBatchFallbacks),
+			requests: reg.Counter(MetricClientRequests),
+			sent:     reg.Counter(MetricClientSent),
+			recv:     reg.Counter(MetricClientRecv),
+			retries:  reg.Counter(MetricClientRetries),
+			timeouts: reg.Counter(MetricClientTimeouts),
+			rmSent:   reg.Counter(MetricClientRMSent),
+			rmRecv:   reg.Counter(MetricClientRMRecv),
+			rtt:      reg.Histogram(MetricClientRTT, metrics.DefBuckets),
 		}
 	}
 }
@@ -392,9 +357,6 @@ func (c *Client) Teardown(ctx context.Context, vci uint16) error {
 // a delayed delta arriving after its resync retry. It returns the rate now
 // in force and whether the request was granted in full.
 func (c *Client) Renegotiate(ctx context.Context, vci uint16, current, target float64) (granted float64, ok bool, err error) {
-	if c.batchWindow > 0 {
-		return c.renegotiateBatched(ctx, vci, target, deltaRM(current, target, c.nextSeq.Add(1)))
-	}
 	id := c.newID()
 	h := cell.Header{VCI: vci}
 	bufp := pktPool.Get().(*[]byte)

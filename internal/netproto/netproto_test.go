@@ -443,7 +443,10 @@ func TestContextCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestServerMetrics counts one scripted exchange on the server side.
+// TestServerMetrics counts one scripted exchange on the server side, and the
+// RM cells of it on the client side: the client counts cells, not datagrams,
+// so what it sent is what the server unpacked and what it received is what
+// the replies carried.
 func TestServerMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	sw := switchfab.New()
@@ -456,7 +459,7 @@ func TestServerMetrics(t *testing.T) {
 	}
 	defer srv.Close()
 	go srv.Serve() //nolint:errcheck
-	cl, err := DialContext(context.Background(), srv.Addr().String(), WithTimeout(200*time.Millisecond), WithRetries(2))
+	cl, err := DialContext(context.Background(), srv.Addr().String(), WithTimeout(200*time.Millisecond), WithRetries(2), WithClientMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,6 +485,8 @@ func TestServerMetrics(t *testing.T) {
 		MetricServerRM:         1,
 		MetricServerBatchCells: 1,
 		MetricServerErrors:     1,
+		MetricClientRMSent:     1,
+		MetricClientRMRecv:     1,
 	} {
 		if got := s.Counters[name]; got != want {
 			t.Fatalf("%s = %d, want %d (all: %+v)", name, got, want, s.Counters)

@@ -16,10 +16,10 @@
 //
 // An RM frame (TypeRM, and its TypeRMReply) carries k whole RM cells back to
 // back, 1 <= k <= MaxRMBatch: a single renegotiation is the frame of one
-// cell, and a client coalescing renegotiations (WithBatchWindow) puts one
-// cell per VC in the same frame. cell.Build and cell.Parse are the only RM
-// codec on the wire, and there is one framing version: a peer either speaks
-// it or answers ErrVersion.
+// cell, which is all this package's Client sends; the server takes any k,
+// one cell per VC, and answers cell by cell. cell.Build and cell.Parse are
+// the only RM codec on the wire, and there is one framing version: a peer
+// either speaks it or answers ErrVersion.
 //
 // Error replies (TypeErr) carry a one-byte error code ahead of the message
 // text, mapping the switch's sentinel errors onto the wire so clients can
@@ -249,31 +249,16 @@ func appendRMCell(dst []byte, h cell.Header, m cell.RM) ([]byte, error) {
 	return append(dst, raw[:]...), nil
 }
 
-// appendRMFrame appends an RM frame of one cell; on error dst comes back as
-// it was given.
+// AppendRM appends a renegotiation datagram wrapping a full RM cell — the RM
+// frame of one — to dst; on error dst comes back as it was given.
 //
 //rcbr:zeroalloc
-func appendRMFrame(dst []byte, typ uint8, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
-	out, err := appendRMCell(appendHeader(dst, typ, reqID), h, m)
+func AppendRM(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
+	out, err := appendRMCell(appendHeader(dst, TypeRM, reqID), h, m)
 	if err != nil {
 		return dst, err
 	}
 	return out, nil
-}
-
-// AppendRM appends a renegotiation datagram wrapping a full RM cell to dst.
-//
-//rcbr:zeroalloc
-func AppendRM(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
-	return appendRMFrame(dst, TypeRM, reqID, h, m)
-}
-
-// AppendRMReply appends a reply datagram wrapping the backward RM cell to
-// dst.
-//
-//rcbr:zeroalloc
-func AppendRMReply(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
-	return appendRMFrame(dst, TypeRMReply, reqID, h, m)
 }
 
 // rmCells returns the number of cells k in an RM payload. The framing is

@@ -1,7 +1,9 @@
 package netproto
 
 import (
+	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"rcbr/internal/cell"
@@ -15,6 +17,58 @@ import (
 // mb is the tests' unit of rate: a power of two, so it and its small
 // multiples cross the wire's 16-bit rate code unchanged.
 const mb = 1 << 20
+
+// rmItem is one cell of an RM frame under test.
+type rmItem struct {
+	h cell.Header
+	m cell.RM
+}
+
+// rmFrame builds an RM frame of the given type: the header, then one cell per
+// item. Nothing in this repository sends k > 1 cells; a frame that does is
+// input from outside the program, which these tests stand in for.
+func rmFrame(t testing.TB, typ uint8, reqID uint32, items ...rmItem) []byte {
+	t.Helper()
+	b := appendHeader(nil, typ, reqID)
+	for _, it := range items {
+		var err error
+		if b, err = appendRMCell(b, it.h, it.m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// rmFrameCells splits an RM frame back into its cells, failing the test on
+// anything the strict codec refuses.
+func rmFrameCells(t testing.TB, b []byte, typ uint8, reqID uint32) []rmItem {
+	t.Helper()
+	f, err := ParseFrame(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Version != Version || f.Type != typ || f.ReqID != reqID {
+		t.Fatalf("frame = %+v, want type %d req %d", f, typ, reqID)
+	}
+	k, err := rmCells(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]rmItem, k)
+	for i := range items {
+		if items[i].h, items[i].m, err = DecodeRM(f.Payload[i*cell.Size : (i+1)*cell.Size]); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+	}
+	return items
+}
+
+// quantized is m as it reads after one trip through the 16-bit rate code.
+func quantized(m cell.RM) cell.RM {
+	er16, _ := cell.EncodeRate16(m.ER)
+	m.ER = cell.DecodeRate16(er16)
+	return m
+}
 
 // frameSwitch is a switch with VCs 1..8 at 1 mb on a 100 Mb/s port behind a
 // server with no socket.
@@ -34,6 +88,85 @@ func frameSwitch(t *testing.T, opts ...ServerOption) (*switchfab.Switch, *Server
 		opt(s)
 	}
 	return sw, s
+}
+
+func TestRMBatchCodecRoundTrip(t *testing.T) {
+	items := []rmItem{
+		{cell.Header{VCI: 1}, cell.RM{ER: 1e6, Seq: 7}},
+		{cell.Header{VPI: 3, VCI: 2}, cell.RM{Decrease: true, ER: 5e5, Seq: 8}},
+		{cell.Header{VCI: 3, GFC: 5, CLP: true}, cell.RM{Resync: true, ER: 4e6, Seq: 9}},
+		{cell.Header{VPI: 255, VCI: 65535}, cell.RM{Backward: true, Response: true, Deny: true, ER: 2e6, Seq: 10}},
+	}
+	b := rmFrame(t, TypeRM, 42, items...)
+	got := rmFrameCells(t, b, TypeRM, 42)
+	if len(got) != len(items) {
+		t.Fatalf("decoded %d cells, want %d", len(got), len(items))
+	}
+	for i, want := range items {
+		want.h.PTI = cell.PTIRM
+		want.m = quantized(want.m)
+		if got[i] != want {
+			t.Errorf("cell %d = %+v, want %+v", i, got[i], want)
+		}
+	}
+	// What was accepted re-encodes to the bytes that arrived.
+	if again := rmFrame(t, TypeRM, 42, got...); !bytes.Equal(again, b) {
+		t.Errorf("re-encoded frame differs:\n got %x\nwant %x", again, b)
+	}
+	// The frame of one is the single-RM datagram, byte for byte.
+	single, err := AppendRM(nil, 42, items[1].h, items[1].m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one := rmFrame(t, TypeRM, 42, items[1]); !bytes.Equal(one, single) {
+		t.Errorf("frame of one differs from AppendRM:\n got %x\nwant %x", one, single)
+	}
+}
+
+// TestRMBatchCodecLimits: an RM payload is 1..MaxRMBatch whole cells and
+// nothing else, and DecodeRM takes exactly one cell — bytes after it are not
+// ignored.
+func TestRMBatchCodecLimits(t *testing.T) {
+	if MaxRMBatch != 9 {
+		t.Fatalf("MaxRMBatch = %d, want 9 cells in a %d-byte frame", MaxRMBatch, maxFrame)
+	}
+	full := make([]rmItem, MaxRMBatch+1)
+	for i := range full {
+		full[i] = rmItem{cell.Header{VCI: uint16(i + 1)}, cell.RM{ER: 1e6, Seq: uint32(i + 1)}}
+	}
+	over := rmFrame(t, TypeRM, 1, full...)
+	b := over[:len(over)-cell.Size]
+	if len(b) > maxFrame {
+		t.Fatalf("full frame is %d bytes, exceeds maxFrame %d", len(b), maxFrame)
+	}
+	if got := rmFrameCells(t, b, TypeRM, 1); len(got) != MaxRMBatch {
+		t.Fatalf("full frame decodes to %d cells", len(got))
+	}
+	sw := switchfab.New()
+	s := &Server{sw: sw}
+	for name, frame := range map[string][]byte{
+		"no cells":              b[:headerLen],
+		"partial cell":          b[:headerLen+cell.Size-1],
+		"one cell and a byte":   b[:headerLen+cell.Size+1],
+		"nine cells and a byte": append(append([]byte{}, b...), 0),
+		"ten cells":             over,
+	} {
+		payload := frame[headerLen:]
+		if _, err := rmCells(payload); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: rmCells: %v", name, err)
+		}
+		if _, _, err := DecodeRM(payload); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: DecodeRM: %v", name, err)
+		}
+		f, err := ParseFrame(s.handle(frame, newScratch()))
+		if err != nil || f.Type != TypeErr || len(f.Payload) == 0 || f.Payload[0] != ErrCodeProto {
+			t.Errorf("%s: server answered %+v, %v; want a protocol error", name, f, err)
+		}
+	}
+	// DecodeRM is the frame of one: two whole cells are a frame, not a cell.
+	if _, _, err := DecodeRM(b[headerLen : headerLen+2*cell.Size]); !errors.Is(err, ErrFrame) {
+		t.Errorf("DecodeRM of two cells: %v", err)
+	}
 }
 
 // TestServerRMFrame: the reply carries one backward cell per resolved cell,

@@ -1,7 +1,6 @@
 package netproto
 
 import (
-	"context"
 	"errors"
 	"net"
 	"sync"
@@ -20,13 +19,23 @@ type scriptedConn struct {
 	steps []scriptStep
 	wrote chan []byte
 
+	// gate, when non-nil, holds every WriteTo until the test closes it.
+	// writing is closed when the first WriteTo arrives, drained when ReadFrom
+	// finds the script used up: whoever read the last step is done with it.
+	gate                   chan struct{}
+	writing, drained       chan struct{}
+	writingOnce, drainOnce sync.Once
+
 	done      chan struct{}
 	closeOnce sync.Once
 }
 
+// scriptStep is one ReadFrom outcome; after, when non-nil, delays it until
+// that channel is closed.
 type scriptStep struct {
-	data []byte
-	err  error
+	after <-chan struct{}
+	data  []byte
+	err   error
 }
 
 type scriptedAddr struct{}
@@ -36,9 +45,11 @@ func (scriptedAddr) String() string  { return "scripted" }
 
 func newScriptedConn(steps ...scriptStep) *scriptedConn {
 	return &scriptedConn{
-		steps: steps,
-		wrote: make(chan []byte, 16),
-		done:  make(chan struct{}),
+		steps:   steps,
+		wrote:   make(chan []byte, 16),
+		writing: make(chan struct{}),
+		drained: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -48,17 +59,25 @@ func (c *scriptedConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		st := c.steps[0]
 		c.steps = c.steps[1:]
 		c.mu.Unlock()
+		if st.after != nil {
+			<-st.after
+		}
 		if st.err != nil {
 			return 0, nil, st.err
 		}
 		return copy(p, st.data), scriptedAddr{}, nil
 	}
 	c.mu.Unlock()
+	c.drainOnce.Do(func() { close(c.drained) })
 	<-c.done
 	return 0, nil, net.ErrClosed
 }
 
 func (c *scriptedConn) WriteTo(p []byte, _ net.Addr) (int, error) {
+	c.writingOnce.Do(func() { close(c.writing) })
+	if c.gate != nil {
+		<-c.gate
+	}
 	cp := append([]byte(nil), p...)
 	select {
 	case c.wrote <- cp:
@@ -140,55 +159,93 @@ func TestServeSurvivesTransientReadErrors(t *testing.T) {
 	}
 }
 
-// TestServeShedsLoadWhenQueueFull wedges the single worker on a slow
-// request and floods the reader: excess datagrams must be dropped and
-// counted, not buffered without bound, and the server must keep serving
-// afterwards.
-func TestServeShedsLoadWhenQueueFull(t *testing.T) {
+// wedgedServer starts a one-worker, queue-of-two server over a scripted conn
+// whose WriteTo is held on a gate, scripts n setups of VCIs 1..n at it and
+// returns once the reader has taken them all. The second datagram is read
+// only after the worker is inside the first one's WriteTo, so the state is
+// exact: one job in the worker (applied, its reply held), two in the queue,
+// and every datagram after the third shed.
+func wedgedServer(t *testing.T, n int) (*switchfab.Switch, *scriptedConn, *metrics.Registry, *Server, chan error) {
+	t.Helper()
 	sw := switchfab.New()
-	if err := sw.AddPort(1, 1e6); err != nil {
+	if err := sw.AddPort(1, 1e9); err != nil {
 		t.Fatal(err)
 	}
+	conn := newScriptedConn()
+	conn.gate = make(chan struct{})
+	for i := 1; i <= n; i++ {
+		conn.steps = append(conn.steps, scriptStep{data: AppendSetup(nil, uint32(i), SetupReq{VCI: uint16(i), Port: 1, Rate: 1e3})})
+	}
+	conn.steps[1].after = conn.writing
 	reg := metrics.NewRegistry()
-	srv, err := NewServer("127.0.0.1:0", sw,
-		WithServerMetrics(reg), WithWorkers(1), WithQueue(2))
-	if err != nil {
-		t.Fatal(err)
+	srv := NewServerWithConn(conn, sw, WithServerMetrics(reg), WithWorkers(1), WithQueue(2))
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	select {
+	case <-conn.drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader never finished the script")
 	}
-	defer srv.Close()
-	go srv.Serve() //nolint:errcheck
+	return sw, conn, reg, srv, served
+}
 
-	conn, err := net.Dial("udp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+// TestServeShedsLoadWhenQueueFull wedges the single worker on a held reply
+// write and offers far more than worker + queue can hold: the excess is
+// dropped and counted, exactly, not buffered without bound; what was
+// admitted is served once the write goes through; and a Close that finds
+// jobs queued drains them before Serve returns.
+func TestServeShedsLoadWhenQueueFull(t *testing.T) {
+	const n, held = 50, 3 // one in the worker, two queued
+	sw, conn, reg, srv, served := wedgedServer(t, n)
+	s := reg.Snapshot()
+	if rx, dropped := s.Counters[MetricServerRx], s.Counters[MetricServerDropped]; rx != n || dropped != n-held {
+		t.Fatalf("wedged: received %d, dropped %d; want %d, %d", rx, dropped, n, n-held)
 	}
-	defer conn.Close()
-	// Burst far more datagrams than worker+queue can hold. The reader
-	// keeps up with loopback sends only because handling (switch work +
-	// reply write) is slower than dropping; some datagrams must be shed.
-	const burst = 2000
-	pkt := AppendSetup(nil, 1, SetupReq{VCI: 1, Port: 1, Rate: 1e3})
-	for i := 0; i < burst; i++ {
-		if _, err := conn.Write(pkt); err != nil {
-			t.Fatal(err)
+	close(conn.gate)
+	for i := 1; i <= held; i++ {
+		select {
+		case reply := <-conn.wrote:
+			if f, err := ParseFrame(reply); err != nil || f.Type != TypeSetupOK || f.ReqID != uint32(i) {
+				t.Fatalf("reply %d: frame %+v, %v", i, f, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("reply %d of %d never written", i, held)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters[MetricServerDropped] == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// The third reply is counted before it is written, so the books are
+	// final: nothing was handled that was not admitted, nothing admitted
+	// went unanswered.
+	s = reg.Snapshot()
+	rx, setups, dropped, tx := s.Counters[MetricServerRx], s.Counters[MetricServerSetups], s.Counters[MetricServerDropped], s.Counters[MetricServerTx]
+	if rx != setups+dropped || setups != held || tx != held || len(conn.wrote) != 0 || sw.VCCount() != held {
+		t.Fatalf("received %d = %d handled + %d dropped; %d replies counted, %d unread, %d VCs; want %d handled and answered",
+			rx, setups, dropped, tx, len(conn.wrote), sw.VCCount(), held)
 	}
-	s := reg.Snapshot()
-	if s.Counters[MetricServerDropped] == 0 {
-		t.Skipf("no drops after %d-datagram burst (reader outpaced by kernel); counters %+v",
-			burst, s.Counters)
-	}
-	// The server is still alive and serving.
-	cl, err := DialContext(context.Background(), srv.Addr().String(), WithTimeout(500*time.Millisecond), WithRetries(5))
-	if err != nil {
+	srv.Close()
+	<-served
+
+	// Close with one job in the worker and two queued: Serve may not return
+	// while the worker is held, and by the time it does both queued setups
+	// are on the switch.
+	sw, conn, _, srv, served = wedgedServer(t, held)
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	if err := cl.Setup(ctx, 99, 1, 1e3); err != nil {
-		t.Fatalf("setup after shed burst: %v", err)
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned %v with the worker held and two jobs queued", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(conn.gate)
+	select {
+	case err := <-served:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after Close")
+	}
+	if sw.VCCount() != held || len(conn.wrote) != held {
+		t.Fatalf("after Serve returned: %d VCs, %d replies; want %d of each", sw.VCCount(), len(conn.wrote), held)
 	}
 }

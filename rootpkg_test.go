@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -128,6 +129,62 @@ func TestLockRulesInSource(t *testing.T) {
 				t.Errorf("%s: %s calls Lock %d times; a switchfab function locks one mutex",
 					fset.Position(fd.Pos()), fd.Name.Name, locks)
 			}
+		}
+	}
+}
+
+// TestEveryOptionHasACaller holds ROADMAP item 6's rule for knobs: every
+// exported With* function under internal/ is named in a non-test file of
+// this module or of bench/. An option only tests set is a configuration no
+// program runs; it is deleted, or its caller is named here. Names are matched
+// as pkg.WithX: no non-test file imports an internal package under an alias.
+func TestEveryOptionHasACaller(t *testing.T) {
+	allowed := map[string]string{
+		"mesh.WithEvents": "ROADMAP 3b names its caller: rcbrd's /trace reads the mesh's event ring",
+	}
+	fset := token.NewFileSet()
+	declared, used := map[string]token.Pos{}, map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			if name := d.Name(); err == nil && (name == "testdata" || len(name) > 1 && name[0] == '.') {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv == nil && strings.HasPrefix(n.Name.Name, "With") && strings.HasPrefix(path, "internal/") {
+					declared[f.Name.Name+"."+n.Name.Name] = n.Pos()
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					used[x.Name+"."+n.Sel.Name] = true
+				}
+			case *ast.CallExpr: // from inside the option's own package
+				if id, ok := n.Fun.(*ast.Ident); ok {
+					used[f.Name.Name+"."+id.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pos := range declared {
+		if why := allowed[name]; !used[name] && why == "" {
+			t.Errorf("%s: %s has no caller outside tests; delete it or name the caller", fset.Position(pos), name)
+		} else if used[name] && why != "" {
+			t.Errorf("%s has a caller now; take it off the allow-list (%s)", name, why)
 		}
 	}
 }
