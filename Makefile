@@ -9,21 +9,15 @@ GO ?= go
 # figure sweep in the package runs on.
 RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./internal/experiments/ ./cmd/rcbrd/
 
-# Packages whose worker-pool tests run raced through the race-parallel
-# target (each with its own -run filter, so they get explicit recipe lines).
-# TestMakefileRaceParallelSync asserts the recipe stays in sync with this
-# list — update both together.
-RACE_PARALLEL_PKGS := ./internal/switchfab/ ./internal/datapath/ ./internal/vctable/
-
 # Per-fuzz-target smoke budget. `go test -fuzz` takes one target per
 # invocation, hence the explicit list.
 FUZZTIME ?= 10s
 
-.PHONY: all lint test race race-parallel fuzz examples bench bench-check bench-json
+.PHONY: all lint test race fuzz examples bench bench-check bench-json
 
 all: lint test race
 
-# lint runs the repository's own six-analyzer suite (cmd/rcbrlint) plus go
+# lint runs the repository's own four-analyzer suite (cmd/rcbrlint) plus go
 # vet. Staticcheck and govulncheck run in CI at pinned versions; run them
 # locally with `make lint-extra` if they are installed.
 lint:
@@ -47,21 +41,11 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# race pins GOMAXPROCS=4 so the port-group goroutines and the fabric's
+# per-port workers truly interleave under the detector even on smaller CI
+# runners.
 race:
-	$(GO) test -race $(RACE_PKGS)
-	$(MAKE) race-parallel
-
-# race-parallel covers the fabric's churn and same-id lifecycle shims and
-# the cell path's lock-free parts. The datapath line pins
-# GOMAXPROCS=4 so the port-group goroutines truly interleave under the
-# detector even on smaller CI runners; its Table pattern reaches the VC table's tests in both packages
-# that hold them (the table itself, and its churn under forwarding),
-# Ring|Burst|CrossGroup the burst-form rings and the per-group egress FIFOs,
-# and StagedSweep|VCEntry the two-stage sweep against its per-cell model
-# and the one-line entry it works on.
-race-parallel:
-	$(GO) test -race -run 'Parallel' ./internal/switchfab/
-	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC|Table|Ring|Burst|CrossGroup|StagedSweep|VCEntry' ./internal/datapath/ ./internal/vctable/
+	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
 
 # fuzz smokes every fuzz target for FUZZTIME each: long enough to catch
 # shallow regressions in the parsers, short enough for every CI run.

@@ -1,10 +1,9 @@
 // Command rcbrlint runs the repository's static-analysis suite (package
-// internal/analysis) over the module: six analyzers enforcing the
+// internal/analysis) over the module: four analyzers enforcing the
 // conventions the concurrent signaling plane and switch fabric depend on
 // and no test can hold — registered metric names, lock scopes that never
-// span blocking calls, context plumbing through the signaling surface,
-// errors.Is sentinel matching, live event kinds and histograms, and
-// //rcbr:zeroalloc hot paths free of allocation.
+// span blocking calls, errors.Is sentinel matching, and //rcbr:zeroalloc
+// hot paths free of allocation.
 //
 // Usage:
 //
@@ -18,9 +17,9 @@
 // findings — file (repo-relative), line, col, analyzer, message — in the
 // same deterministic position order, so CI can archive and diff reports
 // between runs; the exit status still distinguishes findings (1) from
-// driver errors (2). The cross-package checks (metric-name ownership,
-// event-kind emission liveness) only see the packages named on the command
-// line, so run it over ./... for authoritative results. Individual findings can be suppressed with a
+// driver errors (2). The cross-package check (metric-name ownership) only
+// sees the packages named on the command line, so run it over ./... for
+// authoritative results. Individual findings can be suppressed with a
 // "//rcbrlint:ignore <analyzer> <reason>" comment on the flagged line or
 // the line above it; a bare or unknown-analyzer directive is itself a
 // finding.

@@ -11,7 +11,7 @@ import (
 	"rcbr/internal/analysis"
 )
 
-// TestRunListNamesAllAnalyzers pins the suite exactly: adding a seventh
+// TestRunListNamesAllAnalyzers pins the suite exactly: adding a fifth
 // analyzer (or dropping one) is a conscious edit here, beside DESIGN §9's
 // table of what each holds that no test can.
 func TestRunListNamesAllAnalyzers(t *testing.T) {
@@ -23,7 +23,7 @@ func TestRunListNamesAllAnalyzers(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
 		got = append(got, strings.Fields(line)[0])
 	}
-	want := []string{"ctxfirst", "eventkind", "lockscope", "metricname", "sentinelcmp", "zeroalloc"}
+	want := []string{"lockscope", "metricname", "sentinelcmp", "zeroalloc"}
 	if !slices.Equal(got, want) {
 		t.Errorf("-list names %v, want exactly %v", got, want)
 	}

@@ -268,8 +268,8 @@ func TestSwitchMemoryAdmitter(t *testing.T) {
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
-	for vci := uint16(1); vci <= 2; vci++ {
-		if err := sw.Setup(vci, 1, 4e6); err != nil {
+	for vci := switchfab.VCID(1); vci <= 2; vci++ {
+		if err := sw.SetupID(vci, 1, 4e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,8 +280,8 @@ func TestSwitchMemoryAdmitter(t *testing.T) {
 	if err := sw.Setup(3, 1, 64e3); !errors.Is(err, switchfab.ErrAdmission) {
 		t.Fatalf("third call: err = %v, want an admission denial", err)
 	}
-	for vci := uint16(1); vci <= 2; vci++ {
-		if err := sw.Teardown(vci); err != nil {
+	for vci := switchfab.VCID(1); vci <= 2; vci++ {
+		if err := sw.TeardownID(vci); err != nil {
 			t.Fatal(err)
 		}
 	}

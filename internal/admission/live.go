@@ -25,18 +25,15 @@ import (
 // the difference between a microsecond admit decision and one that scans a
 // million calls.
 //
-// The handle form — Enter, Move, Leave over a *Call the caller owns — is
-// the implementation: the controller keeps the pooled sums and a count of
-// the calls present, and never finds a call, because the caller hands it
-// the call's record. A live switch keeps that record on its own VC entry
-// (switchfab.MemoryAdmitter), so a call is indexed once, by the switch. The
-// id-keyed Controller methods (OnAdmit, OnRateChange, OnDepart) are an
-// adapter for callers that name calls by number (callsim): a map from id to
-// record in front of the same three functions, touched by nothing else.
+// Calls are named by handle — Enter, Move, Leave over a *Call the caller
+// owns: the controller keeps the pooled sums and a count of the calls
+// present, and never finds a call, because the caller hands it the call's
+// record. A live switch keeps that record on its own VC entry
+// (switchfab.MemoryAdmitter), so a call is indexed once, by the switch.
 //
-// Like every Controller, LiveMemory is not safe for concurrent use; the
-// switch-side adapter (switchfab.MemoryAdmitter) wraps one instance per
-// port behind that port's serialization.
+// LiveMemory is not safe for concurrent use; the switch-side adapter
+// (switchfab.MemoryAdmitter) wraps one instance per port behind that port's
+// serialization.
 type LiveMemory struct {
 	capacity float64
 	target   float64
@@ -45,7 +42,6 @@ type LiveMemory struct {
 	active   []float64 // calls currently at each level
 	sinceSum []float64 // Σ level-entry times of the calls in active
 	present  int       // calls entered and not yet left
-	byID     map[int]*Call
 
 	// weights and probs are reused by dist so Admit stays allocation-free
 	// in steady state.
@@ -109,7 +105,6 @@ func NewLiveMemory(levels []float64, capacity, target float64) (*LiveMemory, err
 		flushed:  make([]float64, n),
 		active:   make([]float64, n),
 		sinceSum: make([]float64, n),
-		byID:     make(map[int]*Call),
 		weights:  make([]float64, n),
 		probs:    make([]float64, n),
 	}, nil
@@ -156,7 +151,8 @@ func (m *LiveMemory) dist(now float64) (ld.Dist, bool) {
 	return ld.Dist{P: m.probs, X: m.levels}, true
 }
 
-// Admit implements Controller.
+// Admit reports whether a new call may enter at time now. As in Memory the
+// pooled estimate speaks for the newcomer; its initial rate is not consulted.
 func (m *LiveMemory) Admit(now, _ float64) bool {
 	dist, ok := m.dist(now)
 	if !ok {
@@ -210,33 +206,6 @@ func (m *LiveMemory) Leave(c *Call) {
 	m.present--
 }
 
-// OnAdmit implements Controller. An id the controller already tracks is a
-// new call under a reused number: the old call leaves first, so its share
-// of the pooled sums goes with it.
-func (m *LiveMemory) OnAdmit(id int, now, rate float64) {
-	if old, ok := m.byID[id]; ok {
-		m.Leave(old)
-	}
-	c := NewCall(len(m.levels))
-	m.byID[id] = c
-	m.Enter(c, now, rate)
-}
-
-// OnRateChange implements Controller.
-func (m *LiveMemory) OnRateChange(id int, now, _, newRate float64) {
-	if c, ok := m.byID[id]; ok {
-		m.Move(c, now, newRate)
-	}
-}
-
-// OnDepart implements Controller.
-func (m *LiveMemory) OnDepart(id int, _, _ float64) {
-	if c, ok := m.byID[id]; ok {
-		m.Leave(c)
-		delete(m.byID, id)
-	}
-}
-
 // Calls returns the number of calls currently in the system.
 func (m *LiveMemory) Calls() int { return m.present }
 
@@ -246,6 +215,3 @@ func (m *LiveMemory) Calls() int { return m.present }
 func (m *LiveMemory) Active() []float64 {
 	return append([]float64(nil), m.active...)
 }
-
-// Name implements Controller.
-func (m *LiveMemory) Name() string { return "memory-live" }

@@ -8,13 +8,12 @@ import (
 )
 
 // TestLiveMemoryMatchesMemory drives the same random lifecycle sequence
-// through the O(calls) Memory controller and both forms of the O(levels)
-// LiveMemory — calls named by id, and calls named by the record the caller
-// holds — and requires the call counts to agree at every step and the
-// pooled estimates, and therefore the admit decisions, at every probe
-// point. This is the correctness claim behind running the memory scheme in
-// a live setup path: the incremental decomposition is the same estimator,
-// not an approximation of it, whichever way the caller finds its calls.
+// through the O(calls) Memory controller and the O(levels) LiveMemory and
+// requires the call counts to agree at every step and the pooled estimates,
+// and therefore the admit decisions, at every probe point. This is the
+// correctness claim behind running the memory scheme in a live setup path:
+// the incremental decomposition is the same estimator, not an approximation
+// of it.
 func TestLiveMemoryMatchesMemory(t *testing.T) {
 	levels := []float64{64e3, 512e3, 1e6, 2e6, 4e6}
 	const capacity, target = 50e6, 1e-3
@@ -26,19 +25,14 @@ func TestLiveMemoryMatchesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handles, err := NewLiveMemory(levels, capacity, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forms := map[string]*LiveMemory{"id": live, "handle": handles}
 	type call struct {
 		rate float64
-		rec  *Call // the handle form's record, held by the caller
+		rec  *Call // LiveMemory's record, held by the caller
 	}
 	rng := stats.NewRNG(7)
 	present := make(map[int]call) // id -> current rate and record
 	anyCall := func() (int, call) {
-		// Map iteration order is fine: all three see the same choice.
+		// Map iteration order is fine: both see the same choice.
 		for id, c := range present {
 			return id, c
 		}
@@ -54,98 +48,57 @@ func TestLiveMemoryMatchesMemory(t *testing.T) {
 			id := nextID
 			nextID++
 			ref.OnAdmit(id, now, rate)
-			live.OnAdmit(id, now, rate)
 			rec := NewCall(len(levels))
-			handles.Enter(rec, now, rate)
+			live.Enter(rec, now, rate)
 			present[id] = call{rate, rec}
 		case op == 1: // renegotiate
 			id, c := anyCall()
 			newRate := levels[rng.Intn(len(levels))]
 			ref.OnRateChange(id, now, c.rate, newRate)
-			live.OnRateChange(id, now, c.rate, newRate)
-			handles.Move(c.rec, now, newRate)
+			live.Move(c.rec, now, newRate)
 			present[id] = call{newRate, c.rec}
 		default: // depart
 			id, c := anyCall()
 			ref.OnDepart(id, now, c.rate)
-			live.OnDepart(id, now, c.rate)
-			handles.Leave(c.rec)
+			live.Leave(c.rec)
 			delete(present, id)
 		}
-		if live.Calls() != len(present) || handles.Calls() != len(present) {
-			t.Fatalf("step %d: id form tracks %d calls, handle form %d, want %d",
-				step, live.Calls(), handles.Calls(), len(present))
+		if live.Calls() != len(present) {
+			t.Fatalf("step %d: LiveMemory tracks %d calls, want %d", step, live.Calls(), len(present))
 		}
 		if step%25 != 0 {
 			continue
 		}
 		probe := now + rng.ExpFloat64(1)
 		refDist, refOK := ref.estimate(probe)
-		for name, m := range forms {
-			dist, ok := m.dist(probe)
-			if refOK != ok {
-				t.Fatalf("step %d %s form: estimate ok %v vs %v", step, name, refOK, ok)
-			}
-			if refOK {
-				for i := range refDist.P {
-					if math.Abs(refDist.P[i]-dist.P[i]) > 1e-9 {
-						t.Fatalf("step %d %s form level %d: P %.12g vs %.12g", step, name, i, refDist.P[i], dist.P[i])
-					}
+		dist, ok := live.dist(probe)
+		if refOK != ok {
+			t.Fatalf("step %d: estimate ok %v vs %v", step, refOK, ok)
+		}
+		if refOK {
+			for i := range refDist.P {
+				if math.Abs(refDist.P[i]-dist.P[i]) > 1e-9 {
+					t.Fatalf("step %d level %d: P %.12g vs %.12g", step, i, refDist.P[i], dist.P[i])
 				}
 			}
-			if refAdmit, admit := ref.Admit(probe, 0), m.Admit(probe, 0); refAdmit != admit {
-				t.Fatalf("step %d %s form: Admit %v vs %v", step, name, refAdmit, admit)
-			}
+		}
+		if refAdmit, admit := ref.Admit(probe, 0), live.Admit(probe, 0); refAdmit != admit {
+			t.Fatalf("step %d: Admit %v vs %v", step, refAdmit, admit)
 		}
 	}
 	// Drain completely: the live controller must return to an exactly empty
 	// pool, not one with residual dwell mass.
-	for id, c := range present {
-		live.OnDepart(id, now, c.rate)
-		handles.Leave(c.rec)
+	for _, c := range present {
+		live.Leave(c.rec)
 	}
-	for name, m := range forms {
-		if m.Calls() != 0 {
-			t.Fatalf("%s form: calls after drain = %d", name, m.Calls())
-		}
-		if _, ok := m.dist(now + 10); ok {
-			t.Fatalf("%s form: drained controller still reports dwell mass", name)
-		}
-		if !m.Admit(now+10, 64e3) {
-			t.Fatalf("%s form: empty controller must admit", name)
-		}
+	if live.Calls() != 0 {
+		t.Fatalf("calls after drain = %d", live.Calls())
 	}
-}
-
-// TestLiveMemoryReadmitRetiresOldCall is the regression for the id-keyed
-// adapter overwriting a tracked id: the old call's active and sinceSum
-// shares used to stay in the pooled estimate forever. Admitting id 7 twice
-// at different levels and departing once must leave exactly an empty
-// controller.
-func TestLiveMemoryReadmitRetiresOldCall(t *testing.T) {
-	levels := []float64{64e3, 512e3, 4e6}
-	m, err := NewLiveMemory(levels, 50e6, 1e-3)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := live.dist(now + 10); ok {
+		t.Fatal("drained controller still reports dwell mass")
 	}
-	m.OnAdmit(7, 1, levels[0])
-	m.OnRateChange(7, 2, levels[0], levels[1]) // gives the old call flushed dwell to leak too
-	m.OnAdmit(7, 3, levels[2])
-	if got := m.Calls(); got != 1 {
-		t.Fatalf("Calls after re-admitting id 7 = %d, want 1", got)
-	}
-	m.OnDepart(7, 4, levels[2])
-	if got := m.Calls(); got != 0 {
-		t.Fatalf("Calls after the one departure = %d, want 0", got)
-	}
-	for i := range levels {
-		if m.flushed[i] != 0 || m.active[i] != 0 || m.sinceSum[i] != 0 {
-			t.Errorf("level %d: flushed %v active %v sinceSum %v, want an empty controller's zeros",
-				i, m.flushed[i], m.active[i], m.sinceSum[i])
-		}
-	}
-	if len(m.byID) != 0 {
-		t.Errorf("%d ids still tracked", len(m.byID))
+	if !live.Admit(now+10, 64e3) {
+		t.Fatal("empty controller must admit")
 	}
 }
 

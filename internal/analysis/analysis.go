@@ -1,5 +1,5 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// for the rcbr repository, plus the six project-specific analyzers that
+// for the rcbr repository, plus the four project-specific analyzers that
 // cmd/rcbrlint runs over it. The signaling plane and switch fabric rest on
 // conventions the compiler cannot see and no test can reach — metric names
 // must be registered constants, fabric locks must not be held across
@@ -11,17 +11,16 @@
 //     helper builders), each name literal declared in exactly one package.
 //   - lockscope: no sync.Mutex/RWMutex is held across a call that can
 //     block (net I/O, channel operations, time.Sleep, WaitGroup.Wait).
-//   - ctxfirst: exported signaling entry points take context.Context
-//     first and pass it down instead of minting context.Background().
 //   - sentinelcmp: sentinel errors are matched with errors.Is, never ==.
-//   - eventkind: every EventKind constant is named and emitted, and every
-//     histogram instrument a package creates is observed by that package.
 //   - zeroalloc: functions annotated //rcbr:zeroalloc avoid
 //     allocation-inducing constructs outside cold error paths.
 //
-// Rules a short test can hold are held by tests beside the code instead
-// (DESIGN §9): finite-rate validation at every entry point, one port lock
-// at a time, no mutex on a ring.
+// Each of the four resolves an identifier to its type or object, which a
+// go/parser test cannot. Rules a short test can hold are held by tests
+// beside the code instead (DESIGN §9): finite-rate validation at every
+// entry point, one port lock at a time, no mutex on a ring, every event
+// kind named and emitted, every histogram observed, context first and
+// passed down through the signaling surface.
 //
 // The framework deliberately mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, testdata-driven tests)

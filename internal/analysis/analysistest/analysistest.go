@@ -4,7 +4,7 @@
 // needs. A testdata tree lays packages out under <root>/src/<path>, and
 // every import must resolve inside the tree — tests fake the handful of
 // standard-library packages the analyzers recognize structurally
-// ("metrics", "net", "sync", "context", "errors", "time"), which keeps a
+// ("metrics", "net", "sync", "errors", "time"), which keeps a
 // full suite run under a second.
 //
 // Expectations are written on the offending line:

@@ -4,8 +4,6 @@ package analysis
 // it. The order is stable so diagnostics sort deterministically.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CtxFirst,
-		EventKind,
 		LockScope,
 		MetricName,
 		SentinelCmp,

@@ -15,20 +15,10 @@ func TestLockScope(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockScope, "lockscope")
 }
 
-// TestCtxFirst also covers the driver's //rcbrlint:ignore directive: the
-// DialLegacy case in the testdata carries one and must stay silent.
-func TestCtxFirst(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.CtxFirst, "netproto")
-}
-
 // TestSentinelCmp also covers the test-file policy: sentinelcmp declares
 // Tests, so the violation seeded in sentinelcmp_test.go must be reported.
 func TestSentinelCmp(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.SentinelCmp, "sentinelcmp")
-}
-
-func TestEventKind(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.EventKind, "eventkind")
 }
 
 // TestZeroAlloc covers the //rcbr:zeroalloc annotation: every

@@ -9,7 +9,7 @@ import (
 // Type- and AST-level helpers shared by the analyzers. Package identity is
 // matched structurally (by path, or basename for the repo's own packages)
 // rather than by object identity, because analyzer testdata substitutes
-// tiny fake packages ("metrics", "net", "context", ...) for the real ones.
+// tiny fake packages ("metrics", "net", "sync", ...) for the real ones.
 
 // namedType unwraps pointers and aliases down to a *types.Named, or nil.
 func namedType(t types.Type) *types.Named {
@@ -100,17 +100,6 @@ func registryCall(info *types.Info, call *ast.CallExpr) (kind string, ok bool) {
 	return method.Name(), true
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	return isNamed(t, "context", "Context")
-}
-
-// ctxAware reports whether sig takes a context.Context as its first
-// parameter.
-func ctxAware(sig *types.Signature) bool {
-	return sig != nil && sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type())
-}
-
 // isErrorType reports whether t is the built-in error interface.
 func isErrorType(t types.Type) bool {
 	if t == nil {
@@ -154,14 +143,6 @@ func constRef(info *types.Info, e ast.Expr) *types.Const {
 	}
 	c, _ := info.Uses[id].(*types.Const)
 	return c
-}
-
-// pkgBase returns the final element of an import path.
-func pkgBase(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }
 
 // nonTestFiles yields the package's library files with their indices.

@@ -261,6 +261,18 @@ func TestRenegotiateFlatDenialRollsBack(t *testing.T) {
 	if !sawDeny || !sawRollback {
 		t.Errorf("event trace missing deny/rollback: deny=%v rollback=%v", sawDeny, sawRollback)
 	}
+	// Every hop decided the denied increase and now a granted decrease:
+	// two observations each in its latency histogram (rollbacks are not
+	// timed). A histogram created and never fed reads as "nothing is slow".
+	if got, err := p.Renegotiate(ctx, 50e3); err != nil || got != 50e3 {
+		t.Fatalf("granted decrease: %v, %v", got, err)
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"a", "b", "c"} {
+		if n := snap.Histograms[HopRenegLatencyHistogram(name)].Count; n != 2 {
+			t.Errorf("%s observations = %d, want 2", HopRenegLatencyHistogram(name), n)
+		}
+	}
 }
 
 // errTeardown is the injected mid-path teardown failure.

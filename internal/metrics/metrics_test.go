@@ -3,6 +3,9 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"strings"
 	"sync"
@@ -301,6 +304,35 @@ func TestEventJSONSchema(t *testing.T) {
 	}
 	if strings.Count(buf.String(), "requested_bps") != 1 {
 		t.Fatal("requested_bps must be omitted when zero")
+	}
+}
+
+// TestEveryEventKindHasAWireName counts the Event* constants off the source
+// (one iota block starting at 1), so a kind added without a name-table entry
+// renders "unknown" here and not first in a dump (a lint analyzer's job until
+// PR 24, DESIGN §9).
+func TestEveryEventKindHasAWireName(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "eventlog.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	ast.Inspect(f, func(node ast.Node) bool {
+		if vs, ok := node.(*ast.ValueSpec); ok && strings.HasPrefix(vs.Names[0].Name, "Event") {
+			n++
+		}
+		return true
+	})
+	seen := map[string]EventKind{}
+	for k := EventKind(1); int(k) <= n; k++ {
+		name := k.String()
+		if prev, dup := seen[name]; dup || name == "unknown" {
+			t.Errorf("kind %d of %d renders %q (also kind %d)", k, n, name, prev)
+		}
+		seen[name] = k
+	}
+	if got := EventKind(n + 1).String(); got != "unknown" {
+		t.Errorf("kind %d, past the %d declared, renders %q", n+1, n, got)
 	}
 }
 

@@ -169,7 +169,7 @@ func TestRetriesSurvivePacketLoss(t *testing.T) {
 	}
 	// The retry path sends resync cells with the absolute target, so the
 	// switch state must land on the target despite the lost delta.
-	if r, _ := sw.VCRate(3); math.Abs(r-256e3)/256e3 > 1.0/256 {
+	if r, _ := sw.VCRateID(3); math.Abs(r-256e3)/256e3 > 1.0/256 {
 		t.Fatalf("switch rate = %v after lossy renegotiation", r)
 	}
 	if err := cl.Teardown(ctx, 3); err != nil {
@@ -245,7 +245,7 @@ func TestDeltaNotAppliedTwiceUnderLoss(t *testing.T) {
 		t.Fatalf("renegotiate: %v %v %v", granted, ok, err)
 	}
 	// If the retry had re-sent the delta, the switch would sit at 500e3.
-	if r, _ := sw.VCRate(9); math.Abs(r-300e3)/300e3 > 1.0/256 {
+	if r, _ := sw.VCRateID(9); math.Abs(r-300e3)/300e3 > 1.0/256 {
 		t.Fatalf("switch rate = %v, delta applied twice?", r)
 	}
 }
@@ -306,7 +306,7 @@ func TestDelayedDeltaNotAppliedAfterResync(t *testing.T) {
 	if got := sw.Stats().DupDrops; got != 1 {
 		t.Fatalf("duplicate drops = %d, want 1 (delayed delta never arrived?)", got)
 	}
-	if r, _ := sw.VCRate(9); math.Abs(r-300e3)/300e3 > 1.0/256 {
+	if r, _ := sw.VCRateID(9); math.Abs(r-300e3)/300e3 > 1.0/256 {
 		t.Fatalf("switch rate = %v after delayed delta, want ~300e3 (delta applied twice)", r)
 	}
 	if got := reg.Snapshot().Counters[switchfab.MetricDupDrops]; got != 1 {
@@ -382,7 +382,7 @@ func TestStaleResyncRetryDoesNotRestoreOldRate(t *testing.T) {
 	if st := sw.Stats(); st.DupDrops == 0 {
 		t.Fatalf("the overtaken retry was not dropped as a duplicate: %+v", st)
 	}
-	if r, _ := sw.VCRate(9); r != granted {
+	if r, _ := sw.VCRateID(9); r != granted {
 		t.Fatalf("switch rate = %v, source believes %v: the overtaken retry restored the old rate", r, granted)
 	}
 }

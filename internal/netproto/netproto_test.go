@@ -128,7 +128,7 @@ func TestEndToEndSetupRenegotiateTeardown(t *testing.T) {
 	if err := cl.Setup(ctx, 42, 1, 128e3); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := sw.VCRate(42); r != 128e3 {
+	if r, _ := sw.VCRateID(42); r != 128e3 {
 		t.Fatalf("rate after setup = %v", r)
 	}
 	granted, ok, err := cl.Renegotiate(ctx, 42, 128e3, 256e3)
@@ -175,7 +175,7 @@ func TestEndToEndResync(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("resync: %v %v %v", granted, ok, err)
 	}
-	if r, _ := sw.VCRate(7); math.Abs(r-300e3)/300e3 > 1.0/256 {
+	if r, _ := sw.VCRateID(7); math.Abs(r-300e3)/300e3 > 1.0/256 {
 		t.Fatalf("rate after resync = %v", r)
 	}
 }
@@ -210,6 +210,20 @@ func TestIdempotentRetransmissions(t *testing.T) {
 	if err := cl.Setup(ctx, 5, 1, 200e3); !errors.Is(err, ErrRemote) {
 		t.Fatalf("conflicting setup accepted: %v", err)
 	}
+	// So is the same rate on another port: acknowledging it would tell the
+	// source it holds 100 kb/s on a port that reserved nothing.
+	if err := sw.AddPort(2, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	before := sw.Stats()
+	if err := cl.Setup(ctx, 5, 2, 100e3); !errors.Is(err, switchfab.ErrVCExists) {
+		t.Fatalf("setup of an established VCI on another port: %v, want ErrVCExists", err)
+	}
+	r1, _, _ := sw.PortLoad(1)
+	r2, _, _ := sw.PortLoad(2)
+	if r1 != 100e3 || r2 != 0 || sw.Stats() != before {
+		t.Fatalf("refused setup moved the books: port 1 %v, port 2 %v, stats %+v (were %+v)", r1, r2, sw.Stats(), before)
+	}
 	if err := cl.Teardown(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +231,6 @@ func TestIdempotentRetransmissions(t *testing.T) {
 	if err := cl.Teardown(ctx, 5); err != nil {
 		t.Fatalf("duplicate teardown not idempotent: %v", err)
 	}
-	_ = sw
 }
 
 func TestClientTimeout(t *testing.T) {

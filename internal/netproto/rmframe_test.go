@@ -202,8 +202,8 @@ func TestServerRMFrame(t *testing.T) {
 			t.Errorf("reply for VC %d carries %g, want %g", w.vci, r.m.ER, w.rate)
 		}
 	}
-	for vci, rate := range map[uint16]float64{1: 2 * mb, 2: mb / 2, 3: 4 * mb, 4: mb} {
-		if r, _ := sw.VCRate(vci); r != rate {
+	for vci, rate := range map[switchfab.VCID]float64{1: 2 * mb, 2: mb / 2, 3: 4 * mb, 4: mb} {
+		if r, _ := sw.VCRateID(vci); r != rate {
 			t.Errorf("VC %d rate = %g, want %g", vci, r, rate)
 		}
 	}
@@ -238,10 +238,10 @@ func TestServerRMFrame(t *testing.T) {
 	if err != nil || f.Type != TypeErr || f.ReqID != 79 {
 		t.Errorf("frame with a corrupt cell answered %+v, %v; want an error reply", f, err)
 	}
-	if r5, _ := sw.VCRate(5); r5 != 2*mb {
+	if r5, _ := sw.VCRateID(5); r5 != 2*mb {
 		t.Errorf("VC 5 rate = %g, want %d (the cell ahead of the corrupt one applied)", r5, 2*mb)
 	}
-	if r6, _ := sw.VCRate(6); r6 != mb {
+	if r6, _ := sw.VCRateID(6); r6 != mb {
 		t.Errorf("VC 6 rate = %g, want %d (the corrupt cell touched nothing)", r6, mb)
 	}
 }
@@ -268,7 +268,7 @@ func TestServerRMFrameSeqDupDrop(t *testing.T) {
 			t.Errorf("VC %d replay marked deny; a duplicate drop is not a denial", replay[i].h.VCI)
 		}
 	}
-	if r, _ := sw.VCRate(1); r != 2*mb {
+	if r, _ := sw.VCRateID(1); r != 2*mb {
 		t.Errorf("VC 1 rate %g after replay, want 2 * mb (delta applied once)", r)
 	}
 	if st := sw.Stats(); st.DupDrops != 2 || st.Renegotiations != 2 {
@@ -285,7 +285,7 @@ func TestServerRMFrameSeqDupDrop(t *testing.T) {
 	if len(got) != 2 || got[0].m.ER != 2*mb || got[1].m.ER != 2*mb || got[1].m.Deny {
 		t.Errorf("same VC twice in a frame answered %+v, want 2 * mb twice", got)
 	}
-	if r, _ := sw.VCRate(3); r != 2*mb {
+	if r, _ := sw.VCRateID(3); r != 2*mb {
 		t.Errorf("VC 3 rate %g, want 2 * mb (delta applied once)", r)
 	}
 }

@@ -288,11 +288,13 @@ func (s *Server) handle(b []byte, sc *scratch) []byte {
 		if err != nil {
 			return s.errReply(sc, f.ReqID, err)
 		}
-		if err := s.sw.Setup(req.VCI, int(req.Port), req.Rate); err != nil {
-			// Duplicate setup of the same VCI at the same rate is treated
-			// as a retransmission and acknowledged idempotently.
+		id := switchfab.MakeVCID(0, req.VCI)
+		if err := s.sw.SetupID(id, int(req.Port), req.Rate); err != nil {
+			// A duplicate setup of the same VCI on the same port at the same
+			// rate is a retransmission and acknowledged idempotently. On
+			// another port it is a different request, which reserved nothing.
 			if errors.Is(err, switchfab.ErrVCExists) {
-				if r, rerr := s.sw.VCRate(req.VCI); rerr == nil && r == req.Rate {
+				if vc, verr := s.sw.VC(id); verr == nil && vc.Port == int(req.Port) && vc.Rate == req.Rate {
 					return AppendOK(sc.reply[:0], TypeSetupOK, f.ReqID)
 				}
 			}
@@ -306,7 +308,7 @@ func (s *Server) handle(b []byte, sc *scratch) []byte {
 		if err != nil {
 			return s.errReply(sc, f.ReqID, err)
 		}
-		if err := s.sw.Teardown(vci); err != nil {
+		if err := s.sw.TeardownID(switchfab.MakeVCID(0, vci)); err != nil {
 			// A retransmitted teardown finds no VC; acknowledge it.
 			if errors.Is(err, switchfab.ErrNoVC) {
 				return AppendOK(sc.reply[:0], TypeTeardownOK, f.ReqID)

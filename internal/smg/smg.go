@@ -45,8 +45,6 @@ type Config struct {
 	MinReps, MaxReps int
 	// CIFrac is the stopping rule's relative half-width (paper: 0.2).
 	CIFrac float64
-	// SearchIters is the number of binary-search refinements (default 12).
-	SearchIters int
 	// Seed drives all phasing randomness.
 	Seed uint64
 }
@@ -68,12 +66,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) searchIters() int {
-	if c.SearchIters > 0 {
-		return c.SearchIters
-	}
-	return 12
-}
+// searchIters is the number of binary-search refinements of a capacity
+// search: the bracket narrows 4096-fold.
+const searchIters = 12
 
 // SearchStats reports the work behind one capacity search.
 type SearchStats struct {
@@ -142,7 +137,7 @@ func SharedRate(cfg Config, n int) (float64, SearchStats, error) {
 	if lossAt(hi) > cfg.LossTarget {
 		hi = cfg.Trace.PeakFrameRate()
 	}
-	for iter := 0; iter < cfg.searchIters(); iter++ {
+	for iter := 0; iter < searchIters; iter++ {
 		mid := (lo + hi) / 2
 		if lossAt(mid) > cfg.LossTarget {
 			lo = mid
@@ -218,7 +213,7 @@ func RCBRRate(cfg Config, n int) (float64, SearchStats, error) {
 
 	lo := cfg.Trace.MeanRate() * 0.95
 	hi := cfg.Schedule.PeakRate()
-	for iter := 0; iter < cfg.searchIters(); iter++ {
+	for iter := 0; iter < searchIters; iter++ {
 		mid := (lo + hi) / 2
 		if lossAt(mid) > cfg.LossTarget {
 			lo = mid

@@ -63,7 +63,7 @@ func BenchmarkSwitchHandleRM(b *testing.B) {
 }
 
 // TestParallelFabricChurn is the race-detector shim behind the fabric
-// benchmarks (make race-parallel): setups, teardowns, RM cells and table
+// benchmarks (make race): setups, teardowns, RM cells and table
 // listings all running against each other.
 func TestParallelFabricChurn(t *testing.T) {
 	const (

@@ -47,9 +47,7 @@ func TestSetupRejectsNonFiniteRates(t *testing.T) {
 		{"AddPort", func(r float64) error { return s.AddPort(2, r) }},
 		{"Setup", func(r float64) error { return s.Setup(11, 1, r) }},
 		{"SetupID", func(r float64) error { return s.SetupID(11, 1, r) }},
-		{"Renegotiate", func(r float64) error { _, _, err := s.Renegotiate(10, r); return err }},
 		{"RenegotiateID", func(r float64) error { _, _, err := s.RenegotiateID(10, r); return err }},
-		{"RenegotiateBest", func(r float64) error { _, _, err := s.RenegotiateBest(10, r); return err }},
 		{"RenegotiateBestID", func(r float64) error { _, _, err := s.RenegotiateBestID(10, r); return err }},
 		{"HandleRM delta", func(r float64) error { return handleRM(cell.RM{ER: r, Seq: 1}) }},
 		{"HandleRM resync", func(r float64) error { return handleRM(cell.RM{ER: r, Resync: true}) }},

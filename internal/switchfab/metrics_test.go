@@ -39,27 +39,27 @@ func TestConcurrentRenegotiationMetrics(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func(vci uint16) {
+		go func(vci VCID) {
 			defer wg.Done()
 			for k := 0; k < perWorker; k++ {
-				if _, _, err := sw.Renegotiate(vci, base+float64(k+1)*step); err != nil {
+				if _, _, err := sw.RenegotiateID(vci, base+float64(k+1)*step); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(uint16(i + 1))
+		}(VCID(i + 1))
 	}
 	wg.Wait()
 	// Workers leave their rates ramped up (the port is saturated under any
 	// interleaving); settle each back to base — a decrease, always granted
 	// — so the teardown accounting below is exact.
 	for i := 0; i < workers; i++ {
-		if _, ok, err := sw.Renegotiate(uint16(i+1), base); err != nil || !ok {
+		if _, ok, err := sw.RenegotiateID(VCID(i+1), base); err != nil || !ok {
 			t.Fatalf("settle vci %d: ok=%v err=%v", i+1, ok, err)
 		}
 	}
 	for i := 0; i < workers; i++ {
-		if err := sw.Teardown(uint16(i + 1)); err != nil {
+		if err := sw.TeardownID(VCID(i + 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,10 +118,10 @@ func TestMetricsMirrorSwitchState(t *testing.T) {
 	if err := sw.Setup(3, 7, 400e3); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := sw.Renegotiate(3, 900e3); !ok {
+	if _, ok, _ := sw.RenegotiateID(3, 900e3); !ok {
 		t.Fatal("in-capacity increase denied")
 	}
-	if _, ok, _ := sw.Renegotiate(3, 2e6); ok {
+	if _, ok, _ := sw.RenegotiateID(3, 2e6); ok {
 		t.Fatal("over-capacity increase granted")
 	}
 	if got := reg.Snapshot().Gauges[PortReservedGauge(7)]; got != 900e3 {
@@ -131,7 +131,7 @@ func TestMetricsMirrorSwitchState(t *testing.T) {
 	if err := sw.Setup(4, 7, 500e3); err == nil {
 		t.Fatal("over-capacity setup accepted")
 	}
-	if err := sw.Teardown(3); err != nil {
+	if err := sw.TeardownID(3); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Gauges[PortReservedGauge(7)]; got != 0 {
@@ -201,7 +201,7 @@ func TestResyncEventsAndLatencyAccounting(t *testing.T) {
 		t.Fatal("missing VC accepted")
 	}
 	calls++
-	if _, _, err := sw.Renegotiate(99, 1e3); err == nil {
+	if _, _, err := sw.RenegotiateID(99, 1e3); err == nil {
 		t.Fatal("missing VC accepted")
 	}
 	calls++
@@ -254,10 +254,10 @@ func TestUninstrumentedSwitchStillWorks(t *testing.T) {
 	if err := sw.Setup(1, 1, 100e3); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := sw.Renegotiate(1, 200e3); err != nil || !ok {
+	if _, ok, err := sw.RenegotiateID(1, 200e3); err != nil || !ok {
 		t.Fatalf("renegotiate: ok=%v err=%v", ok, err)
 	}
-	if err := sw.Teardown(1); err != nil {
+	if err := sw.TeardownID(1); err != nil {
 		t.Fatal(err)
 	}
 	if st := sw.Stats(); st.Setups != 1 || st.Renegotiations != 1 {
@@ -309,10 +309,10 @@ func TestCountersAreViewsOfStats(t *testing.T) {
 	sw.HandleRM(h, cell.RM{ER: 100e3, Seq: 1})               // grant
 	sw.HandleRM(h, cell.RM{ER: 100e3, Seq: 1})               // duplicate drop
 	sw.HandleRM(h, cell.RM{ER: 300e3, Resync: true, Seq: 2}) // resync
-	sw.Renegotiate(1, 5e6)                                   // denial
-	sw.RenegotiateBest(2, 5e6)                               // partial grant
-	sw.RenegotiateBest(1, 5e6)                               // no headroom left: denial
-	if err := sw.Teardown(2); err != nil {
+	sw.RenegotiateID(1, 5e6)                                 // denial
+	sw.RenegotiateBestID(2, 5e6)                             // partial grant
+	sw.RenegotiateBestID(1, 5e6)                             // no headroom left: denial
+	if err := sw.TeardownID(2); err != nil {
 		t.Fatal(err)
 	}
 	p := sw.port(1)

@@ -63,7 +63,7 @@ func (r *lifecycleRecorder) OnTeardown(port int, id VCID) {
 // just before it went. The data plane must see each id's events in an order
 // that makes sense, and at the end it, the listing and the port books agree
 // exactly (rates are integers, so sums are exact in float64). Run under
-// -race by `make race-parallel`.
+// -race by `make race`.
 func TestParallelSameIDLifecycle(t *testing.T) {
 	const (
 		workers = 8

@@ -49,10 +49,10 @@
 //
 // VC identifiers: the paper's switch is an ATM switch, so a VC is named by
 // the cell header's (VPI, VCI) pair — 24 bits, far past the 65,536 circuits
-// a bare 16-bit VCI allows. The uint16 convenience methods (Setup,
-// Teardown, Renegotiate, VCRate) address VPI 0; the *ID variants take a full
-// VCID. HandleRM always honors the header's VPI, so cell-driven signaling
-// reaches the whole space.
+// a bare 16-bit VCI allows. Every operation takes a full VCID (SetupID,
+// TeardownID, RenegotiateID, ...); Setup(uint16) alone addresses VPI 0.
+// HandleRM always honors the header's VPI, so cell-driven signaling reaches
+// the whole space.
 //
 // RM-cell sequence numbers: delta cells are not idempotent, and a resync
 // that a later request overtook asserts a rate the source has moved on
@@ -103,7 +103,7 @@ func IsReject(err error) bool {
 
 // VCID names a virtual channel by its ATM (VPI, VCI) pair packed into 24
 // bits: VPI in bits 16-23, VCI in bits 0-15. The zero-VPI subspace is what
-// the uint16 convenience methods address.
+// a bare 16-bit VCI addresses: an untyped constant converts.
 type VCID uint32
 
 // MakeVCID packs a (VPI, VCI) pair.
@@ -508,21 +508,23 @@ func (s *Switch) setReserved(p *port, v float64) {
 	p.reservedGauge.Set(v)
 }
 
-// Setup establishes a VC (VPI 0) on an output port at an initial rate: the
-// heavyweight signaling path, subject to admission control and the hard
-// capacity check.
+// Setup is SetupID addressing VPI 0. It is the last of the uint16 twins:
+// bench/rtt.go:101 and bench/probes.go:280 call it, and it goes when they
+// move to SetupID (ROADMAP 4a).
 func (s *Switch) Setup(vci uint16, portID int, rate float64) error {
 	return s.SetupID(VCID(vci), portID, rate)
 }
 
-// SetupID is Setup addressing the full (VPI, VCI) space. An id wider than
-// 24 bits names no VC — no cell header can carry it — and is refused before
-// the books are touched. Setups on different ports run concurrently: the
-// duplicate check, the capacity and admission decisions, the publication of
-// the entry and the reservation all happen under one hold of the target
-// port's mutex, so no concurrent setup can invalidate the decision. Two
-// setups of one id on different ports are arbitrated by the table: the
-// second Put fails and nothing was reserved for it.
+// SetupID establishes a VC on an output port at an initial rate: the
+// heavyweight signaling path, subject to admission control and the hard
+// capacity check. An id wider than 24 bits names no VC — no cell header can
+// carry it — and is refused before the books are touched. Setups on
+// different ports run concurrently: the duplicate check, the capacity and
+// admission decisions, the publication of the entry and the reservation all
+// happen under one hold of the target port's mutex, so no concurrent setup
+// can invalidate the decision. Two setups of one id on different ports are
+// arbitrated by the table: the second Put fails and nothing was reserved for
+// it.
 func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	if id>>24 != 0 {
 		return fmt.Errorf("switchfab: vc id %#x is wider than 24 bits", uint32(id))
@@ -603,15 +605,10 @@ func (s *Switch) rejectSetup(id VCID, portID int, rate float64) {
 	})
 }
 
-// Teardown releases a VC (VPI 0) and its reservation.
-func (s *Switch) Teardown(vci uint16) error {
-	return s.TeardownID(VCID(vci))
-}
-
-// TeardownID is Teardown addressing the full (VPI, VCI) space. The
-// admitter and data-plane hooks run before the entry is unpublished: while
-// the id is still taken no setup can reuse it, so a setup of the same id on
-// another port cannot reach the data plane ahead of this teardown.
+// TeardownID releases a VC and its reservation. The admitter and data-plane
+// hooks run before the entry is unpublished: while the id is still taken no
+// setup can reuse it, so a setup of the same id on another port cannot reach
+// the data plane ahead of this teardown.
 func (s *Switch) TeardownID(id VCID) error {
 	vc := s.vcs.Get(uint32(id))
 	if vc == nil {
@@ -637,15 +634,10 @@ func (s *Switch) TeardownID(id VCID) error {
 	return nil
 }
 
-// Renegotiate applies a rate change request for a VC (VPI 0): the paper's
+// RenegotiateID applies a rate change request for a VC: the paper's
 // lightweight path. Decreases always succeed; an increase succeeds iff the
 // port stays within capacity. It returns the rate now in force and whether
 // the request was granted in full.
-func (s *Switch) Renegotiate(vci uint16, newRate float64) (granted float64, ok bool, err error) {
-	return s.RenegotiateID(VCID(vci), newRate)
-}
-
-// RenegotiateID is Renegotiate addressing the full (VPI, VCI) space.
 //
 //rcbr:zeroalloc
 func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bool, err error) {
@@ -666,11 +658,6 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 	}
 	granted, ok = s.applyRate(id, vc, p, now, newRate, newRate, metrics.EventRenegGrant)
 	return granted, ok, nil
-}
-
-// RenegotiateBest is RenegotiateBestID addressing VPI 0.
-func (s *Switch) RenegotiateBest(vci uint16, target float64) (granted float64, full bool, err error) {
-	return s.RenegotiateBestID(VCID(vci), target)
 }
 
 // RenegotiateBestID applies a rate change granting the most the VC's port
@@ -846,23 +833,10 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	}, nil
 }
 
-// VCRate returns the reserved rate of a VC (VPI 0).
-func (s *Switch) VCRate(vci uint16) (float64, error) {
-	return s.VCRateID(VCID(vci))
-}
-
-// VCRateID is VCRate addressing the full (VPI, VCI) space.
+// VCRateID returns the reserved rate of a VC.
 func (s *Switch) VCRateID(id VCID) (float64, error) {
-	vc := s.vcs.Get(uint32(id))
-	if vc == nil {
-		return 0, fmt.Errorf("%w: %s", ErrNoVC, id)
-	}
-	vc.p.mu.Lock()
-	defer vc.p.mu.Unlock()
-	if vc.gone {
-		return 0, fmt.Errorf("%w: %s", ErrNoVC, id)
-	}
-	return vc.rate, nil
+	vc, err := s.VC(id)
+	return vc.Rate, err
 }
 
 // PortLoad returns a port's reserved rate and capacity.
@@ -895,6 +869,16 @@ func (vc *vcState) info(id VCID) (VCInfo, bool) {
 	vc.p.mu.Lock()
 	defer vc.p.mu.Unlock()
 	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: vc.p.id, Rate: vc.rate}, !vc.gone
+}
+
+// VC returns the established VC named id.
+func (s *Switch) VC(id VCID) (VCInfo, error) {
+	if vc := s.vcs.Get(uint32(id)); vc != nil {
+		if info, ok := vc.info(id); ok {
+			return info, nil
+		}
+	}
+	return VCInfo{}, fmt.Errorf("%w: %s", ErrNoVC, id)
 }
 
 // VCs returns every established VC in (VPI, VCI) order — the order the

@@ -23,7 +23,7 @@ func TestSetupTeardown(t *testing.T) {
 	if err := s.Setup(10, 1, 300e3); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := s.VCRate(10); err != nil || r != 300e3 {
+	if r, err := s.VCRateID(10); err != nil || r != 300e3 {
 		t.Fatalf("VCRate = %v, %v", r, err)
 	}
 	reserved, capacity, err := s.PortLoad(1)
@@ -33,7 +33,7 @@ func TestSetupTeardown(t *testing.T) {
 	if s.VCCount() != 1 {
 		t.Fatalf("VCCount = %d", s.VCCount())
 	}
-	if err := s.Teardown(10); err != nil {
+	if err := s.TeardownID(10); err != nil {
 		t.Fatal(err)
 	}
 	reserved, _, _ = s.PortLoad(1)
@@ -59,7 +59,7 @@ func TestSetupErrors(t *testing.T) {
 	if err := s.Setup(1, 1, 1e5); !errors.Is(err, ErrVCExists) {
 		t.Errorf("duplicate VCI: %v", err)
 	}
-	if err := s.Teardown(42); !errors.Is(err, ErrNoVC) {
+	if err := s.TeardownID(42); !errors.Is(err, ErrNoVC) {
 		t.Errorf("missing VC: %v", err)
 	}
 	if err := s.AddPort(1, 1); !errors.Is(err, ErrPortExists) {
@@ -93,7 +93,7 @@ func TestRenegotiateGrantAndDeny(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 800k reserved of 1M. VC 1 asks for 700k: needs 1.1M total -> deny.
-	granted, ok, err := s.Renegotiate(1, 700e3)
+	granted, ok, err := s.RenegotiateID(1, 700e3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestRenegotiateGrantAndDeny(t *testing.T) {
 		t.Fatalf("deny expected, got granted=%v ok=%v", granted, ok)
 	}
 	// Ask for 500k: 900k total -> grant.
-	granted, ok, err = s.Renegotiate(1, 500e3)
+	granted, ok, err = s.RenegotiateID(1, 500e3)
 	if err != nil || !ok || granted != 500e3 {
 		t.Fatalf("grant expected: %v %v %v", granted, ok, err)
 	}
 	// Decrease always succeeds.
-	granted, ok, err = s.Renegotiate(2, 100e3)
+	granted, ok, err = s.RenegotiateID(2, 100e3)
 	if err != nil || !ok || granted != 100e3 {
 		t.Fatalf("decrease: %v %v %v", granted, ok, err)
 	}
@@ -118,13 +118,13 @@ func TestRenegotiateGrantAndDeny(t *testing.T) {
 
 func TestRenegotiateErrors(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if _, _, err := s.Renegotiate(9, 1); !errors.Is(err, ErrNoVC) {
+	if _, _, err := s.RenegotiateID(9, 1); !errors.Is(err, ErrNoVC) {
 		t.Errorf("missing VC: %v", err)
 	}
 	if err := s.Setup(1, 1, 1e5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Renegotiate(1, -1); !errors.Is(err, ErrInvalidRate) {
+	if _, _, err := s.RenegotiateID(1, -1); !errors.Is(err, ErrInvalidRate) {
 		t.Errorf("negative rate: %v", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestHandleRMDeltaUp(t *testing.T) {
 	if math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("granted rate = %v, want 300e3", resp.ER)
 	}
-	if r, _ := s.VCRate(7); math.Abs(r-300e3) > 1 {
+	if r, _ := s.VCRateID(7); math.Abs(r-300e3) > 1 {
 		t.Fatalf("VC rate = %v", r)
 	}
 }
@@ -188,7 +188,7 @@ func TestHandleRMDeny(t *testing.T) {
 	if math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("denied reply ER = %v, want current 300e3", resp.ER)
 	}
-	if r, _ := s.VCRate(1); r != 300e3 {
+	if r, _ := s.VCRateID(1); r != 300e3 {
 		t.Fatalf("rate changed on denial: %v", r)
 	}
 }
@@ -202,7 +202,7 @@ func TestHandleRMResync(t *testing.T) {
 	if err != nil || resp.Deny {
 		t.Fatalf("resync: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRate(3); math.Abs(r-250e3) > 1 {
+	if r, _ := s.VCRateID(3); math.Abs(r-250e3) > 1 {
 		t.Fatalf("rate after resync = %v", r)
 	}
 	if st := s.Stats(); st.Resyncs != 1 {
@@ -213,7 +213,7 @@ func TestHandleRMResync(t *testing.T) {
 	if err != nil || !resp.Deny {
 		t.Fatalf("oversubscribing resync not denied: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRate(3); math.Abs(r-250e3) > 1 {
+	if r, _ := s.VCRateID(3); math.Abs(r-250e3) > 1 {
 		t.Fatalf("rate after denied resync = %v", r)
 	}
 }
@@ -270,7 +270,7 @@ func TestHandleRMSequenceSemantics(t *testing.T) {
 	if resp, err := s.HandleRM(h, cell.RM{ER: 100e3, Seq: 2}); err != nil || resp.Deny || math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("dup at lastSeq: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRate(5); math.Abs(r-300e3) > 1 {
+	if r, _ := s.VCRateID(5); math.Abs(r-300e3) > 1 {
 		t.Fatalf("rate after duplicates = %v, want 300e3", r)
 	}
 	st := s.Stats()
@@ -316,7 +316,7 @@ func TestHandleRMStaleResyncDropped(t *testing.T) {
 	if resp.Deny || !resp.Resync || resp.Seq != 6 || resp.ER != r2 {
 		t.Fatalf("stale resync reply = %+v, want non-deny echo of seq 6 carrying %g", resp, r2)
 	}
-	if r, _ := s.VCRate(7); r != r2 {
+	if r, _ := s.VCRateID(7); r != r2 {
 		t.Fatalf("rate after stale resync = %g, want %g (the overtaken retry restored the old rate)", r, r2)
 	}
 	// lastSeq was not rewound: a replay of Seq 7 is still a duplicate.
@@ -361,7 +361,7 @@ func TestHandleRMResyncResetsSequence(t *testing.T) {
 	if resp, err := s.HandleRM(h, cell.RM{ER: 150e3, Resync: true}); err != nil || resp.Deny {
 		t.Fatalf("unsequenced restart resync: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRate(8); r != 150e3 {
+	if r, _ := s.VCRateID(8); r != 150e3 {
 		t.Fatalf("rate after restart resync = %v", r)
 	}
 	// Its next delta (Seq 2) is fresh, not a duplicate from before the restart.
@@ -386,7 +386,7 @@ func TestHandleRMSeqZeroBypassesCheck(t *testing.T) {
 			t.Fatalf("seq-0 delta %d: %+v %v", i, resp, err)
 		}
 	}
-	if r, _ := s.VCRate(6); math.Abs(r-400e3) > 1 {
+	if r, _ := s.VCRateID(6); math.Abs(r-400e3) > 1 {
 		t.Fatalf("rate after three unsequenced deltas = %v, want 400e3", r)
 	}
 	// Interleave a sequenced delta, then another Seq-0: both apply.
@@ -417,19 +417,19 @@ func TestConcurrentRenegotiationsRespectCapacity(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < vcs; i++ {
 		wg.Add(1)
-		go func(vci uint16) {
+		go func(vci VCID) {
 			defer wg.Done()
 			for k := 0; k < 100; k++ {
-				if _, _, err := s.Renegotiate(vci, high); err != nil {
+				if _, _, err := s.RenegotiateID(vci, high); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, _, err := s.Renegotiate(vci, low); err != nil {
+				if _, _, err := s.RenegotiateID(vci, low); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(uint16(i))
+		}(VCID(i))
 	}
 	wg.Wait()
 	reserved, cap2, err := s.PortLoad(1)
@@ -489,7 +489,7 @@ func TestRenegotiateBest(t *testing.T) {
 	}
 	// 800k reserved of 1M; VC 1 asks for 600k but only 200k headroom is
 	// left, so the best grant is 500k.
-	granted, full, err := s.RenegotiateBest(1, 600e3)
+	granted, full, err := s.RenegotiateBestID(1, 600e3)
 	if err != nil || full || granted != 500e3 {
 		t.Fatalf("partial expected: granted=%v full=%v err=%v", granted, full, err)
 	}
@@ -497,17 +497,17 @@ func TestRenegotiateBest(t *testing.T) {
 		t.Fatalf("reserved after partial = %v", reserved)
 	}
 	// Zero headroom now: an increase is flatly denied, rate unchanged.
-	granted, full, err = s.RenegotiateBest(2, 600e3)
+	granted, full, err = s.RenegotiateBestID(2, 600e3)
 	if err != nil || full || granted != 500e3 {
 		t.Fatalf("flat denial expected: granted=%v full=%v err=%v", granted, full, err)
 	}
 	// Decreases always settle in full.
-	granted, full, err = s.RenegotiateBest(2, 100e3)
+	granted, full, err = s.RenegotiateBestID(2, 100e3)
 	if err != nil || !full || granted != 100e3 {
 		t.Fatalf("decrease: granted=%v full=%v err=%v", granted, full, err)
 	}
 	// With 400k headroom the full target fits again.
-	granted, full, err = s.RenegotiateBest(1, 700e3)
+	granted, full, err = s.RenegotiateBestID(1, 700e3)
 	if err != nil || !full || granted != 700e3 {
 		t.Fatalf("full grant: granted=%v full=%v err=%v", granted, full, err)
 	}
@@ -525,13 +525,13 @@ func TestRenegotiateBest(t *testing.T) {
 
 func TestRenegotiateBestErrors(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if _, _, err := s.RenegotiateBest(9, 1); !errors.Is(err, ErrNoVC) {
+	if _, _, err := s.RenegotiateBestID(9, 1); !errors.Is(err, ErrNoVC) {
 		t.Errorf("missing VC: %v", err)
 	}
 	if err := s.Setup(1, 1, 1e5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.RenegotiateBest(1, -1); !errors.Is(err, ErrInvalidRate) {
+	if _, _, err := s.RenegotiateBestID(1, -1); !errors.Is(err, ErrInvalidRate) {
 		t.Errorf("negative rate: %v", err)
 	}
 }

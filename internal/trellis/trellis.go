@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"rcbr/internal/core"
@@ -69,10 +68,6 @@ type Options struct {
 	Cost core.CostModel
 	// Pruning selects the pruning rule; zero value is PruneFull.
 	Pruning Pruning
-	// MaxFrontier, when positive, caps the total number of trellis states
-	// kept per slot; if the cap binds, the lowest-weight states are kept
-	// and Stats.Truncated reports it (the result may then be suboptimal).
-	MaxFrontier int
 	// BufferGridBits, when positive, quantizes buffer occupancies up to the
 	// nearest multiple of this grid. Rounding up is conservative: any
 	// schedule found remains feasible for the true dynamics, at the cost of
@@ -98,7 +93,6 @@ type Stats struct {
 	NodesExpanded int64   // candidate states generated
 	MaxFrontier   int     // largest per-slot surviving state count
 	Cost          float64 // optimal total cost
-	Truncated     bool    // true if MaxFrontier ever bound (result approximate)
 }
 
 // ErrInfeasible is returned when no schedule over the given levels satisfies
@@ -118,7 +112,7 @@ type event struct {
 // recent *materialized* renegotiation event of its path. A candidate that
 // just switched rates carries its parent's event (ev.rate != rate) until the
 // end-of-slot materialize pass; switch candidates that die within their slot
-// (cross-rate pruning, truncation) therefore never allocate an event node.
+// (cross-rate pruning) therefore never allocate an event node.
 type entry struct {
 	b    float64
 	w    float64
@@ -127,17 +121,16 @@ type entry struct {
 }
 
 // optimizer holds every scratch buffer an Optimize call needs: the per-rate
-// double-buffered frontiers, the merged global frontier, the K-way merge
-// cursors, and the truncation scratch. Instances are pooled so sweeps that
-// call Optimize in a loop reach a steady state where the frontier machinery
-// allocates nothing; capacities are retained across the whole call (and
-// across calls), fixing the per-slot regrowth the sort-based merge caused.
+// double-buffered frontiers, the merged global frontier and the K-way merge
+// cursors. Instances are pooled so sweeps that call Optimize in a loop reach
+// a steady state where the frontier machinery allocates nothing; capacities
+// are retained across the whole call (and across calls), fixing the per-slot
+// regrowth the sort-based merge caused.
 type optimizer struct {
 	fronts, spare [][]entry // per-rate frontiers: ascending b, descending w
 	merged        []entry   // global Pareto merge output
 	cursor        []int     // K-way merge cursors
 	heap          []int32   // rate-index min-heap for the large-K merge
-	ws            []float64 // truncateFrontiers scratch
 	drain         []float64 // bits per slot at each level
 	slotCost      []float64 // beta cost of one slot at each level
 	nodes         int64     // NodesExpanded
@@ -225,10 +218,6 @@ func Optimize(tr *trace.Trace, opt Options) (*core.Schedule, Stats, error) {
 		}
 		if opt.Pruning == PruneFull {
 			total = o.crossPrune(opt.Cost.Alpha)
-		}
-		if opt.MaxFrontier > 0 && total > opt.MaxFrontier {
-			total = o.truncateFrontiers(opt.MaxFrontier)
-			st.Truncated = true
 		}
 		if total > st.MaxFrontier {
 			st.MaxFrontier = total
@@ -465,9 +454,9 @@ func advance(out []entry, same, global []entry, a, drain, slotCost,
 
 // materialize allocates the event node for every entry that switched rates
 // this slot and survived pruning; ev.rate != rate marks the pending ones.
-// Running after crossPrune/truncateFrontiers means dead switch candidates
-// cost no allocation at all, which is what keeps steady-state slots
-// entry- and event-allocation free.
+// Running after crossPrune means dead switch candidates cost no allocation
+// at all, which is what keeps steady-state slots entry- and event-allocation
+// free.
 func (o *optimizer) materialize(t int32) {
 	for k := range o.fronts {
 		f := o.fronts[k]
@@ -657,32 +646,6 @@ func (o *optimizer) crossPrune(alpha float64) int {
 		}
 		o.fronts[k] = out
 		total += len(out)
-	}
-	return total
-}
-
-// truncateFrontiers keeps the max lowest-weight states overall, preserving
-// each frontier's b-ascending order. Used only when MaxFrontier binds.
-func (o *optimizer) truncateFrontiers(max int) int {
-	ws := o.ws[:0]
-	for _, f := range o.fronts {
-		for _, e := range f {
-			ws = append(ws, e.w)
-		}
-	}
-	o.ws = ws
-	sort.Float64s(ws)
-	cut := ws[max-1]
-	total := 0
-	for k, f := range o.fronts {
-		out := f[:0]
-		for _, e := range f {
-			if e.w <= cut && total < max {
-				out = append(out, e)
-				total++
-			}
-		}
-		o.fronts[k] = out
 	}
 	return total
 }

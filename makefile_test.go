@@ -2,61 +2,9 @@ package rcbr
 
 import (
 	"os"
-	"slices"
-	"sort"
 	"strings"
 	"testing"
 )
-
-// TestMakefileRaceParallelSync asserts that the package list the
-// race-parallel recipe actually races is exactly RACE_PARALLEL_PKGS. The
-// recipe needs one explicit line per package (each carries its own -run
-// filter), so nothing structural stops the variable and the recipe from
-// drifting apart — except this test. It also checks the two raced lists
-// overlap only where intended: a package in both RACE_PKGS and
-// RACE_PARALLEL_PKGS gets its full suite raced plus a filtered pass, which
-// is deliberate for switchfab, so the assertion here is set equality for
-// race-parallel, not disjointness.
-func TestMakefileRaceParallelSync(t *testing.T) {
-	src, err := os.ReadFile("Makefile")
-	if err != nil {
-		t.Fatalf("reading Makefile: %v", err)
-	}
-	declared := makefileVar(t, string(src), "RACE_PARALLEL_PKGS")
-	if len(declared) == 0 {
-		t.Fatal("RACE_PARALLEL_PKGS is empty or missing")
-	}
-	recipe := recipePackages(t, string(src), "race-parallel")
-	if len(recipe) == 0 {
-		t.Fatal("race-parallel recipe races no packages")
-	}
-	sort.Strings(declared)
-	sort.Strings(recipe)
-	if strings.Join(declared, " ") != strings.Join(recipe, " ") {
-		t.Errorf("RACE_PARALLEL_PKGS and the race-parallel recipe disagree:\n  variable: %v\n  recipe:   %v",
-			declared, recipe)
-	}
-	// The datapath line is the one that races the cell path's lock-free
-	// parts with goroutines that truly interleave; each of these names a
-	// family of tests that line must keep reaching.
-	var datapathLine string
-	for _, line := range recipeLines(t, string(src), "race-parallel") {
-		if strings.Contains(line, "./internal/datapath/") {
-			datapathLine = line
-		}
-	}
-	if !strings.HasPrefix(datapathLine, "GOMAXPROCS=4 ") {
-		t.Errorf("race-parallel datapath line does not pin GOMAXPROCS=4: %q", datapathLine)
-	}
-	_, pattern, _ := strings.Cut(datapathLine, "-run '")
-	pattern, _, _ = strings.Cut(pattern, "'")
-	have := strings.Split(pattern, "|")
-	for _, want := range []string{"Conservation", "Run", "Table", "Ring", "Burst", "CrossGroup", "StagedSweep", "VCEntry"} {
-		if !slices.Contains(have, want) {
-			t.Errorf("race-parallel datapath -run pattern %q lacks %q", pattern, want)
-		}
-	}
-}
 
 // TestMakefileBenchCheck pins the bench-check target: the nested benchmark
 // module is built, vetted and tested from its own directory, and CI runs
@@ -93,21 +41,6 @@ func TestMakefileBenchCheck(t *testing.T) {
 	}
 }
 
-// makefileVar returns the whitespace-separated values of a simple `NAME :=`
-// Makefile assignment.
-func makefileVar(t *testing.T, src, name string) []string {
-	t.Helper()
-	for _, line := range strings.Split(src, "\n") {
-		rest, ok := strings.CutPrefix(line, name+" :=")
-		if !ok {
-			continue
-		}
-		return strings.Fields(rest)
-	}
-	t.Fatalf("no %s := assignment in Makefile", name)
-	return nil
-}
-
 // recipeLines returns the recipe of the named Makefile target, one trimmed
 // command per line.
 func recipeLines(t *testing.T, src, target string) []string {
@@ -128,21 +61,4 @@ func recipeLines(t *testing.T, src, target string) []string {
 	}
 	t.Fatalf("no %s target in Makefile", target)
 	return nil
-}
-
-// recipePackages collects the unique ./-prefixed package arguments from the
-// recipe lines of the named Makefile target.
-func recipePackages(t *testing.T, src, target string) []string {
-	t.Helper()
-	seen := make(map[string]bool)
-	var pkgs []string
-	for _, line := range recipeLines(t, src, target) {
-		for _, f := range strings.Fields(line) {
-			if strings.HasPrefix(f, "./") && !seen[f] {
-				seen[f] = true
-				pkgs = append(pkgs, f)
-			}
-		}
-	}
-	return pkgs
 }

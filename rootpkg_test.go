@@ -31,6 +31,16 @@ func nonTestFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	return files
 }
 
+// pkgSel returns Name when n is the selector expression pkg.Name, else "".
+func pkgSel(n ast.Node, pkg string) string {
+	if sel, ok := n.(*ast.SelectorExpr); ok {
+		if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+			return sel.Sel.Name
+		}
+	}
+	return ""
+}
+
 // TestRootPackageExportsNothing keeps the root package a package comment and
 // nothing else: the code is imported from internal/ by its own names, and a
 // re-export layer here would have no caller.
@@ -53,17 +63,11 @@ func TestControlPathReadsOneClock(t *testing.T) {
 	for _, dir := range []string{"internal/switchfab", "internal/mesh", "internal/netproto"} {
 		for _, f := range nonTestFiles(t, fset, dir) {
 			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
-					t.Errorf("%s: time.%s call; the control path reads metrics.Nanotime",
-						fset.Position(call.Pos()), sel.Sel.Name)
+				if call, ok := n.(*ast.CallExpr); ok {
+					if name := pkgSel(call.Fun, "time"); name == "Now" || name == "Since" {
+						t.Errorf("%s: time.%s call; the control path reads metrics.Nanotime",
+							fset.Position(call.Pos()), name)
+					}
 				}
 				return true
 			})
@@ -86,12 +90,8 @@ func TestLockRulesInSource(t *testing.T) {
 		if star, ok := e.(*ast.StarExpr); ok {
 			e = star.X
 		}
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		x, ok := sel.X.(*ast.Ident)
-		return ok && x.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex")
+		name := pkgSel(e, "sync")
+		return name == "Mutex" || name == "RWMutex"
 	}
 	for _, f := range nonTestFiles(t, fset, "internal/datapath") {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -129,6 +129,75 @@ func TestLockRulesInSource(t *testing.T) {
 				t.Errorf("%s: %s calls Lock %d times; a switchfab function locks one mutex",
 					fset.Position(fd.Pos()), fd.Name.Name, locks)
 			}
+		}
+	}
+}
+
+// TestEveryEventKindIsEmitted holds the rule PR 2's EventResync bug taught —
+// the kind was declared, had a wire name, and nothing recorded it: every
+// Event* constant of internal/metrics/eventlog.go is named as metrics.<Kind>
+// by a non-test file under internal/ or cmd/ (a lint analyzer's job until
+// PR 24, DESIGN §9; metrics.TestEveryEventKindHasAWireName holds the names).
+func TestEveryEventKindIsEmitted(t *testing.T) {
+	fset := token.NewFileSet()
+	src, err := parser.ParseFile(fset, "internal/metrics/eventlog.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	ast.Inspect(src, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok && strings.HasPrefix(vs.Names[0].Name, "Event") {
+			kinds = append(kinds, vs.Names[0].Name)
+		}
+		return true
+	})
+	if len(kinds) == 0 {
+		t.Fatal("no Event* constants found in eventlog.go")
+	}
+	named := map[string]bool{} // every X some non-test file writes as metrics.X
+	internal, _ := filepath.Glob("internal/*")
+	cmds, _ := filepath.Glob("cmd/*")
+	for _, dir := range append(internal, cmds...) {
+		for _, f := range nonTestFiles(t, fset, dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				named[pkgSel(n, "metrics")] = true
+				return true
+			})
+		}
+	}
+	for _, kind := range kinds {
+		if !named[kind] {
+			t.Errorf("metrics.%s is declared and named but no non-test file emits it", kind)
+		}
+	}
+}
+
+// TestSignalingPassesTheCallersContext holds context plumbing through the
+// signaling surface, netproto and mesh: an exported function that takes a
+// context.Context takes it first, and neither package mints
+// context.Background or context.TODO — which an entry point reaching a
+// context-aware callee with no context of its own would have to.
+// mesh.detached's context.WithoutCancel(ctx) derives from the caller's and
+// is the sanctioned way to outlive it.
+func TestSignalingPassesTheCallersContext(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/netproto", "internal/mesh"} {
+		for _, f := range nonTestFiles(t, fset, dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if fd, ok := n.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					for i, param := range fd.Type.Params.List {
+						if pkgSel(param.Type, "context") == "Context" && (i > 0 || len(param.Names) > 1) {
+							t.Errorf("%s: %s takes a context.Context, but not as its first parameter",
+								fset.Position(fd.Pos()), fd.Name.Name)
+						}
+					}
+				}
+				if name := pkgSel(n, "context"); name == "Background" || name == "TODO" {
+					t.Errorf("%s: context.%s minted on the signaling surface; pass the caller's context down",
+						fset.Position(n.Pos()), name)
+				}
+				return true
+			})
 		}
 	}
 }
