@@ -41,9 +41,9 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# race pins GOMAXPROCS=4 so the port-group goroutines and the fabric's
-# per-port workers truly interleave under the detector even on smaller CI
-# runners.
+# race pins GOMAXPROCS=4 so the fabric's per-port locks and the storms'
+# forwarding goroutine truly interleave with their producers under the
+# detector even on smaller CI runners.
 race:
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
 

@@ -128,14 +128,14 @@ func TestCompareBaselinesBadFile(t *testing.T) {
 // at flat timing.
 func TestCompareGateSplit(t *testing.T) {
 	oldPath := writeBaseline(t, "old.json",
-		Result{Name: "BenchmarkDataPathForwardParallel1", NsPerOp: 100})
+		Result{Name: "BenchmarkDataPathForward4Port1kVC", NsPerOp: 100})
 	slowPath := writeBaseline(t, "slow.json",
-		Result{Name: "BenchmarkDataPathForwardParallel1", NsPerOp: 300})
+		Result{Name: "BenchmarkDataPathForward4Port1kVC", NsPerOp: 300})
 	if allocBroken, err := compareBaselines(&strings.Builder{}, oldPath, slowPath); err != nil || allocBroken {
 		t.Errorf("3x slowdown with 0 allocs: allocBroken=%v err=%v, want a pass", allocBroken, err)
 	}
 	allocPath := writeBaseline(t, "alloc.json",
-		Result{Name: "BenchmarkDataPathForwardParallel1", NsPerOp: 100, AllocsPerOp: 2})
+		Result{Name: "BenchmarkDataPathForward4Port1kVC", NsPerOp: 100, AllocsPerOp: 2})
 	if allocBroken, err := compareBaselines(&strings.Builder{}, oldPath, allocPath); err != nil || !allocBroken {
 		t.Errorf("2 allocs/op at flat timing: allocBroken=%v err=%v, want a failure", allocBroken, err)
 	}

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"text/tabwriter"
 	"time"
@@ -42,7 +40,6 @@ func datapathRun(args []string) error {
 	capFrac := fs.Float64("capfrac", 1.2, "link capacity as a multiple of aggregate mean rate")
 	depth := fs.Int("depth", 64, "per-VC shaper depth (cells)")
 	ring := fs.Int("ring", 1024, "ring capacity per port (cells)")
-	cores := fs.Int("cores", 1, "port groups per hop; >1 runs each hop's forwarding on its own goroutines")
 	csvOut := fs.String("csv", "datapath.csv", "per-second loss/delay CSV (- for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,7 +51,7 @@ func datapathRun(args []string) error {
 		*frames = 2400 // cell-level replay; keep it short
 	}
 	if *n < 1 {
-		*n = 1
+		return fmt.Errorf("need at least one source, got -n %d", *n)
 	}
 	if *hopCount < 1 {
 		return fmt.Errorf("need at least one forwarder, got -hops %d", *hopCount)
@@ -62,8 +59,11 @@ func datapathRun(args []string) error {
 	if *hopDelay < 0 || *hopDelay > mesh.MaxLinkDelaySlots {
 		return fmt.Errorf("-hopdelay %d outside [0, %d] slots", *hopDelay, mesh.MaxLinkDelaySlots)
 	}
-	if *cores < 1 {
-		return fmt.Errorf("need at least one core, got -cores %d", *cores)
+	if *depth < 1 {
+		return fmt.Errorf("need a shaper depth of at least one cell, got -depth %d", *depth)
+	}
+	if *ring < 1 {
+		return fmt.Errorf("need rings of at least one cell, got -ring %d", *ring)
 	}
 
 	report := io.Writer(os.Stdout)
@@ -110,21 +110,11 @@ func datapathRun(args []string) error {
 	fws := make([]*datapath.Forwarder, *hopCount)
 	hops := make([]mesh.CellHop, *hopCount)
 	for k := range fws {
-		opts := []datapath.Option{
+		fw := datapath.New(
 			datapath.WithRingCells(*ring),
 			datapath.WithDepthCells(*depth),
 			datapath.WithMetrics(reg),
-		}
-		if *cores > 1 {
-			// Multi-core replay: each hop forwards on its own port-group
-			// goroutines while the replay loop drives virtual time through
-			// the manual clock, injects, and transmits.
-			opts = append(opts,
-				datapath.WithPortGroups(*cores),
-				datapath.WithManualClock(),
-			)
-		}
-		fw := datapath.New(opts...)
+		)
 		if _, err := fw.AddPort(0); err != nil {
 			return err
 		}
@@ -143,19 +133,9 @@ func datapathRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *cores > 1 {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		for _, fw := range fws {
-			if err := fw.Run(ctx); err != nil {
-				return err
-			}
-			defer fw.Stop()
-		}
-	}
 
-	fmt.Fprintf(report, "datapath: %d sources, %d-hop forwarder chain, %d core(s)/hop, link %.0f cells/s (%.2fx aggregate mean)\n",
-		*n, *hopCount, *cores, linkCellRate, *capFrac)
+	fmt.Fprintf(report, "datapath: %d sources, %d-hop forwarder chain, link %.0f cells/s (%.2fx aggregate mean)\n",
+		*n, *hopCount, linkCellRate, *capFrac)
 	fmt.Fprintf(report, "replaying raw frame-rate cells against granted-rate shapers (depth %d cells)\n", *depth)
 
 	out := os.Stdout
@@ -170,7 +150,7 @@ func datapathRun(args []string) error {
 	w := csv.NewWriter(out)
 	if err := w.Write([]string{
 		"seconds", "offered", "policed", "overflow", "delivered",
-		"queue_cells", "mean_delay_slots", "cores",
+		"queue_cells", "mean_delay_slots",
 	}); err != nil {
 		return err
 	}
@@ -225,13 +205,6 @@ func datapathRun(args []string) error {
 			}
 		}
 		cp.Step(tick)
-		if *cores > 1 {
-			// Running hops forward on their own goroutines: yield every
-			// slot so they keep pace with injection even on one CPU —
-			// without this the ingress rings fill and the replay measures
-			// scheduler starvation as link drops.
-			runtime.Gosched()
-		}
 		if (tick+1)%ticksPerSec == 0 {
 			st := cp.Stats()
 			var pol, ovf int64
@@ -251,25 +224,16 @@ func datapathRun(args []string) error {
 				strconv.FormatInt(st.Delivered-lastDel, 10),
 				strconv.Itoa(queued),
 				strconv.FormatFloat(st.MeanDelaySlots(), 'f', 2, 64),
-				strconv.Itoa(*cores),
 			}); err != nil {
 				return err
 			}
 			lastOff, lastPol, lastOvf, lastDel = offTotal, pol, ovf, st.Delivered
 		}
 	}
-	// Drain the pipeline: no new arrivals, rings and links empty out. With
-	// running hops the forwarding goroutines need wall-clock time to catch
-	// up, so yield each step and allow a much larger (still bounded) tail.
+	// Drain the pipeline: no new arrivals, rings and links empty out.
 	drainLimit := ticks + int64(*ring)*int64(*hopCount)*4
-	if *cores > 1 {
-		drainLimit = ticks + int64(*ring)*int64(*hopCount)*1024
-	}
 	for tick := ticks; cp.InFlight() > 0 || chainQueued(cp, len(fws)) > 0; tick++ {
 		cp.Step(tick)
-		if *cores > 1 {
-			runtime.Gosched()
-		}
 		if tick > drainLimit {
 			return fmt.Errorf("drain did not converge")
 		}
@@ -296,8 +260,8 @@ func datapathRun(args []string) error {
 		st.MaxDelaySlots, retargets)
 	snap := reg.Snapshot()
 	hot := snap.Counters[datapath.MetricCellsForwarded] + snap.Counters[datapath.MetricCellsTransmitted]
-	fmt.Fprintf(report, "forwarding loop: %d cell moves in %v wall clock = %.2f Mcells/s across %d core(s)\n",
-		hot, elapsed.Round(time.Millisecond), float64(hot)/elapsed.Seconds()/1e6, *cores)
+	fmt.Fprintf(report, "forwarding loop: %d cell moves in %v wall clock = %.2f Mcells/s\n",
+		hot, elapsed.Round(time.Millisecond), float64(hot)/elapsed.Seconds()/1e6)
 	tw := tabwriter.NewWriter(report, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "metric\tvalue")
 	for _, name := range []string{

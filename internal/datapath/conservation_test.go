@@ -1,7 +1,6 @@
 package datapath
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -13,50 +12,46 @@ import (
 	"rcbr/internal/switchfab"
 )
 
-// TestConservationAcrossGroupsAndProcs is the multi-core conservation
-// property: for random rate mixes, every injected cell is accounted for
-// exactly once — injected == transmitted + dropped + in-flight, with
-// in-flight exactly zero after the drain — whatever the parallelism. The
-// grid crosses GOMAXPROCS 1/2/4 with port-group counts 1/2/8, so the same
-// invariant is checked with goroutines that truly interleave and with
-// goroutines multiplexed on one core; `make race` runs it under the race
-// detector at GOMAXPROCS=4 (race-gated counts in norace_test.go /
-// race_test.go).
-func TestConservationAcrossGroupsAndProcs(t *testing.T) {
+// TestConservationAcrossProcs is the concurrent conservation property: for
+// random rate mixes, every injected cell is accounted for exactly once —
+// injected == transmitted + dropped + in-flight, with in-flight exactly zero
+// after the drain — whatever the parallelism. GOMAXPROCS 1/2/4 checks the
+// same invariant with goroutines that truly interleave and with goroutines
+// multiplexed on one core; `make race` runs it under the race detector at
+// GOMAXPROCS=4 (race-gated counts in norace_test.go / race_test.go).
+func TestConservationAcrossProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
-		for _, groups := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("procs=%d,groups=%d", procs, groups), func(t *testing.T) {
-				runtime.GOMAXPROCS(procs)
-				prop := func(seed uint64) bool {
-					return conservationHolds(t, seed, groups)
-				}
-				cfg := &quick.Config{
-					MaxCount: conservationQuickRuns,
-					Rand:     rand.New(rand.NewSource(int64(procs)<<8 | int64(groups))),
-				}
-				if err := quick.Check(prop, cfg); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			runtime.GOMAXPROCS(procs)
+			prop := func(seed uint64) bool {
+				return conservationHolds(t, seed)
+			}
+			cfg := &quick.Config{
+				MaxCount: conservationQuickRuns,
+				Rand:     rand.New(rand.NewSource(int64(procs))),
+			}
+			if err := quick.Check(prop, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// conservationHolds runs one storm: a forwarder with the given port-group
-// count Running, one producer per ingress port, a control-plane goroutine
-// retargeting rates, then Stop and a single-driver drain. Rates are drawn
-// from seed (zero, trickle, and effectively-unlimited VCs mixed), so cells
-// split across policed / overflow / forwarded unpredictably — the ledgers
-// must balance exactly regardless.
-func conservationHolds(t *testing.T, seed uint64, groups int) bool {
+// conservationHolds runs one storm: a forwarding goroutine, one producer
+// per ingress port, a control-plane goroutine retargeting rates, then a
+// drain once the forwarding goroutine has stopped. Rates are drawn from seed
+// (zero, trickle, and effectively-unlimited VCs mixed), so cells split
+// across policed / overflow / forwarded unpredictably — the ledgers must
+// balance exactly regardless.
+func conservationHolds(t *testing.T, seed uint64) bool {
 	t.Helper()
 	const (
 		ports      = 8
 		vcsPerPort = 4
 	)
 	rng := rand.New(rand.NewSource(int64(seed)))
-	f := New(WithPortGroups(groups), WithRingCells(64), withBurst(16), WithDepthCells(2))
+	f := New(WithRingCells(64), withBurst(16), WithDepthCells(2))
 	pp := make([]*Port, ports)
 	for i := range pp {
 		p, err := f.AddPort(i)
@@ -83,9 +78,7 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 			ids = append(ids, id)
 		}
 	}
-	if err := f.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	stopForwarding := forwardInBackground(f)
 
 	var injected, refused atomic.Int64
 	var prodWG sync.WaitGroup
@@ -127,9 +120,9 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 	prodWG.Wait()
 	close(stop)
 	ctlWG.Wait()
-	f.Stop()
+	stopForwarding()
 
-	// Single-driver drain, far in the future so every earning VC earns.
+	// Drain far in the future, so every earning VC earns.
 	now := int64(1) << 50
 	for idle := 0; idle < 3; now += 1e6 {
 		moved := f.Forward(now)
@@ -145,7 +138,7 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 
 	ok := true
 	fail := func(format string, args ...any) {
-		t.Errorf("seed %d groups %d: "+format, append([]any{seed, groups}, args...)...)
+		t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
 		ok = false
 	}
 	var arrived, sunk, transmitted, enqueued, dropped int64
@@ -202,7 +195,7 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 
 // TestPortStatsConservationByConstruction: a port keeps no forwarded count;
 // Stats derives it from the ingress ring's release cursor and the drop
-// counts. Snapshots taken while a group goroutine forwards a mix of
+// counts. Snapshots taken while a forwarding goroutine forwards a mix of
 // conforming, policed, overflowing and unroutable cells pin what a live
 // reader may rely on: Forwarded never runs ahead of what the sweep has put
 // on the egress rings, trails it by at most one burst, and the queue
@@ -233,10 +226,7 @@ func TestPortStatsConservationByConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix := []Cell{mkCell(t, open, 0), mkCell(t, shut, 0), mkCell(t, unknown, 0)}
-	if err := f.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer f.Stop()
+	defer forwardInBackground(f)()
 	var produced atomic.Bool
 	go func() {
 		defer produced.Store(true)
@@ -284,21 +274,20 @@ func TestPortStatsConservationByConstruction(t *testing.T) {
 // the port has exactly nothing reserved.
 func TestConservationUnderOverload(t *testing.T) {
 	for _, tc := range []struct {
-		name                          string
-		ringCells, groups, vcsPerPort int
+		name                  string
+		ringCells, vcsPerPort int
 	}{
-		{"ring 8, one VC a port", 8, 1, 1},
-		{"ring 64, four VCs a port", 64, 1, 4},
-		{"ring 100 rounds to 128, two groups, three VCs a port", 100, 2, 3},
+		{"ring 8, one VC a port", 8, 1},
+		{"ring 64, four VCs a port", 64, 4},
+		{"ring 100 rounds to 128, three VCs a port", 100, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			capacity := NewRing(tc.ringCells).Capacity()
 			// One sweep takes a whole ring, and no bucket runs dry.
-			f := New(WithRingCells(tc.ringCells), WithPortGroups(tc.groups), withBurst(capacity), WithDepthCells(capacity))
+			f := New(WithRingCells(tc.ringCells), withBurst(capacity), WithDepthCells(capacity))
 			sw := switchfab.New(switchfab.WithDataPlane(f))
-			// Added in0, out, in1: round-robin puts both ingress ports in
-			// group 0 whether there are one or two groups, so both feed the
-			// same egress FIFO of out, and in0 is swept first.
+			// Added in0, out, in1: a sweep visits ports in add order, so in0
+			// is swept first.
 			const in0, out, in1 = 0, 1, 2
 			pp := make([]*Port, 3)
 			for id := range pp {

@@ -11,18 +11,17 @@
 // — the heuristic's estimated buffer overflows become honestly counted
 // cells.
 //
-// Concurrency model: any number of producer goroutines inject, one per
-// ingress port (the SPSC contract); ports are partitioned into PORT GROUPS
-// (WithPortGroups, default 1), each owned by one forwarding goroutine that
-// drains its ports' ingress rings. An egress port is one SPSC ring per
-// producer group: any group may deposit cells onto any egress port, each
-// into the ring that is its alone, while exactly one consumer goroutine per
-// port calls Transmit/TransmitTo and serves those rings round-robin. A
-// shared output FIFO owes its VCs per-VC order only, and a VC's cells all
-// enter through one ingress port, so through one group and one ring; no
-// total order across producers is kept, hence no multi-producer ring. The
-// control plane (switchfab via the DataPlane hooks, or direct calls) adds,
-// retargets, and removes VCs concurrently with all of it.
+// Concurrency model: one goroutine at a time calls Forward with a
+// nondecreasing clock — the caller's, since the data path reads none of its
+// own — and so is the consumer of every ingress ring and the producer of
+// every egress ring. Any number of producer goroutines inject, one per
+// ingress port, and one consumer goroutine per egress port calls
+// Transmit/TransmitTo (the SPSC contract of both rings). A port's egress
+// FIFO is one ring: a VC's cells all enter through one ingress port and
+// leave in the order the sweep staged them, so per-VC order — all a shared
+// output FIFO owes its VCs — holds by construction. The control plane
+// (switchfab via the DataPlane hooks, or direct calls) adds, retargets, and
+// removes VCs concurrently with all of it.
 //
 // Rings are worked in bursts, and a burst stage by stage: a sweep reads a
 // port's burst in place and first looks every cell of it up — header check
@@ -30,18 +29,16 @@
 // of queueing behind one another's counter updates — then shapes the cells
 // in arrival order on the entries it found, stages the conforming ones onto
 // egress rings, publishes each touched egress ring with one cursor store
-// and releases the ingress ring with another; a Transmit call releases each
-// ring it served once. Staged cells are published before forwardPort
-// returns, so nothing waits on a later burst.
+// and releases the ingress ring with another; a Transmit call releases the
+// cells it served with one more. Staged cells are published before
+// forwardPort returns, so nothing waits on a later burst.
 //
-// Per-VC shaper state and counters are owned by the goroutine that drains
-// the VC's ingress port — all cells of a VC enter through one port, so
-// exactly one group goroutine touches its token bucket; rate retargets
-// cross from the control plane through a single atomic, and teardown only
-// unpublishes the entry (the garbage collector retires it once the owner
-// has let go, which is at most a burst later). A VC's whole forwarding
-// state is one 64-byte cache line. The forwarding path takes no lock at all
-// and allocates nothing (//rcbr:zeroalloc, pinned by
+// Per-VC shaper state and counters are owned by the forwarding goroutine;
+// rate retargets cross from the control plane through a single atomic, and
+// teardown only unpublishes the entry (the garbage collector retires it
+// once the forwarder has let go, which is at most a burst later). A VC's
+// whole forwarding state is one 64-byte cache line. The forwarding path
+// takes no lock at all and allocates nothing (//rcbr:zeroalloc, pinned by
 // TestForwardSteadyStateAllocs).
 //
 // One counter per fact: a cell that enters, crosses or leaves a ring is
@@ -51,30 +48,13 @@
 // (what the port forwarded is what its ring released less those); the
 // registry's datapath.cells_* counters are views computed from the port
 // ledgers when the registry is read.
-//
-// Two driving modes share that contract:
-//
-//   - Single-driver (the pre-multi-core mode, and the default): one
-//     goroutine calls Forward(now) and Transmit for every port, supplying
-//     a virtual clock. Group partitioning is irrelevant; everything
-//     behaves as one group.
-//   - Run(ctx)/Stop: the forwarder spawns one goroutine per port group,
-//     each looping batched Forward ticks over its own ports on the wall
-//     clock (or the SetNow manual clock under WithManualClock). Egress
-//     draining stays with the caller — one Transmit consumer per port —
-//     so a relay (mesh.CellPath), a wire transmitter, or a benchmark can
-//     own delivery. Forward and ForwardGroup panic while a Run is active:
-//     they would make two goroutines consume one ingress ring.
 package datapath
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
@@ -116,18 +96,6 @@ const (
 	// DefaultDepthCells is the default shaper depth in cells: the burst a
 	// conforming VC may send ahead of its sustained rate.
 	DefaultDepthCells = 32
-	// DefaultPortGroups is the default number of forwarding goroutines a
-	// Run spawns: one, the single-core data path of DESIGN §14.
-	DefaultPortGroups = 1
-)
-
-// idleSpinSweeps is how many consecutive empty sweeps a group goroutine
-// spins (yielding) before it starts sleeping between sweeps; idleSleep is
-// that sleep. Busy ports never sleep; an idle group costs ~idleSleep of
-// wakeup latency instead of a core.
-const (
-	idleSpinSweeps = 64
-	idleSleep      = 20 * time.Microsecond
 )
 
 // sentinel for a VC that has not yet seen a cell: the first cell sets the
@@ -143,30 +111,22 @@ type instruments struct {
 
 // Port is one switch port's cell rings: an ingress ring filled by the
 // port's producer (the wire) and drained by the forwarder, and the egress
-// FIFO — one ring per port group, out[g] filled by group g's goroutine
-// alone — drained by the port's transmitter. Counters are atomic so stats
-// can be read while traffic flows; drops are attributed to the *ingress*
-// port the cell arrived on, whichever egress ring it failed to enter.
+// FIFO filled by the forwarder and drained by the port's transmitter.
+// Counters are atomic so stats can be read while traffic flows; drops are
+// attributed to the *ingress* port the cell arrived on, whichever egress
+// ring it failed to enter.
 type Port struct {
-	id    int
-	group int
-	in    *Ring
-	out   []*Ring
-	// txNext is the group ring the next Transmit starts at: one past the
-	// last ring served, so no ring waits behind a busier one. Owned by the
-	// port's transmitter.
-	txNext int
+	id  int
+	in  *Ring
+	out *Ring
 	// lookups is the sweep's scratch, one slot per cell of a burst: stage 1
 	// of forwardPort fills it with the cells' table entries, stage 2 clears
 	// each slot as it consumes it, so between sweeps every slot is nil and
-	// no unpublished entry is kept alive. Owned by the port's group
-	// goroutine, like the ingress ring's consumer cursor.
+	// no unpublished entry is kept alive. Owned by the forwarding goroutine,
+	// like the ingress ring's consumer cursor.
 	lookups []*vcEntry
-	// swept is the time of the last sweep over this port: the group
-	// goroutine's plain word, which Run folds into the forwarder's clock.
-	swept int64
 
-	// Ingress-attributed drop counts, written by the owning group goroutine
+	// Ingress-attributed drop counts, written by the forwarding goroutine
 	// once per burst. Every cell the sweep released from the ingress ring
 	// (in.Popped) went into exactly one of these or was forwarded, so the
 	// forwarded count is the difference and is not kept. The egress side
@@ -180,21 +140,11 @@ type Port struct {
 // ID returns the port number.
 func (p *Port) ID() int { return p.id }
 
-// Group returns the port group that owns this port's ingress ring.
-func (p *Port) Group() int { return p.group }
-
 // InLen returns the ingress ring occupancy.
 func (p *Port) InLen() int { return p.in.Len() }
 
-// OutLen returns the egress occupancy, summed over the group rings — the
-// paper's FIFO output buffer.
-func (p *Port) OutLen() int {
-	n := 0
-	for _, r := range p.out {
-		n += r.Len()
-	}
-	return n
-}
+// OutLen returns the egress ring occupancy — the paper's FIFO output buffer.
+func (p *Port) OutLen() int { return p.out.Len() }
 
 // PortStats is a snapshot of one port's counters and queue depths.
 type PortStats struct {
@@ -232,11 +182,7 @@ func (p *Port) Stats() PortStats {
 	}
 	s.InQueued = int(s.Arrived - popped)
 	s.Forwarded = max(0, popped-s.BadHeader-s.Unroutable-s.Policed-s.Overflow)
-	for _, r := range p.out {
-		s.Enqueued += r.Pushed()
-		s.Transmitted += r.Popped()
-		s.OutQueued += r.Len()
-	}
+	s.Enqueued, s.Transmitted, s.OutQueued = p.out.Pushed(), p.out.Popped(), p.out.Len()
 	return s
 }
 
@@ -246,12 +192,12 @@ func (p *Port) Stats() PortStats {
 // lastNanos (when they were last refilled) — with its arithmetic in
 // shaper.Refill; the bucket's other two parameters are not stored twice:
 // its rate is rateBits and its depth is the forwarder's depthBits. tokens
-// and lastNanos belong to the group goroutine that drains the VC's ingress
-// port and are touched by nobody else, so they need no lock; the same
-// goroutine is the only writer of the three counters, which are atomic for
-// VCStats' sake. rateBits is the control plane's mailbox: a renegotiation
-// stores the new granted rate there atomically and the forwarder refills at
-// whatever rate it finds there on the VC's next cell, keeping earned credit.
+// and lastNanos belong to the forwarding goroutine and are touched by
+// nobody else, so they need no lock; the same goroutine is the only writer
+// of the three counters, which are atomic for VCStats' sake. rateBits is
+// the control plane's mailbox: a renegotiation stores the new granted rate
+// there atomically and the forwarder refills at whatever rate it finds
+// there on the VC's next cell, keeping earned credit.
 type vcEntry struct {
 	egress    *Port         // offset 0
 	rateBits  atomic.Uint64 // 8: granted rate, float64 bits
@@ -278,35 +224,15 @@ type VCStats struct {
 type Forwarder struct {
 	vcs vctable.Table[vcEntry]
 
-	// portsMu guards the ports map and the group round-robin cursor;
-	// portList is the forwarding goroutines' lock-free snapshot,
-	// republished on every AddPort.
-	portsMu   sync.Mutex
-	ports     map[int]*Port
-	nextGroup int
-	portList  atomic.Pointer[[]*Port]
+	// portsMu guards the ports map; portList is the forwarding goroutine's
+	// lock-free snapshot, republished on every AddPort.
+	portsMu  sync.Mutex
+	ports    map[int]*Port
+	portList atomic.Pointer[[]*Port]
 
 	burst     int
 	ringCells int
 	depthBits float64
-
-	// groups is the number of forwarding goroutines Run spawns; ports
-	// join them round-robin in AddPort order.
-	groups int
-
-	// Run/Stop lifecycle. running gates the single-driver entry points
-	// (Forward, ForwardGroup) against the group goroutines; clockNanos is
-	// the SetNow manual clock and, once Run has folded every port's swept
-	// into it, the high-water mark of the sweeps' clock, so a Run resumes
-	// where virtual time stopped and per-VC clocks never go backwards.
-	running     atomic.Bool
-	manualClock bool
-	clockNanos  atomic.Int64
-	runMu       sync.Mutex
-	stopCh      chan struct{} // closed by the first Stop; guarded by runMu
-	stopping    bool          // stopCh already closed; guarded by runMu
-	stopDone    chan struct{} // closed once the goroutines have exited
-	runWG       sync.WaitGroup
 
 	reg *metrics.Registry
 	ins instruments
@@ -315,11 +241,10 @@ type Forwarder struct {
 // Option configures a Forwarder.
 type Option func(*Forwarder)
 
-// WithRingCells sets the capacity in cells of a port's ingress ring and of
-// each of its egress rings (one per port group), rounded up to a power of
-// two (default DefaultRingCells). The egress rings are the paper's small
-// FIFO output buffer, so this is the knob an overflow experiment turns.
-// Values < 1 keep the default.
+// WithRingCells sets the capacity in cells of a port's ingress and egress
+// rings, rounded up to a power of two (default DefaultRingCells). The
+// egress ring is the paper's small FIFO output buffer, so this is the knob
+// an overflow experiment turns. Values < 1 keep the default.
 func WithRingCells(n int) Option {
 	return func(f *Forwarder) {
 		if n >= 1 {
@@ -345,26 +270,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return func(f *Forwarder) { f.reg = reg }
 }
 
-// WithPortGroups partitions ports across n forwarding goroutines (default
-// DefaultPortGroups). Ports are assigned round-robin in AddPort order.
-// Values < 1 keep the default.
-func WithPortGroups(n int) Option {
-	return func(f *Forwarder) {
-		if n >= 1 {
-			f.groups = n
-		}
-	}
-}
-
-// WithManualClock makes Run's group goroutines read the clock stored by
-// SetNow instead of the wall clock, so a virtual-time driver (mesh.CellPath,
-// a simulation) can own time while the forwarding work still runs on the
-// group goroutines. Without it, Run uses the wall clock anchored at the
-// last virtual Forward tick.
-func WithManualClock() Option {
-	return func(f *Forwarder) { f.manualClock = true }
-}
-
 // New returns an empty forwarder: add ports, then VCs, then pump it.
 func New(opts ...Option) *Forwarder {
 	f := &Forwarder{
@@ -372,7 +277,6 @@ func New(opts ...Option) *Forwarder {
 		burst:     DefaultBurst,
 		ringCells: DefaultRingCells,
 		depthBits: DefaultDepthCells * CellPayloadBits,
-		groups:    DefaultPortGroups,
 	}
 	for _, opt := range opts {
 		opt(f)
@@ -407,8 +311,7 @@ func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
 	}
 }
 
-// AddPort registers a port and its rings, assigning it to the next port
-// group, round-robin in add order.
+// AddPort registers a port and its rings.
 func (f *Forwarder) AddPort(id int) (*Port, error) {
 	f.portsMu.Lock()
 	defer f.portsMu.Unlock()
@@ -416,14 +319,9 @@ func (f *Forwarder) AddPort(id int) (*Port, error) {
 		return nil, fmt.Errorf("datapath: port %d exists", id)
 	}
 	p := &Port{
-		id: id, group: f.nextGroup,
-		in: NewRing(f.ringCells), out: make([]*Ring, f.groups),
+		id: id, in: NewRing(f.ringCells), out: NewRing(f.ringCells),
 		lookups: make([]*vcEntry, f.burst),
 	}
-	for i := range p.out {
-		p.out[i] = NewRing(f.ringCells)
-	}
-	f.nextGroup = (f.nextGroup + 1) % f.groups
 	f.ports[id] = p
 	old := *f.portList.Load()
 	next := make([]*Port, len(old), len(old)+1)
@@ -482,8 +380,8 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 
 // RemoveVC unpublishes a VC, returning its final stats. It does not wait
 // for the forwarder: a sweep looks a whole burst up before it shapes any of
-// it, so a group goroutine that looked the VC up just before may finish up
-// to one burst of its cells on the unpublished entry (counted there and in
+// it, so a sweep that looked the VC up just before may finish up to one
+// burst of its cells on the unpublished entry (counted there and in
 // the port ledgers like any others, so per-port conservation stays exact),
 // and the returned stats are exact when the VC's ingress port is quiescent.
 // Cells of the VC already on an egress ring are transmitted like any others.
@@ -527,173 +425,25 @@ func (f *Forwarder) VCCount() int { return f.vcs.Len() }
 //rcbr:zeroalloc
 func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 
-// Forward runs one sweep of the forwarding loop at virtual time nowNanos:
-// it visits every port (all groups) and drains up to a burst (DefaultBurst)
-// of cells from each ingress ring, shaping and routing each to its egress
-// ring. It returns the number of cells processed (forwarded or dropped).
-// Single-driver mode only — it panics while a Run is active, because the
-// group goroutines already consume the ingress rings; nowNanos must not
-// decrease between calls.
-//
-//rcbr:zeroalloc
-func (f *Forwarder) Forward(nowNanos int64) int {
-	return f.ForwardGroup(allGroups, nowNanos)
-}
-
-// allGroups is the group argument that makes a sweep visit every port.
-const allGroups = -1
-
-// ForwardGroup runs one sweep over the ingress ports of one group only.
-// It is the caller-managed parallel mode: a driver may run one goroutine
-// per group, each calling ForwardGroup(g, now) with its own nondecreasing
-// clock, without starting Run. At most one goroutine per group, never
-// concurrently with Forward or an active Run (it panics on the latter).
-//
-//rcbr:zeroalloc
-func (f *Forwarder) ForwardGroup(g int, nowNanos int64) int {
-	if f.running.Load() {
-		panic("datapath: Forward or ForwardGroup called while Run is active")
-	}
-	return f.sweepGroup(g, nowNanos)
-}
-
-// sweepGroup is one batched Forward tick over group g's ports (every port
-// for allGroups): the unit of work of Forward, ForwardGroup and the Run
-// goroutines. The batch histogram (its count is the number of batches) sees
-// only non-empty sweeps, so an idle polling driver — a Run goroutine, a
+// Forward runs one sweep of the forwarding loop at time nowNanos, the
+// caller's clock: it visits every port and drains up to a burst
+// (DefaultBurst) of cells from each ingress ring, shaping and routing each
+// to its egress ring. It returns the number of cells processed (forwarded
+// or dropped). One goroutine at a time may call it, and nowNanos must not
+// decrease between calls. The batch histogram (its count is the number of
+// batches) sees only non-empty sweeps, so an idle polling driver — a
 // slot-driven relay — does not drown it in zeros.
 //
 //rcbr:zeroalloc
-func (f *Forwarder) sweepGroup(g int, nowNanos int64) int {
+func (f *Forwarder) Forward(nowNanos int64) int {
 	total := 0
-	ports := *f.portList.Load()
-	for _, p := range ports {
-		if g == allGroups || p.group == g {
-			p.swept = nowNanos
-			total += f.forwardPort(p, nowNanos)
-		}
+	for _, p := range *f.portList.Load() {
+		total += f.forwardPort(p, nowNanos)
 	}
 	if total > 0 {
 		f.ins.batchCells.Observe(float64(total))
 	}
 	return total
-}
-
-// noteNow raises the forwarder's clock to nowNanos; it never goes backwards.
-//
-//rcbr:zeroalloc
-func (f *Forwarder) noteNow(nowNanos int64) {
-	for {
-		old := f.clockNanos.Load()
-		if nowNanos <= old || f.clockNanos.CompareAndSwap(old, nowNanos) {
-			return
-		}
-	}
-}
-
-// SetNow stores the manual clock read by Run's group goroutines under
-// WithManualClock (it never goes backwards; stale stores are ignored).
-// Without WithManualClock it only raises the clock floor the next Run
-// anchors to.
-func (f *Forwarder) SetNow(nowNanos int64) { f.noteNow(nowNanos) }
-
-// Running reports whether group goroutines are active (between Run and
-// Stop).
-func (f *Forwarder) Running() bool { return f.running.Load() }
-
-// Run spawns one forwarding goroutine per port group, each looping batched
-// Forward ticks over its own ports until ctx is canceled or Stop is
-// called. Egress draining remains the caller's: exactly one goroutine per
-// port may call Transmit/TransmitTo concurrently with a Run. Time comes
-// from the wall clock anchored at the last sweep (a virtual Forward tick or
-// an earlier Run's), or from SetNow under WithManualClock. Run returns an
-// error if the forwarder is already running; call Stop (even after ctx
-// cancellation) before using the single-driver entry points again.
-func (f *Forwarder) Run(ctx context.Context) error {
-	f.runMu.Lock()
-	defer f.runMu.Unlock()
-	if f.running.Load() {
-		return fmt.Errorf("datapath: already running")
-	}
-	f.stopCh = make(chan struct{})
-	f.stopDone = make(chan struct{})
-	f.stopping = false
-	f.running.Store(true)
-	for _, p := range *f.portList.Load() {
-		f.noteNow(p.swept)
-	}
-	base := f.clockNanos.Load()
-	start := time.Now()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for g := 0; g < f.groups; g++ {
-		f.runWG.Add(1)
-		go f.runGroup(g, base, start, done)
-	}
-	return nil
-}
-
-// Stop signals the group goroutines and waits for them to exit. It is
-// idempotent, safe from multiple goroutines (every caller blocks until the
-// goroutines are gone), and required even when ctx cancellation already
-// stopped the goroutines: only Stop returns the forwarder to single-driver
-// mode. The wait happens outside runMu — only the first stopper joins the
-// WaitGroup; later (and concurrent) stoppers block on the done channel, so
-// the lock is never held across the join.
-func (f *Forwarder) Stop() {
-	f.runMu.Lock()
-	if !f.running.Load() {
-		f.runMu.Unlock()
-		return
-	}
-	first := !f.stopping
-	if first {
-		f.stopping = true
-		close(f.stopCh)
-	}
-	done := f.stopDone
-	f.runMu.Unlock()
-	if first {
-		f.runWG.Wait()
-		f.running.Store(false)
-		close(done)
-	}
-	<-done
-}
-
-// runGroup is one port group's forwarding goroutine: batched sweeps over
-// the group's ingress rings, yielding while hot and sleeping briefly once
-// idle so an empty group does not pin a core.
-func (f *Forwarder) runGroup(g int, base int64, start time.Time, done <-chan struct{}) {
-	defer f.runWG.Done()
-	idle := 0
-	for {
-		select {
-		case <-f.stopCh:
-			return
-		case <-done:
-			return
-		default:
-		}
-		now := f.clockNanos.Load()
-		if !f.manualClock {
-			if wall := base + int64(time.Since(start)); wall > now {
-				now = wall
-			}
-		}
-		if f.sweepGroup(g, now) > 0 {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle >= idleSpinSweeps {
-			time.Sleep(idleSleep)
-		} else {
-			runtime.Gosched()
-		}
-	}
 }
 
 // maxTouched is how many distinct egress rings one burst may leave staged
@@ -717,7 +467,7 @@ const maxTouched = 8
 // Stage 2, shaping, walks the scratch in arrival order. Per routed cell:
 // refill the VC's bucket to now at the rate found in its mailbox and take
 // one cell's payload worth of tokens; a conforming cell is staged onto the
-// egress port's ring for p's group (this goroutine is its only producer), a
+// egress port's ring (this goroutine is its only producer), a
 // non-conforming one is policed, a full egress ring counts an overflow.
 // Every cell leaves the ingress ring exactly once, into exactly one per-VC
 // counter (or unroutable / bad header).
@@ -728,7 +478,7 @@ const maxTouched = 8
 // staged cell is published before the function returns. Lookups lead
 // shaping by up to one burst, so a VC removed meanwhile still has that
 // burst's cells finished on its unpublished entry (see RemoveVC).
-// Only the goroutine owning p's group may call this.
+// Only the forwarding goroutine may call this.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) forwardPort(p *Port, now int64) int {
@@ -774,7 +524,7 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 			continue
 		}
 		e.tokens -= CellPayloadBits
-		out := e.egress.out[p.group]
+		out := e.egress.out
 		first := !out.Staged()
 		if !out.Stage(p.in.At(i)) {
 			e.overflow.Add(1)
@@ -820,49 +570,38 @@ func publishAll(rings []*Ring) {
 	}
 }
 
-// Transmit drains up to max cells from a port's egress rings, the port's
-// wire-send path. One consumer goroutine per port (the SPSC contract of
-// every group ring); different ports may be drained by different goroutines,
-// concurrently with each other and with a running forwarder. It touches
-// nothing but the rings: their consumer cursors are the port's transmitted
-// count.
+// Transmit drains up to max cells from a port's egress ring, the port's
+// wire-send path; max ≤ 0 drains nothing. One consumer goroutine per port
+// (the ring's SPSC contract); different ports may be drained by different
+// goroutines, concurrently with each other and with the forwarding
+// goroutine. It touches nothing but the ring: its consumer cursor is the
+// port's transmitted count.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) Transmit(p *Port, max int) int {
 	return f.TransmitTo(p, max, nil)
 }
 
-// TransmitTo is Transmit delivering each cell to sink (when non-nil)
-// before its slot is released; the mesh relay uses it to carry cells onto
-// the next hop's ingress ring. The *Cell aliases the ring slot and must
-// not be retained past the callback. Group rings are served round-robin,
-// starting one past the ring the previous call served last, and each ring
-// served is released once, after the last callback on its cells: within a
-// ring — so within a VC — order is arrival order, across rings it is
-// service order, which no VC can observe.
+// TransmitTo is Transmit delivering each cell to sink (when non-nil), in
+// arrival order, before the ring releases them all with one store; the
+// mesh relay uses it to carry cells onto the next hop's ingress ring. The
+// *Cell aliases the ring slot and must not be retained past the callback.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) TransmitTo(p *Port, max int, sink func(*Cell)) int {
-	n := 0
-	at := p.txNext
-	for k := 0; k < len(p.out) && n < max; k++ {
-		r := p.out[at]
-		if at++; at == len(p.out) {
-			at = 0
-		}
-		m := r.Ready(max - n)
-		if m == 0 {
-			continue
-		}
-		if sink != nil {
-			for i := 0; i < m; i++ {
-				sink(r.At(i))
-			}
-		}
-		r.Release(m)
-		n += m
-		p.txNext = at
+	if max <= 0 {
+		return 0 // Ready reads max as unsigned: a negative one would drain the ring
 	}
+	n := p.out.Ready(max)
+	if n == 0 {
+		return 0
+	}
+	if sink != nil {
+		for i := 0; i < n; i++ {
+			sink(p.out.At(i))
+		}
+	}
+	p.out.Release(n)
 	return n
 }
 

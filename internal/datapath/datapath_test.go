@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
@@ -48,6 +49,29 @@ func drain(f *Forwarder, ports []*Port, now, step int64) int64 {
 		}
 	}
 	return now
+}
+
+// forwardInBackground is the forwarding goroutine the concurrency tests run
+// beside their producers, transmitters and control plane: Forward in a loop
+// on the wall clock, yielding after an empty sweep. stop ends the loop and
+// returns once it has.
+func forwardInBackground(f *Forwarder) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	start := time.Now()
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if f.Forward(int64(time.Since(start))) == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
 }
 
 func TestForwardRoutesAndCounts(t *testing.T) {
@@ -478,10 +502,9 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEmptySweepsAreNotBatches: one rule for what a batch is, whichever
-// entry point sweeps — Forward used to count and observe every call, so a
-// slot-driven relay calling it on mostly idle ports drowned
-// datapath.batch_cells in zeros while ForwardGroup and Run skipped them.
+// TestEmptySweepsAreNotBatches: a batch is a non-empty sweep — Forward used
+// to count and observe every call, so a slot-driven relay calling it on
+// mostly idle ports drowned datapath.batch_cells in zeros.
 func TestEmptySweepsAreNotBatches(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := New(WithMetrics(reg))
@@ -494,18 +517,17 @@ func TestEmptySweepsAreNotBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mkCell(t, id, 0)
-	for now := int64(0); now < 10; now++ {
+	for now := int64(0); now < 20; now++ {
 		f.Forward(now)
-		f.ForwardGroup(0, now)
 	}
 	f.Inject(in, &c)
 	f.Inject(in, &c)
-	if n := f.Forward(10); n != 2 {
+	if n := f.Forward(20); n != 2 {
 		t.Fatalf("Forward processed %d cells, want 2", n)
 	}
 	f.Inject(in, &c)
-	if n := f.ForwardGroup(0, 11); n != 1 {
-		t.Fatalf("ForwardGroup processed %d cells, want 1", n)
+	if n := f.Forward(21); n != 1 {
+		t.Fatalf("Forward processed %d cells, want 1", n)
 	}
 	h := reg.Snapshot().Histograms[MetricBatchCells]
 	if h.Count != 2 || h.Sum != 3 {

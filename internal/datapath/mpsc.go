@@ -8,8 +8,8 @@ import "sync/atomic"
 // a lock (TestLockRulesInSource's never-ring rule covers this type too).
 //
 // The forwarder does not use it. It was the egress ring of the multi-core
-// forwarder until an egress port became one SPSC Ring per producer group
-// (DESIGN §15): an output FIFO owes its VCs per-VC order only, so nothing
+// forwarder until an egress port became an SPSC Ring (DESIGN §14): an
+// output FIFO owes its VCs per-VC order only, so nothing
 // needs the total order across producers that this ring pays a CAS and two
 // sequence stores per cell to keep. The type stays for one caller: the
 // benchmark driver's datapath.mpsc_ns probe (bench/probes.go) builds against

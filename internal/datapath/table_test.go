@@ -1,7 +1,6 @@
 package datapath
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,8 +8,8 @@ import (
 	"rcbr/internal/switchfab"
 )
 
-// TestTableChurnUnderForwarding is the table's race test: two group
-// goroutines forward cells of VCs that share one leaf page while a writer
+// TestTableChurnUnderForwarding is the table's race test: a forwarding
+// goroutine forwards cells of VCs that share one leaf page while a writer
 // adds and removes that page's other VCs, one VC that carries cells, and an
 // isolated VC whose pages come and go with it. Conservation is exact at the
 // end, and the two untouched VCs saw every one of their cells.
@@ -23,10 +22,10 @@ import (
 // the cells that found it down, the entries saw exactly the cells port 0
 // accepted for it. Run under -race by `make race`.
 func TestTableChurnUnderForwarding(t *testing.T) {
-	f := New(WithPortGroups(2), WithRingCells(64), withBurst(16))
+	f := New(WithRingCells(64), withBurst(16))
 	var pp []*Port
 	for i := 0; i < 3; i++ {
-		p, err := f.AddPort(i) // ports 0 and 1 are ingress, one per group; 2 is egress
+		p, err := f.AddPort(i) // ports 0 and 1 are ingress; 2 is egress
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,9 +39,7 @@ func TestTableChurnUnderForwarding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	stopForwarding := forwardInBackground(f)
 
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
@@ -110,7 +107,7 @@ func TestTableChurnUnderForwarding(t *testing.T) {
 	prod.Wait()
 	close(stop)
 	bg.Wait()
-	f.Stop()
+	stopForwarding()
 	drain(f, pp, 1<<50, 1e6)
 
 	for i, p := range pp {

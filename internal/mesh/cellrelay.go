@@ -24,16 +24,6 @@ import (
 // single-goroutine by construction: the caller's loop is every ingress
 // ring's producer and every egress ring's consumer, which satisfies the
 // ring contracts of every hop on the path.
-//
-// A hop's forwarder may also be Running (datapath.Run with port groups):
-// then Step leaves forwarding to the hop's own group goroutines and only
-// advances the hop's manual clock (datapath.WithManualClock keeps shaping
-// on the path's virtual time), injects, and transmits. The single-consumer
-// side of the contract still holds — the relay goroutine stays the only
-// Transmit caller — so the same loop drives single-goroutine and
-// multi-core hops interchangeably, at the cost of delivery becoming
-// asynchronous: a cell may need extra Step calls before the hop's
-// goroutine has forwarded it.
 
 // MaxLinkDelaySlots bounds a hop's DelaySlots. A link's delay line is a
 // fixed ring of DelaySlots+1 in-flight cells (64 bytes each) allocated when
@@ -186,18 +176,13 @@ func (cp *CellPath) InjectStamped(id switchfab.VCID, slot int64) bool {
 	return true
 }
 
-// Step advances the path one slot: forward at every hop (or, for a
-// Running hop, advance its manual clock and let its group goroutines
-// forward), transmit one cell per hop onto its link, deliver due cells to
-// the next hop or the sink. Slots must be fed in nondecreasing order.
+// Step advances the path one slot: forward at every hop, transmit one cell
+// per hop onto its link, deliver due cells to the next hop or the sink.
+// Slots must be fed in nondecreasing order.
 func (cp *CellPath) Step(slot int64) {
 	now := slot * cp.slotNanos
 	for k := range cp.hops {
-		if fw := cp.hops[k].FW; fw.Running() {
-			fw.SetNow(now)
-		} else {
-			fw.Forward(now)
-		}
+		cp.hops[k].FW.Forward(now)
 		// A full line means this slot already carried its cell (Step was
 		// called again for the same slot): the next cell waits in the
 		// egress ring, as it would behind a busy link.

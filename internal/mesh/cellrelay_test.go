@@ -1,10 +1,8 @@
 package mesh
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"rcbr/internal/datapath"
@@ -134,86 +132,6 @@ func TestCellPathLossAtThrottledHop(t *testing.T) {
 	total := s.Delivered + s.LinkDrops + dropped + queued + int64(cp.InFlight())
 	if total != s.Injected {
 		t.Fatalf("path conservation: injected %d, accounted %d (%+v)", s.Injected, total, s)
-	}
-}
-
-// TestCellPathThroughRunningForwarders relays through hops whose
-// forwarders run their own port-group goroutines: Step only advances each
-// hop's manual clock, injects, and transmits, while forwarding happens on
-// the hops' goroutines. Every cell still arrives exactly once with at
-// least the synchronous path's delay (asynchronous forwarding can only add
-// slots, never remove the propagation + store-and-forward floor).
-func TestCellPathThroughRunningForwarders(t *testing.T) {
-	const slotNanos = int64(1e6)
-	id := switchfab.MakeVCID(0, 7)
-	rate := 250 * datapath.CellPayloadBits
-	delays := []int64{2, 3, 5}
-	var fws []*datapath.Forwarder
-	var hops []CellHop
-	for _, d := range delays {
-		// Deep buckets (they start full): the group goroutines sweep at
-		// their own pace, so the bucket may see the whole run as one coarse
-		// clock jump — 600 cells of initial credit covers all 500 cells
-		// without leaning on earn granularity.
-		fw := datapath.New(datapath.WithPortGroups(2), datapath.WithManualClock(),
-			datapath.WithDepthCells(600))
-		if _, err := fw.AddPort(0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fw.AddPort(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.AddVC(id, 1, rate); err != nil {
-			t.Fatal(err)
-		}
-		fws = append(fws, fw)
-		hops = append(hops, CellHop{FW: fw, In: 0, Out: 1, DelaySlots: d})
-	}
-	cp, err := NewCellPath(hops, slotNanos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, fw := range fws {
-		if err := fw.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		defer fw.Stop()
-	}
-
-	const want = 500
-	slot := int64(0)
-	for ; slot < want*4; slot++ {
-		if slot%4 == 0 {
-			if !cp.InjectStamped(id, slot) {
-				t.Fatalf("slot %d: inject refused", slot)
-			}
-		}
-		cp.Step(slot)
-	}
-	// Drain: forwarding is asynchronous, so step until everything lands
-	// (bounded), yielding so the group goroutines get CPU on one core.
-	for ; cp.Stats().Delivered < want && slot < want*4+100000; slot++ {
-		cp.Step(slot)
-		runtime.Gosched()
-	}
-	s := cp.Stats()
-	if s.Injected != want || s.Delivered != want || s.LinkDrops != 0 {
-		t.Fatalf("stats %+v, want %d delivered of %d", s, want, want)
-	}
-	for k, fw := range fws {
-		vs, ok := fw.VCStats(id)
-		if !ok || vs.Policed != 0 || vs.Overflow != 0 {
-			t.Fatalf("hop %d dropped conforming cells: %+v", k, vs)
-		}
-	}
-	// Propagation 2+3+5 is the physical floor: a running hop may forward
-	// within the injection slot (no store-and-forward slot), and async
-	// scheduling can only add delay beyond propagation, never remove it.
-	const floor = 10
-	if s.MeanDelaySlots() < floor {
-		t.Fatalf("mean delay %.2f below the physical floor %d", s.MeanDelaySlots(), floor)
 	}
 }
 

@@ -58,16 +58,26 @@ func TestRootPackageExportsNothing(t *testing.T) {
 // once per operation and handed down — so a time.Now or time.Since call in
 // their non-test files is a second clock creeping back in. (Wall stamps for
 // people, Event.Time and Snapshot.TakenAt, are made in internal/metrics.)
+//
+// The data plane is held to a stricter rule: internal/datapath reads no
+// clock at all — no time.Now or time.Since call, not even metrics.Nanotime.
+// A sweep's only time is the nowNanos its caller hands Forward, which is the
+// property ROADMAP 1b's virtual time needs from the cell path: whoever owns
+// the clock owns every shaper's.
 func TestControlPathReadsOneClock(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, dir := range []string{"internal/switchfab", "internal/mesh", "internal/netproto"} {
+	for _, dir := range []string{"internal/switchfab", "internal/mesh", "internal/netproto", "internal/datapath"} {
 		for _, f := range nonTestFiles(t, fset, dir) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
 					if name := pkgSel(call.Fun, "time"); name == "Now" || name == "Since" {
-						t.Errorf("%s: time.%s call; the control path reads metrics.Nanotime",
+						t.Errorf("%s: time.%s call; the control path reads metrics.Nanotime, the data plane no clock",
 							fset.Position(call.Pos()), name)
 					}
+				}
+				if dir == "internal/datapath" && pkgSel(n, "metrics") == "Nanotime" {
+					t.Errorf("%s: metrics.Nanotime; the data plane takes its time from Forward's caller",
+						fset.Position(n.Pos()))
 				}
 				return true
 			})
