@@ -18,10 +18,11 @@
 //
 //	benchjson -compare BENCH_trellis.json BENCH_new.json
 //
-// Benchmarks under the contract (the hot-path DataPath* and FabricCell*
-// families, and renegotiation under the MBAC) must report exactly 0
-// allocs/op in the new run; any other count exits non-zero. allocs/op is
-// deterministic, so this gate is required in CI. The ns/op of every
+// Benchmarks under the contract (the hot-path families: cell codec, RM
+// handling, rings, forwarder, and admission and renegotiation under the
+// MBAC) must report exactly 0 allocs/op in the new run, and each one in the
+// baseline must be in the new run; either breach exits non-zero. allocs/op
+// is deterministic, so this gate is required in CI. The ns/op of every
 // benchmark is printed beside its baseline figure, and benchmarks present in
 // only one file are listed, for the reader: timing at a smoke benchtime on a
 // shared runner is no verdict, so none is given (bench/ and BENCHMARK.json
@@ -86,12 +87,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two baseline files")
 			os.Exit(2)
 		}
-		allocBroken, err := compareBaselines(os.Stdout, flag.Arg(0), flag.Arg(1))
+		broken, err := compareBaselines(os.Stdout, flag.Arg(0), flag.Arg(1))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
-		if allocBroken {
+		if broken {
 			os.Exit(1)
 		}
 		return
@@ -121,12 +122,18 @@ func main() {
 	}
 }
 
-// zeroAllocPrefixes names the benchmark families whose hot paths carry the
-// //rcbr:zeroalloc contract: they must report exactly 0 allocs/op, and
-// -compare fails them on any nonzero count. A recorded 0 is indistinguishable
-// from "not measured with -benchmem" in the JSON (both marshal away), so the
-// gate keys on the name contract, not the baseline value.
-var zeroAllocPrefixes = []string{"BenchmarkDataPath", "BenchmarkFabricCell", "BenchmarkRenegotiateMemoryAdmit"}
+// zeroAllocPrefixes names the benchmark families that run the zero-allocation
+// hot paths — the cell and RM codecs, the switch's RM handling, the rings,
+// the forwarder, and admission and renegotiation under the MBAC: they must
+// report exactly 0 allocs/op, and -compare fails them on any nonzero count or
+// on going missing. A recorded 0 is indistinguishable from "not measured with
+// -benchmem" in the JSON (both marshal away), so the gate keys on the name
+// contract, not the baseline value.
+var zeroAllocPrefixes = []string{
+	"BenchmarkDataPath", "BenchmarkFabricCell", "BenchmarkRenegotiateMemoryAdmit",
+	"BenchmarkRMCellRoundTrip", "BenchmarkFabricRM", "BenchmarkSwitchHandleRM",
+	"BenchmarkRing", "BenchmarkAdmitDecisionMemoryLive",
+}
 
 // zeroAllocContract reports whether name is under the zero-alloc gate.
 func zeroAllocContract(name string) bool {
@@ -139,9 +146,10 @@ func zeroAllocContract(name string) bool {
 }
 
 // compareBaselines prints the new run's ns/op beside the old baseline's and
-// reports whether any benchmark under the zero-alloc contract allocated in
-// the new run, which is the one thing -compare fails on.
-func compareBaselines(w io.Writer, oldPath, newPath string) (allocBroken bool, err error) {
+// reports whether the zero-alloc contract broke — a benchmark under it
+// allocated in the new run, or one in the baseline is missing from it —
+// which is the one thing -compare fails on.
+func compareBaselines(w io.Writer, oldPath, newPath string) (broken bool, err error) {
 	oldBase, err := readBaseline(oldPath)
 	if err != nil {
 		return false, err
@@ -162,7 +170,7 @@ func compareBaselines(w io.Writer, oldPath, newPath string) (allocBroken bool, e
 			// entry: a brand-new hot-path bench must arrive clean.
 			fmt.Fprintf(w, "ALLOCS %-40s %12.0f allocs/op (zero-alloc contract)\n",
 				nr.Name, nr.AllocsPerOp)
-			allocBroken = true
+			broken = true
 		}
 		or, ok := oldByName[nr.Name]
 		if !ok {
@@ -176,14 +184,19 @@ func compareBaselines(w io.Writer, oldPath, newPath string) (allocBroken bool, e
 			nr.Name, or.NsPerOp, nr.NsPerOp, (nr.NsPerOp-or.NsPerOp)/or.NsPerOp*100)
 	}
 	for _, or := range oldBase.Results {
-		if !seen[or.Name] {
+		switch {
+		case seen[or.Name]:
+		case zeroAllocContract(or.Name):
+			fmt.Fprintf(w, "GONE   %-40s %12.1f ns/op (zero-alloc contract, not in new run)\n", or.Name, or.NsPerOp)
+			broken = true
+		default:
 			fmt.Fprintf(w, "gone   %-40s %12.1f ns/op (not in new run)\n", or.Name, or.NsPerOp)
 		}
 	}
-	if allocBroken {
+	if broken {
 		fmt.Fprintln(w, "benchjson: broken zero-alloc contract")
 	}
-	return allocBroken, nil
+	return broken, nil
 }
 
 func readBaseline(path string) (Baseline, error) {

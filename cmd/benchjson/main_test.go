@@ -266,13 +266,40 @@ func TestCompareZeroAllocContract(t *testing.T) {
 	}
 }
 
+// A gated benchmark that vanishes from the new run breaks the contract: a
+// renamed or deleted hot-path benchmark would otherwise take its gate with
+// it. An ungated one going is only listed.
+func TestCompareGatedBenchmarkGone(t *testing.T) {
+	oldPath := writeBaseline(t, "old.json",
+		Result{Name: "BenchmarkSwitchHandleRM", NsPerOp: 30},
+		Result{Name: "BenchmarkFig2OPT", NsPerOp: 100, AllocsPerOp: 5000})
+	var buf strings.Builder
+	if broken, err := compareBaselines(&buf, oldPath, writeBaseline(t, "new.json",
+		Result{Name: "BenchmarkFig2OPT", NsPerOp: 100, AllocsPerOp: 5000})); err != nil || !broken {
+		t.Errorf("gated benchmark missing from the new run passed: broken=%v err=%v\n%s", broken, err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "GONE") {
+		t.Errorf("report does not name the missing gated benchmark:\n%s", buf.String())
+	}
+	if broken, err := compareBaselines(&strings.Builder{}, oldPath, writeBaseline(t, "ungated.json",
+		Result{Name: "BenchmarkSwitchHandleRM", NsPerOp: 30})); err != nil || broken {
+		t.Errorf("ungated benchmark missing from the new run failed: broken=%v err=%v", broken, err)
+	}
+}
+
 func TestZeroAllocContractNames(t *testing.T) {
 	for name, want := range map[string]bool{
 		"BenchmarkDataPathForward8Port100kVC": true,
 		"BenchmarkFabricCellAppend":           true,
 		"BenchmarkRenegotiateMemoryAdmit":     true,
+		"BenchmarkRMCellRoundTrip":            true,
+		"BenchmarkFabricRM64k":                true,
+		"BenchmarkSwitchHandleRM":             true,
+		"BenchmarkRingPerCell64":              true,
+		"BenchmarkRingBurst64":                true,
+		"BenchmarkAdmitDecisionMemoryLive":    true,
 		"BenchmarkSetupChurnMemoryAdmit":      false,
-		"BenchmarkFabricRM64k":                false,
+		"BenchmarkChurnBytesPerVC":            false,
 		"BenchmarkFig2OPT":                    false,
 	} {
 		if got := zeroAllocContract(name); got != want {

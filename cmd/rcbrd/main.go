@@ -11,6 +11,7 @@
 // depth of the datagram queue feeding them; when the queue is full further
 // datagrams are dropped (and counted on signal.server.dropped_datagrams) so
 // a signaling burst sheds load instead of growing memory without bound.
+// -workers, -queue and -events below 1 are refused, not replaced.
 //
 // Each port spec is id:capacity with capacity in bits/second. With -http, the
 // daemon additionally serves GET /metrics (the JSON metrics snapshot: per-port
@@ -49,6 +50,11 @@ func main() {
 		queue    = flag.Int("queue", netproto.DefaultQueue, "pending-datagram queue depth (overflow is dropped)")
 	)
 	flag.Parse()
+	for _, name := range []string{"events", "workers", "queue"} {
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < 1 {
+			fatal(fmt.Errorf("-%s must be at least 1, got %d", name, v))
+		}
+	}
 
 	reg := metrics.NewRegistry()
 	ring := metrics.NewEventLog(*events)

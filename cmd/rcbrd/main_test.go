@@ -54,6 +54,9 @@ func TestAddPortsErrors(t *testing.T) {
 // renegotiation count covers every reply a source received — what was
 // answered was decided before the books were read — and no client call may
 // hang on the vanished server: each returns a reply or an error.
+//
+// The same binary first refuses every size below 1 with exit status 1 and
+// the flag's name, instead of silently running a default in its place.
 func TestSIGTERMDrainsInFlightAndReports(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -62,6 +65,15 @@ func TestSIGTERMDrainsInFlightAndReports(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "rcbrd")
 	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, bad := range [][2]string{{"-workers", "0"}, {"-queue", "0"}, {"-events", "0"}, {"-workers", "-1"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second) // a daemon that accepted it runs on
+		out, err := exec.CommandContext(ctx, bin, "-listen", "127.0.0.1:0", bad[0], bad[1]).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), bad[0]+" must be at least 1") {
+			t.Errorf("rcbrd %s %s: %v, output %q; want exit status 1 naming the flag", bad[0], bad[1], err, out)
+		}
 	}
 	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-ports", "1:1e9")
 	cmd.Stderr = os.Stderr

@@ -26,8 +26,7 @@
 //     churn (call-scale load on a live switch).
 //
 // internal/experiments has one entry point per figure, internal/metrics the
-// shared registry and event log, internal/stats the RNG and level grids,
-// internal/analysis the rcbrlint analyzers.
+// shared registry and event log, internal/stats the RNG and level grids.
 //
 // Start with examples/quickstart (trace → optimal schedule → replay through
 // the buffer), then interactive and storedvideo (a switch over UDP),

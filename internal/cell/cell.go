@@ -64,8 +64,6 @@ func (h Header) Validate() error {
 }
 
 // Marshal encodes the header with its HEC byte.
-//
-//rcbr:zeroalloc
 func (h Header) Marshal() ([HeaderSize]byte, error) {
 	var b [HeaderSize]byte
 	if err := h.Validate(); err != nil {
@@ -83,8 +81,6 @@ func (h Header) Marshal() ([HeaderSize]byte, error) {
 }
 
 // ParseHeader decodes and verifies a header.
-//
-//rcbr:zeroalloc
 func ParseHeader(b []byte) (Header, error) {
 	if len(b) < HeaderSize {
 		return Header{}, ErrShort
@@ -106,8 +102,6 @@ func ParseHeader(b []byte) (Header, error) {
 // bits 9..0 omitted-leading-one mantissa m, value = 2^e * (1 + m/512).
 // (TM 4.0 uses a 9-bit mantissa; the tenth bit is reserved-zero here.)
 // Rates above the encodable maximum return ErrRateRange; zero encodes as 0.
-//
-//rcbr:zeroalloc
 func EncodeRate16(rate float64) (uint16, error) {
 	if rate < 0 || math.IsNaN(rate) {
 		return 0, fmt.Errorf("%w: %g", ErrRateRange, rate)
@@ -138,8 +132,6 @@ func EncodeRate16(rate float64) (uint16, error) {
 }
 
 // DecodeRate16 decodes the TM 4.0 16-bit rate format.
-//
-//rcbr:zeroalloc
 func DecodeRate16(v uint16) float64 {
 	if v&(1<<15) == 0 {
 		return 0

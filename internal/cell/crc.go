@@ -61,8 +61,6 @@ var hecTable = func() (t [4][256]byte) {
 // x^8+x^2+x+1 over the first four header bytes, XORed with 0x55 (I.432).
 // A four-byte header takes the sliced form above; any other length the
 // byte-serial loop.
-//
-//rcbr:zeroalloc
 func hec(b []byte) byte {
 	if len(b) == 4 {
 		return hecTable[3][b[0]] ^ hecTable[2][b[1]] ^ hecTable[1][b[2]] ^ hecTable[0][b[3]] ^ 0x55
@@ -80,8 +78,6 @@ func hec(b []byte) byte {
 // Per byte: the register's top eight bits combine with the input byte
 // through the table; its low two bits shift up eight places unreduced
 // (they stay below bit 10), which is exactly (crc<<8)&0x3FF.
-//
-//rcbr:zeroalloc
 func crc10(b []byte) uint16 {
 	var crc uint16
 	for _, x := range b {

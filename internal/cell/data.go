@@ -19,8 +19,6 @@ var (
 // PutData assembles a complete data cell into buf: marshaled header,
 // payload, and a zeroed tail when the payload is shorter than 48 bytes.
 // The header's PTI must name a data cell (0-3).
-//
-//rcbr:zeroalloc
 func PutData(buf *[Size]byte, h Header, payload []byte) error {
 	if h.PTI&4 != 0 {
 		return ErrNotData
@@ -53,8 +51,6 @@ func AppendData(b []byte, h Header, payload []byte) ([]byte, error) {
 // ParseData verifies the header (HEC) of a data cell and returns it along
 // with the 48-byte payload as a subslice of b — no copy; the payload
 // aliases b and is valid only as long as b is.
-//
-//rcbr:zeroalloc
 func ParseData(b []byte) (Header, []byte, error) {
 	if len(b) < Size {
 		return Header{}, nil, ErrShort
@@ -67,20 +63,4 @@ func ParseData(b []byte) (Header, []byte, error) {
 		return h, nil, ErrNotData
 	}
 	return h, b[HeaderSize:Size], nil
-}
-
-// PeekVCID extracts the (VPI, VCI) pair from a cell's first header bytes
-// without verifying the HEC. The data path's egress side uses it to
-// attribute a cell whose header was already verified at ingress; callers
-// that have not verified the header must use ParseHeader instead. A buffer
-// shorter than four bytes reads as (0, 0).
-//
-//rcbr:zeroalloc
-func PeekVCID(b []byte) (vpi uint8, vci uint16) {
-	if len(b) < 4 {
-		return 0, 0
-	}
-	vpi = b[0]<<4 | b[1]>>4
-	vci = uint16(b[1]&0xF)<<12 | uint16(b[2])<<4 | uint16(b[3])>>4
-	return vpi, vci
 }

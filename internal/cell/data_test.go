@@ -169,23 +169,3 @@ func TestAppendData(t *testing.T) {
 		t.Fatalf("AppendData bad PTI: got %v, want ErrNotData", err)
 	}
 }
-
-func TestPeekVCID(t *testing.T) {
-	for _, tc := range []Header{
-		{VPI: 0, VCI: 0},
-		{VPI: 255, VCI: 65535, GFC: 0xF, PTI: 3, CLP: true},
-		{VPI: 42, VCI: 0xABC},
-	} {
-		var c [Size]byte
-		if err := PutData(&c, tc, nil); err != nil {
-			t.Fatal(err)
-		}
-		vpi, vci := PeekVCID(c[:])
-		if vpi != tc.VPI || vci != tc.VCI {
-			t.Fatalf("PeekVCID = (%d, %d), want (%d, %d)", vpi, vci, tc.VPI, tc.VCI)
-		}
-	}
-	if vpi, vci := PeekVCID([]byte{1, 2}); vpi != 0 || vci != 0 {
-		t.Fatalf("short PeekVCID = (%d, %d), want (0, 0)", vpi, vci)
-	}
-}

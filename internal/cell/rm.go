@@ -50,8 +50,6 @@ const (
 )
 
 // MarshalPayload encodes the message into a 48-byte RM payload.
-//
-//rcbr:zeroalloc
 func (m RM) MarshalPayload() ([PayloadSize]byte, error) {
 	var p [PayloadSize]byte
 	p[0] = ProtocolRCBR
@@ -87,8 +85,6 @@ func (m RM) MarshalPayload() ([PayloadSize]byte, error) {
 // undefined flag bits must be zero and ER must be a code EncodeRate16 emits
 // (reserved mantissa bit clear, zero spelled 0): the codec is strict so that
 // every accepted payload re-marshals to identical wire bytes.
-//
-//rcbr:zeroalloc
 func ParseRM(p []byte) (RM, error) {
 	if len(p) < PayloadSize {
 		return RM{}, ErrShort
@@ -125,8 +121,6 @@ func ParseRM(p []byte) (RM, error) {
 }
 
 // Build assembles a complete 53-byte RM cell for the given VPI/VCI.
-//
-//rcbr:zeroalloc
 func Build(h Header, m RM) ([Size]byte, error) {
 	var c [Size]byte
 	h.PTI = PTIRM
@@ -144,8 +138,6 @@ func Build(h Header, m RM) ([Size]byte, error) {
 }
 
 // Parse decodes and verifies a complete 53-byte RM cell.
-//
-//rcbr:zeroalloc
 func Parse(b []byte) (Header, RM, error) {
 	if len(b) < Size {
 		return Header{}, RM{}, ErrShort

@@ -38,7 +38,7 @@
 // teardown only unpublishes the entry (the garbage collector retires it
 // once the forwarder has let go, which is at most a burst later). A VC's
 // whole forwarding state is one 64-byte cache line. The forwarding path
-// takes no lock at all and allocates nothing (//rcbr:zeroalloc, pinned by
+// takes no lock at all and allocates nothing (pinned by
 // TestForwardSteadyStateAllocs).
 //
 // One counter per fact: a cell that enters, crosses or leaves a ring is
@@ -421,8 +421,6 @@ func (f *Forwarder) VCCount() int { return f.vcs.Len() }
 // path, one producer goroutine per port. It reports false when the ring is
 // full: the cell was dropped before the switch, as a real line card's
 // receive FIFO would.
-//
-//rcbr:zeroalloc
 func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 
 // Forward runs one sweep of the forwarding loop at time nowNanos, the
@@ -433,8 +431,6 @@ func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 // decrease between calls. The batch histogram (its count is the number of
 // batches) sees only non-empty sweeps, so an idle polling driver — a
 // slot-driven relay — does not drown it in zeros.
-//
-//rcbr:zeroalloc
 func (f *Forwarder) Forward(nowNanos int64) int {
 	total := 0
 	for _, p := range *f.portList.Load() {
@@ -479,8 +475,6 @@ const maxTouched = 8
 // shaping by up to one burst, so a VC removed meanwhile still has that
 // burst's cells finished on its unpublished entry (see RemoveVC).
 // Only the forwarding goroutine may call this.
-//
-//rcbr:zeroalloc
 func (f *Forwarder) forwardPort(p *Port, now int64) int {
 	n := p.in.Ready(f.burst)
 	if n == 0 {
@@ -562,8 +556,6 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 }
 
 // publishAll publishes what a burst staged on each of rings.
-//
-//rcbr:zeroalloc
 func publishAll(rings []*Ring) {
 	for _, r := range rings {
 		r.Publish()
@@ -576,8 +568,6 @@ func publishAll(rings []*Ring) {
 // goroutines, concurrently with each other and with the forwarding
 // goroutine. It touches nothing but the ring: its consumer cursor is the
 // port's transmitted count.
-//
-//rcbr:zeroalloc
 func (f *Forwarder) Transmit(p *Port, max int) int {
 	return f.TransmitTo(p, max, nil)
 }
@@ -586,8 +576,6 @@ func (f *Forwarder) Transmit(p *Port, max int) int {
 // arrival order, before the ring releases them all with one store; the
 // mesh relay uses it to carry cells onto the next hop's ingress ring. The
 // *Cell aliases the ring slot and must not be retained past the callback.
-//
-//rcbr:zeroalloc
 func (f *Forwarder) TransmitTo(p *Port, max int, sink func(*Cell)) int {
 	if max <= 0 {
 		return 0 // Ready reads max as unsigned: a negative one would drain the ring
@@ -621,8 +609,6 @@ func (f *Forwarder) OnSetup(port int, id switchfab.VCID, rate float64) {
 }
 
 // OnRateChange implements switchfab.DataPlane.
-//
-//rcbr:zeroalloc
 func (f *Forwarder) OnRateChange(port int, id switchfab.VCID, rate float64) {
 	if e := f.vcs.Get(uint32(id)); e != nil {
 		e.rateBits.Store(math.Float64bits(rate))

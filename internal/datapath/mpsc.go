@@ -100,8 +100,6 @@ func (r *MPSCRing) Popped() int64 { return int64(r.tail.Load()) }
 
 // Push copies c into the ring, returning false (writing nothing) when the
 // ring is full. Safe from any number of goroutines.
-//
-//rcbr:zeroalloc
 func (r *MPSCRing) Push(c *Cell) bool {
 	for {
 		pos := r.head.Load()
@@ -128,8 +126,6 @@ func (r *MPSCRing) Push(c *Cell) bool {
 // ring is empty (or the oldest slot is claimed but not yet published).
 // The pointer aliases the slot and is valid until Advance. Consumer side
 // only.
-//
-//rcbr:zeroalloc
 func (r *MPSCRing) Peek() *Cell {
 	pos := r.tail.Load()
 	slot := &r.slots[pos&r.mask]
@@ -142,8 +138,6 @@ func (r *MPSCRing) Peek() *Cell {
 // Advance consumes the cell last returned by Peek, releasing its slot to
 // the producers for the next lap. Consumer side only; calling it without a
 // successful Peek corrupts the ring.
-//
-//rcbr:zeroalloc
 func (r *MPSCRing) Advance() {
 	pos := r.tail.Load()
 	r.slots[pos&r.mask].seq.Store(pos + uint64(len(r.slots)))

@@ -111,8 +111,6 @@ func (r *Ring) Popped() int64 { return int64(r.tail.Load()) }
 // false (writing nothing) when the ring is full; staged cells occupy slots
 // but stay invisible to the consumer, Len and Pushed until Publish.
 // Producer side only.
-//
-//rcbr:zeroalloc
 func (r *Ring) Stage(c *Cell) bool {
 	at := r.staged
 	if at-r.cachedTail >= uint64(len(r.buf)) {
@@ -128,21 +126,15 @@ func (r *Ring) Stage(c *Cell) bool {
 
 // Staged reports whether the ring holds staged cells awaiting Publish.
 // Producer side only.
-//
-//rcbr:zeroalloc
 func (r *Ring) Staged() bool { return r.staged != r.head.Load() }
 
 // Publish makes every staged cell visible to the consumer with one store
 // of head. Producer side only.
-//
-//rcbr:zeroalloc
 func (r *Ring) Publish() { r.head.Store(r.staged) }
 
 // Push copies c into the ring and publishes it — together with anything
 // staged before it, which keeps FIFO order — returning false (dropping
 // nothing, writing nothing) when the ring is full. Producer side only.
-//
-//rcbr:zeroalloc
 func (r *Ring) Push(c *Cell) bool {
 	if !r.Stage(c) {
 		return false
@@ -155,8 +147,6 @@ func (r *Ring) Push(c *Cell) bool {
 // refreshing the consumer's view of head only when its cached view cannot
 // satisfy max. Cells 0..n-1 are then readable through At until Release.
 // Consumer side only.
-//
-//rcbr:zeroalloc
 func (r *Ring) Ready(max int) int {
 	tail := r.tail.Load()
 	n := r.cachedHead - tail
@@ -173,8 +163,6 @@ func (r *Ring) Ready(max int) int {
 // At returns a pointer to the i-th oldest queued cell, 0 <= i < the count
 // Ready last returned. The pointer aliases the slot and is valid until the
 // slot is Released. Consumer side only.
-//
-//rcbr:zeroalloc
 func (r *Ring) At(i int) *Cell {
 	return &r.buf[(r.tail.Load()+uint64(i))&r.mask]
 }
@@ -182,8 +170,6 @@ func (r *Ring) At(i int) *Cell {
 // Release consumes the n oldest queued cells with one store of tail,
 // handing their slots back to the producer; n must not exceed the count
 // Ready last returned. Consumer side only.
-//
-//rcbr:zeroalloc
 func (r *Ring) Release(n int) {
 	r.tail.Store(r.tail.Load() + uint64(n))
 }
@@ -191,8 +177,6 @@ func (r *Ring) Release(n int) {
 // Peek returns a pointer to the oldest queued cell, or nil when the ring is
 // empty. The pointer aliases the slot and is valid until Advance. Consumer
 // side only.
-//
-//rcbr:zeroalloc
 func (r *Ring) Peek() *Cell {
 	if r.Ready(1) == 0 {
 		return nil
@@ -203,6 +187,4 @@ func (r *Ring) Peek() *Cell {
 // Advance consumes the cell last returned by Peek, releasing its slot to
 // the producer. Consumer side only; calling it without a successful Peek
 // corrupts the ring.
-//
-//rcbr:zeroalloc
 func (r *Ring) Advance() { r.Release(1) }

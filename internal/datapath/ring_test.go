@@ -61,6 +61,32 @@ func TestRingFIFOAndFull(t *testing.T) {
 	}
 }
 
+// TestRingPerCellFormsAllocateNothing pins both rings' per-cell forms at
+// zero allocations: Push copies the cell into its slot, Peek points into the
+// slot, Advance moves a cursor.
+func TestRingPerCellFormsAllocateNothing(t *testing.T) {
+	spsc, mpsc := NewRing(4), NewMPSCRing(4)
+	for _, r := range []struct {
+		name    string
+		push    func(*Cell) bool
+		peek    func() *Cell
+		advance func()
+	}{
+		{"Ring", spsc.Push, spsc.Peek, spsc.Advance},
+		{"MPSCRing", mpsc.Push, mpsc.Peek, mpsc.Advance},
+	} {
+		var c Cell
+		if n := testing.AllocsPerRun(1000, func() {
+			if !r.push(&c) || r.peek() == nil {
+				t.Fatalf("%s: push or peek failed on an empty ring", r.name)
+			}
+			r.advance()
+		}); n != 0 {
+			t.Errorf("%s push/peek/advance allocates %v objects per cell, want 0", r.name, n)
+		}
+	}
+}
+
 // TestRingLenNeverNegative is the regression test for the Len wrap race:
 // Len used to load head before tail, so a consumer advancing between the
 // two loads made head-tail wrap negative (and int-cast into a huge bogus

@@ -24,7 +24,7 @@
 // Concurrency: a Path serializes its multi-hop transactions with a
 // channel-based semaphore, deliberately not a mutex — a transaction spans
 // propagation waits and (for netproto-backed hops) real network I/O, and
-// the repo's lockscope analyzer forbids holding a sync.Mutex across
+// TestNoLockHeldAcrossBlockingCall forbids holding a sync.Mutex across
 // either. The mesh's own mutex guards only the topology maps and is never
 // held across hop I/O. Per-switch locking is switchfab's (one port mutex
 // per operation, the VC table's writer mutex a leaf under it); the mesh

@@ -26,6 +26,12 @@ func TestAppendRMZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("AppendRM allocates %.1f objects/op, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		buf = AppendSetup(buf[:0], 9, SetupReq{VCI: 42, Port: 1, Rate: 1e6})
+	})
+	if allocs != 0 {
+		t.Errorf("AppendSetup allocates %.1f objects/op, want 0", allocs)
+	}
 }
 
 func TestDecodeRMZeroAlloc(t *testing.T) {

@@ -81,8 +81,6 @@ type Frame struct {
 }
 
 // appendHeader writes the common frame header.
-//
-//rcbr:zeroalloc
 func appendHeader(b []byte, typ uint8, reqID uint32) []byte {
 	b = append(b, Magic, Version, typ)
 	var id [4]byte
@@ -118,8 +116,6 @@ type SetupReq struct {
 
 // AppendSetup appends a setup request datagram to dst and returns the
 // extended buffer.
-//
-//rcbr:zeroalloc
 func AppendSetup(dst []byte, reqID uint32, req SetupReq) []byte {
 	dst = appendHeader(dst, TypeSetup, reqID)
 	var p [12]byte
@@ -239,8 +235,6 @@ func DecodeErr(p []byte) (code uint8, msg string) {
 }
 
 // appendRMCell appends one 53-byte RM cell to dst.
-//
-//rcbr:zeroalloc
 func appendRMCell(dst []byte, h cell.Header, m cell.RM) ([]byte, error) {
 	raw, err := cell.Build(h, m)
 	if err != nil {
@@ -251,8 +245,6 @@ func appendRMCell(dst []byte, h cell.Header, m cell.RM) ([]byte, error) {
 
 // AppendRM appends a renegotiation datagram wrapping a full RM cell — the RM
 // frame of one — to dst; on error dst comes back as it was given.
-//
-//rcbr:zeroalloc
 func AppendRM(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error) {
 	out, err := appendRMCell(appendHeader(dst, TypeRM, reqID), h, m)
 	if err != nil {
@@ -266,8 +258,6 @@ func AppendRM(dst []byte, reqID uint32, h cell.Header, m cell.RM) ([]byte, error
 // after them — and so is cell.Parse, so every accepted payload re-encodes to
 // the bytes that arrived. An accepted payload is walked cell.Size bytes at a
 // time.
-//
-//rcbr:zeroalloc
 func rmCells(p []byte) (int, error) {
 	k := len(p) / cell.Size
 	if k == 0 || k > MaxRMBatch || len(p) != k*cell.Size {
@@ -278,8 +268,6 @@ func rmCells(p []byte) (int, error) {
 
 // DecodeRM parses the payload of a one-cell RM frame back into header and
 // message.
-//
-//rcbr:zeroalloc
 func DecodeRM(p []byte) (cell.Header, cell.RM, error) {
 	if len(p) != cell.Size {
 		return cell.Header{}, cell.RM{}, ErrFrame

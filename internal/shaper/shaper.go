@@ -65,8 +65,6 @@ func (tb *TokenBucket) Tokens() float64 { return tb.tokens }
 // compare rather than math.Min: for the finite non-negative operands every
 // caller validates the two agree bit for bit (TestRefillIsMin), and Min's
 // NaN and signed-zero handling is not free on a per-cell path.
-//
-//rcbr:zeroalloc
 func Refill(tokens, rate, dt, depth float64) float64 {
 	if t := tokens + rate*dt; t < depth {
 		return t

@@ -14,9 +14,9 @@ import (
 // WithDataPlane, registry — so a second per-call object or a boxed value on
 // the renegotiation path fails a test instead of a benchmark.
 //
-// A renegotiation, by method call or by RM cell, allocates nothing: the
-// //rcbr:zeroalloc on applyRate and handleRM holds with the admitter's Move
-// and the forwarder's rate store in the path. One setup + teardown allocates
+// A renegotiation — all-or-nothing, best-effort or by RM cell — allocates
+// nothing, with the admitter's Move and the forwarder's rate store in the
+// path. One setup + teardown allocates
 // exactly three objects: the switch's VC record, the admitter's call record
 // with its dwell storage, and the forwarder's table entry. The churned id
 // sits between resident neighbours, so both tables' pages exist already.
@@ -54,6 +54,14 @@ func TestControlPathAllocsUnderMBAC(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("RenegotiateID allocates %v objects per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		step++
+		if _, full, err := sw.RenegotiateBestID(id, levels[step%len(levels)]); err != nil || !full {
+			t.Fatalf("renegotiate best: full=%v err=%v", full, err)
+		}
+	}); n != 0 {
+		t.Errorf("RenegotiateBestID allocates %v objects per call, want 0", n)
 	}
 	h := cell.Header{VPI: id.VPI(), VCI: id.VCI()}
 	if n := testing.AllocsPerRun(1000, func() {

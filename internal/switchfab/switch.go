@@ -453,8 +453,6 @@ func New(opts ...Option) *Switch {
 // NaN added into a port's reserved figure makes every later capacity
 // comparison false, overcommitting the port forever. +Inf is rejected
 // explicitly for the same reason.
-//
-//rcbr:zeroalloc
 func validRate(rate float64) bool {
 	return rate >= 0 && !math.IsInf(rate, 1)
 }
@@ -496,8 +494,6 @@ func (s *Switch) AddPort(id int, capacity float64) error {
 // clamp is counted on switch.port.reserved_clamped and recorded as a
 // reserved-clamp event carrying the discarded residue, so drift is visible
 // instead of absorbed.
-//
-//rcbr:zeroalloc
 func (s *Switch) setReserved(p *port, v float64) {
 	if v < 0 {
 		s.stats.reservedClamps.Add(1)
@@ -576,8 +572,6 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 // enter is an operation's one clock reading, taken on the way in: the start
 // of its latency observation and the time the admission policy sees. A
 // switch that times nothing does not read the clock.
-//
-//rcbr:zeroalloc
 func (s *Switch) enter() int64 {
 	if !s.timed {
 		return 0
@@ -590,8 +584,6 @@ func (s *Switch) enter() int64 {
 // histogram is observed on every path past argument validation — setup
 // accepted or refused; renegotiation granted, denied, dropped as a duplicate
 // or failed on an unknown VC — so its count is the operations attempted.
-//
-//rcbr:zeroalloc
 func (s *Switch) observe(h *metrics.Histogram, entered int64) {
 	if h != nil {
 		h.Observe(seconds(s.clock() - entered))
@@ -638,8 +630,6 @@ func (s *Switch) TeardownID(id VCID) error {
 // lightweight path. Decreases always succeed; an increase succeeds iff the
 // port stays within capacity. It returns the rate now in force and whether
 // the request was granted in full.
-//
-//rcbr:zeroalloc
 func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bool, err error) {
 	if !validRate(newRate) {
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, newRate)
@@ -670,8 +660,6 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 // returns the rate now in force and whether the full target was granted;
 // a VC left at its old rate by a zero-headroom port reports full=false and
 // is accounted as a denial.
-//
-//rcbr:zeroalloc
 func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, full bool, err error) {
 	if !validRate(target) {
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, target)
@@ -723,8 +711,6 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 // source originally asked for; it differs from newRate only on the partial
 // settlements of RenegotiateBestID and is surfaced in the grant event so
 // the trace shows the shortfall.
-//
-//rcbr:zeroalloc
 func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, requested float64, grantKind metrics.EventKind) (float64, bool) {
 	if p.reserved-vc.rate+newRate <= p.capacity {
 		old := vc.rate
@@ -770,8 +756,6 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, re
 // a rate the source no longer believes. The reply to a dropped duplicate
 // carries the current absolute rate with Resync set and is not a denial. An
 // unsequenced resync always applies and clears the last-seen number.
-//
-//rcbr:zeroalloc
 func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	if m.Backward || m.Response {
 		return cell.RM{}, fmt.Errorf("switchfab: HandleRM on a backward/response cell")

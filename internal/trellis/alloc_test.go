@@ -51,30 +51,41 @@ func TestSteadyStateAllocations(t *testing.T) {
 // the global merge and the cross-rate prune — exactly the machinery whose
 // sort- and scratch-allocations this PR removed — and they must cost
 // nothing as the trace doubles.
+//
+// The 13-level ladder 10..22 takes the heap merge (mergeHeapMinK lanes or
+// more). Every rate drains the slot, so each slot's switch candidates from
+// rate 10 fill all 13 lanes for the cross-rate prune's merge, and the prune
+// kills them all before any event node exists.
 func TestMultiLevelAllocationsScaleWithSegments(t *testing.T) {
-	allocsAt := func(T int) float64 {
-		bits := make([]int64, T)
-		for i := range bits {
-			bits[i] = 10
-		}
-		tr := trace.New(bits, 1)
-		opt := Options{
-			Levels:     []float64{1, 10},
-			BufferBits: 5,
-			Cost:       core.CostModel{Alpha: 50, Beta: 1},
-		}
-		if _, _, err := Optimize(tr, opt); err != nil { // warm pool
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(10, func() {
-			if _, _, err := Optimize(tr, opt); err != nil {
+	ladder := make([]float64, 13)
+	for k := range ladder {
+		ladder[k] = float64(10 + k)
+	}
+	for _, levels := range [][]float64{{1, 10}, ladder} {
+		allocsAt := func(T int) float64 {
+			bits := make([]int64, T)
+			for i := range bits {
+				bits[i] = 10
+			}
+			tr := trace.New(bits, 1)
+			opt := Options{
+				Levels:     levels,
+				BufferBits: 5,
+				Cost:       core.CostModel{Alpha: 50, Beta: 1},
+			}
+			if _, _, err := Optimize(tr, opt); err != nil { // warm pool
 				t.Fatal(err)
 			}
-		})
-	}
-	short, long := allocsAt(500), allocsAt(1000)
-	if grow := long - short; grow > 50 {
-		t.Fatalf("allocations grew by %.0f over 500 extra slots (%.0f -> %.0f)",
-			grow, short, long)
+			return testing.AllocsPerRun(10, func() {
+				if _, _, err := Optimize(tr, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocsAt(500), allocsAt(1000)
+		if grow := long - short; grow > 50 {
+			t.Fatalf("%d levels: allocations grew by %.0f over 500 extra slots (%.0f -> %.0f)",
+				len(levels), grow, short, long)
+		}
 	}
 }

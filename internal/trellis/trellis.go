@@ -366,8 +366,6 @@ func checkFeasible(tr *trace.Trace, maxDrain float64, caps []float64) error {
 
 // clampQuantize clamps b at zero and, when grid > 0, rounds it up to the
 // grid (conservative for the buffer constraint).
-//
-//rcbr:zeroalloc
 func clampQuantize(b, grid float64) float64 {
 	if b < 0 {
 		return 0
@@ -382,8 +380,6 @@ func clampQuantize(b, grid float64) float64 {
 // staying candidates from the same-rate frontier plus switching candidates
 // (alpha surcharge, fresh event) from the global frontier, Pareto-merged in
 // ascending-b order.
-//
-//rcbr:zeroalloc
 func advance(out []entry, same, global []entry, a, drain, slotCost,
 	alpha, bcap, grid float64, k int32, pr Pruning, nodes *int64) []entry {
 
@@ -391,8 +387,7 @@ func advance(out []entry, same, global []entry, a, drain, slotCost,
 	minW := math.Inf(1)
 	// The closure captures out/minW by reference on this stack frame; it
 	// never escapes advance, so the compiler keeps it heap-free — pinned
-	// by the AllocsPerRun optimizer benchmark.
-	//rcbrlint:ignore zeroalloc non-escaping closure, 0 allocs/op pinned by TestSteadyStateAllocations
+	// by TestSteadyStateAllocations.
 	push := func(b, w float64, ev *event) {
 		*nodes++
 		b = clampQuantize(b, grid)
@@ -468,6 +463,11 @@ func (o *optimizer) materialize(t int32) {
 	}
 }
 
+// mergeHeapMinK is the level count above which the K-way merge switches
+// from a linear head scan (O(N*K), best for a handful of rates) to a
+// cursor min-heap (O(N log K)). The crossover sits around a dozen lanes.
+const mergeHeapMinK = 12
+
 // mergeGlobal builds the global Pareto frontier across all rates, used as
 // the source set for rate-switch candidates. The per-rate frontiers are
 // already sorted by b ascending, so a K-way cursor merge visits candidates
@@ -475,13 +475,6 @@ func (o *optimizer) materialize(t int32) {
 // implementation paid; the Pareto filter folds into the same pass. Under
 // PruneExact the merge keeps everything (sorted by b, then w) so no
 // cross-rate state is lost.
-// mergeHeapMinK is the level count above which the K-way merge switches
-// from a linear head scan (O(N*K), best for a handful of rates) to a
-// cursor min-heap (O(N log K)). The crossover sits around a dozen lanes.
-const mergeHeapMinK = 12
-
-//
-//rcbr:zeroalloc
 func (o *optimizer) mergeGlobal(pr Pruning) []entry {
 	if len(o.fronts) >= mergeHeapMinK {
 		return o.mergeGlobalHeap(pr)
@@ -523,8 +516,6 @@ func (o *optimizer) mergeGlobal(pr Pruning) []entry {
 // mergeGlobalHeap is mergeGlobal on a min-heap of per-rate cursors, for
 // runs with many levels. Ties on (b, w) break toward the lower rate index,
 // exactly like the linear scan, so both paths emit the same sequence.
-//
-//rcbr:zeroalloc
 func (o *optimizer) mergeGlobalHeap(pr Pruning) []entry {
 	out := o.merged[:0]
 	cur := o.cursor
@@ -564,8 +555,6 @@ func (o *optimizer) mergeGlobalHeap(pr Pruning) []entry {
 
 // headLess orders two rate lanes by their current head entry: (b, w)
 // lexicographically, lower rate index on full ties.
-//
-//rcbr:zeroalloc
 func (o *optimizer) headLess(ki, kj int32) bool {
 	a, b := o.fronts[ki][o.cursor[ki]], o.fronts[kj][o.cursor[kj]]
 	if a.b != b.b {
@@ -578,8 +567,6 @@ func (o *optimizer) headLess(ki, kj int32) bool {
 }
 
 // heapDown restores the min-heap property from index i.
-//
-//rcbr:zeroalloc
 func (o *optimizer) heapDown(i int) {
 	h := o.heap
 	for {
@@ -605,8 +592,6 @@ func (o *optimizer) heapDown(i int) {
 // alpha == 0 the comparison is made strict, which keeps every global-Pareto
 // member and collapses each frontier onto it (switching is free, so nothing
 // off the global frontier can be optimal). It returns the surviving total.
-//
-//rcbr:zeroalloc
 func (o *optimizer) crossPrune(alpha float64) int {
 	global := o.mergeGlobal(PruneFull)
 	if len(global) == 0 {

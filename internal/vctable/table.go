@@ -54,8 +54,6 @@ type Table[T any] struct {
 }
 
 // Get returns id's entry, or nil. An id wider than 24 bits names no VC.
-//
-//rcbr:zeroalloc
 func (t *Table[T]) Get(id uint32) *T {
 	if id>>24 != 0 {
 		return nil

@@ -4,8 +4,13 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -37,6 +42,43 @@ func pkgSel(n ast.Node, pkg string) string {
 		if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
 			return sel.Sel.Name
 		}
+	}
+	return ""
+}
+
+// goFiles parses every Go file of the repository — internal/, cmd/,
+// examples/, the root package and the bench/ module — skipping testdata and
+// dot-directories. Test files are included only when tests is set.
+func goFiles(t *testing.T, fset *token.FileSet, tests bool) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if name := d.Name(); d.IsDir() && (name == "testdata" || len(name) > 1 && name[0] == '.') {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		files = append(files, f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// lastName is the name an expression ends in: x for x, Sel for X.Sel.
+func lastName(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
 	}
 	return ""
 }
@@ -143,6 +185,266 @@ func TestLockRulesInSource(t *testing.T) {
 	}
 }
 
+// TestMetricNamesAreOwnedConstants holds the metric-naming contract the
+// README's metric tables rely on (once the metricname analyzer's; DESIGN §9).
+// Every Metric* constant is a string literal in the dotted lower-case
+// namespace, declared once repo-wide so no two copies drift apart. Every name
+// handed to a registry's Counter, CounterFunc, Gauge or Histogram is a
+// Metric* constant or a *Counter/*Gauge/*Histogram builder's result, never a
+// literal, which records to a dead name when mistyped.
+func TestMetricNamesAreOwnedConstants(t *testing.T) {
+	nameRE := regexp.MustCompile(`^[a-z]+(\.[a-z_]+)+$`)
+	builderRE := regexp.MustCompile(`(Counter|Gauge|Histogram)$`)
+	registryRE := regexp.MustCompile(`^(Counter|CounterFunc|Gauge|Histogram)$`)
+	fset := token.NewFileSet()
+	declared := map[string][]token.Pos{}
+	for _, f := range goFiles(t, fset, false) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GenDecl:
+				for _, spec := range n.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					for i := 0; ok && n.Tok == token.CONST && i < len(vs.Names); i++ {
+						if name := vs.Names[i]; strings.HasPrefix(name.Name, "Metric") {
+							var value string // "" unless a string literal
+							if i < len(vs.Values) {
+								value, _ = strconv.Unquote(types.ExprString(vs.Values[i]))
+							}
+							if !nameRE.MatchString(value) {
+								t.Errorf("%s: %s is not a string literal matching %s", fset.Position(name.Pos()), name.Name, nameRE)
+							}
+							declared[value] = append(declared[value], name.Pos())
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if !registryRE.MatchString(lastName(n.Fun)) || len(n.Args) == 0 {
+					return true
+				}
+				arg, ok := ast.Unparen(n.Args[0]).(*ast.CallExpr)
+				if ok && !builderRE.MatchString(lastName(arg.Fun)) || !ok && !strings.HasPrefix(lastName(n.Args[0]), "Metric") {
+					t.Errorf("%s: the name passed to %s is neither a Metric* constant nor a *Counter/*Gauge/*Histogram builder",
+						fset.Position(n.Args[0].Pos()), lastName(n.Fun))
+				}
+			}
+			return true
+		})
+	}
+	for value, at := range declared {
+		if len(at) > 1 {
+			t.Errorf("metric name %q is declared %d times (%s, %s); keep one owning constant",
+				value, len(at), fset.Position(at[0]), fset.Position(at[1]))
+		}
+	}
+}
+
+// TestSentinelErrorsMatchedWithErrorsIs holds the error-matching rule the
+// signaling plane depends on (once the sentinelcmp analyzer's; DESIGN §9): a
+// sentinel crosses the UDP wire as a code and comes back wrapped, so == on
+// it, a switch case on it, or a comparison of Error() text stops matching
+// the moment an error gains a layer. Test files are held too: an assertion
+// made with == guards nothing once the error is wrapped. Names are matched,
+// not types; ErrCode* are wire codes, not errors.
+func TestSentinelErrorsMatchedWithErrorsIs(t *testing.T) {
+	sentinelRE := regexp.MustCompile(`^Err[A-Z]`)
+	sentinel := func(e ast.Expr) bool {
+		name := lastName(e)
+		return sentinelRE.MatchString(name) && !strings.HasPrefix(name, "ErrCode")
+	}
+	errorText := func(e ast.Expr) bool {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		return ok && len(call.Args) == 0 && lastName(call.Fun) == "Error"
+	}
+	fset := token.NewFileSet()
+	for _, f := range goFiles(t, fset, true) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if n.Op != token.EQL && n.Op != token.NEQ {
+					return true
+				}
+				isNil := lastName(n.X) == "nil" || lastName(n.Y) == "nil"
+				if !isNil && (sentinel(n.X) || sentinel(n.Y)) {
+					t.Errorf("%s: sentinel compared with %s; use errors.Is", fset.Position(n.Pos()), n.Op)
+				} else if errorText(n.X) || errorText(n.Y) {
+					t.Errorf("%s: error matched by its Error() text; use errors.Is", fset.Position(n.Pos()))
+				}
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					if sentinel(e) {
+						t.Errorf("%s: switch case on sentinel %s; use errors.Is", fset.Position(e.Pos()), lastName(e))
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestNoLockHeldAcrossBlockingCall holds that no mutex is held across a call
+// that can block indefinitely, making one slow peer head-of-line blocking for
+// every VC sharing the lock (once the lockscope analyzer's; DESIGN §9). A lock
+// is held from x.Lock() or x.RLock() to the unlock in the same statement list,
+// or to the end of the function when deferred; a branch is walked with a copy
+// of what is held, a deferred call or function literal not at all. Names are
+// matched: any x.Lock() is a mutex, Wait and net's read/write/dial/accept
+// methods count on any receiver, and a range is over a channel when its
+// operand's name is declared chan-typed in the package.
+func TestNoLockHeldAcrossBlockingCall(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs := map[string][]*ast.File{}
+	for _, f := range goFiles(t, fset, false) {
+		dir := filepath.Dir(fset.Position(f.Pos()).Filename)
+		pkgs[dir] = append(pkgs[dir], f)
+	}
+	isChan := func(e ast.Expr) bool { // chan T, or make(chan T, ...)
+		if call, ok := e.(*ast.CallExpr); ok && lastName(call.Fun) == "make" {
+			e = call.Args[0]
+		}
+		_, ok := e.(*ast.ChanType)
+		return ok
+	}
+	for _, files := range pkgs {
+		w := &lockWalk{t: t, fset: fset, chans: map[string]bool{}}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Field:
+					for _, id := range n.Names {
+						w.chans[id.Name] = w.chans[id.Name] || isChan(n.Type)
+					}
+				case *ast.ValueSpec:
+					for i, id := range n.Names {
+						w.chans[id.Name] = w.chans[id.Name] || isChan(n.Type) || i < len(n.Values) && isChan(n.Values[i])
+					}
+				case *ast.AssignStmt:
+					for i, rhs := range n.Rhs {
+						w.chans[lastName(n.Lhs[i])] = w.chans[lastName(n.Lhs[i])] || isChan(rhs)
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					w.stmts(fd.Body.List, map[string]bool{})
+				}
+			}
+		}
+	}
+}
+
+// blockingMethodRE matches the methods no lock is held across, on any
+// receiver: WaitGroup.Wait and the blocking methods of net's conns and
+// listeners.
+var blockingMethodRE = regexp.MustCompile(`^(Wait|Read|Write|ReadFrom|WriteTo|ReadFromUDP|WriteToUDP|ReadMsgUDP|WriteMsgUDP|Accept|AcceptTCP|AcceptUnix|Dial|DialContext)$`)
+
+// lockWalk walks one package's function bodies; held maps each locked
+// receiver, rendered as source ("p.mu"), to true.
+type lockWalk struct {
+	t     *testing.T
+	fset  *token.FileSet
+	chans map[string]bool // names the package declares chan-typed
+}
+
+func (w *lockWalk) stmts(list []ast.Stmt, held map[string]bool) {
+	for _, s := range list {
+		w.stmt(s, held)
+	}
+}
+
+func (w *lockWalk) stmt(s ast.Stmt, held map[string]bool) {
+	switch s := s.(type) {
+	case nil, *ast.DeferStmt: // defer x.Unlock() holds x to the end, as the walk does
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok && len(call.Args) == 0 {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				switch recv := types.ExprString(sel.X); sel.Sel.Name {
+				case "Lock", "RLock":
+					held[recv] = true
+					return
+				case "Unlock", "RUnlock":
+					delete(held, recv)
+					return
+				}
+			}
+		}
+		w.scan(s, held)
+	case *ast.GoStmt: // the goroutine blocks its own stack; its arguments are evaluated here
+		for _, arg := range s.Call.Args {
+			w.scan(arg, held)
+		}
+	case *ast.SendStmt:
+		w.blocking(s.Pos(), held, "a channel send")
+		w.scan(s.Value, held)
+	case *ast.IfStmt:
+		w.stmt(s.Init, held)
+		w.scan(s.Cond, held)
+		w.stmts(s.Body.List, maps.Clone(held))
+		w.stmt(s.Else, maps.Clone(held))
+	case *ast.BlockStmt:
+		w.stmts(s.List, held)
+	case *ast.ForStmt:
+		w.stmt(s.Init, held)
+		w.scan(s.Cond, held)
+		w.stmts(s.Body.List, maps.Clone(held))
+	case *ast.RangeStmt:
+		if w.chans[lastName(s.X)] {
+			w.blocking(s.X.Pos(), held, "a range over a channel")
+		}
+		w.scan(s.X, held)
+		w.stmts(s.Body.List, maps.Clone(held))
+	case *ast.SelectStmt:
+		if !slices.ContainsFunc(s.Body.List, func(c ast.Stmt) bool { return c.(*ast.CommClause).Comm == nil }) {
+			w.blocking(s.Pos(), held, "a select with no default case")
+		}
+		w.stmts(s.Body.List, held)
+	case *ast.SwitchStmt:
+		w.stmt(s.Init, held)
+		w.scan(s.Tag, held)
+		w.stmts(s.Body.List, held)
+	case *ast.TypeSwitchStmt:
+		w.stmts(s.Body.List, held)
+	case *ast.CaseClause:
+		w.stmts(s.Body, maps.Clone(held))
+	case *ast.CommClause: // the comm op ran as the select
+		w.stmts(s.Body, maps.Clone(held))
+	case *ast.LabeledStmt:
+		w.stmt(s.Stmt, held)
+	default: // assignments, returns, declarations
+		w.scan(s, held)
+	}
+}
+
+// scan reports the blocking operations in n while any lock is held.
+func (w *lockWalk) scan(n ast.Node, held map[string]bool) {
+	if len(held) == 0 || n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				w.blocking(n.Pos(), held, "a channel receive")
+			}
+		case *ast.CallExpr:
+			if name := lastName(n.Fun); pkgSel(n.Fun, "time") == "Sleep" || blockingMethodRE.MatchString(name) {
+				w.blocking(n.Pos(), held, "a "+name+" call")
+			}
+		}
+		return true
+	})
+}
+
+func (w *lockWalk) blocking(pos token.Pos, held map[string]bool, what string) {
+	for lock := range held {
+		w.t.Errorf("%s: %s is held across %s; release the lock first", w.fset.Position(pos), lock, what)
+	}
+}
+
 // TestEveryEventKindIsEmitted holds the rule PR 2's EventResync bug taught —
 // the kind was declared, had a wire name, and nothing recorded it: every
 // Event* constant of internal/metrics/eventlog.go is named as metrics.<Kind>
@@ -223,24 +525,12 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	declared, used := map[string]token.Pos{}, map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			if name := d.Name(); err == nil && (name == "testdata" || len(name) > 1 && name[0] == '.') {
-				return filepath.SkipDir
-			}
-			return err
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
+	for _, f := range goFiles(t, fset, false) {
+		inInternal := strings.HasPrefix(fset.Position(f.Pos()).Filename, "internal/")
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Recv == nil && strings.HasPrefix(n.Name.Name, "With") && strings.HasPrefix(path, "internal/") {
+				if n.Recv == nil && strings.HasPrefix(n.Name.Name, "With") && inInternal {
 					declared[f.Name.Name+"."+n.Name.Name] = n.Pos()
 				}
 			case *ast.SelectorExpr:
@@ -254,10 +544,6 @@ func TestEveryOptionHasACaller(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for name, pos := range declared {
 		if why := allowed[name]; !used[name] && why == "" {
