@@ -112,11 +112,14 @@ func topologyRun(args []string) error {
 	)
 	const egressPort = 1
 	names := make([]string, *hopCount, *hopCount+1)
+	var bneck *switchfab.Switch // the last switch: its egress is the bottleneck
 	for i := range names {
 		names[i] = "s" + strconv.Itoa(i+1)
-		if err := m.AddSwitch(names[i], switchfab.New()); err != nil {
+		sw := switchfab.New()
+		if err := m.AddSwitch(names[i], sw); err != nil {
 			return err
 		}
+		bneck = sw
 	}
 	if err := m.AddHost("sink"); err != nil {
 		return err
@@ -213,7 +216,7 @@ func topologyRun(args []string) error {
 		if t%*sample != 0 {
 			continue
 		}
-		reserved, capacity, err := m.PortLoad(last, egressPort)
+		reserved, capacity, err := bneck.PortLoad(egressPort)
 		if err != nil {
 			return err
 		}

@@ -34,8 +34,6 @@ const (
 	MetricFailures      = "heuristic.renegotiation_failures"
 	MetricHighCrossings = "heuristic.highwater_crossings"
 	MetricLowCrossings  = "heuristic.lowwater_crossings"
-	MetricRateGauge     = "heuristic.rate_bps"
-	MetricOccupancy     = "heuristic.occupancy_bits"
 )
 
 // Predictor produces a smoothed estimate of the source rate from per-slot
@@ -178,8 +176,10 @@ type Params struct {
 	// request is issued (one outstanding renegotiation per source).
 	SignalDelaySlots int
 	// Metrics, when non-nil, receives the controller's renegotiation
-	// trigger/failure counters, buffer threshold-crossing counters, and
-	// rate/occupancy gauges.
+	// trigger/failure counters and buffer threshold-crossing counters. The
+	// rate and occupancy themselves are the Source's (Rate, Occupancy): a
+	// registry shared by several controllers would hold whichever stepped
+	// last.
 	Metrics *metrics.Registry
 }
 
@@ -241,8 +241,6 @@ type instruments struct {
 	failures  *metrics.Counter
 	highCross *metrics.Counter
 	lowCross  *metrics.Counter
-	rate      *metrics.Gauge
-	occupancy *metrics.Gauge
 }
 
 // Controller runs the heuristic online against a Source. Use Run for the
@@ -284,10 +282,7 @@ func NewController(src *core.Source, p Params, net Negotiator) (*Controller, err
 			failures:  reg.Counter(MetricFailures),
 			highCross: reg.Counter(MetricHighCrossings),
 			lowCross:  reg.Counter(MetricLowCrossings),
-			rate:      reg.Gauge(MetricRateGauge),
-			occupancy: reg.Gauge(MetricOccupancy),
 		}
-		c.ins.rate.Set(src.Rate())
 	}
 	return c, nil
 }
@@ -318,7 +313,6 @@ func (c *Controller) Step(arrivalBits float64) (rate float64, attempted, failed 
 		c.ins.lowCross.Inc()
 	}
 	c.prevOcc = b
-	c.ins.occupancy.Set(b)
 	if !c.params.DisableFlushTerm {
 		est += b / (c.params.FlushSlots * c.src.SlotSeconds())
 	}
@@ -347,7 +341,6 @@ func (c *Controller) Step(arrivalBits float64) (rate float64, attempted, failed 
 			}
 		}
 	}
-	c.ins.rate.Set(c.src.Rate())
 	return c.src.Rate(), attempted, failed
 }
 

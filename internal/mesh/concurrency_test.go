@@ -76,7 +76,7 @@ func TestConcurrentBottleneckNoOvercommit(t *testing.T) {
 						return
 					}
 				}
-				if reserved, capacity, err := m.PortLoad("bneck", 1); err != nil || reserved > capacity+1e-6 {
+				if reserved, capacity, err := shared.PortLoad(1); err != nil || reserved > capacity+1e-6 {
 					t.Errorf("bottleneck over-committed mid-storm: %v of %v (%v)", reserved, capacity, err)
 					return
 				}
@@ -84,7 +84,7 @@ func TestConcurrentBottleneckNoOvercommit(t *testing.T) {
 		}(i, p)
 	}
 	wg.Wait()
-	reserved, capacity, err := m.PortLoad("bneck", 1)
+	reserved, capacity, err := shared.PortLoad(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +119,12 @@ func TestMinAlongPathProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		names := make([]string, nHops)
+		sws := make([]*switchfab.Switch, nHops)
 		minCeiling := float64(capacity)
 		for i := range names {
 			names[i] = "s" + string(rune('a'+i))
-			if err := m.AddSwitch(names[i], switchfab.New()); err != nil {
+			sws[i] = switchfab.New()
+			if err := m.AddSwitch(names[i], sws[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -183,7 +185,7 @@ func TestMinAlongPathProperty(t *testing.T) {
 		}
 		// Every hop holds exactly its competitor plus the granted rate.
 		for i, name := range names {
-			reserved, _, err := m.PortLoad(name, 1)
+			reserved, _, err := sws[i].PortLoad(1)
 			if err != nil {
 				t.Fatal(err)
 			}

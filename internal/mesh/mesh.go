@@ -47,33 +47,11 @@ const (
 	MetricMeshHopTimeouts = "mesh.hop_timeouts"
 )
 
-// HopRenegLatencyHistogram returns the name of the named hop's
-// renegotiation-latency histogram (seconds, including the modeled
-// propagation wait into the hop).
-func HopRenegLatencyHistogram(hop string) string {
-	return "mesh.hop_reneg_latency." + hop
-}
-
-// instruments caches the mesh's registry handles; all nil-safe no-ops
-// when no registry is configured.
-type instruments struct {
-	setups      *metrics.Counter
-	setupFails  *metrics.Counter
-	teardowns   *metrics.Counter
-	renegs      *metrics.Counter
-	grants      *metrics.Counter
-	partials    *metrics.Counter
-	denials     *metrics.Counter
-	rollbacks   *metrics.Counter
-	hopTimeouts *metrics.Counter
-}
-
-// node is one registered hop: a name, its signaling transport (nil for a
-// pure endpoint host), and its cached latency histogram.
+// node is one registered hop: a name and its signaling transport (nil for
+// a pure endpoint host).
 type node struct {
 	name string
 	tr   Transport
-	lat  *metrics.Histogram
 }
 
 // Link joins two registered nodes. Capacity is realized as the egress
@@ -98,7 +76,11 @@ type Mesh struct {
 	delayScale float64
 	reg        *metrics.Registry
 	events     *metrics.EventLog
-	ins        instruments
+	// renegs counts renegotiation attempts; counters holds one counter per
+	// event kind the mesh emits. All are nil-safe no-ops when no registry
+	// is configured.
+	renegs   *metrics.Counter
+	counters map[metrics.EventKind]*metrics.Counter
 
 	mu    sync.Mutex
 	nodes map[string]*node
@@ -116,8 +98,7 @@ func WithHopTimeout(d time.Duration) Option {
 	return func(m *Mesh) { m.hopTimeout = d }
 }
 
-// WithMetrics directs the mesh's counters and per-hop latency histograms
-// into reg.
+// WithMetrics directs the mesh's counters into reg.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(m *Mesh) { m.reg = reg }
 }
@@ -147,16 +128,16 @@ func New(opts ...Option) *Mesh {
 	for _, opt := range opts {
 		opt(m)
 	}
-	m.ins = instruments{
-		setups:      m.reg.Counter(MetricMeshSetups),
-		setupFails:  m.reg.Counter(MetricMeshSetupFails),
-		teardowns:   m.reg.Counter(MetricMeshTeardowns),
-		renegs:      m.reg.Counter(MetricMeshRenegs),
-		grants:      m.reg.Counter(MetricMeshGrants),
-		partials:    m.reg.Counter(MetricMeshPartials),
-		denials:     m.reg.Counter(MetricMeshDenials),
-		rollbacks:   m.reg.Counter(MetricMeshRollbackHops),
-		hopTimeouts: m.reg.Counter(MetricMeshHopTimeouts),
+	m.renegs = m.reg.Counter(MetricMeshRenegs)
+	m.counters = map[metrics.EventKind]*metrics.Counter{
+		metrics.EventPathSetup:     m.reg.Counter(MetricMeshSetups),
+		metrics.EventPathSetupFail: m.reg.Counter(MetricMeshSetupFails),
+		metrics.EventPathTeardown:  m.reg.Counter(MetricMeshTeardowns),
+		metrics.EventPathGrant:     m.reg.Counter(MetricMeshGrants),
+		metrics.EventPathPartial:   m.reg.Counter(MetricMeshPartials),
+		metrics.EventPathDeny:      m.reg.Counter(MetricMeshDenials),
+		metrics.EventHopRollback:   m.reg.Counter(MetricMeshRollbackHops),
+		metrics.EventHopTimeout:    m.reg.Counter(MetricMeshHopTimeouts),
 	}
 	return m
 }
@@ -166,16 +147,12 @@ func (m *Mesh) addNode(name string, tr Transport) error {
 	if name == "" {
 		return fmt.Errorf("mesh: empty node name")
 	}
-	var lat *metrics.Histogram
-	if tr != nil {
-		lat = m.reg.Histogram(HopRenegLatencyHistogram(name), metrics.DefBuckets)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.nodes[name]; dup {
 		return fmt.Errorf("%w: %s", ErrNodeExists, name)
 	}
-	m.nodes[name] = &node{name: name, tr: tr, lat: lat}
+	m.nodes[name] = &node{name: name, tr: tr}
 	return nil
 }
 
@@ -258,13 +235,6 @@ func (h Hop) Port() int { return h.port }
 // egress leads into.
 func (h Hop) Delay() time.Duration { return h.delay }
 
-// observe records one hop-operation latency.
-func (h Hop) observe(start int64) {
-	if h.node != nil {
-		h.node.lat.ObserveSince(start)
-	}
-}
-
 // Route resolves a node sequence (source switch first, destination last)
 // into the hops a path crosses: one per forwarding node, each bound to the
 // egress port of the link toward the next name. The final name only
@@ -291,22 +261,6 @@ func (m *Mesh) Route(names ...string) ([]Hop, error) {
 		hops = append(hops, Hop{node: n, port: l.Port, delay: l.Delay})
 	}
 	return hops, nil
-}
-
-// PortLoad reports the reservation state of the named in-process switch's
-// port, for capacity accounting in tests and experiments.
-func (m *Mesh) PortLoad(name string, port int) (reserved, capacity float64, err error) {
-	m.mu.Lock()
-	n, ok := m.nodes[name]
-	m.mu.Unlock()
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %s", ErrNoNode, name)
-	}
-	st, ok := n.tr.(SwitchTransport)
-	if !ok {
-		return 0, 0, fmt.Errorf("mesh: node %s is not an in-process switch", name)
-	}
-	return st.Switch.PortLoad(port)
 }
 
 // wait blocks for the scaled propagation delay d, or until ctx is done.
@@ -348,7 +302,9 @@ func (m *Mesh) detached(ctx context.Context) (context.Context, context.CancelFun
 	return context.WithTimeout(context.WithoutCancel(ctx), d)
 }
 
-// record emits one mesh event.
-func (m *Mesh) record(e metrics.Event) {
+// emit accounts one mesh fact: it bumps the counter for e.Kind and records
+// e in the event log.
+func (m *Mesh) emit(e metrics.Event) {
+	m.counters[e.Kind].Inc()
 	m.events.Record(e)
 }

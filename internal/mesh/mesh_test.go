@@ -12,14 +12,17 @@ import (
 
 // line builds a linear topology src -> s0 -> s1 -> ... -> dst with one
 // switch per forwarding hop, every link at the given capacity, and the
-// given per-link delay. It returns the mesh and the route's hops.
-func line(t *testing.T, nHops int, capacity float64, delay time.Duration, opts ...Option) (*Mesh, []Hop) {
+// given per-link delay. It returns the mesh, the route's hops, and hop i's
+// switch as sws[i].
+func line(t *testing.T, nHops int, capacity float64, delay time.Duration, opts ...Option) (*Mesh, []Hop, []*switchfab.Switch) {
 	t.Helper()
 	m := New(opts...)
 	names := make([]string, 0, nHops+1)
-	for i := 0; i < nHops; i++ {
+	sws := make([]*switchfab.Switch, nHops)
+	for i := range sws {
 		name := string(rune('a' + i))
-		if err := m.AddSwitch(name, switchfab.New()); err != nil {
+		sws[i] = switchfab.New()
+		if err := m.AddSwitch(name, sws[i]); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, name)
@@ -37,7 +40,7 @@ func line(t *testing.T, nHops int, capacity float64, delay time.Duration, opts .
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, hops
+	return m, hops, sws
 }
 
 func TestTopologyErrors(t *testing.T) {
@@ -77,7 +80,7 @@ func TestTopologyErrors(t *testing.T) {
 func TestSetupAndTeardown(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ring := metrics.NewEventLog(64)
-	m, hops := line(t, 3, 1e6, 0, WithMetrics(reg), WithEvents(ring))
+	m, hops, sws := line(t, 3, 1e6, 0, WithMetrics(reg), WithEvents(ring))
 	ctx := context.Background()
 	id := switchfab.MakeVCID(1, 7)
 	p, err := m.SetupPath(ctx, id, hops, 300e3)
@@ -87,18 +90,18 @@ func TestSetupAndTeardown(t *testing.T) {
 	if p.Rate() != 300e3 || p.Hops() != 3 || p.VCID() != id {
 		t.Fatalf("path state: rate=%v hops=%d id=%s", p.Rate(), p.Hops(), p.VCID())
 	}
-	for _, name := range []string{"a", "b", "c"} {
-		reserved, _, err := m.PortLoad(name, 1)
+	for i, sw := range sws {
+		reserved, _, err := sw.PortLoad(1)
 		if err != nil || reserved != 300e3 {
-			t.Fatalf("%s reserved = %v, %v", name, reserved, err)
+			t.Fatalf("%s reserved = %v, %v", hops[i].Name(), reserved, err)
 		}
 	}
 	if err := p.Teardown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"a", "b", "c"} {
-		if reserved, _, _ := m.PortLoad(name, 1); reserved != 0 {
-			t.Fatalf("%s reserved after teardown = %v", name, reserved)
+	for i, sw := range sws {
+		if reserved, _, _ := sw.PortLoad(1); reserved != 0 {
+			t.Fatalf("%s reserved after teardown = %v", hops[i].Name(), reserved)
 		}
 	}
 	// Idempotent: a second teardown is a no-op, and renegotiation fails.
@@ -118,7 +121,7 @@ func TestSetupAndTeardown(t *testing.T) {
 
 func TestSetupMidPathFailureUnwinds(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m, hops := line(t, 3, 1e6, 0, WithMetrics(reg))
+	m, hops, sws := line(t, 3, 1e6, 0, WithMetrics(reg))
 	ctx := context.Background()
 	// Fill hop c so the third hop rejects the setup.
 	if _, err := m.SetupPath(ctx, 1, hops[2:], 900e3); err != nil {
@@ -129,9 +132,9 @@ func TestSetupMidPathFailureUnwinds(t *testing.T) {
 		t.Fatalf("want capacity error, got %v", err)
 	}
 	// Hops a and b reserved for VC 2 and then unwound.
-	for _, name := range []string{"a", "b"} {
-		if reserved, _, _ := m.PortLoad(name, 1); reserved != 0 {
-			t.Fatalf("%s reserved after failed setup = %v", name, reserved)
+	for i, sw := range sws[:2] {
+		if reserved, _, _ := sw.PortLoad(1); reserved != 0 {
+			t.Fatalf("%s reserved after failed setup = %v", hops[i].Name(), reserved)
 		}
 	}
 	if c := reg.Counter(MetricMeshSetupFails).Value(); c != 1 {
@@ -143,7 +146,7 @@ func TestSetupMidPathFailureUnwinds(t *testing.T) {
 }
 
 func TestRenegotiateFullAndDecrease(t *testing.T) {
-	m, hops := line(t, 4, 1e6, 0)
+	m, hops, sws := line(t, 4, 1e6, 0)
 	ctx := context.Background()
 	p, err := m.SetupPath(ctx, 9, hops, 100e3)
 	if err != nil {
@@ -157,9 +160,9 @@ func TestRenegotiateFullAndDecrease(t *testing.T) {
 	if err != nil || got != 200e3 {
 		t.Fatalf("decrease: %v, %v", got, err)
 	}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		if reserved, _, _ := m.PortLoad(name, 1); reserved != 200e3 {
-			t.Fatalf("%s reserved = %v", name, reserved)
+	for i, sw := range sws {
+		if reserved, _, _ := sw.PortLoad(1); reserved != 200e3 {
+			t.Fatalf("%s reserved = %v", hops[i].Name(), reserved)
 		}
 	}
 	// No-op renegotiation.
@@ -173,7 +176,7 @@ func TestRenegotiateFullAndDecrease(t *testing.T) {
 
 func TestRenegotiatePartialSettlesAtMin(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m, hops := line(t, 3, 1e6, 0, WithMetrics(reg))
+	m, hops, sws := line(t, 3, 1e6, 0, WithMetrics(reg))
 	ctx := context.Background()
 	// A competing VC narrows hop b to 400k of headroom for the path.
 	if _, err := m.SetupPath(ctx, 1, hops[1:2], 500e3); err != nil {
@@ -200,12 +203,12 @@ func TestRenegotiatePartialSettlesAtMin(t *testing.T) {
 	}
 	// The backward settle pass gave hop a's and c's excess back: every
 	// hop holds exactly the end-to-end rate.
-	for _, name := range []string{"a", "c"} {
-		if reserved, _, _ := m.PortLoad(name, 1); reserved != 500e3 {
-			t.Fatalf("%s reserved = %v (settle pass failed)", name, reserved)
+	for _, i := range []int{0, 2} {
+		if reserved, _, _ := sws[i].PortLoad(1); reserved != 500e3 {
+			t.Fatalf("%s reserved = %v (settle pass failed)", hops[i].Name(), reserved)
 		}
 	}
-	if reserved, _, _ := m.PortLoad("b", 1); reserved != 1e6 {
+	if reserved, _, _ := sws[1].PortLoad(1); reserved != 1e6 {
 		t.Fatalf("b reserved = %v", reserved)
 	}
 	if c := reg.Counter(MetricMeshPartials).Value(); c != 1 {
@@ -216,7 +219,7 @@ func TestRenegotiatePartialSettlesAtMin(t *testing.T) {
 func TestRenegotiateFlatDenialRollsBack(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ring := metrics.NewEventLog(64)
-	m, hops := line(t, 3, 1e6, 0, WithMetrics(reg), WithEvents(ring))
+	m, hops, sws := line(t, 3, 1e6, 0, WithMetrics(reg), WithEvents(ring))
 	ctx := context.Background()
 	// Saturate hop c completely: zero headroom for any increase.
 	if _, err := m.SetupPath(ctx, 1, hops[2:], 900e3); err != nil {
@@ -238,9 +241,9 @@ func TestRenegotiateFlatDenialRollsBack(t *testing.T) {
 		t.Fatalf("rate after denial = %v", p.Rate())
 	}
 	// Hops a and b briefly held 600k and were rolled back.
-	for _, name := range []string{"a", "b"} {
-		if reserved, _, _ := m.PortLoad(name, 1); reserved != 100e3 {
-			t.Fatalf("%s reserved after rollback = %v", name, reserved)
+	for i, sw := range sws[:2] {
+		if reserved, _, _ := sw.PortLoad(1); reserved != 100e3 {
+			t.Fatalf("%s reserved after rollback = %v", hops[i].Name(), reserved)
 		}
 	}
 	if c := reg.Counter(MetricMeshDenials).Value(); c != 1 {
@@ -261,17 +264,8 @@ func TestRenegotiateFlatDenialRollsBack(t *testing.T) {
 	if !sawDeny || !sawRollback {
 		t.Errorf("event trace missing deny/rollback: deny=%v rollback=%v", sawDeny, sawRollback)
 	}
-	// Every hop decided the denied increase and now a granted decrease:
-	// two observations each in its latency histogram (rollbacks are not
-	// timed). A histogram created and never fed reads as "nothing is slow".
 	if got, err := p.Renegotiate(ctx, 50e3); err != nil || got != 50e3 {
 		t.Fatalf("granted decrease: %v, %v", got, err)
-	}
-	snap := reg.Snapshot()
-	for _, name := range []string{"a", "b", "c"} {
-		if n := snap.Histograms[HopRenegLatencyHistogram(name)].Count; n != 2 {
-			t.Errorf("%s observations = %d, want 2", HopRenegLatencyHistogram(name), n)
-		}
 	}
 }
 
@@ -406,7 +400,7 @@ func TestHopTimeoutUnwedgesPath(t *testing.T) {
 }
 
 func TestDelayAndRTT(t *testing.T) {
-	m, hops := line(t, 3, 1e6, 10*time.Millisecond)
+	m, hops, _ := line(t, 3, 1e6, 10*time.Millisecond)
 	ctx := context.Background()
 	p, err := m.SetupPath(ctx, 1, hops, 100e3)
 	if err != nil {
@@ -425,7 +419,7 @@ func TestDelayAndRTT(t *testing.T) {
 		t.Fatalf("renegotiation did not pay the propagation delay: %v", elapsed)
 	}
 	// With the scale at zero the same topology is instantaneous.
-	m0, hops0 := line(t, 3, 1e6, 10*time.Millisecond, WithDelayScale(0))
+	m0, hops0, _ := line(t, 3, 1e6, 10*time.Millisecond, WithDelayScale(0))
 	p0, err := m0.SetupPath(ctx, 1, hops0, 100e3)
 	if err != nil {
 		t.Fatal(err)
@@ -439,5 +433,128 @@ func TestDelayAndRTT(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("scaled-out delay still waited: %v", elapsed)
+	}
+}
+
+// wedgeable blocks renegotiations until their context dies while wedged is
+// set, and passes them through otherwise.
+type wedgeable struct {
+	Transport
+	wedged bool
+}
+
+func (w *wedgeable) RenegotiateBest(ctx context.Context, id switchfab.VCID, current, target float64) (float64, bool, error) {
+	if w.wedged {
+		<-ctx.Done()
+		return 0, false, ctx.Err()
+	}
+	return w.Transport.RenegotiateBest(ctx, id, current, target)
+}
+
+// TestEveryMeshCounterCountsItsEvents drives one path through every outcome
+// a mesh transaction has and then holds each mesh counter to the number of
+// events of its kind in a log too large to wrap: one fact, one count.
+func TestEveryMeshCounterCountsItsEvents(t *testing.T) {
+	reg := metrics.NewRegistry()
+	ring := metrics.NewEventLog(1024)
+	m := New(WithHopTimeout(25*time.Millisecond), WithMetrics(reg), WithEvents(ring))
+	swB := switchfab.New()
+	if err := swB.AddPort(1, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	b := &wedgeable{Transport: SwitchTransport{Switch: swB}}
+	for _, step := range []error{
+		m.AddSwitch("a", switchfab.New()),
+		m.AddTransport("b", b),
+		m.AddSwitch("c", switchfab.New()),
+		m.AddHost("dst"),
+		m.AddLink("a", "b", 1, 1e6, 0),
+		m.AddLink("b", "c", 1, 1e6, 0),
+		m.AddLink("c", "dst", 1, 1e6, 0),
+	} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	hops, err := m.Route("a", "b", "c", "dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	other, err := m.SetupPath(ctx, 100, hops[2:], 500e3) // c: 500k of 1M taken
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.SetupPath(ctx, 1, hops, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		target, want float64
+		wedge        bool
+	}{
+		{300e3, 300e3, false}, // full grant
+		{900e3, 500e3, false}, // partial: c bounds the path, and is now full
+		{600e3, 500e3, false}, // flat denial at c; a and b roll back
+		{200e3, 200e3, false}, // decrease
+		{250e3, 200e3, true},  // hop timeout at b; a rolls back
+	} {
+		b.wedged = step.wedge
+		if got, _ := p.Renegotiate(ctx, step.target); got != step.want {
+			t.Fatalf("Renegotiate(%g) = %g, want %g", step.target, got, step.want)
+		}
+	}
+	b.wedged = false
+	if _, err := m.SetupPath(ctx, 2, hops, 600e3); !errors.Is(err, switchfab.ErrCapacity) {
+		t.Fatalf("mid-path setup failure at c: %v", err)
+	}
+	for _, q := range []*Path{p, other} {
+		if err := q.Teardown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if ring.Total() != uint64(len(ring.Events())) {
+		t.Fatalf("event log wrapped: %d recorded, %d retained", ring.Total(), len(ring.Events()))
+	}
+	seen := map[metrics.EventKind]int64{}
+	for _, e := range ring.Events() {
+		seen[e.Kind]++
+	}
+	snap := reg.Snapshot()
+	for name, kind := range map[string]metrics.EventKind{
+		MetricMeshSetups:       metrics.EventPathSetup,
+		MetricMeshSetupFails:   metrics.EventPathSetupFail,
+		MetricMeshTeardowns:    metrics.EventPathTeardown,
+		MetricMeshGrants:       metrics.EventPathGrant,
+		MetricMeshPartials:     metrics.EventPathPartial,
+		MetricMeshDenials:      metrics.EventPathDeny,
+		MetricMeshRollbackHops: metrics.EventHopRollback,
+		MetricMeshHopTimeouts:  metrics.EventHopTimeout,
+	} {
+		if got := snap.Counters[name]; got != seen[kind] || got == 0 {
+			t.Errorf("%s = %d, %s events = %d; want equal and nonzero", name, got, kind, seen[kind])
+		}
+	}
+	if got := snap.Counters[MetricMeshRenegs]; got != 5 {
+		t.Errorf("%s = %d, want 5", MetricMeshRenegs, got)
+	}
+}
+
+// TestRenegotiateAllocs pins an in-process 3-hop round trip, up then down,
+// to the two allocations the walks' granted-rate slices cost: the closures
+// a walk and an unwind take must stay on the stack.
+func TestRenegotiateAllocs(t *testing.T) {
+	m, hops, _ := line(t, 3, 10e6, 0, WithDelayScale(0))
+	ctx := context.Background()
+	p, err := m.SetupPath(ctx, 1, hops, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		_, _ = p.Renegotiate(ctx, 500e3)
+		_, _ = p.Renegotiate(ctx, 100e3)
+	}); allocs > 2 {
+		t.Fatalf("a renegotiation round trip allocates %.1f times, want at most 2", allocs)
 	}
 }

@@ -38,6 +38,10 @@ func (e *RateError) Error() string {
 // Unwrap ties the error to the capacity sentinel.
 func (e *RateError) Unwrap() error { return switchfab.ErrCapacity }
 
+// errDenied stops a renegotiation's walk at a hop with no headroom for the
+// increase; Renegotiate turns it into a *RateError.
+var errDenied = errors.New("mesh: no headroom")
+
 // Path is an established multi-hop RCBR connection. Create with
 // Mesh.SetupPath. Renegotiate and Teardown serialize against each other
 // per path; distinct paths proceed concurrently.
@@ -67,48 +71,26 @@ func (m *Mesh) SetupPath(ctx context.Context, id switchfab.VCID, hops []Hop, rat
 	if len(hops) == 0 {
 		return nil, fmt.Errorf("mesh: empty path")
 	}
-	for i, h := range hops {
-		hctx, cancel := m.hopBudget(ctx)
-		var err error
-		if i > 0 {
-			err = m.wait(hctx, hops[i-1].delay)
-		}
-		timedOut := err != nil // expired in flight: the request never reached this hop
-		if err == nil {
-			err = h.node.tr.Setup(hctx, id, h.port, rate)
-		}
-		cancel()
-		if err != nil {
-			if timedOut || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				m.ins.hopTimeouts.Inc()
-				m.record(metrics.Event{
-					Kind: metrics.EventHopTimeout, VPI: id.VPI(), VCI: id.VCI(),
-					Port: h.port, Requested: rate, Hop: h.Name(),
-				})
-			}
-			m.ins.setupFails.Inc()
-			m.record(metrics.Event{
-				Kind: metrics.EventPathSetupFail, VPI: id.VPI(), VCI: id.VCI(),
-				Port: h.port, Requested: rate, Hop: h.Name(),
-			})
-			m.unwindSetup(ctx, id, hops[:i])
-			return nil, fmt.Errorf("mesh: setup %s at hop %d (%s): %w", id, i, h.Name(), err)
-		}
-	}
-	// The backward confirmation travels the whole path back to the source.
-	if err := m.wait(ctx, signalDelay(hops)); err != nil {
-		// Every hop reserved, but the source never heard: unwind them all.
-		m.ins.setupFails.Inc()
-		m.record(metrics.Event{
-			Kind: metrics.EventPathSetupFail, VPI: id.VPI(), VCI: id.VCI(), Requested: rate,
-		})
-		m.unwindSetup(ctx, id, hops)
-		return nil, fmt.Errorf("mesh: setup %s: confirmation lost: %w", id, err)
-	}
-	m.ins.setups.Inc()
-	m.record(metrics.Event{
-		Kind: metrics.EventPathSetup, VPI: id.VPI(), VCI: id.VCI(), Rate: rate,
+	n, err := m.walk(ctx, id, hops, 0, rate, func(hctx context.Context, i int) error {
+		return hops[i].node.tr.Setup(hctx, id, hops[i].port, rate)
 	})
+	fail := metrics.Event{Kind: metrics.EventPathSetupFail, VPI: id.VPI(), VCI: id.VCI(), Requested: rate}
+	if err != nil {
+		fail.Port, fail.Hop = hops[n].port, hops[n].Name()
+		err = fmt.Errorf("mesh: setup %s at hop %d (%s): %w", id, n, hops[n].Name(), err)
+	} else if err = m.wait(ctx, signalDelay(hops)); err != nil {
+		// Every hop reserved, but the backward confirmation never reached
+		// the source: unwind them all.
+		err = fmt.Errorf("mesh: setup %s: confirmation lost: %w", id, err)
+	}
+	if err != nil {
+		m.emit(fail)
+		m.unwind(ctx, id, hops[:n], func(dctx context.Context, j int) {
+			_ = hops[j].node.tr.Teardown(dctx, id)
+		})
+		return nil, err
+	}
+	m.emit(metrics.Event{Kind: metrics.EventPathSetup, VPI: id.VPI(), VCI: id.VCI(), Rate: rate})
 	return &Path{
 		m:    m,
 		id:   id,
@@ -118,16 +100,45 @@ func (m *Mesh) SetupPath(ctx context.Context, id switchfab.VCID, hops []Hop, rat
 	}, nil
 }
 
-// unwindSetup releases the reservations of the hops a failed setup
-// already took, deepest first, under detached contexts (the unwind must
-// proceed even when the caller's context is what failed the setup).
-func (m *Mesh) unwindSetup(ctx context.Context, id switchfab.VCID, done []Hop) {
+// walk runs op at each hop in turn, downstream: each hop's share runs under
+// the hop budget, first waiting out the link into the hop, then calling op.
+// It stops at the first hop that fails and returns that hop's index and
+// error, having recorded a hop timeout when a deadline or cancellation
+// caused the failure; it returns len(hops) when every hop succeeded. rate
+// and requested are the timeout event's rate fields.
+func (m *Mesh) walk(ctx context.Context, id switchfab.VCID, hops []Hop, rate, requested float64, op func(hctx context.Context, i int) error) (int, error) {
+	for i, h := range hops {
+		hctx, cancel := m.hopBudget(ctx)
+		var err error
+		if i > 0 {
+			err = m.wait(hctx, hops[i-1].delay) // expired in flight: the request never reached hop i
+		}
+		if err == nil {
+			err = op(hctx, i)
+		}
+		cancel()
+		if err != nil {
+			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+				m.emit(metrics.Event{
+					Kind: metrics.EventHopTimeout, VPI: id.VPI(), VCI: id.VCI(),
+					Port: h.port, Rate: rate, Requested: requested, Hop: h.Name(),
+				})
+			}
+			return i, err
+		}
+	}
+	return len(hops), nil
+}
+
+// unwind compensates the hops a failed transaction already changed, deepest
+// first, by calling undo for each under a detached context: the unwind must
+// proceed even when the caller's context is what failed the transaction.
+func (m *Mesh) unwind(ctx context.Context, id switchfab.VCID, done []Hop, undo func(dctx context.Context, j int)) {
 	for j := len(done) - 1; j >= 0; j-- {
 		dctx, cancel := m.detached(ctx)
-		_ = done[j].node.tr.Teardown(dctx, id)
+		undo(dctx, j)
 		cancel()
-		m.ins.rollbacks.Inc()
-		m.record(metrics.Event{
+		m.emit(metrics.Event{
 			Kind: metrics.EventHopRollback, VPI: id.VPI(), VCI: id.VCI(),
 			Port: done[j].port, Hop: done[j].Name(),
 		})
@@ -212,161 +223,76 @@ func (p *Path) Renegotiate(ctx context.Context, target float64) (float64, error)
 	if target == cur {
 		return cur, nil
 	}
-	p.m.ins.renegs.Inc()
-	if target < cur {
-		return p.decrease(ctx, cur, target)
-	}
-	return p.increase(ctx, cur, target)
-}
-
-// decrease settles a rate decrease, which every hop grants in full.
-func (p *Path) decrease(ctx context.Context, cur, target float64) (float64, error) {
 	m := p.m
+	m.renegs.Inc()
+	// granted[i] is the rate hop i holds for the VC once the walk has passed
+	// it; want is the smallest rate any hop so far allowed.
 	granted := make([]float64, len(p.hops))
-	for i, h := range p.hops {
-		granted[i] = cur
-		hctx, cancel := m.hopBudget(ctx)
-		var err error
-		if i > 0 {
-			err = m.wait(hctx, p.hops[i-1].delay)
-		}
-		start := metrics.Nanotime()
-		if err == nil {
-			_, _, err = h.node.tr.RenegotiateBest(hctx, p.id, cur, target)
-		}
-		cancel()
-		h.observe(start)
+	want, minHop := target, 0
+	n, err := m.walk(ctx, p.id, p.hops, cur, target, func(hctx context.Context, i int) error {
+		g, _, err := p.hops[i].node.tr.RenegotiateBest(hctx, p.id, cur, want)
 		if err != nil {
-			// A decrease cannot be denied; only a timeout or transport
-			// failure lands here. Hops before i already decreased — that
-			// over-commits nothing, but re-raise them so every hop agrees
-			// with p.rate again.
-			p.recordHopTimeout(h, cur, target, err)
-			p.rollbackRates(ctx, i-1, cur, granted)
-			return cur, fmt.Errorf("mesh: decrease %s at hop %d (%s): %w", p.id, i, h.Name(), err)
-		}
-		granted[i] = target
-	}
-	// The reply's propagation only delays when the source learns of a
-	// decrease, never whether it holds; a lost reply changes nothing.
-	_ = m.wait(ctx, signalDelay(p.hops))
-	p.setRate(target)
-	m.ins.grants.Inc()
-	m.record(metrics.Event{
-		Kind: metrics.EventPathGrant, VPI: p.id.VPI(), VCI: p.id.VCI(), Rate: target,
-	})
-	return target, nil
-}
-
-// increase settles a rate increase at the minimum any hop grants.
-func (p *Path) increase(ctx context.Context, cur, target float64) (float64, error) {
-	m := p.m
-	granted := make([]float64, len(p.hops))
-	want := target
-	minHop := 0
-	for i, h := range p.hops {
-		hctx, cancel := m.hopBudget(ctx)
-		var err error
-		if i > 0 {
-			err = m.wait(hctx, p.hops[i-1].delay)
-		}
-		start := metrics.Nanotime()
-		var g float64
-		if err == nil {
-			g, _, err = h.node.tr.RenegotiateBest(hctx, p.id, cur, want)
-		}
-		cancel()
-		h.observe(start)
-		if err != nil {
-			p.recordHopTimeout(h, cur, want, err)
-			p.rollbackRates(ctx, i-1, cur, granted)
-			return cur, fmt.Errorf("mesh: renegotiate %s at hop %d (%s): %w", p.id, i, h.Name(), err)
+			return err
 		}
 		granted[i] = g
 		if g < want {
-			want = g
-			minHop = i
+			want, minHop = g, i
 		}
-		if want <= cur {
-			// Zero headroom at this hop: the end-to-end request fails and
-			// every upstream grant unwinds (Section III-A.1, end to end).
-			p.rollbackRates(ctx, i, cur, granted)
-			m.ins.denials.Inc()
-			m.record(metrics.Event{
-				Kind: metrics.EventPathDeny, VPI: p.id.VPI(), VCI: p.id.VCI(),
-				Port: h.port, Rate: cur, Requested: target, Hop: h.Name(),
-			})
-			return cur, &RateError{Hop: i, HopName: h.Name(), Requested: target, Offered: cur}
+		if target > cur && want <= cur {
+			// Zero headroom at this hop (which therefore still holds cur):
+			// the end-to-end increase fails and every upstream grant
+			// unwinds (Section III-A.1, end to end).
+			return errDenied
 		}
+		return nil
+	})
+	// Rolling back an increase is a decrease and cannot fail; re-raising
+	// after a failed decrease is best-effort (the headroom was ours a
+	// moment ago).
+	rollback := func(dctx context.Context, j int) {
+		_, _, _ = p.hops[j].node.tr.RenegotiateBest(dctx, p.id, granted[j], cur)
+	}
+	if err != nil {
+		m.unwind(ctx, p.id, p.hops[:n], rollback)
+		h := p.hops[n]
+		if !errors.Is(err, errDenied) {
+			return cur, fmt.Errorf("mesh: renegotiate %s at hop %d (%s): %w", p.id, n, h.Name(), err)
+		}
+		m.emit(metrics.Event{
+			Kind: metrics.EventPathDeny, VPI: p.id.VPI(), VCI: p.id.VCI(),
+			Port: h.port, Rate: cur, Requested: target, Hop: h.Name(),
+		})
+		return cur, &RateError{Hop: n, HopName: h.Name(), Requested: target, Offered: cur}
 	}
 	// Backward settle: hops that granted more than the path minimum give
 	// the excess back (a decrease, which cannot fail), so the reservation
 	// at every hop equals the end-to-end rate.
-	for i := range p.hops {
-		if granted[i] <= want {
-			continue
+	for i, g := range granted {
+		if g > want {
+			dctx, cancel := m.detached(ctx)
+			_, _, _ = p.hops[i].node.tr.RenegotiateBest(dctx, p.id, g, want)
+			cancel()
+			granted[i] = want
 		}
-		dctx, cancel := m.detached(ctx)
-		_, _, _ = p.hops[i].node.tr.RenegotiateBest(dctx, p.id, granted[i], want)
-		cancel()
-		granted[i] = want
 	}
-	if err := m.wait(ctx, signalDelay(p.hops)); err != nil {
-		// The grant reply never reached the source: compensate by rolling
-		// the whole path back to the old rate, as if denied.
-		p.rollbackRates(ctx, len(p.hops)-1, cur, granted)
+	// The reply's propagation only delays when the source learns of a
+	// decrease, never whether it holds; a lost increase reply is
+	// compensated by rolling the whole path back to the old rate.
+	if err := m.wait(ctx, signalDelay(p.hops)); err != nil && target > cur {
+		m.unwind(ctx, p.id, p.hops, rollback)
 		return cur, fmt.Errorf("mesh: renegotiate %s: reply lost: %w", p.id, err)
 	}
 	p.setRate(want)
 	if want == target {
-		m.ins.grants.Inc()
-		m.record(metrics.Event{
-			Kind: metrics.EventPathGrant, VPI: p.id.VPI(), VCI: p.id.VCI(), Rate: want,
-		})
+		m.emit(metrics.Event{Kind: metrics.EventPathGrant, VPI: p.id.VPI(), VCI: p.id.VCI(), Rate: want})
 		return want, nil
 	}
-	m.ins.partials.Inc()
-	m.record(metrics.Event{
+	m.emit(metrics.Event{
 		Kind: metrics.EventPathPartial, VPI: p.id.VPI(), VCI: p.id.VCI(),
 		Rate: want, Requested: target, Hop: p.hops[minHop].Name(),
 	})
 	return want, &RateError{
 		Hop: minHop, HopName: p.hops[minHop].Name(), Requested: target, Offered: want,
-	}
-}
-
-// recordHopTimeout accounts a hop operation that died to a deadline or
-// cancellation; other transport failures carry their own error and are
-// not timeouts.
-func (p *Path) recordHopTimeout(h Hop, cur, want float64, err error) {
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-		return
-	}
-	p.m.ins.hopTimeouts.Inc()
-	p.m.record(metrics.Event{
-		Kind: metrics.EventHopTimeout, VPI: p.id.VPI(), VCI: p.id.VCI(),
-		Port: h.port, Rate: cur, Requested: want, Hop: h.Name(),
-	})
-}
-
-// rollbackRates restores hops[0..upTo] whose granted rate moved off old
-// back to old, deepest first, under detached contexts. Rolling back an
-// increase is a decrease and cannot fail; re-raising after a failed
-// decrease is best-effort (the headroom was ours a moment ago).
-func (p *Path) rollbackRates(ctx context.Context, upTo int, old float64, granted []float64) {
-	m := p.m
-	for j := upTo; j >= 0; j-- {
-		if j >= len(granted) || granted[j] == old {
-			continue
-		}
-		dctx, cancel := m.detached(ctx)
-		_, _, _ = p.hops[j].node.tr.RenegotiateBest(dctx, p.id, granted[j], old)
-		cancel()
-		m.ins.rollbacks.Inc()
-		m.record(metrics.Event{
-			Kind: metrics.EventHopRollback, VPI: p.id.VPI(), VCI: p.id.VCI(),
-			Port: p.hops[j].port, Rate: old, Requested: granted[j], Hop: p.hops[j].Name(),
-		})
 	}
 }
 
@@ -394,8 +320,7 @@ func (p *Path) Teardown(ctx context.Context) error {
 		}
 	}
 	p.markDown()
-	m.ins.teardowns.Inc()
-	m.record(metrics.Event{
+	m.emit(metrics.Event{
 		Kind: metrics.EventPathTeardown, VPI: p.id.VPI(), VCI: p.id.VCI(),
 	})
 	return first

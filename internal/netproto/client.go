@@ -312,36 +312,32 @@ func (c *Client) newID() uint32 {
 
 // Setup establishes a VC on the switch.
 func (c *Client) Setup(ctx context.Context, vci uint16, port int, rate float64) error {
-	id := c.newID()
-	bufp := pktPool.Get().(*[]byte)
-	defer pktPool.Put(bufp)
-	pkt := AppendSetup((*bufp)[:0], id, SetupReq{VCI: vci, Port: uint16(port), Rate: rate})
-	f, err := c.roundTrip(ctx, id, 0, func(int) ([]byte, error) { return pkt, nil })
-	if err != nil {
-		return err
-	}
-	switch f.Type {
-	case TypeSetupOK:
-		return nil
-	case TypeErr:
-		return remoteError(f.Payload)
-	default:
-		return fmt.Errorf("%w: unexpected reply type %d", ErrFrame, f.Type)
-	}
+	return c.control(ctx, TypeSetupOK, func(dst []byte, id uint32) []byte {
+		return AppendSetup(dst, id, SetupReq{VCI: vci, Port: uint16(port), Rate: rate})
+	})
 }
 
 // Teardown releases a VC.
 func (c *Client) Teardown(ctx context.Context, vci uint16) error {
+	return c.control(ctx, TypeTeardownOK, func(dst []byte, id uint32) []byte {
+		return AppendTeardown(dst, id, vci)
+	})
+}
+
+// control runs one setup or teardown round trip: encode appends the request
+// to a pooled buffer, every attempt resends it unchanged, and the reply
+// must be okType or a remote error.
+func (c *Client) control(ctx context.Context, okType uint8, encode func(dst []byte, id uint32) []byte) error {
 	id := c.newID()
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
-	pkt := AppendTeardown((*bufp)[:0], id, vci)
+	pkt := encode((*bufp)[:0], id)
 	f, err := c.roundTrip(ctx, id, 0, func(int) ([]byte, error) { return pkt, nil })
 	if err != nil {
 		return err
 	}
 	switch f.Type {
-	case TypeTeardownOK:
+	case okType:
 		return nil
 	case TypeErr:
 		return remoteError(f.Payload)

@@ -106,6 +106,10 @@ func TestRootPackageExportsNothing(t *testing.T) {
 // A sweep's only time is the nowNanos its caller hands Forward, which is the
 // property ROADMAP 1b's virtual time needs from the cell path: whoever owns
 // the clock owns every shaper's.
+//
+// internal/mesh reads no metrics.Nanotime either: a path's only clock is the
+// wall wait that models link propagation. The transport call a hop makes is
+// timed where it runs, by the switch or the signaling client.
 func TestControlPathReadsOneClock(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, dir := range []string{"internal/switchfab", "internal/mesh", "internal/netproto", "internal/datapath"} {
@@ -117,8 +121,8 @@ func TestControlPathReadsOneClock(t *testing.T) {
 							fset.Position(call.Pos()), name)
 					}
 				}
-				if dir == "internal/datapath" && pkgSel(n, "metrics") == "Nanotime" {
-					t.Errorf("%s: metrics.Nanotime; the data plane takes its time from Forward's caller",
+				if (dir == "internal/datapath" || dir == "internal/mesh") && pkgSel(n, "metrics") == "Nanotime" {
+					t.Errorf("%s: metrics.Nanotime; the data plane takes its time from Forward's caller, and a mesh path times no hop",
 						fset.Position(n.Pos()))
 				}
 				return true
