@@ -51,9 +51,10 @@ type LiveMemory struct {
 
 // Call is one present call's contribution to a LiveMemory pool, retained so
 // departure can subtract exactly what the call added. Whoever admits the
-// call owns its record — makes it with NewCall, enters it, and hands it back
-// on every rate change and on departure; only the controller reads or
-// writes its fields, under whatever serializes that controller.
+// call owns its record — makes it with NewCall or CallSlot.Init, enters it,
+// and hands it back on every rate change and on departure; only the
+// controller reads or writes its fields, under whatever serializes that
+// controller.
 type Call struct {
 	dwell []float64 // completed dwell per level
 	since float64   // when the current level was entered
@@ -64,23 +65,36 @@ type Call struct {
 // Call: seven levels, the widest set any caller or workload here uses.
 const callSlots = 7
 
+// CallSlot is a Call with its dwell storage inline: 96 bytes that an owner
+// embeds in an object of its own, so the record costs no allocation of its
+// own. A live switch embeds one in the VC record of every call it admits.
+type CallSlot struct {
+	Call
+	slots [callSlots]float64
+}
+
+// Init readies the slot's record for a controller over the given number of
+// levels and returns it. Up to callSlots levels the dwell storage is the
+// slot's own; a wider level set allocates it.
+func (s *CallSlot) Init(levels int) *Call {
+	c := &s.Call
+	if levels <= callSlots {
+		c.dwell = s.slots[:levels:levels]
+	} else {
+		c.dwell = make([]float64, levels)
+	}
+	c.level = -1
+	return c
+}
+
 // NewCall returns the record of a call for a controller over the given
 // number of levels. Up to callSlots levels, record and dwell storage are one
 // heap object; a wider level set pays a second object for the dwell slice.
 func NewCall(levels int) *Call {
-	var c *Call
-	if levels <= callSlots {
-		o := new(struct {
-			Call
-			slots [callSlots]float64
-		})
-		c = &o.Call
-		c.dwell = o.slots[:levels:levels]
-	} else {
-		c = &Call{dwell: make([]float64, levels)}
+	if levels > callSlots {
+		return &Call{dwell: make([]float64, levels), level: -1}
 	}
-	c.level = -1
-	return c
+	return new(CallSlot).Init(levels)
 }
 
 // NewLiveMemory builds the incremental history-based controller over the

@@ -262,13 +262,14 @@ func TestPortStatsConservationByConstruction(t *testing.T) {
 	t.Logf("%d snapshots", snapshots)
 }
 
-// TestConservationUnderOverload is overload, exactly (ROADMAP 1d, the data
-// plane's half): loss is bounded by the rings and every lost cell is counted
-// where it was lost. Each of two ingress ports is offered twice its ring
-// with no sweep running — the ring's capacity is accepted, the rest refused
-// at the wire; then one sweep carries both full rings, twice the egress
-// FIFO, onto one egress port — the first ingress port's cells fill it, every
-// cell of the second overflows, and each VC's share is known in advance.
+// TestConservationUnderOverload is overload, exactly (the data plane's half
+// of the overload rule: bounded, counted loss, never stuck state): loss is
+// bounded by the rings and every lost cell is counted where it was lost.
+// Each of two ingress ports is offered twice its ring with no sweep
+// running — the ring's capacity is accepted, the rest refused at the wire;
+// then one sweep carries both full rings, twice the egress FIFO, onto one
+// egress port — the first ingress port's cells fill it, every cell of the
+// second overflows, and each VC's share is known in advance.
 // After the drain the ledgers close and every ring is empty, and once the
 // switch in front (the forwarder is its data plane) has torn the VCs down,
 // the port has exactly nothing reserved.

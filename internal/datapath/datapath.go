@@ -34,7 +34,8 @@
 // forwardPort returns, so nothing waits on a later burst.
 //
 // Per-VC shaper state and counters are owned by the forwarding goroutine;
-// rate retargets cross from the control plane through a single atomic, and
+// rate retargets cross from the control plane through a single atomic word,
+// the VC's switchfab.RateWord, which the switch stores into directly, and
 // teardown only unpublishes the entry (the garbage collector retires it
 // once the forwarder has let go, which is at most a burst later). A VC's
 // whole forwarding state is one 64-byte cache line. The forwarding path
@@ -191,18 +192,19 @@ func (p *Port) Stats() PortStats {
 // The shaper is a token bucket held as two words — tokens (bits) and
 // lastNanos (when they were last refilled) — with its arithmetic in
 // shaper.Refill; the bucket's other two parameters are not stored twice:
-// its rate is rateBits and its depth is the forwarder's depthBits. tokens
-// and lastNanos belong to the forwarding goroutine and are touched by
-// nobody else, so they need no lock; the same goroutine is the only writer
-// of the three counters, which are atomic for VCStats' sake. rateBits is
-// the control plane's mailbox: a renegotiation stores the new granted rate
-// there atomically and the forwarder refills at whatever rate it finds
-// there on the VC's next cell, keeping earned credit.
+// its rate is the rate word and its depth is the forwarder's depthBits.
+// tokens and lastNanos belong to the forwarding goroutine and are touched
+// by nobody else, so they need no lock; the same goroutine is the only
+// writer of the three counters, which are atomic for VCStats' sake. The
+// rate word is the control plane's mailbox: OnSetup hands the switch its
+// address, a granted renegotiation stores the new rate there atomically,
+// and the forwarder refills at whatever rate it finds there on the VC's
+// next cell, keeping earned credit.
 type vcEntry struct {
-	egress    *Port         // offset 0
-	rateBits  atomic.Uint64 // 8: granted rate, float64 bits
-	tokens    float64       // 16
-	lastNanos int64         // 24
+	egress    *Port              // offset 0
+	rate      switchfab.RateWord // 8: granted rate
+	tokens    float64            // 16
+	lastNanos int64              // 24
 
 	forwarded atomic.Int64 // 32
 	policed   atomic.Int64 // 40
@@ -341,22 +343,27 @@ func (f *Forwarder) Port(id int) *Port {
 // AddVC routes a VC to an egress port at a granted rate. The shaper starts
 // full: a conforming VC may burst its depth immediately, then sustain rate.
 func (f *Forwarder) AddVC(id switchfab.VCID, egressPort int, rate float64) error {
+	_, err := f.addVC(id, egressPort, rate)
+	return err
+}
+
+func (f *Forwarder) addVC(id switchfab.VCID, egressPort int, rate float64) (*vcEntry, error) {
 	if err := shaper.Validate(rate, f.depthBits); err != nil {
-		return err
+		return nil, err
 	}
 	if math.IsInf(rate, 1) {
-		return fmt.Errorf("shaper: invalid rate %g", rate)
+		return nil, fmt.Errorf("shaper: invalid rate %g", rate)
 	}
 	out := f.Port(egressPort)
 	if out == nil {
-		return fmt.Errorf("datapath: no egress port %d", egressPort)
+		return nil, fmt.Errorf("datapath: no egress port %d", egressPort)
 	}
 	e := &vcEntry{egress: out, tokens: f.depthBits, lastNanos: unsetNanos}
-	e.rateBits.Store(math.Float64bits(rate))
+	e.rate.Store(rate)
 	if err := f.vcs.Put(uint32(id), e); err != nil {
-		return fmt.Errorf("datapath: vc %#x: %w", uint32(id), err)
+		return nil, fmt.Errorf("datapath: vc %#x: %w", uint32(id), err)
 	}
-	return nil
+	return e, nil
 }
 
 // SetVCRate retargets a VC's granted rate. The store is atomic; the
@@ -374,7 +381,7 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 		f.ins.vcMisses.Inc()
 		return fmt.Errorf("datapath: no vc %s", id)
 	}
-	e.rateBits.Store(math.Float64bits(rate))
+	e.rate.Store(rate)
 	return nil
 }
 
@@ -396,7 +403,7 @@ func (f *Forwarder) RemoveVC(id switchfab.VCID) (VCStats, error) {
 
 func (e *vcEntry) stats() VCStats {
 	s := VCStats{
-		Rate:      math.Float64frombits(e.rateBits.Load()),
+		Rate:      e.rate.Load(),
 		Forwarded: e.forwarded.Load(),
 		Policed:   e.policed.Load(),
 		Overflow:  e.overflow.Load(),
@@ -508,8 +515,7 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 		if e.lastNanos == unsetNanos {
 			e.lastNanos = now
 		} else if dt := now - e.lastNanos; dt > 0 {
-			rate := math.Float64frombits(e.rateBits.Load())
-			e.tokens = shaper.Refill(e.tokens, rate, float64(dt)*1e-9, f.depthBits)
+			e.tokens = shaper.Refill(e.tokens, e.rate.Load(), float64(dt)*1e-9, f.depthBits)
 			e.lastNanos = now
 		}
 		if CellPayloadBits > e.tokens {
@@ -594,27 +600,21 @@ func (f *Forwarder) TransmitTo(p *Port, max int, sink func(*Cell)) int {
 }
 
 // DataPlane hooks: a Forwarder plugs into switchfab.WithDataPlane so the
-// control plane mirrors every VC lifecycle change into the table. The
-// hooks run under the switch's port mutex and must not block: setup and
-// teardown are O(1) under the table's writer mutex (a leaf in the lock
-// order), a rate change takes no lock at all. Setup failures (unknown
-// egress port) and changes for unknown VCs count into datapath.vc_misses
-// rather than erroring the signaling path.
+// control plane mirrors every VC setup and teardown into the table. The
+// hooks run under the switch's port mutex and must not block: both are O(1)
+// under the table's writer mutex (a leaf in the lock order). A rate change
+// is no hook: OnSetup hands the switch the entry's rate word, and the
+// switch stores granted rates there without a table walk or a lock. A setup
+// the forwarder cannot route (no such egress port) is refused with AddVC's
+// error, so the switch reserves nothing for it.
 
 // OnSetup implements switchfab.DataPlane.
-func (f *Forwarder) OnSetup(port int, id switchfab.VCID, rate float64) {
-	if err := f.AddVC(id, port, rate); err != nil {
-		f.ins.vcMisses.Inc()
+func (f *Forwarder) OnSetup(port int, id switchfab.VCID, rate float64) (*switchfab.RateWord, error) {
+	e, err := f.addVC(id, port, rate)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// OnRateChange implements switchfab.DataPlane.
-func (f *Forwarder) OnRateChange(port int, id switchfab.VCID, rate float64) {
-	if e := f.vcs.Get(uint32(id)); e != nil {
-		e.rateBits.Store(math.Float64bits(rate))
-	} else {
-		f.ins.vcMisses.Inc()
-	}
+	return &e.rate, nil
 }
 
 // OnTeardown implements switchfab.DataPlane.

@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	"errors"
 	"testing"
 
 	"rcbr/internal/metrics"
@@ -67,21 +68,91 @@ func TestDataPlaneMirrorsSwitchLifecycle(t *testing.T) {
 	}
 }
 
-// TestDataPlaneMissesCount verifies the hooks degrade to counters, not
-// errors, when the data plane lags the control plane (unknown port or VC).
+// TestDataPlaneMissesCount holds the data plane's refusals and misses to
+// their two outcomes. A setup on a switch port the forwarder lacks used to be
+// reserved anyway — the port held its rate forever and every cell of the VC
+// was unroutable — and is refused now: a plain error, not a reject, and
+// nothing of it stays: no entry on either side, the port's reservation
+// exactly 0, no admitter record, not a miss. The misses that remain are
+// direct calls naming no VC; a switch-driven rate change cannot miss, since
+// it stores through the word the setup handed over.
 func TestDataPlaneMissesCount(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := New(WithMetrics(reg))
-	sw := switchfab.New(switchfab.WithDataPlane(f))
-	sw.AddPort(5, 1e9) // port 5 exists on the switch, not in the data path
-
-	if err := sw.SetupID(switchfab.VCID(1), 5, 100); err != nil {
+	ad, err := switchfab.NewMemoryAdmitter([]float64{100, 200}, 1e-3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.OnRateChange(5, switchfab.VCID(99), 100)
-	f.OnTeardown(5, switchfab.VCID(99))
-	if got := reg.Snapshot().Counters[MetricVCMisses]; got != 3 {
-		t.Fatalf("vc_misses = %d, want 3", got)
+	sw := switchfab.New(switchfab.WithDataPlane(f), switchfab.WithAdmitter(ad))
+	sw.AddPort(5, 1e9) // port 5 exists on the switch, not in the data path
+
+	err = sw.SetupID(switchfab.VCID(1), 5, 100)
+	if err == nil || switchfab.IsReject(err) {
+		t.Fatalf("SetupID on a port the data plane lacks = %v, want a plain error", err)
+	}
+	if reserved, _, _ := sw.PortLoad(5); reserved != 0 {
+		t.Errorf("port reserved %g for a VC the data plane refused", reserved)
+	}
+	if sw.VCCount() != 0 || f.VCCount() != 0 || len(sw.VCs()) != 0 {
+		t.Errorf("switch holds %d VCs (lists %d), forwarder %d; want none", sw.VCCount(), len(sw.VCs()), f.VCCount())
+	}
+	if got := ad.PortCalls(5); got != 0 {
+		t.Errorf("admitter tracks %d calls on port 5, want 0", got)
+	}
+	if st := sw.Stats(); st.Setups != 0 || st.SetupRejects != 0 {
+		t.Errorf("refused setup counted: %+v", st)
+	}
+	if _, _, err := sw.RenegotiateID(1, 200); !errors.Is(err, switchfab.ErrNoVC) {
+		t.Errorf("renegotiating the refused VC: %v, want ErrNoVC", err)
+	}
+	if got := reg.Snapshot().Counters[MetricVCMisses]; got != 0 {
+		t.Errorf("vc_misses = %d after a refused setup, want 0", got)
+	}
+	// Once the forwarder has the port, the id sets up like any other.
+	if _, err := f.AddPort(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.SetupID(1, 5, 100); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := f.SetVCRate(switchfab.VCID(99), 100); err == nil {
+		t.Error("SetVCRate of an unknown VC succeeded")
+	}
+	if _, err := f.RemoveVC(switchfab.VCID(99)); err == nil {
+		t.Error("RemoveVC of an unknown VC succeeded")
+	}
+	if got := reg.Snapshot().Counters[MetricVCMisses]; got != 2 {
+		t.Fatalf("vc_misses = %d, want 2", got)
+	}
+}
+
+// TestRateChangeStoresThroughTheSetupWord holds a renegotiation to one
+// table walk, the switch's own: a granted rate is stored into the word
+// OnSetup handed over, and the forwarder's table is never searched for the
+// VC again. So once the entry is removed and re-added behind the switch's
+// back, a renegotiation moves the retired word and leaves the new entry at
+// the rate it was added at.
+func TestRateChangeStoresThroughTheSetupWord(t *testing.T) {
+	f := New()
+	f.AddPort(1)
+	sw := switchfab.New(switchfab.WithDataPlane(f))
+	sw.AddPort(1, 1e9)
+	id := switchfab.VCID(9)
+	if err := sw.SetupID(id, 1, 1e3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.RemoveVC(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddVC(id, 1, 5e3); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := sw.RenegotiateID(id, 2e3); err != nil || !ok {
+		t.Fatalf("renegotiate: ok=%v err=%v", ok, err)
+	}
+	if vs, _ := f.VCStats(id); vs.Rate != 5e3 {
+		t.Fatalf("the re-added entry holds %g, want 5e3: the rate change looked the VC up in the forwarder's table", vs.Rate)
 	}
 }
 

@@ -104,8 +104,8 @@ func WithMetrics(reg *metrics.Registry) Option {
 }
 
 // WithEvents records path- and hop-level lifecycle events into ring. Only
-// tests pass it today; it stays for the caller ROADMAP 3b names — rcbrd's
-// /trace, which reads one renegotiation hop by hop out of this ring — and
+// tests pass it today; it stays for its named caller — rcbrd's /trace,
+// which reads one renegotiation hop by hop out of this ring — and
 // is the one entry on TestEveryOptionHasACaller's allow-list for that reason.
 func WithEvents(ring *metrics.EventLog) Option {
 	return func(m *Mesh) { m.events = ring }

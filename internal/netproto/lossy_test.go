@@ -314,8 +314,8 @@ func TestDelayedDeltaNotAppliedAfterResync(t *testing.T) {
 	}
 }
 
-// TestStaleResyncRetryDoesNotRestoreOldRate is ROADMAP 1c's schedule over the
-// wire, the reordering a long-RTT path makes routine: attempt 0's delta is
+// TestStaleResyncRetryDoesNotRestoreOldRate is the stale-resync schedule over
+// the wire, the reordering a long-RTT path makes routine: attempt 0's delta is
 // applied but its reply is held past the client's timeout, so the client
 // retries with a resync carrying the same target; the late reply then
 // completes the request, the next Renegotiate moves the VC on, and only then

@@ -10,16 +10,17 @@ import (
 )
 
 // TestControlPathAllocsUnderMBAC pins what the control path allocates on a
-// switch wired the way a live one is — memory admitter, forwarder behind
-// WithDataPlane, registry — so a second per-call object or a boxed value on
+// switch wired the way a live one is, and the way cells-churn wires it —
+// memory admitter over seven levels, forwarder behind WithDataPlane,
+// registry, four ports — so a second per-call object or a boxed value on
 // the renegotiation path fails a test instead of a benchmark.
 //
 // A renegotiation — all-or-nothing, best-effort or by RM cell — allocates
-// nothing, with the admitter's Move and the forwarder's rate store in the
-// path. One setup + teardown allocates
-// exactly three objects: the switch's VC record, the admitter's call record
-// with its dwell storage, and the forwarder's table entry. The churned id
-// sits between resident neighbours, so both tables' pages exist already.
+// nothing, with the admitter's Move and the store into the rate word in the
+// path. One setup + teardown allocates exactly two objects: the switch's VC
+// record with the call record and its dwell storage inside it, and the
+// forwarder's table entry. The churned id sits between resident
+// neighbours, so both tables' pages exist already.
 func TestControlPathAllocsUnderMBAC(t *testing.T) {
 	levels := []float64{1e6, 2e6, 3e6, 4e6, 5e6, 6e6, 7e6}
 	ad, err := switchfab.NewMemoryAdmitter(levels, 1e-3)
@@ -83,8 +84,8 @@ func TestControlPathAllocsUnderMBAC(t *testing.T) {
 		if err := sw.TeardownID(churned); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 3 {
-		t.Errorf("SetupID + TeardownID allocates %v objects, want 3 (VC record, call record, forwarder entry)", n)
+	}); n != 2 {
+		t.Errorf("SetupID + TeardownID allocates %v objects, want 2 (VC record with its call record, forwarder entry)", n)
 	}
 	for p := 0; p < ports; p++ {
 		if got, want := ad.PortCalls(p), resident/ports; got != want {

@@ -6,20 +6,27 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
 	"rcbr/internal/stats"
 )
 
-// bookRecorder is an Admitter and a DataPlane that counts what it is told:
-// a refused rate must reach neither.
-type bookRecorder struct{ calls int }
+// bookRecorder is an Admitter and a DataPlane that counts what it is told
+// and hands out one rate word: a refused rate must reach none of them.
+type bookRecorder struct {
+	calls int
+	word  RateWord
+}
 
 func (r *bookRecorder) AdmitCall(int, float64, float64, float64) bool { r.calls++; return true }
-func (r *bookRecorder) OnSetup(int, VCID, float64)                    { r.calls++ }
-func (r *bookRecorder) OnRateChange(int, VCID, float64)               { r.calls++ }
 func (r *bookRecorder) OnTeardown(int, VCID)                          { r.calls++ }
+func (r *bookRecorder) OnSetup(_ int, _ VCID, rate float64) (*RateWord, error) {
+	r.calls++
+	r.word.Store(rate)
+	return &r.word, nil
+}
 
 // TestSetupRejectsNonFiniteRates is the headline poisoning regression, and
 // since PR 22 the whole of what a taint analyzer held for this package
@@ -67,7 +74,7 @@ func TestSetupRejectsNonFiniteRates(t *testing.T) {
 			if got := s.Stats(); got != stats {
 				t.Fatalf("%s(%v): stats moved: %+v, were %+v", e.name, rate, got, stats)
 			}
-			if rec.calls != told {
+			if rec.calls != told || rec.word.Load() != 100e3 {
 				t.Fatalf("%s(%v): the admitter or the data plane heard of it", e.name, rate)
 			}
 		}
@@ -221,86 +228,25 @@ func TestVCsPage(t *testing.T) {
 	}
 }
 
-// countingLifecycle wraps a lifecycleAdmitter and counts every notification,
-// so a storm can assert the switch delivered exactly one onAdmit per
-// successful setup and one onDepart per teardown — no double-counted admits,
-// no leaked departures — and that every record it handed back was one
-// onAdmit returned and onDepart had not yet taken.
-type countingLifecycle struct {
-	inner                        lifecycleAdmitter
-	admits, rateChanges, departs atomic.Int64
-	// strays counts onRateChange and onDepart calls whose record was not
-	// live: never returned by onAdmit, or already departed.
-	strays atomic.Int64
-
-	mu   sync.Mutex
-	live map[*callRecord]bool
-}
-
-// AdmitCall makes the wrapper an Admitter, so WithAdmitter accepts it; the
-// switch drives it through the lifecycle methods and never calls this.
-func (c *countingLifecycle) AdmitCall(port int, rate, reserved, capacity float64) bool {
-	panic("countingLifecycle: the switch called AdmitCall on a lifecycle admitter")
-}
-
-func (c *countingLifecycle) admit(port int, now int64, rate, reserved, capacity float64) bool {
-	return c.inner.admit(port, now, rate, reserved, capacity)
-}
-
-func (c *countingLifecycle) onAdmit(port int, now int64, rate float64) *callRecord {
-	c.admits.Add(1)
-	rec := c.inner.onAdmit(port, now, rate)
-	c.mu.Lock()
-	c.live[rec] = true
-	c.mu.Unlock()
-	return rec
-}
-
-func (c *countingLifecycle) onRateChange(port int, rec *callRecord, now int64, newRate float64) {
-	c.rateChanges.Add(1)
-	c.mu.Lock()
-	ok := c.live[rec]
-	c.mu.Unlock()
-	if !ok {
-		c.strays.Add(1)
-		return // moving a departed record would panic inside the controller
-	}
-	c.inner.onRateChange(port, rec, now, newRate)
-}
-
-func (c *countingLifecycle) onDepart(port int, rec *callRecord) {
-	c.departs.Add(1)
-	c.mu.Lock()
-	ok := c.live[rec]
-	// Departed records stay in the map, as false: that keeps them reachable,
-	// so no later record can reuse the address and hide a stray.
-	c.live[rec] = false
-	c.mu.Unlock()
-	if !ok {
-		c.strays.Add(1)
-		return
-	}
-	c.inner.onDepart(port, rec)
-}
-
 // TestParallelSetupChurnStorm hammers setup/renegotiate/teardown from many
 // goroutines across ports with the stateful memory admitter
 // installed. Run under -race (the Makefile's race target does), this is the
 // proof that removing the global setup mutex kept the stateful-admission
-// path correct: lifecycle notifications balance operations exactly and the
-// fabric drains to zero everywhere. Beside each worker churning its own 16
-// ids, two raiders renegotiate ids picked across every worker's block, so
-// renegotiations race the owners' teardowns and re-setups of the same VC:
-// the gone check under the port mutex must keep a record from moving after
-// it left.
+// path correct: the admitter's calls balance the switch's VCs exactly at
+// the end of the storm, level by level, and the fabric drains to zero
+// everywhere. Beside each worker churning its own 16 ids, two raiders
+// renegotiate ids picked across every worker's block, through the storm
+// and through the workers' concurrent drain, so renegotiations race the
+// owners' teardowns and re-setups of the same VC: the gone check under the
+// port mutex must keep a record from moving after it left (a record moved
+// or left twice, or never entered, panics inside the controller).
 func TestParallelSetupChurnStorm(t *testing.T) {
 	const ports = 8
 	inner, err := NewMemoryAdmitter([]float64{64e3, 512e3, 1e6, 2e6, 4e6}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &countingLifecycle{inner: inner, live: make(map[*callRecord]bool)}
-	s := New(WithAdmitter(counter))
+	s := New(WithAdmitter(inner))
 	for p := 0; p < ports; p++ {
 		if err := s.AddPort(p, 1e12); err != nil { // capacity out of the way: exercise accounting, not blocking
 			t.Fatal(err)
@@ -315,30 +261,33 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	var setups, teardowns, renegGrants atomic.Int64
 	var wg, raiders sync.WaitGroup
 	done := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		raiders.Add(1)
-		go func(r int) {
-			defer raiders.Done()
-			rng := stats.NewRNG(uint64(r) + 1)
-			for {
-				select {
-				case <-done:
-					return
-				default:
+	raid := func() {
+		for r := 0; r < 2; r++ {
+			raiders.Add(1)
+			go func(r int, done <-chan struct{}) {
+				defer raiders.Done()
+				rng := stats.NewRNG(uint64(r) + 1)
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					id := VCID(rng.Intn(workers)*1000 + rng.Intn(live))
+					_, ok, err := s.RenegotiateID(id, rates[rng.Intn(len(rates))])
+					switch {
+					case errors.Is(err, ErrNoVC): // lost the race to the owner's teardown
+					case err != nil:
+						t.Error(err)
+						return
+					case ok:
+						renegGrants.Add(1)
+					}
 				}
-				id := VCID(rng.Intn(workers)*1000 + rng.Intn(live))
-				_, ok, err := s.RenegotiateID(id, rates[rng.Intn(len(rates))])
-				switch {
-				case errors.Is(err, ErrNoVC): // lost the race to the owner's teardown
-				case err != nil:
-					t.Error(err)
-					return
-				case ok:
-					renegGrants.Add(1)
-				}
-			}
-		}(r)
+			}(r, done)
+		}
 	}
+	raid()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -370,13 +319,6 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 					}
 				}
 			}
-			for i := 0; i < live && i < iters; i++ {
-				if err := s.TeardownID(base + VCID(i%live)); err != nil {
-					t.Error(err)
-					return
-				}
-				teardowns.Add(1)
-			}
 		}(w)
 	}
 	wg.Wait()
@@ -385,19 +327,50 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got := counter.admits.Load(); got != setups.Load() {
-		t.Errorf("OnAdmit count %d != successful setups %d", got, setups.Load())
+	// Every setup entered a call and every teardown took one out: the
+	// admitter holds exactly the VCs the switch does, at the levels of their
+	// rates.
+	up := setups.Load() - teardowns.Load()
+	var calls int
+	levels := make(map[float64]float64)
+	for p := 0; p < ports; p++ {
+		calls += inner.PortCalls(p)
+		for level, n := range s.port(p).mbac.ctl.Active() {
+			levels[rates[level]] += n
+		}
 	}
-	if got := counter.departs.Load(); got != teardowns.Load() {
-		t.Errorf("OnDepart count %d != teardowns %d", got, teardowns.Load())
+	for _, vc := range s.VCs() {
+		levels[vc.Rate]--
 	}
-	if got := counter.strays.Load(); got != 0 {
-		t.Errorf("%d lifecycle calls carried a record that was not live", got)
+	if n := int64(s.VCCount()); n != up || int64(calls) != up {
+		t.Errorf("%d setups less %d teardowns; the switch holds %d VCs, the admitter %d calls", setups.Load(), teardowns.Load(), n, calls)
 	}
-	// Renegotiating to the same rate is a grant without a rate change, so
-	// OnRateChange is bounded by grants, never exceeds them.
-	if got := counter.rateChanges.Load(); got > renegGrants.Load() {
-		t.Errorf("OnRateChange count %d > granted renegotiations %d", got, renegGrants.Load())
+	for rate, n := range levels {
+		if n != 0 {
+			t.Errorf("admitter holds %v calls at %g b/s more than the switch does", n, rate)
+		}
+	}
+	// The drain races the raiders too: each worker tears its own block down
+	// while renegotiations keep landing on ids that are going.
+	done = make(chan struct{})
+	raid()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < live && i < iters; i++ {
+				if err := s.TeardownID(VCID(w*1000 + i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	raiders.Wait()
+	if t.Failed() {
+		return
 	}
 	if n := s.VCCount(); n != 0 {
 		t.Errorf("VCCount = %d after drain", n)
@@ -415,7 +388,7 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 		}
 		// The count alone can be right with a record entered and never
 		// left, if another left twice; the per-level occupancy cannot.
-		for level, n := range inner.lookup(p).ctl.Active() {
+		for level, n := range s.port(p).mbac.ctl.Active() {
 			if n != 0 {
 				t.Errorf("port %d level %d: %v calls still active after drain", p, level, n)
 			}
@@ -534,5 +507,48 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 	}
 	if got := ad.PortCalls(1); got != 2 {
 		t.Fatalf("PortCalls after depart+admit = %d, want 2", got)
+	}
+}
+
+// TestControlPathLooksNoControllerUp holds every switch-driven admitter call
+// to the controller its port resolved at AddPort: with the admitter's port
+// map write-locked, a setup, a renegotiation, a best-effort one, an RM cell
+// and a teardown still complete, so none of them looks a controller up by
+// port id.
+func TestControlPathLooksNoControllerUp(t *testing.T) {
+	ad, err := NewMemoryAdmitter([]float64{1e6, 2e6}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(WithAdmitter(ad))
+	if err := s.AddPort(1, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		err := s.SetupID(7, 1, 1e6)
+		if err == nil {
+			_, _, err = s.RenegotiateID(7, 2e6)
+		}
+		if err == nil {
+			_, _, err = s.RenegotiateBestID(7, 1e6)
+		}
+		if err == nil {
+			_, err = s.HandleRM(cell.Header{VCI: 7}, cell.RM{Resync: true, ER: 2e6})
+		}
+		if err == nil {
+			err = s.TeardownID(7)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the control path waited on the admitter's port map")
 	}
 }

@@ -11,21 +11,23 @@ import (
 
 // MemoryAdmitter runs the paper's memory-based measurement MBAC (Section VI)
 // live inside the switch: one incremental admission.LiveMemory controller
-// per output port, created lazily with the capacity the switch reports on
-// the first admission decision for that port. Admission state therefore
-// shards exactly with the fabric — a setup on port 7 never touches port 9's
-// controller, and setups on different ports proceed fully in parallel.
+// per output port, created with the port's capacity. Admission state
+// therefore shards exactly with the fabric — a setup on port 7 never touches
+// port 9's controller, and setups on different ports proceed fully in
+// parallel.
 //
-// It holds no per-call container: onAdmit allocates a call's record and
-// dwell storage as one object and returns it, the switch keeps it on the VC
-// entry and hands it back, and the port's controller keeps only the pooled
-// sums and a count. The only map here is the one from port id to controller.
+// A switch resolves each port's controller once, when the port is added,
+// and keeps it on the port: no switch operation looks a controller up. It
+// holds no per-call container either: the switch allocates a call's record
+// inside the VC's own record and hands it to the port's controller on every
+// lifecycle event, and the controller keeps only the pooled sums and a
+// count. The map from port id to controller here serves the callers outside
+// a switch — AdmitCall from a probe, PortCalls from a test — and a port's
+// creation.
 //
-// The switch invokes every method with the affected port's mutex held
-// (the lifecycleAdmitter contract), which already serializes same-port
-// calls; each per-port controller still carries its own mutex for callers
-// that drive the admitter directly, outside a switch (AdmitCall from a
-// probe, PortCalls from a test).
+// The switch drives a port's controller with that port's mutex held, which
+// already serializes same-port calls; each controller still carries its own
+// mutex for the callers that drive the admitter directly.
 //
 // Time for the dwell histories is not the admitter's to read: every hook is
 // handed the switch's clock reading for the operation (metrics.Nanotime
@@ -50,11 +52,11 @@ type portMBAC struct {
 // ascending bandwidth levels with the given target renegotiation-failure
 // probability (0 < target < 1).
 func NewMemoryAdmitter(levels []float64, target float64) (*MemoryAdmitter, error) {
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("switchfab: memory admitter needs at least one level")
-	}
-	if target <= 0 || target >= 1 {
-		return nil, fmt.Errorf("switchfab: invalid admission target %g", target)
+	// A trial controller checks what every port's will be built from, so
+	// creating one for a port — whose capacity AddPort validated — cannot
+	// fail.
+	if _, err := admission.NewLiveMemory(levels, 1, target); err != nil {
+		return nil, fmt.Errorf("switchfab: memory admitter: %w", err)
 	}
 	return &MemoryAdmitter{
 		levels: append([]float64(nil), levels...),
@@ -64,8 +66,8 @@ func NewMemoryAdmitter(levels []float64, target float64) (*MemoryAdmitter, error
 }
 
 // portState returns port's controller, creating it on first use with the
-// given capacity. Lifecycle notifications always follow an AdmitCall for the
-// same port, so creation happens exactly once, with the true capacity.
+// given capacity: at AddPort for a port of a switch the admitter is
+// installed in, at the first AdmitCall for a direct caller.
 func (a *MemoryAdmitter) portState(port int, capacity float64) *portMBAC {
 	a.mu.RLock()
 	pa := a.ports[port]
@@ -76,87 +78,64 @@ func (a *MemoryAdmitter) portState(port int, capacity float64) *portMBAC {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if pa = a.ports[port]; pa == nil {
-		ctl, err := admission.NewLiveMemory(a.levels, capacity, a.target)
-		if err != nil {
-			// capacity <= 0 or non-finite cannot reach here: AddPort
-			// validates capacity and the constructor validated the rest.
-			return nil
-		}
+		// The constructor's trial validated levels and target; capacity is
+		// positive and finite.
+		ctl, _ := admission.NewLiveMemory(a.levels, capacity, a.target)
 		pa = &portMBAC{ctl: ctl}
 		a.ports[port] = pa
 	}
 	return pa
 }
 
-// lookup returns port's controller or nil, without creating one.
-func (a *MemoryAdmitter) lookup(port int) *portMBAC {
-	a.mu.RLock()
-	pa := a.ports[port]
-	a.mu.RUnlock()
-	return pa
-}
-
 // AdmitCall implements Admitter for a caller outside a switch, deciding at
-// the time of the call. A switch never calls it: it hands admit the
-// operation's own reading.
-func (a *MemoryAdmitter) AdmitCall(port int, rate, reserved, capacity float64) bool {
-	return a.admit(port, metrics.Nanotime(), rate, reserved, capacity)
-}
-
-// seconds is a clock reading in the unit admission.LiveMemory keeps time in.
-func seconds(now int64) float64 { return time.Duration(now).Seconds() }
-
-// admit implements lifecycleAdmitter.
-func (a *MemoryAdmitter) admit(port int, now int64, rate, _, capacity float64) bool {
-	pa := a.portState(port, capacity)
-	if pa == nil {
-		return false
-	}
-	pa.mu.Lock()
-	ok := pa.ctl.Admit(seconds(now), rate)
-	pa.mu.Unlock()
-	return ok
-}
-
-// onAdmit implements lifecycleAdmitter.
-func (a *MemoryAdmitter) onAdmit(port int, now int64, rate float64) *callRecord {
-	pa := a.lookup(port)
-	if pa == nil {
-		return nil
-	}
-	rec := admission.NewCall(len(a.levels))
-	pa.mu.Lock()
-	pa.ctl.Enter(rec, seconds(now), rate)
-	pa.mu.Unlock()
-	return rec
-}
-
-// onRateChange implements lifecycleAdmitter.
-func (a *MemoryAdmitter) onRateChange(port int, rec *callRecord, now int64, newRate float64) {
-	if pa := a.lookup(port); pa != nil && rec != nil {
-		pa.mu.Lock()
-		pa.ctl.Move(rec, seconds(now), newRate)
-		pa.mu.Unlock()
-	}
-}
-
-// onDepart implements lifecycleAdmitter.
-func (a *MemoryAdmitter) onDepart(port int, rec *callRecord) {
-	if pa := a.lookup(port); pa != nil && rec != nil {
-		pa.mu.Lock()
-		pa.ctl.Leave(rec)
-		pa.mu.Unlock()
-	}
+// the time of the call. A switch never calls it: it hands the port's
+// controller the operation's own reading.
+func (a *MemoryAdmitter) AdmitCall(port int, rate, _, capacity float64) bool {
+	return a.portState(port, capacity).admit(metrics.Nanotime(), rate)
 }
 
 // PortCalls returns the number of calls the admitter currently tracks on
 // port (0 for a port it has never seen).
 func (a *MemoryAdmitter) PortCalls(port int) int {
-	pa := a.lookup(port)
+	a.mu.RLock()
+	pa := a.ports[port]
+	a.mu.RUnlock()
 	if pa == nil {
 		return 0
 	}
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
 	return pa.ctl.Calls()
+}
+
+// seconds is a clock reading in the unit admission.LiveMemory keeps time in.
+func seconds(now int64) float64 { return time.Duration(now).Seconds() }
+
+// admit reports whether a new call asking for rate may enter the port at
+// now.
+func (pa *portMBAC) admit(now int64, rate float64) bool {
+	pa.mu.Lock()
+	defer pa.mu.Unlock()
+	return pa.ctl.Admit(seconds(now), rate)
+}
+
+// enter adds the call behind rec, admitted at rate, to the port's pool.
+func (pa *portMBAC) enter(rec *callRecord, now int64, rate float64) {
+	pa.mu.Lock()
+	pa.ctl.Enter(rec, seconds(now), rate)
+	pa.mu.Unlock()
+}
+
+// move records that the call behind rec now holds newRate.
+func (pa *portMBAC) move(rec *callRecord, now int64, newRate float64) {
+	pa.mu.Lock()
+	pa.ctl.Move(rec, seconds(now), newRate)
+	pa.mu.Unlock()
+}
+
+// leave removes the call behind rec from the port's pool.
+func (pa *portMBAC) leave(rec *callRecord) {
+	pa.mu.Lock()
+	pa.ctl.Leave(rec)
+	pa.mu.Unlock()
 }

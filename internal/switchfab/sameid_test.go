@@ -7,53 +7,94 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"rcbr/internal/cell"
 )
 
 // lifecycleRecorder is a DataPlane that checks the order it is told things
-// in: a VC is set up only while absent, and retargeted or torn down only
-// while present, on the port it was set up on. It yields inside OnSetup and
-// OnTeardown so that whatever the switch allows to overlap with a hook,
-// does.
+// in: a VC is set up only while absent, and torn down only while present, on
+// the port it was set up on. It hands out a fresh rate word per incarnation
+// of a VC and snapshots the word's value at teardown, so a store that lands
+// on a retired word shows. It yields inside OnSetup and OnTeardown so that
+// whatever the switch allows to overlap with a hook, does.
 type lifecycleRecorder struct {
 	mu         sync.Mutex
-	vcs        map[VCID]VCInfo
+	vcs        map[VCID]incarnation
+	retired    []incarnation
 	violations []string
+}
+
+// incarnation is one setup of a VC as the data plane saw it: its port, its
+// word and, once retired, the word's value at teardown.
+type incarnation struct {
+	id   VCID
+	port int
+	word *RateWord
+	last float64
+}
+
+func newLifecycleRecorder() *lifecycleRecorder {
+	return &lifecycleRecorder{vcs: make(map[VCID]incarnation)}
 }
 
 func (r *lifecycleRecorder) violate(format string, args ...any) {
 	r.violations = append(r.violations, fmt.Sprintf(format, args...))
 }
 
-func (r *lifecycleRecorder) OnSetup(port int, id VCID, rate float64) {
+func (r *lifecycleRecorder) OnSetup(port int, id VCID, rate float64) (*RateWord, error) {
 	runtime.Gosched()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if was, up := r.vcs[id]; up {
-		r.violate("setup of %s on port %d while it is up on port %d", id, port, was.Port)
+		r.violate("setup of %s on port %d while it is up on port %d", id, port, was.port)
 	}
-	r.vcs[id] = VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: port, Rate: rate}
-}
-
-func (r *lifecycleRecorder) OnRateChange(port int, id VCID, rate float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	was, up := r.vcs[id]
-	if !up || was.Port != port {
-		r.violate("rate change of %s on port %d: up=%v on port %d", id, port, up, was.Port)
-		return
-	}
-	was.Rate = rate
-	r.vcs[id] = was
+	w := new(RateWord)
+	w.Store(rate)
+	r.vcs[id] = incarnation{id: id, port: port, word: w}
+	return w, nil
 }
 
 func (r *lifecycleRecorder) OnTeardown(port int, id VCID) {
 	runtime.Gosched()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if was, up := r.vcs[id]; !up || was.Port != port {
-		r.violate("teardown of %s on port %d: up=%v on port %d", id, port, up, was.Port)
+	was, up := r.vcs[id]
+	if !up || was.port != port {
+		r.violate("teardown of %s on port %d: up=%v on port %d", id, port, up, was.port)
+	}
+	if up {
+		was.last = was.word.Load()
+		r.retired = append(r.retired, was)
 	}
 	delete(r.vcs, id)
+}
+
+// check holds a quiescent switch and the recorder to each other: no hook
+// came out of order, no retired word moved after its teardown, and the
+// switch lists exactly the live incarnations, each on its port with its
+// word holding the VC's rate.
+func (r *lifecycleRecorder) check(t *testing.T, s *Switch) {
+	t.Helper()
+	for _, v := range r.violations {
+		t.Error(v)
+	}
+	for _, in := range r.retired {
+		if got := in.word.Load(); got != in.last {
+			t.Errorf("%s on port %d: retired word moved from %v to %v after teardown", in.id, in.port, in.last, got)
+		}
+	}
+	listed := s.VCs()
+	if len(listed) != len(r.vcs) || len(listed) != s.VCCount() {
+		t.Fatalf("switch lists %d VCs (VCCount %d), the data plane holds %d", len(listed), s.VCCount(), len(r.vcs))
+	}
+	for _, vc := range listed {
+		id := MakeVCID(vc.VPI, vc.VCI)
+		in, up := r.vcs[id]
+		rate, err := s.VCRateID(id)
+		if !up || in.port != vc.Port || err != nil || in.word.Load() != rate {
+			t.Errorf("switch lists %+v (VCRateID %v, %v), the data plane holds %+v with word %v", vc, rate, err, in, in.word.Load())
+		}
+	}
 }
 
 // TestParallelSameIDLifecycle races every lifecycle operation on the same
@@ -62,8 +103,8 @@ func (r *lifecycleRecorder) OnTeardown(port int, id VCID) {
 // setup of the same id on another, and renegotiations that looked the VC up
 // just before it went. The data plane must see each id's events in an order
 // that makes sense, and at the end it, the listing and the port books agree
-// exactly (rates are integers, so sums are exact in float64). Run under
-// -race by `make race`.
+// exactly (rates are integers, so sums are exact in float64), every VC's
+// rate word included. Run under -race by `make race`.
 func TestParallelSameIDLifecycle(t *testing.T) {
 	const (
 		workers = 8
@@ -71,7 +112,7 @@ func TestParallelSameIDLifecycle(t *testing.T) {
 		ids     = 6
 		iters   = 2000
 	)
-	rec := &lifecycleRecorder{vcs: make(map[VCID]VCInfo)}
+	rec := newLifecycleRecorder()
 	s := New(WithDataPlane(rec))
 	for p := 0; p < ports; p++ {
 		// Tight enough that setups are refused and best-effort grants are
@@ -112,18 +153,9 @@ func TestParallelSameIDLifecycle(t *testing.T) {
 	}
 	wg.Wait()
 
-	for _, v := range rec.violations {
-		t.Error(v)
-	}
-	listed := s.VCs()
-	if len(listed) != len(rec.vcs) || len(listed) != s.VCCount() {
-		t.Fatalf("switch lists %d VCs (VCCount %d), the data plane holds %d", len(listed), s.VCCount(), len(rec.vcs))
-	}
+	rec.check(t, s)
 	sum := make([]float64, ports)
-	for _, vc := range listed {
-		if got := rec.vcs[MakeVCID(vc.VPI, vc.VCI)]; got != vc {
-			t.Errorf("switch lists %+v, the data plane holds %+v", vc, got)
-		}
+	for _, vc := range s.VCs() {
 		sum[vc.Port] += vc.Rate
 	}
 	for p := 0; p < ports; p++ {
@@ -133,5 +165,74 @@ func TestParallelSameIDLifecycle(t *testing.T) {
 	}
 	if clamps := s.Stats().ReservedClamps; clamps != 0 {
 		t.Errorf("ReservedClamps = %d, want 0", clamps)
+	}
+}
+
+// TestNoStoreLandsOnARetiredRateWord flaps one id between two ports — set
+// up on one, torn down, set up on the other — while renegotiators drive it
+// concurrently, each with rates no other request uses, so a stale store is
+// told apart from a late one. A renegotiation that found an incarnation just
+// before its teardown reaches the port mutex after it and must see the VC
+// gone: no store may land on the retired word, and at quiescence the live
+// word holds exactly the switch's rate. Run under -race by `make race`.
+func TestNoStoreLandsOnARetiredRateWord(t *testing.T) {
+	const (
+		flaps         = 2000
+		renegotiators = 4
+	)
+	rec := newLifecycleRecorder()
+	s := New(WithDataPlane(rec))
+	for p := 0; p < 2; p++ {
+		if err := s.AddPort(p, 1e12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := MakeVCID(3, 7)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < renegotiators; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := cell.Header{VPI: id.VPI(), VCI: id.VCI()}
+			for k := 1; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rate := float64(k*renegotiators + w) // this request's alone
+				var err error
+				if k%2 == 0 {
+					_, _, err = s.RenegotiateID(id, rate)
+				} else {
+					_, err = s.HandleRM(h, cell.RM{Resync: true, ER: rate})
+				}
+				if err != nil && !errors.Is(err, ErrNoVC) {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i <= flaps; i++ {
+		if err := s.SetupID(id, i%2, 1); err != nil {
+			t.Error(err)
+			break
+		}
+		runtime.Gosched()
+		if i == flaps {
+			break // the last incarnation stays up
+		}
+		if err := s.TeardownID(id); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	rec.check(t, s)
+	if len(rec.retired) != flaps || s.VCCount() != 1 {
+		t.Errorf("%d incarnations retired and %d up, want %d and 1", len(rec.retired), s.VCCount(), flaps)
 	}
 }

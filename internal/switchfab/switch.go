@@ -28,11 +28,13 @@
 // and DataPlane hooks before it unpublishes the entry, still under the port
 // mutex: until the id is free no setup can reuse it, so a setup of the same
 // id on another port never reaches the data plane ahead of the teardown.
-// Never two port locks at once. The admitter is invoked with the VC's port
-// mutex held — per-port serialization is the concurrency contract the
-// MemoryAdmitter relies on; any other Admitter is wrapped once, by
-// WithAdmitter, in a form that serializes AdmitCall under a mutex of its
-// own, so it never runs concurrently with itself.
+// A granted rate change is stored into the VC's rate word, which the data
+// plane handed over at setup, under the same mutex. Never two port locks at
+// once. A MemoryAdmitter's controller for a port is driven with that port's
+// mutex held — per-port serialization is the concurrency contract it relies
+// on; any other Admitter is wrapped once, by WithAdmitter, in a form that
+// serializes AdmitCall under a mutex of its own, so it never runs
+// concurrently with itself.
 // Activity counters are atomics, published into the registry as views.
 //
 // Time: the switch reads one clock, metrics.Nanotime, and reads it once on
@@ -70,9 +72,11 @@
 package switchfab
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -147,77 +151,58 @@ func (f AdmitterFunc) AdmitCall(port int, rate, reserved, capacity float64) bool
 
 // callRecord is the per-call history the memory-based scheme keeps for a
 // call it admitted: level, level-entry time and per-level dwell. Its layout
-// belongs to admission.LiveMemory; the switch only carries the pointer.
+// belongs to admission.LiveMemory; the switch allocates it inside the VC's
+// record (vcWithCall), carries the pointer, and hands it to nothing but the
+// port's controller. A teardown sets the VC gone under the port mutex before
+// it releases it, so no move follows a call's leave.
 type callRecord = admission.Call
 
-// lifecycleAdmitter is the admission policy as the switch drives it: the
-// decision, then the full life of every admitted call — admit, rate changes
-// from granted renegotiations, departure — mirroring admission.Controller.
-// It is unexported because it admits one stateful implementation,
-// MemoryAdmitter (a callRecord cannot be built anywhere else); every other
-// policy is an Admitter, which WithAdmitter wraps in serialAdmitter.
-//
-// now is the operation's one clock reading (see the package comment), in
-// the clock's nanoseconds.
-//
-// The history rides on the switch's own VC entry, so a call is found once,
-// by the switch, and never a second time by the admitter: onAdmit allocates
-// and returns the call's record (nil if the policy keeps none), the switch
-// stores that one pointer beside the VC's rate and hands it back to
-// onRateChange and onDepart. The switch never looks inside a record and
-// hands it to nothing else; after onDepart it drops it.
-//
-// Concurrency contract: the switch invokes every method with the affected
-// VC's port mutex held, so calls for the same port — and therefore every use
-// of one call's record — are serialized while calls for different ports run
-// concurrently. Implementations therefore shard their state per port and
-// must not call back into the switch. A teardown sets the VC gone under that
-// mutex before it releases it, so no onRateChange follows a call's onDepart.
-type lifecycleAdmitter interface {
-	// admit reports whether a new call asking for rate may enter port.
-	admit(port int, now int64, rate, reserved, capacity float64) bool
-	// onAdmit notifies that a call entered port at the given rate, after
-	// admit said yes and the reservation was applied, and returns the call's
-	// record.
-	onAdmit(port int, now int64, rate float64) *callRecord
-	// onRateChange notifies that the reserved rate of the call behind rec is
-	// now newRate (a granted, possibly partial, renegotiation or resync).
-	onRateChange(port int, rec *callRecord, now int64, newRate float64)
-	// onDepart notifies that the call behind rec left port.
-	onDepart(port int, rec *callRecord)
-}
-
-// serialAdmitter is the lifecycle form of a plain Admitter: AdmitCall under
+// serialAdmitter is the switch's form of a plain Admitter: AdmitCall under
 // one mutex (taken with the admitting port's mutex held, released before
-// anything else is locked), no records, no use for the time, nothing to do
-// on the other hooks.
+// anything else is locked), no records, no use for the time.
 type serialAdmitter struct {
 	mu sync.Mutex
 	a  Admitter
 }
 
-func (s *serialAdmitter) admit(port int, _ int64, rate, reserved, capacity float64) bool {
+func (s *serialAdmitter) admit(port int, rate, reserved, capacity float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.a.AdmitCall(port, rate, reserved, capacity)
 }
 
-func (*serialAdmitter) onAdmit(int, int64, float64) *callRecord       { return nil }
-func (*serialAdmitter) onRateChange(int, *callRecord, int64, float64) {}
-func (*serialAdmitter) onDepart(int, *callRecord)                     {}
+// RateWord is a VC's granted rate as a data plane reads it: one float64 in
+// an atomic word. The data plane owns the word — the forwarder's is a field
+// of its per-VC entry — and hands the switch a pointer to it at setup; from
+// then on the switch stores every granted rate change there, so a
+// renegotiation retargets the shaper without looking the VC up a second
+// time. The zero word reads 0.
+type RateWord struct{ bits atomic.Uint64 }
+
+// Load returns the rate.
+func (w *RateWord) Load() float64 { return math.Float64frombits(w.bits.Load()) }
+
+// Store sets the rate.
+func (w *RateWord) Store(rate float64) { w.bits.Store(math.Float64bits(rate)) }
 
 // DataPlane mirrors VC lifecycle changes into a forwarding plane (the cell
-// data path of internal/datapath, or any other consumer of granted rates).
-// Every hook runs with the affected VC's port mutex held, after
-// the reservation bookkeeping succeeded, so the data plane sees lifecycle
-// events in the exact order the control plane committed them and never a
-// rate the fabric rejected. Hooks must not block and must not call back
-// into the switch.
+// data path of internal/datapath, or any other consumer of granted rates):
+// two hooks and a rate word. Both hooks run with the affected VC's port
+// mutex held, after every admission decision, so the data plane sees
+// lifecycle events in the exact order the control plane committed them.
+// Hooks must not block and must not call back into the switch.
+//
+// A rate change is no hook: OnSetup returns the VC's RateWord, and the
+// switch stores each granted rate there, under the port mutex, and never a
+// rate the fabric rejected. It stores nothing there once OnTeardown has
+// been called for that setup: the word is retired, and a later setup of the
+// same id hands over a fresh one.
 type DataPlane interface {
-	// OnSetup notifies that VC id was admitted to egress port at rate.
-	OnSetup(port int, id VCID, rate float64)
-	// OnRateChange notifies that VC id's granted rate is now rate.
-	OnRateChange(port int, id VCID, rate float64)
+	// OnSetup routes VC id to egress port at rate and returns its rate word
+	// (nil if the data plane keeps none). An error refuses the setup: the
+	// switch undoes it — no entry, no reservation, no admitter record — and
+	// returns the error to its caller.
+	OnSetup(port int, id VCID, rate float64) (*RateWord, error)
 	// OnTeardown notifies that VC id left port.
 	OnTeardown(port int, id VCID)
 }
@@ -264,6 +249,12 @@ type statCounters struct {
 type port struct {
 	id       int
 	capacity float64
+	// slot is the port's index in the switch's port table, which is how a
+	// VC names it.
+	slot uint16
+	// mbac is the port's controller when the switch runs a MemoryAdmitter,
+	// resolved once by AddPort; nil otherwise.
+	mbac *portMBAC
 
 	// mu guards reserved and the rate/sequence state of every VC homed on
 	// this port, so renegotiations on different ports never contend.
@@ -275,22 +266,36 @@ type port struct {
 	reservedGauge *metrics.Gauge
 }
 
+// vcState is one VC's record: 32 bytes (pinned by TestVCStateSize), which is
+// all a VC costs the switch without an MBAC. Every field but slot is guarded
+// by the owning port's mutex.
 type vcState struct {
-	// p is the VC's output port, fixed at setup — cached here so the
-	// renegotiation hot path never consults the port table.
-	p *port
-	// rec is what the admitter's onAdmit returned for this call: nil when no
-	// admitter is installed or it keeps no history. Like the fields below it
-	// is guarded by the owning port's mutex.
+	// rec is the call's MBAC record, allocated with this one (vcWithCall):
+	// nil unless the port has a MemoryAdmitter controller.
 	rec *callRecord
-	// rate, lastSeq and gone are guarded by the owning port's mutex. lastSeq
-	// is 0 until the VC's first sequenced RM cell (Seq 0 means unsequenced).
-	rate    float64
+	// word is the rate word the data plane handed over at setup, the
+	// shaper's mailbox; nil without a data plane.
+	word *RateWord
+	rate float64
+	// lastSeq is 0 until the VC's first sequenced RM cell (Seq 0 means
+	// unsequenced).
 	lastSeq uint32
+	// slot is the VC's output port, fixed at setup: its index in the
+	// switch's port table, so the renegotiation hot path never searches it.
+	// Sixteen bits where a pointer would take 64 keep the record at 32
+	// bytes.
+	slot uint16
 	// gone is set by teardown. Lookups are lock-free, so an operation may
 	// find the entry just before teardown unpublishes it and reach the port
 	// mutex after; it sees gone and reports ErrNoVC.
 	gone bool
+}
+
+// vcWithCall is the record of a VC on a port with an MBAC controller: the
+// VC's record and its call record in one 128-byte allocation.
+type vcWithCall struct {
+	vcState
+	call admission.CallSlot
 }
 
 // instruments caches the switch's histogram handles. All are nil-safe
@@ -342,19 +347,35 @@ func PortCapacityGauge(portID int) string {
 	return fmt.Sprintf("switch.port.%d.capacity_bps", portID)
 }
 
+// portTable holds a switch's ports twice over: bySlot in the order AddPort
+// added them, so a VC names its port by a 16-bit slot, and byID sorted by
+// id, for the calls that name a port (SetupID, PortLoad, AddPort's duplicate
+// check), which search it.
+type portTable struct {
+	bySlot []*port
+	byID   []*port
+}
+
+// find returns where id is or would be in byID, and whether it is there.
+func (t *portTable) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(t.byID, id, func(p *port, id int) int { return cmp.Compare(p.id, id) })
+}
+
 // Switch is a software RCBR switch. It is safe for concurrent use;
 // renegotiations contend only when they share an output port.
 type Switch struct {
 	vcs vctable.Table[vcState]
 
-	// portMu guards the ports map itself (registration and lookup); each
-	// port's accounting has its own mutex.
-	portMu sync.RWMutex
-	ports  map[int]*port
+	// ports is the port table, read without a lock and republished whole
+	// by AddPort under portMu. Each port's accounting has its own mutex.
+	portMu sync.Mutex
+	ports  atomic.Pointer[portTable]
 
-	// admitter is the admission policy in lifecycle form (WithAdmitter wraps
-	// a plain one); nil admits every call that fits.
-	admitter lifecycleAdmitter
+	// The admission policy: mbac when WithAdmitter was handed a
+	// *MemoryAdmitter (each port holds its controller), serial for any other
+	// Admitter; neither admits every call that fits.
+	mbac   *MemoryAdmitter
+	serial *serialAdmitter
 	// dataplane, when set, receives every committed VC lifecycle change.
 	dataplane DataPlane
 	stats     statCounters
@@ -381,13 +402,13 @@ type Option func(*Switch)
 // form that serializes its AdmitCall and keeps no records.
 func WithAdmitter(a Admitter) Option {
 	return func(s *Switch) {
+		s.mbac, s.serial = nil, nil
 		switch a := a.(type) {
 		case nil:
-			s.admitter = nil
-		case lifecycleAdmitter:
-			s.admitter = a
+		case *MemoryAdmitter:
+			s.mbac = a
 		default:
-			s.admitter = &serialAdmitter{a: a}
+			s.serial = &serialAdmitter{a: a}
 		}
 	}
 }
@@ -404,10 +425,10 @@ func WithEventTrace(ring *metrics.EventLog) Option {
 	return func(s *Switch) { s.events = ring }
 }
 
-// WithDataPlane attaches a forwarding plane: every committed setup, granted
-// rate change, and teardown is mirrored into dp under the VC's port mutex,
-// so a renegotiation atomically retargets the VC's shaper the moment it is
-// granted.
+// WithDataPlane attaches a forwarding plane: every setup and teardown is
+// mirrored into dp, and every granted rate change stored into the VC's rate
+// word, under the VC's port mutex, so a renegotiation atomically retargets
+// the VC's shaper the moment it is granted.
 func WithDataPlane(dp DataPlane) Option {
 	return func(s *Switch) { s.dataplane = dp }
 }
@@ -415,15 +436,12 @@ func WithDataPlane(dp DataPlane) Option {
 // New returns an empty switch configured by the options. With no options it
 // admits every call that fits within port capacity and records nothing.
 func New(opts ...Option) *Switch {
-	s := &Switch{
-		ports: make(map[int]*port),
-		clock: metrics.Nanotime,
-	}
+	s := &Switch{clock: metrics.Nanotime}
+	s.ports.Store(new(portTable))
 	for _, opt := range opts {
 		opt(s)
 	}
-	_, timeless := s.admitter.(*serialAdmitter)
-	s.timed = s.reg != nil || (s.admitter != nil && !timeless)
+	s.timed = s.reg != nil || s.mbac != nil
 	if s.reg != nil {
 		s.ins = instruments{
 			renegLatency: s.reg.Histogram(MetricRenegLatency, metrics.DefBuckets),
@@ -457,13 +475,23 @@ func validRate(rate float64) bool {
 	return rate >= 0 && !math.IsInf(rate, 1)
 }
 
-// port resolves a registered port by id, or nil.
+// port resolves a registered port by id, or nil, without a lock.
 func (s *Switch) port(id int) *port {
-	s.portMu.RLock()
-	p := s.ports[id]
-	s.portMu.RUnlock()
-	return p
+	t := s.ports.Load()
+	if i, ok := t.find(id); ok {
+		return t.byID[i]
+	}
+	return nil
 }
+
+// portAt resolves a VC's port from its slot, without a lock.
+func (s *Switch) portAt(slot uint16) *port {
+	return s.ports.Load().bySlot[slot]
+}
+
+// maxPorts is how many ports a switch holds: as many as a VC's 16-bit slot
+// can name.
+const maxPorts = 1 << 16
 
 // AddPort registers an output port with the given capacity in bits/second.
 // The capacity must be finite and positive (NaN would make every later
@@ -474,16 +502,29 @@ func (s *Switch) AddPort(id int, capacity float64) error {
 	}
 	s.portMu.Lock()
 	defer s.portMu.Unlock()
-	if _, ok := s.ports[id]; ok {
+	old := s.ports.Load()
+	at, exists := old.find(id)
+	if exists {
 		return fmt.Errorf("%w: %d", ErrPortExists, id)
 	}
-	p := &port{id: id, capacity: capacity}
+	if len(old.bySlot) == maxPorts {
+		return fmt.Errorf("switchfab: port %d: the switch holds %d ports already", id, maxPorts)
+	}
+	p := &port{id: id, capacity: capacity, slot: uint16(len(old.bySlot))}
+	if s.mbac != nil {
+		p.mbac = s.mbac.portState(id, capacity)
+	}
 	if s.reg != nil {
 		s.reg.Gauge(PortCapacityGauge(id)).Set(capacity)
 		p.reservedGauge = s.reg.Gauge(PortReservedGauge(id))
 		p.reservedGauge.Set(0)
 	}
-	s.ports[id] = p
+	t := &portTable{
+		bySlot: append(old.bySlot[:len(old.bySlot):len(old.bySlot)], p),
+		byID:   make([]*port, 0, len(old.byID)+1),
+	}
+	t.byID = append(append(append(t.byID, old.byID[:at]...), p), old.byID[at:]...)
+	s.ports.Store(t)
 	return nil
 }
 
@@ -505,8 +546,8 @@ func (s *Switch) setReserved(p *port, v float64) {
 }
 
 // Setup is SetupID addressing VPI 0. It is the last of the uint16 twins:
-// bench/rtt.go:101 and bench/probes.go:280 call it, and it goes when they
-// move to SetupID (ROADMAP 4a).
+// bench/rtt.go:101 and bench/probes.go:280 call it, and it goes when the
+// benchmark driver moves to SetupID.
 func (s *Switch) Setup(vci uint16, portID int, rate float64) error {
 	return s.SetupID(VCID(vci), portID, rate)
 }
@@ -520,7 +561,9 @@ func (s *Switch) Setup(vci uint16, portID int, rate float64) error {
 // happen under one hold of the target port's mutex, so no concurrent setup
 // can invalidate the decision. Two setups of one id on different ports are
 // arbitrated by the table: the second Put fails and nothing was reserved for
-// it.
+// it. A setup the data plane refuses (an egress port it lacks) is undone
+// before anything is reserved and fails with the data plane's error, which
+// is not a reject.
 func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	if id>>24 != 0 {
 		return fmt.Errorf("switchfab: vc id %#x is wider than 24 bits", uint32(id))
@@ -544,25 +587,44 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 		return fmt.Errorf("%w: port %d has %g of %g reserved",
 			ErrCapacity, portID, p.reserved, p.capacity)
 	}
-	if s.admitter != nil {
-		ok := s.admitter.admit(portID, now, rate, p.reserved, p.capacity)
+	ok := true
+	if p.mbac != nil {
+		ok = p.mbac.admit(now, rate)
 		s.observe(s.ins.admitLatency, now)
-		if !ok {
-			s.rejectSetup(id, portID, rate)
-			return ErrAdmission
-		}
+	} else if s.serial != nil {
+		ok = s.serial.admit(portID, rate, p.reserved, p.capacity)
+		s.observe(s.ins.admitLatency, now)
 	}
-	vc := &vcState{p: p, rate: rate}
+	if !ok {
+		s.rejectSetup(id, portID, rate)
+		return ErrAdmission
+	}
+	var vc *vcState
+	if p.mbac != nil {
+		o := &vcWithCall{vcState: vcState{rate: rate, slot: p.slot}}
+		o.rec = o.call.Init(len(s.mbac.levels))
+		vc = &o.vcState
+	} else {
+		vc = &vcState{rate: rate, slot: p.slot}
+	}
 	if s.vcs.Put(uint32(id), vc) != nil {
 		// A setup of the same id on another port published first.
 		return fmt.Errorf("%w: %s", ErrVCExists, id)
 	}
-	s.setReserved(p, p.reserved+rate)
-	if s.admitter != nil {
-		vc.rec = s.admitter.onAdmit(portID, now, rate)
-	}
 	if s.dataplane != nil {
-		s.dataplane.OnSetup(portID, id, rate)
+		w, err := s.dataplane.OnSetup(portID, id, rate)
+		if err != nil {
+			// Undone as TeardownID undoes a VC, with nothing reserved yet: an
+			// operation that found the entry meanwhile sees it gone.
+			vc.gone = true
+			s.vcs.Remove(uint32(id))
+			return fmt.Errorf("switchfab: setup of %s on port %d: %w", id, portID, err)
+		}
+		vc.word = w
+	}
+	s.setReserved(p, p.reserved+rate)
+	if vc.rec != nil {
+		p.mbac.enter(vc.rec, now, rate)
 	}
 	s.stats.setups.Add(1)
 	s.events.Record(metrics.Event{Kind: metrics.EventSetup, VPI: id.VPI(), VCI: id.VCI(), Port: portID, Rate: rate})
@@ -606,15 +668,15 @@ func (s *Switch) TeardownID(id VCID) error {
 	if vc == nil {
 		return fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
-	p := vc.p
+	p := s.portAt(vc.slot)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if vc.gone {
 		return fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
 	s.setReserved(p, p.reserved-vc.rate)
-	if s.admitter != nil {
-		s.admitter.onDepart(p.id, vc.rec)
+	if vc.rec != nil {
+		p.mbac.leave(vc.rec)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnTeardown(p.id, id)
@@ -640,7 +702,7 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 	if vc == nil {
 		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
-	p := vc.p
+	p := s.portAt(vc.slot)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if vc.gone {
@@ -670,7 +732,7 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 	if vc == nil {
 		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
-	p := vc.p
+	p := s.portAt(vc.slot)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if vc.gone {
@@ -716,11 +778,13 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, re
 		old := vc.rate
 		s.setReserved(p, p.reserved+newRate-old)
 		vc.rate = newRate
-		if s.admitter != nil && newRate != old {
-			s.admitter.onRateChange(p.id, vc.rec, now, newRate)
-		}
-		if s.dataplane != nil && newRate != old {
-			s.dataplane.OnRateChange(p.id, id, newRate)
+		if newRate != old {
+			if vc.rec != nil {
+				p.mbac.move(vc.rec, now, newRate)
+			}
+			if vc.word != nil {
+				vc.word.Store(newRate)
+			}
 		}
 		s.stats.grants.Add(1)
 		ev := metrics.Event{
@@ -770,7 +834,7 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	if vc == nil {
 		return cell.RM{}, fmt.Errorf("%w: %s", ErrNoVC, id)
 	}
-	p := vc.p
+	p := s.portAt(vc.slot)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if vc.gone {
@@ -849,16 +913,17 @@ type VCInfo struct {
 
 // info snapshots one table entry under its port mutex; ok is false for an
 // entry a teardown is unpublishing.
-func (vc *vcState) info(id VCID) (VCInfo, bool) {
-	vc.p.mu.Lock()
-	defer vc.p.mu.Unlock()
-	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: vc.p.id, Rate: vc.rate}, !vc.gone
+func (s *Switch) info(id VCID, vc *vcState) (VCInfo, bool) {
+	p := s.portAt(vc.slot)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: vc.rate}, !vc.gone
 }
 
 // VC returns the established VC named id.
 func (s *Switch) VC(id VCID) (VCInfo, error) {
 	if vc := s.vcs.Get(uint32(id)); vc != nil {
-		if info, ok := vc.info(id); ok {
+		if info, ok := s.info(id, vc); ok {
 			return info, nil
 		}
 	}
@@ -872,7 +937,7 @@ func (s *Switch) VC(id VCID) (VCInfo, error) {
 func (s *Switch) VCs() []VCInfo {
 	out := make([]VCInfo, 0, s.VCCount())
 	s.vcs.Range(func(id uint32, vc *vcState) bool {
-		if info, ok := vc.info(VCID(id)); ok {
+		if info, ok := s.info(VCID(id), vc); ok {
 			out = append(out, info)
 		}
 		return true
@@ -901,7 +966,7 @@ func (s *Switch) VCsPage(offset, limit int) ([]VCInfo, int) {
 			offset--
 			return true
 		}
-		if info, ok := vc.info(VCID(id)); ok {
+		if info, ok := s.info(VCID(id), vc); ok {
 			out = append(out, info)
 		}
 		return len(out) < limit

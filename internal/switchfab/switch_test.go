@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"rcbr/internal/cell"
 )
@@ -67,6 +68,39 @@ func TestSetupErrors(t *testing.T) {
 	}
 	if err := s.AddPort(2, 0); !errors.Is(err, ErrInvalidRate) {
 		t.Errorf("zero capacity port: %v", err)
+	}
+}
+
+// TestPortTableOutOfOrderIDs adds ports in an order unrelated to their ids,
+// so the by-id search and the by-slot index disagree on every position: each
+// id must still find its own port, and each VC must reach the port it was set
+// up on.
+func TestPortTableOutOfOrderIDs(t *testing.T) {
+	s := New()
+	ids := []int{5, -3, 9, 0, 7}
+	for _, id := range ids {
+		if err := s.AddPort(id, float64(1000+id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range ids {
+		if err := s.AddPort(id, 1); !errors.Is(err, ErrPortExists) {
+			t.Errorf("duplicate port %d: %v", id, err)
+		}
+		if _, capacity, err := s.PortLoad(id); err != nil || capacity != float64(1000+id) {
+			t.Errorf("PortLoad(%d) = %v, %v; want capacity %d", id, capacity, err, 1000+id)
+		}
+		if err := s.SetupID(VCID(i), id, 1); err != nil {
+			t.Fatal(err)
+		}
+		if vc, err := s.VC(VCID(i)); err != nil || vc.Port != id {
+			t.Errorf("VC %d = %+v, %v; want it on port %d", i, vc, err, id)
+		}
+	}
+	for _, id := range []int{-4, 1, 6, 10} {
+		if _, _, err := s.PortLoad(id); !errors.Is(err, ErrNoPort) {
+			t.Errorf("PortLoad(%d) = %v, want ErrNoPort", id, err)
+		}
 	}
 }
 
@@ -288,7 +322,7 @@ func TestHandleRMSequenceSemantics(t *testing.T) {
 	}
 }
 
-// TestHandleRMStaleResyncDropped is the schedule of ROADMAP 1c at the
+// TestHandleRMStaleResyncDropped is the stale-resync schedule at the
 // switch: the client's first attempt (delta Seq 5, to R1) is applied but its
 // reply is late, so the client retries with a resync (Seq 6, carrying R1);
 // the late reply completes the request first and the next renegotiation
@@ -533,5 +567,18 @@ func TestRenegotiateBestErrors(t *testing.T) {
 	}
 	if _, _, err := s.RenegotiateBestID(1, -1); !errors.Is(err, ErrInvalidRate) {
 		t.Errorf("negative rate: %v", err)
+	}
+}
+
+// TestVCStateSize pins the switch's per-VC record at 32 bytes, the
+// allocator's 32-byte class: a field added to it costs every VC of a switch
+// without an MBAC 16 bytes more, and one with an MBAC the jump from the
+// 128-byte class to the 144-byte one.
+func TestVCStateSize(t *testing.T) {
+	if size := unsafe.Sizeof(vcState{}); size > 32 {
+		t.Errorf("vcState is %d bytes, want at most 32", size)
+	}
+	if size := unsafe.Sizeof(vcWithCall{}); size > 128 {
+		t.Errorf("vcWithCall is %d bytes, want at most 128 (32 + 96)", size)
 	}
 }

@@ -104,8 +104,8 @@ func TestRootPackageExportsNothing(t *testing.T) {
 // The data plane is held to a stricter rule: internal/datapath reads no
 // clock at all — no time.Now or time.Since call, not even metrics.Nanotime.
 // A sweep's only time is the nowNanos its caller hands Forward, which is the
-// property ROADMAP 1b's virtual time needs from the cell path: whoever owns
-// the clock owns every shaper's.
+// property a virtual clock needs from the cell path: whoever owns the clock
+// owns every shaper's.
 //
 // internal/mesh reads no metrics.Nanotime either: a path's only clock is the
 // wall wait that models link propagation. The transport call a hop makes is
@@ -518,14 +518,14 @@ func TestSignalingPassesTheCallersContext(t *testing.T) {
 	}
 }
 
-// TestEveryOptionHasACaller holds ROADMAP item 6's rule for knobs: every
+// TestEveryOptionHasACaller holds the rule for knobs: every
 // exported With* function under internal/ is named in a non-test file of
 // this module or of bench/. An option only tests set is a configuration no
 // program runs; it is deleted, or its caller is named here. Names are matched
 // as pkg.WithX: no non-test file imports an internal package under an alias.
 func TestEveryOptionHasACaller(t *testing.T) {
 	allowed := map[string]string{
-		"mesh.WithEvents": "ROADMAP 3b names its caller: rcbrd's /trace reads the mesh's event ring",
+		"mesh.WithEvents": "its caller is rcbrd's hop-by-hop /trace, which reads the mesh's event ring",
 	}
 	fset := token.NewFileSet()
 	declared, used := map[string]token.Pos{}, map[string]bool{}
