@@ -13,7 +13,7 @@ RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./in
 # invocation, hence the explicit list.
 FUZZTIME ?= 10s
 
-.PHONY: all lint test race fuzz examples bench bench-check bench-json
+.PHONY: all lint test race fuzz examples bench bench-check bench-json loc
 
 all: lint test race
 
@@ -71,6 +71,14 @@ bench-check:
 	$(GO) -C bench build ./...
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# loc prints the size figure a simplicity change quotes: the lines of every
+# non-test Go file outside bench/ and any testdata/ (the first line, "total"),
+# then the same count for each directory under internal/ and cmd/.
+# TestMakefileLoc pins the recipe.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './bench/*' ! -path '*/testdata/*' -exec cat {} + | wc -l | xargs printf '%6d total\n'
+	@for d in internal/* cmd/*; do find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l | xargs printf "%6d $$d\n"; done
 
 # bench-json records the tier-1 benchmark baseline (ns/op, B/op, allocs/op)
 # into BENCH_trellis.json. CI runs it at -benchtime=1x into BENCH_new.json

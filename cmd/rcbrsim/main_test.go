@@ -3,6 +3,7 @@ package main
 import (
 	"go/parser"
 	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,35 @@ func TestBufferAndLevelsFlagValidation(t *testing.T) {
 	} {
 		if err := tc.run(append([]string{"-frames", "240"}, tc.args...)); err == nil {
 			t.Errorf("rcbrsim %s %s: accepted", tc.name, strings.Join(tc.args, " "))
+		}
+	}
+}
+
+// TestCountFlagValidation pins an error naming the flag, where a value was
+// once replaced in silence, for the count flags of signal and topology below
+// one: sources, signaling workers, queue depth, retained events, and slots
+// between samples.
+func TestCountFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"signal", signalRun, []string{"-n", "0"}},
+		{"signal", signalRun, []string{"-workers", "0"}},
+		{"signal", signalRun, []string{"-queue", "-1"}},
+		{"signal", signalRun, []string{"-events", "0"}},
+		{"topology", topologyRun, []string{"-n", "0"}},
+		{"topology", topologyRun, []string{"-sample", "0"}},
+	} {
+		// A row that is wrongly accepted runs: keep its CSV out of the
+		// working directory.
+		args := append([]string{"-frames", "240"}, tc.args...)
+		if tc.name == "topology" {
+			args = append(args, "-csv", filepath.Join(t.TempDir(), "topology.csv"))
+		}
+		if err := tc.run(args); err == nil || !strings.Contains(err.Error(), tc.args[0]) {
+			t.Errorf("rcbrsim %s %s: error %v, want one naming %s", tc.name, strings.Join(tc.args, " "), err, tc.args[0])
 		}
 	}
 }

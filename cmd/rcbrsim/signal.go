@@ -44,7 +44,16 @@ func signalRun(args []string) error {
 		*frames = 2880
 	}
 	if *n < 1 {
-		*n = 1
+		return fmt.Errorf("need at least one source, got -n %d", *n)
+	}
+	if *workers < 1 {
+		return fmt.Errorf("need at least one signaling worker, got -workers %d", *workers)
+	}
+	if *queue < 1 {
+		return fmt.Errorf("need a datagram queue of at least one, got -queue %d", *queue)
+	}
+	if *events < 1 {
+		return fmt.Errorf("need at least one retained event, got -events %d", *events)
 	}
 
 	// One observability plane for everything: switch, signaling server,

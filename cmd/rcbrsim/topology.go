@@ -68,13 +68,13 @@ func topologyRun(args []string) error {
 		*frames = 2880
 	}
 	if *n < 1 {
-		*n = 1
+		return fmt.Errorf("need at least one source, got -n %d", *n)
 	}
 	if *hopCount < 1 {
 		return fmt.Errorf("need at least one switch, got -hops %d", *hopCount)
 	}
 	if *sample < 1 {
-		*sample = 1
+		return fmt.Errorf("need a sample every slot or less often, got -sample %d", *sample)
 	}
 	var hopDelay time.Duration
 	switch *preset {

@@ -84,8 +84,8 @@ func TestConcurrentRequestsNoCrossTalk(t *testing.T) {
 			t.Fatalf("caller %d granted %v, want ~%v: reply routed to wrong caller?",
 				i, granted[i], want)
 		}
-		if r, err := sw.VCRateID(switchfab.VCID(100 + i)); err != nil || math.Abs(r-want)/want > 1.0/256 {
-			t.Fatalf("vci %d rate = %v (%v), want ~%v", 100+i, r, err, want)
+		if vc, err := sw.VC(switchfab.VCID(100 + i)); err != nil || math.Abs(vc.Rate-want)/want > 1.0/256 {
+			t.Fatalf("vci %d rate = %v (%v), want ~%v", 100+i, vc.Rate, err, want)
 		}
 	}
 

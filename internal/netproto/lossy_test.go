@@ -169,8 +169,8 @@ func TestRetriesSurvivePacketLoss(t *testing.T) {
 	}
 	// The retry path sends resync cells with the absolute target, so the
 	// switch state must land on the target despite the lost delta.
-	if r, _ := sw.VCRateID(3); math.Abs(r-256e3)/256e3 > 1.0/256 {
-		t.Fatalf("switch rate = %v after lossy renegotiation", r)
+	if vc, _ := sw.VC(3); math.Abs(vc.Rate-256e3)/256e3 > 1.0/256 {
+		t.Fatalf("switch rate = %v after lossy renegotiation", vc.Rate)
 	}
 	if err := cl.Teardown(ctx, 3); err != nil {
 		t.Fatalf("teardown through lossy path: %v", err)
@@ -245,8 +245,8 @@ func TestDeltaNotAppliedTwiceUnderLoss(t *testing.T) {
 		t.Fatalf("renegotiate: %v %v %v", granted, ok, err)
 	}
 	// If the retry had re-sent the delta, the switch would sit at 500e3.
-	if r, _ := sw.VCRateID(9); math.Abs(r-300e3)/300e3 > 1.0/256 {
-		t.Fatalf("switch rate = %v, delta applied twice?", r)
+	if vc, _ := sw.VC(9); math.Abs(vc.Rate-300e3)/300e3 > 1.0/256 {
+		t.Fatalf("switch rate = %v, delta applied twice?", vc.Rate)
 	}
 }
 
@@ -306,8 +306,8 @@ func TestDelayedDeltaNotAppliedAfterResync(t *testing.T) {
 	if got := sw.Stats().DupDrops; got != 1 {
 		t.Fatalf("duplicate drops = %d, want 1 (delayed delta never arrived?)", got)
 	}
-	if r, _ := sw.VCRateID(9); math.Abs(r-300e3)/300e3 > 1.0/256 {
-		t.Fatalf("switch rate = %v after delayed delta, want ~300e3 (delta applied twice)", r)
+	if vc, _ := sw.VC(9); math.Abs(vc.Rate-300e3)/300e3 > 1.0/256 {
+		t.Fatalf("switch rate = %v after delayed delta, want ~300e3 (delta applied twice)", vc.Rate)
 	}
 	if got := reg.Snapshot().Counters[switchfab.MetricDupDrops]; got != 1 {
 		t.Fatalf("%s = %d, want 1", switchfab.MetricDupDrops, got)
@@ -382,7 +382,7 @@ func TestStaleResyncRetryDoesNotRestoreOldRate(t *testing.T) {
 	if st := sw.Stats(); st.DupDrops == 0 {
 		t.Fatalf("the overtaken retry was not dropped as a duplicate: %+v", st)
 	}
-	if r, _ := sw.VCRateID(9); r != granted {
-		t.Fatalf("switch rate = %v, source believes %v: the overtaken retry restored the old rate", r, granted)
+	if vc, _ := sw.VC(9); vc.Rate != granted {
+		t.Fatalf("switch rate = %v, source believes %v: the overtaken retry restored the old rate", vc.Rate, granted)
 	}
 }

@@ -128,8 +128,8 @@ func TestEndToEndSetupRenegotiateTeardown(t *testing.T) {
 	if err := cl.Setup(ctx, 42, 1, 128e3); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := sw.VCRateID(42); r != 128e3 {
-		t.Fatalf("rate after setup = %v", r)
+	if vc, _ := sw.VC(42); vc.Rate != 128e3 {
+		t.Fatalf("rate after setup = %v", vc.Rate)
 	}
 	granted, ok, err := cl.Renegotiate(ctx, 42, 128e3, 256e3)
 	if err != nil || !ok {
@@ -175,8 +175,8 @@ func TestEndToEndResync(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("resync: %v %v %v", granted, ok, err)
 	}
-	if r, _ := sw.VCRateID(7); math.Abs(r-300e3)/300e3 > 1.0/256 {
-		t.Fatalf("rate after resync = %v", r)
+	if vc, _ := sw.VC(7); math.Abs(vc.Rate-300e3)/300e3 > 1.0/256 {
+		t.Fatalf("rate after resync = %v", vc.Rate)
 	}
 }
 

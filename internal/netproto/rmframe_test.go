@@ -203,8 +203,8 @@ func TestServerRMFrame(t *testing.T) {
 		}
 	}
 	for vci, rate := range map[switchfab.VCID]float64{1: 2 * mb, 2: mb / 2, 3: 4 * mb, 4: mb} {
-		if r, _ := sw.VCRateID(vci); r != rate {
-			t.Errorf("VC %d rate = %g, want %g", vci, r, rate)
+		if vc, _ := sw.VC(vci); vc.Rate != rate {
+			t.Errorf("VC %d rate = %g, want %g", vci, vc.Rate, rate)
 		}
 	}
 	// One frame, five cells, three decisions: one counter per fact.
@@ -238,11 +238,11 @@ func TestServerRMFrame(t *testing.T) {
 	if err != nil || f.Type != TypeErr || f.ReqID != 79 {
 		t.Errorf("frame with a corrupt cell answered %+v, %v; want an error reply", f, err)
 	}
-	if r5, _ := sw.VCRateID(5); r5 != 2*mb {
-		t.Errorf("VC 5 rate = %g, want %d (the cell ahead of the corrupt one applied)", r5, 2*mb)
+	if vc, _ := sw.VC(5); vc.Rate != 2*mb {
+		t.Errorf("VC 5 rate = %g, want %d (the cell ahead of the corrupt one applied)", vc.Rate, 2*mb)
 	}
-	if r6, _ := sw.VCRateID(6); r6 != mb {
-		t.Errorf("VC 6 rate = %g, want %d (the corrupt cell touched nothing)", r6, mb)
+	if vc, _ := sw.VC(6); vc.Rate != mb {
+		t.Errorf("VC 6 rate = %g, want %d (the corrupt cell touched nothing)", vc.Rate, mb)
 	}
 }
 
@@ -268,8 +268,8 @@ func TestServerRMFrameSeqDupDrop(t *testing.T) {
 			t.Errorf("VC %d replay marked deny; a duplicate drop is not a denial", replay[i].h.VCI)
 		}
 	}
-	if r, _ := sw.VCRateID(1); r != 2*mb {
-		t.Errorf("VC 1 rate %g after replay, want 2 * mb (delta applied once)", r)
+	if vc, _ := sw.VC(1); vc.Rate != 2*mb {
+		t.Errorf("VC 1 rate %g after replay, want 2 * mb (delta applied once)", vc.Rate)
 	}
 	if st := sw.Stats(); st.DupDrops != 2 || st.Renegotiations != 2 {
 		t.Errorf("stats %+v, want 2 duplicate drops after 2 renegotiations", st)
@@ -285,8 +285,8 @@ func TestServerRMFrameSeqDupDrop(t *testing.T) {
 	if len(got) != 2 || got[0].m.ER != 2*mb || got[1].m.ER != 2*mb || got[1].m.Deny {
 		t.Errorf("same VC twice in a frame answered %+v, want 2 * mb twice", got)
 	}
-	if r, _ := sw.VCRateID(3); r != 2*mb {
-		t.Errorf("VC 3 rate %g, want 2 * mb (delta applied once)", r)
+	if vc, _ := sw.VC(3); vc.Rate != 2*mb {
+		t.Errorf("VC 3 rate %g, want 2 * mb (delta applied once)", vc.Rate)
 	}
 }
 

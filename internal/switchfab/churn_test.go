@@ -2,6 +2,7 @@ package switchfab
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -13,15 +14,14 @@ import (
 	"rcbr/internal/stats"
 )
 
-// bookRecorder is an Admitter and a DataPlane that counts what it is told
-// and hands out one rate word: a refused rate must reach none of them.
+// bookRecorder is a DataPlane that counts what it is told and hands out one
+// rate word: a refused rate or a refused call must reach neither.
 type bookRecorder struct {
 	calls int
 	word  RateWord
 }
 
-func (r *bookRecorder) AdmitCall(int, float64, float64, float64) bool { r.calls++; return true }
-func (r *bookRecorder) OnTeardown(int, VCID)                          { r.calls++ }
+func (r *bookRecorder) OnTeardown(int, VCID) { r.calls++ }
 func (r *bookRecorder) OnSetup(_ int, _ VCID, rate float64) (*RateWord, error) {
 	r.calls++
 	r.word.Store(rate)
@@ -36,10 +36,14 @@ func (r *bookRecorder) OnSetup(_ int, _ VCID, rate float64) (*RateWord, error) {
 // from one crafted message. So every exported entry point that takes a rate
 // is fed every kind of bad one and must answer ErrInvalidRate with the
 // books exactly as they were: the port's load, the VC's rate, the counters,
-// and nothing said to the admitter or the data plane.
+// the calls the admitter tracks, and nothing said to the data plane.
 func TestSetupRejectsNonFiniteRates(t *testing.T) {
+	ad, err := NewMemoryAdmitter([]float64{100e3, 1e6}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := &bookRecorder{}
-	s := New(WithAdmitter(rec), WithDataPlane(rec))
+	s := New(WithAdmitter(ad), WithDataPlane(rec))
 	if err := s.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +72,17 @@ func TestSetupRejectsNonFiniteRates(t *testing.T) {
 			if reserved, _, err := s.PortLoad(1); err != nil || reserved != 100e3 {
 				t.Fatalf("%s(%v): PortLoad = %v, %v, want 100e3", e.name, rate, reserved, err)
 			}
-			if r, err := s.VCRateID(10); err != nil || r != 100e3 {
-				t.Fatalf("%s(%v): VCRateID = %v, %v, want 100e3", e.name, rate, r, err)
+			if vc, err := s.VC(10); err != nil || vc.Rate != 100e3 {
+				t.Fatalf("%s(%v): VC(10).Rate = %v, %v, want 100e3", e.name, rate, vc.Rate, err)
 			}
 			if got := s.Stats(); got != stats {
 				t.Fatalf("%s(%v): stats moved: %+v, were %+v", e.name, rate, got, stats)
 			}
+			if calls := ad.PortCalls(1); calls != 1 {
+				t.Fatalf("%s(%v): the admitter tracks %d calls, want 1", e.name, rate, calls)
+			}
 			if rec.calls != told || rec.word.Load() != 100e3 {
-				t.Fatalf("%s(%v): the admitter or the data plane heard of it", e.name, rate)
+				t.Fatalf("%s(%v): the data plane heard of it", e.name, rate)
 			}
 		}
 	}
@@ -406,84 +413,25 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	}
 }
 
-// TestParallelPlainAdmitterSerialized drives setups on 8 ports at once
-// through a plain AdmitterFunc whose state is a bare, unsynchronised
-// counter. WithAdmitter's wrapper is all that stands between the ports'
-// mutexes (which do not exclude each other) and that counter: under -race an
-// unserialized call is a reported race, and the in/out flag catches a
-// concurrent entry even without the detector. One AdmitCall per setup, no
-// more: the lifecycle hooks of the wrapper must not reach the function.
-func TestParallelPlainAdmitterSerialized(t *testing.T) {
-	const ports = 8
-	var calls int      // the admitter's own state: no lock, no atomic
-	var inside bool    // likewise
-	var overlapped int // likewise
-	s := New(WithAdmitter(AdmitterFunc(func(int, float64, float64, float64) bool {
-		if inside {
-			overlapped++
-		}
-		inside = true
-		calls++
-		inside = false
-		return true
-	})))
-	for p := 0; p < ports; p++ {
-		if err := s.AddPort(p, 1e12); err != nil {
-			t.Fatal(err)
-		}
-	}
-	iters := stormIters
-	if testing.Short() {
-		iters = 200
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < ports; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			id := VCID(p)
-			for i := 0; i < iters; i++ {
-				if err := s.SetupID(id, p, 64e3); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, err := s.RenegotiateID(id, 128e3); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := s.TeardownID(id); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if want := ports * iters; calls != want {
-		t.Errorf("AdmitCall ran %d times for %d setups", calls, want)
-	}
-	if overlapped != 0 {
-		t.Errorf("AdmitCall was entered %d times while already running", overlapped)
-	}
-}
-
 // TestMemoryAdmitterBlocks pins the live memory scheme's defining behavior:
 // the admission decision is driven by the pooled bandwidth *history* of the
 // calls present, not the instantaneous reservation. Two 4 Mb/s calls on a
 // 10 Mb/s port leave room for a 64 kb/s third by the capacity check, but the
 // history says calls on this port are 4 Mb/s beasts — and three of those
-// overflow, so the Chernoff tail is exactly 1 and admission must deny. A
-// departure takes its history with it and reopens the port.
+// overflow, so the Chernoff tail is exactly 1 and admission must deny. The
+// refused call touches no book: no reservation, no VC, nothing said to the
+// data plane; it is one setup reject, one reject event and one admission
+// verdict timed. A departure takes its history with it and reopens the port.
 func TestMemoryAdmitterBlocks(t *testing.T) {
 	ad, err := NewMemoryAdmitter([]float64{64e3, 4e6}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(WithAdmitter(ad))
-	s.clock = new(tickClock).read // a millisecond per operation: dwell mass accrues at the 4 Mb/s level
+	reg := metrics.NewRegistry()
+	ring := metrics.NewEventLog(16)
+	rec := &bookRecorder{}
+	s := New(WithAdmitter(ad), WithMetrics(reg), WithEventTrace(ring), WithDataPlane(rec))
+	s.clock = new(tickClock).read // a millisecond per reading: dwell mass accrues at the 4 Mb/s level
 	if err := s.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
@@ -493,11 +441,36 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 	if err := s.SetupID(2, 1, 4e6); err != nil {
 		t.Fatal(err)
 	}
+	told, admits := rec.calls, reg.Snapshot().Histograms[MetricAdmitLatency].Count
 	if err := s.SetupID(3, 1, 64e3); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("third call: %v, want ErrAdmission (history-based denial)", err)
 	}
 	if got := ad.PortCalls(1); got != 2 {
 		t.Fatalf("PortCalls = %d, want 2", got)
+	}
+	if reserved, _, err := s.PortLoad(1); err != nil || reserved != 8e6 {
+		t.Errorf("PortLoad after the refusal = %g, %v; want 8e6", reserved, err)
+	}
+	if _, err := s.VC(3); !errors.Is(err, ErrNoVC) || s.VCCount() != 2 {
+		t.Errorf("the refused call left a VC: VC(3) = %v, VCCount = %d", err, s.VCCount())
+	}
+	if rec.calls != told {
+		t.Errorf("the data plane heard of the refused call")
+	}
+	if st := s.Stats(); st.SetupRejects != 1 {
+		t.Errorf("SetupRejects = %d, want 1", st.SetupRejects)
+	}
+	rejects := 0
+	for _, ev := range ring.Events() {
+		if ev.Kind == metrics.EventSetupReject {
+			rejects++
+		}
+	}
+	if rejects != 1 {
+		t.Errorf("%d setup-reject events, want 1", rejects)
+	}
+	if got := reg.Snapshot().Histograms[MetricAdmitLatency].Count - admits; got != 1 {
+		t.Errorf("the refusal was observed %d times in %s, want 1", got, MetricAdmitLatency)
 	}
 	if err := s.TeardownID(1); err != nil {
 		t.Fatal(err)
@@ -507,6 +480,42 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 	}
 	if got := ad.PortCalls(1); got != 2 {
 		t.Fatalf("PortCalls after depart+admit = %d, want 2", got)
+	}
+}
+
+// TestMemoryAdmitterRefusesBadCapacity feeds a direct AdmitCall each
+// capacity AddPort refuses. Each must admit nothing and leave no controller
+// behind: a switch that adds the port afterwards builds its own from the
+// port's capacity and decides TestMemoryAdmitterBlocks's three calls as it
+// does there — instead of panicking on a nil controller, refusing the second
+// 4 Mb/s call under a NaN capacity, or admitting the third under +Inf.
+func TestMemoryAdmitterRefusesBadCapacity(t *testing.T) {
+	for _, capacity := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			ad, err := NewMemoryAdmitter([]float64{64e3, 4e6}, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ad.AdmitCall(1, 64e3, 0, capacity) {
+				t.Errorf("AdmitCall admitted a call at capacity %g", capacity)
+			}
+			if n := len(ad.ports); n != 0 {
+				t.Fatalf("AdmitCall at capacity %g left %d controllers", capacity, n)
+			}
+			s := New(WithAdmitter(ad))
+			s.clock = new(tickClock).read
+			if err := s.AddPort(1, 10e6); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range []struct {
+				rate float64
+				want error
+			}{{4e6, nil}, {4e6, nil}, {64e3, ErrAdmission}} {
+				if err := s.SetupID(VCID(i), 1, c.rate); !errors.Is(err, c.want) {
+					t.Errorf("setup %d at %g b/s: %v, want %v", i, c.rate, err, c.want)
+				}
+			}
+		})
 	}
 }
 

@@ -130,14 +130,12 @@ func TestClockReadBudget(t *testing.T) {
 	configs := []struct {
 		name      string
 		reg, mbac bool
-		plain     bool // a plain Admitter instead of the MBAC
-		col       int  // the column of reads this switch is held to
+		col       int // the column of reads this switch is held to
 	}{
-		{"registry and MemoryAdmitter", true, true, false, 0},
-		{"registry", true, false, false, 1},
-		{"MemoryAdmitter", false, true, false, 2},
-		{"bare", false, false, false, 3},
-		{"plain Admitter", false, false, true, 3},
+		{"registry and MemoryAdmitter", true, true, 0},
+		{"registry", true, false, 1},
+		{"MemoryAdmitter", false, true, 2},
+		{"bare", false, false, 3},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -153,9 +151,6 @@ func TestClockReadBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts = append(opts, WithAdmitter(ad))
-			}
-			if cfg.plain {
-				opts = append(opts, WithAdmitter(AdmitterFunc(func(int, float64, float64, float64) bool { return true })))
 			}
 			s := New(opts...)
 			clk := &tickClock{}

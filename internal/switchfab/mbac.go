@@ -87,10 +87,14 @@ func (a *MemoryAdmitter) portState(port int, capacity float64) *portMBAC {
 	return pa
 }
 
-// AdmitCall implements Admitter for a caller outside a switch, deciding at
-// the time of the call. A switch never calls it: it hands the port's
-// controller the operation's own reading.
+// AdmitCall decides, at the time of the call, whether a call asking for rate
+// may enter port, for a caller outside a switch; a switch hands the port's
+// controller the operation's own reading instead. A capacity AddPort would
+// refuse (not finite and positive) admits nothing and creates no controller.
 func (a *MemoryAdmitter) AdmitCall(port int, rate, _, capacity float64) bool {
+	if capacity <= 0 || !validRate(capacity) {
+		return false
+	}
 	return a.portState(port, capacity).admit(metrics.Nanotime(), rate)
 }
 

@@ -90,9 +90,9 @@ func (r *lifecycleRecorder) check(t *testing.T, s *Switch) {
 	for _, vc := range listed {
 		id := MakeVCID(vc.VPI, vc.VCI)
 		in, up := r.vcs[id]
-		rate, err := s.VCRateID(id)
-		if !up || in.port != vc.Port || err != nil || in.word.Load() != rate {
-			t.Errorf("switch lists %+v (VCRateID %v, %v), the data plane holds %+v with word %v", vc, rate, err, in, in.word.Load())
+		got, err := s.VC(id)
+		if !up || in.port != vc.Port || err != nil || got != vc || in.word.Load() != vc.Rate {
+			t.Errorf("switch lists %+v (VC %+v, %v), the data plane holds %+v with word %v", vc, got, err, in, in.word.Load())
 		}
 	}
 }

@@ -9,32 +9,30 @@
 // capacity; otherwise mark the backward cell denied and keep the old rate.
 //
 // Call setup (the expensive signaling path: route choice, VC allocation,
-// admission control) is a separate method with a pluggable admission policy,
-// mirroring the paper's split between heavyweight setup and lightweight
-// renegotiation.
+// admission control) is a separate method, mirroring the paper's split
+// between heavyweight setup and lightweight renegotiation. Its one admission
+// policy beyond the capacity check is the Section VI measurement-based
+// scheme, MemoryAdmitter.
 //
-// Concurrency: the VC table is internal/vctable's direct-index table, the
-// same one the cell path uses, keyed by the 24-bit VCID. Lookups take no
-// lock. Each port has its own mutex guarding its reservation and the rate,
-// RM sequence state and gone flag of the VCs homed on it; every operation
-// on a VC is "look it up, lock its port, check gone", so a renegotiation
-// touches exactly one mutex, and one that raced a teardown (it found the
-// entry just before the teardown unpublished it) sees gone set and reports
-// ErrNoVC. Setup checks for a duplicate, decides capacity and admission,
-// publishes the entry and reserves under one hold of the target port's
-// mutex, so setups on different ports overlap except for the table's own
-// writer mutex — a leaf taken under the port mutex, the same order the
+// Concurrency: the VC table is internal/vctable's direct-index table, the same
+// one the cell path uses, keyed by the 24-bit VCID. Lookups take no lock. Each
+// port has its own mutex guarding its reservation and the rate, RM sequence
+// state and gone flag of the VCs homed on it; every operation on a VC reaches
+// it through lockVC — look it up, lock its port, check gone — so a
+// renegotiation touches exactly one mutex, and one that raced a teardown (it
+// found the entry just before the teardown unpublished it) sees gone set and
+// reports ErrNoVC. Setup checks for a duplicate, decides capacity and
+// admission, publishes the entry and reserves under one hold of the target
+// port's mutex, so setups on different ports overlap except for the table's
+// own writer mutex — a leaf taken under the port mutex, the same order the
 // DataPlane hooks use for the cell path's table. Teardown runs the admitter
 // and DataPlane hooks before it unpublishes the entry, still under the port
-// mutex: until the id is free no setup can reuse it, so a setup of the same
-// id on another port never reaches the data plane ahead of the teardown.
-// A granted rate change is stored into the VC's rate word, which the data
-// plane handed over at setup, under the same mutex. Never two port locks at
-// once. A MemoryAdmitter's controller for a port is driven with that port's
-// mutex held — per-port serialization is the concurrency contract it relies
-// on; any other Admitter is wrapped once, by WithAdmitter, in a form that
-// serializes AdmitCall under a mutex of its own, so it never runs
-// concurrently with itself.
+// mutex: until the id is free no setup can reuse it, so a setup of the same id
+// on another port never reaches the data plane ahead of the teardown. A
+// granted rate change is stored into the VC's rate word, which the data plane
+// handed over at setup, under the same mutex. Never two port locks at once. A
+// MemoryAdmitter's controller for a port is driven with that port's mutex held
+// — per-port serialization is the concurrency contract it relies on.
 // Activity counters are atomics, published into the registry as views.
 //
 // Time: the switch reads one clock, metrics.Nanotime, and reads it once on
@@ -52,7 +50,7 @@
 // VC identifiers: the paper's switch is an ATM switch, so a VC is named by
 // the cell header's (VPI, VCI) pair — 24 bits, far past the 65,536 circuits
 // a bare 16-bit VCI allows. Every operation takes a full VCID (SetupID,
-// TeardownID, RenegotiateID, ...); Setup(uint16) alone addresses VPI 0.
+// TeardownID, RenegotiateID, VC, ...); Setup(uint16) alone addresses VPI 0.
 // HandleRM always honors the header's VPI, so cell-driven signaling reaches
 // the whole space.
 //
@@ -129,26 +127,6 @@ func (id VCID) String() string {
 	return fmt.Sprintf("%d.%d", id.VPI(), id.VCI())
 }
 
-// Admitter is the call-admission hook consulted at setup time (never during
-// renegotiation). Implementations may be stateful: WithAdmitter serializes
-// an Admitter's calls under one mutex, so it never runs concurrently with
-// itself — but that also serializes the admission decisions of setups on
-// different ports. The one policy that follows every call through its life,
-// per port and in parallel across ports, is MemoryAdmitter.
-type Admitter interface {
-	// AdmitCall reports whether a new call asking for rate bits/second may
-	// enter a port with the given reserved and capacity figures.
-	AdmitCall(port int, rate, reserved, capacity float64) bool
-}
-
-// AdmitterFunc adapts a function to the Admitter interface.
-type AdmitterFunc func(port int, rate, reserved, capacity float64) bool
-
-// AdmitCall implements Admitter.
-func (f AdmitterFunc) AdmitCall(port int, rate, reserved, capacity float64) bool {
-	return f(port, rate, reserved, capacity)
-}
-
 // callRecord is the per-call history the memory-based scheme keeps for a
 // call it admitted: level, level-entry time and per-level dwell. Its layout
 // belongs to admission.LiveMemory; the switch allocates it inside the VC's
@@ -156,20 +134,6 @@ func (f AdmitterFunc) AdmitCall(port int, rate, reserved, capacity float64) bool
 // port's controller. A teardown sets the VC gone under the port mutex before
 // it releases it, so no move follows a call's leave.
 type callRecord = admission.Call
-
-// serialAdmitter is the switch's form of a plain Admitter: AdmitCall under
-// one mutex (taken with the admitting port's mutex held, released before
-// anything else is locked), no records, no use for the time.
-type serialAdmitter struct {
-	mu sync.Mutex
-	a  Admitter
-}
-
-func (s *serialAdmitter) admit(port int, rate, reserved, capacity float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.a.AdmitCall(port, rate, reserved, capacity)
-}
 
 // RateWord is a VC's granted rate as a data plane reads it: one float64 in
 // an atomic word. The data plane owns the word — the forwarder's is a field
@@ -371,11 +335,9 @@ type Switch struct {
 	portMu sync.Mutex
 	ports  atomic.Pointer[portTable]
 
-	// The admission policy: mbac when WithAdmitter was handed a
-	// *MemoryAdmitter (each port holds its controller), serial for any other
-	// Admitter; neither admits every call that fits.
-	mbac   *MemoryAdmitter
-	serial *serialAdmitter
+	// mbac is the admission policy WithAdmitter installed (each port holds
+	// its own controller); nil admits every call that fits.
+	mbac *MemoryAdmitter
 	// dataplane, when set, receives every committed VC lifecycle change.
 	dataplane DataPlane
 	stats     statCounters
@@ -395,22 +357,11 @@ type Switch struct {
 // Option configures a Switch at construction time.
 type Option func(*Switch)
 
-// WithAdmitter installs the call-admission policy consulted at setup time.
+// WithAdmitter installs the call-admission policy consulted at setup time,
+// which follows every admitted call through its rate changes and departure.
 // A nil admitter (the default) admits every call that fits within capacity.
-// A *MemoryAdmitter is installed as it is and follows every admitted call
-// through its rate changes and departure; any other Admitter is wrapped in a
-// form that serializes its AdmitCall and keeps no records.
-func WithAdmitter(a Admitter) Option {
-	return func(s *Switch) {
-		s.mbac, s.serial = nil, nil
-		switch a := a.(type) {
-		case nil:
-		case *MemoryAdmitter:
-			s.mbac = a
-		default:
-			s.serial = &serialAdmitter{a: a}
-		}
-	}
+func WithAdmitter(a *MemoryAdmitter) Option {
+	return func(s *Switch) { s.mbac = a }
 }
 
 // WithMetrics publishes the switch's counters, per-port reserved gauges,
@@ -587,20 +538,14 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 		return fmt.Errorf("%w: port %d has %g of %g reserved",
 			ErrCapacity, portID, p.reserved, p.capacity)
 	}
-	ok := true
-	if p.mbac != nil {
-		ok = p.mbac.admit(now, rate)
-		s.observe(s.ins.admitLatency, now)
-	} else if s.serial != nil {
-		ok = s.serial.admit(portID, rate, p.reserved, p.capacity)
-		s.observe(s.ins.admitLatency, now)
-	}
-	if !ok {
-		s.rejectSetup(id, portID, rate)
-		return ErrAdmission
-	}
 	var vc *vcState
 	if p.mbac != nil {
+		ok := p.mbac.admit(now, rate)
+		s.observe(s.ins.admitLatency, now)
+		if !ok {
+			s.rejectSetup(id, portID, rate)
+			return ErrAdmission
+		}
 		o := &vcWithCall{vcState: vcState{rate: rate, slot: p.slot}}
 		o.rec = o.call.Init(len(s.mbac.levels))
 		vc = &o.vcState
@@ -659,21 +604,34 @@ func (s *Switch) rejectSetup(id VCID, portID int, rate float64) {
 	})
 }
 
+// lockVC is how every operation reaches an established VC: it looks the VC
+// up, locks its port and checks gone. On success the caller holds the port's
+// mutex and unlocks it; for a VC that is missing, or that a teardown set gone
+// after the lookup found it, nothing is held and the error is ErrNoVC.
+func (s *Switch) lockVC(id VCID) (*vcState, *port, error) {
+	vc := s.vcs.Get(uint32(id))
+	if vc == nil {
+		return nil, nil, fmt.Errorf("%w: %s", ErrNoVC, id)
+	}
+	p := s.portAt(vc.slot)
+	p.mu.Lock()
+	if vc.gone {
+		p.mu.Unlock()
+		return nil, nil, fmt.Errorf("%w: %s", ErrNoVC, id)
+	}
+	return vc, p, nil
+}
+
 // TeardownID releases a VC and its reservation. The admitter and data-plane
 // hooks run before the entry is unpublished: while the id is still taken no
 // setup can reuse it, so a setup of the same id on another port cannot reach
 // the data plane ahead of this teardown.
 func (s *Switch) TeardownID(id VCID) error {
-	vc := s.vcs.Get(uint32(id))
-	if vc == nil {
-		return fmt.Errorf("%w: %s", ErrNoVC, id)
+	vc, p, err := s.lockVC(id)
+	if err != nil {
+		return err
 	}
-	p := s.portAt(vc.slot)
-	p.mu.Lock()
 	defer p.mu.Unlock()
-	if vc.gone {
-		return fmt.Errorf("%w: %s", ErrNoVC, id)
-	}
 	s.setReserved(p, p.reserved-vc.rate)
 	if vc.rec != nil {
 		p.mbac.leave(vc.rec)
@@ -698,16 +656,11 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 	}
 	now := s.enter()
 	defer s.observe(s.ins.renegLatency, now)
-	vc := s.vcs.Get(uint32(id))
-	if vc == nil {
-		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
+	vc, p, err := s.lockVC(id)
+	if err != nil {
+		return 0, false, err
 	}
-	p := s.portAt(vc.slot)
-	p.mu.Lock()
 	defer p.mu.Unlock()
-	if vc.gone {
-		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
-	}
 	granted, ok = s.applyRate(id, vc, p, now, newRate, newRate, metrics.EventRenegGrant)
 	return granted, ok, nil
 }
@@ -728,16 +681,11 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 	}
 	now := s.enter()
 	defer s.observe(s.ins.renegLatency, now)
-	vc := s.vcs.Get(uint32(id))
-	if vc == nil {
-		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
+	vc, p, err := s.lockVC(id)
+	if err != nil {
+		return 0, false, err
 	}
-	p := s.portAt(vc.slot)
-	p.mu.Lock()
 	defer p.mu.Unlock()
-	if vc.gone {
-		return 0, false, fmt.Errorf("%w: %s", ErrNoVC, id)
-	}
 	best := target
 	if p.reserved-vc.rate+target > p.capacity {
 		headroom := p.capacity - p.reserved
@@ -830,16 +778,11 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	now := s.enter()
 	defer s.observe(s.ins.renegLatency, now)
 	id := MakeVCID(h.VPI, h.VCI)
-	vc := s.vcs.Get(uint32(id))
-	if vc == nil {
-		return cell.RM{}, fmt.Errorf("%w: %s", ErrNoVC, id)
+	vc, p, err := s.lockVC(id)
+	if err != nil {
+		return cell.RM{}, err
 	}
-	p := s.portAt(vc.slot)
-	p.mu.Lock()
 	defer p.mu.Unlock()
-	if vc.gone {
-		return cell.RM{}, fmt.Errorf("%w: %s", ErrNoVC, id)
-	}
 	if m.Seq != 0 {
 		if m.Seq <= vc.lastSeq {
 			s.stats.dupDrops.Add(1)
@@ -881,12 +824,6 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	}, nil
 }
 
-// VCRateID returns the reserved rate of a VC.
-func (s *Switch) VCRateID(id VCID) (float64, error) {
-	vc, err := s.VC(id)
-	return vc.Rate, err
-}
-
 // PortLoad returns a port's reserved rate and capacity.
 func (s *Switch) PortLoad(id int) (reserved, capacity float64, err error) {
 	p := s.port(id)
@@ -922,26 +859,20 @@ func (s *Switch) info(id VCID, vc *vcState) (VCInfo, bool) {
 
 // VC returns the established VC named id.
 func (s *Switch) VC(id VCID) (VCInfo, error) {
-	if vc := s.vcs.Get(uint32(id)); vc != nil {
-		if info, ok := s.info(id, vc); ok {
-			return info, nil
-		}
+	vc, p, err := s.lockVC(id)
+	if err != nil {
+		return VCInfo{}, err
 	}
-	return VCInfo{}, fmt.Errorf("%w: %s", ErrNoVC, id)
+	defer p.mu.Unlock()
+	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: vc.rate}, nil
 }
 
-// VCs returns every established VC in (VPI, VCI) order — the order the
-// table is walked in. The result materializes the whole table, which at
-// million-VC populations is memory-hostile; servers should page through
-// VCsPage instead.
+// VCs returns every established VC in (VPI, VCI) order: VCsPage's walk with
+// no limit. The result materializes the whole table, which at million-VC
+// populations is memory-hostile; servers should page through VCsPage
+// instead.
 func (s *Switch) VCs() []VCInfo {
-	out := make([]VCInfo, 0, s.VCCount())
-	s.vcs.Range(func(id uint32, vc *vcState) bool {
-		if info, ok := s.info(VCID(id), vc); ok {
-			out = append(out, info)
-		}
-		return true
-	})
+	out, _ := s.VCsPage(0, math.MaxInt)
 	return out
 }
 

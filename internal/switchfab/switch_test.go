@@ -24,8 +24,8 @@ func TestSetupTeardown(t *testing.T) {
 	if err := s.Setup(10, 1, 300e3); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := s.VCRateID(10); err != nil || r != 300e3 {
-		t.Fatalf("VCRate = %v, %v", r, err)
+	if vc, err := s.VC(10); err != nil || vc.Rate != 300e3 {
+		t.Fatalf("VC(10).Rate = %v, %v", vc.Rate, err)
 	}
 	reserved, capacity, err := s.PortLoad(1)
 	if err != nil || reserved != 300e3 || capacity != 1e6 {
@@ -104,20 +104,6 @@ func TestPortTableOutOfOrderIDs(t *testing.T) {
 	}
 }
 
-func TestAdmissionHook(t *testing.T) {
-	rejectAll := AdmitterFunc(func(int, float64, float64, float64) bool { return false })
-	s := New(WithAdmitter(rejectAll))
-	if err := s.AddPort(1, 1e6); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Setup(1, 1, 1e5); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("admission hook bypassed: %v", err)
-	}
-	if st := s.Stats(); st.SetupRejects != 1 {
-		t.Fatalf("SetupRejects = %d", st.SetupRejects)
-	}
-}
-
 func TestRenegotiateGrantAndDeny(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
 	if err := s.Setup(1, 1, 400e3); err != nil {
@@ -179,8 +165,8 @@ func TestHandleRMDeltaUp(t *testing.T) {
 	if math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("granted rate = %v, want 300e3", resp.ER)
 	}
-	if r, _ := s.VCRateID(7); math.Abs(r-300e3) > 1 {
-		t.Fatalf("VC rate = %v", r)
+	if vc, _ := s.VC(7); math.Abs(vc.Rate-300e3) > 1 {
+		t.Fatalf("VC rate = %v", vc.Rate)
 	}
 }
 
@@ -222,8 +208,8 @@ func TestHandleRMDeny(t *testing.T) {
 	if math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("denied reply ER = %v, want current 300e3", resp.ER)
 	}
-	if r, _ := s.VCRateID(1); r != 300e3 {
-		t.Fatalf("rate changed on denial: %v", r)
+	if vc, _ := s.VC(1); vc.Rate != 300e3 {
+		t.Fatalf("rate changed on denial: %v", vc.Rate)
 	}
 }
 
@@ -236,8 +222,8 @@ func TestHandleRMResync(t *testing.T) {
 	if err != nil || resp.Deny {
 		t.Fatalf("resync: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRateID(3); math.Abs(r-250e3) > 1 {
-		t.Fatalf("rate after resync = %v", r)
+	if vc, _ := s.VC(3); math.Abs(vc.Rate-250e3) > 1 {
+		t.Fatalf("rate after resync = %v", vc.Rate)
 	}
 	if st := s.Stats(); st.Resyncs != 1 {
 		t.Fatalf("resyncs = %d", st.Resyncs)
@@ -247,8 +233,8 @@ func TestHandleRMResync(t *testing.T) {
 	if err != nil || !resp.Deny {
 		t.Fatalf("oversubscribing resync not denied: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRateID(3); math.Abs(r-250e3) > 1 {
-		t.Fatalf("rate after denied resync = %v", r)
+	if vc, _ := s.VC(3); math.Abs(vc.Rate-250e3) > 1 {
+		t.Fatalf("rate after denied resync = %v", vc.Rate)
 	}
 }
 
@@ -304,8 +290,8 @@ func TestHandleRMSequenceSemantics(t *testing.T) {
 	if resp, err := s.HandleRM(h, cell.RM{ER: 100e3, Seq: 2}); err != nil || resp.Deny || math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("dup at lastSeq: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRateID(5); math.Abs(r-300e3) > 1 {
-		t.Fatalf("rate after duplicates = %v, want 300e3", r)
+	if vc, _ := s.VC(5); math.Abs(vc.Rate-300e3) > 1 {
+		t.Fatalf("rate after duplicates = %v, want 300e3", vc.Rate)
 	}
 	st := s.Stats()
 	if st.DupDrops != 2 {
@@ -350,8 +336,8 @@ func TestHandleRMStaleResyncDropped(t *testing.T) {
 	if resp.Deny || !resp.Resync || resp.Seq != 6 || resp.ER != r2 {
 		t.Fatalf("stale resync reply = %+v, want non-deny echo of seq 6 carrying %g", resp, r2)
 	}
-	if r, _ := s.VCRateID(7); r != r2 {
-		t.Fatalf("rate after stale resync = %g, want %g (the overtaken retry restored the old rate)", r, r2)
+	if vc, _ := s.VC(7); vc.Rate != r2 {
+		t.Fatalf("rate after stale resync = %g, want %g (the overtaken retry restored the old rate)", vc.Rate, r2)
 	}
 	// lastSeq was not rewound: a replay of Seq 7 is still a duplicate.
 	if resp, err := s.HandleRM(h, cell.RM{ER: r2 - r1, Seq: 7}); err != nil || resp.ER != r2 {
@@ -395,8 +381,8 @@ func TestHandleRMResyncResetsSequence(t *testing.T) {
 	if resp, err := s.HandleRM(h, cell.RM{ER: 150e3, Resync: true}); err != nil || resp.Deny {
 		t.Fatalf("unsequenced restart resync: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRateID(8); r != 150e3 {
-		t.Fatalf("rate after restart resync = %v", r)
+	if vc, _ := s.VC(8); vc.Rate != 150e3 {
+		t.Fatalf("rate after restart resync = %v", vc.Rate)
 	}
 	// Its next delta (Seq 2) is fresh, not a duplicate from before the restart.
 	if resp, err := s.HandleRM(h, cell.RM{ER: 50e3, Seq: 2}); err != nil || resp.Deny || resp.ER != 200e3 {
@@ -420,8 +406,8 @@ func TestHandleRMSeqZeroBypassesCheck(t *testing.T) {
 			t.Fatalf("seq-0 delta %d: %+v %v", i, resp, err)
 		}
 	}
-	if r, _ := s.VCRateID(6); math.Abs(r-400e3) > 1 {
-		t.Fatalf("rate after three unsequenced deltas = %v, want 400e3", r)
+	if vc, _ := s.VC(6); math.Abs(vc.Rate-400e3) > 1 {
+		t.Fatalf("rate after three unsequenced deltas = %v, want 400e3", vc.Rate)
 	}
 	// Interleave a sequenced delta, then another Seq-0: both apply.
 	if resp, err := s.HandleRM(h, cell.RM{ER: 50e3, Seq: 9}); err != nil || resp.Deny {

@@ -49,19 +49,19 @@ func TestVPIAddressing(t *testing.T) {
 	if err != nil || m.Deny {
 		t.Fatalf("resync on (5,7): %v deny=%v", err, m.Deny)
 	}
-	if r, _ := s.VCRateID(MakeVCID(5, 7)); r != 3e6 {
-		t.Errorf("(5,7) rate = %g, want 3e6", r)
+	if vc, _ := s.VC(MakeVCID(5, 7)); vc.Rate != 3e6 {
+		t.Errorf("(5,7) rate = %g, want 3e6", vc.Rate)
 	}
-	if r, _ := s.VCRateID(MakeVCID(0, 7)); r != 1e6 {
-		t.Errorf("(0,7) rate = %g after renegotiating (5,7), want untouched 1e6", r)
+	if vc, _ := s.VC(MakeVCID(0, 7)); vc.Rate != 1e6 {
+		t.Errorf("(0,7) rate = %g after renegotiating (5,7), want untouched 1e6", vc.Rate)
 	}
 	if err := s.TeardownID(MakeVCID(0, 7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.VCRateID(MakeVCID(0, 7)); !errors.Is(err, ErrNoVC) {
+	if _, err := s.VC(MakeVCID(0, 7)); !errors.Is(err, ErrNoVC) {
 		t.Fatalf("(0,7) after teardown: %v", err)
 	}
-	if r, _ := s.VCRateID(MakeVCID(5, 7)); r != 3e6 {
-		t.Errorf("(5,7) rate = %g after tearing down (0,7), want 3e6", r)
+	if vc, _ := s.VC(MakeVCID(5, 7)); vc.Rate != 3e6 {
+		t.Errorf("(5,7) rate = %g after tearing down (0,7), want 3e6", vc.Rate)
 	}
 }

@@ -41,6 +41,25 @@ func TestMakefileBenchCheck(t *testing.T) {
 	}
 }
 
+// TestMakefileLoc pins the loc target: the total counts every non-test Go
+// file but bench/'s, testdata's and dot-directories' (the benchmark's build
+// directory), and the breakdown walks internal/ and cmd/, so the figure a
+// simplicity change quotes is the one anyone gets by running it.
+func TestMakefileLoc(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("reading Makefile: %v", err)
+	}
+	want := []string{
+		`@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './bench/*' ! -path '*/testdata/*' -exec cat {} + | wc -l | xargs printf '%6d total\n'`,
+		`@for d in internal/* cmd/*; do find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l | xargs printf "%6d $$d\n"; done`,
+	}
+	got := recipeLines(t, string(src), "loc")
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("loc recipe:\n  got:  %q\n  want: %q", got, want)
+	}
+}
+
 // recipeLines returns the recipe of the named Makefile target, one trimmed
 // command per line.
 func recipeLines(t *testing.T, src, target string) []string {

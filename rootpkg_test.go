@@ -131,15 +131,19 @@ func TestControlPathReadsOneClock(t *testing.T) {
 	}
 }
 
-// TestLockRulesInSource holds the two lock rules of DESIGN §11 that can be
-// read off the source (a lint analyzer's job until PR 22, DESIGN §9). Rings
-// are single-producer/single-consumer and synchronize with atomics alone, so
-// no ring-named struct in internal/datapath declares or embeds a mutex. And a
-// switch operation works under exactly one port mutex — which is what makes
-// the fabric deadlock-free with no order among ports — so no function in
+// TestLockRulesInSource holds the lock rules of DESIGN §11 that can be read
+// off the source (once a lint analyzer's job, DESIGN §9). Rings are
+// single-producer/single-consumer and synchronize with atomics alone, so no
+// ring-named struct in internal/datapath declares or embeds a mutex. A switch
+// operation works under exactly one port mutex — which is what makes the
+// fabric deadlock-free with no order among ports — so no function in
 // internal/switchfab calls Lock twice: whatever else is locked under a port
 // (an admitter's mutex, the VC table's writer mutex) is locked by a callee
-// that locks nothing further.
+// that locks nothing further. And an operation reaches an established VC one
+// way, lockVC's "look it up, lock its port, check gone": lockVC is the only
+// function that looks a VC up in the table and then locks a port's mutex.
+// (SetupID locks its port first and reads the table only to find the id
+// free.)
 func TestLockRulesInSource(t *testing.T) {
 	fset := token.NewFileSet()
 	isMutex := func(e ast.Expr) bool {
@@ -166,17 +170,25 @@ func TestLockRulesInSource(t *testing.T) {
 			return true
 		})
 	}
+	var reachers []string // functions that look a VC up and then lock a port
 	for _, f := range nonTestFiles(t, fset, "internal/switchfab") {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			locks := 0
+			locks, lookedUp := 0, false
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
 					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Lock" {
 						locks++
+					}
+					switch fun := types.ExprString(call.Fun); {
+					case strings.HasSuffix(fun, ".vcs.Get"):
+						lookedUp = true
+					case strings.HasSuffix(fun, ".mu.Lock") && lookedUp:
+						reachers = append(reachers, fd.Name.Name)
+						lookedUp = false
 					}
 				}
 				return true
@@ -186,6 +198,9 @@ func TestLockRulesInSource(t *testing.T) {
 					fset.Position(fd.Pos()), fd.Name.Name, locks)
 			}
 		}
+	}
+	if !slices.Equal(reachers, []string{"lockVC"}) {
+		t.Errorf("functions that look a VC up and then lock its port: %v; want lockVC alone, which every operation on a VC calls", reachers)
 	}
 }
 
