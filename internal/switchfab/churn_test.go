@@ -413,6 +413,49 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	}
 }
 
+// TestAdmissionHook holds setup to the admitter WithAdmitter installed and to
+// nothing else: the three calls of TestMemoryAdmitterBlocks all fit the port
+// by the capacity check, so with a nil admitter all three are taken and
+// nothing is rejected, and with a MemoryAdmitter the third is turned away
+// with ErrAdmission as the one setup reject.
+func TestAdmissionHook(t *testing.T) {
+	for _, withMBAC := range []bool{false, true} {
+		var ad *MemoryAdmitter
+		if withMBAC {
+			var err error
+			if ad, err = NewMemoryAdmitter([]float64{64e3, 4e6}, 1e-3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := New(WithAdmitter(ad))
+		s.clock = new(tickClock).read
+		if err := s.AddPort(1, 10e6); err != nil {
+			t.Fatal(err)
+		}
+		var third error
+		for i, rate := range []float64{4e6, 4e6, 64e3} {
+			err := s.SetupID(VCID(i+1), 1, rate)
+			if i < 2 && err != nil {
+				t.Fatalf("MBAC %v: setup %d at %g b/s: %v", withMBAC, i+1, rate, err)
+			}
+			third = err
+		}
+		wantRejects, wantVCs := int64(0), 3
+		if withMBAC {
+			wantRejects, wantVCs = 1, 2
+			if !errors.Is(third, ErrAdmission) {
+				t.Errorf("MBAC: third call: %v, want ErrAdmission", third)
+			}
+		} else if third != nil {
+			t.Errorf("nil admitter: third call: %v, want admitted", third)
+		}
+		if st := s.Stats(); st.SetupRejects != wantRejects || s.VCCount() != wantVCs {
+			t.Errorf("MBAC %v: SetupRejects = %d, VCCount = %d; want %d, %d",
+				withMBAC, st.SetupRejects, s.VCCount(), wantRejects, wantVCs)
+		}
+	}
+}
+
 // TestMemoryAdmitterBlocks pins the live memory scheme's defining behavior:
 // the admission decision is driven by the pooled bandwidth *history* of the
 // calls present, not the instantaneous reservation. Two 4 Mb/s calls on a
