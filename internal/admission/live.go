@@ -2,6 +2,7 @@ package admission
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rcbr/internal/ld"
@@ -47,6 +48,11 @@ type LiveMemory struct {
 	// in steady state.
 	weights []float64
 	probs   []float64
+	// slack bounds how far the mean Dist.Mean computes from a normalized
+	// pool can sit above the pool's highest weighted level: the rounding of
+	// the sum, the divides and the products is at most about 2L+2 unit
+	// roundoffs (2^-53) over L non-negative levels, here doubled.
+	slack float64
 }
 
 // Call is one present call's contribution to a LiveMemory pool, retained so
@@ -112,7 +118,7 @@ func NewLiveMemory(levels []float64, capacity, target float64) (*LiveMemory, err
 		}
 	}
 	n := len(levels)
-	return &LiveMemory{
+	m := &LiveMemory{
 		capacity: capacity,
 		target:   target,
 		levels:   append([]float64(nil), levels...),
@@ -121,7 +127,12 @@ func NewLiveMemory(levels []float64, capacity, target float64) (*LiveMemory, err
 		sinceSum: make([]float64, n),
 		weights:  make([]float64, n),
 		probs:    make([]float64, n),
-	}, nil
+		slack:    1 + float64(4*(n+1))*0x1p-53,
+	}
+	if levels[0] < 0 {
+		m.slack = math.Inf(1) // the bound needs non-negative levels: no shortcut
+	}
+	return m, nil
 }
 
 // index returns the index of the level nearest to rate (ties go down),
@@ -147,7 +158,14 @@ func (m *LiveMemory) dist(now float64) (ld.Dist, bool) {
 	if m.present == 0 {
 		return ld.Dist{}, false
 	}
-	var total float64
+	total, _ := m.weigh(now)
+	return m.normalize(total)
+}
+
+// weigh fills the weights scratch with each level's pooled weight at time
+// now and returns their sum and the highest level with positive weight (0
+// when none has any).
+func (m *LiveMemory) weigh(now float64) (total, top float64) {
 	for i := range m.levels {
 		w := m.flushed[i] + m.active[i]*now - m.sinceSum[i]
 		if w < 0 { // floating-point dust from the linear form
@@ -155,7 +173,16 @@ func (m *LiveMemory) dist(now float64) (ld.Dist, bool) {
 		}
 		m.weights[i] = w
 		total += w
+		if w > 0 {
+			top = m.levels[i]
+		}
 	}
+	return total, top
+}
+
+// normalize turns the weights weigh left, summing to total, into the pooled
+// distribution.
+func (m *LiveMemory) normalize(total float64) (ld.Dist, bool) {
 	if total <= 0 {
 		return ld.Dist{}, false
 	}
@@ -167,8 +194,24 @@ func (m *LiveMemory) dist(now float64) (ld.Dist, bool) {
 
 // Admit reports whether a new call may enter at time now. As in Memory the
 // pooled estimate speaks for the newcomer; its initial rate is not consulted.
+//
+// A port whose share per call, capacity/(n+1), exceeds the highest level
+// any present call has held cannot overflow whatever mix of levels its n+1
+// calls hold: the share is above the pooled distribution's peak, so the
+// Chernoff exponent is +Inf and the estimate 0. Admit answers that case
+// from the weights alone. The share must clear the peak by slack, which
+// also puts it above the mean as Dist.Mean rounds it — below that mean the
+// exponent would be 0 — so the answer is the full evaluation's, bit for
+// bit. Only otherwise is the distribution normalized and evaluated.
 func (m *LiveMemory) Admit(now, _ float64) bool {
-	dist, ok := m.dist(now)
+	if m.present == 0 {
+		return true
+	}
+	total, top := m.weigh(now)
+	if total > 0 && top > 0 && m.capacity/float64(max(m.present, 0)+1) > top*m.slack {
+		return true
+	}
+	dist, ok := m.normalize(total)
 	if !ok {
 		return true
 	}

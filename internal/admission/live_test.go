@@ -191,3 +191,86 @@ func TestLiveMemoryIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmitShortcutKeepsTheDecision holds Admit's shortcut — admit when the
+// share per call clears the highest weighted level — to the full Chernoff
+// evaluation over the normalized pool: over seeded pools of up to seven
+// levels, some a hair apart, and capacities that put the share per call on
+// either side of that level by a few units in the last place, the two
+// decisions agree every time.
+func TestAdmitShortcutKeepsTheDecision(t *testing.T) {
+	rng := stats.NewRNG(11)
+	shortcuts := 0
+	for k := 0; k < 2000; k++ {
+		n := 1 + rng.Intn(7)
+		levels := make([]float64, n)
+		at := 0.0
+		for i := range levels {
+			if i > 0 && rng.Intn(3) == 0 {
+				at = math.Nextafter(at, math.Inf(1))
+			} else {
+				at += 64e3 * (0.5 + rng.Float64())
+			}
+			levels[i] = at
+		}
+		probe, err := NewLiveMemory(levels, 1, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 1 + rng.Intn(20)
+		now := 0.0
+		type entry struct {
+			rec  *Call
+			rate float64
+		}
+		var present []entry
+		for c := 0; c < calls; c++ {
+			present = append(present, entry{NewCall(n), levels[rng.Intn(n)]})
+		}
+		// Build the pool once to find its top level, then replay it on
+		// controllers whose capacity straddles top·(calls+1).
+		replay := func(m *LiveMemory) {
+			now = 0
+			r := stats.NewRNG(uint64(k))
+			for _, e := range present {
+				e.rec.level = -1
+				for i := range e.rec.dwell {
+					e.rec.dwell[i] = 0
+				}
+				now += r.ExpFloat64(1)
+				m.Enter(e.rec, now, e.rate)
+			}
+			for j := 0; j < calls; j++ {
+				now += r.ExpFloat64(1)
+				m.Move(present[r.Intn(calls)].rec, now, levels[r.Intn(n)])
+			}
+			now += r.ExpFloat64(1)
+		}
+		replay(probe)
+		_, top := probe.weigh(now)
+		share := top * float64(calls+1)
+		for _, capacity := range []float64{
+			share, math.Nextafter(share, 0), math.Nextafter(share, math.Inf(1)),
+			share * (1 + 1e-15), share * (1 + 1e-14), share * (1 + 1e-12), share * 2, share / 2,
+		} {
+			m, err := NewLiveMemory(levels, capacity, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay(m)
+			want := true
+			if dist, ok := m.dist(now); ok {
+				want = chernoffAdmit(dist, m.capacity, m.target, m.present)
+			}
+			if got := m.Admit(now, 0); got != want {
+				t.Fatalf("pool %d, capacity %v: Admit = %v, the full evaluation %v", k, capacity, got, want)
+			}
+			if m.capacity/float64(m.present+1) > top*m.slack {
+				shortcuts++
+			}
+		}
+	}
+	if shortcuts == 0 {
+		t.Fatal("no case took the shortcut")
+	}
+}

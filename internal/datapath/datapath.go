@@ -52,8 +52,10 @@
 package datapath
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -221,16 +223,29 @@ type VCStats struct {
 	Overflow  int64
 }
 
+// portSet holds a forwarder's ports twice over: list in the order AddPort
+// added them, the order a sweep visits them, and byID sorted by id, which
+// Port searches.
+type portSet struct {
+	list []*Port
+	byID []*Port
+}
+
+// find returns where id is or would be in byID, and whether it is there.
+func (t *portSet) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(t.byID, id, func(p *Port, id int) int { return cmp.Compare(p.id, id) })
+}
+
 // Forwarder is the cell data path of one switch. See the package comment
-// for the concurrency contract.
+// for the concurrency contract. Its ports are one snapshot, read without a
+// lock by the sweep, the registry's views and Port (so by OnSetup and AddVC
+// finding a VC's egress port) and republished whole by AddPort; portsMu
+// serializes AddPort alone.
 type Forwarder struct {
 	vcs vctable.Table[vcEntry]
 
-	// portsMu guards the ports map; portList is the forwarding goroutine's
-	// lock-free snapshot, republished on every AddPort.
-	portsMu  sync.Mutex
-	ports    map[int]*Port
-	portList atomic.Pointer[[]*Port]
+	portsMu sync.Mutex
+	ports   atomic.Pointer[portSet]
 
 	burst     int
 	ringCells int
@@ -275,7 +290,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 // New returns an empty forwarder: add ports, then VCs, then pump it.
 func New(opts ...Option) *Forwarder {
 	f := &Forwarder{
-		ports:     make(map[int]*Port),
 		burst:     DefaultBurst,
 		ringCells: DefaultRingCells,
 		depthBits: DefaultDepthCells * CellPayloadBits,
@@ -296,8 +310,7 @@ func New(opts ...Option) *Forwarder {
 		f.reg.CounterFunc(MetricCellsBadHeader, f.view(func(s PortStats) int64 { return s.BadHeader }))
 		f.reg.CounterFunc(MetricCellsTransmitted, f.view(func(s PortStats) int64 { return s.Transmitted }))
 	}
-	empty := []*Port{}
-	f.portList.Store(&empty)
+	f.ports.Store(new(portSet))
 	return f
 }
 
@@ -306,7 +319,7 @@ func New(opts ...Option) *Forwarder {
 func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
 	return func() int64 {
 		var sum int64
-		for _, p := range *f.portList.Load() {
+		for _, p := range f.ports.Load().list {
 			sum += field(p.Stats())
 		}
 		return sum
@@ -317,27 +330,31 @@ func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
 func (f *Forwarder) AddPort(id int) (*Port, error) {
 	f.portsMu.Lock()
 	defer f.portsMu.Unlock()
-	if _, ok := f.ports[id]; ok {
+	old := f.ports.Load()
+	at, exists := old.find(id)
+	if exists {
 		return nil, fmt.Errorf("datapath: port %d exists", id)
 	}
 	p := &Port{
 		id: id, in: NewRing(f.ringCells), out: NewRing(f.ringCells),
 		lookups: make([]*vcEntry, f.burst),
 	}
-	f.ports[id] = p
-	old := *f.portList.Load()
-	next := make([]*Port, len(old), len(old)+1)
-	copy(next, old)
-	next = append(next, p)
-	f.portList.Store(&next)
+	t := &portSet{
+		list: append(old.list[:len(old.list):len(old.list)], p),
+		byID: make([]*Port, 0, len(old.byID)+1),
+	}
+	t.byID = append(append(append(t.byID, old.byID[:at]...), p), old.byID[at:]...)
+	f.ports.Store(t)
 	return p, nil
 }
 
-// Port returns a registered port, or nil.
+// Port returns a registered port, or nil, without a lock.
 func (f *Forwarder) Port(id int) *Port {
-	f.portsMu.Lock()
-	defer f.portsMu.Unlock()
-	return f.ports[id]
+	t := f.ports.Load()
+	if i, ok := t.find(id); ok {
+		return t.byID[i]
+	}
+	return nil
 }
 
 // AddVC routes a VC to an egress port at a granted rate. The shaper starts
@@ -440,7 +457,7 @@ func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 // slot-driven relay — does not drown it in zeros.
 func (f *Forwarder) Forward(nowNanos int64) int {
 	total := 0
-	for _, p := range *f.portList.Load() {
+	for _, p := range f.ports.Load().list {
 		total += f.forwardPort(p, nowNanos)
 	}
 	if total > 0 {
@@ -602,7 +619,8 @@ func (f *Forwarder) TransmitTo(p *Port, max int, sink func(*Cell)) int {
 // DataPlane hooks: a Forwarder plugs into switchfab.WithDataPlane so the
 // control plane mirrors every VC setup and teardown into the table. The
 // hooks run under the switch's port mutex and must not block: both are O(1)
-// under the table's writer mutex (a leaf in the lock order). A rate change
+// under the table's writer mutex (a leaf in the lock order), and OnSetup
+// finds the egress port in the port snapshot without a lock. A rate change
 // is no hook: OnSetup hands the switch the entry's rate word, and the
 // switch stores granted rates there without a table walk or a lock. A setup
 // the forwarder cannot route (no such egress port) is refused with AddVC's

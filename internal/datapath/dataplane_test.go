@@ -2,7 +2,9 @@ package datapath
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"rcbr/internal/metrics"
 	"rcbr/internal/switchfab"
@@ -184,5 +186,50 @@ func TestWideVCIDRefusedBeforeTheBooks(t *testing.T) {
 	// The id its low 24 bits spell is still free.
 	if err := sw.SetupID(switchfab.MakeVCID(0, 7), 1, 4e6); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEgressPortFoundWithoutALock holds setup's egress-port lookup to the
+// forwarder's port snapshot: with AddPort's mutex held, Port, AddVC and a
+// switch-driven setup all complete. Ports added out of id order are each
+// found under their own id, absent ids are not, and a duplicate is refused.
+func TestEgressPortFoundWithoutALock(t *testing.T) {
+	f := New()
+	added := map[int]*Port{}
+	for _, id := range []int{7, -2, 3, 11, 0} {
+		p, err := f.AddPort(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added[id] = p
+	}
+	if _, err := f.AddPort(3); err == nil {
+		t.Error("a second port 3 was added")
+	}
+	sw := switchfab.New(switchfab.WithDataPlane(f))
+	sw.AddPort(11, 1e9)
+	f.portsMu.Lock()
+	defer f.portsMu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		for id := -3; id <= 12; id++ {
+			if got := f.Port(id); got != added[id] {
+				done <- fmt.Errorf("Port(%d) = %v, want %v", id, got, added[id])
+				return
+			}
+		}
+		if err := f.AddVC(1, 7, 1e3); err != nil {
+			done <- err
+			return
+		}
+		done <- sw.SetupID(2, 11, 1e3)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("finding an egress port waited on AddPort's mutex")
 	}
 }

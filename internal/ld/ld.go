@@ -145,6 +145,11 @@ func (d Dist) RateFunction(a float64) float64 {
 	}
 	for iter := 0; iter < 200; iter++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			// lo and hi are adjacent floats: whichever way the test went,
+			// every later midpoint is this one, and so is s below.
+			break
+		}
 		if d.mgfDeriv(mid) < a {
 			lo = mid
 		} else {

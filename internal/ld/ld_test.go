@@ -316,3 +316,96 @@ func TestDeltaForValidation(t *testing.T) {
 		t.Fatalf("DeltaFor = %v, %v", d, err)
 	}
 }
+
+// rateFunction200 is RateFunction as it was before its bisection learned to
+// stop: always 200 halvings of the bracket. It is the reference the early
+// stop is held to.
+func rateFunction200(d Dist, a float64) float64 {
+	mean := d.Mean()
+	if a <= mean {
+		return 0
+	}
+	max := d.Max()
+	if a > max {
+		return math.Inf(1)
+	}
+	if a == max {
+		var pmax float64
+		for i, p := range d.P {
+			if p > 0 && d.X[i] == max {
+				pmax += p
+			}
+		}
+		return -math.Log(pmax)
+	}
+	lo, hi := 0.0, 1.0
+	if max > 0 {
+		hi = 1 / max
+	}
+	for iter := 0; d.mgfDeriv(hi) < a; iter++ {
+		hi *= 2
+		if iter > 200 {
+			return math.Inf(1)
+		}
+	}
+	for iter := 0; iter < 200; iter++ {
+		mid := (lo + hi) / 2
+		if d.mgfDeriv(mid) < a {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	s := (lo + hi) / 2
+	return s*a - d.LogMGF(s)
+}
+
+// TestRateFunctionStopsWithTheSameBits holds RateFunction's early stop to
+// the 200-step bisection bit for bit, over a seeded table of distributions
+// — up to seven levels, rates from cells per second to gigabits, masses down
+// to 1e-12, zero masses, levels a hair apart — each at arguments from just
+// above the mean to just below the peak.
+func TestRateFunctionStopsWithTheSameBits(t *testing.T) {
+	r := stats.NewRNG(31)
+	for k := 0; k < 400; k++ {
+		n := 1 + r.Intn(7)
+		scale := math.Pow(10, float64(r.Intn(10)))
+		p, x := make([]float64, n), make([]float64, n)
+		var sum, at float64
+		for i := range p {
+			switch r.Intn(5) {
+			case 0:
+				p[i] = 1e-12 * r.Float64()
+			case 1:
+				p[i] = 0
+			default:
+				p[i] = r.Float64()
+			}
+			if r.Intn(4) == 0 {
+				at = math.Nextafter(at, math.Inf(1)) // a level a hair above the last
+			} else {
+				at += scale * (0.1 + r.Float64())
+			}
+			sum += p[i]
+			x[i] = at
+		}
+		if sum == 0 {
+			p[n-1], sum = 1, 1
+		}
+		for i := range p {
+			p[i] /= sum
+		}
+		d := Dist{P: p, X: x}
+		mean, max := d.Mean(), d.Max()
+		args := []float64{math.Nextafter(mean, max), math.Nextafter(max, mean), max, mean}
+		for j := 0; j < 8; j++ {
+			args = append(args, mean+(max-mean)*r.Float64())
+		}
+		for _, a := range args {
+			got, want := d.RateFunction(a), rateFunction200(d, a)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dist %d %+v: RateFunction(%v) = %v, the 200-step bisection %v", k, d, a, got, want)
+			}
+		}
+	}
+}

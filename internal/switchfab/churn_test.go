@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,7 +343,7 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	levels := make(map[float64]float64)
 	for p := 0; p < ports; p++ {
 		calls += inner.PortCalls(p)
-		for level, n := range s.port(p).mbac.ctl.Active() {
+		for level, n := range s.port(p).mbac.Active() {
 			levels[rates[level]] += n
 		}
 	}
@@ -395,7 +396,7 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 		}
 		// The count alone can be right with a record entered and never
 		// left, if another left twice; the per-level occupancy cannot.
-		for level, n := range s.port(p).mbac.ctl.Active() {
+		for level, n := range s.port(p).mbac.Active() {
 			if n != 0 {
 				t.Errorf("port %d level %d: %v calls still active after drain", p, level, n)
 			}
@@ -559,6 +560,147 @@ func TestMemoryAdmitterRefusesBadCapacity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMemoryAdmitterServesOneSwitch installs one admitter in two switches
+// that both add a port 1: A at 10 Mb/s, B at 1 Gb/s. B's port would pool its
+// calls with A's on a controller sized for A's capacity and guarded by A's
+// mutex, so B's AddPort fails and names the port, and A's port still decides
+// TestMemoryAdmitterBlocks's three calls as it does there.
+func TestMemoryAdmitterServesOneSwitch(t *testing.T) {
+	ad, err := NewMemoryAdmitter([]float64{64e3, 4e6}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := New(WithAdmitter(ad)), New(WithAdmitter(ad))
+	a.clock, b.clock = new(tickClock).read, new(tickClock).read
+	if err := a.AddPort(1, 10e6); err != nil {
+		t.Fatal(err)
+	}
+	err = b.AddPort(1, 1e9)
+	if err == nil || !strings.Contains(err.Error(), "port 1") {
+		t.Fatalf("switch B's AddPort(1) on switch A's admitter: %v, want an error naming port 1", err)
+	}
+	if _, _, err := b.PortLoad(1); !errors.Is(err, ErrNoPort) {
+		t.Errorf("the refused port exists on B: %v", err)
+	}
+	if err := b.AddPort(2, 1e9); err != nil {
+		t.Errorf("B cannot add a port A does not have: %v", err)
+	}
+	for i, c := range []struct {
+		rate float64
+		want error
+	}{{4e6, nil}, {4e6, nil}, {64e3, ErrAdmission}} {
+		if err := a.SetupID(VCID(i), 1, c.rate); !errors.Is(err, c.want) {
+			t.Errorf("A: setup %d at %g b/s: %v, want %v", i, c.rate, err, c.want)
+		}
+	}
+	if got := ad.PortCalls(1); got != 2 {
+		t.Errorf("PortCalls(1) = %d, want A's 2", got)
+	}
+}
+
+// TestOnePortOneLock holds the admitter's direct callers to the port's own
+// mutex, the one lock that guards a port's controller. While a port's mutex
+// is held, AdmitCall and PortCalls on that port wait for it. And raced
+// against setups, renegotiations and teardowns on the same ports, they leave
+// the race detector quiet (the Makefile's race target runs this) and the
+// books balanced: each port's controller tracks exactly the VCs the switch
+// holds there.
+func TestOnePortOneLock(t *testing.T) {
+	const ports, capacity = 4, 1e9
+	ad, err := NewMemoryAdmitter([]float64{64e3, 512e3, 4e6}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(WithAdmitter(ad))
+	for p := 0; p < ports; p++ {
+		if err := s.AddPort(p, capacity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, call := range map[string]func(){
+		"AdmitCall": func() { ad.AdmitCall(1, 64e3, 0, capacity) },
+		"PortCalls": func() { ad.PortCalls(1) },
+	} {
+		p := s.port(1)
+		p.mu.Lock()
+		done := make(chan struct{})
+		go func() { call(); close(done) }()
+		select {
+		case <-done:
+			t.Errorf("%s returned while port 1's mutex was held", name)
+		case <-time.After(20 * time.Millisecond):
+		}
+		p.mu.Unlock()
+		<-done
+	}
+
+	rates := []float64{64e3, 512e3, 4e6}
+	iters := stormIters
+	if testing.Short() {
+		iters = 200
+	}
+	stop := make(chan struct{})
+	var probes sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		probes.Add(1)
+		go func(r int) {
+			defer probes.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !ad.AdmitCall(i%ports, rates[i%len(rates)], 0, capacity) {
+					t.Error("AdmitCall refused a call on a port far from full")
+					return
+				}
+				if n := ad.PortCalls(i % ports); n < 0 {
+					t.Errorf("PortCalls(%d) = %d", i%ports, n)
+					return
+				}
+			}
+		}(r)
+	}
+	var workers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			const live = 8
+			for i := 0; i < iters; i++ {
+				id := VCID(w*1000 + i%live)
+				if i >= live {
+					if err := s.TeardownID(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := s.SetupID(id, int(id)%ports, rates[i%len(rates)]); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := s.RenegotiateID(id, rates[(i+1)%len(rates)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	workers.Wait()
+	close(stop)
+	probes.Wait()
+	held := make([]int, ports)
+	for _, vc := range s.VCs() {
+		held[vc.Port]++
+	}
+	for p := 0; p < ports; p++ {
+		if got := ad.PortCalls(p); got != held[p] {
+			t.Errorf("port %d: the admitter tracks %d calls, the switch holds %d VCs", p, got, held[p])
+		}
 	}
 }
 

@@ -11,23 +11,25 @@ import (
 
 // MemoryAdmitter runs the paper's memory-based measurement MBAC (Section VI)
 // live inside the switch: one incremental admission.LiveMemory controller
-// per output port, created with the port's capacity. Admission state
-// therefore shards exactly with the fabric — a setup on port 7 never touches
-// port 9's controller, and setups on different ports proceed fully in
-// parallel.
+// per output port, created with the port's capacity when the port is added.
+// Admission state therefore shards exactly with the fabric — a setup on port
+// 7 never touches port 9's controller, and setups on different ports proceed
+// fully in parallel.
 //
-// A switch resolves each port's controller once, when the port is added,
-// and keeps it on the port: no switch operation looks a controller up. It
-// holds no per-call container either: the switch allocates a call's record
-// inside the VC's own record and hands it to the port's controller on every
-// lifecycle event, and the controller keeps only the pooled sums and a
-// count. The map from port id to controller here serves the callers outside
-// a switch — AdmitCall from a probe, PortCalls from a test — and a port's
-// creation.
+// A port's controller lives on the port and is guarded by the port's mutex:
+// the switch already holds that mutex at every admission decision and
+// lifecycle event, so it drives the controller directly and a setup takes
+// one mutex, not two. The admitter holds no per-call container either: the
+// switch allocates a call's record inside the VC's own record and hands it
+// to the controller on every lifecycle event, and the controller keeps only
+// the pooled sums and a count. The map from port id to port here serves the
+// callers outside a switch — AdmitCall from a probe, PortCalls from a test —
+// which take the same port mutex.
 //
-// The switch drives a port's controller with that port's mutex held, which
-// already serializes same-port calls; each controller still carries its own
-// mutex for the callers that drive the admitter directly.
+// An admitter serves one switch's ports: a port is the admitter's once a
+// switch adds it, and a second switch's AddPort of the same id fails, since
+// its calls would otherwise pool with the first's under a capacity and a
+// mutex that are not its own.
 //
 // Time for the dwell histories is not the admitter's to read: every hook is
 // handed the switch's clock reading for the operation (metrics.Nanotime
@@ -39,13 +41,7 @@ type MemoryAdmitter struct {
 	target float64
 
 	mu    sync.RWMutex // guards the ports map, not the per-port state
-	ports map[int]*portMBAC
-}
-
-// portMBAC is one port's admission state.
-type portMBAC struct {
-	mu  sync.Mutex
-	ctl *admission.LiveMemory
+	ports map[int]*port
 }
 
 // NewMemoryAdmitter builds a live memory-based admitter over the given
@@ -61,85 +57,64 @@ func NewMemoryAdmitter(levels []float64, target float64) (*MemoryAdmitter, error
 	return &MemoryAdmitter{
 		levels: append([]float64(nil), levels...),
 		target: target,
-		ports:  make(map[int]*portMBAC),
+		ports:  make(map[int]*port),
 	}, nil
 }
 
-// portState returns port's controller, creating it on first use with the
-// given capacity: at AddPort for a port of a switch the admitter is
-// installed in, at the first AdmitCall for a direct caller.
-func (a *MemoryAdmitter) portState(port int, capacity float64) *portMBAC {
-	a.mu.RLock()
-	pa := a.ports[port]
-	a.mu.RUnlock()
-	if pa != nil {
-		return pa
-	}
+// adopt gives p, a port AddPort is adding, its controller, built with the
+// port's capacity and guarded by the port's mutex from then on. It fails
+// when the admitter already serves a port of that id: another switch's.
+func (a *MemoryAdmitter) adopt(p *port) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if pa = a.ports[port]; pa == nil {
-		// The constructor's trial validated levels and target; capacity is
-		// positive and finite.
-		ctl, _ := admission.NewLiveMemory(a.levels, capacity, a.target)
-		pa = &portMBAC{ctl: ctl}
-		a.ports[port] = pa
+	if a.ports[p.id] != nil {
+		return fmt.Errorf("switchfab: port %d: its memory admitter already serves another switch's port %d", p.id, p.id)
 	}
-	return pa
+	// The constructor's trial validated levels and target; AddPort validated
+	// the capacity.
+	p.mbac, _ = admission.NewLiveMemory(a.levels, p.capacity, a.target)
+	a.ports[p.id] = p
+	return nil
+}
+
+// port returns the port of that id the admitter serves, or nil.
+func (a *MemoryAdmitter) port(id int) *port {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.ports[id]
 }
 
 // AdmitCall decides, at the time of the call, whether a call asking for rate
 // may enter port, for a caller outside a switch; a switch hands the port's
-// controller the operation's own reading instead. A capacity AddPort would
-// refuse (not finite and positive) admits nothing and creates no controller.
+// controller the operation's own reading instead. The decision is the
+// controller's that the port was added with, under the port's mutex. A port
+// no switch has added holds no call, and an empty pool admits; a capacity
+// AddPort would refuse (not finite and positive) admits nothing.
 func (a *MemoryAdmitter) AdmitCall(port int, rate, _, capacity float64) bool {
 	if capacity <= 0 || !validRate(capacity) {
 		return false
 	}
-	return a.portState(port, capacity).admit(metrics.Nanotime(), rate)
+	p := a.port(port)
+	if p == nil {
+		return true
+	}
+	now := seconds(metrics.Nanotime())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.mbac.Admit(now, rate)
 }
 
 // PortCalls returns the number of calls the admitter currently tracks on
-// port (0 for a port it has never seen).
+// port (0 for a port no switch has added).
 func (a *MemoryAdmitter) PortCalls(port int) int {
-	a.mu.RLock()
-	pa := a.ports[port]
-	a.mu.RUnlock()
-	if pa == nil {
+	p := a.port(port)
+	if p == nil {
 		return 0
 	}
-	pa.mu.Lock()
-	defer pa.mu.Unlock()
-	return pa.ctl.Calls()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.mbac.Calls()
 }
 
 // seconds is a clock reading in the unit admission.LiveMemory keeps time in.
 func seconds(now int64) float64 { return time.Duration(now).Seconds() }
-
-// admit reports whether a new call asking for rate may enter the port at
-// now.
-func (pa *portMBAC) admit(now int64, rate float64) bool {
-	pa.mu.Lock()
-	defer pa.mu.Unlock()
-	return pa.ctl.Admit(seconds(now), rate)
-}
-
-// enter adds the call behind rec, admitted at rate, to the port's pool.
-func (pa *portMBAC) enter(rec *callRecord, now int64, rate float64) {
-	pa.mu.Lock()
-	pa.ctl.Enter(rec, seconds(now), rate)
-	pa.mu.Unlock()
-}
-
-// move records that the call behind rec now holds newRate.
-func (pa *portMBAC) move(rec *callRecord, now int64, newRate float64) {
-	pa.mu.Lock()
-	pa.ctl.Move(rec, seconds(now), newRate)
-	pa.mu.Unlock()
-}
-
-// leave removes the call behind rec from the port's pool.
-func (pa *portMBAC) leave(rec *callRecord) {
-	pa.mu.Lock()
-	pa.ctl.Leave(rec)
-	pa.mu.Unlock()
-}

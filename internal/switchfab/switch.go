@@ -31,8 +31,9 @@
 // on another port never reaches the data plane ahead of the teardown. A
 // granted rate change is stored into the VC's rate word, which the data plane
 // handed over at setup, under the same mutex. Never two port locks at once. A
-// MemoryAdmitter's controller for a port is driven with that port's mutex held
-// — per-port serialization is the concurrency contract it relies on.
+// MemoryAdmitter's controller for a port lives on the port and is guarded by
+// the port's mutex, so admission and its bookkeeping take no mutex of their
+// own.
 // Activity counters are atomics, published into the registry as views.
 //
 // Time: the switch reads one clock, metrics.Nanotime, and reads it once on
@@ -216,14 +217,15 @@ type port struct {
 	// slot is the port's index in the switch's port table, which is how a
 	// VC names it.
 	slot uint16
-	// mbac is the port's controller when the switch runs a MemoryAdmitter,
-	// resolved once by AddPort; nil otherwise.
-	mbac *portMBAC
 
-	// mu guards reserved and the rate/sequence state of every VC homed on
-	// this port, so renegotiations on different ports never contend.
+	// mu guards reserved, mbac and the rate/sequence state of every VC
+	// homed on this port, so renegotiations on different ports never
+	// contend.
 	mu       sync.Mutex
 	reserved float64
+	// mbac is the port's controller when the switch runs a MemoryAdmitter,
+	// built by AddPort; nil otherwise.
+	mbac *admission.LiveMemory
 
 	// reservedGauge mirrors reserved into the metrics registry; nil (a
 	// no-op) when the switch has no registry.
@@ -446,7 +448,9 @@ const maxPorts = 1 << 16
 
 // AddPort registers an output port with the given capacity in bits/second.
 // The capacity must be finite and positive (NaN would make every later
-// capacity comparison on the port false).
+// capacity comparison on the port false). With a MemoryAdmitter installed
+// the port gets its own controller, and an id the admitter already serves
+// for another switch is refused.
 func (s *Switch) AddPort(id int, capacity float64) error {
 	if math.IsNaN(capacity) || math.IsInf(capacity, 0) || capacity <= 0 {
 		return fmt.Errorf("%w: capacity %g", ErrInvalidRate, capacity)
@@ -463,7 +467,9 @@ func (s *Switch) AddPort(id int, capacity float64) error {
 	}
 	p := &port{id: id, capacity: capacity, slot: uint16(len(old.bySlot))}
 	if s.mbac != nil {
-		p.mbac = s.mbac.portState(id, capacity)
+		if err := s.mbac.adopt(p); err != nil {
+			return err
+		}
 	}
 	if s.reg != nil {
 		s.reg.Gauge(PortCapacityGauge(id)).Set(capacity)
@@ -540,7 +546,7 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	}
 	var vc *vcState
 	if p.mbac != nil {
-		ok := p.mbac.admit(now, rate)
+		ok := p.mbac.Admit(seconds(now), rate)
 		s.observe(s.ins.admitLatency, now)
 		if !ok {
 			s.rejectSetup(id, portID, rate)
@@ -569,7 +575,7 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	}
 	s.setReserved(p, p.reserved+rate)
 	if vc.rec != nil {
-		p.mbac.enter(vc.rec, now, rate)
+		p.mbac.Enter(vc.rec, seconds(now), rate)
 	}
 	s.stats.setups.Add(1)
 	s.events.Record(metrics.Event{Kind: metrics.EventSetup, VPI: id.VPI(), VCI: id.VCI(), Port: portID, Rate: rate})
@@ -634,7 +640,7 @@ func (s *Switch) TeardownID(id VCID) error {
 	defer p.mu.Unlock()
 	s.setReserved(p, p.reserved-vc.rate)
 	if vc.rec != nil {
-		p.mbac.leave(vc.rec)
+		p.mbac.Leave(vc.rec)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnTeardown(p.id, id)
@@ -728,7 +734,7 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, re
 		vc.rate = newRate
 		if newRate != old {
 			if vc.rec != nil {
-				p.mbac.move(vc.rec, now, newRate)
+				p.mbac.Move(vc.rec, seconds(now), newRate)
 			}
 			if vc.word != nil {
 				vc.word.Store(newRate)

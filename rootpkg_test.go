@@ -138,8 +138,10 @@ func TestControlPathReadsOneClock(t *testing.T) {
 // operation works under exactly one port mutex — which is what makes the
 // fabric deadlock-free with no order among ports — so no function in
 // internal/switchfab calls Lock twice: whatever else is locked under a port
-// (an admitter's mutex, the VC table's writer mutex) is locked by a callee
-// that locks nothing further. And an operation reaches an established VC one
+// (the VC table's writer mutex) is locked by a callee that locks nothing
+// further. The port's mutex is the only per-port lock: it guards the port's
+// admission controller too, so no switchfab type but port, Switch and
+// MemoryAdmitter declares a mutex. And an operation reaches an established VC one
 // way, lockVC's "look it up, lock its port, check gone": lockVC is the only
 // function that looks a VC up in the table and then locks a port's mutex.
 // (SetupID locks its port first and reads the table only to find the id
@@ -153,6 +155,10 @@ func TestLockRulesInSource(t *testing.T) {
 		name := pkgSel(e, "sync")
 		return name == "Mutex" || name == "RWMutex"
 	}
+	// The switch's mutexes: a port's guards its books and its admission
+	// controller, the Switch's serializes AddPort, the MemoryAdmitter's
+	// guards its map from port id to port.
+	lockHolders := map[string]bool{"port": true, "Switch": true, "MemoryAdmitter": true}
 	for _, f := range nonTestFiles(t, fset, "internal/datapath") {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -172,6 +178,21 @@ func TestLockRulesInSource(t *testing.T) {
 	}
 	var reachers []string // functions that look a VC up and then lock a port
 	for _, f := range nonTestFiles(t, fset, "internal/switchfab") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok && !lockHolders[ts.Name.Name] {
+				for _, field := range st.Fields.List {
+					if isMutex(field.Type) {
+						t.Errorf("%s: %s holds a mutex; in switchfab only port, Switch and MemoryAdmitter do",
+							fset.Position(field.Pos()), ts.Name.Name)
+					}
+				}
+			}
+			return true
+		})
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
