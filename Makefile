@@ -40,7 +40,8 @@ race:
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
 
 # fuzz smokes every fuzz target for FUZZTIME each: long enough to catch
-# shallow regressions in the parsers, short enough for every CI run.
+# shallow regressions in the parsers and the event queue, short enough for
+# every CI run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/cell/
 	$(GO) test -run '^$$' -fuzz '^FuzzRate16$$' -fuzztime $(FUZZTIME) ./internal/cell/
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServerHandle$$' -fuzztime $(FUZZTIME) ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # examples runs the five example programs to completion (~7 s in all): the
 # README's snippets mirror them, so this is what checks those snippets

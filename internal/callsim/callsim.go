@@ -14,8 +14,9 @@
 package callsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rcbr/internal/admission"
 	"rcbr/internal/core"
@@ -135,19 +136,37 @@ type Result struct {
 type call struct {
 	id     int
 	rate   float64      // currently reserved rate
-	events []core.Event // remaining renegotiation events (relative times)
-	next   int
-	gen    int            // bumped on an interactivity jump; stale events check it
-	tmpl   *core.Schedule // the call's schedule template
+	events []core.Event // renegotiation events, relative to base
+	next   int          // index of the event after the one pending
+	base   float64      // arrival time, or the time of the last jump
+	gen    int          // bumped by a jump and by departure: older events are stale
+	tmpl   *core.Schedule
+}
+
+// Event kinds on the runner's queue.
+const (
+	evArrive = iota
+	evReneg
+	evJump
+	evDepart
+)
+
+// event is one scheduled occurrence. A renegotiation or a jump carries its
+// call's gen at scheduling and is dropped if the gen has moved on; a
+// departure happens once per call and is never stale.
+type event struct {
+	c    *call // nil for an arrival
+	gen  int
+	kind uint8
 }
 
 // runner holds the mutable simulation state.
 type runner struct {
 	cfg    Config
-	eng    sim.Engine
+	q      sim.Queue[event]
 	rng    *stats.RNG
 	nextID int
-	calls  map[int]*call
+	active int     // calls in the system
 	R      float64 // total reserved rate
 
 	// integrators
@@ -169,11 +188,8 @@ func Run(cfg Config) (Result, error) {
 	if cfg.WarmupBatches == 0 {
 		cfg.WarmupBatches = 1
 	}
-	r := &runner{
-		cfg:   cfg,
-		rng:   stats.NewRNG(cfg.Seed),
-		calls: make(map[int]*call),
-	}
+	cfg.Schedules = cfg.templates() // an arrival picks from it without allocating
+	r := &runner{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
 	r.scheduleArrival()
 
 	batchDur := cfg.batchDurationSec()
@@ -188,7 +204,9 @@ func Run(cfg Config) (Result, error) {
 		ri0, ci0 := r.rateInt, r.callsInt
 
 		horizon := float64(b+1) * batchDur
-		r.eng.RunUntil(horizon)
+		for r.q.Len() > 0 && r.q.Next() <= horizon {
+			r.handle(r.q.Pop())
+		}
 		r.flushIntegrals(horizon)
 
 		if b < cfg.WarmupBatches {
@@ -240,21 +258,43 @@ func (r *runner) flushIntegrals(t float64) {
 	dt := t - r.lastT
 	if dt > 0 {
 		r.rateInt += r.R * dt
-		r.callsInt += float64(len(r.calls)) * dt
+		r.callsInt += float64(r.active) * dt
 		r.lastT = t
 	}
 }
 
-func (r *runner) scheduleArrival() {
-	r.eng.After(r.rng.ExpFloat64(r.cfg.ArrivalRate), func() {
+// handle dispatches one popped event.
+func (r *runner) handle(e event) {
+	switch {
+	case e.kind == evArrive:
 		r.arrive()
 		r.scheduleArrival()
-	})
+	case e.kind == evDepart:
+		r.depart(e.c)
+	case e.gen != e.c.gen: // superseded by a jump, or the call has left
+	case e.kind == evReneg:
+		r.renegotiate(e.c, e.c.events[e.c.next-1].Rate)
+		r.scheduleNext(e.c)
+	case e.kind == evJump:
+		// The user seeks to a random position: the call renegotiates to
+		// that position's rate and follows the schedule from there.
+		c := e.c
+		c.gen++
+		c.events = r.shiftedEvents(c.events, c.tmpl)
+		c.next, c.base = 1, r.q.Now()
+		r.renegotiate(c, c.events[0].Rate)
+		r.scheduleNext(c)
+		r.scheduleJump(c)
+	}
+}
+
+func (r *runner) scheduleArrival() {
+	r.q.At(r.q.Now()+r.rng.ExpFloat64(r.cfg.ArrivalRate), event{kind: evArrive})
 }
 
 // pickTemplate draws a call's schedule template uniformly.
 func (r *runner) pickTemplate() *core.Schedule {
-	ts := r.cfg.templates()
+	ts := r.cfg.Schedules
 	if len(ts) == 1 {
 		return ts[0]
 	}
@@ -263,25 +303,26 @@ func (r *runner) pickTemplate() *core.Schedule {
 
 // shiftedEvents rotates a template's event list by a uniform random phase,
 // yielding the call's renegotiation events relative to its arrival. The
-// event at relative time 0 is the call's initial rate request.
-func (r *runner) shiftedEvents(sch *core.Schedule) []core.Event {
+// event at relative time 0 is the call's initial rate request. The result
+// reuses dst's storage when it is large enough.
+func (r *runner) shiftedEvents(dst []core.Event, sch *core.Schedule) []core.Event {
 	dur := sch.DurationSec()
 	shiftSlot := r.rng.Intn(sch.Slots)
 	shiftSec := float64(shiftSlot) * sch.SlotSeconds
-	base := sch.Events()
-	out := make([]core.Event, 0, len(base)+1)
+	out := slices.Grow(dst[:0], len(sch.Segments)+1)
 	out = append(out, core.Event{TimeSec: 0, Rate: sch.RateAt(shiftSlot)})
-	for _, e := range base {
-		t := e.TimeSec - shiftSec
+	for _, seg := range sch.Segments {
+		// The conversion rounds the product on its own, never fused.
+		t := float64(float64(seg.StartSlot)*sch.SlotSeconds) - shiftSec
 		if t <= 0 {
 			t += dur
 		}
 		if t >= dur {
 			continue
 		}
-		out = append(out, core.Event{TimeSec: t, Rate: e.Rate})
+		out = append(out, core.Event{TimeSec: t, Rate: seg.Rate})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TimeSec < out[j].TimeSec })
+	slices.SortFunc(out, func(a, b core.Event) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
 	// Drop consecutive equal rates created by the wrap.
 	dedup := out[:1]
 	for _, e := range out[1:] {
@@ -293,10 +334,10 @@ func (r *runner) shiftedEvents(sch *core.Schedule) []core.Event {
 }
 
 func (r *runner) arrive() {
-	now := r.eng.Now()
+	now := r.q.Now()
 	r.arrivals++
 	tmpl := r.pickTemplate()
-	events := r.shiftedEvents(tmpl)
+	events := r.shiftedEvents(nil, tmpl)
 	initRate := events[0].Rate
 	// Admission: the controller's statistical test plus the hard capacity
 	// check on the initial rate.
@@ -305,51 +346,30 @@ func (r *runner) arrive() {
 		return
 	}
 	r.flushIntegrals(now)
-	id := r.nextID
+	c := &call{id: r.nextID, rate: initRate, events: events, next: 1, base: now, tmpl: tmpl}
 	r.nextID++
-	c := &call{id: id, rate: initRate, events: events, next: 1, tmpl: tmpl}
-	r.calls[id] = c
+	r.active++
 	r.R += initRate
-	r.cfg.Controller.OnAdmit(id, now, initRate)
-	r.scheduleNext(c, now)
-	r.eng.At(now+tmpl.DurationSec(), func() { r.depart(id) })
+	r.cfg.Controller.OnAdmit(c.id, now, initRate)
+	r.scheduleNext(c)
+	r.q.At(now+tmpl.DurationSec(), event{c: c, kind: evDepart})
 	if r.cfg.JumpRate > 0 {
 		r.scheduleJump(c)
 	}
 }
 
-func (r *runner) scheduleNext(c *call, base float64) {
+// scheduleNext arms the call's next renegotiation, if its schedule has one.
+func (r *runner) scheduleNext(c *call) {
 	if c.next >= len(c.events) {
 		return
 	}
-	e := c.events[c.next]
+	r.q.At(c.base+c.events[c.next].TimeSec, event{c: c, gen: c.gen, kind: evReneg})
 	c.next++
-	gen := c.gen
-	r.eng.At(base+e.TimeSec, func() {
-		if c.gen != gen {
-			return // superseded by an interactivity jump
-		}
-		r.renegotiate(c, e.Rate)
-		r.scheduleNext(c, base)
-	})
 }
 
-// scheduleJump arms the call's next interactivity event: the user seeks to
-// a random position, the call renegotiates to that position's rate and
-// follows the schedule from there.
+// scheduleJump arms the call's next interactivity event.
 func (r *runner) scheduleJump(c *call) {
-	r.eng.After(r.rng.ExpFloat64(r.cfg.JumpRate), func() {
-		if _, alive := r.calls[c.id]; !alive {
-			return
-		}
-		now := r.eng.Now()
-		c.gen++
-		c.events = r.shiftedEvents(c.tmpl)
-		c.next = 1
-		r.renegotiate(c, c.events[0].Rate)
-		r.scheduleNext(c, now)
-		r.scheduleJump(c)
-	})
+	r.q.At(r.q.Now()+r.rng.ExpFloat64(r.cfg.JumpRate), event{c: c, gen: c.gen, kind: evJump})
 }
 
 // renegotiate applies one schedule event: decreases always succeed;
@@ -357,10 +377,7 @@ func (r *runner) scheduleJump(c *call) {
 // whatever bandwidth remains (Section III-A.1) and the request counts as a
 // failure.
 func (r *runner) renegotiate(c *call, requested float64) {
-	if _, alive := r.calls[c.id]; !alive {
-		return
-	}
-	now := r.eng.Now()
+	now := r.q.Now()
 	r.attempts++
 	granted := requested
 	if requested > c.rate {
@@ -380,19 +397,16 @@ func (r *runner) renegotiate(c *call, requested float64) {
 	c.rate = granted
 }
 
-func (r *runner) depart(id int) {
-	c, ok := r.calls[id]
-	if !ok {
-		return
-	}
-	now := r.eng.Now()
+func (r *runner) depart(c *call) {
+	now := r.q.Now()
 	r.flushIntegrals(now)
 	r.R -= c.rate
 	if r.R < 0 {
 		r.R = 0
 	}
-	delete(r.calls, id)
-	r.cfg.Controller.OnDepart(id, now, c.rate)
+	r.active--
+	c.gen++ // its pending renegotiation and jump are stale
+	r.cfg.Controller.OnDepart(c.id, now, c.rate)
 }
 
 // OfferedLoad converts a normalized offered load (offered bandwidth over

@@ -1,6 +1,7 @@
 package callsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -344,5 +345,166 @@ func TestEarlyStopBelowTarget(t *testing.T) {
 	}
 	if res.Batches == 0 || res.Batches > 8 {
 		t.Fatalf("batches = %d", res.Batches)
+	}
+}
+
+// pinnedRows builds the configurations TestResultsPinnedPerSeed replays: every
+// controller, interactivity jumps on and off, and a heterogeneous mix, each
+// over two seeds. Controllers are stateful, so each row builds its own.
+func pinnedRows(t *testing.T) []struct {
+	name string
+	cfg  Config
+} {
+	t.Helper()
+	sch, _ := testSchedule(t)
+	mix := []*core.Schedule{sch, mixSchedule(t)}
+	levels := stats.UniformLevels(48e3, 5e6, 12)
+	capacity := 8 * sch.MeanRate()
+	lam := OfferedLoad(1.3, capacity, sch.MeanRate(), sch.DurationSec())
+	ctrl := func(name string) admission.Controller {
+		var c admission.Controller
+		var err error
+		switch name {
+		case "unlimited":
+			c = admission.Unlimited{}
+		case "memoryless":
+			c, err = admission.NewMemoryless(levels, capacity, 1e-3)
+		case "perfect":
+			desc := sch.Descriptor(levels)
+			c, err = admission.NewPerfectKnowledge(ld.Dist{P: desc.Probabilities(), X: desc.Levels()}, capacity, 1e-3)
+		case "memory":
+			c, err = admission.NewMemory(levels, capacity, 1e-3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	type row = struct {
+		name string
+		cfg  Config
+	}
+	var rows []row
+	for _, seed := range []uint64{3, 29} {
+		for _, name := range []string{"unlimited", "memoryless", "perfect", "memory"} {
+			for _, jump := range []float64{0, 0.05} {
+				for _, mixed := range []bool{false, true} {
+					cfg := baseConfig(sch, capacity, lam)
+					cfg.Controller = ctrl(name)
+					cfg.JumpRate = jump
+					cfg.MaxBatches = 6
+					cfg.Seed = seed
+					if mixed {
+						cfg.Schedule, cfg.Schedules = nil, mix
+					}
+					rows = append(rows, row{fmt.Sprintf("%s/jump=%g/mix=%v/seed=%d", name, jump, mixed, seed), cfg})
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// mixSchedule is a second, shorter movie for the heterogeneous-mix rows.
+func mixSchedule(t *testing.T) *core.Schedule {
+	t.Helper()
+	sch, _, err := trellis.Optimize(trace.SyntheticStarWarsFrames(46, 1200), trellis.Options{
+		Levels:         stats.UniformLevels(48e3, 5e6, 12),
+		BufferBits:     300e3,
+		BufferGridBits: 300e3 / 2048,
+		Cost:           core.CostModel{Alpha: 3e5, Beta: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sch
+}
+
+// TestResultsPinnedPerSeed replays pinnedRows and compares every Result
+// field exactly, floats included, so any change to the order of events or
+// of random draws shows here.
+func TestResultsPinnedPerSeed(t *testing.T) {
+	want := map[string]Result{
+		"unlimited/jump=0/mix=false/seed=3":      Result{FailureProb: 0.20600889907725545, FailureCI: 0.04584936394352698, Utilization: 0.7297204751573694, UtilizationCI: 0.0873188713144765, BlockingProb: 0.30952380952380953, Batches: 4, Attempts: 527, Failures: 111, UpAttempts: 270, Arrivals: 42, Blocked: 13, ConfidentBelowTarget: false, MeanCalls: 7.37180497868424},
+		"unlimited/jump=0/mix=true/seed=3":       Result{FailureProb: 0.13779941231269116, FailureCI: 0.05741114096434964, Utilization: 0.593260439044051, UtilizationCI: 0.12440308578443122, BlockingProb: 0.1509433962264151, Batches: 6, Attempts: 833, Failures: 131, UpAttempts: 419, Arrivals: 53, Blocked: 8, ConfidentBelowTarget: false, MeanCalls: 5.82849615224159},
+		"unlimited/jump=0.05/mix=false/seed=3":   Result{FailureProb: 0.18224160912012738, FailureCI: 0.057139346332888974, Utilization: 0.6862654263397323, UtilizationCI: 0.07085690344139482, BlockingProb: 0.2542372881355932, Batches: 6, Attempts: 1011, Failures: 191, UpAttempts: 482, Arrivals: 59, Blocked: 15, ConfidentBelowTarget: false, MeanCalls: 7.037756166908851},
+		"unlimited/jump=0.05/mix=true/seed=3":    Result{FailureProb: 0.13072321197938522, FailureCI: 0.034380344625663424, Utilization: 0.6334553371359184, UtilizationCI: 0.041240173852400266, BlockingProb: 0.18867924528301888, Batches: 6, Attempts: 999, Failures: 133, UpAttempts: 475, Arrivals: 53, Blocked: 10, ConfidentBelowTarget: false, MeanCalls: 5.668560932787454},
+		"memoryless/jump=0/mix=false/seed=3":     Result{FailureProb: 0.0768025454984947, FailureCI: 0.0245316065561615, Utilization: 0.552972597083919, UtilizationCI: 0.04547694656099852, BlockingProb: 0.532258064516129, Batches: 6, Attempts: 522, Failures: 41, UpAttempts: 247, Arrivals: 62, Blocked: 33, ConfidentBelowTarget: false, MeanCalls: 4.847379145997183},
+		"memoryless/jump=0/mix=true/seed=3":      Result{FailureProb: 0.07072861695743052, FailureCI: 0.043761170130413016, Utilization: 0.4857420135916827, UtilizationCI: 0.07699543674706376, BlockingProb: 0.37735849056603776, Batches: 6, Attempts: 583, Failures: 43, UpAttempts: 288, Arrivals: 53, Blocked: 20, ConfidentBelowTarget: false, MeanCalls: 4.269018629346693},
+		"memoryless/jump=0.05/mix=false/seed=3":  Result{FailureProb: 0.06380028464069212, FailureCI: 0.031216459662777918, Utilization: 0.5051006827386261, UtilizationCI: 0.0484583551863422, BlockingProb: 0.4528301886792453, Batches: 6, Attempts: 640, Failures: 44, UpAttempts: 279, Arrivals: 53, Blocked: 24, ConfidentBelowTarget: false, MeanCalls: 4.573312620546871},
+		"memoryless/jump=0.05/mix=true/seed=3":   Result{FailureProb: 0.05002282627843957, FailureCI: 0.04419145764472858, Utilization: 0.4739941942218807, UtilizationCI: 0.07872403641055634, BlockingProb: 0.45161290322580644, Batches: 6, Attempts: 743, Failures: 38, UpAttempts: 339, Arrivals: 62, Blocked: 28, ConfidentBelowTarget: false, MeanCalls: 4.244965507496431},
+		"perfect/jump=0/mix=false/seed=3":        Result{FailureProb: 0, FailureCI: 0, Utilization: 0.12217760674770434, UtilizationCI: 0.0032441324697505083, BlockingProb: 0.9047619047619048, Batches: 4, Attempts: 70, Failures: 0, UpAttempts: 31, Arrivals: 42, Blocked: 38, ConfidentBelowTarget: true, MeanCalls: 0.9619733843512659},
+		"perfect/jump=0/mix=true/seed=3":         Result{FailureProb: 0, FailureCI: 0, Utilization: 0.12115990312308281, UtilizationCI: 0.033714524349260935, BlockingProb: 0.8918918918918919, Batches: 4, Attempts: 81, Failures: 0, UpAttempts: 37, Arrivals: 37, Blocked: 33, ConfidentBelowTarget: true, MeanCalls: 0.9357594424189489},
+		"perfect/jump=0.05/mix=false/seed=3":     Result{FailureProb: 0, FailureCI: 0, Utilization: 0.09038386659743637, UtilizationCI: 0.023231381410384885, BlockingProb: 0.8837209302325582, Batches: 5, Attempts: 100, Failures: 0, UpAttempts: 44, Arrivals: 43, Blocked: 38, ConfidentBelowTarget: true, MeanCalls: 0.9039759556390763},
+		"perfect/jump=0.05/mix=true/seed=3":      Result{FailureProb: 0, FailureCI: 0, Utilization: 0.10324425079662528, UtilizationCI: 0.025245314352445432, BlockingProb: 0.875, Batches: 4, Attempts: 106, Failures: 0, UpAttempts: 47, Arrivals: 40, Blocked: 35, ConfidentBelowTarget: true, MeanCalls: 0.8867697933359182},
+		"memory/jump=0/mix=false/seed=3":         Result{FailureProb: 0.09465811965811965, FailureCI: 0.06280427432391188, Utilization: 0.3930465652147807, UtilizationCI: 0.10839534814238562, BlockingProb: 0.6451612903225806, Batches: 6, Attempts: 366, Failures: 42, UpAttempts: 175, Arrivals: 62, Blocked: 40, ConfidentBelowTarget: false, MeanCalls: 3.432566541399207},
+		"memory/jump=0/mix=true/seed=3":          Result{FailureProb: 0.02484126984126984, FailureCI: 0.038156096872397835, Utilization: 0.2393459954507468, UtilizationCI: 0.10299600658410879, BlockingProb: 0.660377358490566, Batches: 6, Attempts: 306, Failures: 13, UpAttempts: 149, Arrivals: 53, Blocked: 35, ConfidentBelowTarget: false, MeanCalls: 2.0872415683970593},
+		"memory/jump=0.05/mix=false/seed=3":      Result{FailureProb: 0.02415204678362573, FailureCI: 0.042326251536080724, Utilization: 0.2794313693640089, UtilizationCI: 0.06433844802854956, BlockingProb: 0.7432432432432432, Batches: 6, Attempts: 342, Failures: 11, UpAttempts: 143, Arrivals: 74, Blocked: 55, ConfidentBelowTarget: false, MeanCalls: 2.395136967808847},
+		"memory/jump=0.05/mix=true/seed=3":       Result{FailureProb: 0.01792114695340502, FailureCI: 0.03512480259032356, Utilization: 0.237169218399645, UtilizationCI: 0.09433097417175255, BlockingProb: 0.7301587301587301, Batches: 6, Attempts: 354, Failures: 10, UpAttempts: 158, Arrivals: 63, Blocked: 46, ConfidentBelowTarget: false, MeanCalls: 2.087120177131249},
+		"unlimited/jump=0/mix=false/seed=29":     Result{FailureProb: 0.1891413988581573, FailureCI: 0.04958991148487563, Utilization: 0.7633345367844371, UtilizationCI: 0.050982218956643996, BlockingProb: 0.2682926829268293, Batches: 4, Attempts: 541, Failures: 105, UpAttempts: 277, Arrivals: 41, Blocked: 11, ConfidentBelowTarget: false, MeanCalls: 7.58568656006799},
+		"unlimited/jump=0/mix=true/seed=29":      Result{FailureProb: 0.14236623148121855, FailureCI: 0.04571805512170314, Utilization: 0.614820723218314, UtilizationCI: 0.052883191682848954, BlockingProb: 0.21052631578947367, Batches: 6, Attempts: 859, Failures: 124, UpAttempts: 439, Arrivals: 57, Blocked: 12, ConfidentBelowTarget: false, MeanCalls: 6.054193952990355},
+		"unlimited/jump=0.05/mix=false/seed=29":  Result{FailureProb: 0.12615238064060513, FailureCI: 0.01284072611780525, Utilization: 0.5746753375317055, UtilizationCI: 0.08238944826537278, BlockingProb: 0.24242424242424243, Batches: 4, Attempts: 482, Failures: 60, UpAttempts: 224, Arrivals: 33, Blocked: 8, ConfidentBelowTarget: false, MeanCalls: 5.427795309883302},
+		"unlimited/jump=0.05/mix=true/seed=29":   Result{FailureProb: 0.14064732564818486, FailureCI: 0.04837797150559402, Utilization: 0.6315178611091126, UtilizationCI: 0.040135125373667466, BlockingProb: 0.22807017543859648, Batches: 6, Attempts: 974, Failures: 145, UpAttempts: 470, Arrivals: 57, Blocked: 13, ConfidentBelowTarget: false, MeanCalls: 5.868050793012443},
+		"memoryless/jump=0/mix=false/seed=29":    Result{FailureProb: 0.076594329041174, FailureCI: 0.03882062149689977, Utilization: 0.5449969373668061, UtilizationCI: 0.0518236242398194, BlockingProb: 0.5714285714285714, Batches: 6, Attempts: 508, Failures: 40, UpAttempts: 240, Arrivals: 70, Blocked: 40, ConfidentBelowTarget: false, MeanCalls: 4.733733697649282},
+		"memoryless/jump=0/mix=true/seed=29":     Result{FailureProb: 0.04849303790326864, FailureCI: 0.030405054385894168, Utilization: 0.44918399644587614, UtilizationCI: 0.07290097199370169, BlockingProb: 0.47368421052631576, Batches: 6, Attempts: 560, Failures: 28, UpAttempts: 276, Arrivals: 57, Blocked: 27, ConfidentBelowTarget: false, MeanCalls: 3.9037052831836907},
+		"memoryless/jump=0.05/mix=false/seed=29": Result{FailureProb: 0.05828843618158774, FailureCI: 0.03853291681860054, Utilization: 0.538183246001131, UtilizationCI: 0.04418328522936617, BlockingProb: 0.5303030303030303, Batches: 6, Attempts: 652, Failures: 36, UpAttempts: 282, Arrivals: 66, Blocked: 35, ConfidentBelowTarget: false, MeanCalls: 4.889472406630519},
+		"memoryless/jump=0.05/mix=true/seed=29":  Result{FailureProb: 0.01714316139854339, FailureCI: 0.011659460596425385, Utilization: 0.4613648628148423, UtilizationCI: 0.05978161153807836, BlockingProb: 0.38181818181818183, Batches: 6, Attempts: 702, Failures: 14, UpAttempts: 312, Arrivals: 55, Blocked: 21, ConfidentBelowTarget: false, MeanCalls: 4.20586761626821},
+		"perfect/jump=0/mix=false/seed=29":       Result{FailureProb: 0, FailureCI: 0, Utilization: 0.11795107353154087, UtilizationCI: 0.005606423778821648, BlockingProb: 0.9024390243902439, Batches: 4, Attempts: 65, Failures: 0, UpAttempts: 28, Arrivals: 41, Blocked: 37, ConfidentBelowTarget: true, MeanCalls: 0.94395683328586},
+		"perfect/jump=0/mix=true/seed=29":        Result{FailureProb: 0, FailureCI: 0, Utilization: 0.11634175467651464, UtilizationCI: 0.007271081084992568, BlockingProb: 0.8604651162790697, Batches: 4, Attempts: 97, Failures: 0, UpAttempts: 47, Arrivals: 43, Blocked: 37, ConfidentBelowTarget: true, MeanCalls: 0.9465171092549006},
+		"perfect/jump=0.05/mix=false/seed=29":    Result{FailureProb: 0, FailureCI: 0, Utilization: 0.10967715011351852, UtilizationCI: 0.03229621571016598, BlockingProb: 0.8823529411764706, Batches: 6, Attempts: 131, Failures: 0, UpAttempts: 55, Arrivals: 51, Blocked: 45, ConfidentBelowTarget: true, MeanCalls: 0.902964682342567},
+		"perfect/jump=0.05/mix=true/seed=29":     Result{FailureProb: 0, FailureCI: 0, Utilization: 0.08623392729467343, UtilizationCI: 0.019490516890977198, BlockingProb: 0.8611111111111112, Batches: 4, Attempts: 103, Failures: 0, UpAttempts: 47, Arrivals: 36, Blocked: 31, ConfidentBelowTarget: true, MeanCalls: 0.9066844956254762},
+		"memory/jump=0/mix=false/seed=29":        Result{FailureProb: 0.022632890365448504, FailureCI: 0.030070778860346724, Utilization: 0.2711072492923167, UtilizationCI: 0.05903909222341777, BlockingProb: 0.8, Batches: 6, Attempts: 243, Failures: 7, UpAttempts: 112, Arrivals: 70, Blocked: 56, ConfidentBelowTarget: false, MeanCalls: 2.292837594976091},
+		"memory/jump=0/mix=true/seed=29":         Result{FailureProb: 0, FailureCI: 0, Utilization: 0.22571747861092337, UtilizationCI: 0.053493470425035404, BlockingProb: 0.78, Batches: 5, Attempts: 200, Failures: 0, UpAttempts: 94, Arrivals: 50, Blocked: 39, ConfidentBelowTarget: true, MeanCalls: 1.8253475965003811},
+		"memory/jump=0.05/mix=false/seed=29":     Result{FailureProb: 0.046648987463838, FailureCI: 0.04744348547183408, Utilization: 0.24468662246068235, UtilizationCI: 0.0651005887461969, BlockingProb: 0.78125, Batches: 6, Attempts: 294, Failures: 16, UpAttempts: 132, Arrivals: 64, Blocked: 50, ConfidentBelowTarget: false, MeanCalls: 2.169442386145534},
+		"memory/jump=0.05/mix=true/seed=29":      Result{FailureProb: 0.02605876237796392, FailureCI: 0.02381469676990385, Utilization: 0.27846607403611134, UtilizationCI: 0.09346804138723912, BlockingProb: 0.6206896551724138, Batches: 6, Attempts: 444, Failures: 16, UpAttempts: 204, Arrivals: 58, Blocked: 36, ConfidentBelowTarget: false, MeanCalls: 2.4899580072285254},
+	}
+	rows := pinnedRows(t)
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, %d pinned results", len(rows), len(want))
+	}
+	for _, r := range rows {
+		got, err := Run(r.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[r.name] {
+			t.Errorf("%s:\n got %+v\nwant %+v", r.name, got, want[r.name])
+		}
+	}
+}
+
+// TestEventHandlingAllocatesNothing pins the runner's per-event cost: a
+// renegotiation, a jump and a departure move values through the queue and
+// the call's own event buffer. Only an arrival allocates: the call's record
+// and its event list.
+func TestEventHandlingAllocatesNothing(t *testing.T) {
+	sch, _ := testSchedule(t)
+	cfg := baseConfig(sch, 1e12, 1)
+	cfg.JumpRate = 1
+	cfg.Schedules = cfg.templates()
+	r := &runner{cfg: cfg, rng: stats.NewRNG(1)}
+	drain := func() {
+		for r.q.Len() > 0 {
+			r.q.Pop()
+		}
+	}
+	r.arrive()
+	c := r.q.Pop().c
+	drain()
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"renegotiation", func() {
+			c.next, c.base = 1, r.q.Now()
+			r.handle(event{c: c, gen: c.gen, kind: evReneg})
+			drain()
+		}},
+		{"jump", func() { r.handle(event{c: c, gen: c.gen, kind: evJump}); drain() }},
+		{"departure", func() { r.handle(event{c: c, kind: evDepart}) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.f); got != 0 {
+			t.Errorf("%s: %v allocations per event", tc.name, got)
+		}
 	}
 }

@@ -18,13 +18,14 @@
 package churn
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
 
 	"rcbr/internal/metrics"
+	"rcbr/internal/sim"
 	"rcbr/internal/stats"
 	"rcbr/internal/switchfab"
 )
@@ -137,32 +138,23 @@ type Result struct {
 	BytesPerVC float64 `json:"bytes_per_vc"`
 }
 
-// event kinds inside a worker's virtual-time heap.
+// event kinds on a worker's virtual-time queue.
 const (
 	evDepart = iota
 	evReneg
 )
 
-// wev is one scheduled virtual-time event of a worker.
+// wev is one scheduled virtual-time event of a worker; the queue holds its
+// due time.
 type wev struct {
-	t       float64 // virtual due time
 	id      switchfab.VCID
 	kind    uint8
-	class   uint8
+	class   uint8   // index into Config.Classes: Run allows at most 256
 	departT float64 // the owning call's departure time (staleness guard)
 }
 
-// wevHeap is a min-heap of worker events on due time.
-type wevHeap []wev
-
-func (h wevHeap) Len() int           { return len(h) }
-func (h wevHeap) Less(i, j int) bool { return h[i].t < h[j].t }
-func (h wevHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *wevHeap) Push(x any)        { *h = append(*h, x.(wev)) }
-func (h *wevHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
 // worker is one independent generator: its own RNG, its own slice of the
-// VCID space (ids ≡ index mod workers), its own event heap.
+// VCID space (ids ≡ index mod workers), its own event queue.
 type worker struct {
 	cfg     *Config
 	index   int
@@ -170,8 +162,8 @@ type worker struct {
 	rng     *stats.RNG
 	weights []float64
 
-	heap     wevHeap
-	now      float64 // virtual time
+	q        sim.Queue[wev]
+	now      float64 // virtual time: the last arrival or popped event
 	active   int
 	next     uint32 // next fresh id (pre-stride)
 	freelist []switchfab.VCID
@@ -223,15 +215,15 @@ func (w *worker) arrive() {
 	w.setups++
 	w.active++
 	departT := w.now + w.rng.ExpFloat64(1/cl.MeanHold)
-	heap.Push(&w.heap, wev{t: departT, id: id, kind: evDepart, class: uint8(ci), departT: departT})
+	w.q.At(departT, wev{id: id, kind: evDepart, class: uint8(ci), departT: departT})
 	if cl.MeanReneg > 0 {
 		if t := w.now + w.rng.ExpFloat64(1/cl.MeanReneg); t < departT {
-			heap.Push(&w.heap, wev{t: t, id: id, kind: evReneg, class: uint8(ci), departT: departT})
+			w.q.At(t, wev{id: id, kind: evReneg, class: uint8(ci), departT: departT})
 		}
 	}
 }
 
-// fire processes one due event from the heap.
+// fire processes one due event from the queue.
 func (w *worker) fire(e wev) {
 	switch e.kind {
 	case evDepart:
@@ -255,15 +247,15 @@ func (w *worker) fire(e wev) {
 			w.renegDenied++
 		}
 		if t := w.now + w.rng.ExpFloat64(1/cl.MeanReneg); t < e.departT {
-			heap.Push(&w.heap, wev{t: t, id: e.id, kind: evReneg, class: e.class, departT: e.departT})
+			w.q.At(t, wev{id: e.id, kind: evReneg, class: e.class, departT: e.departT})
 		}
 	}
 }
 
 // drainDue fires every event due at or before the current virtual time.
 func (w *worker) drainDue() {
-	for len(w.heap) > 0 && w.heap[0].t <= w.now && w.err == nil {
-		w.fire(heap.Pop(&w.heap).(wev))
+	for w.q.Len() > 0 && w.q.Next() <= w.now && w.err == nil {
+		w.fire(w.q.Pop())
 	}
 }
 
@@ -291,12 +283,12 @@ func (w *worker) churn(n int) {
 	for i := 0; i < n && w.err == nil; i++ {
 		dt := w.rng.ExpFloat64(w.lambda)
 		w.now += dt
-		if len(w.heap) > 0 && w.heap[0].t <= w.now {
+		if w.q.Len() > 0 && w.q.Next() <= w.now {
 			// The next scheduled event beats the arrival: fire it and
 			// re-anchor virtual time to it so event counts, not wall
 			// time, bound the loop.
-			e := heap.Pop(&w.heap).(wev)
-			w.now = e.t
+			e := w.q.Pop()
+			w.now = w.q.Now()
 			w.fire(e)
 			continue
 		}
@@ -306,12 +298,12 @@ func (w *worker) churn(n int) {
 
 // drain tears down every remaining active call.
 func (w *worker) drain() {
-	for len(w.heap) > 0 && w.err == nil {
-		e := heap.Pop(&w.heap).(wev)
+	for w.q.Len() > 0 && w.err == nil {
+		e := w.q.Pop()
 		if e.kind != evDepart {
 			continue
 		}
-		w.now = e.t
+		w.now = w.q.Now()
 		w.fire(e)
 	}
 }
@@ -331,10 +323,14 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Classes == nil {
 		cfg.Classes = DefaultClasses()
 	}
+	positive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) } // and finite
 	var meanHold, wsum float64
-	for _, c := range cfg.Classes {
-		if len(c.Levels) == 0 || c.Weight <= 0 || c.MeanHold <= 0 {
-			return Result{}, fmt.Errorf("churn: class %q needs levels, weight, and a holding time", c.Name)
+	for i, c := range cfg.Classes {
+		if i > math.MaxUint8 {
+			return Result{}, fmt.Errorf("churn: class %q is number %d; an event indexes at most %d", c.Name, i+1, math.MaxUint8+1)
+		}
+		if len(c.Levels) == 0 || !positive(c.Weight) || !positive(c.MeanHold) || c.MeanReneg != 0 && !positive(c.MeanReneg) {
+			return Result{}, fmt.Errorf("churn: class %q needs levels, a positive finite weight and holding time, and a renegotiation time that is zero or positive and finite", c.Name)
 		}
 		meanHold += c.Weight * c.MeanHold
 		wsum += c.Weight

@@ -1,7 +1,11 @@
 package churn
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"rcbr/internal/metrics"
 	"rcbr/internal/switchfab"
@@ -165,6 +169,96 @@ func TestRunValidation(t *testing.T) {
 	bad := []Class{{Name: "x", Weight: 1, MeanHold: 10}} // no levels
 	if _, err := Run(Config{Switch: s, Ports: 1, TargetVCs: 1, Classes: bad}); err == nil {
 		t.Error("class without levels accepted")
+	}
+}
+
+// TestRunRefusesBadClasses: Run refuses a class the generator cannot run,
+// naming it, and returns at once. Unchecked, each row runs: with 257
+// classes, class 256 is stored in an event as class 0, whose zero
+// renegotiation time reschedules a renegotiation at the same instant
+// forever; a NaN or infinite parameter panics in a worker or feeds NaN due
+// times to the queue; a negative renegotiation time silently means CBR.
+func TestRunRefusesBadClasses(t *testing.T) {
+	vbr := Class{Name: "vbr", Weight: 1, Levels: []float64{64e3, 128e3}, MeanHold: 10, MeanReneg: 1}
+	many := make([]Class, 257)
+	for i := range many {
+		many[i] = Class{Name: fmt.Sprint("cbr", i), Weight: 1, Levels: []float64{64e3}, MeanHold: 10}
+	}
+	many[256] = vbr
+	with := func(f func(*Class)) []Class {
+		c := vbr
+		f(&c)
+		return []Class{c}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, row := range []struct {
+		name    string
+		classes []Class
+	}{
+		{"257 classes", many},
+		{"NaN weight", with(func(c *Class) { c.Weight = nan })},
+		{"infinite weight", with(func(c *Class) { c.Weight = inf })},
+		{"NaN hold", with(func(c *Class) { c.MeanHold = nan })},
+		{"infinite hold", with(func(c *Class) { c.MeanHold = inf })},
+		{"NaN reneg", with(func(c *Class) { c.MeanReneg = nan })},
+		{"infinite reneg", with(func(c *Class) { c.MeanReneg = inf })},
+		{"negative reneg", with(func(c *Class) { c.MeanReneg = -1 })},
+		{"-Inf reneg", with(func(c *Class) { c.MeanReneg = -inf })},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := newChurnSwitch(t, 1, 1e12)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(Config{Switch: s, Ports: 1, Classes: row.classes, TargetVCs: 2000, Workers: 1, ChurnEvents: 2000})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("accepted")
+				}
+				if bad := row.classes[len(row.classes)-1].Name; !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+					t.Errorf("error %q does not name class %q", err, bad)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run still running after 5 s")
+			}
+		})
+	}
+}
+
+// TestSingleWorkerCountsPinned: with one worker and no admitter a seed fixes
+// every switch operation the generator performs, so the pinned counts hold
+// the order in which the queue hands events back.
+func TestSingleWorkerCountsPinned(t *testing.T) {
+	type counts struct {
+		ramped, final                                    int
+		setups, blocked, teardowns, renegs, renegDenials int64
+	}
+	for _, row := range []struct {
+		seed uint64
+		want counts
+	}{
+		{1, counts{3000, 2657, 6097, 259, 6097, 15915, 3549}},
+		{2, counts{3000, 2671, 6244, 330, 6244, 15567, 3135}},
+		{3, counts{3000, 2629, 6257, 231, 6257, 15340, 2983}},
+	} {
+		res, err := Run(Config{
+			Switch:      newChurnSwitch(t, 2, 300e6),
+			Ports:       2,
+			TargetVCs:   3000,
+			Workers:     1,
+			ChurnEvents: 20000,
+			Seed:        row.seed,
+			Drain:       true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := counts{res.RampedVCs, res.FinalVCs, res.Setups, res.Blocked, res.Teardowns, res.Renegs, res.RenegDenials}
+		if got != row.want {
+			t.Errorf("seed %d: counts %+v, want %+v", row.seed, got, row.want)
+		}
 	}
 }
 

@@ -191,37 +191,6 @@ func Arrivals(tr *trace.Trace) []float64 {
 	return out
 }
 
-// SumArrivals element-wise adds src into dst, which must be at least as
-// long as src.
-func SumArrivals(dst []float64, src []float64) {
-	if len(dst) < len(src) {
-		panic("queue: SumArrivals dst shorter than src")
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// AggregateArrivals returns the per-slot sum of all traces' frames in bits.
-// All traces must share the same length and frame rate.
-func AggregateArrivals(traces []*trace.Trace) []float64 {
-	if len(traces) == 0 {
-		return nil
-	}
-	n := traces[0].Len()
-	fps := traces[0].FPS
-	out := make([]float64, n)
-	for _, tr := range traces {
-		if tr.Len() != n || tr.FPS != fps {
-			panic("queue: AggregateArrivals with mismatched traces")
-		}
-		for i, b := range tr.FrameBits {
-			out[i] += float64(b)
-		}
-	}
-	return out
-}
-
 // MinRateForLoss returns the smallest CBR service rate (bits/second) such
 // that the steady-state fraction of bits lost from a buffer of B bits is at
 // most target (cyclic semantics: the trace repeats, see RunCyclic). The
@@ -260,42 +229,6 @@ func MinRateForLoss(arrivals []float64, slotSec, B, target float64) float64 {
 	for iter := 0; iter < 60; iter++ {
 		mid := (lo + hi) / 2
 		if lossAt(mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// MinBufferForLoss returns the smallest buffer B (bits) such that a CBR
-// drain at c bits/second loses at most the target fraction in steady state
-// (cyclic semantics). If c is at or below the source mean, no finite buffer
-// suffices and it returns +Inf.
-func MinBufferForLoss(arrivals []float64, slotSec, c, target float64) float64 {
-	if len(arrivals) == 0 {
-		return 0
-	}
-	var total float64
-	for _, a := range arrivals {
-		total += a
-	}
-	mean := total / (slotSec * float64(len(arrivals)))
-	if c < mean {
-		return math.Inf(1)
-	}
-	// The cyclic unbounded queue's max occupancy is the zero-loss buffer.
-	unbounded := RunCyclic(arrivals, slotSec, c, math.Inf(1))
-	if target <= 0 {
-		return unbounded.MaxOccupancy
-	}
-	lo, hi := 0.0, unbounded.MaxOccupancy
-	if hi == 0 {
-		return 0
-	}
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		if RunCyclic(arrivals, slotSec, c, mid).LossFraction() > target {
 			lo = mid
 		} else {
 			hi = mid

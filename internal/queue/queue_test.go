@@ -185,16 +185,6 @@ func TestRunCyclicPanics(t *testing.T) {
 	RunCyclic(nil, 0, 1, 1)
 }
 
-func TestMinBufferBelowMeanIsInfinite(t *testing.T) {
-	arr := []float64{100, 100}
-	if b := MinBufferForLoss(arr, 1, 50, 1e-6); !math.IsInf(b, 1) {
-		t.Fatalf("buffer for sub-mean rate = %v, want +Inf", b)
-	}
-	if b := MinBufferForLoss(nil, 1, 50, 1e-6); b != 0 {
-		t.Fatalf("empty arrivals buffer = %v", b)
-	}
-}
-
 func TestMinRateAtLeastMean(t *testing.T) {
 	// Cyclic semantics force the minimum rate to at least the source mean
 	// for any finite buffer.
@@ -206,31 +196,14 @@ func TestMinRateAtLeastMean(t *testing.T) {
 	}
 }
 
-func TestArrivalsAndAggregate(t *testing.T) {
-	a := trace.New([]int64{1, 2, 3}, 24)
-	b := trace.New([]int64{10, 20, 30}, 24)
-	agg := AggregateArrivals([]*trace.Trace{a, b})
-	want := []float64{11, 22, 33}
+func TestArrivals(t *testing.T) {
+	got := Arrivals(trace.New([]int64{1, 2, 3}, 24))
+	want := []float64{1, 2, 3}
 	for i, v := range want {
-		if agg[i] != v {
-			t.Fatalf("agg = %v, want %v", agg, want)
+		if got[i] != v {
+			t.Fatalf("Arrivals = %v, want %v", got, want)
 		}
 	}
-	if AggregateArrivals(nil) != nil {
-		t.Fatal("empty aggregate must be nil")
-	}
-}
-
-func TestAggregateMismatchedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched traces accepted")
-		}
-	}()
-	AggregateArrivals([]*trace.Trace{
-		trace.New([]int64{1}, 24),
-		trace.New([]int64{1, 2}, 24),
-	})
 }
 
 func TestMinRateForLoss(t *testing.T) {
@@ -257,35 +230,6 @@ func TestMinRateForLoss(t *testing.T) {
 func TestMinRateEmptyArrivals(t *testing.T) {
 	if c := MinRateForLoss(nil, 1, 10, 0.1); c != 0 {
 		t.Fatalf("empty arrivals rate = %v", c)
-	}
-}
-
-func TestMinBufferForLoss(t *testing.T) {
-	tr := trace.SyntheticStarWarsFrames(3, 5000)
-	arr := Arrivals(tr)
-	slot := tr.SlotSeconds()
-	c := tr.MeanRate() * 1.5
-	target := 1e-6
-	B := MinBufferForLoss(arr, slot, c, target)
-	if got := Run(arr, slot, c, B).LossFraction(); got > target {
-		t.Fatalf("loss at returned buffer = %v", got)
-	}
-	if B > 0 {
-		if got := Run(arr, slot, c, B*0.95).LossFraction(); got <= target {
-			t.Fatalf("buffer not minimal")
-		}
-	}
-	// Zero target returns the max occupancy of the unbounded queue.
-	B0 := MinBufferForLoss(arr, slot, c, 0)
-	if got := Run(arr, slot, c, B0).LostBits; got != 0 {
-		t.Fatalf("zero-target buffer still loses %v bits", got)
-	}
-}
-
-func TestMinBufferAtPeakRateIsSmall(t *testing.T) {
-	arr := []float64{10, 10, 10}
-	if b := MinBufferForLoss(arr, 1, 10, 0); b != 0 {
-		t.Fatalf("buffer at per-slot service = %v, want 0", b)
 	}
 }
 
@@ -320,18 +264,4 @@ func TestLogSpace(t *testing.T) {
 		}
 	}()
 	LogSpace(0, 1, 3)
-}
-
-func TestSumArrivals(t *testing.T) {
-	dst := []float64{1, 2, 3}
-	SumArrivals(dst, []float64{10, 10})
-	if dst[0] != 11 || dst[1] != 12 || dst[2] != 3 {
-		t.Fatalf("dst = %v", dst)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short dst accepted")
-		}
-	}()
-	SumArrivals([]float64{1}, []float64{1, 2})
 }

@@ -1,91 +1,75 @@
-// Package sim provides a minimal discrete-event simulation engine: a clock
-// and a time-ordered event queue with deterministic FIFO tie-breaking. The
-// call-level admission experiments of Section VI run on it.
+// Package sim provides the discrete-event core both call-level simulators
+// run on: a clock and a time-ordered queue of typed events held by value.
+// The admission experiments of Section VI (callsim) and the churn generator
+// (churn) each pop their events from one.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// Engine is a discrete-event scheduler. The zero value is ready to use.
-type Engine struct {
-	now   float64
-	seq   uint64
-	queue eventHeap
+// Queue is a min-heap of events of type E on their due times, and the clock
+// those times are read against. The zero value is ready to use.
+//
+// Events with equal due times pop in an order fixed by the sequence of At
+// and Pop calls, not by insertion: there is no sequence number. A simulation
+// whose due times are continuous random draws never produces a tie, and any
+// run replays exactly from its seed.
+type Queue[E any] struct {
+	now float64
+	h   []item[E]
 }
 
-type event struct {
-	time   float64
-	seq    uint64 // FIFO among equal times
-	action func()
+type item[E any] struct {
+	t float64
+	e E
 }
 
-type eventHeap []*event
+// Now returns the due time of the last popped event: the current time.
+func (q *Queue[E]) Now() float64 { return q.now }
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// Len returns the number of pending events.
+func (q *Queue[E]) Len() int { return len(q.h) }
+
+// Next returns the due time of the earliest pending event. The queue must
+// not be empty.
+func (q *Queue[E]) Next() float64 { return q.h[0].t }
+
+// At schedules e at absolute time t. Scheduling before Now panics: it is
+// always a logic error in a discrete-event model.
+func (q *Queue[E]) At(t float64, e E) {
+	if t < q.now {
+		panic(fmt.Sprintf("sim: scheduling at %g before now %g", t, q.now))
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// Now returns the current simulation time in seconds.
-func (e *Engine) Now() float64 { return e.now }
-
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return e.queue.Len() }
-
-// At schedules action at absolute time t. Scheduling in the past panics: it
-// is always a logic error in a discrete-event model.
-func (e *Engine) At(t float64, action func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %g before now %g", t, e.now))
-	}
-	e.seq++
-	heap.Push(&e.queue, &event{time: t, seq: e.seq, action: action})
-}
-
-// After schedules action delay seconds from now. Negative delays panic.
-func (e *Engine) After(delay float64, action func()) {
-	e.At(e.now+delay, action)
-}
-
-// Step executes the next event, if any, and reports whether one ran.
-func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.queue).(*event)
-	e.now = ev.time
-	ev.action()
-	return true
-}
-
-// RunUntil executes events with time <= horizon, then advances the clock to
-// the horizon. Events scheduled during execution are honored.
-func (e *Engine) RunUntil(horizon float64) {
-	for e.queue.Len() > 0 && e.queue[0].time <= horizon {
-		e.Step()
-	}
-	if horizon > e.now {
-		e.now = horizon
+	q.h = append(q.h, item[E]{t, e})
+	h := q.h
+	for i := len(h) - 1; i > 0 && h[i].t < h[(i-1)/2].t; i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
 	}
 }
 
-// Run executes events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
+// Pop removes the earliest pending event, advances the clock to its due
+// time and returns it. The queue must not be empty.
+func (q *Queue[E]) Pop() E {
+	h := q.h
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = item[E]{} // drop the moved copy's references
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].t < h[c].t {
+			c = r
+		}
+		if h[i].t <= h[c].t {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
+	q.h = h
+	q.now = top.t
+	return top.e
 }

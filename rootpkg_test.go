@@ -225,6 +225,20 @@ func TestLockRulesInSource(t *testing.T) {
 	}
 }
 
+// TestOneEventHeap holds the simulators to one event queue: sim.Queue, a
+// typed value heap. A container/heap import in a non-test file is a second
+// heap, and one that boxes every event it holds into an interface.
+func TestOneEventHeap(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, f := range goFiles(t, fset, false) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"container/heap"` {
+				t.Errorf("%s: imports container/heap; schedule events on a sim.Queue", fset.Position(imp.Pos()))
+			}
+		}
+	}
+}
+
 // TestMetricNamesAreOwnedConstants holds the metric-naming contract the
 // README's metric tables rely on (once the metricname analyzer's; DESIGN §9).
 // Every Metric* constant is a string literal in the dotted lower-case
