@@ -5,9 +5,12 @@
 GO ?= go
 
 # Concurrency-sensitive packages run under the race detector in CI. The
-# experiments package is here for its worker pool (Sweep), which every
-# figure sweep in the package runs on.
-RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./internal/experiments/ ./cmd/rcbrd/
+# experiments package is here for its worker pool (Sweep): every figure
+# sweep runs on it, GOMAXPROCS workers wide, with no serial path beside it.
+# cmd/rcbrsim is here because TestEveryCommandRuns drives each command from
+# the dispatcher into that pool, and signal, churn and topology into a live
+# switch.
+RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./internal/experiments/ ./cmd/rcbrd/ ./cmd/rcbrsim/
 
 # Per-fuzz-target smoke budget. `go test -fuzz` takes one target per
 # invocation, hence the explicit list.

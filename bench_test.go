@@ -409,7 +409,9 @@ func BenchmarkSection2Burstiness(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shaper.BurstinessCurve(tr, rates)
+		for _, r := range rates {
+			shaper.MinDepth(tr, r)
+		}
 	}
 }
 

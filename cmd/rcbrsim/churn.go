@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -19,8 +20,7 @@ import (
 // equilibrium for a budget of call events, reporting setup latency, the
 // time from a setup's entry to its admission verdict, and retained bytes
 // per VC.
-func churnRun(args []string) error {
-	fs := flag.NewFlagSet("churn", flag.ExitOnError)
+func churnRun(fs *flag.FlagSet) func(context.Context) error {
 	vcs := fs.Int("vcs", 1_000_000, "target concurrent VC population")
 	ports := fs.Int("ports", 256, "output ports on the switch")
 	portCap := fs.Float64("portcap", 1.5e9, "per-port capacity (bits/s)")
@@ -31,95 +31,87 @@ func churnRun(args []string) error {
 	drain := fs.Bool("drain", false, "tear every call down at the end and verify the fabric drains to zero")
 	jsonOut := fs.String("json", "", "also write the result as JSON to this file (- for stdout)")
 	seed := fs.Uint64("seed", 1, "generator seed")
-	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProf, err := prof.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
+	return func(context.Context) error {
+		classes := churn.DefaultClasses()
+		reg := metrics.NewRegistry()
+		opts := []switchfab.Option{switchfab.WithMetrics(reg)}
+		switch *admit {
+		case "memory":
+			ad, err := switchfab.NewMemoryAdmitter(churn.LevelSet(classes), *target)
+			if err != nil {
+				return err
+			}
+			opts = append(opts, switchfab.WithAdmitter(ad))
+		case "none":
+		default:
+			return fmt.Errorf("unknown admission policy %q (memory | none)", *admit)
+		}
+		sw := switchfab.New(opts...)
+		for p := 0; p < *ports; p++ {
+			if err := sw.AddPort(p, *portCap); err != nil {
+				return err
+			}
+		}
 
-	classes := churn.DefaultClasses()
-	reg := metrics.NewRegistry()
-	opts := []switchfab.Option{switchfab.WithMetrics(reg)}
-	switch *admit {
-	case "memory":
-		ad, err := switchfab.NewMemoryAdmitter(churn.LevelSet(classes), *target)
+		w := *workers
+		if w == 0 {
+			w = runtime.GOMAXPROCS(0)
+		}
+		fmt.Printf("churn: target %d VCs over %d ports (%.3g b/s each), %d workers, admit=%s\n",
+			*vcs, *ports, *portCap, w, *admit)
+
+		res, err := churn.Run(churn.Config{
+			Switch:      sw,
+			Ports:       *ports,
+			Classes:     classes,
+			TargetVCs:   *vcs,
+			Workers:     *workers,
+			ChurnEvents: *events,
+			Seed:        *seed,
+			Registry:    reg,
+			Drain:       *drain,
+		})
 		if err != nil {
 			return err
 		}
-		opts = append(opts, switchfab.WithAdmitter(ad))
-	case "none":
-	default:
-		return fmt.Errorf("unknown admission policy %q (memory | none)", *admit)
-	}
-	sw := switchfab.New(opts...)
-	for p := 0; p < *ports; p++ {
-		if err := sw.AddPort(p, *portCap); err != nil {
+
+		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintf(tw, "ramped VCs\t%d (of %d)\tin %v\n", res.RampedVCs, *vcs, res.RampWall.Round(1e6))
+		fmt.Fprintf(tw, "churn events\t%d setups, %d teardowns, %d renegs (%d denied)\tin %v\n",
+			res.Setups, res.Teardowns, res.Renegs, res.RenegDenials, res.ChurnWall.Round(1e6))
+		fmt.Fprintf(tw, "blocked setups\t%d\n", res.Blocked)
+		fmt.Fprintf(tw, "final VCs\t%d\n", res.FinalVCs)
+		fmt.Fprintf(tw, "setup latency\tmean %v\tp99 <= %v\n", res.SetupMean, res.SetupP99)
+		fmt.Fprintf(tw, "entry to admit verdict\tmean %v\tp99 <= %v\n", res.AdmitMean, res.AdmitP99)
+		fmt.Fprintf(tw, "bytes per VC\t%.0f\n", res.BytesPerVC)
+		if err := tw.Flush(); err != nil {
 			return err
 		}
-	}
-
-	w := *workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("churn: target %d VCs over %d ports (%.3g b/s each), %d workers, admit=%s\n",
-		*vcs, *ports, *portCap, w, *admit)
-
-	res, err := churn.Run(churn.Config{
-		Switch:      sw,
-		Ports:       *ports,
-		Classes:     classes,
-		TargetVCs:   *vcs,
-		Workers:     *workers,
-		ChurnEvents: *events,
-		Seed:        *seed,
-		Registry:    reg,
-		Drain:       *drain,
-	})
-	if err != nil {
-		return err
-	}
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "ramped VCs\t%d (of %d)\tin %v\n", res.RampedVCs, *vcs, res.RampWall.Round(1e6))
-	fmt.Fprintf(tw, "churn events\t%d setups, %d teardowns, %d renegs (%d denied)\tin %v\n",
-		res.Setups, res.Teardowns, res.Renegs, res.RenegDenials, res.ChurnWall.Round(1e6))
-	fmt.Fprintf(tw, "blocked setups\t%d\n", res.Blocked)
-	fmt.Fprintf(tw, "final VCs\t%d\n", res.FinalVCs)
-	fmt.Fprintf(tw, "setup latency\tmean %v\tp99 <= %v\n", res.SetupMean, res.SetupP99)
-	fmt.Fprintf(tw, "entry to admit verdict\tmean %v\tp99 <= %v\n", res.AdmitMean, res.AdmitP99)
-	fmt.Fprintf(tw, "bytes per VC\t%.0f\n", res.BytesPerVC)
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	st := sw.Stats()
-	fmt.Printf("switch: %d setups, %d setup rejects, %d reserved clamps\n",
-		st.Setups, st.SetupRejects, st.ReservedClamps)
-	if *drain {
-		if n := sw.VCCount(); n != 0 {
-			return fmt.Errorf("drain left %d VCs in the fabric", n)
+		st := sw.Stats()
+		fmt.Printf("switch: %d setups, %d setup rejects, %d reserved clamps\n",
+			st.Setups, st.SetupRejects, st.ReservedClamps)
+		if *drain {
+			if n := sw.VCCount(); n != 0 {
+				return fmt.Errorf("drain left %d VCs in the fabric", n)
+			}
+			fmt.Println("drain: fabric empty")
 		}
-		fmt.Println("drain: fabric empty")
-	}
 
-	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
+		if *jsonOut != "" {
+			buf, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				return err
+			}
+			buf = append(buf, '\n')
+			if *jsonOut == "-" {
+				_, err = os.Stdout.Write(buf)
+			} else {
+				err = os.WriteFile(*jsonOut, buf, 0o644)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		buf = append(buf, '\n')
-		if *jsonOut == "-" {
-			_, err = os.Stdout.Write(buf)
-		} else {
-			err = os.WriteFile(*jsonOut, buf, 0o644)
-		}
-		if err != nil {
-			return err
-		}
+		return nil
 	}
-	return nil
 }

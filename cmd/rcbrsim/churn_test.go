@@ -12,8 +12,8 @@ import (
 // invoke it.
 func TestChurnRunSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "churn.json")
-	err := churnRun([]string{
-		"-vcs", "2000", "-ports", "8", "-workers", "4",
+	err := dispatch([]string{
+		"churn", "-vcs", "2000", "-ports", "8", "-workers", "4",
 		"-churn", "5000", "-drain", "-json", out,
 	})
 	if err != nil {
@@ -38,11 +38,11 @@ func TestChurnRunSmoke(t *testing.T) {
 		t.Errorf("books unbalanced in JSON result: %d setups, %d teardowns", res.Setups, res.Teardowns)
 	}
 
-	if err := churnRun([]string{"-vcs", "500", "-ports", "4",
+	if err := dispatch([]string{"churn", "-vcs", "500", "-ports", "4",
 		"-churn", "1000", "-admit", "none"}); err != nil {
 		t.Fatalf("admit=none: %v", err)
 	}
-	if err := churnRun([]string{"-admit", "bogus"}); err == nil {
+	if err := dispatch([]string{"churn", "-admit", "bogus"}); err == nil {
 		t.Fatal("unknown admission policy accepted")
 	}
 }

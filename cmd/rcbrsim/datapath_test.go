@@ -18,7 +18,7 @@ import (
 func TestDatapathRunSmoke(t *testing.T) {
 	t.Run("cores=1", func(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "datapath.csv")
-		err := datapathRun([]string{"-frames", "240", "-n", "2", "-hops", "2", "-csv", out})
+		err := dispatch([]string{"datapath", "-frames", "240", "-n", "2", "-hops", "2", "-csv", out})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestDatapathRunFlagValidation(t *testing.T) {
 		// A row that is wrongly accepted runs a replay: keep its CSV out of
 		// the working directory.
 		csvOut := filepath.Join(t.TempDir(), "datapath.csv")
-		err := datapathRun(append(args, "-frames", "240", "-csv", csvOut))
+		err := dispatch(append([]string{"datapath", "-frames", "240", "-csv", csvOut}, args...))
 		if err == nil || !strings.Contains(err.Error(), args[0]) {
 			t.Errorf("datapath %v: error %v, want one naming %s", args, err, args[0])
 		}

@@ -22,10 +22,16 @@
 //
 // Full-length runs (-frames 0 selects the whole two-hour trace) reproduce
 // the paper's setup; shorter traces keep the shapes with less wall time.
+// muxcmp and datapath take 1..14400 frames, signal and topology 1..28800.
+//
+// The profiling flags -cpuprofile F and -memprofile F come before the
+// command name and work for every command. The figure sweeps run their grid
+// points on GOMAXPROCS workers; the results do not depend on how many.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -46,25 +52,21 @@ import (
 )
 
 // command is one subcommand. The table drives dispatch and usage(), and a
-// test holds the package comment to it, name and summary.
+// test holds the package comment to it, name and summary. flags registers
+// the command's flags on the set the dispatcher hands it and returns the run
+// that reads them once they are parsed.
 type command struct {
 	name, summary string
-	run           func(args []string) error
+	flags         func(fs *flag.FlagSet) func(ctx context.Context) error
 }
 
 var commands = []command{
 	{"fig2", "renegotiation tradeoff", fig2},
 	{"fig5", "(c, B) curve", fig5},
 	{"fig6", "SMG of the three scenarios", fig6},
-	{"fig7", "memoryless MBAC failure", func(args []string) error {
-		return mbac(args, "memoryless", "fig7: memoryless MBAC renegotiation failure probability")
-	}},
-	{"fig8", "memoryless MBAC utilization", func(args []string) error {
-		return mbac(args, "memoryless", "fig8: memoryless MBAC normalized utilization")
-	}},
-	{"fig9", "memory MBAC (extension)", func(args []string) error {
-		return mbac(args, "memory", "fig9 (extension): memory-based MBAC")
-	}},
+	{"fig7", "memoryless MBAC failure", mbac("memoryless", "fig7: memoryless MBAC renegotiation failure probability")},
+	{"fig8", "memoryless MBAC utilization", mbac("memoryless", "fig8: memoryless MBAC normalized utilization")},
+	{"fig9", "memory MBAC (extension)", mbac("memory", "fig9 (extension): memory-based MBAC")},
 	{"analysis", "eqs. (9)-(11) on Fig. 4 model", analysis},
 	{"section2", "the one-shot descriptor dilemma, quantified", section2},
 	{"muxcmp", "cell-level buffering: CBR vs VBR bursts", muxcmp},
@@ -78,33 +80,68 @@ var commands = []command{
 	{"topology", "parking-lot mesh, utilization + fairness CSV", topologyRun},
 }
 
+// errUsage marks a command line that names no command the table has.
+var errUsage = errors.New("unknown command")
+
 func main() {
-	if len(os.Args) < 2 {
+	err := dispatch(os.Args[1:])
+	if errors.Is(err, errUsage) {
+		fmt.Fprintf(os.Stderr, "rcbrsim: %v\n", err)
 		usage()
 		os.Exit(2)
 	}
-	name, args := os.Args[1], os.Args[2:]
-	if name == "-h" || name == "--help" || name == "help" {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rcbrsim %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// dispatch runs one command line: the global profiling flags, the command
+// name, then the command's own flags. The command runs under a context that
+// Ctrl-C cancels, so a sweep stops instead of the process dying mid-write.
+func dispatch(args []string) error {
+	global := flag.NewFlagSet("rcbrsim", flag.ExitOnError)
+	global.Usage = usage
+	cpuProfile := global.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := global.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := global.Parse(args); err != nil {
+		return err
+	}
+	if global.NArg() == 0 {
+		return fmt.Errorf("%w: none given", errUsage)
+	}
+	name := global.Arg(0)
+	if name == "help" {
 		usage()
-		return
+		return nil
 	}
 	for _, c := range commands {
 		if c.name != name {
 			continue
 		}
-		if err := c.run(args); err != nil {
-			fmt.Fprintf(os.Stderr, "rcbrsim %s: %v\n", name, err)
-			os.Exit(1)
+		fs := flag.NewFlagSet(name, flag.ExitOnError)
+		run := c.flags(fs)
+		if err := fs.Parse(global.Args()[1:]); err != nil {
+			return err
 		}
-		return
+		stopProfile, err := startProfile(*cpuProfile, *memProfile)
+		if err != nil {
+			return err
+		}
+		defer stopProfile()
+		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer cancel()
+		if err := run(ctx); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
 	}
-	fmt.Fprintf(os.Stderr, "rcbrsim: unknown command %q\n", name)
-	usage()
-	os.Exit(2)
+	return fmt.Errorf("%w %q", errUsage, name)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "rcbrsim regenerates the RCBR paper's figures.\ncommands:")
+	fmt.Fprintln(os.Stderr, "rcbrsim regenerates the RCBR paper's figures.\n"+
+		"usage: rcbrsim [-cpuprofile F] [-memprofile F] <command> [flags]\ncommands:")
 	for _, c := range commands {
 		fmt.Fprintf(os.Stderr, "  %-9s %s\n", c.name, c.summary)
 	}
@@ -119,47 +156,30 @@ func commonFlags(fs *flag.FlagSet) (*int, *uint64) {
 	return frames, seed
 }
 
-// parallelFlag registers -parallel on the sweep commands. 0 asks for one
-// worker per available CPU; 1 (the default) keeps the historical serial
-// run.
-func parallelFlag(fs *flag.FlagSet) *int {
-	return fs.Int("parallel", 1, "concurrent grid points (0 = GOMAXPROCS)")
+// boundedFrames registers -frames and -seed for the commands that replay the
+// trace cell by cell or over a live switch: -frames defaults to def, and
+// checkFrames refuses a value outside [1, max].
+func boundedFrames(fs *flag.FlagSet, def, max int) (*int, *uint64) {
+	frames := fs.Int("frames", def, fmt.Sprintf("trace length in frames, 1..%d", max))
+	seed := fs.Uint64("seed", 1, "trace generator seed")
+	return frames, seed
 }
 
-func resolveParallel(p int) int {
-	if p == 0 {
-		return runtime.GOMAXPROCS(0)
+func checkFrames(frames, max int) error {
+	if frames < 1 || frames > max {
+		return fmt.Errorf("-frames must be in [1, %d], got %d", max, frames)
 	}
-	return p
+	return nil
 }
 
-// sweepContext is the root context for the figure sweeps: Ctrl-C cancels
-// the sweep instead of killing the process mid-write.
-func sweepContext() (context.Context, context.CancelFunc) {
-	return signal.NotifyContext(context.Background(), os.Interrupt)
-}
-
-// profiler carries the -cpuprofile/-memprofile flag values (see the README
-// profiling workflow).
-type profiler struct {
-	cpu, mem *string
-}
-
-// profileFlags registers the profiling flags on fs.
-func profileFlags(fs *flag.FlagSet) *profiler {
-	return &profiler{
-		cpu: fs.String("cpuprofile", "", "write a CPU profile to this file"),
-		mem: fs.String("memprofile", "", "write a heap profile to this file on exit"),
-	}
-}
-
-// start begins CPU profiling if requested and returns a stop function to
-// defer; stop also snapshots the heap profile. Profile-writing failures are
-// reported on stderr rather than failing the experiment that produced them.
-func (p *profiler) start() (func(), error) {
+// startProfile begins CPU profiling if cpu names a file and returns a stop
+// function to defer; stop also writes the heap profile if mem names one.
+// Profile-writing failures are reported on stderr rather than failing the
+// experiment that produced them.
+func startProfile(cpu, mem string) (func(), error) {
 	var cpuFile *os.File
-	if *p.cpu != "" {
-		f, err := os.Create(*p.cpu)
+	if cpu != "" {
+		f, err := os.Create(cpu)
 		if err != nil {
 			return nil, err
 		}
@@ -176,8 +196,8 @@ func (p *profiler) start() (func(), error) {
 				fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
 			}
 		}
-		if *p.mem != "" {
-			f, err := os.Create(*p.mem)
+		if mem != "" {
+			f, err := os.Create(mem)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 				return
@@ -211,423 +231,365 @@ func checkBuffer(bits float64) error {
 	return nil
 }
 
-func fig2(args []string) error {
-	fs := flag.NewFlagSet("fig2", flag.ExitOnError)
+func fig2(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	buffer := fs.Float64("buffer", 300e3, "source buffer B in bits")
 	levels := fs.Int("levels", 20, "number of OPT bandwidth levels")
-	parallel := parallelFlag(fs)
-	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(ctx context.Context) error {
+		if err := checkBuffer(*buffer); err != nil {
+			return err
+		}
+		if *levels < 1 {
+			return fmt.Errorf("-levels must be at least 1, got %d", *levels)
+		}
+		tr := buildTrace(*frames, *seed)
+		cfg := experiments.DefaultFig2Config(tr)
+		cfg.BufferBits = *buffer
+		cfg.Levels = experiments.FeasibleLevels(tr, *buffer, *levels)
+		rows, err := experiments.Fig2(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Println("fig2: mean renegotiation interval vs bandwidth efficiency (B = 300 kb)")
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "kind\tparam\trenegs\tinterval(s)\tefficiency\tmaxOcc(kb)")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%s\t%.3g\t%d\t%.2f\t%.4f\t%.1f\n",
+				r.Kind, r.Param, r.Renegotiations, r.RenegIntervalSec,
+				r.Efficiency, r.MaxOccupancyBits/1e3)
+		}
+		return w.Flush()
 	}
-	if err := checkBuffer(*buffer); err != nil {
-		return err
-	}
-	if *levels < 1 {
-		return fmt.Errorf("-levels must be at least 1, got %d", *levels)
-	}
-	stopProf, err := prof.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	ctx, cancel := sweepContext()
-	defer cancel()
-	tr := buildTrace(*frames, *seed)
-	cfg := experiments.DefaultFig2Config(tr)
-	cfg.BufferBits = *buffer
-	cfg.Levels = experiments.FeasibleLevels(tr, *buffer, *levels)
-	cfg.Parallelism = resolveParallel(*parallel)
-	rows, err := experiments.Fig2(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("fig2: mean renegotiation interval vs bandwidth efficiency (B = 300 kb)")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "kind\tparam\trenegs\tinterval(s)\tefficiency\tmaxOcc(kb)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3g\t%d\t%.2f\t%.4f\t%.1f\n",
-			r.Kind, r.Param, r.Renegotiations, r.RenegIntervalSec,
-			r.Efficiency, r.MaxOccupancyBits/1e3)
-	}
-	return w.Flush()
 }
 
-func fig5(args []string) error {
-	fs := flag.NewFlagSet("fig5", flag.ExitOnError)
+func fig5(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	target := fs.Float64("loss", 1e-6, "bit-loss fraction target")
 	points := fs.Int("points", 12, "points on the curve")
 	bufLo := fs.Float64("buflo", 30e3, "smallest buffer (bits)")
 	bufHi := fs.Float64("bufhi", 200e6, "largest buffer (bits)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(context.Context) error {
+		tr := buildTrace(*frames, *seed)
+		pts := experiments.Fig5(tr, *target, *bufLo, *bufHi, *points)
+		mean := tr.MeanRate()
+		fmt.Printf("fig5: (c, B) curve for loss <= %g\n", *target)
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "buffer(kb)\tminRate(kb/s)\trate/mean")
+		for _, p := range pts {
+			fmt.Fprintf(w, "%.0f\t%.0f\t%.2f\n", p.BufferBits/1e3, p.Rate/1e3, p.Rate/mean)
+		}
+		return w.Flush()
 	}
-	tr := buildTrace(*frames, *seed)
-	pts := experiments.Fig5(tr, *target, *bufLo, *bufHi, *points)
-	mean := tr.MeanRate()
-	fmt.Printf("fig5: (c, B) curve for loss <= %g\n", *target)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "buffer(kb)\tminRate(kb/s)\trate/mean")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%.0f\t%.0f\t%.2f\n", p.BufferBits/1e3, p.Rate/1e3, p.Rate/mean)
-	}
-	return w.Flush()
 }
 
-func fig6(args []string) error {
-	fs := flag.NewFlagSet("fig6", flag.ExitOnError)
+func fig6(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	alpha := fs.Float64("alpha", 3e6, "renegotiation cost (tunes ~12 s intervals)")
 	target := fs.Float64("loss", 1e-6, "bit-loss fraction target")
 	nsFlag := fs.String("ns", "1,2,5,10,20,50,100,200,500,1000", "source counts")
 	maxReps := fs.Int("reps", 20, "max randomized phasings per capacity")
-	parallel := parallelFlag(fs)
-	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(ctx context.Context) error {
+		ns, err := parseInts(*nsFlag)
+		if err != nil {
+			return err
+		}
+		tr := buildTrace(*frames, *seed)
+		cfg, err := experiments.DefaultFig6Config(tr, *alpha)
+		if err != nil {
+			return err
+		}
+		cfg.Ns = ns
+		cfg.LossTarget = *target
+		cfg.MaxReps = *maxReps
+		fmt.Printf("fig6: schedule renegs=%d interval=%.1fs efficiency=%.4f\n",
+			cfg.Schedule.Renegotiations(), cfg.Schedule.MeanRenegIntervalSec(),
+			cfg.Schedule.BandwidthEfficiency(tr))
+		pts, err := experiments.Fig6(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		mean := tr.MeanRate()
+		fmt.Printf("fig6: per-stream capacity (units of mean rate %.0f b/s) for loss <= %g\n",
+			mean, *target)
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "N\tCBR\tshared\tRCBR")
+		for _, p := range pts {
+			fmt.Fprintf(w, "%d\t%.2f\t%.2f\t%.2f\n",
+				p.N, p.CBR/mean, p.Shared/mean, p.RCBR/mean)
+		}
+		return w.Flush()
 	}
-	ns, err := parseInts(*nsFlag)
-	if err != nil {
-		return err
-	}
-	stopProf, err := prof.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	ctx, cancel := sweepContext()
-	defer cancel()
-	tr := buildTrace(*frames, *seed)
-	cfg, err := experiments.DefaultFig6Config(tr, *alpha)
-	if err != nil {
-		return err
-	}
-	cfg.Ns = ns
-	cfg.LossTarget = *target
-	cfg.MaxReps = *maxReps
-	cfg.Parallelism = resolveParallel(*parallel)
-	fmt.Printf("fig6: schedule renegs=%d interval=%.1fs efficiency=%.4f\n",
-		cfg.Schedule.Renegotiations(), cfg.Schedule.MeanRenegIntervalSec(),
-		cfg.Schedule.BandwidthEfficiency(tr))
-	pts, err := experiments.Fig6(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	mean := tr.MeanRate()
-	fmt.Printf("fig6: per-stream capacity (units of mean rate %.0f b/s) for loss <= %g\n",
-		mean, *target)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "N\tCBR\tshared\tRCBR")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d\t%.2f\t%.2f\t%.2f\n",
-			p.N, p.CBR/mean, p.Shared/mean, p.RCBR/mean)
-	}
-	return w.Flush()
 }
 
-func mbac(args []string, scheme, title string) error {
-	fs := flag.NewFlagSet(scheme, flag.ExitOnError)
-	frames, seed := commonFlags(fs)
-	alpha := fs.Float64("alpha", 3e6, "schedule renegotiation cost")
-	capsFlag := fs.String("caps", "10,25,50,100", "link capacities (multiples of call mean rate)")
-	loadsFlag := fs.String("loads", "0.4,0.6,0.8,1.0,1.2", "normalized offered loads")
-	target := fs.Float64("target", 1e-3, "renegotiation failure target")
-	maxBatches := fs.Int("batches", 40, "max measurement batches")
-	parallel := parallelFlag(fs)
-	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+// mbac is the table entry of Figs. 7, 8 and 9: the admission sweep for one
+// scheme, printed under title.
+func mbac(scheme, title string) func(*flag.FlagSet) func(context.Context) error {
+	return func(fs *flag.FlagSet) func(context.Context) error {
+		frames, seed := commonFlags(fs)
+		alpha := fs.Float64("alpha", 3e6, "schedule renegotiation cost")
+		capsFlag := fs.String("caps", "10,25,50,100", "link capacities (multiples of call mean rate)")
+		loadsFlag := fs.String("loads", "0.4,0.6,0.8,1.0,1.2", "normalized offered loads")
+		target := fs.Float64("target", 1e-3, "renegotiation failure target")
+		maxBatches := fs.Int("batches", 40, "max measurement batches")
+		return func(ctx context.Context) error {
+			capsM, err := parseFloats(*capsFlag)
+			if err != nil {
+				return err
+			}
+			loads, err := parseFloats(*loadsFlag)
+			if err != nil {
+				return err
+			}
+			tr := buildTrace(*frames, *seed)
+			cfg6, err := experiments.DefaultFig6Config(tr, *alpha)
+			if err != nil {
+				return err
+			}
+			cfg := experiments.DefaultMBACConfig(cfg6.Schedule)
+			cfg.CapacityMultiples = capsM
+			cfg.Loads = loads
+			cfg.TargetFailure = *target
+			cfg.Schemes = []string{scheme}
+			cfg.MaxBatches = *maxBatches
+			cfg.Seed = *seed
+			rows, err := experiments.MBAC(ctx, cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(title)
+			fmt.Printf("target failure probability: %g\n", *target)
+			w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+			fmt.Fprintln(w, "capX\tload\tfailProb\t(perfect)\tnormUtil\tutil\tblocking\tbatches")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%.0f\t%.2f\t%.2e\t%.2e\t%.3f\t%.3f\t%.3f\t%d\n",
+					r.CapacityX, r.Load, r.FailureProb, r.PerfectFail,
+					r.NormUtil, r.Utilization, r.BlockingProb, r.Batches)
+			}
+			return w.Flush()
+		}
 	}
-	capsM, err := parseFloats(*capsFlag)
-	if err != nil {
-		return err
-	}
-	loads, err := parseFloats(*loadsFlag)
-	if err != nil {
-		return err
-	}
-	stopProf, err := prof.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	ctx, cancel := sweepContext()
-	defer cancel()
-	tr := buildTrace(*frames, *seed)
-	cfg6, err := experiments.DefaultFig6Config(tr, *alpha)
-	if err != nil {
-		return err
-	}
-	cfg := experiments.DefaultMBACConfig(cfg6.Schedule)
-	cfg.CapacityMultiples = capsM
-	cfg.Loads = loads
-	cfg.TargetFailure = *target
-	cfg.Schemes = []string{scheme}
-	cfg.MaxBatches = *maxBatches
-	cfg.Seed = *seed
-	cfg.Parallelism = resolveParallel(*parallel)
-	rows, err := experiments.MBAC(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(title)
-	fmt.Printf("target failure probability: %g\n", *target)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "capX\tload\tfailProb\t(perfect)\tnormUtil\tutil\tblocking\tbatches")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.0f\t%.2f\t%.2e\t%.2e\t%.3f\t%.3f\t%.3f\t%d\n",
-			r.CapacityX, r.Load, r.FailureProb, r.PerfectFail,
-			r.NormUtil, r.Utilization, r.BlockingProb, r.Batches)
-	}
-	return w.Flush()
 }
 
-func analysis(args []string) error {
-	fs := flag.NewFlagSet("analysis", flag.ExitOnError)
+func analysis(fs *flag.FlagSet) func(context.Context) error {
 	mean := fs.Float64("mean", 1000, "source mean rate (bits/slot)")
 	eps := fs.Float64("eps", 1e-4, "slow transition probability per slot")
 	buffer := fs.Float64("buffer", 5000, "per-source buffer (bits)")
 	target := fs.Float64("loss", 1e-6, "per-subchain overflow target")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(context.Context) error {
+		res, err := experiments.Analysis(*mean, *eps, *buffer, *target, []int{10, 100, 1000})
+		if err != nil {
+			return err
+		}
+		fmt.Println("analysis: eqs. (9)-(11) on the Fig. 4 three-subchain source")
+		fmt.Printf("mean rate: %.1f bits/slot\n", res.MeanRate)
+		for i, e := range res.SubchainEB {
+			fmt.Printf("subchain %d equivalent bandwidth e_%d(B): %.1f\n", i, i, e)
+		}
+		fmt.Printf("whole-stream EB (eq. 9, max_i e_i): %.1f  (max subchain mean %.1f)\n",
+			res.WholeEB, res.MaxSubMean)
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "c/mean\tN\tsharedLoss(eq10)\trcbrFailure(eq11)")
+		for _, r := range res.Rows {
+			fmt.Fprintf(w, "%.1f\t%d\t%.3e\t%.3e\n",
+				r.CPerOverMean, r.N, r.SharedLoss, r.RCBRFailure)
+		}
+		return w.Flush()
 	}
-	res, err := experiments.Analysis(*mean, *eps, *buffer, *target, []int{10, 100, 1000})
-	if err != nil {
-		return err
-	}
-	fmt.Println("analysis: eqs. (9)-(11) on the Fig. 4 three-subchain source")
-	fmt.Printf("mean rate: %.1f bits/slot\n", res.MeanRate)
-	for i, e := range res.SubchainEB {
-		fmt.Printf("subchain %d equivalent bandwidth e_%d(B): %.1f\n", i, i, e)
-	}
-	fmt.Printf("whole-stream EB (eq. 9, max_i e_i): %.1f  (max subchain mean %.1f)\n",
-		res.WholeEB, res.MaxSubMean)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "c/mean\tN\tsharedLoss(eq10)\trcbrFailure(eq11)")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%.1f\t%d\t%.3e\t%.3e\n",
-			r.CPerOverMean, r.N, r.SharedLoss, r.RCBRFailure)
-	}
-	return w.Flush()
 }
 
-func section2(args []string) error {
-	fs := flag.NewFlagSet("section2", flag.ExitOnError)
+func section2(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	bucket := fs.Float64("bucket", 300e3, "small bucket/buffer size in bits")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(context.Context) error {
+		tr := buildTrace(*frames, *seed)
+		rows, err := experiments.Section2(tr,
+			[]float64{1.05, 1.2, 1.5, 2, 3, 4, 5}, *bucket)
+		if err != nil {
+			return err
+		}
+		fmt.Println("section2: the one-shot descriptor dilemma (token bucket (r, b))")
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "r/mean\tb*(r) lossless (Mb)\tpolice@300kb loss\tshape@300kb delay(s)")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%.2f\t%.2f\t%.2e\t%.2f\n",
+				r.RateOverMean, r.MinDepthBits/1e6, r.PolicingLoss, r.ShapingDelaySec)
+		}
+		return w.Flush()
 	}
-	tr := buildTrace(*frames, *seed)
-	rows, err := experiments.Section2(tr,
-		[]float64{1.05, 1.2, 1.5, 2, 3, 4, 5}, *bucket)
-	if err != nil {
-		return err
-	}
-	fmt.Println("section2: the one-shot descriptor dilemma (token bucket (r, b))")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "r/mean\tb*(r) lossless (Mb)\tpolice@300kb loss\tshape@300kb delay(s)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.2f\t%.2f\t%.2e\t%.2f\n",
-			r.RateOverMean, r.MinDepthBits/1e6, r.PolicingLoss, r.ShapingDelaySec)
-	}
-	return w.Flush()
 }
 
-func muxcmp(args []string) error {
-	fs := flag.NewFlagSet("muxcmp", flag.ExitOnError)
-	frames, seed := commonFlags(fs)
+// Bounds on -frames for the commands that do not take the whole trace. The
+// cell-level ones (muxcmp, datapath) simulate every cell, so their trace
+// defaults to two minutes and stops at ten; signal and topology run their
+// sources over a live switch and stop at the figure commands' 20 minutes.
+const (
+	cellDefaultFrames, cellMaxFrames = 2400, 14400
+	liveMaxFrames                    = 28800
+)
+
+func muxcmp(fs *flag.FlagSet) func(context.Context) error {
+	frames, seed := boundedFrames(fs, cellDefaultFrames, cellMaxFrames)
 	n := fs.Int("n", 8, "number of multiplexed sources")
 	util := fs.Float64("util", 0.8, "link utilization")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(context.Context) error {
+		if err := checkFrames(*frames, cellMaxFrames); err != nil {
+			return err
+		}
+		tr := buildTrace(*frames, *seed)
+		res, err := experiments.DataPath(tr, *n, tr.MeanRate()*1.2, 384, *util, *seed)
+		if err != nil {
+			return err
+		}
+		fmt.Println("muxcmp: cell-level FIFO multiplexer, smoothed CBR vs raw VBR bursts")
+		fmt.Printf("sources: %d, link %.0f cells/s, utilization %.0f%%\n",
+			res.Sources, res.LinkCellRate, *util*100)
+		fmt.Printf("CBR (RCBR output): max queue %d cells, mean delay %.1f cell times\n",
+			res.CBRMaxQueue, res.CBRMeanDelay)
+		fmt.Printf("VBR frame bursts:  max queue %d cells, mean delay %.1f cell times\n",
+			res.BurstMaxQueue, res.BurstMeanDelay)
+		fmt.Printf("buffering ratio: %.0fx — the Section III small-buffer argument\n",
+			res.QueueRatio)
+		return nil
 	}
-	if *frames <= 0 || *frames > 14400 {
-		*frames = 2400 // cell-level simulation; keep it short
-	}
-	tr := buildTrace(*frames, *seed)
-	res, err := experiments.DataPath(tr, *n, tr.MeanRate()*1.2, 384, *util, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println("muxcmp: cell-level FIFO multiplexer, smoothed CBR vs raw VBR bursts")
-	fmt.Printf("sources: %d, link %.0f cells/s, utilization %.0f%%\n",
-		res.Sources, res.LinkCellRate, *util*100)
-	fmt.Printf("CBR (RCBR output): max queue %d cells, mean delay %.1f cell times\n",
-		res.CBRMaxQueue, res.CBRMeanDelay)
-	fmt.Printf("VBR frame bursts:  max queue %d cells, mean delay %.1f cell times\n",
-		res.BurstMaxQueue, res.BurstMeanDelay)
-	fmt.Printf("buffering ratio: %.0fx — the Section III small-buffer argument\n",
-		res.QueueRatio)
-	return nil
 }
 
-func latency(args []string) error {
-	fs := flag.NewFlagSet("latency", flag.ExitOnError)
+func latency(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	buffer := fs.Float64("buffer", 300e3, "source buffer B in bits")
 	delta := fs.Float64("delta", 64e3, "heuristic granularity")
-	parallel := parallelFlag(fs)
-	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(ctx context.Context) error {
+		if err := checkBuffer(*buffer); err != nil {
+			return err
+		}
+		tr := buildTrace(*frames, *seed)
+		rows, err := experiments.Latency(ctx, tr, *buffer, *delta,
+			[]int{0, 2, 6, 12, 24, 48, 96})
+		if err != nil {
+			return err
+		}
+		fmt.Println("latency (extension): online heuristic vs signaling round-trip delay")
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "delay(slots)\tdelay(ms)\tefficiency\tmaxOcc(kb)\tlost(bits)\tinterval(s)")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%d\t%.0f\t%.4f\t%.1f\t%.0f\t%.2f\n",
+				r.DelaySlots, r.DelayMs, r.Efficiency, r.MaxOccupancyBits/1e3,
+				r.LostBits, r.RenegIntervalSec)
+		}
+		return w.Flush()
 	}
-	if err := checkBuffer(*buffer); err != nil {
-		return err
-	}
-	stopProf, err := prof.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	ctx, cancel := sweepContext()
-	defer cancel()
-	tr := buildTrace(*frames, *seed)
-	rows, err := experiments.Latency(ctx, tr, *buffer, *delta,
-		[]int{0, 2, 6, 12, 24, 48, 96}, resolveParallel(*parallel))
-	if err != nil {
-		return err
-	}
-	fmt.Println("latency (extension): online heuristic vs signaling round-trip delay")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "delay(slots)\tdelay(ms)\tefficiency\tmaxOcc(kb)\tlost(bits)\tinterval(s)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%.0f\t%.4f\t%.1f\t%.0f\t%.2f\n",
-			r.DelaySlots, r.DelayMs, r.Efficiency, r.MaxOccupancyBits/1e3,
-			r.LostBits, r.RenegIntervalSec)
-	}
-	return w.Flush()
 }
 
-func chernoff(args []string) error {
-	fs := flag.NewFlagSet("chernoff", flag.ExitOnError)
+func chernoff(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	alpha := fs.Float64("alpha", 1e6, "schedule renegotiation cost")
 	samples := fs.Int("samples", 20000, "Monte-Carlo samples per cell")
-	parallel := parallelFlag(fs)
-	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(ctx context.Context) error {
+		tr := buildTrace(*frames, *seed)
+		cfg6, err := experiments.DefaultFig6Config(tr, *alpha)
+		if err != nil {
+			return err
+		}
+		levels := experiments.FeasibleGridLevels(tr, 300e3, 64e3)
+		rows, err := experiments.ChernoffValidation(ctx, cfg6.Schedule, levels,
+			[]int{10, 50, 200}, []float64{1.1, 1.3, 1.6, 2.0}, *samples, *seed)
+		if err != nil {
+			return err
+		}
+		fmt.Println("chernoff: eq. (12) estimate vs Monte-Carlo overload probability")
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "N\tc/mean\tchernoff\tsimulated")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%d\t%.1f\t%.3e\t%.3e\n", r.N, r.CPerMean, r.Chernoff, r.Simulated)
+		}
+		return w.Flush()
 	}
-	stopProf, err := prof.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	ctx, cancel := sweepContext()
-	defer cancel()
-	tr := buildTrace(*frames, *seed)
-	cfg6, err := experiments.DefaultFig6Config(tr, *alpha)
-	if err != nil {
-		return err
-	}
-	levels := experiments.FeasibleGridLevels(tr, 300e3, 64e3)
-	rows, err := experiments.ChernoffValidation(ctx, cfg6.Schedule, levels,
-		[]int{10, 50, 200}, []float64{1.1, 1.3, 1.6, 2.0}, *samples, *seed,
-		resolveParallel(*parallel))
-	if err != nil {
-		return err
-	}
-	fmt.Println("chernoff: eq. (12) estimate vs Monte-Carlo overload probability")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "N\tc/mean\tchernoff\tsimulated")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%.1f\t%.3e\t%.3e\n", r.N, r.CPerMean, r.Chernoff, r.Simulated)
-	}
-	return w.Flush()
 }
 
-func fitModel(args []string) error {
-	fs := flag.NewFlagSet("fit", flag.ExitOnError)
+func fitModel(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	classes := fs.Int("classes", 4, "number of slow time-scale classes")
 	buffer := fs.Float64("buffer", 300e3, "buffer for the eq. 9 comparison (bits)")
 	target := fs.Float64("loss", 1e-6, "loss target for the comparison")
 	in := fs.String("in", "", "fit an external trace file instead")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var tr *trace.Trace
-	if *in != "" {
-		var err error
-		if tr, err = trace.Load(*in); err != nil {
+	return func(context.Context) error {
+		var tr *trace.Trace
+		if *in != "" {
+			var err error
+			if tr, err = trace.Load(*in); err != nil {
+				return err
+			}
+			if sum, err := tr.Summarize(); err == nil {
+				fmt.Printf("trace: %s\n", sum)
+			}
+		} else {
+			tr = buildTrace(*frames, *seed)
+		}
+		opt := fit.DefaultOptions(tr)
+		opt.Classes = *classes
+		model, err := fit.Fit(tr, opt)
+		if err != nil {
 			return err
 		}
-		if sum, err := tr.Summarize(); err == nil {
-			fmt.Printf("trace: %s\n", sum)
+		fmt.Printf("fit: %d classes, mean dwell %.1f slots (%.2f s), epsilon %.2e\n",
+			len(model.ClassMeans), model.MeanDwellSlots,
+			model.MeanDwellSlots*tr.SlotSeconds(), model.MTS.Epsilon)
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "class\tshare\tmean(kb/s)")
+		for i := range model.ClassMeans {
+			fmt.Fprintf(w, "%d\t%.3f\t%.0f\n", i, model.ClassShare[i],
+				model.ClassMeans[i]*tr.FPS/1e3)
 		}
-	} else {
-		tr = buildTrace(*frames, *seed)
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		// The payoff: eq. (9) on the fitted model vs the measured requirement.
+		bw, err := ld.MTSEffectiveBandwidth(model.MTS, *buffer, *target)
+		if err != nil {
+			return err
+		}
+		measured := queue.MinRateForLoss(queue.Arrivals(tr), tr.SlotSeconds(), *buffer, *target)
+		fmt.Printf("eq. 9 whole-stream EB: %.0f kb/s; measured c(B=%.0f kb): %.0f kb/s (ratio %.2f)\n",
+			bw.Whole*tr.FPS/1e3, *buffer/1e3, measured/1e3, bw.Whole*tr.FPS/measured)
+		return nil
 	}
-	opt := fit.DefaultOptions(tr)
-	opt.Classes = *classes
-	model, err := fit.Fit(tr, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fit: %d classes, mean dwell %.1f slots (%.2f s), epsilon %.2e\n",
-		len(model.ClassMeans), model.MeanDwellSlots,
-		model.MeanDwellSlots*tr.SlotSeconds(), model.MTS.Epsilon)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "class\tshare\tmean(kb/s)")
-	for i := range model.ClassMeans {
-		fmt.Fprintf(w, "%d\t%.3f\t%.0f\n", i, model.ClassShare[i],
-			model.ClassMeans[i]*tr.FPS/1e3)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	// The payoff: eq. (9) on the fitted model vs the measured requirement.
-	bw, err := ld.MTSEffectiveBandwidth(model.MTS, *buffer, *target)
-	if err != nil {
-		return err
-	}
-	measured := queue.MinRateForLoss(queue.Arrivals(tr), tr.SlotSeconds(), *buffer, *target)
-	fmt.Printf("eq. 9 whole-stream EB: %.0f kb/s; measured c(B=%.0f kb): %.0f kb/s (ratio %.2f)\n",
-		bw.Whole*tr.FPS/1e3, *buffer/1e3, measured/1e3, bw.Whole*tr.FPS/measured)
-	return nil
 }
 
-func rvbrCompare(args []string) error {
-	fs := flag.NewFlagSet("rvbr", flag.ExitOnError)
+func rvbrCompare(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	alpha := fs.Float64("alpha", 1e6, "schedule renegotiation cost")
 	buffer := fs.Float64("buffer", 300e3, "RCBR source buffer (bits)")
 	margin := fs.Float64("margin", 1.0, "RVBR token-rate margin (>= 1)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(context.Context) error {
+		if err := checkBuffer(*buffer); err != nil {
+			return err
+		}
+		tr := buildTrace(*frames, *seed)
+		sch, err := experiments.OptimalSchedule(tr, *buffer, *alpha,
+			experiments.FeasibleLevels(tr, *buffer, 20))
+		if err != nil {
+			return err
+		}
+		cmp, rv, err := rvbr.Compare(tr, sch, *buffer, *margin)
+		if err != nil {
+			return err
+		}
+		fmt.Println("rvbr (Section VIII): renegotiated CBR vs renegotiated token bucket,")
+		fmt.Println("same traffic, same renegotiation points")
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "service\tmean reserved (kb/s)\tnetwork burst exposure\tsource buffer")
+		fmt.Fprintf(w, "RCBR\t%.0f\tnone (CBR in network)\t%.0f kb\n",
+			cmp.RCBRMeanRate/1e3, cmp.RCBRSourceBuffer/1e3)
+		fmt.Fprintf(w, "RVBR\t%.0f\tmax %.0f kb / hop (mean %.0f kb)\tnone\n",
+			cmp.RVBRMeanRate/1e3, cmp.RVBRMaxNetworkBurst/1e3, cmp.RVBRMeanNetworkBurst/1e3)
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		fmt.Printf("rate savings from the bucket: %.1f%%; segments: %d\n",
+			100*cmp.RateSavings, len(rv.Segments))
+		fmt.Println("the bucket buys little rate but re-commits every hop to buffering bursts —")
+		fmt.Println("the loss-of-protection cost RCBR's all-CBR data path avoids")
+		return nil
 	}
-	if err := checkBuffer(*buffer); err != nil {
-		return err
-	}
-	tr := buildTrace(*frames, *seed)
-	sch, err := experiments.OptimalSchedule(tr, *buffer, *alpha,
-		experiments.FeasibleLevels(tr, *buffer, 20))
-	if err != nil {
-		return err
-	}
-	cmp, rv, err := rvbr.Compare(tr, sch, *buffer, *margin)
-	if err != nil {
-		return err
-	}
-	fmt.Println("rvbr (Section VIII): renegotiated CBR vs renegotiated token bucket,")
-	fmt.Println("same traffic, same renegotiation points")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "service\tmean reserved (kb/s)\tnetwork burst exposure\tsource buffer")
-	fmt.Fprintf(w, "RCBR\t%.0f\tnone (CBR in network)\t%.0f kb\n",
-		cmp.RCBRMeanRate/1e3, cmp.RCBRSourceBuffer/1e3)
-	fmt.Fprintf(w, "RVBR\t%.0f\tmax %.0f kb / hop (mean %.0f kb)\tnone\n",
-		cmp.RVBRMeanRate/1e3, cmp.RVBRMaxNetworkBurst/1e3, cmp.RVBRMeanNetworkBurst/1e3)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("rate savings from the bucket: %.1f%%; segments: %d\n",
-		100*cmp.RateSavings, len(rv.Segments))
-	fmt.Println("the bucket buys little rate but re-commits every hop to buffering bursts —")
-	fmt.Println("the loss-of-protection cost RCBR's all-CBR data path avoids")
-	return nil
 }
 
 func parseInts(s string) ([]int, error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -68,53 +69,101 @@ func TestBuildTrace(t *testing.T) {
 	}
 }
 
+// TestEveryCommandRuns drives every row of the command table through the
+// dispatcher at toy size, with the global profiling flags on one row.
+func TestEveryCommandRuns(t *testing.T) {
+	dir := t.TempDir()
+	tmp := func(name string) string { return filepath.Join(dir, name) }
+	toy := map[string][]string{
+		"fig2":     {"fig2", "-frames", "240"},
+		"fig5":     {"-cpuprofile", tmp("cpu.pb.gz"), "-memprofile", tmp("mem.pb.gz"), "fig5", "-frames", "240"},
+		"fig6":     {"fig6", "-frames", "240", "-ns", "1,2,5"},
+		"fig7":     {"fig7", "-frames", "240"},
+		"fig8":     {"fig8", "-frames", "240"},
+		"fig9":     {"fig9", "-frames", "240"},
+		"analysis": {"analysis"},
+		"section2": {"section2", "-frames", "240"},
+		"muxcmp":   {"muxcmp", "-frames", "240"},
+		"datapath": {"datapath", "-frames", "240", "-csv", tmp("datapath.csv")},
+		"latency":  {"latency", "-frames", "240"},
+		"chernoff": {"chernoff", "-frames", "240", "-samples", "500"},
+		"fit":      {"fit", "-frames", "240"},
+		"rvbr":     {"rvbr", "-frames", "240"},
+		"signal":   {"signal", "-frames", "240", "-json", tmp("signal.json")},
+		"churn":    {"churn", "-vcs", "500", "-ports", "4", "-churn", "1000", "-json", tmp("churn.json")},
+		"topology": {"topology", "-frames", "240", "-csv", tmp("topology.csv")},
+	}
+	for _, c := range commands {
+		args, ok := toy[c.name]
+		if !ok {
+			t.Errorf("command %q has no toy invocation", c.name)
+			continue
+		}
+		if err := dispatch(args); err != nil {
+			t.Errorf("rcbrsim %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	for _, out := range []string{"cpu.pb.gz", "mem.pb.gz", "datapath.csv", "signal.json", "churn.json", "topology.csv"} {
+		if fi, err := os.Stat(tmp(out)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written: %v", out, err)
+		}
+	}
+}
+
 // TestBufferAndLevelsFlagValidation pins error-not-panic for the flag values
 // the level grid and the queue and source models panic on, one row per
 // subcommand that hands them over.
 func TestBufferAndLevelsFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func([]string) error
 		args []string
 	}{
-		{"fig2", fig2, []string{"-buffer", "-5"}},
-		{"fig2", fig2, []string{"-levels", "0"}},
-		{"latency", latency, []string{"-buffer", "0"}},
-		{"rvbr", rvbrCompare, []string{"-buffer", "-5"}},
-		{"datapath", datapathRun, []string{"-buffer", "0"}},
-		{"signal", signalRun, []string{"-buffer", "NaN"}},
-		{"topology", topologyRun, []string{"-buffer", "+Inf"}},
+		{"fig2", []string{"-buffer", "-5"}},
+		{"fig2", []string{"-levels", "0"}},
+		{"latency", []string{"-buffer", "0"}},
+		{"rvbr", []string{"-buffer", "-5"}},
+		{"datapath", []string{"-buffer", "0"}},
+		{"signal", []string{"-buffer", "NaN"}},
+		{"topology", []string{"-buffer", "+Inf"}},
 	} {
-		if err := tc.run(append([]string{"-frames", "240"}, tc.args...)); err == nil {
+		if err := dispatch(append([]string{tc.name, "-frames", "240"}, tc.args...)); err == nil {
 			t.Errorf("rcbrsim %s %s: accepted", tc.name, strings.Join(tc.args, " "))
 		}
 	}
 }
 
 // TestCountFlagValidation pins an error naming the flag, where a value was
-// once replaced in silence, for the count flags of signal and topology below
-// one: sources, signaling workers, queue depth, retained events, and slots
-// between samples.
+// once replaced in silence: the count flags of signal and topology below
+// one (sources, signaling workers, queue depth, retained events, and slots
+// between samples), and a -frames outside the range of a command that does
+// not take the whole trace.
 func TestCountFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func([]string) error
 		args []string
 	}{
-		{"signal", signalRun, []string{"-n", "0"}},
-		{"signal", signalRun, []string{"-workers", "0"}},
-		{"signal", signalRun, []string{"-queue", "-1"}},
-		{"signal", signalRun, []string{"-events", "0"}},
-		{"topology", topologyRun, []string{"-n", "0"}},
-		{"topology", topologyRun, []string{"-sample", "0"}},
+		{"signal", []string{"-n", "0"}},
+		{"signal", []string{"-workers", "0"}},
+		{"signal", []string{"-queue", "-1"}},
+		{"signal", []string{"-events", "0"}},
+		{"topology", []string{"-n", "0"}},
+		{"topology", []string{"-sample", "0"}},
+		{"muxcmp", []string{"-frames", "0"}},
+		{"muxcmp", []string{"-frames", "14401"}},
+		{"datapath", []string{"-frames", "0"}},
+		{"datapath", []string{"-frames", "14401"}},
+		{"signal", []string{"-frames", "0"}},
+		{"signal", []string{"-frames", "28801"}},
+		{"topology", []string{"-frames", "0"}},
+		{"topology", []string{"-frames", "28801"}},
 	} {
 		// A row that is wrongly accepted runs: keep its CSV out of the
 		// working directory.
-		args := append([]string{"-frames", "240"}, tc.args...)
-		if tc.name == "topology" {
-			args = append(args, "-csv", filepath.Join(t.TempDir(), "topology.csv"))
+		args := append([]string{tc.name, "-frames", "240"}, tc.args...)
+		if tc.name == "topology" || tc.name == "datapath" {
+			args = append(args, "-csv", filepath.Join(t.TempDir(), tc.name+".csv"))
 		}
-		if err := tc.run(args); err == nil || !strings.Contains(err.Error(), tc.args[0]) {
+		if err := dispatch(args); err == nil || !strings.Contains(err.Error(), tc.args[0]) {
 			t.Errorf("rcbrsim %s %s: error %v, want one naming %s", tc.name, strings.Join(tc.args, " "), err, tc.args[0])
 		}
 	}

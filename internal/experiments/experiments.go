@@ -22,9 +22,6 @@ import (
 	"rcbr/internal/trellis"
 )
 
-// newSplit returns an RNG for ad-hoc experiment randomness.
-func newSplit(seed uint64) *stats.RNG { return stats.NewRNG(seed) }
-
 // StarWars builds the repository's stand-in for the paper's trace at the
 // given length (frames <= 0 means the full two hours).
 func StarWars(seed uint64, frames int) *trace.Trace {
@@ -33,10 +30,6 @@ func StarWars(seed uint64, frames int) *trace.Trace {
 	}
 	return trace.SyntheticStarWarsFrames(seed, frames)
 }
-
-// PaperLevels returns the paper's Section IV-A level set: K levels uniform
-// between 48 kb/s and 2.4 Mb/s (the paper uses K = 20).
-func PaperLevels(k int) []float64 { return stats.UniformLevels(48e3, 2.4e6, k) }
 
 // FeasibleLevels returns K uniform levels from 48 kb/s up to a top level
 // guaranteed to make the trellis problem feasible for the given trace and
@@ -87,9 +80,6 @@ type Fig2Config struct {
 	Levels     []float64 // OPT level set (paper: 20 uniform levels)
 	Alphas     []float64 // OPT cost-ratio sweep (beta fixed at 1)
 	Deltas     []float64 // heuristic granularity sweep (paper: 25..400 kb/s)
-	// Parallelism bounds how many grid points run concurrently; <= 1 runs
-	// the sweep serially. Results are identical either way.
-	Parallelism int
 }
 
 // Fig2Row is one point of Fig. 2.
@@ -122,7 +112,7 @@ func Fig2(ctx context.Context, cfg Fig2Config) ([]Fig2Row, error) {
 		return nil, fmt.Errorf("experiments: missing trace")
 	}
 	nA := len(cfg.Alphas)
-	return Sweep(ctx, cfg.Parallelism, nA+len(cfg.Deltas),
+	return Sweep(ctx, nA+len(cfg.Deltas),
 		func(_ context.Context, i int) (Fig2Row, error) {
 			if i < nA {
 				alpha := cfg.Alphas[i]
@@ -180,10 +170,6 @@ type Fig6Config struct {
 	MinReps    int
 	MaxReps    int
 	Seed       uint64
-	// Parallelism bounds how many source counts are searched concurrently;
-	// <= 1 runs serially. Results are identical either way (every capacity
-	// search reseeds from Seed).
-	Parallelism int
 }
 
 // DefaultFig6Config builds the paper's setup: B = 300 kb, loss 1e-6,
@@ -209,8 +195,8 @@ func DefaultFig6Config(tr *trace.Trace, alpha float64) (Fig6Config, error) {
 
 // Fig6 computes the three per-stream capacity curves. Each source count is
 // an independent grid point: smg.SharedRate and smg.RCBRRate reseed their
-// phasing RNGs from cfg.Seed, so sweeping the counts concurrently yields
-// exactly the points smg.Curve computes serially.
+// phasing RNGs from cfg.Seed, so the points do not depend on how many
+// counts are searched at once.
 func Fig6(ctx context.Context, cfg Fig6Config) ([]smg.Point, error) {
 	smgCfg := smg.Config{
 		Trace:      cfg.Trace,
@@ -226,7 +212,7 @@ func Fig6(ctx context.Context, cfg Fig6Config) ([]smg.Point, error) {
 		return nil, err
 	}
 	cbr := smg.CBRRate(cfg.Trace, cfg.BufferBits, cfg.LossTarget)
-	return Sweep(ctx, cfg.Parallelism, len(cfg.Ns),
+	return Sweep(ctx, len(cfg.Ns),
 		func(_ context.Context, i int) (smg.Point, error) {
 			n := cfg.Ns[i]
 			shared, _, err := smg.SharedRate(smgCfg, n)
@@ -264,10 +250,6 @@ type MBACConfig struct {
 	MinBatches, MaxBatches int
 	CIFrac                 float64
 	Seed                   uint64
-	// Parallelism bounds how many (capacity, load) cells run concurrently;
-	// <= 1 runs serially. Every call-simulation seed is derived from the
-	// cell's position in the grid, so results are identical either way.
-	Parallelism int
 }
 
 // MBACRow is one cell of Figs. 7/8 (or the Fig. 9 extension).
@@ -321,10 +303,10 @@ func newController(name string, dist ld.Dist, levels []float64, capacity, target
 // MBAC runs the admission sweep. For every (capacity, load) cell it first
 // runs the perfect-knowledge benchmark, then each requested scheme,
 // normalizing utilization by the benchmark's (Fig. 8's y-axis). Cells are
-// independent, so they sweep concurrently under cfg.Parallelism; the
-// per-run seeds reproduce the historical serial sequence (a global run
-// counter m, with run m seeded cfg.Seed*1000 + cfg.Seed + m) so the rows
-// match the serial sweep bit for bit.
+// independent, so they sweep concurrently; the per-run seeds reproduce the
+// historical serial sequence (a global run counter m, with run m seeded
+// cfg.Seed*1000 + cfg.Seed + m) so the rows match the serial sweep bit for
+// bit.
 func MBAC(ctx context.Context, cfg MBACConfig) ([]MBACRow, error) {
 	if cfg.Schedule == nil {
 		return nil, fmt.Errorf("experiments: missing schedule")
@@ -335,8 +317,7 @@ func MBAC(ctx context.Context, cfg MBACConfig) ([]MBACRow, error) {
 	dur := cfg.Schedule.DurationSec()
 	runsPerCell := 1 + len(cfg.Schemes) // perfect + each scheme
 
-	perCell, err := Sweep(ctx, cfg.Parallelism,
-		len(cfg.CapacityMultiples)*len(cfg.Loads),
+	perCell, err := Sweep(ctx, len(cfg.CapacityMultiples)*len(cfg.Loads),
 		func(_ context.Context, cell int) ([]MBACRow, error) {
 			capX := cfg.CapacityMultiples[cell/len(cfg.Loads)]
 			load := cfg.Loads[cell%len(cfg.Loads)]

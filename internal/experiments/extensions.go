@@ -25,15 +25,15 @@ type LatencyRow struct {
 }
 
 // Latency sweeps signaling delays for the online heuristic over the trace.
-// Each delay is an independent deterministic run, so the sweep runs up to
-// parallelism delays concurrently with identical results.
+// Each delay is an independent deterministic run, so the delays sweep
+// concurrently with the results of a serial run.
 func Latency(ctx context.Context, tr *trace.Trace, bufferBits, granularity float64,
-	delays []int, parallelism int) ([]LatencyRow, error) {
+	delays []int) ([]LatencyRow, error) {
 
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("experiments: missing trace")
 	}
-	return Sweep(ctx, parallelism, len(delays),
+	return Sweep(ctx, len(delays),
 		func(_ context.Context, i int) (LatencyRow, error) {
 			d := delays[i]
 			p := heuristic.DefaultParams(granularity)
@@ -71,10 +71,9 @@ type ChernoffRow struct {
 //
 // Every (n, multiple) cell draws from its own RNG, derived by hashing the
 // seed with the cell's grid position, so the measurement at one cell does
-// not depend on how many cells precede it or on parallelism.
+// not depend on how many cells precede it or run beside it.
 func ChernoffValidation(ctx context.Context, sch *core.Schedule, levels []float64,
-	ns []int, cMultiples []float64, samples int, seed uint64,
-	parallelism int) ([]ChernoffRow, error) {
+	ns []int, cMultiples []float64, samples int, seed uint64) ([]ChernoffRow, error) {
 
 	if sch == nil {
 		return nil, fmt.Errorf("experiments: missing schedule")
@@ -86,7 +85,7 @@ func ChernoffValidation(ctx context.Context, sch *core.Schedule, levels []float6
 	dist := ld.Dist{P: desc.Probabilities(), X: desc.Levels()}
 	mean := sch.MeanRate()
 	rates := sch.Rates()
-	return Sweep(ctx, parallelism, len(ns)*len(cMultiples),
+	return Sweep(ctx, len(ns)*len(cMultiples),
 		func(_ context.Context, cell int) (ChernoffRow, error) {
 			n := ns[cell/len(cMultiples)]
 			m := cMultiples[cell%len(cMultiples)]

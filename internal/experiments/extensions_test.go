@@ -7,23 +7,13 @@ import (
 
 func TestLatencySweep(t *testing.T) {
 	tr := StarWars(91, 4800)
-	rows, err := Latency(context.Background(), tr, 600e3, 64e3, []int{0, 24, 96}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Heuristic runs are deterministic, so a pool of workers reproduces
+	// the serial rows exactly.
+	rows := sameAtAnyProcs(t, func() ([]LatencyRow, error) {
+		return Latency(context.Background(), tr, 600e3, 64e3, []int{0, 24, 96})
+	})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
-	}
-	// Heuristic runs are deterministic, so the parallel sweep reproduces
-	// the serial rows exactly.
-	prows, err := Latency(context.Background(), tr, 600e3, 64e3, []int{0, 24, 96}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if prows[i] != rows[i] {
-			t.Fatalf("parallel row %d = %+v, serial %+v", i, prows[i], rows[i])
-		}
 	}
 	// Occupancy pressure grows with delay (weak monotonicity: the largest
 	// delay must be at least as bad as no delay).
@@ -34,7 +24,7 @@ func TestLatencySweep(t *testing.T) {
 	if rows[0].DelayMs != 0 || rows[1].DelayMs != 1000 {
 		t.Fatalf("delay ms: %+v", rows[:2])
 	}
-	if _, err := Latency(context.Background(), nil, 1, 1, nil, 1); err == nil {
+	if _, err := Latency(context.Background(), nil, 1, 1, nil); err == nil {
 		t.Fatal("nil trace accepted")
 	}
 }
@@ -46,25 +36,14 @@ func TestChernoffValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	levels := FeasibleLevels(tr, 300e3, 12)
-	rows, err := ChernoffValidation(context.Background(), sch, levels, []int{20, 100},
-		[]float64{1.2, 1.6}, 4000, 9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Per-cell RNGs make the measurement independent of sweep order, so a
+	// pool of workers reproduces the serial rows exactly.
+	rows := sameAtAnyProcs(t, func() ([]ChernoffRow, error) {
+		return ChernoffValidation(context.Background(), sch, levels, []int{20, 100},
+			[]float64{1.2, 1.6}, 4000, 9)
+	})
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
-	}
-	// Per-cell RNGs make the measurement independent of sweep order, so a
-	// parallel run reproduces the serial rows exactly.
-	prows, err := ChernoffValidation(context.Background(), sch, levels, []int{20, 100},
-		[]float64{1.2, 1.6}, 4000, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if prows[i] != rows[i] {
-			t.Fatalf("parallel row %d = %+v, serial %+v", i, prows[i], rows[i])
-		}
 	}
 	for _, r := range rows {
 		// Chernoff is an upper bound up to marginal-estimation and
@@ -78,10 +57,10 @@ func TestChernoffValidation(t *testing.T) {
 	if rows[1].Chernoff > rows[0].Chernoff || rows[1].Simulated > rows[0].Simulated {
 		t.Fatalf("capacity monotonicity violated: %+v", rows[:2])
 	}
-	if _, err := ChernoffValidation(context.Background(), nil, levels, nil, nil, 10, 1, 1); err == nil {
+	if _, err := ChernoffValidation(context.Background(), nil, levels, nil, nil, 10, 1); err == nil {
 		t.Fatal("nil schedule accepted")
 	}
-	if _, err := ChernoffValidation(context.Background(), sch, levels, nil, nil, 0, 1, 1); err == nil {
+	if _, err := ChernoffValidation(context.Background(), sch, levels, nil, nil, 0, 1); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"rcbr/internal/mux"
 	"rcbr/internal/shaper"
+	"rcbr/internal/stats"
 	"rcbr/internal/trace"
 )
 
@@ -69,7 +70,7 @@ func DataPath(tr *trace.Trace, n int, perSourceRate, cellPayloadBits, utilizatio
 	linkCellRate := float64(n) * perSourceRate / utilization / cellPayloadBits
 	shifts := make([]int, n)
 	rates := make([]float64, n)
-	rng := newSplit(seed)
+	rng := stats.NewRNG(seed)
 	for i := range shifts {
 		shifts[i] = rng.Intn(tr.Len())
 		rates[i] = perSourceRate

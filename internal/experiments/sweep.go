@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -13,35 +14,18 @@ import (
 // independent, seeding any randomness from its index rather than from
 // shared mutable state.
 //
-// workers <= 1 runs serially on the calling goroutine; larger values run a
-// bounded pool of that many goroutines (never more than n). The sweep is
-// fail-fast: the first error cancels the context passed to fn, un-started
-// indices are skipped, and after all in-flight calls drain the error with
-// the lowest index is returned — so the reported failure is deterministic
-// even though goroutine scheduling is not. Cancellation of the parent ctx
-// stops the sweep the same way and surfaces ctx's error when no fn call
-// failed on its own.
-func Sweep[R any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
+// It runs min(GOMAXPROCS, n) workers. The sweep is fail-fast: the first
+// error cancels the context passed to fn, un-started indices are skipped,
+// and after all in-flight calls drain the error with the lowest index is
+// returned — so the reported failure is deterministic even though goroutine
+// scheduling is not. Cancellation of the parent ctx stops the sweep the same
+// way and surfaces ctx's error when no fn call failed on its own.
+func Sweep[R any](ctx context.Context, n int, fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	results := make([]R, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := fn(ctx, i)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()

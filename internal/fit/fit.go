@@ -240,6 +240,3 @@ func mergeShortRuns(labels []int, minRun int) {
 		}
 	}
 }
-
-// MeanRate returns the fitted model's stationary mean in bits/slot.
-func (m *Model) MeanRate() (float64, error) { return m.MTS.MeanRate() }

@@ -16,7 +16,7 @@ func TestFitRecoversMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	meanSlot := tr.MeanRate() / tr.FPS // bits per slot
-	got, err := m.MeanRate()
+	got, err := m.MTS.MeanRate()
 	if err != nil {
 		t.Fatal(err)
 	}

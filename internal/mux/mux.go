@@ -47,14 +47,6 @@ func (r Result) MeanDelayCells() float64 {
 	return float64(r.SumQueueOnArrival) / float64(r.ArrivedCells)
 }
 
-// LossFraction returns LostCells/ArrivedCells.
-func (r Result) LossFraction() float64 {
-	if r.ArrivedCells == 0 {
-		return 0
-	}
-	return float64(r.LostCells) / float64(r.ArrivedCells)
-}
-
 // RunCBR multiplexes CBR flows onto a link of linkCellRate cells/second with
 // a buffer of bufferCells, for the given duration in seconds. It panics on
 // invalid arguments or a flow faster than the link.

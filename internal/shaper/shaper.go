@@ -203,23 +203,6 @@ func MinDepth(tr *trace.Trace, rate float64) float64 {
 	return need
 }
 
-// BurstinessCurve returns (rate, b*(rate)) points for the given rates,
-// ascending. This is the curve whose refusal to fall until r nears the
-// sustained peak is the quantitative core of Section II.
-type BurstinessPoint struct {
-	Rate  float64
-	Depth float64
-}
-
-// BurstinessCurve evaluates MinDepth at each rate.
-func BurstinessCurve(tr *trace.Trace, rates []float64) []BurstinessPoint {
-	out := make([]BurstinessPoint, len(rates))
-	for i, r := range rates {
-		out[i] = BurstinessPoint{Rate: r, Depth: MinDepth(tr, r)}
-	}
-	return out
-}
-
 // Validate reports the first problem with a descriptor, or nil.
 func Validate(rate, depth float64) error {
 	if rate < 0 || math.IsNaN(rate) {

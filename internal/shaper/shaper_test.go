@@ -212,10 +212,9 @@ func TestMinDepthMakesTraceConformant(t *testing.T) {
 func TestBurstinessCurveMonotone(t *testing.T) {
 	tr := trace.SyntheticStarWarsFrames(61, 4800)
 	rates := []float64{0.8e5, 2e5, 374e3, 8e5, 1.6e6, 3.2e6}
-	curve := BurstinessCurve(tr, rates)
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Depth > curve[i-1].Depth {
-			t.Fatalf("b*(r) must be non-increasing: %+v", curve)
+	for i := 1; i < len(rates); i++ {
+		if lo, hi := MinDepth(tr, rates[i-1]), MinDepth(tr, rates[i]); hi > lo {
+			t.Fatalf("b*(r) must be non-increasing: b*(%g) = %g < b*(%g) = %g", rates[i-1], lo, rates[i], hi)
 		}
 	}
 }

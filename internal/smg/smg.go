@@ -253,27 +253,6 @@ type Point struct {
 	RCBR   float64 // scenario (c)
 }
 
-// Curve computes Fig. 6 for the given source counts.
-func Curve(cfg Config, ns []int) ([]Point, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cbr := CBRRate(cfg.Trace, cfg.BufferBits, cfg.LossTarget)
-	out := make([]Point, len(ns))
-	for i, n := range ns {
-		shared, _, err := SharedRate(cfg, n)
-		if err != nil {
-			return nil, err
-		}
-		rcbr, _, err := RCBRRate(cfg, n)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Point{N: n, CBR: cbr, Shared: shared, RCBR: rcbr}
-	}
-	return out, nil
-}
-
 // AsymptoticRCBR returns the paper's asymptote for scenario (c): as N grows,
 // the per-stream capacity approaches the schedule's mean rate, i.e. the
 // trace mean divided by the bandwidth efficiency.

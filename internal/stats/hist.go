@@ -133,23 +133,6 @@ func (h *LevelHist) String() string {
 	return strings.TrimSpace(b.String())
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the level distribution.
-func (h *LevelHist) Quantile(q float64) float64 {
-	if h.total <= 0 {
-		return 0
-	}
-	q = math.Min(math.Max(q, 0), 1)
-	target := q * h.total
-	var cum float64
-	for i, w := range h.weight {
-		cum += w
-		if cum >= target {
-			return h.levels[i]
-		}
-	}
-	return h.levels[len(h.levels)-1]
-}
-
 // UniformLevels returns n levels evenly spaced on [lo, hi] inclusive, the
 // level-set construction used throughout the paper ("bandwidth levels chosen
 // uniformly within 48 kb/s and 2.4 Mb/s"). It panics on invalid arguments.

@@ -51,22 +51,6 @@ func TestLevelHistMean(t *testing.T) {
 	}
 }
 
-func TestLevelHistQuantile(t *testing.T) {
-	h := NewLevelHist([]float64{1, 2, 3, 4})
-	for _, lv := range []float64{1, 2, 3, 4} {
-		h.Add(lv, 1)
-	}
-	if q := h.Quantile(0.25); q != 1 {
-		t.Fatalf("Q(.25) = %v, want 1", q)
-	}
-	if q := h.Quantile(1.0); q != 4 {
-		t.Fatalf("Q(1) = %v, want 4", q)
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("Q(0) = %v, want 1", q)
-	}
-}
-
 func TestLevelHistMergeClone(t *testing.T) {
 	a := NewLevelHist([]float64{1, 2})
 	a.Add(1, 2)

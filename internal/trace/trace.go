@@ -86,24 +86,6 @@ func (t *Trace) PeakFrameRate() float64 {
 // Rate returns the arrival rate during slot i in bits/second.
 func (t *Trace) Rate(i int) float64 { return float64(t.FrameBits[i]) * t.FPS }
 
-// WindowRate returns the average rate in bits/second over the window of n
-// frames starting at frame i, truncated at the trace end. It panics on an
-// out-of-range start or non-positive n.
-func (t *Trace) WindowRate(i, n int) float64 {
-	if i < 0 || i >= t.Len() || n <= 0 {
-		panic("trace: WindowRate out of range")
-	}
-	end := i + n
-	if end > t.Len() {
-		end = t.Len()
-	}
-	var s int64
-	for _, b := range t.FrameBits[i:end] {
-		s += b
-	}
-	return float64(s) / (float64(end-i) / t.FPS)
-}
-
 // MaxWindowBits returns the largest sum of n consecutive frame sizes. The
 // paper sizes the 300 kb source buffer as "slightly more than the maximum
 // size of three consecutive frames".
@@ -126,22 +108,6 @@ func (t *Trace) MaxWindowBits(n int) int64 {
 		}
 	}
 	return max
-}
-
-// CyclicShift returns a copy of the trace rotated left by n frames
-// (n may exceed the length or be negative). The paper's multiplexing
-// experiments use "randomly shifted versions of this trace" as independent
-// sources.
-func (t *Trace) CyclicShift(n int) *Trace {
-	ln := t.Len()
-	if ln == 0 {
-		return &Trace{FrameBits: nil, FPS: t.FPS}
-	}
-	n = ((n % ln) + ln) % ln
-	out := make([]int64, ln)
-	copy(out, t.FrameBits[n:])
-	copy(out[ln-n:], t.FrameBits[:n])
-	return &Trace{FrameBits: out, FPS: t.FPS}
 }
 
 // Slice returns a sub-trace covering frames [lo, hi).

@@ -59,17 +59,6 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-func TestWindowRate(t *testing.T) {
-	tr := mustTrace([]int64{100, 200, 300, 400}, 1)
-	if r := tr.WindowRate(1, 2); r != 250 {
-		t.Fatalf("WindowRate(1,2) = %v, want 250", r)
-	}
-	// Truncated window at the end.
-	if r := tr.WindowRate(3, 10); r != 400 {
-		t.Fatalf("WindowRate(3,10) = %v, want 400", r)
-	}
-}
-
 func TestMaxWindowBits(t *testing.T) {
 	tr := mustTrace([]int64{5, 1, 9, 2, 8}, 1)
 	if m := tr.MaxWindowBits(1); m != 9 {
@@ -86,45 +75,6 @@ func TestMaxWindowBits(t *testing.T) {
 	}
 	if m := tr.MaxWindowBits(0); m != 0 {
 		t.Fatalf("MaxWindowBits(0) = %d, want 0", m)
-	}
-}
-
-func TestCyclicShift(t *testing.T) {
-	tr := mustTrace([]int64{1, 2, 3, 4}, 1)
-	s := tr.CyclicShift(1)
-	want := []int64{2, 3, 4, 1}
-	for i, v := range want {
-		if s.FrameBits[i] != v {
-			t.Fatalf("shift(1) = %v, want %v", s.FrameBits, want)
-		}
-	}
-	if s2 := tr.CyclicShift(5); s2.FrameBits[0] != 2 {
-		t.Fatal("shift must wrap modulo length")
-	}
-	if s3 := tr.CyclicShift(-1); s3.FrameBits[0] != 4 {
-		t.Fatalf("negative shift: got %v", s3.FrameBits)
-	}
-	if s4 := tr.CyclicShift(0); &s4.FrameBits[0] == &tr.FrameBits[0] {
-		t.Fatal("CyclicShift must copy")
-	}
-}
-
-func TestCyclicShiftPreservesTotal(t *testing.T) {
-	f := func(seed uint64, shift int16, n uint8) bool {
-		if n == 0 {
-			return true
-		}
-		r := stats.NewRNG(seed)
-		bits := make([]int64, n)
-		for i := range bits {
-			bits[i] = int64(r.Intn(10000))
-		}
-		tr := New(bits, 24)
-		s := tr.CyclicShift(int(shift))
-		return s.TotalBits() == tr.TotalBits() && s.Len() == tr.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
