@@ -700,7 +700,7 @@ func BenchmarkAdmitDecisionMemoryLive(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 10_000; i++ {
-		ctl.Enter(admission.NewCall(len(levels)), float64(i)*0.01, levels[i%len(levels)])
+		ctl.Enter(admission.NewCall(), float64(i)*0.01, levels[i%len(levels)])
 	}
 	now := 10_000 * 0.01
 	b.ReportAllocs()

@@ -21,6 +21,7 @@ package admission
 
 import (
 	"fmt"
+	"math"
 
 	"rcbr/internal/ld"
 	"rcbr/internal/stats"
@@ -170,13 +171,31 @@ type callHistory struct {
 	sinceSec float64
 }
 
+// checkLevels refuses a level set the history-based controllers cannot pool
+// over: empty, not strictly ascending, or with a level that is not finite —
+// NaN fails every comparison, so the ascending check alone passes it.
+func checkLevels(levels []float64) error {
+	if len(levels) == 0 {
+		return fmt.Errorf("admission: no levels")
+	}
+	for i, l := range levels {
+		if math.IsNaN(l) || math.IsInf(l, 0) {
+			return fmt.Errorf("admission: level %d is %g, not finite", i, l)
+		}
+		if i > 0 && l <= levels[i-1] {
+			return fmt.Errorf("admission: levels not strictly ascending")
+		}
+	}
+	return nil
+}
+
 // NewMemory builds the history-based controller over the given levels.
 func NewMemory(levels []float64, capacity, target float64) (*Memory, error) {
 	if capacity <= 0 || target <= 0 || target >= 1 {
 		return nil, fmt.Errorf("admission: invalid capacity %g or target %g", capacity, target)
 	}
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("admission: no levels")
+	if err := checkLevels(levels); err != nil {
+		return nil, err
 	}
 	return &Memory{
 		capacity: capacity,

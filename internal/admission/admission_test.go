@@ -193,8 +193,10 @@ func TestConstructorsValidate(t *testing.T) {
 	if _, err := NewMemoryless([]float64{1}, -1, 0.5); err == nil {
 		t.Error("bad memoryless accepted")
 	}
-	if _, err := NewMemory(nil, 1, 0.5); err == nil {
-		t.Error("empty levels accepted")
+	for name, levels := range badLevels {
+		if _, err := NewMemory(levels, 1, 0.5); err == nil {
+			t.Errorf("NewMemory: levels %s %v accepted", name, levels)
+		}
 	}
 	if _, err := NewMemory([]float64{1}, 1, 2); err == nil {
 		t.Error("target > 1 accepted")

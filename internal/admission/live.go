@@ -56,52 +56,22 @@ type LiveMemory struct {
 }
 
 // Call is one present call's contribution to a LiveMemory pool, retained so
-// departure can subtract exactly what the call added. Whoever admits the
-// call owns its record — makes it with NewCall or CallSlot.Init, enters it,
-// and hands it back on every rate change and on departure; only the
-// controller reads or writes its fields, under whatever serializes that
-// controller.
+// departure can subtract exactly what the call added. Its level is the index
+// of the rate the caller hands every Enter, Move and Leave. Whoever admits the
+// call owns its record — makes it with NewCall, enters it, and hands it back
+// on every rate change and on departure; only the controller reads or writes
+// its fields, under whatever serializes that controller.
 type Call struct {
-	dwell []float64 // completed dwell per level
-	since float64   // when the current level was entered
-	level int       // index of the current level; -1 while in no pool
+	since float64            // when the current level was entered; NaN while in no pool
+	dwell [callSlots]float64 // completed dwell per level
 }
 
-// callSlots is the dwell storage that rides in the same heap object as a
-// Call: seven levels, the widest set any caller or workload here uses.
+// callSlots is the widest level set a LiveMemory takes: the dwell storage a
+// Call carries inline, so that a record is one 64-byte object.
 const callSlots = 7
 
-// CallSlot is a Call with its dwell storage inline: 96 bytes that an owner
-// embeds in an object of its own, so the record costs no allocation of its
-// own. A live switch embeds one in the VC record of every call it admits.
-type CallSlot struct {
-	Call
-	slots [callSlots]float64
-}
-
-// Init readies the slot's record for a controller over the given number of
-// levels and returns it. Up to callSlots levels the dwell storage is the
-// slot's own; a wider level set allocates it.
-func (s *CallSlot) Init(levels int) *Call {
-	c := &s.Call
-	if levels <= callSlots {
-		c.dwell = s.slots[:levels:levels]
-	} else {
-		c.dwell = make([]float64, levels)
-	}
-	c.level = -1
-	return c
-}
-
-// NewCall returns the record of a call for a controller over the given
-// number of levels. Up to callSlots levels, record and dwell storage are one
-// heap object; a wider level set pays a second object for the dwell slice.
-func NewCall(levels int) *Call {
-	if levels > callSlots {
-		return &Call{dwell: make([]float64, levels), level: -1}
-	}
-	return new(CallSlot).Init(levels)
-}
+// NewCall returns a fresh record: in no pool, with no history.
+func NewCall() *Call { return &Call{since: math.NaN()} }
 
 // NewLiveMemory builds the incremental history-based controller over the
 // given ascending levels.
@@ -109,13 +79,11 @@ func NewLiveMemory(levels []float64, capacity, target float64) (*LiveMemory, err
 	if capacity <= 0 || target <= 0 || target >= 1 {
 		return nil, fmt.Errorf("admission: invalid capacity %g or target %g", capacity, target)
 	}
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("admission: no levels")
+	if err := checkLevels(levels); err != nil {
+		return nil, err
 	}
-	for i := 1; i < len(levels); i++ {
-		if levels[i] <= levels[i-1] {
-			return nil, fmt.Errorf("admission: levels not strictly ascending")
-		}
+	if len(levels) > callSlots {
+		return nil, fmt.Errorf("admission: %d levels, more than the %d a call record holds", len(levels), callSlots)
 	}
 	n := len(levels)
 	m := &LiveMemory{
@@ -218,48 +186,57 @@ func (m *LiveMemory) Admit(now, _ float64) bool {
 	return chernoffAdmit(dist, m.capacity, m.target, m.present)
 }
 
-// Enter adds the call behind c, a fresh record from NewCall(len(levels)),
-// to the pool at the given rate. Entering a record that is already in a pool
-// would count its call twice, so it panics.
+// Enter adds the call behind c, a fresh record from NewCall, to the pool at
+// the given rate. Entering a record that is already in a pool would count its
+// call twice, so it panics.
 func (m *LiveMemory) Enter(c *Call, now, rate float64) {
-	if c.level != -1 {
+	if !math.IsNaN(c.since) {
 		panic("admission: Enter of a call record already in a pool")
 	}
-	c.level = m.index(rate)
+	level := m.index(rate)
 	c.since = now
-	m.active[c.level]++
-	m.sinceSum[c.level] += now
+	m.active[level]++
+	m.sinceSum[level] += now
 	m.present++
 }
 
-// Move records that the entered call behind c now holds newRate.
-func (m *LiveMemory) Move(c *Call, now, newRate float64) {
-	if d := now - c.since; d > 0 {
-		c.dwell[c.level] += d
-		m.flushed[c.level] += d
+// Move records that the entered call behind c, which held oldRate, now holds
+// newRate.
+func (m *LiveMemory) Move(c *Call, now, oldRate, newRate float64) {
+	if math.IsNaN(c.since) {
+		panic("admission: Move of a call record in no pool")
 	}
-	m.active[c.level]--
-	m.sinceSum[c.level] -= c.since
-	c.level = m.index(newRate)
+	old := m.index(oldRate)
+	if d := now - c.since; d > 0 {
+		c.dwell[old] += d
+		m.flushed[old] += d
+	}
+	m.active[old]--
+	m.sinceSum[old] -= c.since
+	level := m.index(newRate)
 	c.since = now
-	m.active[c.level]++
-	m.sinceSum[c.level] += now
+	m.active[level]++
+	m.sinceSum[level] += now
 }
 
-// Leave removes the entered call behind c from the pool. As in Memory, a
-// departed call's history leaves the pool entirely. The record is spent: a
-// Move or Leave of it afterwards is a caller bug and panics on its level of
-// -1, the first thing either indexes with, before any pooled sum is touched.
-func (m *LiveMemory) Leave(c *Call) {
-	m.active[c.level]--
-	m.sinceSum[c.level] -= c.since
-	for i, d := range c.dwell {
-		m.flushed[i] -= d
+// Leave removes the entered call behind c, which holds rate, from the pool.
+// As in Memory, a departed call's history leaves the pool entirely. The
+// record is spent: a Move or Leave of it afterwards is a caller bug and
+// panics before any pooled sum is touched.
+func (m *LiveMemory) Leave(c *Call, rate float64) {
+	if math.IsNaN(c.since) {
+		panic("admission: Leave of a call record in no pool")
+	}
+	level := m.index(rate)
+	m.active[level]--
+	m.sinceSum[level] -= c.since
+	for i := range m.levels {
+		m.flushed[i] -= c.dwell[i]
 		if m.flushed[i] < 0 {
 			m.flushed[i] = 0
 		}
 	}
-	c.level = -1
+	c.since = math.NaN()
 	m.present--
 }
 

@@ -1,8 +1,11 @@
 package admission
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"rcbr/internal/stats"
 )
@@ -13,9 +16,22 @@ import (
 // and therefore the admit decisions, at every probe point. This is the
 // correctness claim behind running the memory scheme in a live setup path:
 // the incremental decomposition is the same estimator, not an approximation
-// of it.
+// of it. It holds at every level count from one to callSlots, the widest a
+// call record takes and the one the benchmark's switch runs at.
 func TestLiveMemoryMatchesMemory(t *testing.T) {
-	levels := []float64{64e3, 512e3, 1e6, 2e6, 4e6}
+	for _, levels := range [][]float64{
+		{1e6},
+		{64e3, 4e6},
+		{64e3, 512e3, 1e6, 2e6, 4e6},
+		{64e3, 256e3, 512e3, 1e6, 2e6, 4e6, 8e6},
+	} {
+		t.Run(fmt.Sprintf("levels=%d", len(levels)), func(t *testing.T) {
+			matchMemory(t, levels)
+		})
+	}
+}
+
+func matchMemory(t *testing.T, levels []float64) {
 	const capacity, target = 50e6, 1e-3
 	ref, err := NewMemory(levels, capacity, target)
 	if err != nil {
@@ -48,19 +64,19 @@ func TestLiveMemoryMatchesMemory(t *testing.T) {
 			id := nextID
 			nextID++
 			ref.OnAdmit(id, now, rate)
-			rec := NewCall(len(levels))
+			rec := NewCall()
 			live.Enter(rec, now, rate)
 			present[id] = call{rate, rec}
 		case op == 1: // renegotiate
 			id, c := anyCall()
 			newRate := levels[rng.Intn(len(levels))]
 			ref.OnRateChange(id, now, c.rate, newRate)
-			live.Move(c.rec, now, newRate)
+			live.Move(c.rec, now, c.rate, newRate)
 			present[id] = call{newRate, c.rec}
 		default: // depart
 			id, c := anyCall()
 			ref.OnDepart(id, now, c.rate)
-			live.Leave(c.rec)
+			live.Leave(c.rec, c.rate)
 			delete(present, id)
 		}
 		if live.Calls() != len(present) {
@@ -89,7 +105,7 @@ func TestLiveMemoryMatchesMemory(t *testing.T) {
 	// Drain completely: the live controller must return to an exactly empty
 	// pool, not one with residual dwell mass.
 	for _, c := range present {
-		live.Leave(c.rec)
+		live.Leave(c.rec, c.rate)
 	}
 	if live.Calls() != 0 {
 		t.Fatalf("calls after drain = %d", live.Calls())
@@ -102,22 +118,19 @@ func TestLiveMemoryMatchesMemory(t *testing.T) {
 	}
 }
 
-// TestNewCallIsOneObject pins the record's allocation: record and dwell
-// storage are one object up to callSlots levels, two beyond, and the dwell
-// slice is exactly as long as asked either way.
+// TestNewCallIsOneObject pins the record: one 64-byte heap object — its
+// level-entry time and callSlots dwell slots — fresh, that is in no pool
+// and with no history.
 func TestNewCallIsOneObject(t *testing.T) {
-	for levels := 1; levels <= callSlots+3; levels++ {
-		want := 1.0
-		if levels > callSlots {
-			want = 2
-		}
-		var c *Call
-		if got := testing.AllocsPerRun(100, func() { c = NewCall(levels) }); got != want {
-			t.Errorf("NewCall(%d) allocates %v objects, want %v", levels, got, want)
-		}
-		if len(c.dwell) != levels || cap(c.dwell) != levels || c.level != -1 {
-			t.Errorf("NewCall(%d): len %d cap %d level %d", levels, len(c.dwell), cap(c.dwell), c.level)
-		}
+	if size := unsafe.Sizeof(Call{}); size != 64 {
+		t.Errorf("Call is %d bytes, want 64", size)
+	}
+	var c *Call
+	if got := testing.AllocsPerRun(100, func() { c = NewCall() }); got != 1 {
+		t.Errorf("NewCall allocates %v objects, want 1", got)
+	}
+	if !math.IsNaN(c.since) || c.dwell != [callSlots]float64{} {
+		t.Errorf("NewCall = %+v, want since NaN and no dwell", *c)
 	}
 }
 
@@ -130,16 +143,16 @@ func TestCallRecordMisusePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, spent := NewCall(len(levels)), NewCall(len(levels))
+	live, spent := NewCall(), NewCall()
 	m.Enter(live, 1, levels[0])
 	m.Enter(spent, 1, levels[1])
-	m.Move(spent, 2, levels[2])
-	m.Leave(spent)
+	m.Move(spent, 2, levels[1], levels[2])
+	m.Leave(spent, levels[2])
 	for name, misuse := range map[string]func(){
 		"Enter of an entered record":      func() { m.Enter(live, 3, levels[1]) },
-		"Move after Leave":                func() { m.Move(spent, 3, levels[0]) },
-		"Move after Leave, no time since": func() { m.Move(spent, 2, levels[0]) },
-		"Leave after Leave":               func() { m.Leave(spent) },
+		"Move after Leave":                func() { m.Move(spent, 3, levels[2], levels[0]) },
+		"Move after Leave, no time since": func() { m.Move(spent, 2, levels[2], levels[0]) },
+		"Leave after Leave":               func() { m.Leave(spent, levels[2]) },
 	} {
 		func() {
 			defer func() {
@@ -150,7 +163,7 @@ func TestCallRecordMisusePanics(t *testing.T) {
 			misuse()
 		}()
 	}
-	m.Leave(live)
+	m.Leave(live, levels[0])
 	if m.Calls() != 0 {
 		t.Errorf("Calls = %d after the misuse, want 0", m.Calls())
 	}
@@ -161,12 +174,30 @@ func TestCallRecordMisusePanics(t *testing.T) {
 	}
 }
 
+// badLevels are level sets every history-based constructor refuses: none,
+// descending, and with a level that is not finite — which a bare ascending
+// check lets through, since NaN fails every comparison.
+var badLevels = map[string][]float64{
+	"none":       nil,
+	"descending": {2e6, 1e6},
+	"NaN inside": {1e6, math.NaN(), 3e6},
+	"NaN alone":  {math.NaN()},
+	"+Inf last":  {1e6, math.Inf(1)},
+	"-Inf first": {math.Inf(-1), 1e6},
+}
+
 func TestLiveMemoryValidation(t *testing.T) {
-	if _, err := NewLiveMemory(nil, 1e6, 1e-3); err == nil {
-		t.Error("no levels accepted")
+	for name, levels := range badLevels {
+		if _, err := NewLiveMemory(levels, 1e6, 1e-3); err == nil {
+			t.Errorf("levels %s %v accepted", name, levels)
+		}
 	}
-	if _, err := NewLiveMemory([]float64{2, 1}, 1e6, 1e-3); err == nil {
-		t.Error("descending levels accepted")
+	eight := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	if _, err := NewLiveMemory(eight[:callSlots], 1e6, 1e-3); err != nil {
+		t.Errorf("%d levels refused: %v", callSlots, err)
+	}
+	if _, err := NewLiveMemory(eight, 1e6, 1e-3); err == nil || !strings.Contains(err.Error(), "7") {
+		t.Errorf("8 levels: err %v, want a refusal naming the limit of 7", err)
 	}
 	if _, err := NewLiveMemory([]float64{1, 2}, 0, 1e-3); err == nil {
 		t.Error("zero capacity accepted")
@@ -220,29 +251,29 @@ func TestAdmitShortcutKeepsTheDecision(t *testing.T) {
 		calls := 1 + rng.Intn(20)
 		now := 0.0
 		type entry struct {
-			rec  *Call
-			rate float64
+			rec         *Call
+			enter, rate float64
 		}
-		var present []entry
-		for c := 0; c < calls; c++ {
-			present = append(present, entry{NewCall(n), levels[rng.Intn(n)]})
+		present := make([]entry, calls)
+		for c := range present {
+			present[c].enter = levels[rng.Intn(n)]
 		}
 		// Build the pool once to find its top level, then replay it on
 		// controllers whose capacity straddles top·(calls+1).
 		replay := func(m *LiveMemory) {
 			now = 0
 			r := stats.NewRNG(uint64(k))
-			for _, e := range present {
-				e.rec.level = -1
-				for i := range e.rec.dwell {
-					e.rec.dwell[i] = 0
-				}
+			for c := range present {
+				e := &present[c]
+				e.rec, e.rate = NewCall(), e.enter
 				now += r.ExpFloat64(1)
 				m.Enter(e.rec, now, e.rate)
 			}
 			for j := 0; j < calls; j++ {
 				now += r.ExpFloat64(1)
-				m.Move(present[r.Intn(calls)].rec, now, levels[r.Intn(n)])
+				e, rate := &present[r.Intn(calls)], levels[r.Intn(n)]
+				m.Move(e.rec, now, e.rate, rate)
+				e.rate = rate
 			}
 			now += r.ExpFloat64(1)
 		}

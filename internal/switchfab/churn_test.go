@@ -746,3 +746,27 @@ func TestControlPathLooksNoControllerUp(t *testing.T) {
 		t.Fatal("the control path waited on the admitter's port map")
 	}
 }
+
+// TestMemoryAdmitterRefusesBadLevels holds NewMemoryAdmitter to the level
+// sets a port's controller can pool over: every level finite — NaN and ±Inf
+// pass a bare ascending check — and at most 7 of them, the dwell slots a
+// VC's call record carries. The refusal of a wider set names the limit.
+func TestMemoryAdmitterRefusesBadLevels(t *testing.T) {
+	for _, levels := range [][]float64{
+		{1e6, math.NaN(), 3e6},
+		{math.NaN()},
+		{1e6, math.Inf(1)},
+		{math.Inf(-1), 1e6},
+	} {
+		if _, err := NewMemoryAdmitter(levels, 1e-3); err == nil {
+			t.Errorf("levels %v accepted", levels)
+		}
+	}
+	eight := []float64{1e6, 2e6, 3e6, 4e6, 5e6, 6e6, 7e6, 8e6}
+	if _, err := NewMemoryAdmitter(eight[:7], 1e-3); err != nil {
+		t.Errorf("7 levels refused: %v", err)
+	}
+	if _, err := NewMemoryAdmitter(eight, 1e-3); err == nil || !strings.Contains(err.Error(), "7") {
+		t.Errorf("8 levels: err %v, want a refusal naming the limit of 7", err)
+	}
+}

@@ -128,12 +128,11 @@ func (id VCID) String() string {
 	return fmt.Sprintf("%d.%d", id.VPI(), id.VCI())
 }
 
-// callRecord is the per-call history the memory-based scheme keeps for a
-// call it admitted: level, level-entry time and per-level dwell. Its layout
-// belongs to admission.LiveMemory; the switch allocates it inside the VC's
-// record (vcWithCall), carries the pointer, and hands it to nothing but the
-// port's controller. A teardown sets the VC gone under the port mutex before
-// it releases it, so no move follows a call's leave.
+// callRecord is the per-call history the memory-based scheme keeps for a call
+// it admitted, whose level is that of vcState.rate. Its layout belongs to
+// admission.LiveMemory; the switch allocates it inside the VC's record
+// (vcWithCall) and hands it to nothing but the port's controller. A teardown
+// sets the VC gone under the port mutex first, so no move follows a leave.
 type callRecord = admission.Call
 
 // RateWord is a VC's granted rate as a data plane reads it: one float64 in
@@ -258,10 +257,10 @@ type vcState struct {
 }
 
 // vcWithCall is the record of a VC on a port with an MBAC controller: the
-// VC's record and its call record in one 128-byte allocation.
+// VC's record and its call record in one 96-byte allocation.
 type vcWithCall struct {
 	vcState
-	call admission.CallSlot
+	call callRecord
 }
 
 // instruments caches the switch's histogram handles. All are nil-safe
@@ -552,8 +551,8 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 			s.rejectSetup(id, portID, rate)
 			return ErrAdmission
 		}
-		o := &vcWithCall{vcState: vcState{rate: rate, slot: p.slot}}
-		o.rec = o.call.Init(len(s.mbac.levels))
+		o := &vcWithCall{vcState: vcState{rate: rate, slot: p.slot}, call: *admission.NewCall()}
+		o.rec = &o.call
 		vc = &o.vcState
 	} else {
 		vc = &vcState{rate: rate, slot: p.slot}
@@ -640,7 +639,7 @@ func (s *Switch) TeardownID(id VCID) error {
 	defer p.mu.Unlock()
 	s.setReserved(p, p.reserved-vc.rate)
 	if vc.rec != nil {
-		p.mbac.Leave(vc.rec)
+		p.mbac.Leave(vc.rec, vc.rate)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnTeardown(p.id, id)
@@ -734,7 +733,7 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, re
 		vc.rate = newRate
 		if newRate != old {
 			if vc.rec != nil {
-				p.mbac.Move(vc.rec, seconds(now), newRate)
+				p.mbac.Move(vc.rec, seconds(now), old, newRate)
 			}
 			if vc.word != nil {
 				vc.word.Store(newRate)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"rcbr/internal/admission"
 	"rcbr/internal/cell"
 )
 
@@ -556,15 +557,20 @@ func TestRenegotiateBestErrors(t *testing.T) {
 	}
 }
 
-// TestVCStateSize pins the switch's per-VC record at 32 bytes, the
-// allocator's 32-byte class: a field added to it costs every VC of a switch
-// without an MBAC 16 bytes more, and one with an MBAC the jump from the
-// 128-byte class to the 144-byte one.
+// TestVCStateSize pins the switch's per-VC records at the allocator's size
+// classes they fill exactly: vcState at 32 bytes, all a VC costs the switch
+// without an MBAC, and with one vcWithCall at 96 — vcState and the 64-byte
+// call record. A field added to vcState costs every VC of a switch without
+// an MBAC 16 bytes more, and one with an MBAC the jump from the 96-byte
+// class to the 112-byte one.
 func TestVCStateSize(t *testing.T) {
-	if size := unsafe.Sizeof(vcState{}); size > 32 {
-		t.Errorf("vcState is %d bytes, want at most 32", size)
+	if size := unsafe.Sizeof(vcState{}); size != 32 {
+		t.Errorf("vcState is %d bytes, want 32", size)
 	}
-	if size := unsafe.Sizeof(vcWithCall{}); size > 128 {
-		t.Errorf("vcWithCall is %d bytes, want at most 128 (32 + 96)", size)
+	if size := unsafe.Sizeof(admission.Call{}); size != 64 {
+		t.Errorf("admission.Call is %d bytes, want 64", size)
+	}
+	if size := unsafe.Sizeof(vcWithCall{}); size != 96 {
+		t.Errorf("vcWithCall is %d bytes, want 96 (32 + 64)", size)
 	}
 }
