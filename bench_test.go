@@ -690,6 +690,37 @@ func BenchmarkSetupChurnMemoryAdmit(b *testing.B) {
 	}
 }
 
+// BenchmarkSetupChurnWired is the serial pair on a switch wired the way a
+// live one is, and the way bench/'s cells-churn wires it: registry, memory
+// admitter over seven levels, forwarder behind WithDataPlane. It prices a
+// setup with everything a live setup pays for: the admit decision, the call
+// record, the forwarder's entry and whatever the registry adds.
+func BenchmarkSetupChurnWired(b *testing.B) {
+	ad, err := switchfab.NewMemoryAdmitter(benchMBACLevels, 1e-3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	fw := datapath.New(datapath.WithMetrics(reg))
+	for p := 0; p < 64; p++ {
+		if _, err := fw.AddPort(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sw := benchChurnSwitch(b, switchfab.WithAdmitter(ad), switchfab.WithDataPlane(fw), switchfab.WithMetrics(reg))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := benchChurnID(i)
+		if err := sw.SetupID(id, i%64, benchMBACLevels[i%len(benchMBACLevels)]); err != nil {
+			b.Fatal(err)
+		}
+		if err := sw.TeardownID(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdmitDecisionMemoryLive isolates the admit decision itself with
 // 10,000 calls of history in the pool — the O(levels) incremental estimate
 // that replaces Memory's O(calls) scan.

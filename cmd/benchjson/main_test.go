@@ -299,6 +299,7 @@ func TestZeroAllocContractNames(t *testing.T) {
 		"BenchmarkRingBurst64":                true,
 		"BenchmarkAdmitDecisionMemoryLive":    true,
 		"BenchmarkSetupChurnMemoryAdmit":      false,
+		"BenchmarkSetupChurnWired":            false,
 		"BenchmarkChurnBytesPerVC":            false,
 		"BenchmarkFig2OPT":                    false,
 	} {

@@ -10,16 +10,14 @@ import (
 	"text/tabwriter"
 
 	"rcbr/internal/churn"
-	"rcbr/internal/metrics"
 	"rcbr/internal/switchfab"
 )
 
 // churnRun drives the call-scale churn generator (internal/churn) against a
 // live switch: ramp to a target concurrent-VC population under the
 // chosen admission policy, then hold it in setup/teardown/renegotiation
-// equilibrium for a budget of call events, reporting setup latency, the
-// time from a setup's entry to its admission verdict, and retained bytes
-// per VC.
+// equilibrium for a budget of call events, reporting the operation counts,
+// each phase's wall time and retained bytes per VC.
 func churnRun(fs *flag.FlagSet) func(context.Context) error {
 	vcs := fs.Int("vcs", 1_000_000, "target concurrent VC population")
 	ports := fs.Int("ports", 256, "output ports on the switch")
@@ -33,8 +31,7 @@ func churnRun(fs *flag.FlagSet) func(context.Context) error {
 	seed := fs.Uint64("seed", 1, "generator seed")
 	return func(context.Context) error {
 		classes := churn.DefaultClasses()
-		reg := metrics.NewRegistry()
-		opts := []switchfab.Option{switchfab.WithMetrics(reg)}
+		var opts []switchfab.Option
 		switch *admit {
 		case "memory":
 			ad, err := switchfab.NewMemoryAdmitter(churn.LevelSet(classes), *target)
@@ -68,7 +65,6 @@ func churnRun(fs *flag.FlagSet) func(context.Context) error {
 			Workers:     *workers,
 			ChurnEvents: *events,
 			Seed:        *seed,
-			Registry:    reg,
 			Drain:       *drain,
 		})
 		if err != nil {
@@ -81,8 +77,6 @@ func churnRun(fs *flag.FlagSet) func(context.Context) error {
 			res.Setups, res.Teardowns, res.Renegs, res.RenegDenials, res.ChurnWall.Round(1e6))
 		fmt.Fprintf(tw, "blocked setups\t%d\n", res.Blocked)
 		fmt.Fprintf(tw, "final VCs\t%d\n", res.FinalVCs)
-		fmt.Fprintf(tw, "setup latency\tmean %v\tp99 <= %v\n", res.SetupMean, res.SetupP99)
-		fmt.Fprintf(tw, "entry to admit verdict\tmean %v\tp99 <= %v\n", res.AdmitMean, res.AdmitP99)
 		fmt.Fprintf(tw, "bytes per VC\t%.0f\n", res.BytesPerVC)
 		if err := tw.Flush(); err != nil {
 			return err

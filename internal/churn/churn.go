@@ -12,9 +12,8 @@
 // reached; the churn phase then holds the system in equilibrium — arrivals
 // at rate population/E[hold] balancing departures — for a fixed budget of
 // call events. Virtual time (the arrival/holding/renegotiation processes)
-// advances as fast as the switch can process events; wall-clock setup
-// latency and entry-to-admission-verdict time are taken from the switch's
-// own histograms.
+// advances as fast as the switch can process events; each phase's wall time
+// is reported.
 package churn
 
 import (
@@ -24,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"rcbr/internal/metrics"
 	"rcbr/internal/sim"
 	"rcbr/internal/stats"
 	"rcbr/internal/switchfab"
@@ -97,9 +95,6 @@ type Config struct {
 	ChurnEvents int
 	// Seed seeds the generators (split per worker).
 	Seed uint64
-	// Registry, when set, is the registry the Switch publishes into; Run
-	// reads the setup/admit latency histograms out of it for the Result.
-	Registry *metrics.Registry
 	// Drain tears every remaining call down after the churn phase, so the
 	// caller can assert the fabric returns to zero.
 	Drain bool
@@ -123,15 +118,6 @@ type Result struct {
 	// RampWall and ChurnWall are the wall-clock phase durations.
 	RampWall  time.Duration `json:"ramp_wall_ns"`
 	ChurnWall time.Duration `json:"churn_wall_ns"`
-	// SetupMean/SetupP99 summarize the switch's setup-latency histogram
-	// (entry to return); AdmitMean/AdmitP99 its switch.admit_seconds
-	// histogram, which runs from the same entry to the admission verdict —
-	// port lookup and the wait for the port mutex included, not the
-	// decision alone. Zero without a Registry.
-	SetupMean time.Duration `json:"setup_mean_ns"`
-	SetupP99  time.Duration `json:"setup_p99_ns"`
-	AdmitMean time.Duration `json:"admit_mean_ns"`
-	AdmitP99  time.Duration `json:"admit_p99_ns"`
 	// BytesPerVC is the heap growth across the ramp phase divided by the
 	// calls admitted — switch state plus generator bookkeeping — measured
 	// after a forced GC on each side.
@@ -412,17 +398,6 @@ func Run(cfg Config) (Result, error) {
 		res.Renegs += w.renegs
 		res.RenegDenials += w.renegDenied
 	}
-	if cfg.Registry != nil {
-		snap := cfg.Registry.Snapshot()
-		if h, ok := snap.Histograms[switchfab.MetricSetupLatency]; ok {
-			res.SetupMean = secondsToDuration(h.Mean())
-			res.SetupP99 = secondsToDuration(HistQuantile(h, 0.99))
-		}
-		if h, ok := snap.Histograms[switchfab.MetricAdmitLatency]; ok {
-			res.AdmitMean = secondsToDuration(h.Mean())
-			res.AdmitP99 = secondsToDuration(HistQuantile(h, 0.99))
-		}
-	}
 	return res, nil
 }
 
@@ -433,34 +408,4 @@ func heapInUse() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.HeapInuse
-}
-
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
-}
-
-// HistQuantile returns an upper bound on the q-quantile of a bucketed
-// histogram snapshot: the upper bound of the bucket where the cumulative
-// count crosses q (the last finite bound for the overflow bucket).
-func HistQuantile(h metrics.HistogramSnapshot, q float64) float64 {
-	if h.Count == 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.Count)
-	var cum float64
-	for i, c := range h.Counts {
-		cum += float64(c)
-		if cum >= target {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			break
-		}
-	}
-	return h.Bounds[len(h.Bounds)-1]
 }

@@ -192,6 +192,13 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // DefBuckets are default latency bounds in seconds: 100µs to ~13s.
 var DefBuckets = ExpBuckets(100e-6, 2, 17)
 
+// FastBuckets are latency bounds in seconds for operations that take well
+// under DefBuckets' first bound: 100ns to ~0.84s, so an in-switch
+// renegotiation (under 1µs) and a loopback round trip (tens of µs) each
+// land past the first bucket. The switch's renegotiation histogram and the
+// signaling client's round-trip histogram share them.
+var FastBuckets = ExpBuckets(100e-9, 2, 24)
+
 // Registry is a named collection of instruments. Lookup/creation takes a
 // lock; recording through the returned instrument does not. All methods are
 // safe for concurrent use, and safe on a nil *Registry (which hands out nil,

@@ -123,7 +123,7 @@ func WithClientMetrics(reg *metrics.Registry) ClientOption {
 			timeouts: reg.Counter(MetricClientTimeouts),
 			rmSent:   reg.Counter(MetricClientRMSent),
 			rmRecv:   reg.Counter(MetricClientRMRecv),
-			rtt:      reg.Histogram(MetricClientRTT, metrics.DefBuckets),
+			rtt:      reg.Histogram(MetricClientRTT, metrics.FastBuckets),
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -197,6 +198,11 @@ func TestRetriesSurvivePacketLoss(t *testing.T) {
 	}
 	if s.Histograms[MetricClientRTT].Count != 3 {
 		t.Fatalf("rtt observations = %d, want 3", s.Histograms[MetricClientRTT].Count)
+	}
+	// A round trip takes microseconds: its bounds are the switch's
+	// sub-microsecond set, not DefBuckets, whose first bucket holds them all.
+	if b := s.Histograms[MetricClientRTT].Bounds; !slices.Equal(b, metrics.FastBuckets) {
+		t.Fatalf("rtt bounds = %v, want metrics.FastBuckets", b)
 	}
 }
 

@@ -464,8 +464,9 @@ func TestAdmissionHook(t *testing.T) {
 // history says calls on this port are 4 Mb/s beasts — and three of those
 // overflow, so the Chernoff tail is exactly 1 and admission must deny. The
 // refused call touches no book: no reservation, no VC, nothing said to the
-// data plane; it is one setup reject, one reject event and one admission
-// verdict timed. A departure takes its history with it and reopens the port.
+// data plane; it is one setup reject, counted once in Stats and in the
+// registry's view of it, and one reject event. A departure takes its history
+// with it and reopens the port.
 func TestMemoryAdmitterBlocks(t *testing.T) {
 	ad, err := NewMemoryAdmitter([]float64{64e3, 4e6}, 1e-3)
 	if err != nil {
@@ -485,7 +486,7 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 	if err := s.SetupID(2, 1, 4e6); err != nil {
 		t.Fatal(err)
 	}
-	told, admits := rec.calls, reg.Snapshot().Histograms[MetricAdmitLatency].Count
+	told, rejected := rec.calls, s.Stats().SetupRejects
 	if err := s.SetupID(3, 1, 64e3); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("third call: %v, want ErrAdmission (history-based denial)", err)
 	}
@@ -501,8 +502,11 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 	if rec.calls != told {
 		t.Errorf("the data plane heard of the refused call")
 	}
-	if st := s.Stats(); st.SetupRejects != 1 {
-		t.Errorf("SetupRejects = %d, want 1", st.SetupRejects)
+	if got := s.Stats().SetupRejects - rejected; got != 1 {
+		t.Errorf("the refusal was counted %d times in SetupRejects, want 1", got)
+	}
+	if got := reg.Snapshot().Counters[MetricSetupRejects]; got != 1 {
+		t.Errorf("%s = %d, want 1", MetricSetupRejects, got)
 	}
 	rejects := 0
 	for _, ev := range ring.Events() {
@@ -512,9 +516,6 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 	}
 	if rejects != 1 {
 		t.Errorf("%d setup-reject events, want 1", rejects)
-	}
-	if got := reg.Snapshot().Histograms[MetricAdmitLatency].Count - admits; got != 1 {
-		t.Errorf("the refusal was observed %d times in %s, want 1", got, MetricAdmitLatency)
 	}
 	if err := s.TeardownID(1); err != nil {
 		t.Fatal(err)

@@ -25,14 +25,17 @@ func (c *tickClock) read() int64 {
 	return c.now
 }
 
-// TestClockReadBudget holds the control path to its clock-read contract: one
-// reading on the way into an operation, one more for each latency histogram
-// it observes, and none at all on a switch that times nothing. The step
-// table is one lifecycle on a 10 Mb/s port; the columns are reads per call
-// with a registry and a MemoryAdmitter, with a registry alone, with a
-// MemoryAdmitter alone, and with neither. A read added anywhere on the
-// control path fails the row it lands on. The histograms' counts are checked
-// at the end: each still sees every operation past argument validation.
+// TestClockReadBudget holds the control path to its clock-read contract. A
+// setup reads the clock once on the way in, and only on a switch with a
+// MemoryAdmitter, whose dwell history is what uses the reading. A
+// renegotiation reads it once on the way in on a switch that times anything,
+// and once more on the way out for the registry's latency histogram. A
+// teardown never reads it. The step table is one lifecycle on a 10 Mb/s
+// port; the columns are reads per call with a registry and a MemoryAdmitter,
+// with a registry alone, with a MemoryAdmitter alone, and with neither. A
+// read added anywhere on the control path fails the row it lands on. The
+// renegotiation histogram's count is checked at the end: it still sees every
+// renegotiation past argument validation.
 func TestClockReadBudget(t *testing.T) {
 	rm := func(vci uint16, m cell.RM) func(*Switch) (string, error) {
 		return func(s *Switch) (string, error) {
@@ -79,52 +82,46 @@ func TestClockReadBudget(t *testing.T) {
 	teardown := func(id VCID) func(*Switch) (string, error) {
 		return func(s *Switch) (string, error) { return "", s.TeardownID(id) }
 	}
-	const (
-		noHist = iota
-		setupHist
-		renegHist
-	)
 	steps := []struct {
 		name string
 		op   func(*Switch) (string, error)
-		// With a registry and a MemoryAdmitter: the outcome, the histogram the
-		// operation lands in, and whether it reaches the admission verdict.
+		// With a registry and a MemoryAdmitter: the outcome, and whether the
+		// operation lands in the renegotiation histogram.
 		want    string
 		wantErr error
-		hist    int
-		admit   bool
+		reneg   bool
 		// Clock reads: registry + MBAC, registry only, MBAC only, neither.
 		reads [4]int
 	}{
-		{"setup admitted", setup(1, 1, 4e6), "", nil, setupHist, true, [4]int{3, 2, 1, 0}},
-		{"setup admitted", setup(2, 1, 4e6), "", nil, setupHist, true, [4]int{3, 2, 1, 0}},
+		{"setup admitted", setup(1, 1, 4e6), "", nil, false, [4]int{1, 0, 1, 0}},
+		{"setup admitted", setup(2, 1, 4e6), "", nil, false, [4]int{1, 0, 1, 0}},
 		// Two 4 Mb/s histories say a third call overflows: the MBAC refuses
 		// what the capacity check would let in (TestMemoryAdmitterBlocks).
-		{"setup refused by admission", setup(3, 1, 64e3), "", ErrAdmission, setupHist, true, [4]int{3, 2, 1, 0}},
-		{"setup refused by capacity", setup(4, 1, 4e6), "", ErrCapacity, setupHist, false, [4]int{2, 2, 1, 0}},
-		{"setup of a taken id", setup(1, 1, 64e3), "", ErrVCExists, setupHist, false, [4]int{2, 2, 1, 0}},
-		{"setup on no port", setup(5, 9, 64e3), "", ErrNoPort, setupHist, false, [4]int{2, 2, 1, 0}},
-		{"setup of an invalid rate", setup(5, 1, math.NaN()), "", ErrInvalidRate, noHist, false, [4]int{}},
+		{"setup refused by admission", setup(3, 1, 64e3), "", ErrAdmission, false, [4]int{1, 0, 1, 0}},
+		{"setup refused by capacity", setup(4, 1, 4e6), "", ErrCapacity, false, [4]int{1, 0, 1, 0}},
+		{"setup of a taken id", setup(1, 1, 64e3), "", ErrVCExists, false, [4]int{1, 0, 1, 0}},
+		{"setup on no port", setup(5, 9, 64e3), "", ErrNoPort, false, [4]int{1, 0, 1, 0}},
+		{"setup of an invalid rate", setup(5, 1, math.NaN()), "", ErrInvalidRate, false, [4]int{}},
 
-		{"renegotiate granted", reneg(1, 5e6), "grant", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"renegotiate denied", reneg(1, 9e6), "deny", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"renegotiate unknown VC", reneg(99, 1e6), "", ErrNoVC, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"renegotiate an invalid rate", reneg(1, math.Inf(1)), "", ErrInvalidRate, noHist, false, [4]int{}},
+		{"renegotiate granted", reneg(1, 5e6), "grant", nil, true, [4]int{2, 2, 1, 0}},
+		{"renegotiate denied", reneg(1, 9e6), "deny", nil, true, [4]int{2, 2, 1, 0}},
+		{"renegotiate unknown VC", reneg(99, 1e6), "", ErrNoVC, true, [4]int{2, 2, 1, 0}},
+		{"renegotiate an invalid rate", reneg(1, math.Inf(1)), "", ErrInvalidRate, false, [4]int{}},
 
-		{"best-effort granted in full", best(2, 5e6), "grant", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"best-effort denied, no headroom", best(2, 6e6), "deny", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"best-effort granted", best(2, 3e6), "grant", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"best-effort granted in part", best(2, 9e6), "partial", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"best-effort unknown VC", best(99, 1e6), "", ErrNoVC, renegHist, false, [4]int{2, 2, 1, 0}},
+		{"best-effort granted in full", best(2, 5e6), "grant", nil, true, [4]int{2, 2, 1, 0}},
+		{"best-effort denied, no headroom", best(2, 6e6), "deny", nil, true, [4]int{2, 2, 1, 0}},
+		{"best-effort granted", best(2, 3e6), "grant", nil, true, [4]int{2, 2, 1, 0}},
+		{"best-effort granted in part", best(2, 9e6), "partial", nil, true, [4]int{2, 2, 1, 0}},
+		{"best-effort unknown VC", best(99, 1e6), "", ErrNoVC, true, [4]int{2, 2, 1, 0}},
 
-		{"RM granted", rm(1, cell.RM{Decrease: true, ER: 1e6, Seq: 1}), "grant", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"RM duplicate Seq dropped", rm(1, cell.RM{Decrease: true, ER: 1e6, Seq: 1}), "grant", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"RM denied", rm(1, cell.RM{ER: 8e6, Seq: 2}), "deny", nil, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"RM unknown VC", rm(99, cell.RM{ER: 1e6}), "", ErrNoVC, renegHist, false, [4]int{2, 2, 1, 0}},
-		{"RM backward cell", rm(1, cell.RM{Backward: true}), "", errAny, noHist, false, [4]int{}},
+		{"RM granted", rm(1, cell.RM{Decrease: true, ER: 1e6, Seq: 1}), "grant", nil, true, [4]int{2, 2, 1, 0}},
+		{"RM duplicate Seq dropped", rm(1, cell.RM{Decrease: true, ER: 1e6, Seq: 1}), "grant", nil, true, [4]int{2, 2, 1, 0}},
+		{"RM denied", rm(1, cell.RM{ER: 8e6, Seq: 2}), "deny", nil, true, [4]int{2, 2, 1, 0}},
+		{"RM unknown VC", rm(99, cell.RM{ER: 1e6}), "", ErrNoVC, true, [4]int{2, 2, 1, 0}},
+		{"RM backward cell", rm(1, cell.RM{Backward: true}), "", errAny, false, [4]int{}},
 
-		{"teardown", teardown(1), "", nil, noHist, false, [4]int{}},
-		{"teardown unknown VC", teardown(99), "", ErrNoVC, noHist, false, [4]int{}},
+		{"teardown", teardown(1), "", nil, false, [4]int{}},
+		{"teardown unknown VC", teardown(99), "", ErrNoVC, false, [4]int{}},
 	}
 
 	configs := []struct {
@@ -158,7 +155,7 @@ func TestClockReadBudget(t *testing.T) {
 			if err := s.AddPort(1, 10e6); err != nil {
 				t.Fatal(err)
 			}
-			var setups, admits, renegs, outcomes int64
+			var renegs, outcomes int64
 			for _, st := range steps {
 				before := clk.reads
 				got, err := st.op(s)
@@ -168,14 +165,8 @@ func TestClockReadBudget(t *testing.T) {
 				if n := clk.reads - before; n != st.reads[cfg.col] {
 					t.Errorf("%s: %d clock reads, want %d", st.name, n, st.reads[cfg.col])
 				}
-				switch st.hist {
-				case setupHist:
-					setups++
-				case renegHist:
+				if st.reneg {
 					renegs++
-				}
-				if st.admit {
-					admits++
 				}
 				if !cfg.mbac && (errors.Is(st.wantErr, ErrAdmission) || st.want != "") {
 					// Without the MBAC the third call is admitted and holds
@@ -206,24 +197,14 @@ func TestClockReadBudget(t *testing.T) {
 			if !cfg.reg {
 				return
 			}
-			if !cfg.mbac {
-				admits = 0 // admit_seconds is recorded only with an admitter
+			h := reg.Snapshot().Histograms[MetricRenegLatency]
+			if h.Count != renegs {
+				t.Errorf("%s observed %d operations, want %d", MetricRenegLatency, h.Count, renegs)
 			}
-			snap := reg.Snapshot()
-			for name, want := range map[string]int64{
-				MetricSetupLatency: setups,
-				MetricAdmitLatency: admits,
-				MetricRenegLatency: renegs,
-			} {
-				h := snap.Histograms[name]
-				if h.Count != want {
-					t.Errorf("%s observed %d operations, want %d", name, h.Count, want)
-				}
-				// One millisecond per reading: every observation spans at
-				// least one of scripted time.
-				if want > 0 && h.Sum < float64(want)*0.99e-3 {
-					t.Errorf("%s sums to %g s over %d observations of at least 1 ms", name, h.Sum, want)
-				}
+			// One millisecond per reading: every observation spans at least
+			// one of scripted time.
+			if h.Sum < float64(renegs)*0.99e-3 {
+				t.Errorf("%s sums to %g s over %d observations of at least 1 ms", MetricRenegLatency, h.Sum, renegs)
 			}
 		})
 	}
@@ -237,9 +218,10 @@ var errAny = errors.New("any error")
 // lifecycle on scripted time: calls arrive a few seconds apart, hold for
 // minutes, renegotiate seconds apart and leave. The switch's clock is the
 // script's virtual time and nothing else, so with pause set — a real sleep
-// between operations — the run must come out the same. It returns every
-// setup's admission decision and the operation counts.
-func scriptedLifecycle(t *testing.T, pause bool) (decisions []bool, ops int) {
+// between operations — the run must come out the same. opts are added to the
+// switch's WithAdmitter. It returns every setup's admission decision and the
+// operation counts.
+func scriptedLifecycle(t *testing.T, pause bool, opts ...Option) (decisions []bool, ops int) {
 	t.Helper()
 	levels := []float64{64e3, 512e3, 1e6, 2e6, 4e6}
 	const port, capacity, target = 1, 45e6, 1e-3
@@ -252,7 +234,7 @@ func scriptedLifecycle(t *testing.T, pause bool) (decisions []bool, ops int) {
 		t.Fatal(err)
 	}
 	var now int64 // virtual nanoseconds
-	s := New(WithAdmitter(ad))
+	s := New(append([]Option{WithAdmitter(ad)}, opts...)...)
 	s.clock = func() int64 { return now }
 	if err := s.AddPort(port, capacity); err != nil {
 		t.Fatal(err)
@@ -365,22 +347,45 @@ func scriptedLifecycle(t *testing.T, pause bool) (decisions []bool, ops int) {
 
 // TestScriptedTimeMBACMatchesReference checks the switch-hosted MBAC against
 // the reference it was derived from, over three quarters of an hour of
-// virtual time in a tenth of a second of real time: the same admission decision at every setup, the
-// same call count throughout, nothing left after the drain. The second run
-// sleeps between operations and must decide identically — the dwell history
-// depends on the readings the switch hands down and on nothing the wall does.
+// virtual time in a tenth of a second of real time: the same admission
+// decision at every setup, the same call count throughout, nothing left after
+// the drain. It runs on a switch with and without a registry, whose
+// renegotiation histogram adds a clock read the controller must not see, and
+// each with and without sleeps between operations; every run must decide
+// as the first did — the dwell history depends on the readings the switch
+// hands down and on nothing the wall or the telemetry does.
 func TestScriptedTimeMBACMatchesReference(t *testing.T) {
 	want, ops := scriptedLifecycle(t, false)
 	if ops < 2000 {
 		t.Fatalf("script ran %d operations, want at least 2000", ops)
 	}
-	got, _ := scriptedLifecycle(t, true)
-	if len(got) != len(want) {
-		t.Fatalf("%d decisions with pauses, %d without", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("decision %d: %v with pauses, %v without", i, got[i], want[i])
-		}
+	for _, run := range []struct {
+		name  string
+		pause bool
+		reg   bool
+	}{
+		{"pauses", true, false},
+		{"registry", false, true},
+		{"registry and pauses", true, true},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			var opts []Option
+			reg := metrics.NewRegistry()
+			if run.reg {
+				opts = append(opts, WithMetrics(reg))
+			}
+			got, _ := scriptedLifecycle(t, run.pause, opts...)
+			if len(got) != len(want) {
+				t.Fatalf("%d decisions, %d in the first run", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("decision %d: %v, %v in the first run", i, got[i], want[i])
+				}
+			}
+			if n := reg.Snapshot().Histograms[MetricRenegLatency].Count; run.reg && n == 0 {
+				t.Errorf("the registry's %s saw no renegotiation", MetricRenegLatency)
+			}
+		})
 	}
 }

@@ -355,3 +355,36 @@ func TestCountersAreViewsOfStats(t *testing.T) {
 		t.Errorf("registry holds %d switch.* counters, the test checks 10", n)
 	}
 }
+
+// TestRenegLatencyResolvesSubMicrosecond holds switch.renegotiation_seconds to
+// resolving what it times: an in-switch renegotiation takes well under a
+// microsecond, so on a scripted clock that moves 300 ns per read one
+// renegotiation must land in the ≤ 400 ns bucket, not in the first bucket
+// that a millisecond-scale bound set would put every renegotiation in.
+func TestRenegLatencyResolvesSubMicrosecond(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sw := New(WithMetrics(reg))
+	var now int64
+	sw.clock = func() int64 { now += 300; return now }
+	if err := sw.AddPort(1, 10e6); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.SetupID(1, 1, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := sw.RenegotiateID(1, 2e6); err != nil || !ok {
+		t.Fatalf("renegotiate: ok=%v err=%v", ok, err)
+	}
+	h := reg.Snapshot().Histograms[MetricRenegLatency]
+	if h.Count != 1 {
+		t.Fatalf("%d observations, want 1", h.Count)
+	}
+	for i, n := range h.Counts {
+		if n == 0 {
+			continue
+		}
+		if i == len(h.Bounds) || h.Bounds[i] != 400e-9 {
+			t.Errorf("a 300 ns renegotiation landed in bucket %d of %v, want the ≤ 400 ns bucket", i, h.Bounds)
+		}
+	}
+}

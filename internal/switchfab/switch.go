@@ -36,17 +36,17 @@
 // own.
 // Activity counters are atomics, published into the registry as views.
 //
-// Time: the switch reads one clock, metrics.Nanotime, and reads it once on
-// the way into SetupID, RenegotiateID, RenegotiateBestID and HandleRM. That
-// reading is both the start of the operation's latency observation and the
-// time the admission policy sees for the call's dwell history; it is handed
-// down, never asked for again. A latency histogram costs one more read when
-// it is observed, so with a registry a setup reads the clock three times
-// (entry, admission verdict, exit), a renegotiation twice, a teardown never
-// — and a switch with no registry and no MemoryAdmitter never reads it at
-// all. The reading is taken before the port mutex, so two operations on one
-// port may hand the policy readings a lock wait out of order;
-// admission.LiveMemory counts a non-positive dwell as none.
+// Time: the switch reads one clock, metrics.Nanotime, and only for what
+// uses a reading. A setup reads it once on the way in when the switch has a
+// MemoryAdmitter: that reading starts the call's dwell history. A
+// renegotiation (RenegotiateID, RenegotiateBestID, HandleRM) reads it on the
+// way in when the switch has a MemoryAdmitter or a registry, and once more on
+// the way out to observe switch.renegotiation_seconds when it has a
+// registry. A teardown never reads it, and neither does a switch with no
+// registry and no MemoryAdmitter. A reading is handed down, never asked for
+// again. It is taken before the port mutex, so two operations on one port may
+// hand the policy readings a lock wait out of order; admission.LiveMemory
+// counts a non-positive dwell as none.
 //
 // VC identifiers: the paper's switch is an ATM switch, so a VC is named by
 // the cell header's (VPI, VCI) pair — 24 bits, far past the 65,536 circuits
@@ -263,16 +263,6 @@ type vcWithCall struct {
 	call callRecord
 }
 
-// instruments caches the switch's histogram handles. All are nil-safe
-// no-ops when no registry is configured, so the hot path records
-// unconditionally. Counters are not here: the registry reads statCounters
-// through views (see New).
-type instruments struct {
-	renegLatency *metrics.Histogram
-	setupLatency *metrics.Histogram
-	admitLatency *metrics.Histogram
-}
-
 // Metric and event names exposed by the switch.
 const (
 	MetricSetups       = "switch.setups"
@@ -290,15 +280,6 @@ const (
 	// MetricReservedClamped counts negative-residue clamps of a port's
 	// reserved figure (see Stats.ReservedClamps).
 	MetricReservedClamped = "switch.port.reserved_clamped"
-	// MetricSetupLatency observes every SetupID call past argument
-	// validation, from its entry clock reading to its return — accept and
-	// reject alike. MetricAdmitLatency runs from the same entry reading to
-	// the admission verdict (recorded only when an Admitter is installed and
-	// the call fit the port's capacity), so it includes the port lookup and
-	// the wait for the port mutex; setup minus admit is what committing an
-	// admitted call costs.
-	MetricSetupLatency = "switch.setup_seconds"
-	MetricAdmitLatency = "switch.admit_seconds"
 )
 
 // PortReservedGauge returns the registry name of a port's reserved-rate
@@ -343,14 +324,17 @@ type Switch struct {
 	dataplane DataPlane
 	stats     statCounters
 
-	reg    *metrics.Registry
-	ins    instruments
-	events *metrics.EventLog
+	reg *metrics.Registry
+	// renegLatency is switch.renegotiation_seconds: nil, a no-op, without a
+	// registry. Counters are not cached: the registry reads statCounters
+	// through views (see New).
+	renegLatency *metrics.Histogram
+	events       *metrics.EventLog
 
 	// clock is metrics.Nanotime; a field so this package's tests can script
-	// it. timed is whether anything uses a reading — a registry's latency
-	// histograms or a MemoryAdmitter's dwell history; without either an
-	// operation never calls clock.
+	// it. timed is whether a renegotiation uses a reading — the registry's
+	// latency histogram or a MemoryAdmitter's dwell history; without either
+	// it never calls clock. A setup calls it only for a MemoryAdmitter.
 	clock func() int64
 	timed bool
 }
@@ -395,11 +379,7 @@ func New(opts ...Option) *Switch {
 	}
 	s.timed = s.reg != nil || s.mbac != nil
 	if s.reg != nil {
-		s.ins = instruments{
-			renegLatency: s.reg.Histogram(MetricRenegLatency, metrics.DefBuckets),
-			setupLatency: s.reg.Histogram(MetricSetupLatency, metrics.DefBuckets),
-			admitLatency: s.reg.Histogram(MetricAdmitLatency, metrics.DefBuckets),
-		}
+		s.renegLatency = s.reg.Histogram(MetricRenegLatency, metrics.FastBuckets)
 		// One counter per fact: the registry reads the Stats counters when
 		// it is read instead of the switch bumping a second counter per
 		// event.
@@ -527,8 +507,12 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	if !validRate(rate) {
 		return fmt.Errorf("%w: %g", ErrInvalidRate, rate)
 	}
-	now := s.enter()
-	defer s.observe(s.ins.setupLatency, now)
+	// A setup's one reading is the start of the call's dwell history, so
+	// only a MemoryAdmitter's switch takes it.
+	var now int64
+	if s.mbac != nil {
+		now = s.clock()
+	}
 	p := s.port(portID)
 	if p == nil {
 		return fmt.Errorf("%w: %d", ErrNoPort, portID)
@@ -545,9 +529,7 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	}
 	var vc *vcState
 	if p.mbac != nil {
-		ok := p.mbac.Admit(seconds(now), rate)
-		s.observe(s.ins.admitLatency, now)
-		if !ok {
+		if !p.mbac.Admit(seconds(now), rate) {
 			s.rejectSetup(id, portID, rate)
 			return ErrAdmission
 		}
@@ -581,8 +563,8 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	return nil
 }
 
-// enter is an operation's one clock reading, taken on the way in: the start
-// of its latency observation and the time the admission policy sees. A
+// enter is a renegotiation's one clock reading, taken on the way in: the
+// start of its latency observation and the time the admission policy sees. A
 // switch that times nothing does not read the clock.
 func (s *Switch) enter() int64 {
 	if !s.timed {
@@ -591,14 +573,14 @@ func (s *Switch) enter() int64 {
 	return s.clock()
 }
 
-// observe records the time since an operation's entry reading into h; on a
-// switch without a registry h is nil and the clock is not read. Each latency
-// histogram is observed on every path past argument validation — setup
-// accepted or refused; renegotiation granted, denied, dropped as a duplicate
-// or failed on an unknown VC — so its count is the operations attempted.
-func (s *Switch) observe(h *metrics.Histogram, entered int64) {
-	if h != nil {
-		h.Observe(seconds(s.clock() - entered))
+// observe records the time since a renegotiation's entry reading into
+// switch.renegotiation_seconds; on a switch without a registry the histogram
+// is nil and the clock is not read. It is observed on every path past
+// argument validation — granted, denied, dropped as a duplicate or failed on
+// an unknown VC — so its count is the renegotiations attempted.
+func (s *Switch) observe(entered int64) {
+	if s.renegLatency != nil {
+		s.renegLatency.Observe(seconds(s.clock() - entered))
 	}
 }
 
@@ -660,7 +642,7 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, newRate)
 	}
 	now := s.enter()
-	defer s.observe(s.ins.renegLatency, now)
+	defer s.observe(now)
 	vc, p, err := s.lockVC(id)
 	if err != nil {
 		return 0, false, err
@@ -685,7 +667,7 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, target)
 	}
 	now := s.enter()
-	defer s.observe(s.ins.renegLatency, now)
+	defer s.observe(now)
 	vc, p, err := s.lockVC(id)
 	if err != nil {
 		return 0, false, err
@@ -781,7 +763,7 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 		return cell.RM{}, fmt.Errorf("%w: %g", ErrInvalidRate, m.ER)
 	}
 	now := s.enter()
-	defer s.observe(s.ins.renegLatency, now)
+	defer s.observe(now)
 	id := MakeVCID(h.VPI, h.VCI)
 	vc, p, err := s.lockVC(id)
 	if err != nil {

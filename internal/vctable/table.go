@@ -1,7 +1,9 @@
-// Package vctable is the switch's one VC table: both the control plane
-// (switchfab, VC → port and reserved rate) and the cell path (datapath, VC →
-// egress port and shaper) index their per-VC state through it, keyed the
-// same way, so the two planes' entries for one VC are found by one id.
+// Package vctable is the switch's one VC table type, with one instance per
+// plane: the control plane (switchfab, VC → port and reserved rate) and the
+// cell path (datapath, VC → egress port and shaper) each index their per-VC
+// state through a Table of their own, keyed the same way, so the two planes'
+// entries for one VC are found by one id. A setup on a switch with a data
+// plane publishes into both.
 package vctable
 
 import (
