@@ -16,7 +16,7 @@ RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./in
 # invocation, hence the explicit list.
 FUZZTIME ?= 10s
 
-.PHONY: all lint test race fuzz examples bench bench-check bench-json loc
+.PHONY: all lint test race fuzz examples bench bench-check bench-json loc results
 
 all: lint test race
 
@@ -84,6 +84,26 @@ bench-check:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './bench/*' ! -path '*/testdata/*' -exec cat {} + | wc -l | xargs printf '%6d total\n'
 	@for d in internal/* cmd/*; do find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l | xargs printf "%6d $$d\n"; done
+
+# results regenerates every file under results/ from the simulator (~2.5 min
+# on 2 CPUs; fig2 is ~80 s of it). CI runs it and then `git diff
+# --exit-code results/`, so the tracked outputs are the ones the tree
+# prints. fig8 is the fig7 run (one simulation, both metrics in fig7.txt)
+# and has no file of its own. TestMakefileResults holds one recipe line to
+# each file.
+results:
+	$(GO) run ./cmd/rcbrsim analysis > results/analysis.txt
+	$(GO) run ./cmd/rcbrsim chernoff > results/chernoff.txt
+	$(GO) run ./cmd/rcbrsim fig2 > results/fig2.txt
+	$(GO) run ./cmd/rcbrsim fig5 > results/fig5.txt
+	$(GO) run ./cmd/rcbrsim fig5 -frames 0 > results/fig5_full.txt
+	$(GO) run ./cmd/rcbrsim fig6 > results/fig6.txt
+	$(GO) run ./cmd/rcbrsim fig6 -alpha 1e6 > results/fig6_12s.txt
+	$(GO) run ./cmd/rcbrsim fig7 > results/fig7.txt
+	$(GO) run ./cmd/rcbrsim fig9 > results/fig9.txt
+	$(GO) run ./cmd/rcbrsim latency > results/latency.txt
+	$(GO) run ./cmd/rcbrsim muxcmp > results/muxcmp.txt
+	$(GO) run ./cmd/rcbrsim section2 > results/section2.txt
 
 # bench-json records the tier-1 benchmark baseline (ns/op, B/op, allocs/op)
 # into BENCH_trellis.json. CI runs it at -benchtime=1x into BENCH_new.json

@@ -284,7 +284,7 @@ func fig5(fs *flag.FlagSet) func(context.Context) error {
 
 func fig6(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
-	alpha := fs.Float64("alpha", 3e6, "renegotiation cost (tunes ~12 s intervals)")
+	alpha := fs.Float64("alpha", 3e6, "renegotiation cost (3e6: one per 27.9 s; 1e6: one per 16.9 s)")
 	target := fs.Float64("loss", 1e-6, "bit-loss fraction target")
 	nsFlag := fs.String("ns", "1,2,5,10,20,50,100,200,500,1000", "source counts")
 	maxReps := fs.Int("reps", 20, "max randomized phasings per capacity")

@@ -102,7 +102,6 @@ type Memoryless struct {
 	capacity float64
 	target   float64
 	calls    int
-	rates    map[int]float64
 }
 
 // NewMemoryless builds the memoryless controller over the given bandwidth
@@ -115,7 +114,6 @@ func NewMemoryless(levels []float64, capacity, target float64) (*Memoryless, err
 		levels:   stats.NewLevelHist(levels),
 		capacity: capacity,
 		target:   target,
-		rates:    make(map[int]float64),
 	}, nil
 }
 
@@ -129,24 +127,21 @@ func (m *Memoryless) Admit(_, _ float64) bool {
 }
 
 // OnAdmit implements Controller.
-func (m *Memoryless) OnAdmit(id int, _, rate float64) {
+func (m *Memoryless) OnAdmit(_ int, _, rate float64) {
 	m.calls++
 	m.levels.Add(rate, 1)
-	m.rates[id] = rate
 }
 
 // OnRateChange implements Controller.
-func (m *Memoryless) OnRateChange(id int, _, oldRate, newRate float64) {
+func (m *Memoryless) OnRateChange(_ int, _, oldRate, newRate float64) {
 	m.levels.Add(oldRate, -1)
 	m.levels.Add(newRate, 1)
-	m.rates[id] = newRate
 }
 
 // OnDepart implements Controller.
-func (m *Memoryless) OnDepart(id int, _, rate float64) {
+func (m *Memoryless) OnDepart(_ int, _, rate float64) {
 	m.calls--
 	m.levels.Add(rate, -1)
-	delete(m.rates, id)
 }
 
 // Name implements Controller.

@@ -43,8 +43,6 @@ type Config struct {
 	// TargetFailure is the QoS target used for early stopping (a batch run
 	// may stop once the failure estimate is confidently below it).
 	TargetFailure float64
-	// WarmupBatches is the number of initial batches discarded (default 1).
-	WarmupBatches int
 	// MinBatches and MaxBatches bound the measurement batches.
 	MinBatches, MaxBatches int
 	// CIFrac is the stopping rule's relative confidence half-width
@@ -180,13 +178,14 @@ type runner struct {
 	blocked  int64
 }
 
+// warmupBatches is the number of initial batches Run discards: the first
+// batch starts from an empty link.
+const warmupBatches = 1
+
 // Run executes the experiment.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.WarmupBatches == 0 {
-		cfg.WarmupBatches = 1
 	}
 	cfg.Schedules = cfg.templates() // an arrival picks from it without allocating
 	r := &runner{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
@@ -196,7 +195,7 @@ func Run(cfg Config) (Result, error) {
 	var res Result
 	var failAcc, utilAcc, callsAcc stats.Accumulator
 
-	totalBatches := cfg.WarmupBatches + cfg.MaxBatches
+	totalBatches := warmupBatches + cfg.MaxBatches
 	for b := 0; b < totalBatches; b++ {
 		// Snapshot counters, run one batch, and diff.
 		a0, f0, u0 := r.attempts, r.failures, r.upAtt
@@ -209,7 +208,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		r.flushIntegrals(horizon)
 
-		if b < cfg.WarmupBatches {
+		if b < warmupBatches {
 			continue
 		}
 		att := r.attempts - a0

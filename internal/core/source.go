@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"rcbr/internal/queue"
+)
 
 // Source models the RCBR abstraction presented to an application: a
 // fixed-size data buffer at the network entry, drained at the currently
@@ -14,7 +18,6 @@ type Source struct {
 	occupancy float64
 	arrived   float64
 	lost      float64
-	drained   float64
 	renegs    int
 	slots     int
 }
@@ -29,26 +32,17 @@ func NewSource(B, slotSec, initialRate float64) *Source {
 	return &Source{buffer: B, slotSec: slotSec, rate: initialRate}
 }
 
-// Step advances one slot: arrivalBits enter the buffer and up to
-// rate*slotSec bits drain. It returns the bits lost to overflow this slot.
+// Step advances one slot of eq. (3) (queue.Step): arrivalBits enter the
+// buffer and up to rate*slotSec bits drain. It returns the bits lost to
+// overflow this slot.
 func (s *Source) Step(arrivalBits float64) (lostBits float64) {
 	if arrivalBits < 0 {
 		panic(fmt.Sprintf("core: negative arrival %g", arrivalBits))
 	}
 	s.slots++
 	s.arrived += arrivalBits
-	before := s.occupancy + arrivalBits
-	after := before - s.rate*s.slotSec
-	if after < 0 {
-		after = 0
-	}
-	s.drained += before - after
-	if after > s.buffer {
-		lostBits = after - s.buffer
-		s.lost += lostBits
-		after = s.buffer
-	}
-	s.occupancy = after
+	s.occupancy, lostBits = queue.Step(s.occupancy, arrivalBits, s.rate*s.slotSec, s.buffer)
+	s.lost += lostBits
 	return lostBits
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rcbr/internal/queue"
 	"rcbr/internal/stats"
 	"rcbr/internal/trace"
 )
@@ -146,5 +147,29 @@ func TestSourceMatchesScheduleRun(t *testing.T) {
 	}
 	if math.Abs(src.Occupancy()-res.FinalOccupancy) > 1e-6 {
 		t.Fatalf("occupancy %v vs %v", src.Occupancy(), res.FinalOccupancy)
+	}
+}
+
+// TestSourceMatchesRun holds Source to the offline queue model: stepped
+// over the same arrivals at a constant rate, it must end at exactly the
+// occupancy and loss queue.Run computes. Both step eq. (3) through
+// queue.Step, so any rounding difference between them is a second copy of
+// the recursion.
+func TestSourceMatchesRun(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := stats.NewRNG(seed)
+		B, slot := 1e3+r.Float64()*5e3, 0.04
+		rate := 1e4 + r.Float64()*1e5
+		arr := make([]float64, 500)
+		s := NewSource(B, slot, rate)
+		for i := range arr {
+			arr[i] = r.Float64() * 8e3
+			s.Step(arr[i])
+		}
+		want := queue.Run(arr, slot, rate, B)
+		if s.Occupancy() != want.FinalOccupancy || s.LostBits() != want.LostBits {
+			t.Fatalf("seed %d: Source occupancy %v lost %v, queue.Run %v lost %v",
+				seed, s.Occupancy(), s.LostBits(), want.FinalOccupancy, want.LostBits)
+		}
 	}
 }

@@ -173,8 +173,10 @@ type Fig6Config struct {
 }
 
 // DefaultFig6Config builds the paper's setup: B = 300 kb, loss 1e-6,
-// schedule granularity 64 kb/s with alpha tuned for ~12 s renegotiation
-// intervals.
+// schedule granularity 64 kb/s, and the offline optimal schedule at
+// renegotiation cost alpha. On the default 28,800-frame trace alpha = 3e6
+// renegotiates once every 27.9 s and alpha = 1e6 once every 16.9 s (the
+// headers of results/fig6.txt and fig6_12s.txt).
 func DefaultFig6Config(tr *trace.Trace, alpha float64) (Fig6Config, error) {
 	levels := FeasibleGridLevels(tr, 300e3, 64e3)
 	sch, err := OptimalSchedule(tr, 300e3, alpha, levels)

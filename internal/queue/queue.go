@@ -40,6 +40,58 @@ func (r Result) LossFraction() float64 {
 	return r.LostBits / r.ArrivedBits
 }
 
+// Step is eq. (3) for one slot: a buffer of B bits holding q bits receives
+// a bits and offers s bits of service. It returns the next occupancy and
+// the bits lost above B. Every model in the repository that steps a finite
+// buffer slot by slot steps it here.
+func Step(q, a, s, B float64) (next, lost float64) {
+	q += a - s
+	if q < 0 {
+		q = 0
+	}
+	if q > B {
+		return B, q - B
+	}
+	return q, 0
+}
+
+// meter accumulates the Result of one measured pass. It is a value the
+// loops reassign, not a pointer target, so slot inlines and the sums stay
+// in registers.
+type meter struct {
+	arrived, lost, maxQ, maxDelay float64
+}
+
+// slot steps eq. (3) from q with a bits arriving and s bits of service and
+// records the slot. It returns the updated meter and the next occupancy.
+// The virtual delay q/s is +Inf for a backlog with no service and NaN
+// (never a maximum) for an empty buffer with none.
+func (m meter) slot(q, a, s, B float64) (meter, float64) {
+	q, l := Step(q, a, s, B)
+	m.arrived += a
+	m.lost += l
+	if q > m.maxQ {
+		m.maxQ = q
+	}
+	if d := q / s; d > m.maxDelay {
+		m.maxDelay = d
+	}
+	return m, q
+}
+
+// result is the pass's Result ending at occupancy q, with every bit neither
+// lost nor still queued counted as served.
+func (m meter) result(q float64) Result {
+	return Result{
+		ArrivedBits:    m.arrived,
+		ServedBits:     m.arrived - m.lost - q,
+		LostBits:       m.lost,
+		MaxOccupancy:   m.maxQ,
+		FinalOccupancy: q,
+		MaxDelaySlots:  m.maxDelay,
+	}
+}
+
 // Run simulates a finite buffer of B bits receiving arrivals[t] bits in slot
 // t and drained at serviceRate (bits/second) with slots of slotSec seconds.
 // It panics if slotSec, B or serviceRate is negative.
@@ -48,40 +100,17 @@ func Run(arrivals []float64, slotSec, serviceRate, B float64) Result {
 		panic("queue: invalid Run arguments")
 	}
 	perSlot := serviceRate * slotSec
-	var q, arrived, lost, maxQ, maxDelay float64
+	var m meter
+	var q float64
 	for _, a := range arrivals {
-		arrived += a
-		q += a - perSlot
-		if q < 0 {
-			q = 0
-		}
-		if q > B {
-			lost += q - B
-			q = B
-		}
-		if q > maxQ {
-			maxQ = q
-		}
-		if perSlot > 0 {
-			if d := q / perSlot; d > maxDelay {
-				maxDelay = d
-			}
-		} else if q > 0 {
-			maxDelay = math.Inf(1)
-		}
+		m, q = m.slot(q, a, perSlot, B)
 	}
-	return Result{
-		ArrivedBits:    arrived,
-		ServedBits:     arrived - lost - q,
-		LostBits:       lost,
-		MaxOccupancy:   maxQ,
-		FinalOccupancy: q,
-		MaxDelaySlots:  maxDelay,
-	}
+	return m.result(q)
 }
 
 // RunSchedule is like Run but with a per-slot service rate rates[t]
-// (bits/second). rates must be at least as long as arrivals.
+// (bits/second). rates must be at least as long as arrivals, and no rate
+// may be negative.
 func RunSchedule(arrivals []float64, slotSec float64, rates []float64, B float64) Result {
 	if slotSec <= 0 || B < 0 {
 		panic("queue: invalid RunSchedule arguments")
@@ -89,37 +118,12 @@ func RunSchedule(arrivals []float64, slotSec float64, rates []float64, B float64
 	if len(rates) < len(arrivals) {
 		panic(fmt.Sprintf("queue: %d rates for %d arrival slots", len(rates), len(arrivals)))
 	}
-	var q, arrived, lost, maxQ, maxDelay float64
+	var m meter
+	var q float64
 	for t, a := range arrivals {
-		perSlot := rates[t] * slotSec
-		arrived += a
-		q += a - perSlot
-		if q < 0 {
-			q = 0
-		}
-		if q > B {
-			lost += q - B
-			q = B
-		}
-		if q > maxQ {
-			maxQ = q
-		}
-		if perSlot > 0 {
-			if d := q / perSlot; d > maxDelay {
-				maxDelay = d
-			}
-		} else if q > 0 {
-			maxDelay = math.Inf(1)
-		}
+		m, q = m.slot(q, a, rates[t]*slotSec, B)
 	}
-	return Result{
-		ArrivedBits:    arrived,
-		ServedBits:     arrived - lost - q,
-		LostBits:       lost,
-		MaxOccupancy:   maxQ,
-		FinalOccupancy: q,
-		MaxDelaySlots:  maxDelay,
-	}
+	return m.result(q)
 }
 
 // RunCyclic approximates the steady-state loss of a periodic source: warm-up
@@ -128,7 +132,9 @@ func RunSchedule(arrivals []float64, slotSec float64, rates []float64, B float64
 // start and bounded by B, so it converges; a saturated buffer is itself the
 // fixpoint), then one final pass is measured. Without this, a service rate
 // below the source mean looks loss-free on a single finite pass because the
-// backlog hides in the buffer instead of overflowing.
+// backlog hides in the buffer instead of overflowing. The measured pass
+// counts every arrived bit it does not lose as served: in steady state a
+// pass ends at the occupancy it began with.
 func RunCyclic(arrivals []float64, slotSec, serviceRate, B float64) Result {
 	if slotSec <= 0 || B < 0 || serviceRate < 0 {
 		panic("queue: invalid RunCyclic arguments")
@@ -140,46 +146,16 @@ func RunCyclic(arrivals []float64, slotSec, serviceRate, B float64) Result {
 	for pass := 0; pass < maxWarm && q != prev; pass++ {
 		prev = q
 		for _, a := range arrivals {
-			q += a - perSlot
-			if q < 0 {
-				q = 0
-			}
-			if q > B {
-				q = B
-			}
+			q, _ = Step(q, a, perSlot, B)
 		}
 	}
-	// Measured pass.
-	var arrived, lost, maxQ, maxDelay float64
+	var m meter
 	for _, a := range arrivals {
-		arrived += a
-		q += a - perSlot
-		if q < 0 {
-			q = 0
-		}
-		if q > B {
-			lost += q - B
-			q = B
-		}
-		if q > maxQ {
-			maxQ = q
-		}
-		if perSlot > 0 {
-			if d := q / perSlot; d > maxDelay {
-				maxDelay = d
-			}
-		} else if q > 0 {
-			maxDelay = math.Inf(1)
-		}
+		m, q = m.slot(q, a, perSlot, B)
 	}
-	return Result{
-		ArrivedBits:    arrived,
-		ServedBits:     arrived - lost,
-		LostBits:       lost,
-		MaxOccupancy:   maxQ,
-		FinalOccupancy: q,
-		MaxDelaySlots:  maxDelay,
-	}
+	r := m.result(q)
+	r.ServedBits = r.ArrivedBits - r.LostBits
+	return r
 }
 
 // Arrivals converts a trace into a per-slot arrival vector in bits.

@@ -138,6 +138,10 @@ func TestRunScheduleZeroRateDelay(t *testing.T) {
 	if !math.IsInf(r.MaxDelaySlots, 1) {
 		t.Fatalf("MaxDelaySlots = %v, want +Inf", r.MaxDelaySlots)
 	}
+	// An empty buffer with no service has no delay: 0/0 is not a maximum.
+	if r := RunSchedule([]float64{0, 0}, 1, []float64{0, 5}, 100); r.MaxDelaySlots != 0 {
+		t.Fatalf("empty unserved buffer: MaxDelaySlots = %v, want 0", r.MaxDelaySlots)
+	}
 }
 
 func TestRunCyclicSteadyState(t *testing.T) {

@@ -76,6 +76,50 @@ type SearchStats struct {
 	FinalLoss   float64 // estimated loss fraction at the returned capacity
 }
 
+// search is the capacity search both multiplexed scenarios share: a
+// bisection over the per-stream capacity whose every candidate is judged by
+// replicating randomized phasings until Section V-B's stopping rule holds.
+type search struct {
+	cfg *Config
+	// sample returns the loss fraction of phasing rep at per-stream
+	// capacity c; phasings are generated on first use and reused.
+	sample func(c float64, rep int) float64
+	st     SearchStats
+}
+
+// lossAt estimates the loss fraction at per-stream capacity c: at least
+// MinReps and at most MaxReps phasings, stopping once the confidence
+// interval is within CIFrac of the mean or lies wholly below the target.
+func (s *search) lossAt(c float64) float64 {
+	cfg := s.cfg
+	var acc stats.Accumulator
+	for rep := 0; rep < cfg.MaxReps; rep++ {
+		acc.Add(s.sample(c, rep))
+		s.st.Simulations++
+		if rep+1 >= cfg.MinReps &&
+			(acc.Converged(cfg.CIFrac, cfg.MinReps) ||
+				acc.UpperBelow(cfg.LossTarget, cfg.MinReps)) {
+			break
+		}
+	}
+	return acc.Mean()
+}
+
+// bisect narrows [lo, hi] searchIters times toward the smallest capacity
+// meeting the loss target and returns hi with the search's stats.
+func (s *search) bisect(lo, hi float64) (float64, SearchStats) {
+	for iter := 0; iter < searchIters; iter++ {
+		mid := (lo + hi) / 2
+		if s.lossAt(mid) > s.cfg.LossTarget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	s.st.FinalLoss = s.lossAt(hi)
+	return hi, s.st
+}
+
 // CBRRate returns scenario (a)'s per-stream rate: the minimum CBR rate
 // draining a private buffer of B bits with bit-loss at most the target. It
 // is N-independent (no multiplexing).
@@ -87,12 +131,11 @@ func CBRRate(tr *trace.Trace, bufferBits, lossTarget float64) float64 {
 // sources: the minimum c such that n randomly phased copies of the trace
 // through a shared buffer n*B at rate n*c lose at most the target fraction.
 func SharedRate(cfg Config, n int) (float64, SearchStats, error) {
-	var st SearchStats
 	if err := cfg.Validate(); err != nil {
-		return 0, st, err
+		return 0, SearchStats{}, err
 	}
 	if n <= 0 {
-		return 0, st, fmt.Errorf("smg: n must be positive, got %d", n)
+		return 0, SearchStats{}, fmt.Errorf("smg: n must be positive, got %d", n)
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	slot := cfg.Trace.SlotSeconds()
@@ -112,41 +155,19 @@ func SharedRate(cfg Config, n int) (float64, SearchStats, error) {
 		return agg
 	}
 
-	lossAt := func(cPer float64) float64 {
-		var acc stats.Accumulator
-		C := cPer * float64(n)
-		B := cfg.BufferBits * float64(n)
-		for rep := 0; rep < cfg.MaxReps; rep++ {
-			if rep >= len(aggs) {
-				aggs = append(aggs, makeAgg())
-			}
-			res := queue.RunCyclic(aggs[rep], slot, C, B)
-			acc.Add(res.LossFraction())
-			st.Simulations++
-			if rep+1 >= cfg.MinReps &&
-				(acc.Converged(cfg.CIFrac, cfg.MinReps) ||
-					acc.UpperBelow(cfg.LossTarget, cfg.MinReps)) {
-				break
-			}
+	B := cfg.BufferBits * float64(n)
+	cs := search{cfg: &cfg, sample: func(cPer float64, rep int) float64 {
+		if rep >= len(aggs) {
+			aggs = append(aggs, makeAgg())
 		}
-		return acc.Mean()
-	}
-
-	lo := cfg.Trace.MeanRate() * 0.95
+		return queue.RunCyclic(aggs[rep], slot, cPer*float64(n), B).LossFraction()
+	}}
 	hi := CBRRate(cfg.Trace, cfg.BufferBits, cfg.LossTarget)
-	if lossAt(hi) > cfg.LossTarget {
+	if cs.lossAt(hi) > cfg.LossTarget {
 		hi = cfg.Trace.PeakFrameRate()
 	}
-	for iter := 0; iter < searchIters; iter++ {
-		mid := (lo + hi) / 2
-		if lossAt(mid) > cfg.LossTarget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	st.FinalLoss = lossAt(hi)
-	return hi, st, nil
+	c, st := cs.bisect(cfg.Trace.MeanRate()*0.95, hi)
+	return c, st, nil
 }
 
 // rateEvent is one point where a source's stepwise-CBR demand changes.
@@ -160,15 +181,14 @@ type rateEvent struct {
 // bufferless multiplexer. The loss model is the paper's: when aggregate
 // demand exceeds capacity, the excess rate is lost until demand recedes.
 func RCBRRate(cfg Config, n int) (float64, SearchStats, error) {
-	var st SearchStats
 	if err := cfg.Validate(); err != nil {
-		return 0, st, err
+		return 0, SearchStats{}, err
 	}
 	if cfg.Schedule == nil {
-		return 0, st, fmt.Errorf("smg: RCBRRate needs a schedule")
+		return 0, SearchStats{}, fmt.Errorf("smg: RCBRRate needs a schedule")
 	}
 	if n <= 0 {
-		return 0, st, fmt.Errorf("smg: n must be positive, got %d", n)
+		return 0, SearchStats{}, fmt.Errorf("smg: n must be positive, got %d", n)
 	}
 	rng := stats.NewRNG(cfg.Seed + 1)
 	T := cfg.Schedule.Slots
@@ -193,36 +213,14 @@ func RCBRRate(cfg Config, n int) (float64, SearchStats, error) {
 		return evs
 	}
 
-	lossAt := func(cPer float64) float64 {
-		var acc stats.Accumulator
-		C := cPer * float64(n)
-		for rep := 0; rep < cfg.MaxReps; rep++ {
-			if rep >= len(phasings) {
-				phasings = append(phasings, makePhasing())
-			}
-			acc.Add(excessIntegral(phasings[rep], C, dur) / offered)
-			st.Simulations++
-			if rep+1 >= cfg.MinReps &&
-				(acc.Converged(cfg.CIFrac, cfg.MinReps) ||
-					acc.UpperBelow(cfg.LossTarget, cfg.MinReps)) {
-				break
-			}
+	cs := search{cfg: &cfg, sample: func(cPer float64, rep int) float64 {
+		if rep >= len(phasings) {
+			phasings = append(phasings, makePhasing())
 		}
-		return acc.Mean()
-	}
-
-	lo := cfg.Trace.MeanRate() * 0.95
-	hi := cfg.Schedule.PeakRate()
-	for iter := 0; iter < searchIters; iter++ {
-		mid := (lo + hi) / 2
-		if lossAt(mid) > cfg.LossTarget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	st.FinalLoss = lossAt(hi)
-	return hi, st, nil
+		return excessIntegral(phasings[rep], cPer*float64(n), dur) / offered
+	}}
+	c, st := cs.bisect(cfg.Trace.MeanRate()*0.95, cfg.Schedule.PeakRate())
+	return c, st, nil
 }
 
 // excessIntegral integrates max(0, demand(t) - capacity) over [0, dur] for a

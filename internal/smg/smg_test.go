@@ -228,6 +228,10 @@ func TestAsymptoticRCBR(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossRuns pins both capacity searches: the same seed
+// gives the same result, and the returned capacity and SearchStats are
+// held exactly, so a change in the order candidates are evaluated or in
+// how many phasings each one takes moves at least one of them.
 func TestDeterministicAcrossRuns(t *testing.T) {
 	cfg := testConfig(t, 1200)
 	a, _, err := SharedRate(cfg, 4)
@@ -240,5 +244,35 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same seed, different results: %v vs %v", a, b)
+	}
+	type pin struct {
+		rate float64
+		st   SearchStats
+	}
+	for _, c := range []struct {
+		n            int
+		shared, rcbr pin
+	}{
+		{1, pin{687445.1224057553, SearchStats{42, 9.999999999997668e-05}},
+			pin{852604.7850449218, SearchStats{39, 9.856796430175557e-05}}},
+		{4, pin{516101.64473843086, SearchStats{150, 9.834701966141163e-05}},
+			pin{648554.2167417881, SearchStats{99, 4.3635910744056374e-05}}},
+		{16, pin{407278.66933400615, SearchStats{65, 3.188444570663153e-05}},
+			pin{527630.8603024681, SearchStats{134, 9.92356086488716e-05}}},
+	} {
+		r, st, err := SharedRate(cfg, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (pin{r, st}); got != c.shared {
+			t.Errorf("SharedRate n=%d = %+v, want %+v", c.n, got, c.shared)
+		}
+		r, st, err = RCBRRate(cfg, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (pin{r, st}); got != c.rcbr {
+			t.Errorf("RCBRRate n=%d = %+v, want %+v", c.n, got, c.rcbr)
+		}
 	}
 }

@@ -52,10 +52,10 @@ func TestSteadyStateAllocations(t *testing.T) {
 // sort- and scratch-allocations this PR removed — and they must cost
 // nothing as the trace doubles.
 //
-// The 13-level ladder 10..22 takes the heap merge (mergeHeapMinK lanes or
-// more). Every rate drains the slot, so each slot's switch candidates from
-// rate 10 fill all 13 lanes for the cross-rate prune's merge, and the prune
-// kills them all before any event node exists.
+// The 13-level ladder 10..22 runs the same merge over many lanes. Every
+// rate drains the slot, so each slot's switch candidates from rate 10 fill
+// all 13 lanes for the cross-rate prune's merge, and the prune kills them
+// all before any event node exists.
 func TestMultiLevelAllocationsScaleWithSegments(t *testing.T) {
 	ladder := make([]float64, 13)
 	for k := range ladder {

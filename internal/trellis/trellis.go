@@ -130,7 +130,7 @@ type optimizer struct {
 	fronts, spare [][]entry // per-rate frontiers: ascending b, descending w
 	merged        []entry   // global Pareto merge output
 	cursor        []int     // K-way merge cursors
-	heap          []int32   // rate-index min-heap for the large-K merge
+	heap          []int32   // rate-index min-heap of the K-way merge
 	drain         []float64 // bits per slot at each level
 	slotCost      []float64 // beta cost of one slot at each level
 	nodes         int64     // NodesExpanded
@@ -463,60 +463,14 @@ func (o *optimizer) materialize(t int32) {
 	}
 }
 
-// mergeHeapMinK is the level count above which the K-way merge switches
-// from a linear head scan (O(N*K), best for a handful of rates) to a
-// cursor min-heap (O(N log K)). The crossover sits around a dozen lanes.
-const mergeHeapMinK = 12
-
 // mergeGlobal builds the global Pareto frontier across all rates, used as
 // the source set for rate-switch candidates. The per-rate frontiers are
-// already sorted by b ascending, so a K-way cursor merge visits candidates
-// in (b, w) order without the sort (and its per-slot allocations) the old
-// implementation paid; the Pareto filter folds into the same pass. Under
-// PruneExact the merge keeps everything (sorted by b, then w) so no
-// cross-rate state is lost.
+// already sorted by b ascending, so a min-heap of per-rate cursors visits
+// candidates in (b, w) order, ties broken toward the lower rate index,
+// without a sort or per-slot allocations; the Pareto filter folds into the
+// same pass. Under PruneExact the merge keeps everything (sorted by b, then
+// w) so no cross-rate state is lost.
 func (o *optimizer) mergeGlobal(pr Pruning) []entry {
-	if len(o.fronts) >= mergeHeapMinK {
-		return o.mergeGlobalHeap(pr)
-	}
-	out := o.merged[:0]
-	cur := o.cursor
-	for k := range cur {
-		cur[k] = 0
-	}
-	minW := math.Inf(1)
-	for {
-		best := -1
-		var be entry
-		for k, f := range o.fronts {
-			i := cur[k]
-			if i >= len(f) {
-				continue
-			}
-			e := f[i]
-			if best < 0 || e.b < be.b || (e.b == be.b && e.w < be.w) {
-				best, be = k, e
-			}
-		}
-		if best < 0 {
-			break
-		}
-		cur[best]++
-		if pr == PruneExact {
-			out = append(out, be)
-		} else if be.w < minW {
-			minW = be.w
-			out = append(out, be)
-		}
-	}
-	o.merged = out
-	return out
-}
-
-// mergeGlobalHeap is mergeGlobal on a min-heap of per-rate cursors, for
-// runs with many levels. Ties on (b, w) break toward the lower rate index,
-// exactly like the linear scan, so both paths emit the same sequence.
-func (o *optimizer) mergeGlobalHeap(pr Pruning) []entry {
 	out := o.merged[:0]
 	cur := o.cursor
 	h := o.heap[:0]

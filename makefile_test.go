@@ -60,6 +60,46 @@ func TestMakefileLoc(t *testing.T) {
 	}
 }
 
+// TestMakefileResults pins the results target to the tracked outputs:
+// every file under results/ is written by exactly one recipe line, no line
+// writes a file that is not tracked there, and CI runs the target and fails
+// on any difference, so a change that moves a figure has to say so.
+func TestMakefileResults(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("reading Makefile: %v", err)
+	}
+	writers := map[string]int{}
+	for _, line := range recipeLines(t, string(src), "results") {
+		cmd, file, ok := strings.Cut(line, " > results/")
+		if !ok || !strings.HasPrefix(cmd, "$(GO) run ./cmd/rcbrsim ") {
+			t.Errorf("results recipe line %q is not `$(GO) run ./cmd/rcbrsim <cmd> > results/<file>`", line)
+			continue
+		}
+		writers[file]++
+	}
+	files, err := os.ReadDir("results")
+	if err != nil {
+		t.Fatalf("reading results/: %v", err)
+	}
+	for _, f := range files {
+		if n := writers[f.Name()]; n != 1 {
+			t.Errorf("results/%s is written by %d recipe lines, want 1", f.Name(), n)
+		}
+		delete(writers, f.Name())
+	}
+	for file := range writers {
+		t.Errorf("results recipe writes results/%s, which is not tracked", file)
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatalf("reading ci.yml: %v", err)
+	}
+	if !strings.Contains(string(ci), "make results\n          git diff --exit-code results/\n") {
+		t.Error("ci.yml does not run `make results` then `git diff --exit-code results/`")
+	}
+}
+
 // recipeLines returns the recipe of the named Makefile target, one trimmed
 // command per line.
 func recipeLines(t *testing.T, src, target string) []string {
