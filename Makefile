@@ -1,6 +1,10 @@
-# Developer entry points mirroring CI (.github/workflows/ci.yml): a change
-# that passes `make lint test race fuzz` locally passes the required CI
-# steps. Keep the two in sync — CI calls the fuzz target directly.
+# Developer entry points mirroring CI (.github/workflows/ci.yml): `make all`
+# runs every required CI step that needs no download — vet, build and test,
+# the examples, race, fuzz, the benchmark smoke, the results regeneration
+# and its diff, the benchmark module, and the zero-alloc gate — so a change
+# that passes it locally passes them. Staticcheck and govulncheck are the
+# two CI steps it leaves out (`make lint-extra`). TestMakefileAllCoversCI
+# holds every `make` target CI runs to a prerequisite of all.
 
 GO ?= go
 
@@ -18,7 +22,13 @@ FUZZTIME ?= 10s
 
 .PHONY: all lint test race fuzz examples bench bench-check bench-json loc results
 
-all: lint test race
+all: lint test examples race fuzz bench results bench-check bench-json
+	git diff --exit-code results/
+	$(GO) run ./cmd/benchjson -compare BENCH_trellis.json BENCH_new.json
+
+# all writes its benchmark smoke run where CI does, beside the tracked
+# baseline it is compared with, never over it.
+all: BENCHJSON = BENCH_new.json
 
 # lint is go vet. The repository's own source rules (metric names, sentinel
 # matching, no lock across a blocking call) are tests in the root package and

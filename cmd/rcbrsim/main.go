@@ -1,4 +1,6 @@
-// Command rcbrsim regenerates every figure of the RCBR paper's evaluation.
+// Command rcbrsim runs every offline experiment and tool of the RCBR
+// repository: the figures of the paper's evaluation, a renegotiation
+// schedule for one trace, and the synthetic trace generator.
 //
 // Usage:
 //
@@ -19,6 +21,8 @@
 //	rcbrsim signal [-n N] [-json out.json]         online sources over a live UDP switch
 //	rcbrsim churn  [-vcs N] [-admit memory|none]   call-scale churn against a live switch
 //	rcbrsim topology [-n N] [-preset P] [-csv F]   parking-lot mesh, utilization + fairness CSV
+//	rcbrsim schedule [-mode M] [-in F] [-dump]     optimal or online renegotiation schedule of a trace
+//	rcbrsim trace [-out F] [-in F] [-peaks]        generate, inspect or export a synthetic trace
 //
 // Full-length runs (-frames 0 selects the whole two-hour trace) reproduce
 // the paper's setup; shorter traces keep the shapes with less wall time.
@@ -78,6 +82,8 @@ var commands = []command{
 	{"signal", "online sources over a live UDP switch", signalRun},
 	{"churn", "call-scale churn against a live switch", churnRun},
 	{"topology", "parking-lot mesh, utilization + fairness CSV", topologyRun},
+	{"schedule", "optimal or online renegotiation schedule of a trace", scheduleRun},
+	{"trace", "generate, inspect or export a synthetic trace", traceRun},
 }
 
 // errUsage marks a command line that names no command the table has.
@@ -140,7 +146,7 @@ func dispatch(args []string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "rcbrsim regenerates the RCBR paper's figures.\n"+
+	fmt.Fprintln(os.Stderr, "rcbrsim runs the RCBR paper's offline experiments and tools.\n"+
 		"usage: rcbrsim [-cpuprofile F] [-memprofile F] <command> [flags]\ncommands:")
 	for _, c := range commands {
 		fmt.Fprintf(os.Stderr, "  %-9s %s\n", c.name, c.summary)
@@ -154,6 +160,29 @@ func commonFlags(fs *flag.FlagSet) (*int, *uint64) {
 	frames := fs.Int("frames", 28800, "trace length in frames (0 = full two hours)")
 	seed := fs.Uint64("seed", 1, "trace generator seed")
 	return frames, seed
+}
+
+// traceFlags registers commonFlags' -frames and -seed beside -in, for the
+// commands that also read a trace file. The function it returns loads the
+// file, or synthesizes the trace without -in, and prints its summary line.
+func traceFlags(fs *flag.FlagSet) func() (*trace.Trace, error) {
+	frames, seed := commonFlags(fs)
+	in := fs.String("in", "", "trace file (empty: synthesize)")
+	return func() (*trace.Trace, error) {
+		if *in == "" {
+			return buildTrace(*frames, *seed), nil
+		}
+		tr, err := trace.Load(*in)
+		if err != nil {
+			return nil, err
+		}
+		sum, err := tr.Summarize()
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("trace: %s\n", sum)
+		return tr, nil
+	}
 }
 
 // boundedFrames registers -frames and -seed for the commands that replay the
@@ -506,23 +535,14 @@ func chernoff(fs *flag.FlagSet) func(context.Context) error {
 }
 
 func fitModel(fs *flag.FlagSet) func(context.Context) error {
-	frames, seed := commonFlags(fs)
+	load := traceFlags(fs)
 	classes := fs.Int("classes", 4, "number of slow time-scale classes")
 	buffer := fs.Float64("buffer", 300e3, "buffer for the eq. 9 comparison (bits)")
 	target := fs.Float64("loss", 1e-6, "loss target for the comparison")
-	in := fs.String("in", "", "fit an external trace file instead")
 	return func(context.Context) error {
-		var tr *trace.Trace
-		if *in != "" {
-			var err error
-			if tr, err = trace.Load(*in); err != nil {
-				return err
-			}
-			if sum, err := tr.Summarize(); err == nil {
-				fmt.Printf("trace: %s\n", sum)
-			}
-		} else {
-			tr = buildTrace(*frames, *seed)
+		tr, err := load()
+		if err != nil {
+			return err
 		}
 		opt := fit.DefaultOptions(tr)
 		opt.Classes = *classes

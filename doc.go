@@ -30,7 +30,7 @@
 //
 // Start with examples/quickstart (trace → optimal schedule → replay through
 // the buffer), then interactive and storedvideo (a switch over UDP),
-// admission and bookahead. cmd/rcbrsim regenerates every figure, cmd/rcbrd
-// is the switch daemon, cmd/schedule and cmd/tracegen are the offline tools;
-// DESIGN.md and EXPERIMENTS.md hold the architecture and the measurements.
+// admission and bookahead. cmd/rcbrsim runs every figure and offline tool
+// (schedule computes one trace's schedule, trace makes or inspects a trace),
+// cmd/rcbrd is the switch daemon; DESIGN.md and EXPERIMENTS.md hold the architecture and the measurements.
 package rcbr

@@ -3,9 +3,9 @@ package admission
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rcbr/internal/ld"
+	"rcbr/internal/stats"
 )
 
 // LiveMemory is the Memory scheme restructured for a live switch: the same
@@ -103,20 +103,6 @@ func NewLiveMemory(levels []float64, capacity, target float64) (*LiveMemory, err
 	return m, nil
 }
 
-// index returns the index of the level nearest to rate (ties go down),
-// matching stats.LevelHist.Index so LiveMemory and Memory bucket rates
-// identically.
-func (m *LiveMemory) index(rate float64) int {
-	i := sort.SearchFloat64s(m.levels, rate)
-	if i == len(m.levels) {
-		return len(m.levels) - 1
-	}
-	if i > 0 && rate-m.levels[i-1] <= m.levels[i]-rate {
-		return i - 1
-	}
-	return i
-}
-
 // dist assembles the pooled per-call distribution at time now. The returned
 // Dist aliases internal scratch: valid until the next dist call, never
 // retained by the Chernoff evaluation.
@@ -193,7 +179,7 @@ func (m *LiveMemory) Enter(c *Call, now, rate float64) {
 	if !math.IsNaN(c.since) {
 		panic("admission: Enter of a call record already in a pool")
 	}
-	level := m.index(rate)
+	level := stats.NearestLevel(m.levels, rate)
 	c.since = now
 	m.active[level]++
 	m.sinceSum[level] += now
@@ -206,14 +192,14 @@ func (m *LiveMemory) Move(c *Call, now, oldRate, newRate float64) {
 	if math.IsNaN(c.since) {
 		panic("admission: Move of a call record in no pool")
 	}
-	old := m.index(oldRate)
+	old := stats.NearestLevel(m.levels, oldRate)
 	if d := now - c.since; d > 0 {
 		c.dwell[old] += d
 		m.flushed[old] += d
 	}
 	m.active[old]--
 	m.sinceSum[old] -= c.since
-	level := m.index(newRate)
+	level := stats.NearestLevel(m.levels, newRate)
 	c.since = now
 	m.active[level]++
 	m.sinceSum[level] += now
@@ -227,7 +213,7 @@ func (m *LiveMemory) Leave(c *Call, rate float64) {
 	if math.IsNaN(c.since) {
 		panic("admission: Leave of a call record in no pool")
 	}
-	level := m.index(rate)
+	level := stats.NearestLevel(m.levels, rate)
 	m.active[level]--
 	m.sinceSum[level] -= c.since
 	for i := range m.levels {

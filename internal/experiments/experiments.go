@@ -26,7 +26,7 @@ import (
 // given length (frames <= 0 means the full two hours).
 func StarWars(seed uint64, frames int) *trace.Trace {
 	if frames <= 0 {
-		return trace.SyntheticStarWars(seed)
+		frames = trace.DefaultStarWarsConfig().Frames
 	}
 	return trace.SyntheticStarWarsFrames(seed, frames)
 }

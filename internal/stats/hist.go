@@ -54,12 +54,17 @@ func (h *LevelHist) Add(rate, w float64) {
 }
 
 // Index returns the index of the level nearest to rate (ties go down).
-func (h *LevelHist) Index(rate float64) int {
-	i := sort.SearchFloat64s(h.levels, rate)
-	if i == len(h.levels) {
-		return len(h.levels) - 1
+func (h *LevelHist) Index(rate float64) int { return NearestLevel(h.levels, rate) }
+
+// NearestLevel returns the index of the level nearest to rate in ascending,
+// non-empty levels (ties go down; past either end, that end): the rounding
+// rule of LevelHist and of admission.LiveMemory.
+func NearestLevel(levels []float64, rate float64) int {
+	i := sort.SearchFloat64s(levels, rate)
+	if i == len(levels) {
+		return len(levels) - 1
 	}
-	if i > 0 && rate-h.levels[i-1] <= h.levels[i]-rate {
+	if i > 0 && rate-levels[i-1] <= levels[i]-rate {
 		return i - 1
 	}
 	return i

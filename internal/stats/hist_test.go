@@ -6,16 +6,24 @@ import (
 	"testing/quick"
 )
 
+// TestLevelHistIndexNearest pins the one level-rounding rule, NearestLevel,
+// that LevelHist.Index and the admission package's LiveMemory share:
+// nearest level, ties toward the lower one, and a rate past either end
+// clamped to it.
 func TestLevelHistIndexNearest(t *testing.T) {
-	h := NewLevelHist([]float64{100, 200, 400})
+	levels := []float64{100, 200, 400}
+	h := NewLevelHist(levels)
 	cases := []struct {
 		rate float64
 		want int
 	}{
-		{0, 0}, {100, 0}, {149, 0}, {150, 0}, {151, 1},
+		{0, 0}, {99, 0}, {100, 0}, {149, 0}, {150, 0}, {151, 1},
 		{200, 1}, {299, 1}, {300, 1}, {301, 2}, {400, 2}, {1e9, 2},
 	}
 	for _, c := range cases {
+		if got := NearestLevel(levels, c.rate); got != c.want {
+			t.Errorf("NearestLevel(%v) = %d, want %d", c.rate, got, c.want)
+		}
 		if got := h.Index(c.rate); got != c.want {
 			t.Errorf("Index(%v) = %d, want %d", c.rate, got, c.want)
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -39,18 +40,19 @@ func FuzzReadBinary(f *testing.F) {
 }
 
 // FuzzReadText must never panic; accepted traces must have non-negative
-// frames and positive fps.
+// frames and a finite, positive fps.
 func FuzzReadText(f *testing.F) {
 	f.Add("# fps 24\n100\n200\n")
 	f.Add("")
 	f.Add("-1\n")
 	f.Add("# fps -3\n1\n")
+	f.Add("# fps NaN\n1\n")
 	f.Fuzz(func(t *testing.T, s string) {
 		tr, err := ReadText(strings.NewReader(s))
 		if err != nil {
 			return
 		}
-		if tr.FPS <= 0 {
+		if !(tr.FPS > 0) || math.IsInf(tr.FPS, 1) {
 			t.Fatalf("accepted fps %v", tr.FPS)
 		}
 		for i, b := range tr.FrameBits {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -125,7 +126,7 @@ func ReadText(r io.Reader) (*Trace, error) {
 			fields := strings.Fields(strings.TrimPrefix(s, "#"))
 			if len(fields) == 2 && fields[0] == "fps" {
 				v, err := strconv.ParseFloat(fields[1], 64)
-				if err != nil || v <= 0 {
+				if err != nil || !(v > 0) || math.IsInf(v, 1) {
 					return nil, fmt.Errorf("trace: line %d: bad fps %q", line, fields[1])
 				}
 				fps = v

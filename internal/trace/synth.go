@@ -75,6 +75,9 @@ func DefaultStarWarsConfig() Config {
 
 // Validate reports the first problem with the configuration, or nil.
 func (c Config) Validate() error {
+	if err := c.checkFinite(); err != nil {
+		return err
+	}
 	switch {
 	case c.Frames <= 0:
 		return fmt.Errorf("trace: Frames must be positive, got %d", c.Frames)
@@ -105,6 +108,23 @@ func (c Config) Validate() error {
 		if cl.GOPFactor < 0 || cl.GOPFactor > 1 {
 			return fmt.Errorf("trace: scene class %d (%s) GOPFactor %g outside (0,1]",
 				i, cl.Name, cl.GOPFactor)
+		}
+	}
+	return nil
+}
+
+// checkFinite refuses a NaN or infinite parameter: every comparison in
+// Validate is false for NaN, so none of them would.
+func (c Config) checkFinite() error {
+	names := []string{"FPS", "MeanRate", "IWeight", "PWeight", "BWeight", "ARCoeff", "ARSigma"}
+	vals := []float64{c.FPS, c.MeanRate, c.IWeight, c.PWeight, c.BWeight, c.ARCoeff, c.ARSigma}
+	for _, cl := range c.Classes {
+		names = append(names, cl.Name+" Multiplier", cl.Name+" MeanDurSec", cl.Name+" Weight", cl.Name+" GOPFactor")
+		vals = append(vals, cl.Multiplier, cl.MeanDurSec, cl.Weight, cl.GOPFactor)
+	}
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("trace: %s must be finite, got %g", names[i], v)
 		}
 	}
 	return nil
@@ -217,19 +237,9 @@ func nextScene(cfg Config, rng *stats.RNG, weights []float64, cur int) int {
 	return rng.Pick(w)
 }
 
-// SyntheticStarWars generates the repository's stand-in for the paper's
-// Star Wars trace, deterministically from seed.
-func SyntheticStarWars(seed uint64) *Trace {
-	t, err := Synthesize(DefaultStarWarsConfig(), stats.NewRNG(seed))
-	if err != nil {
-		panic("trace: default config invalid: " + err.Error())
-	}
-	return t
-}
-
-// SyntheticStarWarsFrames is like SyntheticStarWars but with a custom length,
-// for tests and benchmarks that need a shorter workload with the same
-// structure.
+// SyntheticStarWarsFrames generates the repository's stand-in for the
+// paper's Star Wars trace, deterministically from seed, at the given length
+// (DefaultStarWarsConfig().Frames is the full two hours).
 func SyntheticStarWarsFrames(seed uint64, frames int) *Trace {
 	cfg := DefaultStarWarsConfig()
 	cfg.Frames = frames

@@ -6,8 +6,8 @@
 // The paper's experiments all run over a two-hour trace of per-frame bit
 // counts at 24 frames/s with a long-term average rate of 374 kb/s and
 // sustained peaks of roughly five times the average lasting over ten
-// seconds. Since the original trace is not distributable, SyntheticStarWars
-// regenerates a trace with the same multiple-time-scale structure; see
+// seconds. Since the original trace is not distributable,
+// SyntheticStarWarsFrames regenerates a trace with the same multiple-time-scale structure; see
 // DESIGN.md for the substitution argument.
 package trace
 
@@ -30,12 +30,12 @@ type Trace struct {
 // ErrEmpty is returned by operations that need at least one frame.
 var ErrEmpty = errors.New("trace: empty trace")
 
-// New returns a trace over the given frame sizes. It panics if fps <= 0 or
-// any frame size is negative; a trace is a measurement and cannot contain
-// negative data.
+// New returns a trace over the given frame sizes. It panics if fps is not a
+// positive finite number or any frame size is negative; a trace is a
+// measurement and cannot contain negative data.
 func New(frameBits []int64, fps float64) *Trace {
-	if fps <= 0 {
-		panic("trace: non-positive fps")
+	if !(fps > 0) || math.IsInf(fps, 1) {
+		panic("trace: fps not positive and finite")
 	}
 	for i, b := range frameBits {
 		if b < 0 {

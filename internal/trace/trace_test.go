@@ -2,7 +2,9 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -150,7 +152,7 @@ func TestSummaryString(t *testing.T) {
 func TestSyntheticCalibration(t *testing.T) {
 	// Full-length synthetic trace must reproduce the paper's headline
 	// statistics: mean 374 kb/s, sustained >10 s peaks near 5x the mean.
-	tr := SyntheticStarWars(7)
+	tr := SyntheticStarWarsFrames(7, DefaultStarWarsConfig().Frames)
 	if tr.Len() != 172800 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -222,6 +224,51 @@ func TestSynthesizeValidation(t *testing.T) {
 		if _, err := Synthesize(cfg, stats.NewRNG(1)); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestNonFiniteRefused holds each of the three places a trace's rates come
+// in — Config.Validate, ReadText's fps header and New — to refusing NaN and
+// ±Inf, which the positivity and range comparisons alone let through. The
+// Validate rows are one per parameter and value, and the error names the
+// parameter.
+func TestNonFiniteRefused(t *testing.T) {
+	params := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"FPS", func(c *Config, v float64) { c.FPS = v }},
+		{"MeanRate", func(c *Config, v float64) { c.MeanRate = v }},
+		{"IWeight", func(c *Config, v float64) { c.IWeight = v }},
+		{"PWeight", func(c *Config, v float64) { c.PWeight = v }},
+		{"BWeight", func(c *Config, v float64) { c.BWeight = v }},
+		{"ARCoeff", func(c *Config, v float64) { c.ARCoeff = v }},
+		{"ARSigma", func(c *Config, v float64) { c.ARSigma = v }},
+		{"Multiplier", func(c *Config, v float64) { c.Classes[2].Multiplier = v }},
+		{"MeanDurSec", func(c *Config, v float64) { c.Classes[2].MeanDurSec = v }},
+		{"Weight", func(c *Config, v float64) { c.Classes[2].Weight = v }},
+		{"GOPFactor", func(c *Config, v float64) { c.Classes[2].GOPFactor = v }},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, p := range params {
+			cfg := DefaultStarWarsConfig()
+			p.set(&cfg, v)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), p.name) {
+				t.Errorf("%s = %g: Validate error %v, want one naming %s", p.name, v, err, p.name)
+			}
+		}
+		header := fmt.Sprintf("# fps %g\n100\n", v)
+		if tr, err := ReadText(strings.NewReader(header)); err == nil {
+			t.Errorf("ReadText %q: accepted, fps %g", header, tr.FPS)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with fps %g: no panic", v)
+				}
+			}()
+			New([]int64{100}, v)
+		}()
 	}
 }
 

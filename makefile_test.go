@@ -2,6 +2,8 @@ package rcbr
 
 import (
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,6 +99,48 @@ func TestMakefileResults(t *testing.T) {
 	}
 	if !strings.Contains(string(ci), "make results\n          git diff --exit-code results/\n") {
 		t.Error("ci.yml does not run `make results` then `git diff --exit-code results/`")
+	}
+}
+
+// TestMakefileAllCoversCI pins `make all` to the required CI steps: every
+// `make <target>` ci.yml runs is a prerequisite of all, and all's recipe
+// holds the two steps CI runs without make — the results diff and the
+// zero-alloc gate — with its smoke run written beside the tracked baseline.
+func TestMakefileAllCoversCI(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("reading Makefile: %v", err)
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatalf("reading ci.yml: %v", err)
+	}
+	var prereqs []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if rest, ok := strings.CutPrefix(line, "all:"); ok && !strings.Contains(rest, "=") {
+			prereqs = strings.Fields(rest)
+		}
+	}
+	runs := regexp.MustCompile(`(?m)^\s*(?:run:\s*)?make\s+([\w-]+)`).FindAllStringSubmatch(string(ci), -1)
+	if len(runs) == 0 {
+		t.Fatal("ci.yml runs no make target")
+	}
+	for _, m := range runs {
+		if !slices.Contains(prereqs, m[1]) {
+			t.Errorf("ci.yml runs `make %s`, which is not a prerequisite of all (%v)", m[1], prereqs)
+		}
+	}
+	recipe := recipeLines(t, string(src), "all")
+	for _, want := range []string{
+		"git diff --exit-code results/",
+		"$(GO) run ./cmd/benchjson -compare BENCH_trellis.json BENCH_new.json",
+	} {
+		if !slices.Contains(recipe, want) {
+			t.Errorf("all recipe %q lacks %q", recipe, want)
+		}
+	}
+	if !strings.Contains(string(src), "\nall: BENCHJSON = BENCH_new.json\n") {
+		t.Error("all does not write its benchmark run to BENCH_new.json")
 	}
 }
 
