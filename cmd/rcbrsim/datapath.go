@@ -60,8 +60,8 @@ func datapathRun(fs *flag.FlagSet) func(context.Context) error {
 		if *depth < 1 {
 			return fmt.Errorf("need a shaper depth of at least one cell, got -depth %d", *depth)
 		}
-		if *ring < 1 {
-			return fmt.Errorf("need rings of at least one cell, got -ring %d", *ring)
+		if *ring < 1 || *ring > datapath.MaxRingCells {
+			return fmt.Errorf("-ring %d outside [1, %d] cells", *ring, datapath.MaxRingCells)
 		}
 
 		report := io.Writer(os.Stdout)

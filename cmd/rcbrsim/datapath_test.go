@@ -77,6 +77,11 @@ func TestDatapathRunFlagValidation(t *testing.T) {
 		// slots of it used to be an out-of-memory kill, not an error.
 		{"-hopdelay", "10000000000"},
 		{"-ring", "0"},
+		// A ring's storage grows under load, so a capacity is a promise:
+		// above datapath.MaxRingCells it is refused up front, and above
+		// 1<<62 it used to hang the rounding loop.
+		{"-ring", "1048577"},
+		{"-ring", "4611686018427387905"},
 		{"-depth", "0"},
 		{"-n", "0"},
 	} {

@@ -92,9 +92,12 @@ const (
 	// per-port visit, small enough that one busy port cannot starve the
 	// sweep.
 	DefaultBurst = 64
-	// DefaultRingCells sizes ingress and egress rings. The paper's point is
-	// that smooth traffic keeps FIFOs within a few cells per VC; 1024 slots
-	// of 53 bytes is ~54 KB per ring.
+	// DefaultRingCells is the capacity of ingress and egress rings: the
+	// drop threshold, not memory taken up front. The paper's point is that
+	// smooth traffic keeps FIFOs within a few cells per VC, and a ring's
+	// storage follows its occupancy (see Ring): it starts at DefaultBurst
+	// slots, 3.4 KB of 53-byte cells, and only a backlog grows it toward
+	// the ~54 KB that 1024 slots take.
 	DefaultRingCells = 1024
 	// DefaultDepthCells is the default shaper depth in cells: the burst a
 	// conforming VC may send ahead of its sustained rate.
@@ -261,7 +264,8 @@ type Option func(*Forwarder)
 // WithRingCells sets the capacity in cells of a port's ingress and egress
 // rings, rounded up to a power of two (default DefaultRingCells). The
 // egress ring is the paper's small FIFO output buffer, so this is the knob
-// an overflow experiment turns. Values < 1 keep the default.
+// an overflow experiment turns. Values < 1 keep the default; AddPort
+// refuses values above MaxRingCells.
 func WithRingCells(n int) Option {
 	return func(f *Forwarder) {
 		if n >= 1 {
@@ -326,8 +330,12 @@ func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
 	}
 }
 
-// AddPort registers a port and its rings.
+// AddPort registers a port and its rings. It fails if the forwarder's ring
+// capacity exceeds MaxRingCells.
 func (f *Forwarder) AddPort(id int) (*Port, error) {
+	if f.ringCells > MaxRingCells {
+		return nil, fmt.Errorf("datapath: ring of %d cells exceeds %d", f.ringCells, MaxRingCells)
+	}
 	f.portsMu.Lock()
 	defer f.portsMu.Unlock()
 	old := f.ports.Load()
@@ -543,7 +551,8 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 		e.tokens -= CellPayloadBits
 		out := e.egress.out
 		first := !out.Staged()
-		if !out.Stage(p.in.At(i)) {
+		// Stage, with its fast path inlined here (TestRingFastPathInlined).
+		if c := p.in.At(i); !out.stageFast(c) && !out.stageSlow(c) {
 			e.overflow.Add(1)
 			ovf++
 			continue

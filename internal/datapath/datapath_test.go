@@ -502,6 +502,89 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchOfOneKeepsRingsSmall drives a pair of forwarders the way the
+// loop-3hop benchmark does: one slot at a time, at most one cell offered
+// and one transmitted per port per slot, at 5/6 of the link, the second
+// hop fed from the first one's egress. After 100k slots every ring's
+// backing — what the producer writes and what the consumer last loaded —
+// must still be the DefaultBurst slots it started with: storage follows
+// occupancy, and this load never queues more than a cell or two. Then
+// the second hop's transmitter stalls long enough to grow its egress
+// ring, and the slot, on the grown ring, must still allocate nothing.
+func TestBatchOfOneKeepsRingsSmall(t *testing.T) {
+	const vcs = 16
+	var fws [2]*Forwarder
+	var ins, outs [2]*Port
+	cells := make([]Cell, vcs)
+	for h := range fws {
+		fws[h] = New()
+		ins[h], _ = fws[h].AddPort(0)
+		outs[h], _ = fws[h].AddPort(1)
+		for v := range cells {
+			id := switchfab.MakeVCID(1, uint16(100+v))
+			if err := fws[h].AddVC(id, 1, 1e12); err != nil {
+				t.Fatal(err)
+			}
+			cells[v] = mkCell(t, id, uint64(v))
+		}
+	}
+	var slot, offered, delivered int64
+	stalled := false
+	relay := func(c *Cell) {
+		if !fws[1].Inject(ins[1], c) {
+			t.Fatalf("slot %d: hop 2 ingress refused a cell", slot)
+		}
+	}
+	step := func() {
+		if slot%6 != 5 {
+			if !fws[0].Inject(ins[0], &cells[slot%vcs]) {
+				t.Fatalf("slot %d: hop 1 ingress refused a cell", slot)
+			}
+			offered++
+		}
+		now := slot * 1000
+		fws[0].Forward(now)
+		fws[0].TransmitTo(outs[0], 1, relay)
+		fws[1].Forward(now)
+		if !stalled {
+			delivered += int64(fws[1].Transmit(outs[1], 1))
+		}
+		slot++
+	}
+	backings := func() (sizes []int) {
+		for h := range fws {
+			for _, p := range []*Port{ins[h], outs[h]} {
+				for _, r := range []*Ring{p.in, p.out} {
+					sizes = append(sizes, len(r.buf), len(r.view))
+				}
+			}
+		}
+		return sizes
+	}
+	for slot < 100_000 {
+		step()
+	}
+	if in := offered - delivered; in < 0 || in > 8 {
+		t.Fatalf("%d cells offered, %d delivered: %d in flight", offered, delivered, in)
+	}
+	for i, n := range backings() {
+		if n != DefaultBurst {
+			t.Fatalf("after 100k batch-of-one slots: backing %d of %v has %d slots, want %d", i, backings(), n, DefaultBurst)
+		}
+	}
+	stalled = true
+	for range 300 {
+		step()
+	}
+	stalled = false
+	if n := len(outs[1].out.buf); n != 256 {
+		t.Fatalf("hop 2 egress backing after 250 cells of backlog: %d slots, want 256", n)
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("a slot on grown rings allocates %.1f, want 0", allocs)
+	}
+}
+
 // TestEmptySweepsAreNotBatches: a batch is a non-empty sweep — Forward used
 // to count and observe every call, so a slot-driven relay calling it on
 // mostly idle ports drowned datapath.batch_cells in zeros.

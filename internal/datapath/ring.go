@@ -1,6 +1,8 @@
 package datapath
 
 import (
+	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"rcbr/internal/cell"
@@ -12,12 +14,28 @@ import (
 // 53 bytes per hop and never allocates.
 type Cell = [cell.Size]byte
 
+// MaxRingCells bounds a ring's capacity. Storage grows with occupancy, so a
+// capacity is a promise made under load rather than memory taken up front:
+// the bound keeps the largest ring at 53 MiB of slots when full and turns
+// anything larger into an error (AddPort) or a panic (NewRing) instead of an
+// out-of-memory kill.
+const MaxRingCells = 1 << 20
+
 // Ring is a single-producer/single-consumer ring of cells with power-of-two
 // capacity. Exactly one goroutine may call the producer methods (Push,
 // Stage, Publish) and exactly one the consumer methods (Peek, Advance,
 // Ready, At, Release); under that contract no method takes a lock — by
 // design and by test (TestLockRulesInSource, in the repository root, fails
 // on a ring-named struct that declares a mutex).
+//
+// Capacity is the drop threshold: a ring holding that many cells refuses
+// the next. Storage follows occupancy instead: a ring starts with
+// min(capacity, DefaultBurst) slots, and when the producer finds them all in
+// use and the ring below capacity it doubles them, copying the cells still
+// queued. Storage never shrinks, so a ring's backing is the next power of
+// two at or above its high-water mark, and never less than DefaultBurst
+// slots — the few cells per VC the paper's smooth traffic needs, not the
+// capacity an overflow experiment asks for.
 //
 // Each side has a per-cell form and a burst form over the same cursors. On
 // amd64 every atomic store is a locked instruction (XCHG), so what a ring
@@ -41,41 +59,62 @@ type Cell = [cell.Size]byte
 // value implies full/empty — in steady state a Stage or Ready touches one
 // cache line of indices, not two.
 //
+// The backing extends the argument by one pointer. Each side indexes its
+// own copy of the slots (buf for the producer, view for the consumer). A
+// growing producer fills the new backing with every cell from its cached
+// tail on — the consumer's tail can only be later, so that covers every
+// cell the consumer may still read — and stores the backing pointer before
+// its next head store; the consumer reloads the pointer right after every
+// head load. So the backing a consumer holds always has the cells below the
+// head it holds, and the old backing it may still be reading is never
+// written again.
+//
 // The index fields are padded onto separate cache lines so the producer's
 // head publications do not invalidate the consumer's tail line and vice
 // versa (false sharing would serialize the two sides through the coherence
 // protocol even though they never logically conflict).
 type Ring struct {
-	buf  []Cell
-	mask uint64
-	_    [64]byte
+	capacity uint64
+	// backing is the producer's current slots, published for the consumer;
+	// stored only by a growing producer, loaded by the consumer with head.
+	backing atomic.Pointer[[]Cell]
+	_       [64]byte
 	// head is the producer's publication cursor: cells [tail, head) are
 	// readable. staged is the producer's write cursor, producer-private:
 	// cells [head, staged) are written but not yet published. cachedTail
-	// is producer-private too.
+	// and buf, the producer's slots, are producer-private too.
 	head       atomic.Uint64
 	staged     uint64
 	cachedTail uint64
+	buf        []Cell
 	_          [64]byte
-	// tail is the consumer's publication cursor. cachedHead is
-	// consumer-private.
+	// tail is the consumer's publication cursor. cachedHead and view, the
+	// backing loaded with it, are consumer-private; viewOf is the pointer
+	// view was copied from, so that an unchanged backing costs a compare,
+	// not a copy, on every head load.
 	tail       atomic.Uint64
 	cachedHead uint64
+	view       []Cell
+	viewOf     *[]Cell
 	_          [64]byte
 }
 
 // NewRing returns a ring holding at least capacity cells, rounded up to a
-// power of two (minimum 2) so index wrapping is a mask, not a divide.
+// power of two (minimum 2) so index wrapping is a mask, not a divide. It
+// panics if capacity exceeds MaxRingCells.
 func NewRing(capacity int) *Ring {
-	n := 2
-	for n < capacity {
-		n <<= 1
+	if capacity > MaxRingCells {
+		panic(fmt.Sprintf("datapath: ring of %d cells exceeds MaxRingCells %d", capacity, MaxRingCells))
 	}
-	return &Ring{buf: make([]Cell, n), mask: uint64(n - 1)}
+	n := 1 << bits.Len(uint(max(capacity, 2)-1))
+	buf := make([]Cell, min(n, DefaultBurst))
+	r := &Ring{capacity: uint64(n), buf: buf, view: buf, viewOf: &buf}
+	r.backing.Store(&buf)
+	return r
 }
 
-// Capacity returns the number of slots.
-func (r *Ring) Capacity() int { return len(r.buf) }
+// Capacity returns the number of cells the ring holds before it refuses one.
+func (r *Ring) Capacity() int { return int(r.capacity) }
 
 // Len returns the number of published cells currently queued; staged cells
 // do not count until Publish. It is exact when the ring is quiescent and a
@@ -92,8 +131,8 @@ func (r *Ring) Len() int {
 	if n < 0 {
 		return 0
 	}
-	if n > int64(len(r.buf)) {
-		return len(r.buf)
+	if n > int64(r.capacity) {
+		return int(r.capacity)
 	}
 	return int(n)
 }
@@ -111,17 +150,49 @@ func (r *Ring) Popped() int64 { return int64(r.tail.Load()) }
 // false (writing nothing) when the ring is full; staged cells occupy slots
 // but stay invisible to the consumer, Len and Pushed until Publish.
 // Producer side only.
-func (r *Ring) Stage(c *Cell) bool {
+func (r *Ring) Stage(c *Cell) bool { return r.stageFast(c) || r.stageSlow(c) }
+
+// stageFast is Stage into the current backing when the cached tail shows a
+// free slot, and false otherwise. It makes no call, so it stays within the
+// inlining budget: the per-cell callers (Push, the forwarder's egress stage)
+// call it directly and fall back to stageSlow, and TestRingFastPathInlined
+// in the repository root holds the compiler to it.
+func (r *Ring) stageFast(c *Cell) bool {
 	at := r.staged
 	if at-r.cachedTail >= uint64(len(r.buf)) {
-		r.cachedTail = r.tail.Load()
-		if at-r.cachedTail >= uint64(len(r.buf)) {
-			return false
-		}
+		return false
 	}
-	r.buf[at&r.mask] = *c
+	r.buf[at&uint64(len(r.buf)-1)] = *c
 	r.staged = at + 1
 	return true
+}
+
+// stageSlow is Stage when the cached tail shows the backing full: it
+// refreshes the tail and, if the backing is still full but the ring below
+// capacity, grows the backing first.
+func (r *Ring) stageSlow(c *Cell) bool {
+	at := r.staged
+	r.cachedTail = r.tail.Load()
+	if used := at - r.cachedTail; used >= uint64(len(r.buf)) {
+		if used >= r.capacity {
+			return false
+		}
+		r.grow()
+	}
+	r.buf[at&uint64(len(r.buf)-1)] = *c
+	r.staged = at + 1
+	return true
+}
+
+// grow doubles the producer's backing, copying the cells from its cached
+// tail up to staged, and publishes it (see the Ring comment).
+func (r *Ring) grow() {
+	old, buf := r.buf, make([]Cell, 2*len(r.buf))
+	for i := r.cachedTail; i != r.staged; i++ {
+		buf[i&uint64(len(buf)-1)] = old[i&uint64(len(old)-1)]
+	}
+	r.buf = buf
+	r.backing.Store(&buf)
 }
 
 // Staged reports whether the ring holds staged cells awaiting Publish.
@@ -136,7 +207,7 @@ func (r *Ring) Publish() { r.head.Store(r.staged) }
 // staged before it, which keeps FIFO order — returning false (dropping
 // nothing, writing nothing) when the ring is full. Producer side only.
 func (r *Ring) Push(c *Cell) bool {
-	if !r.Stage(c) {
+	if !r.stageFast(c) && !r.stageSlow(c) {
 		return false
 	}
 	r.Publish()
@@ -144,27 +215,25 @@ func (r *Ring) Push(c *Cell) bool {
 }
 
 // Ready returns how many published cells wait to be read, up to max,
-// refreshing the consumer's view of head only when its cached view cannot
-// satisfy max. Cells 0..n-1 are then readable through At until Release.
-// Consumer side only.
+// refreshing the consumer's view of head — and with it of the backing —
+// only when its cached view cannot satisfy max. Cells 0..n-1 are then
+// readable through At until Release. Consumer side only.
 func (r *Ring) Ready(max int) int {
 	tail := r.tail.Load()
-	n := r.cachedHead - tail
-	if n < uint64(max) {
+	if r.cachedHead-tail < uint64(max) {
 		r.cachedHead = r.head.Load()
-		n = r.cachedHead - tail
-		if n < uint64(max) {
-			return int(n)
+		if b := r.backing.Load(); b != r.viewOf {
+			r.viewOf, r.view = b, *b
 		}
 	}
-	return max
+	return int(min(r.cachedHead-tail, uint64(max)))
 }
 
 // At returns a pointer to the i-th oldest queued cell, 0 <= i < the count
 // Ready last returned. The pointer aliases the slot and is valid until the
 // slot is Released. Consumer side only.
 func (r *Ring) At(i int) *Cell {
-	return &r.buf[(r.tail.Load()+uint64(i))&r.mask]
+	return &r.view[(r.tail.Load()+uint64(i))&uint64(len(r.view)-1)]
 }
 
 // Release consumes the n oldest queued cells with one store of tail,

@@ -2,11 +2,14 @@ package datapath
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRingCapacityRounding(t *testing.T) {
@@ -170,30 +173,40 @@ func TestRingSPSCStorm(t *testing.T) {
 // TestRingBurstMatchesSliceModel drives random interleavings of both forms
 // of both sides — Stage, Publish, Push, Ready/At/Release, Peek/Advance —
 // against a slice model, on rings small enough that the cursors wrap past
-// the capacity hundreds of times. After every step the ring must agree with
+// the capacity many times. After every step the ring must agree with
 // the model on what each call returned, on FIFO contents read in place, on
 // full and empty, and on the ledger (Len, Pushed, Popped): in particular
 // staged cells occupy slots (they can fill the ring) but are invisible to
 // Len, Pushed and Ready until published, and a Push publishes what was
-// staged before it, in order.
+// staged before it, in order. Steps alternate between phases that only
+// write, which fill the ring, and phases of every kind, which drain it; on
+// the capacities above DefaultBurst the filling grows the storage, which
+// must then be the next power of two at or above the model's high-water
+// mark, never less than DefaultBurst slots.
 func TestRingBurstMatchesSliceModel(t *testing.T) {
+	caps := []int{2, 4, 8, 16, 128, 512}
 	prop := func(seed int64, capSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRing(2 << (capSel % 4)) // 2, 4, 8, 16 slots
+		r := NewRing(caps[int(capSel)%len(caps)])
 		slots := r.Capacity()
 		var (
 			pub, staged    []uint64 // published and staged-only stamps, oldest first
 			next           uint64   // next stamp to write
 			pushed, popped int64
+			hwm            int // most cells the model has held, staged or published
 			c              Cell
 			fail           = func(format string, args ...any) bool {
 				t.Errorf("seed %d cap %d: "+format, append([]any{seed, slots}, args...)...)
 				return false
 			}
 		)
-		for step := 0; step < 3000; step++ {
+		for step := 0; step < max(3000, 32*slots); step++ {
 			room := len(pub)+len(staged) < slots
-			switch rng.Intn(6) {
+			op := rng.Intn(6)
+			if step/(2*slots)%2 == 0 {
+				op %= 4 // a filling phase: producer calls only
+			}
+			switch op {
 			case 0, 1:
 				binary.BigEndian.PutUint64(c[:8], next)
 				if got := r.Stage(&c); got != room {
@@ -251,9 +264,20 @@ func TestRingBurstMatchesSliceModel(t *testing.T) {
 				return fail("step %d: Len %d Pushed %d Popped %d Staged %v, model %d %d %d %v", step,
 					r.Len(), r.Pushed(), r.Popped(), r.Staged(), len(pub), pushed, popped, len(staged) > 0)
 			}
+			hwm = max(hwm, len(pub)+len(staged))
+			want := min(slots, DefaultBurst)
+			for want < hwm {
+				want *= 2
+			}
+			if len(r.buf) != want {
+				return fail("step %d: %d slots of storage at a high-water mark of %d cells, want %d", step, len(r.buf), hwm, want)
+			}
 		}
 		if next < uint64(8*slots) {
 			return fail("only %d cells written: the cursors never wrapped", next)
+		}
+		if hwm != slots {
+			return fail("high-water mark %d: the ring never filled", hwm)
 		}
 		return true
 	}
@@ -271,13 +295,7 @@ func TestRingBurstMatchesSliceModel(t *testing.T) {
 func TestRingBurstStorm(t *testing.T) {
 	const total = 200000
 	r := NewRing(64)
-	fill := func(c *Cell, i uint64) {
-		binary.BigEndian.PutUint64(c[:8], i)
-		b := byte(i)
-		for j := 8; j < len(c); j++ {
-			c[j] = b + byte(j)
-		}
-	}
+	fill, check := stampCell, func(c *Cell, want uint64) { checkStamp(t, c, want) }
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -309,17 +327,6 @@ func TestRingBurstStorm(t *testing.T) {
 		}
 	}()
 	rng := rand.New(rand.NewSource(2))
-	check := func(c *Cell, want uint64) {
-		if i := binary.BigEndian.Uint64(c[:8]); i != want {
-			t.Fatalf("cell %d arrived when %d expected", i, want)
-		}
-		b := byte(want)
-		for j := 8; j < len(c); j++ {
-			if c[j] != b+byte(j) {
-				t.Fatalf("cell %d: torn byte %d", want, j)
-			}
-		}
-	}
 	var got uint64
 	for got < total {
 		if rng.Intn(8) == 0 {
@@ -344,5 +351,161 @@ func TestRingBurstStorm(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 0 || r.Pushed() != total || r.Popped() != total {
 		t.Fatalf("after storm: Len %d Pushed %d Popped %d, want 0 %d %d", r.Len(), r.Pushed(), r.Popped(), total, total)
+	}
+}
+
+// stampCell writes cell number i into c: the number up front and body bytes
+// derived from it, so that a torn read is visible.
+func stampCell(c *Cell, i uint64) {
+	binary.BigEndian.PutUint64(c[:8], i)
+	b := byte(i)
+	for j := 8; j < len(c); j++ {
+		c[j] = b + byte(j)
+	}
+}
+
+// checkStamp fails the test unless c is cell number want, intact.
+func checkStamp(t *testing.T, c *Cell, want uint64) {
+	t.Helper()
+	if i := binary.BigEndian.Uint64(c[:8]); i != want {
+		t.Fatalf("cell %d arrived when %d expected", i, want)
+	}
+	b := byte(want)
+	for j := 8; j < len(c); j++ {
+		if c[j] != b+byte(j) {
+			t.Fatalf("cell %d: torn byte %d", want, j)
+		}
+	}
+}
+
+// TestRingGrowStorm is the burst storm on a ring whose storage has to grow,
+// checked under the race detector in `make race`. Each round starts a fresh
+// NewRing(1024) with a lagging consumer: until the ring first refuses a
+// cell the consumer reads what is ready in place but releases nothing, so
+// the producer grows the backing through every doubling from 64 to 1024
+// slots with cells in flight — the consumer reading them from whichever
+// backing it last loaded — and the 1025th cell is refused. Then both sides
+// run free. Every cell must arrive exactly once, in order and intact.
+func TestRingGrowStorm(t *testing.T) {
+	const (
+		capacity = 1024
+		total    = 20000
+		rounds   = 8
+	)
+	for round := int64(0); round < rounds; round++ {
+		r := NewRing(capacity)
+		full := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(2 * round))
+			var (
+				c       Cell
+				i       uint64
+				sizes   []int
+				refused bool
+			)
+			for !refused { // bursts of Stage until the ring is full
+				for burst := 1 + rng.Intn(17); burst > 0; burst-- {
+					stampCell(&c, i)
+					if refused = !r.Stage(&c); refused {
+						break
+					}
+					i++
+					if len(sizes) == 0 || sizes[len(sizes)-1] != len(r.buf) {
+						sizes = append(sizes, len(r.buf))
+					}
+				}
+				r.Publish()
+			}
+			if i != capacity || r.Push(&c) {
+				t.Errorf("round %d: ring refused cell %d and then Push accepted %v; want cell %d refused by both", round, i, !refused, capacity)
+			}
+			if want := []int{64, 128, 256, 512, 1024}; !slices.Equal(sizes, want) {
+				t.Errorf("round %d: storage went through %v slots, want %v", round, sizes, want)
+			}
+			close(full)
+			for i < total {
+				if rng.Intn(8) == 0 {
+					stampCell(&c, i)
+					if r.Push(&c) {
+						i++
+					} else {
+						runtime.Gosched()
+					}
+					continue
+				}
+				for burst := 1 + rng.Intn(17); burst > 0 && i < total; burst-- {
+					stampCell(&c, i)
+					if !r.Stage(&c) {
+						break
+					}
+					i++
+				}
+				if r.Staged() {
+					r.Publish()
+				} else {
+					runtime.Gosched()
+				}
+			}
+		}()
+		rng := rand.New(rand.NewSource(2*round + 1))
+		lagging := true
+		for got := uint64(0); got < total; {
+			if lagging {
+				select {
+				case <-full:
+					lagging = false
+				default:
+				}
+			}
+			n := r.Ready(1 + rng.Intn(64))
+			for i := 0; i < n; i++ {
+				checkStamp(t, r.At(i), got+uint64(i))
+			}
+			if lagging || n == 0 {
+				runtime.Gosched()
+				continue
+			}
+			r.Release(n)
+			got += uint64(n)
+		}
+		wg.Wait()
+		if r.Len() != 0 || r.Pushed() != total || r.Popped() != total {
+			t.Fatalf("round %d: Len %d Pushed %d Popped %d, want 0 %d %d", round, r.Len(), r.Pushed(), r.Popped(), total, total)
+		}
+	}
+}
+
+// TestRingCapacityBounded: a capacity above MaxRingCells is refused, by
+// AddPort with an error and by NewRing with a panic, and neither hangs —
+// NewRing used to round up by doubling, which overflows to 0 past 1<<62
+// and never ends. The largest capacity allowed costs DefaultBurst slots.
+func TestRingCapacityBounded(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, n := range []int{1<<62 + 1, math.MaxInt, MaxRingCells + 1} {
+			if _, err := New(WithRingCells(n)).AddPort(1); err == nil {
+				t.Errorf("AddPort with rings of %d cells: no error, want one", n)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("NewRing(%d) returned, want a panic", n)
+					}
+				}()
+				NewRing(n)
+			}()
+		}
+		if r := NewRing(MaxRingCells); r.Capacity() != MaxRingCells || len(r.buf) != DefaultBurst {
+			t.Errorf("NewRing(MaxRingCells): capacity %d, %d slots; want %d, %d", r.Capacity(), len(r.buf), MaxRingCells, DefaultBurst)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("refusing an oversized ring did not return within 10 s")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"io/fs"
 	"maps"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -222,6 +223,55 @@ func TestLockRulesInSource(t *testing.T) {
 	}
 	if !slices.Equal(reachers, []string{"lockVC"}) {
 		t.Errorf("functions that look a VC up and then lock its port: %v; want lockVC alone, which every operation on a VC calls", reachers)
+	}
+}
+
+// TestRingFastPathInlined holds the cell path's ring stage to no call. A
+// ring's storage grows, so Stage has a slow path that refreshes the tail and
+// grows the backing; a call to it costs more than Go's inlining budget, so
+// the stage is split, and the call-free half, stageFast, is what the two
+// per-cell callers must inline: the forwarder's egress stage in forwardPort
+// and Push. Reading the compiler's own report (go build -gcflags=-m) is the
+// only way to see a budget that a harmless-looking line can push over.
+func TestRingFastPathInlined(t *testing.T) {
+	const dir = "internal/datapath"
+	fset := token.NewFileSet()
+	type span struct {
+		file     string
+		from, to int
+	}
+	want := map[string]*span{"(*Forwarder).forwardPort": nil, "(*Ring).Push": nil}
+	for _, f := range nonTestFiles(t, fset, dir) {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			name := "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + fd.Name.Name
+			if _, ok := want[name]; ok {
+				from, to := fset.Position(fd.Pos()), fset.Position(fd.End())
+				want[name] = &span{filepath.ToSlash(from.Filename), from.Line, to.Line}
+			}
+		}
+	}
+	out, err := exec.Command("go", "build", "-gcflags=-m", "./"+dir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m ./%s: %v\n%s", dir, err, out)
+	}
+	inlined := regexp.MustCompile(`(?m)^(\S+\.go):(\d+):\d+: inlining call to \(\*Ring\)\.stageFast$`)
+	for name, sp := range want {
+		if sp == nil {
+			t.Errorf("%s: no function %s", dir, name)
+			continue
+		}
+		found := false
+		for _, m := range inlined.FindAllStringSubmatch(string(out), -1) {
+			line, _ := strconv.Atoi(m[2])
+			found = found || filepath.ToSlash(m[1]) == sp.file && sp.from <= line && line <= sp.to
+		}
+		if !found {
+			t.Errorf("%s:%d: %s does not inline (*Ring).stageFast; the compiler reports:\n%s", sp.file, sp.from, name, out)
+		}
 	}
 }
 
