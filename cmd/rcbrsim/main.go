@@ -298,6 +298,14 @@ func fig5(fs *flag.FlagSet) func(context.Context) error {
 	bufLo := fs.Float64("buflo", 30e3, "smallest buffer (bits)")
 	bufHi := fs.Float64("bufhi", 200e6, "largest buffer (bits)")
 	return func(context.Context) error {
+		switch {
+		case *points < 2:
+			return fmt.Errorf("-points must be at least 2, got %d", *points)
+		case !(*bufLo > 0 && *bufLo <= *bufHi) || math.IsInf(*bufHi, 0):
+			return fmt.Errorf("-buflo and -bufhi must satisfy 0 < buflo <= bufhi < +Inf, got %g and %g", *bufLo, *bufHi)
+		case !(*target >= 0 && *target < 1):
+			return fmt.Errorf("-loss must be in [0, 1), got %g", *target)
+		}
 		tr := buildTrace(*frames, *seed)
 		pts := experiments.Fig5(tr, *target, *bufLo, *bufHi, *points)
 		mean := tr.MeanRate()

@@ -93,7 +93,7 @@ func TestEveryCommandRuns(t *testing.T) {
 		"churn":    {"churn", "-vcs", "500", "-ports", "4", "-churn", "1000", "-json", tmp("churn.json")},
 		"topology": {"topology", "-frames", "240", "-csv", tmp("topology.csv")},
 		"schedule": {"schedule", "-frames", "240", "-levels", "8"},
-		"trace":    {"trace", "-frames", "240", "-out", tmp("trace.rcbt")},
+		"trace":    {"trace", "-frames", "240", "-out", tmp("trace.txt")},
 	}
 	for _, c := range commands {
 		args, ok := toy[c.name]
@@ -105,7 +105,7 @@ func TestEveryCommandRuns(t *testing.T) {
 			t.Errorf("rcbrsim %s: %v", strings.Join(args, " "), err)
 		}
 	}
-	for _, out := range []string{"cpu.pb.gz", "mem.pb.gz", "datapath.csv", "signal.json", "churn.json", "topology.csv", "trace.rcbt"} {
+	for _, out := range []string{"cpu.pb.gz", "mem.pb.gz", "datapath.csv", "signal.json", "churn.json", "topology.csv", "trace.txt"} {
 		if fi, err := os.Stat(tmp(out)); err != nil || fi.Size() == 0 {
 			t.Errorf("%s not written: %v", out, err)
 		}
@@ -114,7 +114,8 @@ func TestEveryCommandRuns(t *testing.T) {
 
 // TestBufferAndLevelsFlagValidation pins error-not-panic for the flag values
 // the level grid and the queue and source models panic on, one row per
-// subcommand that hands them over.
+// subcommand that hands them over, and an error for a NaN the heuristic's
+// granularity, the offered load or the utilization once let through.
 func TestBufferAndLevelsFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -127,6 +128,10 @@ func TestBufferAndLevelsFlagValidation(t *testing.T) {
 		{"datapath", []string{"-buffer", "0"}},
 		{"signal", []string{"-buffer", "NaN"}},
 		{"topology", []string{"-buffer", "+Inf"}},
+		{"schedule", []string{"-mode", "online", "-delta", "NaN"}},
+		{"latency", []string{"-delta", "NaN"}},
+		{"fig7", []string{"-loads", "NaN", "-caps", "10", "-batches", "4"}},
+		{"muxcmp", []string{"-util", "NaN"}},
 	} {
 		if err := dispatch(append([]string{tc.name, "-frames", "240"}, tc.args...)); err == nil {
 			t.Errorf("rcbrsim %s %s: accepted", tc.name, strings.Join(tc.args, " "))
@@ -137,8 +142,9 @@ func TestBufferAndLevelsFlagValidation(t *testing.T) {
 // TestCountFlagValidation pins an error naming the flag, where a value was
 // once replaced in silence: the count flags of signal and topology below
 // one (sources, signaling workers, queue depth, retained events, and slots
-// between samples), and a -frames outside the range of a command that does
-// not take the whole trace.
+// between samples), a -frames outside the range of a command that does
+// not take the whole trace, and a fig5 curve LogSpace panicked on or that
+// came out NaN.
 func TestCountFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -158,6 +164,11 @@ func TestCountFlagValidation(t *testing.T) {
 		{"signal", []string{"-frames", "28801"}},
 		{"topology", []string{"-frames", "0"}},
 		{"topology", []string{"-frames", "28801"}},
+		{"fig5", []string{"-points", "0"}},
+		{"fig5", []string{"-points", "1"}},
+		{"fig5", []string{"-buflo", "300e3", "-bufhi", "30e3"}},
+		{"fig5", []string{"-buflo", "NaN"}},
+		{"fig5", []string{"-loss", "NaN"}},
 	} {
 		// A row that is wrongly accepted runs: keep its CSV out of the
 		// working directory.

@@ -107,7 +107,6 @@ func traceRun(fs *flag.FlagSet) func(context.Context) error {
 	mean := fs.Float64("mean", 374e3, "target mean rate (bits/s)")
 	fps := fs.Float64("fps", 24, "frame rate")
 	gop := fs.String("gop", "IBBPBBPBBPBB", "GOP pattern")
-	text := fs.Bool("text", false, "write the text format instead of binary")
 	peaks := fs.Bool("peaks", false, "list sustained peaks >= 4x mean")
 	return func(context.Context) error {
 		var tr *trace.Trace
@@ -147,7 +146,7 @@ func traceRun(fs *flag.FlagSet) func(context.Context) error {
 		if *outFile == "" {
 			return nil
 		}
-		if err := tr.Save(*outFile, !*text); err != nil {
+		if err := tr.Save(*outFile); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *outFile)

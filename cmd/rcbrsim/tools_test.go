@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,7 +86,7 @@ func TestScheduleBadInputIsAnError(t *testing.T) {
 // TestTraceGenerateAndInspect writes a short trace and reads it back
 // through the -in inspection path; the two summaries must agree.
 func TestTraceGenerateAndInspect(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "short.rcbt")
+	path := filepath.Join(t.TempDir(), "short.txt")
 	gen, err := captureStdout(t, "trace", "-frames", "480", "-out", path)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +112,7 @@ func TestTraceBadGOP(t *testing.T) {
 }
 
 func TestTraceMissingInput(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "nope.rcbt")
+	missing := filepath.Join(t.TempDir(), "nope.txt")
 	for _, name := range []string{"trace", "schedule", "fit"} {
 		if err := dispatch([]string{name, "-in", missing}); err == nil {
 			t.Errorf("rcbrsim %s: missing input accepted", name)
@@ -122,7 +124,7 @@ func TestTraceMissingInput(t *testing.T) {
 // commands that read one with -in: each prints the summary line the
 // generator printed.
 func TestTraceFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "short.rcbt")
+	path := filepath.Join(t.TempDir(), "short.txt")
 	gen, err := captureStdout(t, "trace", "-frames", "480", "-out", path)
 	if err != nil {
 		t.Fatal(err)
@@ -139,5 +141,12 @@ func TestTraceFileRoundTrip(t *testing.T) {
 		if got, _, _ := strings.Cut(out, "\n"); got != "trace: "+want {
 			t.Errorf("rcbrsim %s: first line %q, want %q", strings.Join(args, " "), got, "trace: "+want)
 		}
+	}
+	// Text is the one trace format: there is no flag to choose another.
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	traceRun(fs)
+	if err := fs.Parse([]string{"-text"}); err == nil {
+		t.Error("rcbrsim trace -text: accepted")
 	}
 }

@@ -59,8 +59,8 @@ func NewPerfectKnowledge(dist ld.Dist, capacity, target float64) (*PerfectKnowle
 	if err := dist.Validate(); err != nil {
 		return nil, err
 	}
-	if capacity <= 0 || target <= 0 || target >= 1 {
-		return nil, fmt.Errorf("admission: invalid capacity %g or target %g", capacity, target)
+	if err := checkTarget(capacity, target); err != nil {
+		return nil, err
 	}
 	return &PerfectKnowledge{maxCalls: dist.MaxCalls(capacity, target)}, nil
 }
@@ -107,8 +107,8 @@ type Memoryless struct {
 // NewMemoryless builds the memoryless controller over the given bandwidth
 // levels.
 func NewMemoryless(levels []float64, capacity, target float64) (*Memoryless, error) {
-	if capacity <= 0 || target <= 0 || target >= 1 {
-		return nil, fmt.Errorf("admission: invalid capacity %g or target %g", capacity, target)
+	if err := checkTarget(capacity, target); err != nil {
+		return nil, err
 	}
 	return &Memoryless{
 		levels:   stats.NewLevelHist(levels),
@@ -166,6 +166,14 @@ type callHistory struct {
 	sinceSec float64
 }
 
+// checkTarget refuses a capacity not in (0, +Inf) and a target not in (0, 1).
+func checkTarget(capacity, target float64) error {
+	if !(capacity > 0) || math.IsInf(capacity, 1) || !(target > 0 && target < 1) {
+		return fmt.Errorf("admission: invalid capacity %g or target %g", capacity, target)
+	}
+	return nil
+}
+
 // checkLevels refuses a level set the history-based controllers cannot pool
 // over: empty, not strictly ascending, or with a level that is not finite —
 // NaN fails every comparison, so the ascending check alone passes it.
@@ -186,8 +194,8 @@ func checkLevels(levels []float64) error {
 
 // NewMemory builds the history-based controller over the given levels.
 func NewMemory(levels []float64, capacity, target float64) (*Memory, error) {
-	if capacity <= 0 || target <= 0 || target >= 1 {
-		return nil, fmt.Errorf("admission: invalid capacity %g or target %g", capacity, target)
+	if err := checkTarget(capacity, target); err != nil {
+		return nil, err
 	}
 	if err := checkLevels(levels); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"math"
 	"testing"
 
 	"rcbr/internal/ld"
@@ -200,6 +201,20 @@ func TestConstructorsValidate(t *testing.T) {
 	}
 	if _, err := NewMemory([]float64{1}, 1, 2); err == nil {
 		t.Error("target > 1 accepted")
+	}
+	// NaN fails every comparison, and +Inf passes capacity > 0: each
+	// constructor refuses both for the capacity, and NaN for the target.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{1e6, nan}, {nan, 1e-3}, {inf, 1e-3}} {
+		if _, err := NewPerfectKnowledge(testDist, c[0], c[1]); err == nil {
+			t.Errorf("NewPerfectKnowledge: capacity %g target %g accepted", c[0], c[1])
+		}
+		if _, err := NewMemoryless([]float64{1, 2}, c[0], c[1]); err == nil {
+			t.Errorf("NewMemoryless: capacity %g target %g accepted", c[0], c[1])
+		}
+		if _, err := NewMemory([]float64{1, 2}, c[0], c[1]); err == nil {
+			t.Errorf("NewMemory: capacity %g target %g accepted", c[0], c[1])
+		}
 	}
 }
 

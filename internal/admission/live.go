@@ -76,8 +76,8 @@ func NewCall() *Call { return &Call{since: math.NaN()} }
 // NewLiveMemory builds the incremental history-based controller over the
 // given ascending levels.
 func NewLiveMemory(levels []float64, capacity, target float64) (*LiveMemory, error) {
-	if capacity <= 0 || target <= 0 || target >= 1 {
-		return nil, fmt.Errorf("admission: invalid capacity %g or target %g", capacity, target)
+	if err := checkTarget(capacity, target); err != nil {
+		return nil, err
 	}
 	if err := checkLevels(levels); err != nil {
 		return nil, err

@@ -205,6 +205,15 @@ func TestLiveMemoryValidation(t *testing.T) {
 	if _, err := NewLiveMemory([]float64{1, 2}, 1e6, 1); err == nil {
 		t.Error("target 1 accepted")
 	}
+	if _, err := NewLiveMemory([]float64{1, 2}, 1e6, math.NaN()); err == nil {
+		t.Error("NaN target accepted")
+	}
+	if _, err := NewLiveMemory([]float64{1, 2}, math.NaN(), 1e-3); err == nil {
+		t.Error("NaN capacity accepted")
+	}
+	if _, err := NewLiveMemory([]float64{1, 2}, math.Inf(1), 1e-3); err == nil {
+		t.Error("+Inf capacity accepted")
+	}
 }
 
 // TestLiveMemoryIndex pins the level bucketing to stats.LevelHist.Index

@@ -64,19 +64,19 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Schedule == nil && len(c.Schedules) == 0:
 		return fmt.Errorf("callsim: missing schedule")
-	case c.Capacity <= 0:
+	case !(c.Capacity > 0):
 		return fmt.Errorf("callsim: capacity must be positive")
-	case c.ArrivalRate <= 0:
+	case !(c.ArrivalRate > 0):
 		return fmt.Errorf("callsim: arrival rate must be positive")
 	case c.Controller == nil:
 		return fmt.Errorf("callsim: missing controller")
 	case c.MinBatches <= 0 || c.MaxBatches < c.MinBatches:
 		return fmt.Errorf("callsim: bad batch bounds %d..%d", c.MinBatches, c.MaxBatches)
-	case c.CIFrac <= 0:
+	case !(c.CIFrac > 0):
 		return fmt.Errorf("callsim: CIFrac must be positive")
-	case c.TargetFailure < 0 || c.TargetFailure >= 1:
+	case !(c.TargetFailure >= 0 && c.TargetFailure < 1):
 		return fmt.Errorf("callsim: target failure %g outside [0,1)", c.TargetFailure)
-	case c.JumpRate < 0:
+	case !(c.JumpRate >= 0):
 		return fmt.Errorf("callsim: negative jump rate")
 	}
 	for i, s := range c.templates() {
@@ -412,7 +412,7 @@ func (r *runner) depart(c *call) {
 // link capacity, the x-axis of Figs. 7 and 8) into the Poisson arrival rate
 // for calls with the given mean rate and duration.
 func OfferedLoad(normalized, capacity, callMeanRate, callDurSec float64) float64 {
-	if normalized <= 0 || capacity <= 0 || callMeanRate <= 0 || callDurSec <= 0 {
+	if !(normalized > 0 && capacity > 0 && callMeanRate > 0 && callDurSec > 0) {
 		panic("callsim: OfferedLoad arguments must be positive")
 	}
 	return normalized * capacity / (callMeanRate * callDurSec)

@@ -58,6 +58,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MaxBatches = 2; c.MinBatches = 4 },
 		func(c *Config) { c.CIFrac = 0 },
 		func(c *Config) { c.TargetFailure = 1 },
+		func(c *Config) { c.Capacity = math.NaN() },
+		func(c *Config) { c.ArrivalRate = math.NaN() },
+		func(c *Config) { c.CIFrac = math.NaN() },
+		func(c *Config) { c.TargetFailure = math.NaN() },
+		func(c *Config) { c.JumpRate = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		cfg := baseConfig(sch, 10e6, 0.1)
@@ -229,12 +234,17 @@ func TestOfferedLoad(t *testing.T) {
 	if math.Abs(lam-0.1) > 1e-12 {
 		t.Fatalf("lambda = %v, want 0.1", lam)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid OfferedLoad accepted")
-		}
-	}()
-	OfferedLoad(0, 1, 1, 1)
+	nan := math.NaN()
+	for _, args := range [][4]float64{{0, 1, 1, 1}, {nan, 1, 1, 1}, {1, nan, 1, 1}, {1, 1, nan, 1}, {1, 1, 1, nan}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("OfferedLoad%v accepted", args)
+				}
+			}()
+			OfferedLoad(args[0], args[1], args[2], args[3])
+		}()
+	}
 }
 
 func TestInteractivityJumps(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"rcbr/internal/admission"
 	"rcbr/internal/callsim"
@@ -312,6 +313,11 @@ func newController(name string, dist ld.Dist, levels []float64, capacity, target
 func MBAC(ctx context.Context, cfg MBACConfig) ([]MBACRow, error) {
 	if cfg.Schedule == nil {
 		return nil, fmt.Errorf("experiments: missing schedule")
+	}
+	for _, v := range slices.Concat(cfg.CapacityMultiples, cfg.Loads) {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("experiments: capacity multiple or load %g is not positive and finite", v)
+		}
 	}
 	desc := cfg.Schedule.Descriptor(cfg.Levels)
 	dist := ld.Dist{P: desc.Probabilities(), X: desc.Levels()}

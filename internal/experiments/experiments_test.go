@@ -182,6 +182,18 @@ func TestMBACUnknownScheme(t *testing.T) {
 	if _, err := MBAC(context.Background(), cfg); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
+	// A load or capacity multiple OfferedLoad would panic on is an error.
+	cfg.Schemes = []string{"memoryless"}
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(1)} {
+		for _, set := range []*[]float64{&cfg.Loads, &cfg.CapacityMultiples} {
+			saved := *set
+			*set = []float64{bad}
+			if _, err := MBAC(context.Background(), cfg); err == nil {
+				t.Errorf("loads %v, capacity multiples %v accepted", cfg.Loads, cfg.CapacityMultiples)
+			}
+			*set = saved
+		}
+	}
 	cfg.Schedule = nil
 	if _, err := MBAC(context.Background(), cfg); err == nil {
 		t.Fatal("missing schedule accepted")

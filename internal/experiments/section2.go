@@ -64,7 +64,7 @@ func DataPath(tr *trace.Trace, n int, perSourceRate, cellPayloadBits, utilizatio
 	if tr == nil || tr.Len() == 0 || n <= 0 {
 		return DataPathResult{}, fmt.Errorf("experiments: invalid data-path arguments")
 	}
-	if utilization <= 0 || utilization >= 1 {
+	if !(utilization > 0 && utilization < 1) {
 		return DataPathResult{}, fmt.Errorf("experiments: utilization %g outside (0,1)", utilization)
 	}
 	linkCellRate := float64(n) * perSourceRate / utilization / cellPayloadBits

@@ -198,22 +198,22 @@ func DefaultParams(granularity float64) Params {
 // Validate reports the first problem with the parameters, or nil.
 func (p Params) Validate() error {
 	switch {
-	case p.Granularity <= 0:
+	case !(p.Granularity > 0):
 		return fmt.Errorf("heuristic: granularity must be positive, got %g", p.Granularity)
-	case p.LowWater < 0 || p.HighWater < 0:
+	case !(p.LowWater >= 0 && p.HighWater >= 0):
 		return fmt.Errorf("heuristic: negative buffer threshold")
-	case p.LowWater >= p.HighWater:
+	case !(p.LowWater < p.HighWater):
 		return fmt.Errorf("heuristic: LowWater %g must be below HighWater %g",
 			p.LowWater, p.HighWater)
-	case p.FlushSlots <= 0:
+	case !(p.FlushSlots > 0):
 		return fmt.Errorf("heuristic: FlushSlots must be positive, got %g", p.FlushSlots)
-	case p.ARCoeff < 0 || p.ARCoeff >= 1:
+	case !(p.ARCoeff >= 0 && p.ARCoeff < 1):
 		return fmt.Errorf("heuristic: ARCoeff %g outside [0,1)", p.ARCoeff)
-	case p.InitialRate < 0:
+	case !(p.InitialRate >= 0):
 		return fmt.Errorf("heuristic: negative initial rate")
-	case p.MaxRate < 0:
+	case !(p.MaxRate >= 0):
 		return fmt.Errorf("heuristic: negative max rate")
-	case p.GrantTolerance < 0 || p.GrantTolerance >= 1:
+	case !(p.GrantTolerance >= 0 && p.GrantTolerance < 1):
 		return fmt.Errorf("heuristic: grant tolerance %g outside [0,1)", p.GrantTolerance)
 	case p.SignalDelaySlots < 0:
 		return fmt.Errorf("heuristic: negative signaling delay")

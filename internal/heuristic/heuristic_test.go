@@ -67,6 +67,7 @@ func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams(64e3).Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
+	nan := math.NaN()
 	bad := []Params{
 		{},
 		{Granularity: -1, LowWater: 0, HighWater: 1, FlushSlots: 1},
@@ -75,6 +76,15 @@ func TestParamsValidate(t *testing.T) {
 		{Granularity: 1, LowWater: 0, HighWater: 1, FlushSlots: 1, ARCoeff: 1},
 		{Granularity: 1, LowWater: 0, HighWater: 1, FlushSlots: 1, InitialRate: -1},
 		{Granularity: 1, LowWater: 0, HighWater: 1, FlushSlots: 1, MaxRate: -1},
+		// NaN fails every comparison: each field refuses it.
+		{Granularity: nan, LowWater: 0, HighWater: 1, FlushSlots: 1},
+		{Granularity: 1, LowWater: nan, HighWater: 1, FlushSlots: 1},
+		{Granularity: 1, LowWater: 0, HighWater: nan, FlushSlots: 1},
+		{Granularity: 1, LowWater: 0, HighWater: 1, FlushSlots: nan},
+		{Granularity: 1, LowWater: 0, HighWater: 1, FlushSlots: 1, ARCoeff: nan},
+		{Granularity: 1, LowWater: 0, HighWater: 1, FlushSlots: 1, InitialRate: nan},
+		{Granularity: 1, LowWater: 0, HighWater: 1, FlushSlots: 1, MaxRate: nan},
+		{Granularity: 1, LowWater: 0, HighWater: 1, FlushSlots: 1, GrantTolerance: nan},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -166,33 +166,6 @@ func (d Dist) ChernoffTail(a float64, n int) float64 {
 	return math.Exp(-float64(n) * d.RateFunction(a))
 }
 
-// CapacityForTail returns the smallest per-source capacity c such that the
-// Chernoff estimate exp(-n I(c)) is at most target. It returns the mean when
-// target >= 1 and the max support when no interior capacity suffices.
-func (d Dist) CapacityForTail(n int, target float64) float64 {
-	if target >= 1 {
-		return d.Mean()
-	}
-	lo, hi := d.Mean(), d.Max()
-	if lo >= hi {
-		return hi
-	}
-	if d.ChernoffTail(hi, n) > target {
-		// Even peak allocation cannot meet the target by this estimate
-		// (possible when P(max) is large); peak is the best we can do.
-		return hi
-	}
-	for iter := 0; iter < 100; iter++ {
-		mid := (lo + hi) / 2
-		if d.ChernoffTail(mid, n) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
 // MaxCalls returns the largest number of calls n such that the Chernoff
 // estimate of P(sum of rates >= C) is at most target, i.e. exp(-n I(C/n)) <=
 // target. It returns 0 if even one call violates the target.
@@ -321,15 +294,4 @@ func DeltaFor(B, target float64) (float64, error) {
 		return 0, fmt.Errorf("ld: target probability %g outside (0,1)", target)
 	}
 	return -math.Log(target) / B, nil
-}
-
-// EBForBuffer returns the minimum CBR drain rate for a Markov source with a
-// buffer of B bits so that the large-deviations estimate of the overflow
-// probability is at most target.
-func EBForBuffer(c *markov.Chain, B, target float64) (float64, error) {
-	delta, err := DeltaFor(B, target)
-	if err != nil {
-		return 0, err
-	}
-	return EffectiveBandwidth(c, delta)
 }

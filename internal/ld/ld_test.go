@@ -139,38 +139,6 @@ func TestChernoffTailDecreasesWithN(t *testing.T) {
 	}
 }
 
-func TestCapacityForTailInverse(t *testing.T) {
-	d := Dist{P: []float64{0.7, 0.2, 0.1}, X: []float64{100, 300, 900}}
-	for _, n := range []int{10, 100} {
-		c := d.CapacityForTail(n, 1e-3)
-		if c < d.Mean() || c > d.Max() {
-			t.Fatalf("capacity %v outside [mean, max]", c)
-		}
-		got := d.ChernoffTail(c, n)
-		if got > 1e-3*(1+1e-6) {
-			t.Fatalf("tail at returned capacity = %v > target", got)
-		}
-		// Slightly lower capacity must violate the target.
-		if d.ChernoffTail(c*0.99, n) <= 1e-3 {
-			t.Fatalf("capacity not minimal for n=%d", n)
-		}
-	}
-	// More sources need less per-source capacity (statistical multiplexing).
-	if d.CapacityForTail(100, 1e-3) >= d.CapacityForTail(10, 1e-3) {
-		t.Fatal("per-source capacity must shrink with n")
-	}
-}
-
-func TestCapacityForTailDegenerate(t *testing.T) {
-	d := Dist{P: []float64{1}, X: []float64{5}}
-	if c := d.CapacityForTail(10, 1e-3); c != 5 {
-		t.Fatalf("constant source capacity = %v, want 5", c)
-	}
-	if c := bernoulli(0.3).CapacityForTail(10, 1); c != bernoulli(0.3).Mean() {
-		t.Fatalf("target >= 1 must return the mean, got %v", c)
-	}
-}
-
 func TestMaxCallsBoundary(t *testing.T) {
 	d := Dist{P: []float64{0.8, 0.2}, X: []float64{100, 500}}
 	C := 3000.0
@@ -286,16 +254,20 @@ func TestEffectiveBandwidthOnOffClosedForm(t *testing.T) {
 	}
 }
 
-func TestEBForBufferDecreasesWithBuffer(t *testing.T) {
+func TestEffectiveBandwidthDecreasesWithBuffer(t *testing.T) {
 	c := markov.TwoState(100, 0.1, 0.3)
-	small, err := EBForBuffer(c, 10, 1e-6)
-	if err != nil {
-		t.Fatal(err)
+	eb := func(B float64) float64 {
+		delta, err := DeltaFor(B, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EffectiveBandwidth(c, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	large, err := EBForBuffer(c, 1000, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small, large := eb(10), eb(1000)
 	if large >= small {
 		t.Fatalf("EB must shrink with buffer: B=10 %v, B=1000 %v", small, large)
 	}

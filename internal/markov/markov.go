@@ -2,17 +2,13 @@
 // of Section V-A of the RCBR paper: finite-state chains with a per-state data
 // rate, and the multiple time-scale construction in which the state space
 // decomposes into fast time-scale subchains connected by rare transitions
-// (Fig. 4). The package also computes stationary distributions and generates
-// sample paths; the large-deviations quantities built on these chains live in
-// package ld.
+// (Fig. 4). The package also computes stationary distributions; the
+// large-deviations quantities built on these chains live in package ld.
 package markov
 
 import (
 	"fmt"
 	"math"
-
-	"rcbr/internal/stats"
-	"rcbr/internal/trace"
 )
 
 // Chain is a discrete-time Markov chain with a data-generation rate attached
@@ -126,56 +122,6 @@ func (c *Chain) PeakRate() float64 {
 		}
 	}
 	return max
-}
-
-// Sample generates a sample path of length n starting from a state drawn
-// from the stationary distribution, returning the per-slot data amounts.
-func (c *Chain) Sample(n int, rng *stats.RNG) ([]float64, error) {
-	pi, err := c.Stationary()
-	if err != nil {
-		return nil, err
-	}
-	state := rng.Pick(pi)
-	out := make([]float64, n)
-	for t := 0; t < n; t++ {
-		out[t] = c.Rate[state]
-		state = rng.Pick(c.P[state])
-	}
-	return out, nil
-}
-
-// SamplePath is like Sample but also returns the visited states.
-func (c *Chain) SamplePath(n int, rng *stats.RNG) (data []float64, states []int, err error) {
-	pi, err := c.Stationary()
-	if err != nil {
-		return nil, nil, err
-	}
-	state := rng.Pick(pi)
-	data = make([]float64, n)
-	states = make([]int, n)
-	for t := 0; t < n; t++ {
-		data[t] = c.Rate[state]
-		states[t] = state
-		state = rng.Pick(c.P[state])
-	}
-	return data, states, nil
-}
-
-// SampleTrace generates a frame-size trace of n slots from the chain at the
-// given frame rate: Rate is interpreted as bits per slot and rounded to
-// whole bits. This bridges the analytical source models of Section V-A into
-// every trace-driven experiment ("our results are applicable to multiple
-// time-scale traffic in general").
-func (c *Chain) SampleTrace(n int, fps float64, rng *stats.RNG) (*trace.Trace, error) {
-	data, err := c.Sample(n, rng)
-	if err != nil {
-		return nil, err
-	}
-	bits := make([]int64, n)
-	for i, d := range data {
-		bits[i] = int64(math.Round(d))
-	}
-	return trace.New(bits, fps), nil
 }
 
 // TwoState returns the classical on-off fluid source: off rate 0, on rate

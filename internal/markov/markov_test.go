@@ -102,62 +102,6 @@ func randomChain(r *stats.RNG, n int) *Chain {
 	return &Chain{P: P, Rate: rate}
 }
 
-func TestSampleOccupancy(t *testing.T) {
-	c := TwoState(1, 0.1, 0.3) // pi = (0.75, 0.25), rates (0, 1)
-	data, err := c.Sample(200000, stats.NewRNG(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var on float64
-	for _, d := range data {
-		on += d
-	}
-	frac := on / float64(len(data))
-	if math.Abs(frac-0.25) > 0.01 {
-		t.Fatalf("on fraction = %v, want ~0.25", frac)
-	}
-}
-
-func TestSamplePathStatesMatchData(t *testing.T) {
-	c := TwoState(7, 0.2, 0.2)
-	data, states, err := c.SamplePath(1000, stats.NewRNG(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		if data[i] != c.Rate[states[i]] {
-			t.Fatalf("slot %d: data %v but state %d", i, data[i], states[i])
-		}
-	}
-}
-
-func TestSampleTrace(t *testing.T) {
-	m := PaperExample(15000, 5e-3) // bits/slot scaled to video-like sizes
-	flat, err := m.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := flat.SampleTrace(48000, 24, stats.NewRNG(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 48000 || tr.FPS != 24 {
-		t.Fatalf("trace %d @ %v", tr.Len(), tr.FPS)
-	}
-	// Mean frame size tracks the chain's stationary mean; the slow
-	// time-scale correlation (dwell ~200 slots) leaves sampling noise.
-	want, _ := flat.MeanRate()
-	got := float64(tr.TotalBits()) / float64(tr.Len())
-	if math.Abs(got-want)/want > 0.15 {
-		t.Fatalf("mean frame %v, want ~%v", got, want)
-	}
-	// The multi-time-scale structure survives: sustained peaks exist.
-	peak := tr.LongestSustainedPeak(1.5*tr.MeanRate(), 24)
-	if peak.Frames == 0 {
-		t.Fatal("no sustained peaks in MTS-generated trace")
-	}
-}
-
 func TestMTSValidate(t *testing.T) {
 	m := PaperExample(1000, 1e-3)
 	if err := m.Validate(); err != nil {
@@ -249,17 +193,6 @@ func TestSubchainOf(t *testing.T) {
 	}
 	if m.SubchainOf(6) != -1 {
 		t.Fatal("out-of-range state must map to -1")
-	}
-}
-
-func TestDwellSlots(t *testing.T) {
-	m := PaperExample(1, 1e-3)
-	if d := m.DwellSlots(); math.Abs(d-1000) > 1e-9 {
-		t.Fatalf("dwell = %v, want 1000", d)
-	}
-	m.Epsilon = 0
-	if !math.IsInf(m.DwellSlots(), 1) {
-		t.Fatal("zero epsilon must give infinite dwell")
 	}
 }
 

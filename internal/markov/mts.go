@@ -1,9 +1,6 @@
 package markov
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Subchain is one fast time-scale component of a multiple time-scale source:
 // a small Markov chain (e.g. the intra-scene frame dynamics) together with a
@@ -194,13 +191,4 @@ func PaperExample(mean float64, epsilon float64) *MTS {
 		subs[i] = Subchain{Chain: sub, Weight: r.weight}
 	}
 	return &MTS{Subchains: subs, Epsilon: epsilon}
-}
-
-// DwellSlots returns the expected number of slots between slow transitions,
-// 1/epsilon (infinite if epsilon is zero).
-func (m *MTS) DwellSlots() float64 {
-	if m.Epsilon == 0 {
-		return math.Inf(1)
-	}
-	return 1 / m.Epsilon
 }

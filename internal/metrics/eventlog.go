@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -185,24 +184,4 @@ func (r *EventLog) Events() []Event {
 	}
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
-}
-
-// eventDump is the JSON envelope written by WriteJSON.
-type eventDump struct {
-	Total    uint64  `json:"total_events"`
-	Retained int     `json:"retained_events"`
-	Events   []Event `json:"events"`
-}
-
-// WriteJSON writes the retained events (oldest first) as one indented JSON
-// object: {"total_events": N, "retained_events": M, "events": [...]}.
-func (r *EventLog) WriteJSON(w io.Writer) error {
-	events := r.Events()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(eventDump{
-		Total:    r.Total(),
-		Retained: len(events),
-		Events:   events,
-	})
 }

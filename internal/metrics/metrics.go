@@ -22,7 +22,7 @@
 //     never perturbs the measured system beyond the atomic loads.
 //
 // The event-trace side of observability (per-VC lifecycle rings) lives in
-// ring.go.
+// eventlog.go.
 package metrics
 
 import (

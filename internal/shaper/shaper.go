@@ -80,10 +80,6 @@ func (tb *TokenBucket) Tick(dt float64) {
 	tb.tokens = Refill(tb.tokens, tb.rate, dt, tb.depth)
 }
 
-// Conforms reports whether bits could be sent now without violating the
-// descriptor.
-func (tb *TokenBucket) Conforms(bits float64) bool { return bits <= tb.tokens }
-
 // Take consumes bits of tokens; it returns false (consuming nothing) if the
 // bucket does not hold enough.
 func (tb *TokenBucket) Take(bits float64) bool {

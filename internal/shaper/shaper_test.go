@@ -14,8 +14,8 @@ func TestBucketBasics(t *testing.T) {
 	if tb.Rate() != 100 || tb.Depth() != 50 || tb.Tokens() != 50 {
 		t.Fatalf("bucket %+v", tb)
 	}
-	if !tb.Conforms(50) || tb.Conforms(51) {
-		t.Fatal("conformance at the boundary")
+	if tb.Take(51) || tb.Tokens() != 50 {
+		t.Fatalf("overdraw at the boundary left %v tokens", tb.Tokens())
 	}
 	if !tb.Take(30) {
 		t.Fatal("take within tokens failed")

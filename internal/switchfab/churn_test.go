@@ -751,7 +751,8 @@ func TestControlPathLooksNoControllerUp(t *testing.T) {
 // TestMemoryAdmitterRefusesBadLevels holds NewMemoryAdmitter to the level
 // sets a port's controller can pool over: every level finite — NaN and ±Inf
 // pass a bare ascending check — and at most 7 of them, the dwell slots a
-// VC's call record carries. The refusal of a wider set names the limit.
+// VC's call record carries. The refusal of a wider set names the limit. A
+// NaN target is refused too.
 func TestMemoryAdmitterRefusesBadLevels(t *testing.T) {
 	for _, levels := range [][]float64{
 		{1e6, math.NaN(), 3e6},
@@ -769,5 +770,8 @@ func TestMemoryAdmitterRefusesBadLevels(t *testing.T) {
 	}
 	if _, err := NewMemoryAdmitter(eight, 1e-3); err == nil || !strings.Contains(err.Error(), "7") {
 		t.Errorf("8 levels: err %v, want a refusal naming the limit of 7", err)
+	}
+	if _, err := NewMemoryAdmitter(eight[:2], math.NaN()); err == nil {
+		t.Error("NaN target accepted")
 	}
 }

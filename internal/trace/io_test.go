@@ -10,84 +10,6 @@ import (
 	"rcbr/internal/stats"
 )
 
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := SyntheticStarWarsFrames(1, 500)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FPS != tr.FPS || got.Len() != tr.Len() {
-		t.Fatalf("header mismatch: fps %v len %d", got.FPS, got.Len())
-	}
-	for i := range tr.FrameBits {
-		if got.FrameBits[i] != tr.FrameBits[i] {
-			t.Fatalf("frame %d: %d != %d", i, got.FrameBits[i], tr.FrameBits[i])
-		}
-	}
-}
-
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(seed uint64, n uint8, fpsTenth uint8) bool {
-		// Widen before adding: in uint8 arithmetic 246%250+10 wraps to 0,
-		// which New rejects by panicking on non-positive fps.
-		fps := float64(int(fpsTenth)%250+10) / 10
-		r := stats.NewRNG(seed)
-		bits := make([]int64, n)
-		for i := range bits {
-			bits[i] = int64(r.Intn(1 << 20))
-		}
-		tr := New(bits, fps)
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if got.Len() != tr.Len() {
-			return false
-		}
-		for i := range bits {
-			if got.FrameBits[i] != bits[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinaryErrors(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("XXXX\x00\x01"),
-		"truncated": append([]byte("RCBT"), 0, 1),
-	}
-	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: no error", name)
-		}
-	}
-	// Bad version.
-	tr := New([]int64{1}, 24)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[5] = 99 // version low byte
-	if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
-		t.Error("bad version accepted")
-	}
-}
-
 func TestTextRoundTrip(t *testing.T) {
 	tr := New([]int64{10, 20, 30}, 25)
 	var buf bytes.Buffer
@@ -100,6 +22,40 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if got.FPS != 25 || got.Len() != 3 || got.FrameBits[2] != 30 {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+func TestTextRoundTripProperty(t *testing.T) {
+	f := func(seed uint64, n uint8, fpsTenth uint8) bool {
+		// Widen before adding: in uint8 arithmetic 246%250+10 wraps to 0,
+		// which New rejects by panicking on non-positive fps.
+		fps := float64(int(fpsTenth)%250+10) / 10
+		r := stats.NewRNG(seed)
+		bits := make([]int64, n)
+		for i := range bits {
+			bits[i] = int64(r.Intn(1 << 20))
+		}
+		tr := New(bits, fps)
+		var buf bytes.Buffer
+		if err := tr.WriteText(&buf); err != nil {
+			return false
+		}
+		got, err := ReadText(&buf)
+		if err != nil {
+			return false
+		}
+		if got.FPS != fps || got.Len() != tr.Len() {
+			return false
+		}
+		for i := range bits {
+			if got.FrameBits[i] != bits[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -136,35 +92,21 @@ func TestTextErrors(t *testing.T) {
 	}
 }
 
-func TestSaveLoadAutodetect(t *testing.T) {
-	dir := t.TempDir()
+func TestSaveLoad(t *testing.T) {
 	tr := SyntheticStarWarsFrames(2, 200)
-
-	binPath := filepath.Join(dir, "t.rcbt")
-	if err := tr.Save(binPath, true); err != nil {
+	path := filepath.Join(t.TempDir(), "t.txt")
+	if err := tr.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	gotBin, err := Load(binPath)
+	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotBin.Len() != tr.Len() {
-		t.Fatalf("binary load len = %d", gotBin.Len())
-	}
-
-	txtPath := filepath.Join(dir, "t.txt")
-	if err := tr.Save(txtPath, false); err != nil {
-		t.Fatal(err)
-	}
-	gotTxt, err := Load(txtPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTxt.Len() != tr.Len() || gotTxt.FPS != tr.FPS {
-		t.Fatalf("text load len = %d fps = %v", gotTxt.Len(), gotTxt.FPS)
+	if got.Len() != tr.Len() || got.FPS != tr.FPS {
+		t.Fatalf("load len = %d fps = %v", got.Len(), got.FPS)
 	}
 	for i := range tr.FrameBits {
-		if gotTxt.FrameBits[i] != tr.FrameBits[i] || gotBin.FrameBits[i] != tr.FrameBits[i] {
+		if got.FrameBits[i] != tr.FrameBits[i] {
 			t.Fatalf("frame %d mismatch", i)
 		}
 	}

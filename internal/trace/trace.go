@@ -1,5 +1,5 @@
 // Package trace provides frame-size traces of compressed video: the Trace
-// type with statistics, binary and text serialization, and a synthetic
+// type with statistics, text serialization, and a synthetic
 // multiple-time-scale MPEG generator calibrated to the published statistics
 // of the MPEG-1 Star Wars trace used in the RCBR paper.
 //

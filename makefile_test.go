@@ -1,7 +1,10 @@
 package rcbr
 
 import (
+	"go/ast"
+	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -141,6 +144,49 @@ func TestMakefileAllCoversCI(t *testing.T) {
 	}
 	if !strings.Contains(string(src), "\nall: BENCHJSON = BENCH_new.json\n") {
 		t.Error("all does not write its benchmark run to BENCH_new.json")
+	}
+}
+
+// TestMakefileFuzzCoversTargets holds the fuzz recipe one-to-one with the
+// module's fuzz targets. `go test -fuzz` passes when its pattern matches no
+// target, so a line left behind by a deleted target would fuzz nothing
+// without failing, and a target added without a line would never be fuzzed.
+func TestMakefileFuzzCoversTargets(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("reading Makefile: %v", err)
+	}
+	fuzzLine := regexp.MustCompile(`^\$\(GO\) test -run '\^\$\$' -fuzz '\^(Fuzz\w+)\$\$' -fuzztime \$\(FUZZTIME\) \./(\S+)/$`)
+	lines := map[string]int{}
+	for _, line := range recipeLines(t, string(src), "fuzz") {
+		m := fuzzLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("fuzz recipe line %q is not `$(GO) test -run '^$$' -fuzz '^Fuzz<Name>$$' -fuzztime $(FUZZTIME) ./<dir>/`", line)
+			continue
+		}
+		lines[m[2]+"."+m[1]]++
+	}
+	fset := token.NewFileSet()
+	for _, f := range goFiles(t, fset, true) {
+		path := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+		// bench/ is a module of its own, out of reach of the root's `go test`.
+		if !strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "bench/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				continue
+			}
+			target := filepath.ToSlash(filepath.Dir(path)) + "." + fn.Name.Name
+			if n := lines[target]; n != 1 {
+				t.Errorf("fuzz target %s has %d fuzz recipe lines, want 1", target, n)
+			}
+			delete(lines, target)
+		}
+	}
+	for target := range lines {
+		t.Errorf("fuzz recipe fuzzes %s, which is not a fuzz target", target)
 	}
 }
 
