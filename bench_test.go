@@ -1059,3 +1059,20 @@ func BenchmarkFabricCellParse(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFabricCellVCID times what the forwarder reads of a cell's header:
+// its VC id and HEC verdict, with no Header built (cell.VCID).
+func BenchmarkFabricCellVCID(b *testing.B) {
+	var raw [cell.Size]byte
+	if err := cell.PutData(&raw, cell.Header{VPI: 3, VCI: 42}, []byte("x")); err != nil {
+		b.Fatal(err)
+	}
+	want := uint32(switchfab.MakeVCID(3, 42))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if id, ok := cell.VCID(raw[:]); !ok || id != want {
+			b.Fatal(id, ok)
+		}
+	}
+}

@@ -409,11 +409,10 @@ func mbac(scheme, title string) func(*flag.FlagSet) func(context.Context) error 
 
 func analysis(fs *flag.FlagSet) func(context.Context) error {
 	mean := fs.Float64("mean", 1000, "source mean rate (bits/slot)")
-	eps := fs.Float64("eps", 1e-4, "slow transition probability per slot")
 	buffer := fs.Float64("buffer", 5000, "per-source buffer (bits)")
 	target := fs.Float64("loss", 1e-6, "per-subchain overflow target")
 	return func(context.Context) error {
-		res, err := experiments.Analysis(*mean, *eps, *buffer, *target, []int{10, 100, 1000})
+		res, err := experiments.Analysis(*mean, *buffer, *target, []int{10, 100, 1000})
 		if err != nil {
 			return err
 		}
@@ -446,7 +445,8 @@ func section2(fs *flag.FlagSet) func(context.Context) error {
 		}
 		fmt.Println("section2: the one-shot descriptor dilemma (token bucket (r, b))")
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "r/mean\tb*(r) lossless (Mb)\tpolice@300kb loss\tshape@300kb delay(s)")
+		kb := *bucket / 1e3
+		fmt.Fprintf(w, "r/mean\tb*(r) lossless (Mb)\tpolice@%gkb loss\tshape@%gkb delay(s)\n", kb, kb)
 		for _, r := range rows {
 			fmt.Fprintf(w, "%.2f\t%.2f\t%.2e\t%.2f\n",
 				r.RateOverMean, r.MinDepthBits/1e6, r.PolicingLoss, r.ShapingDelaySec)

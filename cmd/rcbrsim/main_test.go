@@ -132,6 +132,10 @@ func TestBufferAndLevelsFlagValidation(t *testing.T) {
 		{"latency", []string{"-delta", "NaN"}},
 		{"fig7", []string{"-loads", "NaN", "-caps", "10", "-batches", "4"}},
 		{"muxcmp", []string{"-util", "NaN"}},
+		{"schedule", []string{"-alpha", "NaN"}},
+		{"rvbr", []string{"-alpha", "NaN"}},
+		{"rvbr", []string{"-margin", "NaN"}},
+		{"rvbr", []string{"-margin", "+Inf"}},
 	} {
 		if err := dispatch(append([]string{tc.name, "-frames", "240"}, tc.args...)); err == nil {
 			t.Errorf("rcbrsim %s %s: accepted", tc.name, strings.Join(tc.args, " "))
@@ -143,8 +147,9 @@ func TestBufferAndLevelsFlagValidation(t *testing.T) {
 // once replaced in silence: the count flags of signal and topology below
 // one (sources, signaling workers, queue depth, retained events, and slots
 // between samples), a -frames outside the range of a command that does
-// not take the whole trace, and a fig5 curve LogSpace panicked on or that
-// came out NaN.
+// not take the whole trace, a fig5 curve LogSpace panicked on or that
+// came out NaN, and a section2 bucket the policer panicked on or that
+// printed a NaN loss column.
 func TestCountFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -169,6 +174,10 @@ func TestCountFlagValidation(t *testing.T) {
 		{"fig5", []string{"-buflo", "300e3", "-bufhi", "30e3"}},
 		{"fig5", []string{"-buflo", "NaN"}},
 		{"fig5", []string{"-loss", "NaN"}},
+		{"section2", []string{"-bucket", "-5"}},
+		{"section2", []string{"-bucket", "0"}},
+		{"section2", []string{"-bucket", "NaN"}},
+		{"section2", []string{"-bucket", "+Inf"}},
 	} {
 		// A row that is wrongly accepted runs: keep its CSV out of the
 		// working directory.

@@ -85,7 +85,7 @@ func ParseHeader(b []byte) (Header, error) {
 	if len(b) < HeaderSize {
 		return Header{}, ErrShort
 	}
-	if hec(b[:4]) != b[4] {
+	if hec(b) != b[4] {
 		return Header{}, ErrHEC
 	}
 	return Header{
@@ -95,6 +95,17 @@ func ParseHeader(b []byte) (Header, error) {
 		PTI: b[3] >> 1 & 7,
 		CLP: b[3]&1 != 0,
 	}, nil
+}
+
+// VCID returns the 24-bit VPI/VCI of the header in b[:HeaderSize] — the
+// VPI in bits 16-23 and the VCI in bits 0-15, as switchfab.MakeVCID packs
+// them — and whether its HEC holds. It is ParseHeader cut down to what the
+// forwarder reads of a cell: no other field is decoded and no error is
+// built, so it inlines into the per-cell loop. b must hold at least
+// HeaderSize bytes.
+func VCID(b []byte) (uint32, bool) {
+	_ = b[4]
+	return uint32(b[0]&0xF)<<20 | uint32(b[1])<<12 | uint32(b[2])<<4 | uint32(b[3])>>4, hec(b) == b[4]
 }
 
 // EncodeRate16 encodes a non-negative rate into the ATM TM 4.0 16-bit

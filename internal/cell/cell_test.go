@@ -67,6 +67,70 @@ func TestHECDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestVCIDMatchesParseHeader ties the forwarder's reader to ParseHeader:
+// for every 24-bit id, under GFC/PTI/CLP settings that include a nonzero
+// GFC nibble, VCID returns the id ParseHeader decodes (VPI<<16 | VCI) and
+// the same verdict; every single-bit flip of the five header bytes is
+// refused by both.
+func TestVCIDMatchesParseHeader(t *testing.T) {
+	settings := []Header{
+		{},
+		{GFC: 0xF, PTI: 7, CLP: true},
+		{GFC: 0xA, PTI: PTIRM},
+		{GFC: 0x5, PTI: 1, CLP: true},
+	}
+	for _, s := range settings {
+		for id := uint32(0); id < 1<<24; id++ {
+			h := s
+			h.VPI, h.VCI = uint8(id>>16), uint16(id)
+			b, err := h.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := VCID(b[:])
+			ph, err := ParseHeader(b[:])
+			if err != nil || !ok {
+				t.Fatalf("%+v: VCID ok=%v, ParseHeader err=%v", h, ok, err)
+			}
+			if want := uint32(ph.VPI)<<16 | uint32(ph.VCI); got != want || got != id {
+				t.Fatalf("%+v: VCID %#x, ParseHeader %#x, encoded %#x", h, got, want, id)
+			}
+			// The flips, on one id in 4099 (a prime stride, so every byte
+			// value recurs in every field) and on the ends of the range.
+			if id%4099 != 0 && id != 1<<24-1 {
+				continue
+			}
+			for bit := 0; bit < 8*HeaderSize; bit++ {
+				c := b
+				c[bit/8] ^= 1 << (bit % 8)
+				if _, ok := VCID(c[:]); ok {
+					t.Fatalf("%+v: VCID accepted bit %d flipped", h, bit)
+				}
+				if _, err := ParseHeader(c[:]); !errors.Is(err, ErrHEC) {
+					t.Fatalf("%+v: ParseHeader with bit %d flipped: %v", h, bit, err)
+				}
+			}
+		}
+	}
+	// Arbitrary bytes, mostly bad HECs: the verdicts agree throughout.
+	rng := stats.NewRNG(42)
+	for trial := 0; trial < 100_000; trial++ {
+		var b [HeaderSize]byte
+		v := rng.Uint64()
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		if trial%2 == 0 {
+			b[4] = hecRef(b[:4]) // half of them valid
+		}
+		got, ok := VCID(b[:])
+		ph, err := ParseHeader(b[:])
+		if ok != (err == nil) || ok && got != uint32(ph.VPI)<<16|uint32(ph.VCI) {
+			t.Fatalf("% x: VCID (%#x, %v), ParseHeader (%+v, %v)", b, got, ok, ph, err)
+		}
+	}
+}
+
 func TestRate16KnownValues(t *testing.T) {
 	cases := []struct {
 		rate float64

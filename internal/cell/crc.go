@@ -58,18 +58,12 @@ var hecTable = func() (t [4][256]byte) {
 }()
 
 // hec computes the ATM header error control byte: CRC-8 with polynomial
-// x^8+x^2+x+1 over the first four header bytes, XORed with 0x55 (I.432).
-// A four-byte header takes the sliced form above; any other length the
-// byte-serial loop.
+// x^8+x^2+x+1 over the four header bytes b[0..3], XORed with 0x55 (I.432),
+// by the sliced table above. Marshal writes it and every receive-side check
+// compares with it; it stays small enough to inline into the forwarder
+// through VCID (TestRingFastPathInlined).
 func hec(b []byte) byte {
-	if len(b) == 4 {
-		return hecTable[3][b[0]] ^ hecTable[2][b[1]] ^ hecTable[1][b[2]] ^ hecTable[0][b[3]] ^ 0x55
-	}
-	var crc byte
-	for _, x := range b {
-		crc = crc8Table[crc^x]
-	}
-	return crc ^ 0x55
+	return hecTable[3][b[0]] ^ hecTable[2][b[1]] ^ hecTable[1][b[2]] ^ hecTable[0][b[3]] ^ 0x55
 }
 
 // crc10 computes the ATM CRC-10 (generator x^10+x^9+x^5+x^4+x+1, i.e.

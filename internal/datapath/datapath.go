@@ -24,13 +24,14 @@
 // removes VCs concurrently with all of it.
 //
 // Rings are worked in bursts, and a burst stage by stage: a sweep reads a
-// port's burst in place and first looks every cell of it up — header check
-// and table walk, loads only, so the burst's cache misses overlap instead
-// of queueing behind one another's counter updates — then shapes the cells
-// in arrival order on the entries it found, stages the conforming ones onto
-// egress rings, publishes each touched egress ring with one cursor store
-// and releases the ingress ring with another; a Transmit call releases the
-// cells it served with one more. Staged cells are published before
+// port's burst in place and first looks every cell of it up — HEC and VC
+// id read straight off the header bytes, then the table walk; loads only,
+// so the burst's cache misses overlap instead of queueing behind one
+// another's counter updates — then shapes the cells in arrival order on
+// the entries it found, stages the conforming ones onto egress rings,
+// publishes each touched egress ring with one cursor store and releases
+// the ingress ring with another; a Transmit call releases the cells it
+// served with one more. Staged cells are published before
 // forwardPort returns, so nothing waits on a later burst.
 //
 // Per-VC shaper state and counters are owned by the forwarding goroutine;
@@ -482,15 +483,16 @@ const maxTouched = 8
 // forwardPort drains up to burst cells from one ingress ring, reading them
 // in place, and works the burst stage by stage rather than cell by cell.
 //
-// Stage 1, lookup, is loads only: for every cell of the burst, verify the
-// header (table-driven HEC) and index the VC table (three loads, no lock),
-// leaving the entry pointer in p.lookups. It writes nothing but that scratch
-// and two local counts — a bad header or an unknown VC is decided here and
-// its slot left nil — and above all it executes no locked instruction: on
-// amd64 an atomic add is a full fence, which in a cell-by-cell loop holds
-// the next cell's table walk back until this cell's counter has retired.
-// Without one, the burst's walks are independent and their cache misses
-// overlap.
+// Stage 1, lookup, is loads only: for every cell of the burst, read its VC
+// id and HEC verdict with cell.VCID — inlined, no Header built
+// (TestRingFastPathInlined) — and index the VC table (three loads, no
+// lock), leaving the entry pointer in p.lookups. It writes nothing but that
+// scratch and two local counts — a bad header or an unknown VC is decided
+// here and its slot left nil — and above all it executes no locked
+// instruction: on amd64 an atomic add is a full fence, which in a
+// cell-by-cell loop holds the next cell's table walk back until this
+// cell's counter has retired. Without one, the burst's walks are
+// independent and their cache misses overlap.
 //
 // Stage 2, shaping, walks the scratch in arrival order. Per routed cell:
 // refill the VC's bucket to now at the rate found in its mailbox and take
@@ -519,13 +521,12 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 	)
 	entries := p.lookups[:n]
 	for i := range entries {
-		c := p.in.At(i)
-		h, err := cell.ParseHeader(c[:cell.HeaderSize])
-		if err != nil {
+		id, ok := cell.VCID(p.in.At(i)[:])
+		if !ok {
 			bad++
 			continue
 		}
-		e := f.vcs.Get(uint32(switchfab.MakeVCID(h.VPI, h.VCI)))
+		e := f.vcs.Get(id)
 		if e == nil {
 			unr++
 			continue

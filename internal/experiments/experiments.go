@@ -410,9 +410,11 @@ type AnalysisResult struct {
 	Rows       []AnalysisRow
 }
 
-// Analysis evaluates eqs. (9)-(11) on markov.PaperExample.
-func Analysis(mean float64, epsilon, bufferBits, lossTarget float64, ns []int) (AnalysisResult, error) {
-	m := markov.PaperExample(mean, epsilon)
+// Analysis evaluates eqs. (9)-(11) on markov.PaperExample. The three are
+// limits as the slow transition probability ε goes to 0 — none reads it —
+// so the example is built at ε = 0.
+func Analysis(mean, bufferBits, lossTarget float64, ns []int) (AnalysisResult, error) {
+	m := markov.PaperExample(mean, 0)
 	bw, err := ld.MTSEffectiveBandwidth(m, bufferBits, lossTarget)
 	if err != nil {
 		return AnalysisResult{}, err

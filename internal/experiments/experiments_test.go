@@ -201,7 +201,7 @@ func TestMBACUnknownScheme(t *testing.T) {
 }
 
 func TestAnalysisEquations(t *testing.T) {
-	res, err := Analysis(1000, 1e-4, 5000, 1e-6, []int{10, 100})
+	res, err := Analysis(1000, 5000, 1e-6, []int{10, 100})
 	if err != nil {
 		t.Fatal(err)
 	}

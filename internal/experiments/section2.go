@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"rcbr/internal/mux"
 	"rcbr/internal/shaper"
@@ -18,18 +19,22 @@ type Section2Row struct {
 	RateOverMean float64
 	// MinDepthBits is b*(r): the bucket depth for lossless conformance.
 	MinDepthBits float64
-	// PolicingLoss is the bit-loss fraction when policing with a 300 kb
-	// bucket instead.
+	// PolicingLoss is the bit-loss fraction when policing with the small
+	// bucket instead (rcbrsim section2's -bucket, 300 kb by default).
 	PolicingLoss float64
 	// ShapingDelaySec is the worst-case delay when shaping with the same
-	// 300 kb bucket.
+	// small bucket.
 	ShapingDelaySec float64
 }
 
 // Section2 evaluates the dilemma across token rates (multiples of the mean).
+// The small bucket must be a positive finite number of bits.
 func Section2(tr *trace.Trace, rateMultiples []float64, smallBucketBits float64) ([]Section2Row, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("experiments: missing trace")
+	}
+	if !(smallBucketBits > 0) || math.IsInf(smallBucketBits, 0) {
+		return nil, fmt.Errorf("experiments: -bucket must be a positive finite number of bits, got %g", smallBucketBits)
 	}
 	mean := tr.MeanRate()
 	rows := make([]Section2Row, len(rateMultiples))

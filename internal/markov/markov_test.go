@@ -110,6 +110,7 @@ func TestMTSValidate(t *testing.T) {
 	bad := []*MTS{
 		{},
 		{Subchains: []Subchain{{Chain: TwoState(1, .1, .1), Weight: 1}}, Epsilon: 1.5},
+		{Subchains: []Subchain{{Chain: TwoState(1, .1, .1), Weight: 1}}, Epsilon: math.NaN()},
 		{Subchains: []Subchain{{Chain: nil, Weight: 1}}},
 		{Subchains: []Subchain{{Chain: TwoState(1, .1, .1), Weight: 0}}},
 	}

@@ -28,7 +28,7 @@ func (m *MTS) Validate() error {
 	if len(m.Subchains) == 0 {
 		return fmt.Errorf("markov: MTS with no subchains")
 	}
-	if m.Epsilon < 0 || m.Epsilon >= 1 {
+	if !(m.Epsilon >= 0 && m.Epsilon < 1) {
 		return fmt.Errorf("markov: MTS epsilon %g outside [0,1)", m.Epsilon)
 	}
 	var wsum float64

@@ -207,8 +207,10 @@ func (cp *CellPath) Step(slot int64) {
 				continue
 			}
 			cp.stats.Delivered++
-			if _, p, err := cell.ParseData(c[:]); err == nil {
-				d := slot - int64(binary.BigEndian.Uint64(p[:8]))
+			// The stamp is read off what ParseData would accept: a header
+			// whose HEC holds on a data cell (PTI, c[3] bits 1-3, below 4).
+			if _, ok := cell.VCID(c[:]); ok && c[3]>>1&4 == 0 {
+				d := slot - int64(binary.BigEndian.Uint64(c[cell.HeaderSize:]))
 				cp.stats.SumDelaySlots += d
 				if d > cp.stats.MaxDelaySlots {
 					cp.stats.MaxDelaySlots = d

@@ -15,6 +15,7 @@ package rvbr
 
 import (
 	"fmt"
+	"math"
 
 	"rcbr/internal/core"
 	"rcbr/internal/shaper"
@@ -107,8 +108,8 @@ func FromSchedule(tr *trace.Trace, rcbr *core.Schedule, rateMargin float64) (*Sc
 	if tr.Len() != rcbr.Slots {
 		return nil, fmt.Errorf("rvbr: trace %d slots vs schedule %d", tr.Len(), rcbr.Slots)
 	}
-	if rateMargin < 1 {
-		return nil, fmt.Errorf("rvbr: rate margin %g below 1", rateMargin)
+	if !(rateMargin >= 1) || math.IsInf(rateMargin, 1) {
+		return nil, fmt.Errorf("rvbr: rate margin %g is not a finite number of at least 1", rateMargin)
 	}
 	out := &Schedule{Slots: rcbr.Slots, SlotSeconds: rcbr.SlotSeconds}
 	for i, seg := range rcbr.Segments {

@@ -1,6 +1,7 @@
 package rvbr
 
 import (
+	"math"
 	"testing"
 
 	"rcbr/internal/core"
@@ -101,8 +102,10 @@ func TestRateMarginShrinksDepth(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	tr, sch := fixture(t)
-	if _, err := FromSchedule(tr, sch, 0.5); err == nil {
-		t.Error("margin < 1 accepted")
+	for _, m := range []float64{0.5, math.NaN(), math.Inf(1)} {
+		if _, _, err := Compare(tr, sch, 300e3, m); err == nil {
+			t.Errorf("margin %g accepted", m)
+		}
 	}
 	short := trace.New([]int64{1, 2}, 24)
 	if _, err := FromSchedule(short, sch, 1); err == nil {

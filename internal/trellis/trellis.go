@@ -310,8 +310,9 @@ func validateOptions(tr *trace.Trace, opt Options) error {
 	if opt.BufferBits < 0 {
 		return fmt.Errorf("trellis: negative buffer")
 	}
-	if opt.Cost.Alpha < 0 || opt.Cost.Beta < 0 {
-		return fmt.Errorf("trellis: negative cost coefficients")
+	// +Inf is a legal Alpha (never renegotiate); NaN fails both comparisons.
+	if !(opt.Cost.Alpha >= 0) || !(opt.Cost.Beta >= 0) {
+		return fmt.Errorf("trellis: cost coefficients alpha %g, beta %g are not both non-negative", opt.Cost.Alpha, opt.Cost.Beta)
 	}
 	if opt.DelayBoundSlots < 0 {
 		return fmt.Errorf("trellis: negative delay bound")

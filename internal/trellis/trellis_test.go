@@ -224,6 +224,9 @@ func TestValidation(t *testing.T) {
 		{Levels: []float64{-1, 1}},             // negative level
 		{Levels: []float64{1}, BufferBits: -1}, // negative buffer
 		{Levels: []float64{1}, Cost: core.CostModel{Alpha: -1}},
+		// Feasible but for a NaN cost, which a `< 0` check lets through.
+		{Levels: []float64{4}, BufferBits: 10, Cost: core.CostModel{Alpha: math.NaN()}},
+		{Levels: []float64{4}, BufferBits: 10, Cost: core.CostModel{Beta: math.NaN()}},
 		{Levels: []float64{1}, DelayBoundSlots: -1},
 	}
 	for i, opt := range bad {
@@ -233,6 +236,12 @@ func TestValidation(t *testing.T) {
 	}
 	if _, _, err := Optimize(trace.New(nil, 1), smallOptions([]float64{1}, 1, 1, 1)); err == nil {
 		t.Error("empty trace accepted")
+	}
+	// An infinite alpha stays legal: it means never renegotiate.
+	bursty := trace.New([]int64{1, 40, 1, 1, 40, 1}, 1)
+	sch, _, err := Optimize(bursty, smallOptions([]float64{1, 8, 40}, 40, math.Inf(1), 1))
+	if err != nil || len(sch.Segments) != 1 {
+		t.Errorf("alpha +Inf: %v, %+v", err, sch)
 	}
 }
 

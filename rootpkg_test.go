@@ -226,13 +226,16 @@ func TestLockRulesInSource(t *testing.T) {
 	}
 }
 
-// TestRingFastPathInlined holds the cell path's ring stage to no call. A
+// TestRingFastPathInlined holds the cell path's per-cell work to no call. A
 // ring's storage grows, so Stage has a slow path that refreshes the tail and
 // grows the backing; a call to it costs more than Go's inlining budget, so
 // the stage is split, and the call-free half, stageFast, is what the two
 // per-cell callers must inline: the forwarder's egress stage in forwardPort
-// and Push. Reading the compiler's own report (go build -gcflags=-m) is the
-// only way to see a budget that a harmless-looking line can push over.
+// and Push. The forwarder's lookup stage must likewise inline cell.VCID, the
+// header reader that returns a cell's id and HEC verdict without building a
+// Header; out of line, its returned pair is reloaded on every cell. Reading
+// the compiler's own report (go build -gcflags=-m) is the only way to see a
+// budget that a harmless-looking line can push over.
 func TestRingFastPathInlined(t *testing.T) {
 	const dir = "internal/datapath"
 	fset := token.NewFileSet()
@@ -240,7 +243,12 @@ func TestRingFastPathInlined(t *testing.T) {
 		file     string
 		from, to int
 	}
-	want := map[string]*span{"(*Forwarder).forwardPort": nil, "(*Ring).Push": nil}
+	// Each function, and the calls the compiler must inline into it.
+	want := map[string][]string{
+		"(*Forwarder).forwardPort": {`(*Ring).stageFast`, `cell.VCID`},
+		"(*Ring).Push":             {`(*Ring).stageFast`},
+	}
+	spans := map[string]*span{}
 	for _, f := range nonTestFiles(t, fset, dir) {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -250,7 +258,7 @@ func TestRingFastPathInlined(t *testing.T) {
 			name := "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + fd.Name.Name
 			if _, ok := want[name]; ok {
 				from, to := fset.Position(fd.Pos()), fset.Position(fd.End())
-				want[name] = &span{filepath.ToSlash(from.Filename), from.Line, to.Line}
+				spans[name] = &span{filepath.ToSlash(from.Filename), from.Line, to.Line}
 			}
 		}
 	}
@@ -258,19 +266,22 @@ func TestRingFastPathInlined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m ./%s: %v\n%s", dir, err, out)
 	}
-	inlined := regexp.MustCompile(`(?m)^(\S+\.go):(\d+):\d+: inlining call to \(\*Ring\)\.stageFast$`)
-	for name, sp := range want {
+	for name, callees := range want {
+		sp := spans[name]
 		if sp == nil {
 			t.Errorf("%s: no function %s", dir, name)
 			continue
 		}
-		found := false
-		for _, m := range inlined.FindAllStringSubmatch(string(out), -1) {
-			line, _ := strconv.Atoi(m[2])
-			found = found || filepath.ToSlash(m[1]) == sp.file && sp.from <= line && line <= sp.to
-		}
-		if !found {
-			t.Errorf("%s:%d: %s does not inline (*Ring).stageFast; the compiler reports:\n%s", sp.file, sp.from, name, out)
+		for _, callee := range callees {
+			inlined := regexp.MustCompile(`(?m)^(\S+\.go):(\d+):\d+: inlining call to ` + regexp.QuoteMeta(callee) + `$`)
+			found := false
+			for _, m := range inlined.FindAllStringSubmatch(string(out), -1) {
+				line, _ := strconv.Atoi(m[2])
+				found = found || filepath.ToSlash(m[1]) == sp.file && sp.from <= line && line <= sp.to
+			}
+			if !found {
+				t.Errorf("%s:%d: %s does not inline %s; the compiler reports:\n%s", sp.file, sp.from, name, callee, out)
+			}
 		}
 	}
 }
