@@ -48,6 +48,9 @@ func datapathRun(fs *flag.FlagSet) func(context.Context) error {
 		if err := checkFrames(*frames, cellMaxFrames); err != nil {
 			return err
 		}
+		if err := checkMultiple("-capfrac", *capFrac); err != nil {
+			return err
+		}
 		if *n < 1 {
 			return fmt.Errorf("need at least one source, got -n %d", *n)
 		}
@@ -94,11 +97,14 @@ func datapathRun(fs *flag.FlagSet) func(context.Context) error {
 			aggregate += tr.MeanRate()
 		}
 		linkCellRate := aggregate * *capFrac / datapath.CellPayloadBits
-		slotNanos := int64(1e9 / linkCellRate)
 		frameSec := srcs[0].tr.SlotSeconds()
 		ticksPerFrame := frameSec * linkCellRate
 		if ticksPerFrame < 1 {
-			return fmt.Errorf("link rate %.0f cells/s is under one cell per frame", linkCellRate)
+			return fmt.Errorf("-capfrac %g: link rate %.0f cells/s is under one cell per frame", *capFrac, linkCellRate)
+		}
+		slotNanos := int64(1e9 / linkCellRate)
+		if slotNanos < 1 {
+			return fmt.Errorf("-capfrac %g: link rate %.3g cells/s gives a cell slot under 1 ns", *capFrac, linkCellRate)
 		}
 
 		// Phase 2: the data plane. A chain of forwarders, ingress port 0 and

@@ -260,6 +260,17 @@ func checkBuffer(bits float64) error {
 	return nil
 }
 
+// checkMultiple refuses a link-capacity multiple that is not positive and
+// finite, naming its flag: NaN passes every comparison made with it, and a
+// capacity of NaN or +Inf would otherwise surface as some other layer's
+// error, or a slot of garbage length.
+func checkMultiple(flag string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("%s must be a positive finite multiple, got %g", flag, v)
+	}
+	return nil
+}
+
 func fig2(fs *flag.FlagSet) func(context.Context) error {
 	frames, seed := commonFlags(fs)
 	buffer := fs.Float64("buffer", 300e3, "source buffer B in bits")

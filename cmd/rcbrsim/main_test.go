@@ -115,7 +115,11 @@ func TestEveryCommandRuns(t *testing.T) {
 // TestBufferAndLevelsFlagValidation pins error-not-panic for the flag values
 // the level grid and the queue and source models panic on, one row per
 // subcommand that hands them over, and an error for a NaN the heuristic's
-// granularity, the offered load or the utilization once let through.
+// granularity, the offered load or the utilization once let through. A
+// link-capacity multiple must also be refused with an error naming its flag:
+// one that was NaN, infinite, zero, or so large that a cell slot truncates
+// to 0 ns or a capacity overflows to +Inf once failed deep in the mesh or
+// the switch, naming none.
 func TestBufferAndLevelsFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -139,6 +143,34 @@ func TestBufferAndLevelsFlagValidation(t *testing.T) {
 	} {
 		if err := dispatch(append([]string{tc.name, "-frames", "240"}, tc.args...)); err == nil {
 			t.Errorf("rcbrsim %s %s: accepted", tc.name, strings.Join(tc.args, " "))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"datapath", []string{"-capfrac", "NaN"}},
+		{"datapath", []string{"-capfrac", "+Inf"}},
+		{"datapath", []string{"-capfrac", "0"}},
+		{"datapath", []string{"-capfrac", "1e300"}},
+		{"signal", []string{"-capfrac", "1e308"}},
+		{"topology", []string{"-capfrac", "1e308"}},
+		{"topology", []string{"-backbone", "1e308"}},
+		{"signal", []string{"-capfrac", "NaN"}},
+		{"signal", []string{"-capfrac", "+Inf"}},
+		{"topology", []string{"-capfrac", "NaN"}},
+		{"topology", []string{"-capfrac", "+Inf"}},
+		{"topology", []string{"-backbone", "NaN"}},
+		{"topology", []string{"-backbone", "+Inf"}},
+	} {
+		// A row that is wrongly accepted runs: keep its CSV out of the
+		// working directory.
+		args := append([]string{tc.name, "-frames", "240"}, tc.args...)
+		if tc.name == "topology" || tc.name == "datapath" {
+			args = append(args, "-csv", filepath.Join(t.TempDir(), tc.name+".csv"))
+		}
+		if err := dispatch(args); err == nil || !strings.Contains(err.Error(), tc.args[0]) {
+			t.Errorf("rcbrsim %s %s: error %v, want one naming %s", tc.name, strings.Join(tc.args, " "), err, tc.args[0])
 		}
 	}
 }

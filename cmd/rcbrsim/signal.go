@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -40,6 +41,9 @@ func signalRun(fs *flag.FlagSet) func(context.Context) error {
 		if err := checkFrames(*frames, liveMaxFrames); err != nil {
 			return err
 		}
+		if err := checkMultiple("-capfrac", *capFrac); err != nil {
+			return err
+		}
 		if *n < 1 {
 			return fmt.Errorf("need at least one source, got -n %d", *n)
 		}
@@ -67,6 +71,9 @@ func signalRun(fs *flag.FlagSet) func(context.Context) error {
 			aggregate += tr.MeanRate()
 		}
 		capacity := aggregate * *capFrac
+		if math.IsInf(capacity, 0) {
+			return fmt.Errorf("-capfrac %g: link capacity is not finite", *capFrac)
+		}
 		const portID = 1
 		if err := sw.AddPort(portID, capacity); err != nil {
 			return err

@@ -64,6 +64,12 @@ func topologyRun(fs *flag.FlagSet) func(context.Context) error {
 		if err := checkFrames(*frames, liveMaxFrames); err != nil {
 			return err
 		}
+		if err := checkMultiple("-capfrac", *capFrac); err != nil {
+			return err
+		}
+		if err := checkMultiple("-backbone", *backbone); err != nil {
+			return err
+		}
 		if *n < 1 {
 			return fmt.Errorf("need at least one source, got -n %d", *n)
 		}
@@ -98,6 +104,12 @@ func topologyRun(fs *flag.FlagSet) func(context.Context) error {
 			aggregate += tr.MeanRate()
 		}
 		bottleneck := aggregate * *capFrac
+		if math.IsInf(bottleneck, 0) {
+			return fmt.Errorf("-capfrac %g: bottleneck capacity is not finite", *capFrac)
+		}
+		if math.IsInf(bottleneck**backbone, 0) {
+			return fmt.Errorf("-backbone %g: inter-switch capacity is not finite", *backbone)
+		}
 
 		// Build the parking lot: s1..sH chained at backbone capacity, with the
 		// final sH -> sink link as the bottleneck every path crosses.

@@ -34,19 +34,27 @@
 // served with one more. Staged cells are published before
 // forwardPort returns, so nothing waits on a later burst.
 //
-// Per-VC shaper state and counters are owned by the forwarding goroutine;
-// rate retargets cross from the control plane through a single atomic word,
-// the VC's switchfab.RateWord, which the switch stores into directly, and
-// teardown only unpublishes the entry (the garbage collector retires it
-// once the forwarder has let go, which is at most a burst later). A VC's
-// whole forwarding state is one 64-byte cache line. The forwarding path
-// takes no lock at all and allocates nothing (pinned by
+// A sweep owns what it writes. Every counter it keeps — per VC and per
+// port — is a plain word guarded by one forwarder-wide mutex, the sweep
+// lock, which Forward takes at the first port with cells ready and holds to
+// the end of the sweep: two locked instructions per busy sweep instead of
+// one per cell, and none for an idle one, so a slot-driven relay polling
+// empty hops pays nothing. Readers (VCStats, Port.Stats, the registry's
+// views, RemoveVC) take the same lock, so what they read is what a whole
+// number of sweeps left, exactly. The lock is a leaf: nothing under it
+// takes another lock. Per-VC shaper state is the sweep's too; rate
+// retargets cross from the control plane through a single atomic word, the
+// VC's switchfab.RateWord, which the switch stores into directly, and a
+// teardown only unpublishes the entry, taking no lock (the garbage
+// collector retires the entry once the last sweep that found it is done).
+// A VC's whole forwarding state is one 64-byte cache line, and the
+// forwarding path allocates nothing (pinned by
 // TestForwardSteadyStateAllocs).
 //
 // One counter per fact: a cell that enters, crosses or leaves a ring is
 // counted by that ring's cursor and nowhere else; what the sweep decides
 // (forwarded, policed, overflow, unroutable, bad header) is counted once
-// per VC, its drops flushed to the ingress port's ledger once per burst
+// per VC, its drops added to the ingress port's ledger once per burst
 // (what the port forwarded is what its ring released less those); the
 // registry's datapath.cells_* counters are views computed from the port
 // ledgers when the registry is read.
@@ -119,29 +127,24 @@ type instruments struct {
 // Port is one switch port's cell rings: an ingress ring filled by the
 // port's producer (the wire) and drained by the forwarder, and the egress
 // FIFO filled by the forwarder and drained by the port's transmitter.
-// Counters are atomic so stats can be read while traffic flows; drops are
-// attributed to the *ingress* port the cell arrived on, whichever egress
-// ring it failed to enter.
+// Its drop ledger is written by the sweep and read by Stats, both under the
+// forwarder's sweep lock; drops are attributed to the *ingress* port the
+// cell arrived on, whichever egress ring it failed to enter.
 type Port struct {
-	id  int
-	in  *Ring
-	out *Ring
-	// lookups is the sweep's scratch, one slot per cell of a burst: stage 1
-	// of forwardPort fills it with the cells' table entries, stage 2 clears
-	// each slot as it consumes it, so between sweeps every slot is nil and
-	// no unpublished entry is kept alive. Owned by the forwarding goroutine,
-	// like the ingress ring's consumer cursor.
-	lookups []*vcEntry
+	id    int
+	in    *Ring
+	out   *Ring
+	sweep *sync.Mutex // the forwarder's sweep lock
 
-	// Ingress-attributed drop counts, written by the forwarding goroutine
-	// once per burst. Every cell the sweep released from the ingress ring
+	// Ingress-attributed drop counts, added to once per burst under the
+	// sweep lock. Every cell the sweep released from the ingress ring
 	// (in.Popped) went into exactly one of these or was forwarded, so the
 	// forwarded count is the difference and is not kept. The egress side
 	// needs none of its own: enqueued and transmitted are out's cursors.
-	badHeader  atomic.Int64
-	unroutable atomic.Int64
-	policed    atomic.Int64
-	overflow   atomic.Int64
+	badHeader  int64
+	unroutable int64
+	policed    int64
+	overflow   int64
 }
 
 // ID returns the port number.
@@ -169,26 +172,29 @@ type PortStats struct {
 	OutQueued int
 }
 
-// Stats snapshots the port. Forwarded is derived: what the ingress ring
-// released less the four drop counts, all loaded between two equal reads of
-// the release cursor, which also keeps InQueued within [0, capacity]. Exact
-// when the port is quiescent. A burst flushes its drops just before it
-// releases its cells, so a live Forwarded never runs ahead but may trail by
-// the drops of the one burst being finished (and step back by as much on the
-// next read); it is held at 0 rather than go below. A VC removed in mid-burst
-// changes nothing: its looked-up cells are shaped on the unpublished entry
-// and land in these counts like any others.
+// Stats snapshots the port under the sweep lock, so between two sweeps.
+// Forwarded is derived, exactly: what the ingress ring released less the
+// four drop counts, which the sweep that released the cells had already
+// counted. Arrived is read after the release cursor, so Arrived ==
+// Forwarded + BadHeader + Unroutable + Policed + Overflow + InQueued, with
+// InQueued within [0, capacity]. The egress counts are the egress ring's
+// cursors, which the port's transmitter moves without the lock.
 func (p *Port) Stats() PortStats {
-	var s PortStats
-	popped := int64(-1)
-	for tail := p.in.Popped(); tail != popped; tail = p.in.Popped() {
-		popped = tail
-		s.BadHeader, s.Unroutable = p.badHeader.Load(), p.unroutable.Load()
-		s.Policed, s.Overflow = p.policed.Load(), p.overflow.Load()
-		s.Arrived = p.in.Pushed()
+	p.sweep.Lock()
+	defer p.sweep.Unlock()
+	return p.stats()
+}
+
+// stats is Stats with the sweep lock held.
+func (p *Port) stats() PortStats {
+	s := PortStats{
+		BadHeader: p.badHeader, Unroutable: p.unroutable,
+		Policed: p.policed, Overflow: p.overflow,
 	}
+	popped := p.in.Popped()
+	s.Arrived = p.in.Pushed()
 	s.InQueued = int(s.Arrived - popped)
-	s.Forwarded = max(0, popped-s.BadHeader-s.Unroutable-s.Policed-s.Overflow)
+	s.Forwarded = popped - s.BadHeader - s.Unroutable - s.Policed - s.Overflow
 	s.Enqueued, s.Transmitted, s.OutQueued = p.out.Pushed(), p.out.Popped(), p.out.Len()
 	return s
 }
@@ -199,22 +205,22 @@ func (p *Port) Stats() PortStats {
 // lastNanos (when they were last refilled) — with its arithmetic in
 // shaper.Refill; the bucket's other two parameters are not stored twice:
 // its rate is the rate word and its depth is the forwarder's depthBits.
-// tokens and lastNanos belong to the forwarding goroutine and are touched
-// by nobody else, so they need no lock; the same goroutine is the only
-// writer of the three counters, which are atomic for VCStats' sake. The
-// rate word is the control plane's mailbox: OnSetup hands the switch its
-// address, a granted renegotiation stores the new rate there atomically,
-// and the forwarder refills at whatever rate it finds there on the VC's
-// next cell, keeping earned credit.
+// tokens, lastNanos and the three counters are the sweep's, guarded by the
+// forwarder's sweep lock: the sweep writes them, VCStats and RemoveVC read
+// the counters under the same lock. The rate word is the control plane's
+// mailbox: OnSetup hands the switch its address, a granted renegotiation
+// stores the new rate there atomically, and the forwarder refills at
+// whatever rate it finds there on the VC's next cell, keeping earned
+// credit.
 type vcEntry struct {
 	egress    *Port              // offset 0
 	rate      switchfab.RateWord // 8: granted rate
 	tokens    float64            // 16
 	lastNanos int64              // 24
 
-	forwarded atomic.Int64 // 32
-	policed   atomic.Int64 // 40
-	overflow  atomic.Int64 // 48
+	forwarded int64 // 32
+	policed   int64 // 40
+	overflow  int64 // 48
 }
 
 // VCStats is a snapshot of one VC's counters. Seen is their sum: every cell
@@ -244,9 +250,18 @@ func (t *portSet) find(id int) (int, bool) {
 // for the concurrency contract. Its ports are one snapshot, read without a
 // lock by the sweep, the registry's views and Port (so by OnSetup and AddVC
 // finding a VC's egress port) and republished whole by AddPort; portsMu
-// serializes AddPort alone.
+// serializes AddPort alone. sweep is the sweep lock: it guards every
+// counter and bucket a sweep writes.
 type Forwarder struct {
 	vcs vctable.Table[vcEntry]
+
+	sweep sync.Mutex
+	// lookups is the sweep's scratch, one slot per cell of a burst, shared
+	// by the ports since a sweep visits them one at a time: stage 1 of
+	// forwardPort fills it with the cells' table entries, stage 2 clears
+	// each slot as it consumes it, so between bursts every slot is nil and
+	// no unpublished entry is kept alive. Guarded by the sweep lock.
+	lookups []*vcEntry
 
 	portsMu sync.Mutex
 	ports   atomic.Pointer[portSet]
@@ -302,6 +317,7 @@ func New(opts ...Option) *Forwarder {
 	for _, opt := range opts {
 		opt(f)
 	}
+	f.lookups = make([]*vcEntry, f.burst)
 	if f.reg != nil {
 		f.ins = instruments{
 			vcMisses:   f.reg.Counter(MetricVCMisses),
@@ -320,12 +336,14 @@ func New(opts ...Option) *Forwarder {
 }
 
 // view returns a registry view counter: one PortStats field summed over
-// every port, read when the registry is.
+// every port, read under one hold of the sweep lock when the registry is.
 func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
 	return func() int64 {
 		var sum int64
+		f.sweep.Lock()
+		defer f.sweep.Unlock()
 		for _, p := range f.ports.Load().list {
-			sum += field(p.Stats())
+			sum += field(p.stats())
 		}
 		return sum
 	}
@@ -345,8 +363,7 @@ func (f *Forwarder) AddPort(id int) (*Port, error) {
 		return nil, fmt.Errorf("datapath: port %d exists", id)
 	}
 	p := &Port{
-		id: id, in: NewRing(f.ringCells), out: NewRing(f.ringCells),
-		lookups: make([]*vcEntry, f.burst),
+		id: id, in: NewRing(f.ringCells), out: NewRing(f.ringCells), sweep: &f.sweep,
 	}
 	t := &portSet{
 		list: append(old.list[:len(old.list):len(old.list)], p),
@@ -411,29 +428,37 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 	return nil
 }
 
-// RemoveVC unpublishes a VC, returning its final stats. It does not wait
-// for the forwarder: a sweep looks a whole burst up before it shapes any of
-// it, so a sweep that looked the VC up just before may finish up to one
-// burst of its cells on the unpublished entry (counted there and in
-// the port ledgers like any others, so per-port conservation stays exact),
-// and the returned stats are exact when the VC's ingress port is quiescent.
-// Cells of the VC already on an egress ring are transmitted like any others.
+// RemoveVC unpublishes a VC and returns its final stats, exactly. A sweep
+// looks a whole burst up before it shapes any of it, so one that found the
+// VC just before the unpublish still finishes those cells on the entry; but
+// it holds the sweep lock while it does, and RemoveVC reads the counts
+// under that lock, so after it. No later sweep can find the VC: its later
+// cells count as unroutable. Cells of the VC already on an egress ring are
+// transmitted like any others.
 func (f *Forwarder) RemoveVC(id switchfab.VCID) (VCStats, error) {
+	e := f.unpublish(id)
+	if e == nil {
+		return VCStats{}, fmt.Errorf("datapath: no vc %s", id)
+	}
+	return f.stats(e), nil
+}
+
+// unpublish removes a VC from the table, counting a miss when it is not
+// there. It takes no sweep lock.
+func (f *Forwarder) unpublish(id switchfab.VCID) *vcEntry {
 	e := f.vcs.Remove(uint32(id))
 	if e == nil {
 		f.ins.vcMisses.Inc()
-		return VCStats{}, fmt.Errorf("datapath: no vc %s", id)
 	}
-	return e.stats(), nil
+	return e
 }
 
-func (e *vcEntry) stats() VCStats {
-	s := VCStats{
-		Rate:      e.rate.Load(),
-		Forwarded: e.forwarded.Load(),
-		Policed:   e.policed.Load(),
-		Overflow:  e.overflow.Load(),
-	}
+// stats snapshots e's counters under the sweep lock.
+func (f *Forwarder) stats(e *vcEntry) VCStats {
+	f.sweep.Lock()
+	s := VCStats{Forwarded: e.forwarded, Policed: e.policed, Overflow: e.overflow}
+	f.sweep.Unlock()
+	s.Rate = e.rate.Load()
 	s.Seen = s.Forwarded + s.Policed + s.Overflow
 	return s
 }
@@ -444,7 +469,7 @@ func (f *Forwarder) VCStats(id switchfab.VCID) (VCStats, bool) {
 	if e == nil {
 		return VCStats{}, false
 	}
-	return e.stats(), true
+	return f.stats(e), true
 }
 
 // VCCount returns the number of routed VCs.
@@ -461,15 +486,25 @@ func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 // (DefaultBurst) of cells from each ingress ring, shaping and routing each
 // to its egress ring. It returns the number of cells processed (forwarded
 // or dropped). One goroutine at a time may call it, and nowNanos must not
-// decrease between calls. The batch histogram (its count is the number of
+// decrease between calls. It takes the sweep lock at the first port with
+// cells ready and holds it to the end of the sweep, so a sweep over idle
+// ports takes no lock. The batch histogram (its count is the number of
 // batches) sees only non-empty sweeps, so an idle polling driver — a
 // slot-driven relay — does not drown it in zeros.
 func (f *Forwarder) Forward(nowNanos int64) int {
 	total := 0
 	for _, p := range f.ports.Load().list {
-		total += f.forwardPort(p, nowNanos)
+		n := p.in.Ready(f.burst)
+		if n == 0 {
+			continue
+		}
+		if total == 0 {
+			f.sweep.Lock()
+		}
+		total += f.forwardPort(p, n, nowNanos)
 	}
 	if total > 0 {
+		f.sweep.Unlock()
 		f.ins.batchCells.Observe(float64(total))
 	}
 	return total
@@ -480,13 +515,16 @@ func (f *Forwarder) Forward(nowNanos int64) int {
 // what it touched without walking every port.
 const maxTouched = 8
 
-// forwardPort drains up to burst cells from one ingress ring, reading them
-// in place, and works the burst stage by stage rather than cell by cell.
+// forwardPort forwards the n cells Ready found on one ingress ring, reading
+// them in place, and works the burst stage by stage rather than cell by
+// cell. The caller holds the sweep lock, which guards every counter and
+// bucket it writes: they are plain words, so it executes no locked
+// instruction per cell (TestSweepCountersArePlain).
 //
 // Stage 1, lookup, is loads only: for every cell of the burst, read its VC
 // id and HEC verdict with cell.VCID — inlined, no Header built
 // (TestRingFastPathInlined) — and index the VC table (three loads, no
-// lock), leaving the entry pointer in p.lookups. It writes nothing but that
+// lock), leaving the entry pointer in f.lookups. It writes nothing but that
 // scratch and two local counts — a bad header or an unknown VC is decided
 // here and its slot left nil — and above all it executes no locked
 // instruction: on amd64 an atomic add is a full fence, which in a
@@ -502,24 +540,20 @@ const maxTouched = 8
 // Every cell leaves the ingress ring exactly once, into exactly one per-VC
 // counter (or unroutable / bad header).
 //
-// The burst ends with one head store per egress ring it touched, one flush
-// of its totals to the port ledger, and one tail store releasing the
+// The burst ends with one head store per egress ring it touched, its drop
+// totals added to the port ledger, and one tail store releasing the
 // ingress ring — in that order, so a cell is never off both rings and every
 // staged cell is published before the function returns. Lookups lead
 // shaping by up to one burst, so a VC removed meanwhile still has that
-// burst's cells finished on its unpublished entry (see RemoveVC).
-// Only the forwarding goroutine may call this.
-func (f *Forwarder) forwardPort(p *Port, now int64) int {
-	n := p.in.Ready(f.burst)
-	if n == 0 {
-		return 0
-	}
+// burst's cells finished on its unpublished entry, under the lock RemoveVC
+// then waits on.
+func (f *Forwarder) forwardPort(p *Port, n int, now int64) int {
 	var (
 		pol, ovf, unr, bad int64
 		touched            [maxTouched]*Ring
 		nt                 int
 	)
-	entries := p.lookups[:n]
+	entries := f.lookups[:n]
 	for i := range entries {
 		id, ok := cell.VCID(p.in.At(i)[:])
 		if !ok {
@@ -545,7 +579,7 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 			e.lastNanos = now
 		}
 		if CellPayloadBits > e.tokens {
-			e.policed.Add(1)
+			e.policed++
 			pol++
 			continue
 		}
@@ -554,11 +588,11 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 		first := !out.Staged()
 		// Stage, with its fast path inlined here (TestRingFastPathInlined).
 		if c := p.in.At(i); !out.stageFast(c) && !out.stageSlow(c) {
-			e.overflow.Add(1)
+			e.overflow++
 			ovf++
 			continue
 		}
-		e.forwarded.Add(1)
+		e.forwarded++
 		if first {
 			if nt == maxTouched {
 				// Scratch full: publish early rather than track more.
@@ -570,19 +604,20 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 		}
 	}
 	publishAll(touched[:nt])
-	// Only what was dropped: a sweep over a quiet port carries a cell or
-	// two, and four locked adds would cost it more than the cells did.
+	// Only what was dropped: the port's producer and transmitter read the
+	// ring pointers beside the ledger, and a store of nothing would still
+	// take the line from them.
 	if pol > 0 {
-		p.policed.Add(pol)
+		p.policed += pol
 	}
 	if ovf > 0 {
-		p.overflow.Add(ovf)
+		p.overflow += ovf
 	}
 	if unr > 0 {
-		p.unroutable.Add(unr)
+		p.unroutable += unr
 	}
 	if bad > 0 {
-		p.badHeader.Add(bad)
+		p.badHeader += bad
 	}
 	p.in.Release(n)
 	return n
@@ -629,8 +664,10 @@ func (f *Forwarder) TransmitTo(p *Port, max int, sink func(*Cell)) int {
 // DataPlane hooks: a Forwarder plugs into switchfab.WithDataPlane so the
 // control plane mirrors every VC setup and teardown into the table. The
 // hooks run under the switch's port mutex and must not block: both are O(1)
-// under the table's writer mutex (a leaf in the lock order), and OnSetup
-// finds the egress port in the port snapshot without a lock. A rate change
+// under the table's writer mutex (a leaf in the lock order), neither takes
+// the sweep lock — OnTeardown unpublishes the entry without reading its
+// stats, so a teardown never waits on a sweep — and OnSetup finds the
+// egress port in the port snapshot without a lock. A rate change
 // is no hook: OnSetup hands the switch the entry's rate word, and the
 // switch stores granted rates there without a table walk or a lock. A setup
 // the forwarder cannot route (no such egress port) is refused with AddVC's
@@ -647,5 +684,5 @@ func (f *Forwarder) OnSetup(port int, id switchfab.VCID, rate float64) (*switchf
 
 // OnTeardown implements switchfab.DataPlane.
 func (f *Forwarder) OnTeardown(port int, id switchfab.VCID) {
-	_, _ = f.RemoveVC(id)
+	f.unpublish(id)
 }

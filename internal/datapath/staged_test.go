@@ -172,7 +172,7 @@ func stagedSweepRun(t *testing.T, burst, ring int, seed int64, events *PortStats
 			if e == nil {
 				continue
 			}
-			got, want := e.stats(), VCStats{Rate: me.rate, Forwarded: me.forwarded, Policed: me.policed, Overflow: me.overfl}
+			got, want := f.stats(e), VCStats{Rate: me.rate, Forwarded: me.forwarded, Policed: me.policed, Overflow: me.overfl}
 			want.Seen = want.Forwarded + want.Policed + want.Overflow
 			if got != want {
 				t.Fatalf("sweep %d vc %d: stats %+v, model %+v", sweep, i, got, want)
@@ -180,6 +180,11 @@ func stagedSweepRun(t *testing.T, burst, ring int, seed int64, events *PortStats
 			if math.Float64bits(e.tokens) != math.Float64bits(me.tb.Tokens()) || e.lastNanos != me.lastNanos {
 				t.Fatalf("sweep %d vc %d: bucket (%v bits at %d), model (%v bits at %d)",
 					sweep, i, e.tokens, e.lastNanos, me.tb.Tokens(), me.lastNanos)
+			}
+		}
+		for k, e := range f.lookups {
+			if e != nil {
+				t.Fatalf("sweep %d: scratch slot %d still holds an entry between sweeps", sweep, k)
 			}
 		}
 		for i, p := range pp {
@@ -192,11 +197,7 @@ func stagedSweepRun(t *testing.T, burst, ring int, seed int64, events *PortStats
 			if got := p.Stats(); got != want {
 				t.Fatalf("sweep %d port %d: stats %+v, model %+v", sweep, i, got, want)
 			}
-			for k, e := range p.lookups {
-				if e != nil {
-					t.Fatalf("sweep %d port %d: scratch slot %d still holds an entry between sweeps", sweep, i, k)
-				}
-			}
+
 		}
 	}
 

@@ -141,7 +141,7 @@ func TestTableChurnUnderForwarding(t *testing.T) {
 		seen += vs.Seen
 	}
 	for _, e := range retired {
-		seen += e.stats().Seen
+		seen += f.stats(e).Seen
 	}
 	if seen != flapped {
 		t.Errorf("flapped vc: %d incarnations and the unroutable count account for %d cells, port 0 accepted %d",

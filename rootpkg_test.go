@@ -2,6 +2,7 @@ package rcbr
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -224,6 +225,90 @@ func TestLockRulesInSource(t *testing.T) {
 	if !slices.Equal(reachers, []string{"lockVC"}) {
 		t.Errorf("functions that look a VC up and then lock its port: %v; want lockVC alone, which every operation on a VC calls", reachers)
 	}
+}
+
+// TestSweepCountersArePlain holds the forwarding sweep to no locked
+// instruction per cell on a VC's entry. On amd64 an atomic add or store is
+// one, and a per-cell one cost the sweep a fifth of its time; the sweep's
+// counters are plain words under the forwarder's sweep lock instead, which
+// a sweep takes once. So vcEntry declares no sync/atomic type (its rate
+// word is switchfab's, loaded only), and inside forwardPort no call whose
+// name begins Add, Store, Swap or CompareAndSwap — method or sync/atomic
+// function — has an operand rooted at a *vcEntry. The package is
+// type-checked from source to know which operands are.
+func TestSweepCountersArePlain(t *testing.T) {
+	const dir = "internal/datapath"
+	fset := token.NewFileSet()
+	files := nonTestFiles(t, fset, dir)
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	pkg, err := conf.Check("rcbr/"+dir, fset, files, info)
+	if err != nil {
+		t.Fatalf("type-checking %s: %v", dir, err)
+	}
+	obj := pkg.Scope().Lookup("vcEntry")
+	if obj == nil {
+		t.Fatalf("%s declares no vcEntry", dir)
+	}
+	st := obj.Type().Underlying().(*types.Struct)
+	for i := range st.NumFields() {
+		if named, ok := st.Field(i).Type().(*types.Named); ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic" {
+			t.Errorf("%s: vcEntry.%s is a %s; the sweep's counters are plain words under its lock",
+				fset.Position(st.Field(i).Pos()), st.Field(i).Name(), named)
+		}
+	}
+	entryPtr := types.NewPointer(obj.Type())
+	// rooted reports whether e, followed down its selectors, indexes,
+	// derefs and address-ofs, reaches a *vcEntry.
+	rooted := func(e ast.Expr) bool {
+		for e != nil {
+			if tv, ok := info.Types[e]; ok && types.Identical(tv.Type, entryPtr) {
+				return true
+			}
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.UnaryExpr:
+				e = x.X
+			default:
+				e = nil
+			}
+		}
+		return false
+	}
+	locked := regexp.MustCompile(`^(Add|Store|Swap|CompareAndSwap)`)
+	var sweep *ast.FuncDecl
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "forwardPort" {
+				sweep = fd
+			}
+		}
+	}
+	if sweep == nil {
+		t.Fatalf("%s: no forwardPort", dir)
+	}
+	ast.Inspect(sweep.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !locked.MatchString(lastName(call.Fun)) {
+			return true
+		}
+		operands := call.Args
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			operands = append([]ast.Expr{sel.X}, operands...)
+		}
+		for _, op := range operands {
+			if rooted(op) {
+				t.Errorf("%s: forwardPort calls %s on a VC's entry: a locked instruction per cell; count in a plain word under the sweep lock",
+					fset.Position(call.Pos()), types.ExprString(call.Fun))
+			}
+		}
+		return true
+	})
 }
 
 // TestRingFastPathInlined holds the cell path's per-cell work to no call. A
