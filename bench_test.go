@@ -25,7 +25,6 @@ import (
 	"rcbr/internal/markov"
 	"rcbr/internal/mesh"
 	"rcbr/internal/metrics"
-	"rcbr/internal/mux"
 	"rcbr/internal/queue"
 	"rcbr/internal/shaper"
 	"rcbr/internal/smg"
@@ -415,26 +414,17 @@ func BenchmarkSection2Burstiness(b *testing.B) {
 	}
 }
 
-// --- Section III data plane: cell-level multiplexer ---
+// --- Section III data plane: cell-level buffering on the forwarder ---
 
-func BenchmarkMuxCBR(b *testing.B) {
-	rates := make([]float64, 8)
-	for i := range rates {
-		rates[i] = 448e3
-	}
-	flows := mux.CBRFlowsForRates(rates, 384)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mux.RunCBR(flows, 12000, 256, 1.0)
-	}
-}
-
-func BenchmarkMuxFrameBursts(b *testing.B) {
+// BenchmarkMuxcmp is `rcbrsim muxcmp -n 4 -frames 240`: both sides of the
+// CBR-vs-bursts comparison through a datapath.Forwarder egress port.
+func BenchmarkMuxcmp(b *testing.B) {
 	tr := experiments.StarWars(1, 240)
-	shifts := []int{0, 60, 120, 180}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mux.RunFrameBursts(tr, shifts, 12000, 1<<20, 384)
+		if _, err := experiments.DataPath(tr, 4, tr.MeanRate()*1.2, 0.8, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

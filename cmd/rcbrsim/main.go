@@ -484,7 +484,7 @@ func muxcmp(fs *flag.FlagSet) func(context.Context) error {
 			return err
 		}
 		tr := buildTrace(*frames, *seed)
-		res, err := experiments.DataPath(tr, *n, tr.MeanRate()*1.2, 384, *util, *seed)
+		res, err := experiments.DataPath(tr, *n, tr.MeanRate()*1.2, *util, *seed)
 		if err != nil {
 			return err
 		}

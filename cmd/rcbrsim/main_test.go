@@ -117,9 +117,10 @@ func TestEveryCommandRuns(t *testing.T) {
 // subcommand that hands them over, and an error for a NaN the heuristic's
 // granularity, the offered load or the utilization once let through. A
 // link-capacity multiple must also be refused with an error naming its flag:
-// one that was NaN, infinite, zero, or so large that a cell slot truncates
-// to 0 ns or a capacity overflows to +Inf once failed deep in the mesh or
-// the switch, naming none.
+// one that was NaN, infinite, zero, so large that a cell slot truncates to
+// 0 ns or a capacity overflows to +Inf, or so small that the link cannot
+// set up every source at -delta once failed deep in the mesh or the switch,
+// naming none.
 func TestBufferAndLevelsFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -162,6 +163,10 @@ func TestBufferAndLevelsFlagValidation(t *testing.T) {
 		{"topology", []string{"-capfrac", "+Inf"}},
 		{"topology", []string{"-backbone", "NaN"}},
 		{"topology", []string{"-backbone", "+Inf"}},
+		{"signal", []string{"-capfrac", "1e-300"}},
+		{"signal", []string{"-capfrac", "0.01"}},
+		{"topology", []string{"-capfrac", "1e-300"}},
+		{"topology", []string{"-capfrac", "0.01"}},
 	} {
 		// A row that is wrongly accepted runs: keep its CSV out of the
 		// working directory.

@@ -57,12 +57,6 @@ func signalRun(fs *flag.FlagSet) func(context.Context) error {
 			return fmt.Errorf("need at least one retained event, got -events %d", *events)
 		}
 
-		// One observability plane for everything: switch, signaling server,
-		// signaling client, and every source's heuristic share the registry.
-		reg := metrics.NewRegistry()
-		ring := metrics.NewEventLog(*events)
-		sw := switchfab.New(switchfab.WithMetrics(reg), switchfab.WithEventTrace(ring))
-
 		traces := make([]*trSource, *n)
 		var aggregate float64
 		for i := range traces {
@@ -74,6 +68,15 @@ func signalRun(fs *flag.FlagSet) func(context.Context) error {
 		if math.IsInf(capacity, 0) {
 			return fmt.Errorf("-capfrac %g: link capacity is not finite", *capFrac)
 		}
+		if capacity < float64(*n)**delta {
+			return fmt.Errorf("-capfrac %g: link capacity %.4g b/s cannot set up %d sources at -delta %g b/s", *capFrac, capacity, *n, *delta)
+		}
+
+		// One observability plane for everything: switch, signaling server,
+		// signaling client, and every source's heuristic share the registry.
+		reg := metrics.NewRegistry()
+		ring := metrics.NewEventLog(*events)
+		sw := switchfab.New(switchfab.WithMetrics(reg), switchfab.WithEventTrace(ring))
 		const portID = 1
 		if err := sw.AddPort(portID, capacity); err != nil {
 			return err

@@ -107,6 +107,9 @@ func topologyRun(fs *flag.FlagSet) func(context.Context) error {
 		if math.IsInf(bottleneck, 0) {
 			return fmt.Errorf("-capfrac %g: bottleneck capacity is not finite", *capFrac)
 		}
+		if bottleneck < float64(*n)**delta {
+			return fmt.Errorf("-capfrac %g: bottleneck capacity %.4g b/s cannot set up %d sources at -delta %g b/s", *capFrac, bottleneck, *n, *delta)
+		}
 		if math.IsInf(bottleneck**backbone, 0) {
 			return fmt.Errorf("-backbone %g: inter-switch capacity is not finite", *backbone)
 		}

@@ -14,9 +14,9 @@
 //   - III, the service: core (Schedule, CostModel, Source), cell (53-byte RM
 //     cells), switchfab (the switch: two lookups and one comparison per
 //     renegotiation), netproto (signaling over UDP), vctable (the one VC
-//     table both planes index), datapath and mux (the FIFO cell path, live
-//     and simulated), mesh (multi-hop paths granted at the minimum along the
-//     route), bookahead (advance reservations).
+//     table both planes index), datapath (the FIFO cell path), mesh
+//     (multi-hop paths granted at the minimum along the route), bookahead
+//     (advance reservations).
 //   - IV, schedules: trellis (the optimal offline schedule), heuristic (the
 //     causal online one), queue (the slotted fluid buffer under both).
 //   - V, analysis: markov and ld (multiple time-scale sources, Chernoff

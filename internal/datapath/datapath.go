@@ -1,11 +1,11 @@
 // Package datapath is the software cell data path of the RCBR switch: the
 // executable form of the paper's Section III-A claim that renegotiated
-// traffic needs only small FIFO output buffers. Where internal/mux
-// *simulates* a multiplexer queue, this package *forwards* real 53-byte
+// traffic needs only small FIFO output buffers. It forwards real 53-byte
 // cells: SPSC ring buffers on every hop, a batched forwarding loop that
 // drains up to K cells per port visit, VCID routing through a direct-index
 // table (internal/vctable), and a per-VC token-bucket shaper enforcing the
-// currently granted rate.
+// currently granted rate. It is the repository's one cell-level model:
+// rcbrsim muxcmp measures the claim on one of its egress ports.
 // Conforming cells are copied to the egress port's ring; excess is policed
 // and counted as real per-VC drops, and an egress ring that fills overflows
 // — the heuristic's estimated buffer overflows become honestly counted
@@ -76,9 +76,8 @@ import (
 )
 
 // CellPayloadBits is the token cost of forwarding one cell: its 48-byte
-// payload in bits, the same conversion internal/mux uses, so a granted rate
-// in bits/second maps to rate/384 cells/second on both the simulated and
-// the real path.
+// payload in bits, so a granted rate in bits/second maps to rate/384
+// cells/second, and a frame of b bits is ceil(b/384) cells.
 const CellPayloadBits = float64(cell.PayloadSize * 8)
 
 // Metric names owned by this package.

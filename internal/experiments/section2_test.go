@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"rcbr/internal/trace"
+)
 
 func TestSection2DilemmaShape(t *testing.T) {
 	tr := StarWars(81, 9600) // 400 s
@@ -41,7 +45,7 @@ func TestSection2DilemmaShape(t *testing.T) {
 
 func TestDataPathComparison(t *testing.T) {
 	tr := StarWars(82, 1200)
-	res, err := DataPath(tr, 6, tr.MeanRate()*1.2, 384, 0.8, 3)
+	res, err := DataPath(tr, 6, tr.MeanRate()*1.2, 0.8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,25 +53,62 @@ func TestDataPathComparison(t *testing.T) {
 	if res.CBRMaxQueue > res.Sources {
 		t.Fatalf("CBR max queue %d exceeds source count %d", res.CBRMaxQueue, res.Sources)
 	}
-	// Frame bursts queue at least an order of magnitude deeper.
-	if res.QueueRatio < 10 {
-		t.Fatalf("queue ratio = %v, want >> 1", res.QueueRatio)
+	// Frame bursts queue at least two orders of magnitude deeper.
+	if res.QueueRatio < 100 {
+		t.Fatalf("queue ratio = %v, want >= 100", res.QueueRatio)
 	}
 	if res.BurstMeanDelay <= res.CBRMeanDelay {
 		t.Fatalf("burst delay %v not above CBR delay %v",
 			res.BurstMeanDelay, res.CBRMeanDelay)
 	}
+	// A lone CBR flow below the link rate never finds a cell ahead of it.
+	one, err := DataPath(tr, 1, tr.MeanRate()*1.2, 0.8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.CBRMaxQueue != 1 || one.CBRMeanDelay != 0 {
+		t.Fatalf("lone CBR flow: max queue %d, mean delay %v; want 1 and 0", one.CBRMaxQueue, one.CBRMeanDelay)
+	}
+}
+
+// TestCBRArrivalLawDoesNotDrift pins the drift-free arrival law: a flow at
+// 0.1 cells per slot delivers exactly rate·slots cells over ten million
+// slots, at most one per slot. A running sum of 0.1 per slot falls short by
+// ~1.6e-4 over that horizon, a whole missing cell (and mistimed arrivals
+// long before that). A phase offset shifts the timing, never the count.
+func TestCBRArrivalLawDoesNotDrift(t *testing.T) {
+	const slots = 10_000_000
+	for _, phase := range []float64{0, 0.999} {
+		var emitted int64
+		for s := int64(0); s < slots; s++ {
+			if target := cbrCells(phase, 0.1, s); target > emitted {
+				if target != emitted+1 {
+					t.Fatalf("phase %g: slot %d sent %d cells", phase, s, target-emitted)
+				}
+				emitted = target
+			}
+		}
+		if emitted != 1_000_000 {
+			t.Fatalf("phase %g: %d cells, want exactly 1000000", phase, emitted)
+		}
+	}
 }
 
 func TestDataPathValidation(t *testing.T) {
 	tr := StarWars(83, 240)
-	if _, err := DataPath(nil, 2, 1e5, 384, 0.8, 1); err == nil {
+	if _, err := DataPath(nil, 2, 1e5, 0.8, 1); err == nil {
 		t.Error("nil trace accepted")
 	}
-	if _, err := DataPath(tr, 0, 1e5, 384, 0.8, 1); err == nil {
+	if _, err := DataPath(trace.New(nil, 24), 2, 1e5, 0.8, 1); err == nil {
+		t.Error("empty trace accepted")
+	}
+	if _, err := DataPath(tr, 0, 1e5, 0.8, 1); err == nil {
 		t.Error("zero sources accepted")
 	}
-	if _, err := DataPath(tr, 2, 1e5, 384, 1.5, 1); err == nil {
+	if _, err := DataPath(tr, 2, 1e5, 1.5, 1); err == nil {
 		t.Error("utilization > 1 accepted")
+	}
+	if _, err := DataPath(tr, 1, 1, 0.5, 1); err == nil {
+		t.Error("link under one cell per frame accepted")
 	}
 }
