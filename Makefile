@@ -12,9 +12,10 @@ GO ?= go
 # experiments package is here for its worker pool (Sweep): every figure
 # sweep runs on it, GOMAXPROCS workers wide, with no serial path beside it.
 # cmd/rcbrsim is here because TestEveryCommandRuns drives each command from
-# the dispatcher into that pool, and signal, churn and topology into a live
-# switch.
-RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./internal/experiments/ ./cmd/rcbrd/ ./cmd/rcbrsim/
+# the dispatcher into that pool, and churn and the live loop's presets into a
+# live switch. internal/live is here for the loop's UDP signaling server,
+# which serves the first hop from a goroutine of its own.
+RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./internal/vctable/ ./internal/experiments/ ./internal/live/ ./cmd/rcbrd/ ./cmd/rcbrsim/
 
 # Per-fuzz-target smoke budget. `go test -fuzz` takes one target per
 # invocation, hence the explicit list.

@@ -13,20 +13,22 @@
 //	rcbrsim analysis                               eqs. (9)-(11) on Fig. 4 model
 //	rcbrsim section2 [-bucket B]                   the one-shot descriptor dilemma, quantified
 //	rcbrsim muxcmp [-n N] [-util U]                cell-level buffering: CBR vs VBR bursts
-//	rcbrsim datapath [-n N] [-hops H] [-csv F]     real cells through a forwarder chain: loss/delay CSV
+//	rcbrsim datapath [-n N] [-hops H] [-csv F]     live loop, cells policed at the grants: loss/delay CSV
 //	rcbrsim latency [-buffer B] [-delta D]         online performance vs signaling delay
 //	rcbrsim chernoff [-alpha A] [-samples N]       eq. (12) estimate vs Monte-Carlo
 //	rcbrsim fit [-classes K] [-buffer B]           fit an MTS model to a trace, check eq. 9
 //	rcbrsim rvbr [-alpha A] [-margin M]            renegotiated CBR vs renegotiated token bucket
-//	rcbrsim signal [-n N] [-json out.json]         online sources over a live UDP switch
+//	rcbrsim signal [-n N] [-json out.json]         live loop, hop 1 a switch over UDP
 //	rcbrsim churn  [-vcs N] [-admit memory|none]   call-scale churn against a live switch
-//	rcbrsim topology [-n N] [-preset P] [-csv F]   parking-lot mesh, utilization + fairness CSV
+//	rcbrsim topology [-n N] [-hopdelay D] [-csv F] live loop on a parking lot: utilization + fairness CSV
 //	rcbrsim schedule [-mode M] [-in F] [-dump]     optimal or online renegotiation schedule of a trace
 //	rcbrsim trace [-out F] [-in F] [-peaks]        generate, inspect or export a synthetic trace
 //
 // Full-length runs (-frames 0 selects the whole two-hour trace) reproduce
 // the paper's setup; shorter traces keep the shapes with less wall time.
 // muxcmp and datapath take 1..14400 frames, signal and topology 1..28800.
+// signal, topology and datapath are presets of one live loop (internal/live)
+// and share its flags.
 //
 // The profiling flags -cpuprofile F and -memprofile F come before the
 // command name and work for every command. The figure sweeps run their grid
@@ -50,6 +52,7 @@ import (
 	"rcbr/internal/experiments"
 	"rcbr/internal/fit"
 	"rcbr/internal/ld"
+	"rcbr/internal/live"
 	"rcbr/internal/queue"
 	"rcbr/internal/rvbr"
 	"rcbr/internal/trace"
@@ -74,14 +77,14 @@ var commands = []command{
 	{"analysis", "eqs. (9)-(11) on Fig. 4 model", analysis},
 	{"section2", "the one-shot descriptor dilemma, quantified", section2},
 	{"muxcmp", "cell-level buffering: CBR vs VBR bursts", muxcmp},
-	{"datapath", "real cells through a forwarder chain: loss/delay CSV", datapathRun},
+	{"datapath", "live loop, cells policed at the grants: loss/delay CSV", liveRun(live.Datapath)},
 	{"latency", "online performance vs signaling delay", latency},
 	{"chernoff", "eq. (12) estimate vs Monte-Carlo", chernoff},
 	{"fit", "fit an MTS model to a trace, check eq. 9", fitModel},
 	{"rvbr", "renegotiated CBR vs renegotiated token bucket", rvbrCompare},
-	{"signal", "online sources over a live UDP switch", signalRun},
+	{"signal", "live loop, hop 1 a switch over UDP", liveRun(live.Signal)},
 	{"churn", "call-scale churn against a live switch", churnRun},
-	{"topology", "parking-lot mesh, utilization + fairness CSV", topologyRun},
+	{"topology", "live loop on a parking lot: utilization + fairness CSV", liveRun(live.Topology)},
 	{"schedule", "optimal or online renegotiation schedule of a trace", scheduleRun},
 	{"trace", "generate, inspect or export a synthetic trace", traceRun},
 }
@@ -185,22 +188,6 @@ func traceFlags(fs *flag.FlagSet) func() (*trace.Trace, error) {
 	}
 }
 
-// boundedFrames registers -frames and -seed for the commands that replay the
-// trace cell by cell or over a live switch: -frames defaults to def, and
-// checkFrames refuses a value outside [1, max].
-func boundedFrames(fs *flag.FlagSet, def, max int) (*int, *uint64) {
-	frames := fs.Int("frames", def, fmt.Sprintf("trace length in frames, 1..%d", max))
-	seed := fs.Uint64("seed", 1, "trace generator seed")
-	return frames, seed
-}
-
-func checkFrames(frames, max int) error {
-	if frames < 1 || frames > max {
-		return fmt.Errorf("-frames must be in [1, %d], got %d", max, frames)
-	}
-	return nil
-}
-
 // startProfile begins CPU profiling if cpu names a file and returns a stop
 // function to defer; stop also writes the heap profile if mem names one.
 // Profile-writing failures are reported on stderr rather than failing the
@@ -256,17 +243,6 @@ func buildTrace(frames int, seed uint64) *trace.Trace {
 func checkBuffer(bits float64) error {
 	if !(bits > 0) || math.IsInf(bits, 0) {
 		return fmt.Errorf("-buffer must be a positive finite number of bits, got %g", bits)
-	}
-	return nil
-}
-
-// checkMultiple refuses a link-capacity multiple that is not positive and
-// finite, naming its flag: NaN passes every comparison made with it, and a
-// capacity of NaN or +Inf would otherwise surface as some other layer's
-// error, or a slot of garbage length.
-func checkMultiple(flag string, v float64) error {
-	if !(v > 0) || math.IsInf(v, 0) {
-		return fmt.Errorf("%s must be a positive finite multiple, got %g", flag, v)
 	}
 	return nil
 }
@@ -466,22 +442,17 @@ func section2(fs *flag.FlagSet) func(context.Context) error {
 	}
 }
 
-// Bounds on -frames for the commands that do not take the whole trace. The
-// cell-level ones (muxcmp, datapath) simulate every cell, so their trace
-// defaults to two minutes and stops at ten; signal and topology run their
-// sources over a live switch and stop at the figure commands' 20 minutes.
-const (
-	cellDefaultFrames, cellMaxFrames = 2400, 14400
-	liveMaxFrames                    = 28800
-)
-
+// muxcmp simulates every cell, so its trace defaults to two minutes and
+// stops at ten, as the datapath preset's does.
 func muxcmp(fs *flag.FlagSet) func(context.Context) error {
-	frames, seed := boundedFrames(fs, cellDefaultFrames, cellMaxFrames)
+	const maxFrames = 14400
+	frames := fs.Int("frames", 2400, fmt.Sprintf("trace length in frames, 1..%d", maxFrames))
+	seed := fs.Uint64("seed", 1, "trace generator seed")
 	n := fs.Int("n", 8, "number of multiplexed sources")
 	util := fs.Float64("util", 0.8, "link utilization")
 	return func(context.Context) error {
-		if err := checkFrames(*frames, cellMaxFrames); err != nil {
-			return err
+		if *frames < 1 || *frames > maxFrames {
+			return fmt.Errorf("-frames must be in [1, %d], got %d", maxFrames, *frames)
 		}
 		tr := buildTrace(*frames, *seed)
 		res, err := experiments.DataPath(tr, *n, tr.MeanRate()*1.2, *util, *seed)

@@ -16,7 +16,7 @@
 //     renegotiation), netproto (signaling over UDP), vctable (the one VC
 //     table both planes index), datapath (the FIFO cell path), mesh
 //     (multi-hop paths granted at the minimum along the route), bookahead
-//     (advance reservations).
+//     (advance reservations), live (the service as one loop).
 //   - IV, schedules: trellis (the optimal offline schedule), heuristic (the
 //     causal online one), queue (the slotted fluid buffer under both).
 //   - V, analysis: markov and ld (multiple time-scale sources, Chernoff

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
+	"rcbr/internal/netproto"
 	"rcbr/internal/switchfab"
 )
 
@@ -171,6 +173,66 @@ func TestRenegotiateFullAndDecrease(t *testing.T) {
 	}
 	if _, err := p.Renegotiate(ctx, -1); !errors.Is(err, switchfab.ErrInvalidRate) {
 		t.Fatalf("negative rate: %v", err)
+	}
+}
+
+// TestWireHopHoldsItsReply: a switch behind the wire books the sum of the
+// rate deltas it is sent and replies with the 16-bit RM rate code of that
+// booking. At a rate that is no code, the path takes the reply as the rate
+// in force, even just above the request, and sends no settling request.
+func TestWireHopHoldsItsReply(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sw := switchfab.New(switchfab.WithMetrics(reg))
+	if err := sw.AddPort(1, 10e6); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := netproto.NewServer("127.0.0.1:0", sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	ctx := context.Background()
+	cl, err := netproto.DialContext(ctx, srv.Addr().String(), netproto.WithTimeout(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	m := New()
+	for _, err := range []error{m.AddTransport("w", ClientTransport{Client: cl}), m.AddHost("dst"),
+		m.AddLink("w", "dst", 1, 10e6, 0)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	hops, err := m.Route("w", "dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.SetupPath(ctx, 9, hops, 100e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := func(rate float64) float64 {
+		code, err := cell.EncodeRate16(rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cell.DecodeRate16(code)
+	}
+	for i, target := range []float64{1e6, 300e3} {
+		got, err := p.Renegotiate(ctx, target)
+		vc, verr := sw.VC(9)
+		if err != nil || verr != nil || got != wire(vc.Rate) || p.Rate() != got {
+			t.Fatalf("renegotiate to %g: got %g (%v), path %g, switch books %g (%v), whose code is %g",
+				target, got, err, p.Rate(), vc.Rate, verr, wire(vc.Rate))
+		}
+		if i == 0 && got <= target {
+			t.Fatalf("the reply %g is not above the request %g: pick a rate whose booking rounds up", got, target)
+		}
+		if n := reg.Snapshot().Counters[switchfab.MetricRenegs]; n != int64(i+1) {
+			t.Fatalf("renegotiate to %g: the switch saw %d renegotiations, want %d", target, n, i+1)
+		}
 	}
 }
 

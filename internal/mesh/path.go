@@ -201,13 +201,15 @@ func (p *Path) release() { <-p.sem }
 // final minimum are settled back down to it, so no hop holds more than
 // the path uses.
 //
-// A full grant returns (target, nil). A partial settlement — the path
-// moved, but a bottleneck hop bound it below target — returns the settled
-// rate and a *RateError carrying the counter-offer. A flat denial (some
-// hop had no headroom at all) rolls every upstream grant back to the old
-// rate and returns (old, *RateError). Decreases settle in full at every
-// hop and cannot fail. On a per-hop timeout the hops already raised are
-// rolled back under detached contexts and the context error is returned.
+// A full grant returns (target, nil); over a first hop behind the wire, the
+// target is its reply, the 16-bit RM rate code of its booking, even one
+// just above the request. A partial settlement — the path moved, but a
+// bottleneck hop bound it below target — returns the settled rate and a
+// *RateError carrying the counter-offer. A flat denial (some hop had no
+// headroom at all) rolls every upstream grant back to the old rate and
+// returns (old, *RateError). Decreases settle in full at every hop and
+// cannot fail. On a per-hop timeout the hops already raised are rolled
+// back under detached contexts and the context error is returned.
 func (p *Path) Renegotiate(ctx context.Context, target float64) (float64, error) {
 	if target < 0 {
 		return p.Rate(), fmt.Errorf("mesh: %w: %g", switchfab.ErrInvalidRate, target)
@@ -226,16 +228,17 @@ func (p *Path) Renegotiate(ctx context.Context, target float64) (float64, error)
 	m := p.m
 	m.renegs.Inc()
 	// granted[i] is the rate hop i holds for the VC once the walk has passed
-	// it; want is the smallest rate any hop so far allowed.
+	// it, want the smallest any hop so far holds, full whether each granted
+	// what it was asked.
 	granted := make([]float64, len(p.hops))
-	want, minHop := target, 0
+	want, minHop, full := target, 0, true
 	n, err := m.walk(ctx, p.id, p.hops, cur, target, func(hctx context.Context, i int) error {
-		g, _, err := p.hops[i].node.tr.RenegotiateBest(hctx, p.id, cur, want)
+		g, ok, err := p.hops[i].node.tr.RenegotiateBest(hctx, p.id, cur, want)
 		if err != nil {
 			return err
 		}
-		granted[i] = g
-		if g < want {
+		granted[i], full = g, full && ok
+		if i == 0 || g < want {
 			want, minHop = g, i
 		}
 		if target > cur && want <= cur {
@@ -283,7 +286,7 @@ func (p *Path) Renegotiate(ctx context.Context, target float64) (float64, error)
 		return cur, fmt.Errorf("mesh: renegotiate %s: reply lost: %w", p.id, err)
 	}
 	p.setRate(want)
-	if want == target {
+	if full {
 		m.emit(metrics.Event{Kind: metrics.EventPathGrant, VPI: p.id.VPI(), VCI: p.id.VCI(), Rate: want})
 		return want, nil
 	}

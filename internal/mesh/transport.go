@@ -49,7 +49,7 @@ type Transport interface {
 	// RenegotiateBest moves the VC from current toward target, granting
 	// the most the hop can carry (at least the current rate on an
 	// increase; decreases settle in full). full reports whether the
-	// target itself was granted.
+	// target itself was granted, at the hop's precision.
 	RenegotiateBest(ctx context.Context, id switchfab.VCID, current, target float64) (granted float64, full bool, err error)
 	// Teardown releases the VC's reservation.
 	Teardown(ctx context.Context, id switchfab.VCID) error
@@ -93,11 +93,11 @@ func (t SwitchTransport) Teardown(ctx context.Context, id switchfab.VCID) error 
 var ErrWireVPI = errors.New("mesh: netproto transport addresses VPI 0 only")
 
 // ClientTransport adapts a netproto signaling client to the Transport
-// interface, making a remote switch usable as one hop of a path. Two wire
+// interface, making a remote switch usable as one hop of a path. Three wire
 // limits apply: only VPI 0 is addressable (the setup frame carries a bare
-// VCI), and the protocol has no partial-grant operation, so an increase
-// that does not fit is denied outright (granted = current, full = false)
-// rather than settled at the hop's best rate.
+// VCI); an increase that does not fit is denied outright (full = false),
+// not settled at the hop's best rate; and granted is the reply's 16-bit RM
+// rate code of the switch's booking.
 type ClientTransport struct {
 	Client *netproto.Client
 }
@@ -120,7 +120,7 @@ func (t ClientTransport) RenegotiateBest(ctx context.Context, id switchfab.VCID,
 	if err != nil {
 		return 0, false, err
 	}
-	return granted, ok && granted == target, nil
+	return granted, ok, nil
 }
 
 // Teardown implements Transport.
