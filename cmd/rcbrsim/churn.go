@@ -26,7 +26,7 @@ func churnRun(fs *flag.FlagSet) func(context.Context) error {
 	events := fs.Int("churn", 2_000_000, "churn-phase call-event budget")
 	admit := fs.String("admit", "memory", "admission policy: memory | none")
 	target := fs.Float64("target", 1e-3, "memory admitter failure target")
-	drain := fs.Bool("drain", false, "tear every call down at the end and verify the fabric drains to zero")
+	drain := fs.Bool("drain", false, "tear every call down at the end and verify the fabric drains to zero: no VC and no reservation left")
 	jsonOut := fs.String("json", "", "also write the result as JSON to this file (- for stdout)")
 	seed := fs.Uint64("seed", 1, "generator seed")
 	return func(context.Context) error {
@@ -82,11 +82,15 @@ func churnRun(fs *flag.FlagSet) func(context.Context) error {
 			return err
 		}
 		st := sw.Stats()
-		fmt.Printf("switch: %d setups, %d setup rejects, %d reserved clamps\n",
-			st.Setups, st.SetupRejects, st.ReservedClamps)
+		fmt.Printf("switch: %d setups, %d setup rejects\n", st.Setups, st.SetupRejects)
 		if *drain {
 			if n := sw.VCCount(); n != 0 {
 				return fmt.Errorf("drain left %d VCs in the fabric", n)
+			}
+			for p := 0; p < *ports; p++ {
+				if reserved, _, _ := sw.PortLoad(p); reserved != 0 {
+					return fmt.Errorf("drain left %g b/s reserved on port %d", reserved, p)
+				}
 			}
 			fmt.Println("drain: fabric empty")
 		}

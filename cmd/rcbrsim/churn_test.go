@@ -42,6 +42,12 @@ func TestChurnRunSmoke(t *testing.T) {
 		"-churn", "1000", "-admit", "none"}); err != nil {
 		t.Fatalf("admit=none: %v", err)
 	}
+	// A drain that checks the books: every port back at exactly 0, on ports
+	// whose capacity is off the books' lattice.
+	if err := dispatch([]string{"churn", "-vcs", "300", "-ports", "3",
+		"-portcap", "3.3333333e8", "-churn", "600", "-admit", "none", "-drain"}); err != nil {
+		t.Fatalf("admit=none -drain: %v", err)
+	}
 	if err := dispatch([]string{"churn", "-admit", "bogus"}); err == nil {
 		t.Fatal("unknown admission policy accepted")
 	}

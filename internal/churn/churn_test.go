@@ -59,9 +59,6 @@ func TestRunReachesTargetAndDrains(t *testing.T) {
 			t.Errorf("port %d reserved = %v after drain, want exactly 0", p, reserved)
 		}
 	}
-	if st := s.Stats(); st.ReservedClamps != 0 {
-		t.Errorf("ReservedClamps = %d", st.ReservedClamps)
-	}
 	if res.BytesPerVC <= 0 {
 		t.Errorf("BytesPerVC = %v", res.BytesPerVC)
 	}

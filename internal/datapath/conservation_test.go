@@ -380,8 +380,8 @@ func TestConservationUnderOverload(t *testing.T) {
 			if reserved, _, err := sw.PortLoad(out); err != nil || reserved != 0 {
 				t.Errorf("PortLoad after the teardowns = %v, %v, want exactly 0", reserved, err)
 			}
-			if f.VCCount() != 0 || sw.VCCount() != 0 || sw.Stats().ReservedClamps != 0 {
-				t.Errorf("left behind: %d forwarder VCs, %d switch VCs, %d clamps", f.VCCount(), sw.VCCount(), sw.Stats().ReservedClamps)
+			if f.VCCount() != 0 || sw.VCCount() != 0 {
+				t.Errorf("left behind: %d forwarder VCs, %d switch VCs", f.VCCount(), sw.VCCount())
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package mesh
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -105,12 +106,15 @@ func TestConcurrentBottleneckNoOvercommit(t *testing.T) {
 // fixed competing reservation per hop, the granted rate equals
 // min(target, min over hops of (old rate + headroom)) — and every hop's
 // reservation afterward equals exactly the granted rate plus its
-// competitor's.
+// competitor's. The rates are random and off the switch's lattice, so the
+// oracle books them as the switch does, in whole 2⁻⁹ b/s, and compares
+// exactly.
 func TestMinAlongPathProperty(t *testing.T) {
 	const (
 		capacity = 1e6
 		initial  = 50e3
 	)
+	book := func(rate float64) int64 { return int64(math.Round(rate * 512)) }
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nHops := 1 + rng.Intn(6)
@@ -120,7 +124,8 @@ func TestMinAlongPathProperty(t *testing.T) {
 		}
 		names := make([]string, nHops)
 		sws := make([]*switchfab.Switch, nHops)
-		minCeiling := float64(capacity)
+		minCeiling := book(capacity)
+		competitors := make([]int64, nHops)
 		for i := range names {
 			names[i] = "s" + string(rune('a'+i))
 			sws[i] = switchfab.New()
@@ -149,9 +154,8 @@ func TestMinAlongPathProperty(t *testing.T) {
 			if _, err := m.SetupPath(ctx, switchfab.VCID(1000+i), hops[i:i+1], compet); err != nil {
 				t.Fatal(err)
 			}
-			if ceiling := capacity - compet; ceiling < minCeiling {
-				minCeiling = ceiling
-			}
+			competitors[i] = book(compet)
+			minCeiling = min(minCeiling, book(capacity)-competitors[i])
 		}
 		p, err := m.SetupPath(ctx, 1, hops, initial)
 		if err != nil {
@@ -159,22 +163,13 @@ func TestMinAlongPathProperty(t *testing.T) {
 		}
 		target := initial + rng.Float64()*capacity
 		got, err := p.Renegotiate(ctx, target)
-		want := target
-		if minCeiling < want {
-			want = minCeiling
-		}
-		if want < initial {
-			want = initial
-		}
-		// The switch computes its best grant as rate+headroom, which can
-		// differ from capacity-competitor by a rounding ulp; compare with
-		// a relative tolerance.
-		if diff := got - want; diff > 1e-6 || diff < -1e-6 {
+		want := max(min(book(target), minCeiling), book(initial))
+		if got != float64(want)/512 {
 			t.Logf("seed %d: granted %v, want min-along-path %v (target %v, ceiling %v)",
-				seed, got, want, target, minCeiling)
+				seed, got, float64(want)/512, target, float64(minCeiling)/512)
 			return false
 		}
-		wantErr := got != target
+		wantErr := want != book(target)
 		if wantErr == (err == nil) {
 			t.Logf("seed %d: error mismatch: granted %v of %v with err %v", seed, got, target, err)
 			return false
@@ -189,9 +184,9 @@ func TestMinAlongPathProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			competitor := reserved - got
-			if competitor < -1e-6 || reserved > capacity+1e-6 {
-				t.Logf("seed %d: hop %d (%s) reserved %v with path at %v", seed, i, name, reserved, got)
+			if reserved != float64(competitors[i]+want)/512 {
+				t.Logf("seed %d: hop %d (%s) reserved %v with path at %v and competitor %v",
+					seed, i, name, reserved, got, float64(competitors[i])/512)
 				return false
 			}
 		}

@@ -171,6 +171,11 @@ func TestRenegotiateFullAndDecrease(t *testing.T) {
 	if got, err = p.Renegotiate(ctx, 200e3); err != nil || got != 200e3 {
 		t.Fatalf("no-op: %v, %v", got, err)
 	}
+	// An increase the switches book to the rate in force is granted in full
+	// at every hop, so the path is too: no denial.
+	if got, err = p.Renegotiate(ctx, 200e3+1e-4); err != nil || got != 200e3 {
+		t.Fatalf("increase below one unit: %v, %v", got, err)
+	}
 	if _, err := p.Renegotiate(ctx, -1); !errors.Is(err, switchfab.ErrInvalidRate) {
 		t.Fatalf("negative rate: %v", err)
 	}

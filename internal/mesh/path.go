@@ -241,10 +241,11 @@ func (p *Path) Renegotiate(ctx context.Context, target float64) (float64, error)
 		if i == 0 || g < want {
 			want, minHop = g, i
 		}
-		if target > cur && want <= cur {
+		if !ok && target > cur && want <= cur {
 			// Zero headroom at this hop (which therefore still holds cur):
 			// the end-to-end increase fails and every upstream grant
-			// unwinds (Section III-A.1, end to end).
+			// unwinds (Section III-A.1, end to end). A hop that granted in
+			// full was asked for a rate its books round to cur.
 			return errDenied
 		}
 		return nil

@@ -32,12 +32,6 @@ const (
 	// These carry the hop's name in Event.Hop.
 	EventHopTimeout
 	EventHopRollback
-
-	// EventReservedClamp records a port's reserved figure going negative —
-	// floating-point residue left by mismatched setup/teardown orderings
-	// under churn — and being clamped back to zero. Event.Requested carries
-	// the (negative) residue that was discarded.
-	EventReservedClamp
 )
 
 var eventKindNames = [...]string{
@@ -55,7 +49,6 @@ var eventKindNames = [...]string{
 	EventPathTeardown:  "path-teardown",
 	EventHopTimeout:    "hop-timeout",
 	EventHopRollback:   "hop-rollback",
-	EventReservedClamp: "reserved-clamp",
 }
 
 // String returns the stable wire name of the kind ("setup",

@@ -37,7 +37,9 @@ func (r *bookRecorder) OnSetup(_ int, _ VCID, rate float64) (*RateWord, error) {
 // from one crafted message. So every exported entry point that takes a rate
 // is fed every kind of bad one and must answer ErrInvalidRate with the
 // books exactly as they were: the port's load, the VC's rate, the counters,
-// the calls the admitter tracks, and nothing said to the data plane.
+// the calls the admitter tracks, and nothing said to the data plane. A bad
+// rate is also one past the books' range (1e300 would overflow the integer
+// sums) and, for a port, a capacity that books to no unit at all.
 func TestSetupRejectsNonFiniteRates(t *testing.T) {
 	ad, err := NewMemoryAdmitter([]float64{100e3, 1e6}, 1e-3)
 	if err != nil {
@@ -55,18 +57,19 @@ func TestSetupRejectsNonFiniteRates(t *testing.T) {
 	entries := []struct {
 		name string
 		call func(rate float64) error
+		also []float64 // bad for this entry point alone
 	}{
-		{"AddPort", func(r float64) error { return s.AddPort(2, r) }},
-		{"Setup", func(r float64) error { return s.Setup(11, 1, r) }},
-		{"SetupID", func(r float64) error { return s.SetupID(11, 1, r) }},
-		{"RenegotiateID", func(r float64) error { _, _, err := s.RenegotiateID(10, r); return err }},
-		{"RenegotiateBestID", func(r float64) error { _, _, err := s.RenegotiateBestID(10, r); return err }},
-		{"HandleRM delta", func(r float64) error { return handleRM(cell.RM{ER: r, Seq: 1}) }},
-		{"HandleRM resync", func(r float64) error { return handleRM(cell.RM{ER: r, Resync: true}) }},
+		{"AddPort", func(r float64) error { return s.AddPort(2, r) }, []float64{1e-4}},
+		{"Setup", func(r float64) error { return s.Setup(11, 1, r) }, nil},
+		{"SetupID", func(r float64) error { return s.SetupID(11, 1, r) }, nil},
+		{"RenegotiateID", func(r float64) error { _, _, err := s.RenegotiateID(10, r); return err }, nil},
+		{"RenegotiateBestID", func(r float64) error { _, _, err := s.RenegotiateBestID(10, r); return err }, nil},
+		{"HandleRM delta", func(r float64) error { return handleRM(cell.RM{ER: r, Seq: 1}) }, nil},
+		{"HandleRM resync", func(r float64) error { return handleRM(cell.RM{ER: r, Resync: true}) }, nil},
 	}
 	stats, told := s.Stats(), rec.calls
 	for _, e := range entries {
-		for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, rate := range append([]float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300}, e.also...) {
 			if err := e.call(rate); !errors.Is(err, ErrInvalidRate) {
 				t.Errorf("%s(%v): %v, want ErrInvalidRate", e.name, rate, err)
 			}
@@ -99,48 +102,25 @@ func TestSetupRejectsNonFiniteRates(t *testing.T) {
 	}
 }
 
-// TestReservedClampInstrumented drives the defensive clamp directly (the
-// accounting paths are exact for representable rates, so only a forced
-// negative reaches it) and checks it is counted, metered, and traced.
-func TestReservedClampInstrumented(t *testing.T) {
-	reg := metrics.NewRegistry()
-	ring := metrics.NewEventLog(8)
-	s := New(WithMetrics(reg), WithEventTrace(ring))
-	if err := s.AddPort(1, 1e6); err != nil {
-		t.Fatal(err)
+// nonDyadic draws a rate off the books' 2⁻⁹ b/s lattice: a multiple of 100.1
+// b/s or of 64,000/3 b/s. Books kept in float64 drift on such rates, since
+// every sum rounds.
+func nonDyadic(rng *stats.RNG) float64 {
+	if rng.Intn(2) == 0 {
+		return float64(1+rng.Intn(1000)) * 100.1
 	}
-	p := s.port(1)
-	p.mu.Lock()
-	s.setReserved(p, -0.25)
-	p.mu.Unlock()
-	if got := s.Stats().ReservedClamps; got != 1 {
-		t.Fatalf("ReservedClamps = %d, want 1", got)
-	}
-	reserved, _, _ := s.PortLoad(1)
-	if reserved != 0 {
-		t.Fatalf("reserved after clamp = %v, want 0", reserved)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[MetricReservedClamped]; got != 1 {
-		t.Fatalf("%s = %v, want 1", MetricReservedClamped, got)
-	}
-	events := ring.Events()
-	found := false
-	for _, e := range events {
-		if e.Kind == metrics.EventReservedClamp && e.Port == 1 && e.Requested == -0.25 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no reserved-clamp event in trace: %+v", events)
-	}
+	return float64(1+rng.Intn(48)) * 64e3 / 3
 }
 
-// TestSetupTeardownDrift churns driftOps setup/teardown pairs of
-// integer-valued rates through one port and requires the drained reservation
-// to return to exactly zero — not within epsilon. Integer rates below 2^53
-// add and subtract exactly in float64, so any residue (or any clamp tick)
-// is a double-count or leak in the accounting, not rounding.
+// TestSetupTeardownDrift holds a port's books exact — not within epsilon.
+// First it churns driftOps setup/teardown pairs of integer-valued rates
+// through one port, and the drained reservation must return to exactly zero:
+// any residue is a double-count or leak in the accounting. Then, on each of
+// 20 seeds, it sets up 10,000 VCs at rates off the lattice on a port that
+// cannot carry them all, makes 10,000 renegotiations of every kind, and tears
+// every VC down in random order. The reservation must equal the exact sum of
+// the VCs' rates after the renegotiations and be exactly 0 after the drain.
+// Books kept in float64 miss the sum on all 20 seeds and zero on 13.
 func TestSetupTeardownDrift(t *testing.T) {
 	ops := driftOps
 	if testing.Short() {
@@ -172,11 +152,66 @@ func TestSetupTeardownDrift(t *testing.T) {
 	if reserved != 0 {
 		t.Fatalf("drained port reserved = %v, want exactly 0", reserved)
 	}
-	if clamps := s.Stats().ReservedClamps; clamps != 0 {
-		t.Fatalf("ReservedClamps = %d under exact-rate churn, want 0", clamps)
-	}
 	if s.VCCount() != 0 {
 		t.Fatalf("VCCount = %d after drain", s.VCCount())
+	}
+
+	const vcs = 10_000
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := stats.NewRNG(seed)
+		s := newTestSwitch(t, 7e9/3)
+		var up []VCID
+		for i := 0; i < vcs; i++ {
+			err := s.SetupID(VCID(i), 1, nonDyadic(rng))
+			if IsReject(err) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			up = append(up, VCID(i))
+		}
+		for i := 0; i < vcs; i++ {
+			id, rate := up[rng.Intn(len(up))], nonDyadic(rng)
+			h := cell.Header{VPI: id.VPI(), VCI: id.VCI()}
+			var err error
+			switch i % 4 {
+			case 0:
+				_, _, err = s.RenegotiateID(id, rate)
+			case 1:
+				_, _, err = s.RenegotiateBestID(id, rate)
+			case 2:
+				_, err = s.HandleRM(h, cell.RM{ER: rate / 8})
+			case 3:
+				_, err = s.HandleRM(h, cell.RM{ER: rate / 8, Decrease: true})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sum float64
+		for _, id := range up {
+			vc, err := s.VC(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += vc.Rate
+		}
+		if reserved, _, _ := s.PortLoad(1); reserved != sum {
+			t.Errorf("seed %d: reserved %v after the renegotiations, its VCs' rates sum to %v", seed, reserved, sum)
+		}
+		for i := len(up) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			up[i], up[j] = up[j], up[i]
+		}
+		for _, id := range up {
+			if err := s.TeardownID(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reserved, _, _ := s.PortLoad(1); reserved != 0 {
+			t.Errorf("seed %d: drained port reserved = %v, want exactly 0", seed, reserved)
+		}
 	}
 }
 
@@ -238,19 +273,22 @@ func TestVCsPage(t *testing.T) {
 
 // TestParallelSetupChurnStorm hammers setup/renegotiate/teardown from many
 // goroutines across ports with the stateful memory admitter
-// installed. Run under -race (the Makefile's race target does), this is the
-// proof that removing the global setup mutex kept the stateful-admission
-// path correct: the admitter's calls balance the switch's VCs exactly at
-// the end of the storm, level by level, and the fabric drains to zero
-// everywhere. Beside each worker churning its own 16 ids, two raiders
-// renegotiate ids picked across every worker's block, through the storm
-// and through the workers' concurrent drain, so renegotiations race the
-// owners' teardowns and re-setups of the same VC: the gone check under the
-// port mutex must keep a record from moving after it left (a record moved
-// or left twice, or never entered, panics inside the controller).
+// installed, at rates off the books' lattice. Run under -race (the
+// Makefile's race target does), this is the proof that removing the global
+// setup mutex kept the stateful-admission path correct: the admitter's calls
+// balance the switch's VCs exactly at the end of the storm, level by level,
+// every port's reservation is exactly the sum of its VCs' rates, and the
+// fabric drains to exactly zero everywhere. Beside each worker churning its
+// own 16 ids, two raiders renegotiate ids picked across every worker's
+// block, through the storm and through the workers' concurrent drain, so
+// renegotiations race the owners' teardowns and re-setups of the same VC:
+// the gone check under the port mutex must keep a record from moving after
+// it left (a record moved or left twice, or never entered, panics inside
+// the controller).
 func TestParallelSetupChurnStorm(t *testing.T) {
 	const ports = 8
-	inner, err := NewMemoryAdmitter([]float64{64e3, 512e3, 1e6, 2e6, 4e6}, 1e-3)
+	rates := []float64{641 * 100.1, 25 * 64e3 / 3, 9_991 * 100.1, 97 * 64e3 / 3, 193 * 64e3 / 3}
+	inner, err := NewMemoryAdmitter(rates, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +303,6 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	if testing.Short() {
 		iters = 200
 	}
-	rates := []float64{64e3, 512e3, 1e6, 2e6, 4e6}
 	var setups, teardowns, renegGrants atomic.Int64
 	var wg, raiders sync.WaitGroup
 	done := make(chan struct{})
@@ -337,25 +374,32 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	}
 	// Every setup entered a call and every teardown took one out: the
 	// admitter holds exactly the VCs the switch does, at the levels of their
-	// rates.
+	// rates. Each port reserves exactly what its VCs hold.
 	up := setups.Load() - teardowns.Load()
 	var calls int
-	levels := make(map[float64]float64)
+	levels := make([]float64, len(rates))
+	sum := make([]float64, ports)
 	for p := 0; p < ports; p++ {
 		calls += inner.PortCalls(p)
 		for level, n := range s.port(p).mbac.Active() {
-			levels[rates[level]] += n
+			levels[level] += n
 		}
 	}
 	for _, vc := range s.VCs() {
-		levels[vc.Rate]--
+		levels[stats.NearestLevel(rates, vc.Rate)]--
+		sum[vc.Port] += vc.Rate
 	}
 	if n := int64(s.VCCount()); n != up || int64(calls) != up {
 		t.Errorf("%d setups less %d teardowns; the switch holds %d VCs, the admitter %d calls", setups.Load(), teardowns.Load(), n, calls)
 	}
-	for rate, n := range levels {
+	for level, n := range levels {
 		if n != 0 {
-			t.Errorf("admitter holds %v calls at %g b/s more than the switch does", n, rate)
+			t.Errorf("admitter holds %v calls at %g b/s more than the switch does", n, rates[level])
+		}
+	}
+	for p := 0; p < ports; p++ {
+		if reserved, _, _ := s.PortLoad(p); reserved != sum[p] {
+			t.Errorf("port %d reserved %v after the storm, its VCs' rates sum to %v", p, reserved, sum[p])
 		}
 	}
 	// The drain races the raiders too: each worker tears its own block down
@@ -403,9 +447,6 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.ReservedClamps != 0 {
-		t.Errorf("ReservedClamps = %d, want 0", st.ReservedClamps)
-	}
 	// One counter per fact: a decision is a grant or a denial and is counted
 	// as that alone; the callers' own tally says how many grants there were.
 	if st.Renegotiations != st.Grants+st.Denials || st.Grants != renegGrants.Load() {

@@ -72,7 +72,7 @@ func (a *MemoryAdmitter) adopt(p *port) error {
 	}
 	// The constructor's trial validated levels and target; AddPort validated
 	// the capacity.
-	p.mbac, _ = admission.NewLiveMemory(a.levels, p.capacity, a.target)
+	p.mbac, _ = admission.NewLiveMemory(a.levels, p.capacity.bps(), a.target)
 	a.ports[p.id] = p
 	return nil
 }

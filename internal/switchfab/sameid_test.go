@@ -163,9 +163,6 @@ func TestParallelSameIDLifecycle(t *testing.T) {
 			t.Errorf("port %d reserved %v, its VCs' rates sum to %v", p, reserved, sum[p])
 		}
 	}
-	if clamps := s.Stats().ReservedClamps; clamps != 0 {
-		t.Errorf("ReservedClamps = %d, want 0", clamps)
-	}
 }
 
 // TestNoStoreLandsOnARetiredRateWord flaps one id between two ports — set

@@ -8,6 +8,12 @@
 // grant the request iff utilization plus the rate difference stays within
 // capacity; otherwise mark the backward cell denied and keep the old rate.
 //
+// The books are integers: a port's capacity and reservation and each VC's
+// rate count 2⁻⁹ b/s, the lattice of the RM cell's rate code. A rate is
+// rounded to the nearest unit once, where it enters the switch, and every
+// figure the switch reports is the booked one, so a port's reservation is the
+// exact sum of its VCs' rates in any order and the one compare is on integers.
+//
 // Call setup (the expensive signaling path: route choice, VC allocation,
 // admission control) is a separate method, mirroring the paper's split
 // between heavyweight setup and lightweight renegotiation. Its one admission
@@ -162,10 +168,10 @@ func (w *RateWord) Store(rate float64) { w.bits.Store(math.Float64bits(rate)) }
 // been called for that setup: the word is retired, and a later setup of the
 // same id hands over a fresh one.
 type DataPlane interface {
-	// OnSetup routes VC id to egress port at rate and returns its rate word
-	// (nil if the data plane keeps none). An error refuses the setup: the
-	// switch undoes it — no entry, no reservation, no admitter record — and
-	// returns the error to its caller.
+	// OnSetup routes VC id to egress port at its booked rate and returns its
+	// rate word (nil if the data plane keeps none). An error refuses the
+	// setup: the switch undoes it — no entry, no reservation, no admitter
+	// record — and returns the error to its caller.
 	OnSetup(port int, id VCID, rate float64) (*RateWord, error)
 	// OnTeardown notifies that VC id left port.
 	OnTeardown(port int, id VCID)
@@ -189,30 +195,37 @@ type Stats struct {
 	// DupDrops counts sequenced RM cells, delta or resync, dropped as
 	// delayed duplicates (see HandleRM).
 	DupDrops int64
-	// ReservedClamps counts the times a port's reserved figure went negative
-	// (floating-point residue under churn) and was clamped back to zero.
-	// A nonzero value on a workload with exactly-representable rates is an
-	// accounting bug, not dust.
+	// ReservedClamps is always 0: integer books never go negative. It stays
+	// for its last reader, bench/cells.go; ROADMAP item 6a deletes it.
 	ReservedClamps int64
 }
 
 // statCounters is the live (atomic) form of Stats, safe to bump from
 // concurrent per-port renegotiations.
 type statCounters struct {
-	setups         atomic.Int64
-	setupRejects   atomic.Int64
-	teardowns      atomic.Int64
-	grants         atomic.Int64
-	denials        atomic.Int64
-	partialGrants  atomic.Int64
-	resyncs        atomic.Int64
-	dupDrops       atomic.Int64
-	reservedClamps atomic.Int64
+	setups        atomic.Int64
+	setupRejects  atomic.Int64
+	teardowns     atomic.Int64
+	grants        atomic.Int64
+	denials       atomic.Int64
+	partialGrants atomic.Int64
+	resyncs       atomic.Int64
+	dupDrops      atomic.Int64
 }
+
+// units is a rate as the switch books it: a whole number of 2⁻⁹ b/s, the
+// lattice cell.EncodeRate16's codes 2^e·(1+m/512), e ≥ 0, lie on.
+type units int64
+
+// book converts a rate validRate accepted to the nearest unit.
+func book(rate float64) units { return units(math.Round(rate * 512)) }
+
+// bps is the booked rate in b/s, exact below 2⁵³ units (2⁴⁴ b/s).
+func (u units) bps() float64 { return float64(u) / 512 }
 
 type port struct {
 	id       int
-	capacity float64
+	capacity units
 	// slot is the port's index in the switch's port table, which is how a
 	// VC names it.
 	slot uint16
@@ -221,7 +234,7 @@ type port struct {
 	// homed on this port, so renegotiations on different ports never
 	// contend.
 	mu       sync.Mutex
-	reserved float64
+	reserved units
 	// mbac is the port's controller when the switch runs a MemoryAdmitter,
 	// built by AddPort; nil otherwise.
 	mbac *admission.LiveMemory
@@ -241,7 +254,7 @@ type vcState struct {
 	// word is the rate word the data plane handed over at setup, the
 	// shaper's mailbox; nil without a data plane.
 	word *RateWord
-	rate float64
+	rate units
 	// lastSeq is 0 until the VC's first sequenced RM cell (Seq 0 means
 	// unsequenced).
 	lastSeq uint32
@@ -277,9 +290,6 @@ const (
 	MetricResyncs       = "switch.resyncs"
 	MetricDupDrops      = "switch.rm_duplicates_dropped"
 	MetricRenegLatency  = "switch.renegotiation_seconds"
-	// MetricReservedClamped counts negative-residue clamps of a port's
-	// reserved figure (see Stats.ReservedClamps).
-	MetricReservedClamped = "switch.port.reserved_clamped"
 )
 
 // PortReservedGauge returns the registry name of a port's reserved-rate
@@ -392,19 +402,19 @@ func New(opts ...Option) *Switch {
 		s.reg.CounterFunc(MetricPartialGrants, s.stats.partialGrants.Load)
 		s.reg.CounterFunc(MetricResyncs, s.stats.resyncs.Load)
 		s.reg.CounterFunc(MetricDupDrops, s.stats.dupDrops.Load)
-		s.reg.CounterFunc(MetricReservedClamped, s.stats.reservedClamps.Load)
 	}
 	return s
 }
 
-// validRate reports whether rate is usable as a reservation figure: finite
-// and non-negative. The comparison form matters: NaN fails every ordered
-// comparison, so the naive `rate < 0` rejection lets NaN through — and one
-// NaN added into a port's reserved figure makes every later capacity
-// comparison false, overcommitting the port forever. +Inf is rejected
-// explicitly for the same reason.
+// maxRate bounds every rate the switch books, 2⁵² b/s (2⁶¹ units), so no sum
+// it forms, a capacity plus a rate, overflows int64.
+const maxRate = 1 << 52
+
+// validRate reports whether rate is usable as a reservation figure: in
+// [0, maxRate]. The comparison form matters: NaN fails every ordered
+// comparison, so the naive `rate < 0` rejection would let it through.
 func validRate(rate float64) bool {
-	return rate >= 0 && !math.IsInf(rate, 1)
+	return rate >= 0 && rate <= maxRate
 }
 
 // port resolves a registered port by id, or nil, without a lock.
@@ -426,12 +436,11 @@ func (s *Switch) portAt(slot uint16) *port {
 const maxPorts = 1 << 16
 
 // AddPort registers an output port with the given capacity in bits/second.
-// The capacity must be finite and positive (NaN would make every later
-// capacity comparison on the port false). With a MemoryAdmitter installed
-// the port gets its own controller, and an id the admitter already serves
-// for another switch is refused.
+// The capacity must be a valid rate that books to at least one unit. With a
+// MemoryAdmitter installed the port gets its own controller, and an id the
+// admitter already serves for another switch is refused.
 func (s *Switch) AddPort(id int, capacity float64) error {
-	if math.IsNaN(capacity) || math.IsInf(capacity, 0) || capacity <= 0 {
+	if !validRate(capacity) || book(capacity) <= 0 {
 		return fmt.Errorf("%w: capacity %g", ErrInvalidRate, capacity)
 	}
 	s.portMu.Lock()
@@ -444,14 +453,14 @@ func (s *Switch) AddPort(id int, capacity float64) error {
 	if len(old.bySlot) == maxPorts {
 		return fmt.Errorf("switchfab: port %d: the switch holds %d ports already", id, maxPorts)
 	}
-	p := &port{id: id, capacity: capacity, slot: uint16(len(old.bySlot))}
+	p := &port{id: id, capacity: book(capacity), slot: uint16(len(old.bySlot))}
 	if s.mbac != nil {
 		if err := s.mbac.adopt(p); err != nil {
 			return err
 		}
 	}
 	if s.reg != nil {
-		s.reg.Gauge(PortCapacityGauge(id)).Set(capacity)
+		s.reg.Gauge(PortCapacityGauge(id)).Set(p.capacity.bps())
 		p.reservedGauge = s.reg.Gauge(PortReservedGauge(id))
 		p.reservedGauge.Set(0)
 	}
@@ -465,20 +474,10 @@ func (s *Switch) AddPort(id int, capacity float64) error {
 }
 
 // setReserved updates a port's reservation and its mirrored gauge together.
-// The port's mutex must be held. A negative residue — floating-point dust
-// left by mismatched add/subtract orderings under churn, or a genuine
-// accounting leak — is clamped back to zero, but no longer silently: the
-// clamp is counted on switch.port.reserved_clamped and recorded as a
-// reserved-clamp event carrying the discarded residue, so drift is visible
-// instead of absorbed.
-func (s *Switch) setReserved(p *port, v float64) {
-	if v < 0 {
-		s.stats.reservedClamps.Add(1)
-		s.events.Record(metrics.Event{Kind: metrics.EventReservedClamp, Port: p.id, Requested: v})
-		v = 0
-	}
+// The port's mutex must be held.
+func setReserved(p *port, v units) {
 	p.reserved = v
-	p.reservedGauge.Set(v)
+	p.reservedGauge.Set(v.bps())
 }
 
 // Setup is SetupID addressing VPI 0. It is the last of the uint16 twins:
@@ -507,6 +506,7 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	if !validRate(rate) {
 		return fmt.Errorf("%w: %g", ErrInvalidRate, rate)
 	}
+	r := book(rate)
 	// A setup's one reading is the start of the call's dwell history, so
 	// only a MemoryAdmitter's switch takes it.
 	var now int64
@@ -522,29 +522,29 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	if s.vcs.Get(uint32(id)) != nil {
 		return fmt.Errorf("%w: %s", ErrVCExists, id)
 	}
-	if p.reserved+rate > p.capacity {
-		s.rejectSetup(id, portID, rate)
+	if p.reserved+r > p.capacity {
+		s.rejectSetup(id, portID, r)
 		return fmt.Errorf("%w: port %d has %g of %g reserved",
-			ErrCapacity, portID, p.reserved, p.capacity)
+			ErrCapacity, portID, p.reserved.bps(), p.capacity.bps())
 	}
 	var vc *vcState
 	if p.mbac != nil {
-		if !p.mbac.Admit(seconds(now), rate) {
-			s.rejectSetup(id, portID, rate)
+		if !p.mbac.Admit(seconds(now), r.bps()) {
+			s.rejectSetup(id, portID, r)
 			return ErrAdmission
 		}
-		o := &vcWithCall{vcState: vcState{rate: rate, slot: p.slot}, call: *admission.NewCall()}
+		o := &vcWithCall{vcState: vcState{rate: r, slot: p.slot}, call: *admission.NewCall()}
 		o.rec = &o.call
 		vc = &o.vcState
 	} else {
-		vc = &vcState{rate: rate, slot: p.slot}
+		vc = &vcState{rate: r, slot: p.slot}
 	}
 	if s.vcs.Put(uint32(id), vc) != nil {
 		// A setup of the same id on another port published first.
 		return fmt.Errorf("%w: %s", ErrVCExists, id)
 	}
 	if s.dataplane != nil {
-		w, err := s.dataplane.OnSetup(portID, id, rate)
+		w, err := s.dataplane.OnSetup(portID, id, r.bps())
 		if err != nil {
 			// Undone as TeardownID undoes a VC, with nothing reserved yet: an
 			// operation that found the entry meanwhile sees it gone.
@@ -554,12 +554,12 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 		}
 		vc.word = w
 	}
-	s.setReserved(p, p.reserved+rate)
+	setReserved(p, p.reserved+r)
 	if vc.rec != nil {
-		p.mbac.Enter(vc.rec, seconds(now), rate)
+		p.mbac.Enter(vc.rec, seconds(now), r.bps())
 	}
 	s.stats.setups.Add(1)
-	s.events.Record(metrics.Event{Kind: metrics.EventSetup, VPI: id.VPI(), VCI: id.VCI(), Port: portID, Rate: rate})
+	s.events.Record(metrics.Event{Kind: metrics.EventSetup, VPI: id.VPI(), VCI: id.VCI(), Port: portID, Rate: r.bps()})
 	return nil
 }
 
@@ -584,10 +584,10 @@ func (s *Switch) observe(entered int64) {
 	}
 }
 
-func (s *Switch) rejectSetup(id VCID, portID int, rate float64) {
+func (s *Switch) rejectSetup(id VCID, portID int, rate units) {
 	s.stats.setupRejects.Add(1)
 	s.events.Record(metrics.Event{
-		Kind: metrics.EventSetupReject, VPI: id.VPI(), VCI: id.VCI(), Port: portID, Requested: rate,
+		Kind: metrics.EventSetupReject, VPI: id.VPI(), VCI: id.VCI(), Port: portID, Requested: rate.bps(),
 	})
 }
 
@@ -619,9 +619,9 @@ func (s *Switch) TeardownID(id VCID) error {
 		return err
 	}
 	defer p.mu.Unlock()
-	s.setReserved(p, p.reserved-vc.rate)
+	setReserved(p, p.reserved-vc.rate)
 	if vc.rec != nil {
-		p.mbac.Leave(vc.rec, vc.rate)
+		p.mbac.Leave(vc.rec, vc.rate.bps())
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnTeardown(p.id, id)
@@ -636,11 +636,13 @@ func (s *Switch) TeardownID(id VCID) error {
 // RenegotiateID applies a rate change request for a VC: the paper's
 // lightweight path. Decreases always succeed; an increase succeeds iff the
 // port stays within capacity. It returns the rate now in force and whether
-// the request was granted in full.
+// the request was granted in full: ok when the request booked to the rate
+// now in force.
 func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bool, err error) {
 	if !validRate(newRate) {
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, newRate)
 	}
+	r := book(newRate)
 	now := s.enter()
 	defer s.observe(now)
 	vc, p, err := s.lockVC(id)
@@ -648,8 +650,8 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 		return 0, false, err
 	}
 	defer p.mu.Unlock()
-	granted, ok = s.applyRate(id, vc, p, now, newRate, newRate, metrics.EventRenegGrant)
-	return granted, ok, nil
+	g, ok := s.applyRate(id, vc, p, now, r, r, metrics.EventRenegGrant)
+	return g.bps(), ok, nil
 }
 
 // RenegotiateBestID applies a rate change granting the most the VC's port
@@ -659,13 +661,14 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 // as in RenegotiateID. The decision is made under the port mutex, so the
 // granted rate is the port's true best at the moment of the call — there is
 // no query-then-retry window for a concurrent setup to invalidate. It
-// returns the rate now in force and whether the full target was granted;
-// a VC left at its old rate by a zero-headroom port reports full=false and
-// is accounted as a denial.
+// returns the rate now in force and whether the full target was granted
+// (the target booked to the rate now in force); a VC left at its old rate
+// by a zero-headroom port reports full=false and is accounted as a denial.
 func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, full bool, err error) {
 	if !validRate(target) {
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, target)
 	}
+	t := book(target)
 	now := s.enter()
 	defer s.observe(now)
 	vc, p, err := s.lockVC(id)
@@ -673,31 +676,28 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 		return 0, false, err
 	}
 	defer p.mu.Unlock()
-	best := target
-	if p.reserved-vc.rate+target > p.capacity {
-		headroom := p.capacity - p.reserved
-		if headroom < 0 {
-			headroom = 0
-		}
-		best = vc.rate + headroom
+	best := t
+	if p.reserved-vc.rate+t > p.capacity {
+		// Exact books keep reserved within capacity: no negative headroom.
+		best = vc.rate + p.capacity - p.reserved
 	}
-	if best <= vc.rate && target > vc.rate {
+	if best == vc.rate && t > vc.rate {
 		// Zero headroom: a flat denial; the source keeps what it has
 		// (III-A.1). Record it on the deny path, not as a grant of the
 		// old rate.
 		s.stats.denials.Add(1)
 		s.events.Record(metrics.Event{
 			Kind: metrics.EventRenegDeny, VPI: id.VPI(), VCI: id.VCI(), Port: p.id,
-			Rate: vc.rate, Requested: target,
+			Rate: vc.rate.bps(), Requested: t.bps(),
 		})
-		return vc.rate, false, nil
+		return vc.rate.bps(), false, nil
 	}
-	granted, _ = s.applyRate(id, vc, p, now, best, target, metrics.EventRenegGrant)
-	full = granted == target
+	g, _ := s.applyRate(id, vc, p, now, best, t, metrics.EventRenegGrant)
+	full = g == t
 	if !full {
 		s.stats.partialGrants.Add(1)
 	}
-	return granted, full, nil
+	return g.bps(), full, nil
 }
 
 // applyRate is the paper's one-compare renegotiation decision. It must be
@@ -708,25 +708,25 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 // source originally asked for; it differs from newRate only on the partial
 // settlements of RenegotiateBestID and is surfaced in the grant event so
 // the trace shows the shortfall.
-func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, requested float64, grantKind metrics.EventKind) (float64, bool) {
+func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, requested units, grantKind metrics.EventKind) (units, bool) {
 	if p.reserved-vc.rate+newRate <= p.capacity {
 		old := vc.rate
-		s.setReserved(p, p.reserved+newRate-old)
+		setReserved(p, p.reserved+newRate-old)
 		vc.rate = newRate
 		if newRate != old {
 			if vc.rec != nil {
-				p.mbac.Move(vc.rec, seconds(now), old, newRate)
+				p.mbac.Move(vc.rec, seconds(now), old.bps(), newRate.bps())
 			}
 			if vc.word != nil {
-				vc.word.Store(newRate)
+				vc.word.Store(newRate.bps())
 			}
 		}
 		s.stats.grants.Add(1)
 		ev := metrics.Event{
-			Kind: grantKind, VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: newRate,
+			Kind: grantKind, VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: newRate.bps(),
 		}
 		if requested != newRate {
-			ev.Requested = requested
+			ev.Requested = requested.bps()
 		}
 		s.events.Record(ev)
 		return newRate, true
@@ -735,7 +735,7 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, now int64, newRate, re
 	s.stats.denials.Add(1)
 	s.events.Record(metrics.Event{
 		Kind: metrics.EventRenegDeny, VPI: id.VPI(), VCI: id.VCI(), Port: p.id,
-		Rate: vc.rate, Requested: newRate,
+		Rate: vc.rate.bps(), Requested: newRate.bps(),
 	})
 	return vc.rate, false
 }
@@ -762,6 +762,7 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	if !validRate(m.ER) {
 		return cell.RM{}, fmt.Errorf("%w: %g", ErrInvalidRate, m.ER)
 	}
+	er := book(m.ER)
 	now := s.enter()
 	defer s.observe(now)
 	id := MakeVCID(h.VPI, h.VCI)
@@ -777,7 +778,7 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 				Backward: true,
 				Response: true,
 				Resync:   true, // ER below is absolute
-				ER:       vc.rate,
+				ER:       vc.rate.bps(),
 				Seq:      m.Seq,
 			}, nil
 		}
@@ -785,20 +786,17 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	} else if m.Resync {
 		vc.lastSeq = 0
 	}
-	var want float64
+	want := vc.rate
 	grantKind := metrics.EventRenegGrant
 	switch {
 	case m.Resync:
-		want = m.ER
+		want = er
 		grantKind = metrics.EventResync
 		s.stats.resyncs.Add(1)
 	case m.Decrease:
-		want = vc.rate - m.ER
-		if want < 0 {
-			want = 0
-		}
+		want = max(want-er, 0)
 	default:
-		want = vc.rate + m.ER
+		want += er
 	}
 	granted, full := s.applyRate(id, vc, p, now, want, want, grantKind)
 	return cell.RM{
@@ -806,7 +804,7 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 		Response: true,
 		Resync:   true, // ER below is absolute: any reply resynchronizes
 		Deny:     !full,
-		ER:       granted,
+		ER:       granted.bps(),
 		Seq:      m.Seq,
 	}, nil
 }
@@ -819,7 +817,7 @@ func (s *Switch) PortLoad(id int) (reserved, capacity float64, err error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.reserved, p.capacity, nil
+	return p.reserved.bps(), p.capacity.bps(), nil
 }
 
 // VCCount returns the number of established VCs.
@@ -841,7 +839,7 @@ func (s *Switch) info(id VCID, vc *vcState) (VCInfo, bool) {
 	p := s.portAt(vc.slot)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: vc.rate}, !vc.gone
+	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: vc.rate.bps()}, !vc.gone
 }
 
 // VC returns the established VC named id.
@@ -851,7 +849,7 @@ func (s *Switch) VC(id VCID) (VCInfo, error) {
 		return VCInfo{}, err
 	}
 	defer p.mu.Unlock()
-	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: vc.rate}, nil
+	return VCInfo{VPI: id.VPI(), VCI: id.VCI(), Port: p.id, Rate: vc.rate.bps()}, nil
 }
 
 // VCs returns every established VC in (VPI, VCI) order: VCsPage's walk with
@@ -895,15 +893,14 @@ func (s *Switch) VCsPage(offset, limit int) ([]VCInfo, int) {
 // Stats returns a snapshot of the activity counters.
 func (s *Switch) Stats() Stats {
 	st := Stats{
-		Setups:         s.stats.setups.Load(),
-		SetupRejects:   s.stats.setupRejects.Load(),
-		Teardowns:      s.stats.teardowns.Load(),
-		Grants:         s.stats.grants.Load(),
-		PartialGrants:  s.stats.partialGrants.Load(),
-		Denials:        s.stats.denials.Load(),
-		Resyncs:        s.stats.resyncs.Load(),
-		DupDrops:       s.stats.dupDrops.Load(),
-		ReservedClamps: s.stats.reservedClamps.Load(),
+		Setups:        s.stats.setups.Load(),
+		SetupRejects:  s.stats.setupRejects.Load(),
+		Teardowns:     s.stats.teardowns.Load(),
+		Grants:        s.stats.grants.Load(),
+		PartialGrants: s.stats.partialGrants.Load(),
+		Denials:       s.stats.denials.Load(),
+		Resyncs:       s.stats.resyncs.Load(),
+		DupDrops:      s.stats.dupDrops.Load(),
 	}
 	st.Renegotiations = st.Grants + st.Denials
 	return st
