@@ -201,15 +201,16 @@ func (p *Path) release() { <-p.sem }
 // final minimum are settled back down to it, so no hop holds more than
 // the path uses.
 //
-// A full grant returns (target, nil); over a first hop behind the wire, the
-// target is its reply, the 16-bit RM rate code of its booking, even one
-// just above the request. A partial settlement — the path moved, but a
-// bottleneck hop bound it below target — returns the settled rate and a
-// *RateError carrying the counter-offer. A flat denial (some hop had no
-// headroom at all) rolls every upstream grant back to the old rate and
-// returns (old, *RateError). Decreases settle in full at every hop and
-// cannot fail. On a per-hop timeout the hops already raised are rolled
-// back under detached contexts and the context error is returned.
+// A full grant returns the target as booked, rounded to a whole 2⁻⁹ b/s (a
+// target that books to the rate in force still walks every hop); over a
+// first hop behind the wire it is that hop's reply, the 16-bit RM rate code
+// of its booking, even one just above the request. A partial settlement —
+// the path moved, but a bottleneck hop bound it below target — returns the
+// settled rate and a *RateError carrying the counter-offer. A flat denial
+// (some hop had no headroom at all) rolls every upstream grant back to the
+// old rate and returns (old, *RateError). Decreases settle in full at every
+// hop and cannot fail. On a per-hop timeout the hops already raised are
+// rolled back under detached contexts and the context error is returned.
 func (p *Path) Renegotiate(ctx context.Context, target float64) (float64, error) {
 	if target < 0 {
 		return p.Rate(), fmt.Errorf("mesh: %w: %g", switchfab.ErrInvalidRate, target)

@@ -231,6 +231,21 @@ func TestIdempotentRetransmissions(t *testing.T) {
 	if err := cl.Teardown(ctx, 5); err != nil {
 		t.Fatalf("duplicate teardown not idempotent: %v", err)
 	}
+	// A rate off the switch's 2⁻⁹ b/s lattice is booked rounded; its
+	// retransmission is still the same request and acks.
+	if err := cl.Setup(ctx, 6, 1, 100.1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Setup(ctx, 6, 1, 100.1); err != nil {
+		t.Fatalf("duplicate setup at 100.1 b/s not idempotent: %v", err)
+	}
+	vc, err := sw.VC(switchfab.MakeVCID(0, 6))
+	if r, _, _ := sw.PortLoad(1); err != nil || r != vc.Rate {
+		t.Fatalf("after the duplicate: port 1 reserves %v, VC %+v (%v)", r, vc, err)
+	}
+	if err := cl.Teardown(ctx, 6); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestClientTimeout(t *testing.T) {

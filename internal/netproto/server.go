@@ -3,6 +3,7 @@ package netproto
 import (
 	"errors"
 	"log"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -291,10 +292,11 @@ func (s *Server) handle(b []byte, sc *scratch) []byte {
 		id := switchfab.MakeVCID(0, req.VCI)
 		if err := s.sw.SetupID(id, int(req.Port), req.Rate); err != nil {
 			// A duplicate setup of the same VCI on the same port at the same
-			// rate is a retransmission and acknowledged idempotently. On
-			// another port it is a different request, which reserved nothing.
+			// booked rate (rounded to 2⁻⁹ b/s, as switchfab books it) is a
+			// retransmission and acknowledged idempotently. On another port
+			// it is a different request, which reserved nothing.
 			if errors.Is(err, switchfab.ErrVCExists) {
-				if vc, verr := s.sw.VC(id); verr == nil && vc.Port == int(req.Port) && vc.Rate == req.Rate {
+				if vc, verr := s.sw.VC(id); verr == nil && vc.Port == int(req.Port) && vc.Rate == math.Round(req.Rate*512)/512 {
 					return AppendOK(sc.reply[:0], TypeSetupOK, f.ReqID)
 				}
 			}

@@ -12,7 +12,8 @@
 // rate count 2⁻⁹ b/s, the lattice of the RM cell's rate code. A rate is
 // rounded to the nearest unit once, where it enters the switch, and every
 // figure the switch reports is the booked one, so a port's reservation is the
-// exact sum of its VCs' rates in any order and the one compare is on integers.
+// exact sum of its VCs' rates in any order and the one compare is on integers
+// (the float64 figures the switch reports are exact below 2⁴⁴ b/s).
 //
 // Call setup (the expensive signaling path: route choice, VC allocation,
 // admission control) is a separate method, mirroring the paper's split
