@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"text/tabwriter"
 
 	"rcbr/internal/churn"
-	"rcbr/internal/switchfab"
 )
 
 // churnRun drives the call-scale churn generator (internal/churn) against a
@@ -24,48 +24,39 @@ func churnRun(fs *flag.FlagSet) func(context.Context) error {
 	portCap := fs.Float64("portcap", 1.5e9, "per-port capacity (bits/s)")
 	workers := fs.Int("workers", 0, "generator goroutines (0 = GOMAXPROCS)")
 	events := fs.Int("churn", 2_000_000, "churn-phase call-event budget")
-	admit := fs.String("admit", "memory", "admission policy: memory | none")
-	target := fs.Float64("target", 1e-3, "memory admitter failure target")
+	target := fs.Float64("target", 1e-3, "memory admitter's failure target in (0, 1); 0 runs no admission control beyond capacity")
 	drain := fs.Bool("drain", false, "tear every call down at the end and verify the fabric drains to zero: no VC and no reservation left")
 	jsonOut := fs.String("json", "", "also write the result as JSON to this file (- for stdout)")
 	seed := fs.Uint64("seed", 1, "generator seed")
 	return func(context.Context) error {
-		classes := churn.DefaultClasses()
-		var opts []switchfab.Option
-		switch *admit {
-		case "memory":
-			ad, err := switchfab.NewMemoryAdmitter(churn.LevelSet(classes), *target)
-			if err != nil {
-				return err
-			}
-			opts = append(opts, switchfab.WithAdmitter(ad))
-		case "none":
-		default:
-			return fmt.Errorf("unknown admission policy %q (memory | none)", *admit)
+		switch {
+		case *vcs <= 0:
+			return fmt.Errorf("-vcs must be positive, got %d", *vcs)
+		case *ports <= 0 || *ports > 1<<16:
+			return fmt.Errorf("-ports must be in [1, %d], got %d", 1<<16, *ports)
+		case !(*portCap > 0) || math.IsInf(*portCap, 1):
+			return fmt.Errorf("-portcap must be a positive finite rate, got %g", *portCap)
+		case *events < 0:
+			return fmt.Errorf("-churn must not be negative, got %d", *events)
+		case *target != 0 && !(*target > 0 && *target < 1):
+			return fmt.Errorf("-target must be 0 (no admission control) or in (0, 1), got %g", *target)
 		}
-		sw := switchfab.New(opts...)
-		for p := 0; p < *ports; p++ {
-			if err := sw.AddPort(p, *portCap); err != nil {
-				return err
-			}
-		}
-
 		w := *workers
 		if w == 0 {
 			w = runtime.GOMAXPROCS(0)
 		}
-		fmt.Printf("churn: target %d VCs over %d ports (%.3g b/s each), %d workers, admit=%s\n",
-			*vcs, *ports, *portCap, w, *admit)
+		fmt.Printf("churn: target %d VCs over %d ports (%.3g b/s each), %d workers, admission target %g\n",
+			*vcs, *ports, *portCap, w, *target)
 
 		res, err := churn.Run(churn.Config{
-			Switch:      sw,
-			Ports:       *ports,
-			Classes:     classes,
-			TargetVCs:   *vcs,
-			Workers:     *workers,
-			ChurnEvents: *events,
-			Seed:        *seed,
-			Drain:       *drain,
+			Ports:        *ports,
+			PortCapacity: *portCap,
+			Target:       *target,
+			TargetVCs:    *vcs,
+			Workers:      *workers,
+			ChurnEvents:  *events,
+			Seed:         *seed,
+			Drain:        *drain,
 		})
 		if err != nil {
 			return err
@@ -81,17 +72,7 @@ func churnRun(fs *flag.FlagSet) func(context.Context) error {
 		if err := tw.Flush(); err != nil {
 			return err
 		}
-		st := sw.Stats()
-		fmt.Printf("switch: %d setups, %d setup rejects\n", st.Setups, st.SetupRejects)
 		if *drain {
-			if n := sw.VCCount(); n != 0 {
-				return fmt.Errorf("drain left %d VCs in the fabric", n)
-			}
-			for p := 0; p < *ports; p++ {
-				if reserved, _, _ := sw.PortLoad(p); reserved != 0 {
-					return fmt.Errorf("drain left %g b/s reserved on port %d", reserved, p)
-				}
-			}
 			fmt.Println("drain: fabric empty")
 		}
 

@@ -19,7 +19,7 @@
 //	rcbrsim fit [-classes K] [-buffer B]           fit an MTS model to a trace, check eq. 9
 //	rcbrsim rvbr [-alpha A] [-margin M]            renegotiated CBR vs renegotiated token bucket
 //	rcbrsim signal [-n N] [-json out.json]         live loop, hop 1 a switch over UDP
-//	rcbrsim churn  [-vcs N] [-admit memory|none]   call-scale churn against a live switch
+//	rcbrsim churn  [-vcs N] [-target P]            call-scale churn against a live switch
 //	rcbrsim topology [-n N] [-hopdelay D] [-csv F] live loop on a parking lot: utilization + fairness CSV
 //	rcbrsim schedule [-mode M] [-in F] [-dump]     optimal or online renegotiation schedule of a trace
 //	rcbrsim trace [-out F] [-in F] [-peaks]        generate, inspect or export a synthetic trace

@@ -13,14 +13,18 @@
 // at rate population/E[hold] balancing departures — for a fixed budget of
 // call events. Virtual time (the arrival/holding/renegotiation processes)
 // advances as fast as the switch can process events; each phase's wall time
-// is reported.
+// is reported. Run builds the switch on one virtual clock, the furthest time
+// any worker has reached, so an admitter weighs call histories on the calls'
+// own time, and with one worker a seed fixes the run.
 package churn
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rcbr/internal/sim"
@@ -46,44 +50,37 @@ type Class struct {
 	MeanReneg float64
 }
 
-// DefaultClasses is a two-class mix: a 90% share of 64 kb/s CBR voice and a
+// defaultClasses is a two-class mix: a 90% share of 64 kb/s CBR voice and a
 // 10% share of VBR video renegotiating across 0.5–4 Mb/s, the shape of the
 // paper's Section VI workload at slice scale.
-func DefaultClasses() []Class {
+func defaultClasses() []Class {
 	return []Class{
 		{Name: "voice-cbr", Weight: 0.9, Levels: []float64{64e3}, MeanHold: 180},
 		{Name: "video-vbr", Weight: 0.1, Levels: []float64{512e3, 1e6, 2e6, 4e6}, MeanHold: 600, MeanReneg: 5},
 	}
 }
 
-// LevelSet returns the union of the classes' bandwidth levels, ascending —
+// levelSet returns the union of the classes' bandwidth levels, ascending —
 // the level set a measurement-based admitter over this workload needs.
-func LevelSet(classes []Class) []float64 {
-	seen := make(map[float64]bool)
+func levelSet(classes []Class) []float64 {
 	var out []float64
 	for _, c := range classes {
-		for _, lv := range c.Levels {
-			if !seen[lv] {
-				seen[lv] = true
-				out = append(out, lv)
-			}
-		}
+		out = append(out, c.Levels...)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Config parameterizes a Run.
 type Config struct {
-	// Switch is the fabric under load; its ports must already exist.
-	Switch *switchfab.Switch
-	// Ports is the number of ports calls stripe over (ports 0..Ports-1).
+	// Ports is the number of the switch's ports, calls striped over them.
 	Ports int
-	// Classes is the traffic mix; nil selects DefaultClasses.
+	// PortCapacity is every port's capacity in bits/second.
+	PortCapacity float64
+	// Target is the memory-based admitter's target renegotiation-failure
+	// probability, in (0, 1); 0 runs no admission control beyond capacity.
+	Target float64
+	// Classes is the traffic mix; nil selects defaultClasses's.
 	Classes []Class
 	// TargetVCs is the concurrent-call population the ramp phase aims for.
 	TargetVCs int
@@ -95,9 +92,11 @@ type Config struct {
 	ChurnEvents int
 	// Seed seeds the generators (split per worker).
 	Seed uint64
-	// Drain tears every remaining call down after the churn phase, so the
-	// caller can assert the fabric returns to zero.
+	// Drain tears every remaining call down after the churn phase; the run
+	// fails unless no VC, reservation or admitted call is left.
 	Drain bool
+	// observe, when set, sees every switch operation and the clock at it.
+	observe func(kind uint8, id switchfab.VCID, rate float64, ok bool, now int64)
 }
 
 // Result reports one churn run.
@@ -124,10 +123,11 @@ type Result struct {
 	BytesPerVC float64 `json:"bytes_per_vc"`
 }
 
-// event kinds on a worker's virtual-time queue.
+// event kinds on a worker's virtual-time queue, and the unqueued evSetup.
 const (
 	evDepart = iota
 	evReneg
+	evSetup
 )
 
 // wev is one scheduled virtual-time event of a worker; the queue holds its
@@ -143,13 +143,15 @@ type wev struct {
 // VCID space (ids ≡ index mod workers), its own event queue.
 type worker struct {
 	cfg     *Config
+	sw      *switchfab.Switch
+	clock   *atomic.Int64 // the run's virtual clock, the switch's
 	index   int
 	workers int
 	rng     *stats.RNG
 	weights []float64
 
 	q        sim.Queue[wev]
-	now      float64 // virtual time: the last arrival or popped event
+	now      float64 // virtual seconds: the last arrival or popped event (at)
 	active   int
 	next     uint32 // next fresh id (pre-stride)
 	freelist []switchfab.VCID
@@ -159,6 +161,25 @@ type worker struct {
 
 	setups, blocked, teardowns, renegs, renegDenied int64
 	err                                             error
+}
+
+// at moves the worker's virtual time to t, and the run's clock — the
+// furthest time any worker has reached — with it.
+func (w *worker) at(t float64) {
+	w.now = t
+	ns := int64(t * 1e9)
+	for cur := w.clock.Load(); ns > cur; cur = w.clock.Load() {
+		if w.clock.CompareAndSwap(cur, ns) {
+			return
+		}
+	}
+}
+
+// observe hands one switch operation to Config.observe, when it is set.
+func (w *worker) observe(kind uint8, id switchfab.VCID, rate float64, ok bool) {
+	if w.cfg.observe != nil {
+		w.cfg.observe(kind, id, rate, ok, w.clock.Load())
+	}
 }
 
 // newID returns an unused VCID owned by this worker, or false when the
@@ -188,7 +209,8 @@ func (w *worker) arrive() {
 	cl := &w.cfg.Classes[ci]
 	rate := cl.Levels[w.rng.Intn(len(cl.Levels))]
 	port := int(id) % w.cfg.Ports
-	err := w.cfg.Switch.SetupID(id, port, rate)
+	err := w.sw.SetupID(id, port, rate)
+	w.observe(evSetup, id, rate, err == nil)
 	if err != nil {
 		w.freelist = append(w.freelist, id)
 		if switchfab.IsReject(err) {
@@ -213,21 +235,23 @@ func (w *worker) arrive() {
 func (w *worker) fire(e wev) {
 	switch e.kind {
 	case evDepart:
-		if err := w.cfg.Switch.TeardownID(e.id); err != nil {
+		if err := w.sw.TeardownID(e.id); err != nil {
 			w.err = err
 			return
 		}
+		w.observe(evDepart, e.id, 0, true)
 		w.teardowns++
 		w.active--
 		w.freelist = append(w.freelist, e.id)
 	case evReneg:
 		cl := &w.cfg.Classes[e.class]
 		want := cl.Levels[w.rng.Intn(len(cl.Levels))]
-		_, ok, err := w.cfg.Switch.RenegotiateID(e.id, want)
+		_, ok, err := w.sw.RenegotiateID(e.id, want)
 		if err != nil {
 			w.err = err
 			return
 		}
+		w.observe(evReneg, e.id, want, ok)
 		w.renegs++
 		if !ok {
 			w.renegDenied++
@@ -254,7 +278,7 @@ func (w *worker) ramp() {
 	budget := 10*w.target + 100
 	rampLambda := 5 * w.lambda
 	for w.active < w.target && attempts < budget && w.err == nil {
-		w.now += w.rng.ExpFloat64(rampLambda)
+		w.at(w.now + w.rng.ExpFloat64(rampLambda))
 		w.drainDue()
 		if w.err != nil {
 			return
@@ -267,17 +291,17 @@ func (w *worker) ramp() {
 // churn holds the population in equilibrium for n call events.
 func (w *worker) churn(n int) {
 	for i := 0; i < n && w.err == nil; i++ {
-		dt := w.rng.ExpFloat64(w.lambda)
-		w.now += dt
-		if w.q.Len() > 0 && w.q.Next() <= w.now {
+		t := w.now + w.rng.ExpFloat64(w.lambda)
+		if w.q.Len() > 0 && w.q.Next() <= t {
 			// The next scheduled event beats the arrival: fire it and
 			// re-anchor virtual time to it so event counts, not wall
 			// time, bound the loop.
 			e := w.q.Pop()
-			w.now = w.q.Now()
+			w.at(w.q.Now())
 			w.fire(e)
 			continue
 		}
+		w.at(t)
 		w.arrive()
 	}
 }
@@ -289,25 +313,26 @@ func (w *worker) drain() {
 		if e.kind != evDepart {
 			continue
 		}
-		w.now = w.q.Now()
+		w.at(w.q.Now())
 		w.fire(e)
 	}
 }
 
-// Run executes a churn run. Worker errors (anything beyond a capacity or
-// admission denial, which are counted, not fatal) abort the run.
+// Run builds the switch and executes a churn run against it. Worker errors
+// (anything beyond a capacity or admission denial, which are counted, not
+// fatal) abort the run, and so does a drain that leaves anything behind.
 func Run(cfg Config) (Result, error) {
-	if cfg.Switch == nil {
-		return Result{}, fmt.Errorf("churn: nil switch")
-	}
 	if cfg.Ports <= 0 {
 		return Result{}, fmt.Errorf("churn: no ports")
 	}
 	if cfg.TargetVCs <= 0 {
 		return Result{}, fmt.Errorf("churn: target population %d", cfg.TargetVCs)
 	}
+	if cfg.ChurnEvents < 0 {
+		return Result{}, fmt.Errorf("churn: negative call-event budget %d", cfg.ChurnEvents)
+	}
 	if cfg.Classes == nil {
-		cfg.Classes = DefaultClasses()
+		cfg.Classes = defaultClasses()
 	}
 	positive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) } // and finite
 	var meanHold, wsum float64
@@ -322,6 +347,20 @@ func Run(cfg Config) (Result, error) {
 		wsum += c.Weight
 	}
 	meanHold /= wsum
+	var ad *switchfab.MemoryAdmitter
+	if cfg.Target != 0 {
+		var err error
+		if ad, err = switchfab.NewMemoryAdmitter(levelSet(cfg.Classes), cfg.Target); err != nil {
+			return Result{}, fmt.Errorf("churn: %w", err)
+		}
+	}
+	var clock atomic.Int64 // virtual nanoseconds
+	sw := switchfab.New(switchfab.WithClock(clock.Load), switchfab.WithAdmitter(ad))
+	for p := 0; p < cfg.Ports; p++ {
+		if err := sw.AddPort(p, cfg.PortCapacity); err != nil {
+			return Result{}, fmt.Errorf("churn: %w", err)
+		}
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -342,6 +381,8 @@ func Run(cfg Config) (Result, error) {
 		}
 		ws[i] = &worker{
 			cfg:     &cfg,
+			sw:      sw,
+			clock:   &clock,
 			index:   i,
 			workers: workers,
 			rng:     root.Split(),
@@ -368,7 +409,7 @@ func Run(cfg Config) (Result, error) {
 	start := time.Now()
 	runPhase((*worker).ramp)
 	res.RampWall = time.Since(start)
-	res.RampedVCs = cfg.Switch.VCCount()
+	res.RampedVCs = sw.VCCount()
 	if res.RampedVCs > 0 {
 		res.BytesPerVC = float64(heapInUse()-heapBefore) / float64(res.RampedVCs)
 	}
@@ -382,7 +423,7 @@ func Run(cfg Config) (Result, error) {
 		w.churn(n)
 	})
 	res.ChurnWall = time.Since(start)
-	res.FinalVCs = cfg.Switch.VCCount()
+	res.FinalVCs = sw.VCCount()
 
 	if cfg.Drain {
 		runPhase((*worker).drain)
@@ -397,6 +438,14 @@ func Run(cfg Config) (Result, error) {
 		res.Teardowns += w.teardowns
 		res.Renegs += w.renegs
 		res.RenegDenials += w.renegDenied
+	}
+	for p := 0; cfg.Drain && p < cfg.Ports; p++ {
+		if reserved, _, _ := sw.PortLoad(p); reserved != 0 || ad != nil && ad.PortCalls(p) != 0 {
+			return res, fmt.Errorf("churn: drain left port %d holding %g b/s or admitted calls", p, reserved)
+		}
+	}
+	if n := sw.VCCount(); cfg.Drain && n != 0 {
+		return res, fmt.Errorf("churn: drain left %d VCs in the fabric", n)
 	}
 	return res, nil
 }

@@ -7,33 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"rcbr/internal/admission"
 	"rcbr/internal/switchfab"
 )
 
-func newChurnSwitch(t *testing.T, ports int, capacity float64, opts ...switchfab.Option) *switchfab.Switch {
-	t.Helper()
-	s := switchfab.New(opts...)
-	for p := 0; p < ports; p++ {
-		if err := s.AddPort(p, capacity); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s
-}
-
 // TestRunReachesTargetAndDrains is the generator's core contract: ramp to
 // the requested population, keep churning, and — with Drain set — hand the
-// fabric back empty with balanced books.
+// fabric back empty (Run fails otherwise) with balanced books.
 func TestRunReachesTargetAndDrains(t *testing.T) {
-	s := newChurnSwitch(t, 8, 1e9)
 	res, err := Run(Config{
-		Switch:      s,
-		Ports:       8,
-		TargetVCs:   5000,
-		Workers:     4,
-		ChurnEvents: 20000,
-		Seed:        3,
-		Drain:       true,
+		Ports:        8,
+		PortCapacity: 1e9,
+		TargetVCs:    5000,
+		Workers:      4,
+		ChurnEvents:  20000,
+		Seed:         3,
+		Drain:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,18 +35,6 @@ func TestRunReachesTargetAndDrains(t *testing.T) {
 	}
 	if res.Setups != res.Teardowns {
 		t.Errorf("books unbalanced after drain: %d setups, %d teardowns", res.Setups, res.Teardowns)
-	}
-	if n := s.VCCount(); n != 0 {
-		t.Errorf("VCCount = %d after drain", n)
-	}
-	for p := 0; p < 8; p++ {
-		reserved, _, err := s.PortLoad(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reserved != 0 {
-			t.Errorf("port %d reserved = %v after drain, want exactly 0", p, reserved)
-		}
 	}
 	if res.BytesPerVC <= 0 {
 		t.Errorf("BytesPerVC = %v", res.BytesPerVC)
@@ -73,12 +50,12 @@ func TestChurnRunsEveryEvent(t *testing.T) {
 	ops := func(events int) int64 {
 		t.Helper()
 		res, err := Run(Config{
-			Switch:      newChurnSwitch(t, 2, 1e12),
-			Ports:       2,
-			TargetVCs:   60,
-			Workers:     3,
-			ChurnEvents: events,
-			Seed:        11,
+			Ports:        2,
+			PortCapacity: 1e12,
+			TargetVCs:    60,
+			Workers:      3,
+			ChurnEvents:  events,
+			Seed:         11,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -94,25 +71,19 @@ func TestChurnRunsEveryEvent(t *testing.T) {
 }
 
 // TestRunUnderMemoryAdmitter exercises the full tentpole stack — generator,
-// concurrent setup path, and the live memory MBAC — and checks the admitter's
-// per-port books drain with the fabric.
+// concurrent setup path, and the live memory MBAC on the run's virtual
+// clock — and Run's drain check holds the admitter's per-port books to drain
+// with the fabric.
 func TestRunUnderMemoryAdmitter(t *testing.T) {
-	classes := DefaultClasses()
-	ad, err := switchfab.NewMemoryAdmitter(LevelSet(classes), 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ports = 4
-	s := newChurnSwitch(t, ports, 1e9, switchfab.WithAdmitter(ad))
 	res, err := Run(Config{
-		Switch:      s,
-		Ports:       ports,
-		Classes:     classes,
-		TargetVCs:   2000,
-		Workers:     4,
-		ChurnEvents: 10000,
-		Seed:        5,
-		Drain:       true,
+		Ports:        4,
+		PortCapacity: 1e9,
+		Target:       1e-3,
+		TargetVCs:    2000,
+		Workers:      4,
+		ChurnEvents:  10000,
+		Seed:         5,
+		Drain:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,46 +91,48 @@ func TestRunUnderMemoryAdmitter(t *testing.T) {
 	if res.RampedVCs == 0 {
 		t.Fatal("nothing admitted")
 	}
-	if s.VCCount() != 0 {
-		t.Errorf("VCCount = %d after drain", s.VCCount())
-	}
-	for p := 0; p < ports; p++ {
-		if calls := ad.PortCalls(p); calls != 0 {
-			t.Errorf("admitter tracks %d calls on drained port %d", calls, p)
-		}
-	}
 }
 
 func TestLevelSet(t *testing.T) {
-	got := LevelSet([]Class{
+	got := levelSet([]Class{
 		{Levels: []float64{2e6, 64e3}},
 		{Levels: []float64{64e3, 1e6}},
 	})
 	want := []float64{64e3, 1e6, 2e6}
 	if len(got) != len(want) {
-		t.Fatalf("LevelSet = %v, want %v", got, want)
+		t.Fatalf("levelSet = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("LevelSet = %v, want %v", got, want)
+			t.Fatalf("levelSet = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	s := newChurnSwitch(t, 1, 1e9)
-	if _, err := Run(Config{Ports: 1, TargetVCs: 1}); err == nil {
-		t.Error("nil switch accepted")
+	ok := Config{Ports: 1, PortCapacity: 1e9, TargetVCs: 1}
+	for _, row := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero ports", func(c *Config) { c.Ports = 0 }},
+		{"zero target", func(c *Config) { c.TargetVCs = 0 }},
+		{"negative churn budget", func(c *Config) { c.ChurnEvents = -5 }},
+		{"zero capacity", func(c *Config) { c.PortCapacity = 0 }},
+		{"NaN capacity", func(c *Config) { c.PortCapacity = math.NaN() }},
+		{"admission target 2", func(c *Config) { c.Target = 2 }},
+		{"admission target -1", func(c *Config) { c.Target = -1 }},
+		{"NaN admission target", func(c *Config) { c.Target = math.NaN() }},
+		{"class without levels", func(c *Config) { c.Classes = []Class{{Name: "x", Weight: 1, MeanHold: 10}} }},
+	} {
+		cfg := ok
+		row.edit(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s accepted", row.name)
+		}
 	}
-	if _, err := Run(Config{Switch: s, TargetVCs: 1}); err == nil {
-		t.Error("zero ports accepted")
-	}
-	if _, err := Run(Config{Switch: s, Ports: 1}); err == nil {
-		t.Error("zero target accepted")
-	}
-	bad := []Class{{Name: "x", Weight: 1, MeanHold: 10}} // no levels
-	if _, err := Run(Config{Switch: s, Ports: 1, TargetVCs: 1, Classes: bad}); err == nil {
-		t.Error("class without levels accepted")
+	if _, err := Run(ok); err != nil {
+		t.Errorf("the valid config: %v", err)
 	}
 }
 
@@ -197,10 +170,9 @@ func TestRunRefusesBadClasses(t *testing.T) {
 		{"-Inf reneg", with(func(c *Class) { c.MeanReneg = -inf })},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			s := newChurnSwitch(t, 1, 1e12)
 			done := make(chan error, 1)
 			go func() {
-				_, err := Run(Config{Switch: s, Ports: 1, Classes: row.classes, TargetVCs: 2000, Workers: 1, ChurnEvents: 2000})
+				_, err := Run(Config{Ports: 1, PortCapacity: 1e12, Classes: row.classes, TargetVCs: 2000, Workers: 1, ChurnEvents: 2000})
 				done <- err
 			}()
 			select {
@@ -218,37 +190,120 @@ func TestRunRefusesBadClasses(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerCountsPinned: with one worker and no admitter a seed fixes
-// every switch operation the generator performs, so the pinned counts hold
-// the order in which the queue hands events back.
+// TestSingleWorkerCountsPinned: with one worker a seed fixes every switch
+// operation the generator performs, with no admitter and with a memory
+// admitter, which weighs history on the run's virtual clock and never on the
+// wall. So the pinned counts hold the order in which the queue hands events
+// back and, under the admitter, every decision it makes.
 func TestSingleWorkerCountsPinned(t *testing.T) {
 	type counts struct {
 		ramped, final                                    int
 		setups, blocked, teardowns, renegs, renegDenials int64
 	}
 	for _, row := range []struct {
-		seed uint64
-		want counts
+		seed   uint64
+		target float64
+		want   counts
 	}{
-		{1, counts{3000, 2657, 6097, 259, 6097, 15915, 3549}},
-		{2, counts{3000, 2671, 6244, 330, 6244, 15567, 3135}},
-		{3, counts{3000, 2629, 6257, 231, 6257, 15340, 2983}},
+		{1, 0, counts{3000, 2657, 6097, 259, 6097, 15915, 3549}},
+		{2, 0, counts{3000, 2671, 6244, 330, 6244, 15567, 3135}},
+		{3, 0, counts{3000, 2629, 6257, 231, 6257, 15340, 2983}},
+		{1, 1e-3, counts{678, 448, 3744, 32407, 3744, 28933, 0}},
+		{2, 1e-3, counts{669, 426, 3630, 32504, 3630, 29107, 0}},
+		{3, 1e-3, counts{692, 449, 3903, 31763, 3903, 29194, 0}},
 	} {
 		res, err := Run(Config{
-			Switch:      newChurnSwitch(t, 2, 300e6),
-			Ports:       2,
-			TargetVCs:   3000,
-			Workers:     1,
-			ChurnEvents: 20000,
-			Seed:        row.seed,
-			Drain:       true,
+			Ports:        2,
+			PortCapacity: 300e6,
+			Target:       row.target,
+			TargetVCs:    3000,
+			Workers:      1,
+			ChurnEvents:  20000,
+			Seed:         row.seed,
+			Drain:        true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := counts{res.RampedVCs, res.FinalVCs, res.Setups, res.Blocked, res.Teardowns, res.Renegs, res.RenegDenials}
 		if got != row.want {
-			t.Errorf("seed %d: counts %+v, want %+v", row.seed, got, row.want)
+			t.Errorf("seed %d, target %g: counts %+v, want %+v", row.seed, row.target, got, row.want)
 		}
+	}
+}
+
+// TestAdmitterMatchesReferenceOnChurnTime checks the switch's memory-based
+// admitter against admission.Memory, the O(calls) reference it was derived
+// from, on a one-worker churn run: the reference, fed every operation the
+// run makes at the switch's own virtual readings, takes the same decision at
+// every setup the port's books let through, and the books refuse exactly
+// the setups and renegotiations that overflow them. Both sides of admission
+// are exercised, and the drain leaves the reference as empty as Run's check
+// leaves the fabric.
+func TestAdmitterMatchesReferenceOnChurnTime(t *testing.T) {
+	const ports, capacity, target = 2, 60e6, 1e-3
+	cfg := Config{
+		Ports: ports, PortCapacity: capacity, Target: target,
+		TargetVCs: 400, Workers: 1, ChurnEvents: 6000, Seed: 7, Drain: true,
+	}
+	var (
+		refs     [ports]*admission.Memory
+		reserved [ports]float64
+		rates    = map[switchfab.VCID]float64{}
+		bad      error
+		admitted int
+		refused  int
+	)
+	for p := range refs {
+		var err error
+		if refs[p], err = admission.NewMemory(levelSet(defaultClasses()), capacity, target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.observe = func(kind uint8, id switchfab.VCID, rate float64, ok bool, clock int64) {
+		p, now := int(id)%ports, time.Duration(clock).Seconds()
+		switch {
+		case bad != nil:
+		case kind == evSetup && reserved[p]+rate > capacity:
+			if ok {
+				bad = fmt.Errorf("t=%.3fs setup %s admitted over port %d's capacity", now, id, p)
+			}
+		case kind == evSetup:
+			if want := refs[p].Admit(now, rate); ok != want {
+				bad = fmt.Errorf("t=%.3fs setup %s on port %d: switch admits %v, reference %v", now, id, p, ok, want)
+			} else if !ok {
+				refused++
+			} else {
+				admitted++
+				refs[p].OnAdmit(int(id), now, rate)
+				reserved[p] += rate
+				rates[id] = rate
+			}
+		case kind == evReneg:
+			old := rates[id]
+			if fits := reserved[p]-old+rate <= capacity; ok != fits {
+				bad = fmt.Errorf("t=%.3fs renegotiate %s to %g: granted %v, the books say %v", now, id, rate, ok, fits)
+			} else if ok && rate != old {
+				refs[p].OnRateChange(int(id), now, old, rate)
+				reserved[p] += rate - old
+				rates[id] = rate
+			}
+		case kind == evDepart:
+			refs[p].OnDepart(int(id), now, rates[id])
+			reserved[p] -= rates[id]
+			delete(rates, id)
+		}
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if admitted < 100 || refused < 100 {
+		t.Errorf("%d setups admitted and %d refused by admission: the run exercises one side only", admitted, refused)
+	}
+	if len(rates) != 0 || reserved != [ports]float64{} {
+		t.Errorf("after the drain the reference holds %d calls and %v b/s", len(rates), reserved)
 	}
 }

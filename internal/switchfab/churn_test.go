@@ -469,8 +469,7 @@ func TestAdmissionHook(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s := New(WithAdmitter(ad))
-		s.clock = new(tickClock).read
+		s := New(WithAdmitter(ad), WithClock(new(tickClock).read))
 		if err := s.AddPort(1, 10e6); err != nil {
 			t.Fatal(err)
 		}
@@ -516,8 +515,8 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ring := metrics.NewEventLog(16)
 	rec := &bookRecorder{}
-	s := New(WithAdmitter(ad), WithMetrics(reg), WithEventTrace(ring), WithDataPlane(rec))
-	s.clock = new(tickClock).read // a millisecond per reading: dwell mass accrues at the 4 Mb/s level
+	// A millisecond per reading: dwell mass accrues at the 4 Mb/s level.
+	s := New(WithAdmitter(ad), WithMetrics(reg), WithEventTrace(ring), WithDataPlane(rec), WithClock(new(tickClock).read))
 	if err := s.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
@@ -570,11 +569,12 @@ func TestMemoryAdmitterBlocks(t *testing.T) {
 }
 
 // TestMemoryAdmitterRefusesBadCapacity feeds a direct AdmitCall each
-// capacity AddPort refuses. Each must admit nothing and leave no controller
-// behind: a switch that adds the port afterwards builds its own from the
-// port's capacity and decides TestMemoryAdmitterBlocks's three calls as it
-// does there — instead of panicking on a nil controller, refusing the second
-// 4 Mb/s call under a NaN capacity, or admitting the third under +Inf.
+// capacity AddPort refuses. Each must admit nothing and bind the admitter to
+// no switch: a switch that adds the port afterwards owns the admitter, builds
+// the port's controller from the port's capacity and decides
+// TestMemoryAdmitterBlocks's three calls as it does there — instead of
+// panicking on a nil controller, refusing the second 4 Mb/s call under a NaN
+// capacity, or admitting the third under +Inf.
 func TestMemoryAdmitterRefusesBadCapacity(t *testing.T) {
 	for _, capacity := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
@@ -585,11 +585,10 @@ func TestMemoryAdmitterRefusesBadCapacity(t *testing.T) {
 			if ad.AdmitCall(1, 64e3, 0, capacity) {
 				t.Errorf("AdmitCall admitted a call at capacity %g", capacity)
 			}
-			if n := len(ad.ports); n != 0 {
-				t.Fatalf("AdmitCall at capacity %g left %d controllers", capacity, n)
+			if ad.sw.Load() != nil {
+				t.Fatalf("AdmitCall at capacity %g bound the admitter to a switch", capacity)
 			}
-			s := New(WithAdmitter(ad))
-			s.clock = new(tickClock).read
+			s := New(WithAdmitter(ad), WithClock(new(tickClock).read))
 			if err := s.AddPort(1, 10e6); err != nil {
 				t.Fatal(err)
 			}
@@ -605,30 +604,30 @@ func TestMemoryAdmitterRefusesBadCapacity(t *testing.T) {
 	}
 }
 
-// TestMemoryAdmitterServesOneSwitch installs one admitter in two switches
-// that both add a port 1: A at 10 Mb/s, B at 1 Gb/s. B's port would pool its
-// calls with A's on a controller sized for A's capacity and guarded by A's
-// mutex, so B's AddPort fails and names the port, and A's port still decides
-// TestMemoryAdmitterBlocks's three calls as it does there.
+// TestMemoryAdmitterServesOneSwitch installs one admitter in two switches:
+// A adds port 1 at 10 Mb/s first and owns it. B's ports would pool their
+// calls on a policy bound to A's port table and A's clock, so every AddPort
+// of B's fails and names the port — a port 1 at 1 Gb/s, and a port 2 that A
+// does not have — and A's port still decides TestMemoryAdmitterBlocks's three
+// calls as it does there.
 func TestMemoryAdmitterServesOneSwitch(t *testing.T) {
 	ad, err := NewMemoryAdmitter([]float64{64e3, 4e6}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := New(WithAdmitter(ad)), New(WithAdmitter(ad))
-	a.clock, b.clock = new(tickClock).read, new(tickClock).read
+	a := New(WithAdmitter(ad), WithClock(new(tickClock).read))
+	b := New(WithAdmitter(ad), WithClock(new(tickClock).read))
 	if err := a.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
-	err = b.AddPort(1, 1e9)
-	if err == nil || !strings.Contains(err.Error(), "port 1") {
-		t.Fatalf("switch B's AddPort(1) on switch A's admitter: %v, want an error naming port 1", err)
-	}
-	if _, _, err := b.PortLoad(1); !errors.Is(err, ErrNoPort) {
-		t.Errorf("the refused port exists on B: %v", err)
-	}
-	if err := b.AddPort(2, 1e9); err != nil {
-		t.Errorf("B cannot add a port A does not have: %v", err)
+	for _, id := range []int{1, 2} {
+		err := b.AddPort(id, 1e9)
+		if want := fmt.Sprintf("port %d", id); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("switch B's AddPort(%d) on switch A's admitter: %v, want an error naming %s", id, err, want)
+		}
+		if _, _, err := b.PortLoad(id); !errors.Is(err, ErrNoPort) {
+			t.Errorf("the refused port %d exists on B: %v", id, err)
+		}
 	}
 	for i, c := range []struct {
 		rate float64
@@ -743,49 +742,6 @@ func TestOnePortOneLock(t *testing.T) {
 		if got := ad.PortCalls(p); got != held[p] {
 			t.Errorf("port %d: the admitter tracks %d calls, the switch holds %d VCs", p, got, held[p])
 		}
-	}
-}
-
-// TestControlPathLooksNoControllerUp holds every switch-driven admitter call
-// to the controller its port resolved at AddPort: with the admitter's port
-// map write-locked, a setup, a renegotiation, a best-effort one, an RM cell
-// and a teardown still complete, so none of them looks a controller up by
-// port id.
-func TestControlPathLooksNoControllerUp(t *testing.T) {
-	ad, err := NewMemoryAdmitter([]float64{1e6, 2e6}, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(WithAdmitter(ad))
-	if err := s.AddPort(1, 1e9); err != nil {
-		t.Fatal(err)
-	}
-	ad.mu.Lock()
-	defer ad.mu.Unlock()
-	done := make(chan error, 1)
-	go func() {
-		err := s.SetupID(7, 1, 1e6)
-		if err == nil {
-			_, _, err = s.RenegotiateID(7, 2e6)
-		}
-		if err == nil {
-			_, _, err = s.RenegotiateBestID(7, 1e6)
-		}
-		if err == nil {
-			_, err = s.HandleRM(cell.Header{VCI: 7}, cell.RM{Resync: true, ER: 2e6})
-		}
-		if err == nil {
-			err = s.TeardownID(7)
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the control path waited on the admitter's port map")
 	}
 }
 

@@ -149,9 +149,8 @@ func TestClockReadBudget(t *testing.T) {
 				}
 				opts = append(opts, WithAdmitter(ad))
 			}
-			s := New(opts...)
 			clk := &tickClock{}
-			s.clock = clk.read
+			s := New(append(opts, WithClock(clk.read))...)
 			if err := s.AddPort(1, 10e6); err != nil {
 				t.Fatal(err)
 			}
@@ -234,8 +233,7 @@ func scriptedLifecycle(t *testing.T, pause bool, opts ...Option) (decisions []bo
 		t.Fatal(err)
 	}
 	var now int64 // virtual nanoseconds
-	s := New(append([]Option{WithAdmitter(ad)}, opts...)...)
-	s.clock = func() int64 { return now }
+	s := New(append([]Option{WithAdmitter(ad), WithClock(func() int64 { return now })}, opts...)...)
 	if err := s.AddPort(port, capacity); err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,10 @@ package switchfab
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"rcbr/internal/admission"
-	"rcbr/internal/metrics"
 )
 
 // MemoryAdmitter runs the paper's memory-based measurement MBAC (Section VI)
@@ -16,32 +15,21 @@ import (
 // 7 never touches port 9's controller, and setups on different ports proceed
 // fully in parallel.
 //
-// A port's controller lives on the port and is guarded by the port's mutex:
-// the switch already holds that mutex at every admission decision and
-// lifecycle event, so it drives the controller directly and a setup takes
-// one mutex, not two. The admitter holds no per-call container either: the
-// switch allocates a call's record inside the VC's own record and hands it
-// to the controller on every lifecycle event, and the controller keeps only
-// the pooled sums and a count. The map from port id to port here serves the
-// callers outside a switch — AdmitCall from a probe, PortCalls from a test —
-// which take the same port mutex.
-//
-// An admitter serves one switch's ports: a port is the admitter's once a
-// switch adds it, and a second switch's AddPort of the same id fails, since
-// its calls would otherwise pool with the first's under a capacity and a
-// mutex that are not its own.
-//
-// Time for the dwell histories is not the admitter's to read: every hook is
-// handed the switch's clock reading for the operation (metrics.Nanotime
-// nanoseconds, taken once on the way into SetupID, RenegotiateID or
-// HandleRM), and the controller sees it in seconds. A direct AdmitCall,
-// which is handed none, reads that same clock once.
+// An admitter is a policy bound to one switch: the first switch whose
+// AddPort adopts a port owns it, and any other switch's AddPort is refused.
+// It keeps no clock, map or mutex. A port's controller lives on the port,
+// guarded by the port's mutex, which the switch already holds at every
+// admission decision and lifecycle event; a call's record lives inside the
+// VC's own record. The callers outside a switch — AdmitCall from a probe,
+// PortCalls from a test — find the port in the owning switch's lock-free
+// port table and take the same mutex. Every hook is handed the switch's
+// clock reading for the operation (WithClock), in seconds; a direct
+// AdmitCall reads that clock once.
 type MemoryAdmitter struct {
 	levels []float64
 	target float64
-
-	mu    sync.RWMutex // guards the ports map, not the per-port state
-	ports map[int]*port
+	// sw is the switch the admitter serves, set by the first port adopted.
+	sw atomic.Pointer[Switch]
 }
 
 // NewMemoryAdmitter builds a live memory-based admitter over the given
@@ -54,51 +42,44 @@ func NewMemoryAdmitter(levels []float64, target float64) (*MemoryAdmitter, error
 	if _, err := admission.NewLiveMemory(levels, 1, target); err != nil {
 		return nil, fmt.Errorf("switchfab: memory admitter: %w", err)
 	}
-	return &MemoryAdmitter{
-		levels: append([]float64(nil), levels...),
-		target: target,
-		ports:  make(map[int]*port),
-	}, nil
+	return &MemoryAdmitter{levels: append([]float64(nil), levels...), target: target}, nil
 }
 
-// adopt gives p, a port AddPort is adding, its controller, built with the
-// port's capacity and guarded by the port's mutex from then on. It fails
-// when the admitter already serves a port of that id: another switch's.
-func (a *MemoryAdmitter) adopt(p *port) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.ports[p.id] != nil {
-		return fmt.Errorf("switchfab: port %d: its memory admitter already serves another switch's port %d", p.id, p.id)
+// adopt gives p, a port s's AddPort is adding, its controller, built with
+// the port's capacity and guarded by the port's mutex from then on. It binds
+// the admitter to s on the first port, and fails for any other switch.
+func (a *MemoryAdmitter) adopt(s *Switch, p *port) error {
+	if !a.sw.CompareAndSwap(nil, s) && a.sw.Load() != s {
+		return fmt.Errorf("switchfab: port %d: its memory admitter serves another switch", p.id)
 	}
 	// The constructor's trial validated levels and target; AddPort validated
 	// the capacity.
 	p.mbac, _ = admission.NewLiveMemory(a.levels, p.capacity.bps(), a.target)
-	a.ports[p.id] = p
 	return nil
 }
 
-// port returns the port of that id the admitter serves, or nil.
-func (a *MemoryAdmitter) port(id int) *port {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.ports[id]
+// port returns the owning switch's port of that id, or nil.
+func (a *MemoryAdmitter) port(id int) (*Switch, *port) {
+	if s := a.sw.Load(); s != nil {
+		return s, s.port(id)
+	}
+	return nil, nil
 }
 
-// AdmitCall decides, at the time of the call, whether a call asking for rate
-// may enter port, for a caller outside a switch; a switch hands the port's
-// controller the operation's own reading instead. The decision is the
-// controller's that the port was added with, under the port's mutex. A port
-// no switch has added holds no call, and an empty pool admits; a capacity
-// AddPort would refuse (not finite and positive) admits nothing.
+// AdmitCall decides, at the owning switch's clock, whether a call asking for
+// rate may enter port, for a caller outside a switch. The decision is the
+// port's controller's, under the port's mutex. A port no switch has added
+// holds no call, and an empty pool admits; a capacity AddPort would refuse
+// (not finite and positive) admits nothing.
 func (a *MemoryAdmitter) AdmitCall(port int, rate, _, capacity float64) bool {
 	if capacity <= 0 || !validRate(capacity) {
 		return false
 	}
-	p := a.port(port)
+	s, p := a.port(port)
 	if p == nil {
 		return true
 	}
-	now := seconds(metrics.Nanotime())
+	now := seconds(s.clock())
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.mbac.Admit(now, rate)
@@ -107,7 +88,7 @@ func (a *MemoryAdmitter) AdmitCall(port int, rate, _, capacity float64) bool {
 // PortCalls returns the number of calls the admitter currently tracks on
 // port (0 for a port no switch has added).
 func (a *MemoryAdmitter) PortCalls(port int) int {
-	p := a.port(port)
+	_, p := a.port(port)
 	if p == nil {
 		return 0
 	}

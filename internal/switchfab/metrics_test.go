@@ -356,9 +356,8 @@ func TestCountersAreViewsOfStats(t *testing.T) {
 // that a millisecond-scale bound set would put every renegotiation in.
 func TestRenegLatencyResolvesSubMicrosecond(t *testing.T) {
 	reg := metrics.NewRegistry()
-	sw := New(WithMetrics(reg))
 	var now int64
-	sw.clock = func() int64 { now += 300; return now }
+	sw := New(WithMetrics(reg), WithClock(func() int64 { now += 300; return now }))
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,9 @@
 // own.
 // Activity counters are atomics, published into the registry as views.
 //
-// Time: the switch reads one clock, metrics.Nanotime, and only for what
-// uses a reading. A setup reads it once on the way in when the switch has a
+// Time: the switch reads one clock, the one it is handed (WithClock, in
+// nanoseconds; metrics.Nanotime by default), and only for what uses a
+// reading. A setup reads it once on the way in when the switch has a
 // MemoryAdmitter: that reading starts the call's dwell history. A
 // renegotiation (RenegotiateID, RenegotiateBestID, HandleRM) reads it on the
 // way in when the switch has a MemoryAdmitter or a registry, and once more on
@@ -71,7 +72,7 @@
 // number, which is how a restarted source (sequence counter back at 1)
 // re-adopts a VC.
 //
-// Construction uses functional options (WithAdmitter, WithMetrics,
+// Construction uses functional options (WithAdmitter, WithClock, WithMetrics,
 // WithEventTrace, WithDataPlane); observability is opt-in and free when absent,
 // because every instrument is nil-safe and cached at construction time — the
 // renegotiation hot path never looks anything up by name.
@@ -342,10 +343,10 @@ type Switch struct {
 	renegLatency *metrics.Histogram
 	events       *metrics.EventLog
 
-	// clock is metrics.Nanotime; a field so this package's tests can script
-	// it. timed is whether a renegotiation uses a reading — the registry's
-	// latency histogram or a MemoryAdmitter's dwell history; without either
-	// it never calls clock. A setup calls it only for a MemoryAdmitter.
+	// clock is WithClock's. timed is whether a renegotiation uses a reading
+	// — the registry's latency histogram or a MemoryAdmitter's dwell
+	// history; without either it never calls clock. A setup calls it only
+	// for a MemoryAdmitter.
 	clock func() int64
 	timed bool
 }
@@ -358,6 +359,14 @@ type Option func(*Switch)
 // A nil admitter (the default) admits every call that fits within capacity.
 func WithAdmitter(a *MemoryAdmitter) Option {
 	return func(s *Switch) { s.mbac = a }
+}
+
+// WithClock hands the switch the clock it reads, in nanoseconds, for the
+// MemoryAdmitter's dwell histories and switch.renegotiation_seconds: a driver
+// of calls in virtual time hands its virtual clock. The default is
+// metrics.Nanotime.
+func WithClock(now func() int64) Option {
+	return func(s *Switch) { s.clock = now }
 }
 
 // WithMetrics publishes the switch's counters, per-port reserved gauges,
@@ -438,8 +447,8 @@ const maxPorts = 1 << 16
 
 // AddPort registers an output port with the given capacity in bits/second.
 // The capacity must be a valid rate that books to at least one unit. With a
-// MemoryAdmitter installed the port gets its own controller, and an id the
-// admitter already serves for another switch is refused.
+// MemoryAdmitter installed the port gets its own controller, and a switch
+// whose admitter another switch already owns adds no port.
 func (s *Switch) AddPort(id int, capacity float64) error {
 	if !validRate(capacity) || book(capacity) <= 0 {
 		return fmt.Errorf("%w: capacity %g", ErrInvalidRate, capacity)
@@ -456,7 +465,7 @@ func (s *Switch) AddPort(id int, capacity float64) error {
 	}
 	p := &port{id: id, capacity: book(capacity), slot: uint16(len(old.bySlot))}
 	if s.mbac != nil {
-		if err := s.mbac.adopt(p); err != nil {
+		if err := s.mbac.adopt(s, p); err != nil {
 			return err
 		}
 	}

@@ -103,6 +103,11 @@ func TestRootPackageExportsNothing(t *testing.T) {
 // their non-test files is a second clock creeping back in. (Wall stamps for
 // people, Event.Time and Snapshot.TakenAt, are made in internal/metrics.)
 //
+// A switch reads the clock it is handed (WithClock), so internal/switchfab
+// names metrics.Nanotime once, as New's default: a read anywhere else — an
+// admitter reading the wall while the switch runs on virtual time — is a
+// second clock.
+//
 // The data plane is held to a stricter rule: internal/datapath reads no
 // clock at all — no time.Now or time.Since call, not even metrics.Nanotime.
 // A sweep's only time is the nowNanos its caller hands Forward, which is the
@@ -114,6 +119,19 @@ func TestRootPackageExportsNothing(t *testing.T) {
 // timed where it runs, by the switch or the signaling client.
 func TestControlPathReadsOneClock(t *testing.T) {
 	fset := token.NewFileSet()
+	for _, f := range nonTestFiles(t, fset, "internal/switchfab") {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "New" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if pkgSel(n, "metrics") == "Nanotime" {
+					t.Errorf("%s: metrics.Nanotime outside New; a switch reads the clock it is handed", fset.Position(n.Pos()))
+				}
+				return true
+			})
+		}
+	}
 	for _, dir := range []string{"internal/switchfab", "internal/mesh", "internal/netproto", "internal/datapath"} {
 		for _, f := range nonTestFiles(t, fset, dir) {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -142,8 +160,9 @@ func TestControlPathReadsOneClock(t *testing.T) {
 // internal/switchfab calls Lock twice: whatever else is locked under a port
 // (the VC table's writer mutex) is locked by a callee that locks nothing
 // further. The port's mutex is the only per-port lock: it guards the port's
-// admission controller too, so no switchfab type but port, Switch and
-// MemoryAdmitter declares a mutex. And an operation reaches an established VC one
+// admission controller too, so no switchfab type but port and Switch
+// declares a mutex — the MemoryAdmitter finds a port through its switch's
+// lock-free port table. And an operation reaches an established VC one
 // way, lockVC's "look it up, lock its port, check gone": lockVC is the only
 // function that looks a VC up in the table and then locks a port's mutex.
 // (SetupID locks its port first and reads the table only to find the id
@@ -158,9 +177,8 @@ func TestLockRulesInSource(t *testing.T) {
 		return name == "Mutex" || name == "RWMutex"
 	}
 	// The switch's mutexes: a port's guards its books and its admission
-	// controller, the Switch's serializes AddPort, the MemoryAdmitter's
-	// guards its map from port id to port.
-	lockHolders := map[string]bool{"port": true, "Switch": true, "MemoryAdmitter": true}
+	// controller, the Switch's serializes AddPort.
+	lockHolders := map[string]bool{"port": true, "Switch": true}
 	for _, f := range nonTestFiles(t, fset, "internal/datapath") {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -188,7 +206,7 @@ func TestLockRulesInSource(t *testing.T) {
 			if st, ok := ts.Type.(*ast.StructType); ok && !lockHolders[ts.Name.Name] {
 				for _, field := range st.Fields.List {
 					if isMutex(field.Type) {
-						t.Errorf("%s: %s holds a mutex; in switchfab only port, Switch and MemoryAdmitter do",
+						t.Errorf("%s: %s holds a mutex; in switchfab only port and Switch do",
 							fset.Position(field.Pos()), ts.Name.Name)
 					}
 				}
