@@ -80,7 +80,7 @@ type Config struct {
 	// Target is the memory-based admitter's target renegotiation-failure
 	// probability, in (0, 1); 0 runs no admission control beyond capacity.
 	Target float64
-	// Classes is the traffic mix; nil selects defaultClasses's.
+	// Classes is the traffic mix; nil selects defaultClasses.
 	Classes []Class
 	// TargetVCs is the concurrent-call population the ramp phase aims for.
 	TargetVCs int
@@ -151,7 +151,7 @@ type worker struct {
 	weights []float64
 
 	q        sim.Queue[wev]
-	now      float64 // virtual seconds: the last arrival or popped event (at)
+	now      float64 // virtual seconds, the last arrival or popped event; set by at
 	active   int
 	next     uint32 // next fresh id (pre-stride)
 	freelist []switchfab.VCID
