@@ -955,8 +955,9 @@ func BenchmarkDataPathRelaySlot(b *testing.B) { benchDataPathRelaySlot(b, nil) }
 
 // BenchmarkDataPathRelaySlotMetrics is the same relay with every hop
 // publishing into a registry: the ratio of the two is what telemetry costs
-// a slot (the batch histogram's observation per non-empty sweep; the cell
-// counters are views and cost the sweep nothing).
+// a slot. It should cost nothing: the batch histogram is two plain adds
+// under the sweep lock, which a bare forwarder makes too, and the registry
+// reads it, like the cell counters, through views only when it is read.
 func BenchmarkDataPathRelaySlotMetrics(b *testing.B) {
 	benchDataPathRelaySlot(b, metrics.NewRegistry())
 }

@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"text/tabwriter"
 
 	"rcbr/internal/churn"
+	"rcbr/internal/switchfab"
 )
 
 // churnRun drives the call-scale churn generator (internal/churn) against a
@@ -34,12 +34,15 @@ func churnRun(fs *flag.FlagSet) func(context.Context) error {
 			return fmt.Errorf("-vcs must be positive, got %d", *vcs)
 		case *ports <= 0 || *ports > 1<<16:
 			return fmt.Errorf("-ports must be in [1, %d], got %d", 1<<16, *ports)
-		case !(*portCap > 0) || math.IsInf(*portCap, 1):
-			return fmt.Errorf("-portcap must be a positive finite rate, got %g", *portCap)
 		case *events < 0:
 			return fmt.Errorf("-churn must not be negative, got %d", *events)
 		case *target != 0 && !(*target > 0 && *target < 1):
 			return fmt.Errorf("-target must be 0 (no admission control) or in (0, 1), got %g", *target)
+		}
+		// A throwaway port books the capacity as the run's switch will: the
+		// range of rates a port can hold is switchfab's to know.
+		if err := switchfab.New().AddPort(0, *portCap); err != nil {
+			return fmt.Errorf("-portcap must be a rate a switch port can hold: %w", err)
 		}
 		w := *workers
 		if w == 0 {

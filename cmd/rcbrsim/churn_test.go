@@ -86,9 +86,11 @@ func TestChurnSeedFixesAdmittedRun(t *testing.T) {
 }
 
 // TestChurnFlagValidation pins an error naming the flag for every value
-// churn cannot run, refused before any switch is built. Unchecked, -churn -5
-// ran and skipped the churn phase in silence, and the others failed inside
-// the run with an error that named a switch or admitter figure instead.
+// churn cannot run, refused before the run's switch is built. Unchecked,
+// -churn -5 ran and skipped the churn phase in silence, and the others
+// failed inside the run with an error that named a switch or admitter
+// figure instead. A -portcap above what a switch port can book, or too
+// small to book, printed the run header before the switch refused it.
 func TestChurnFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-vcs", "0"},
@@ -97,6 +99,8 @@ func TestChurnFlagValidation(t *testing.T) {
 		{"-portcap", "0"},
 		{"-portcap", "NaN"},
 		{"-portcap", "+Inf"},
+		{"-portcap", "1e300"},
+		{"-portcap", "1e-4"},
 		{"-churn", "-5"},
 		{"-target", "2"},
 		{"-target", "1"},

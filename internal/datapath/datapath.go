@@ -57,13 +57,17 @@
 // per VC, its drops added to the ingress port's ledger once per burst
 // (what the port forwarded is what its ring released less those); the
 // registry's datapath.cells_* counters are views computed from the port
-// ledgers when the registry is read.
+// ledgers when the registry is read. The datapath.batch_cells histogram is
+// the sweep's too: its bucket counts and cell sum are plain words the sweep
+// adds to before it releases the lock, which the registry's view reads
+// under it.
 package datapath
 
 import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -116,12 +120,17 @@ const (
 // clock instead of ticking an absurd interval into the bucket.
 const unsetNanos = math.MinInt64
 
-// instruments caches registry handles; all nil-safe no-ops without a
-// registry.
-type instruments struct {
-	vcMisses   *metrics.Counter
-	batchCells *metrics.Histogram
-}
+// batchBounds are datapath.batch_cells' bucket bounds: 1, 2, 4, …, 2048
+// cells, so a sweep of n cells falls in bucket batchBucket(n).
+var batchBounds = metrics.ExpBuckets(1, 2, batchBuckets-1)
+
+// batchBuckets is the number of batch_cells buckets, the overflow one
+// included.
+const batchBuckets = 13
+
+// batchBucket returns the bucket of a sweep of n ≥ 1 cells: the first whose
+// bound 2^i is at least n, or the overflow bucket past 2048.
+func batchBucket(n int) int { return min(bits.Len(uint(n-1)), batchBuckets-1) }
 
 // Port is one switch port's cell rings: an ingress ring filled by the
 // port's producer (the wire) and drained by the forwarder, and the egress
@@ -261,6 +270,11 @@ type Forwarder struct {
 	// each slot as it consumes it, so between bursts every slot is nil and
 	// no unpublished entry is kept alive. Guarded by the sweep lock.
 	lookups []*vcEntry
+	// batches and batchCells are datapath.batch_cells: how many busy sweeps
+	// fell in each batchBounds bucket, and the cells they swept. Guarded by
+	// the sweep lock.
+	batches    [batchBuckets]int64
+	batchCells int64
 
 	portsMu sync.Mutex
 	ports   atomic.Pointer[portSet]
@@ -269,8 +283,8 @@ type Forwarder struct {
 	ringCells int
 	depthBits float64
 
-	reg *metrics.Registry
-	ins instruments
+	reg      *metrics.Registry
+	vcMisses *metrics.Counter // nil without a registry
 }
 
 // Option configures a Forwarder.
@@ -299,9 +313,11 @@ func WithDepthCells(n int) Option {
 	}
 }
 
-// WithMetrics publishes the datapath.* counters into reg. The cell counters
-// are views over the port ledgers, so reg keeps the forwarder's ports
-// reachable for as long as it lives.
+// WithMetrics publishes the datapath.* instruments into reg. The cell
+// counters and the batch histogram are views over what the sweep keeps, so
+// reg keeps the forwarder reachable for as long as it lives. New panics if
+// reg already has a datapath.batch_cells histogram with other bounds (see
+// metrics.Registry.HistogramFunc).
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(f *Forwarder) { f.reg = reg }
 }
@@ -318,10 +334,8 @@ func New(opts ...Option) *Forwarder {
 	}
 	f.lookups = make([]*vcEntry, f.burst)
 	if f.reg != nil {
-		f.ins = instruments{
-			vcMisses:   f.reg.Counter(MetricVCMisses),
-			batchCells: f.reg.Histogram(MetricBatchCells, metrics.ExpBuckets(1, 2, 12)),
-		}
+		f.vcMisses = f.reg.Counter(MetricVCMisses)
+		f.reg.HistogramFunc(MetricBatchCells, batchBounds, f.readBatches)
 		f.reg.CounterFunc(MetricCellsArrived, f.view(func(s PortStats) int64 { return s.Arrived }))
 		f.reg.CounterFunc(MetricCellsForwarded, f.view(func(s PortStats) int64 { return s.Forwarded }))
 		f.reg.CounterFunc(MetricCellsPoliced, f.view(func(s PortStats) int64 { return s.Policed }))
@@ -346,6 +360,18 @@ func (f *Forwarder) view(field func(PortStats) int64) func() int64 {
 		}
 		return sum
 	}
+}
+
+// readBatches is the datapath.batch_cells view: it adds the bucket counts
+// into counts and returns the cells swept, all read under one hold of the
+// sweep lock, so a whole number of sweeps.
+func (f *Forwarder) readBatches(counts []int64) float64 {
+	f.sweep.Lock()
+	defer f.sweep.Unlock()
+	for i, n := range f.batches {
+		counts[i] += n
+	}
+	return float64(f.batchCells)
 }
 
 // AddPort registers a port and its rings. It fails if the forwarder's ring
@@ -420,7 +446,7 @@ func (f *Forwarder) SetVCRate(id switchfab.VCID, rate float64) error {
 	}
 	e := f.vcs.Get(uint32(id))
 	if e == nil {
-		f.ins.vcMisses.Inc()
+		f.vcMisses.Inc()
 		return fmt.Errorf("datapath: no vc %s", id)
 	}
 	e.rate.Store(rate)
@@ -447,7 +473,7 @@ func (f *Forwarder) RemoveVC(id switchfab.VCID) (VCStats, error) {
 func (f *Forwarder) unpublish(id switchfab.VCID) *vcEntry {
 	e := f.vcs.Remove(uint32(id))
 	if e == nil {
-		f.ins.vcMisses.Inc()
+		f.vcMisses.Inc()
 	}
 	return e
 }
@@ -487,9 +513,11 @@ func (f *Forwarder) Inject(p *Port, c *Cell) bool { return p.in.Push(c) }
 // or dropped). One goroutine at a time may call it, and nowNanos must not
 // decrease between calls. It takes the sweep lock at the first port with
 // cells ready and holds it to the end of the sweep, so a sweep over idle
-// ports takes no lock. The batch histogram (its count is the number of
-// batches) sees only non-empty sweeps, so an idle polling driver — a
-// slot-driven relay — does not drown it in zeros.
+// ports takes no lock. A busy sweep counts itself into the batch histogram
+// (its count is the number of batches) before it releases the lock, with
+// two plain adds like the sweep's other counters; an idle one counts
+// nothing, so an idle polling driver — a slot-driven relay — does not drown
+// it in zeros.
 func (f *Forwarder) Forward(nowNanos int64) int {
 	total := 0
 	for _, p := range f.ports.Load().list {
@@ -503,8 +531,9 @@ func (f *Forwarder) Forward(nowNanos int64) int {
 		total += f.forwardPort(p, n, nowNanos)
 	}
 	if total > 0 {
+		f.batches[batchBucket(total)]++
+		f.batchCells += int64(total)
 		f.sweep.Unlock()
-		f.ins.batchCells.Observe(float64(total))
 	}
 	return total
 }

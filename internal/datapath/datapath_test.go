@@ -617,3 +617,18 @@ func TestEmptySweepsAreNotBatches(t *testing.T) {
 		t.Fatalf("22 sweeps, 2 of them non-empty: histogram count %d sum %g; want 2, 3", h.Count, h.Sum)
 	}
 }
+
+// TestBatchBucketMatchesLinearScan: the sweep files a batch by its bit
+// length, not by scanning the bounds as Histogram.Observe does; the two
+// agree on every batch size up to past the overflow bound.
+func TestBatchBucketMatchesLinearScan(t *testing.T) {
+	for n := 1; n <= 5000; n++ {
+		i := 0
+		for i < len(batchBounds) && float64(n) > batchBounds[i] {
+			i++
+		}
+		if got := batchBucket(n); got != i {
+			t.Fatalf("a batch of %d cells: bucket %d, the bounds %v put it in %d", n, got, batchBounds, i)
+		}
+	}
+}

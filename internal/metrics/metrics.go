@@ -16,7 +16,10 @@
 //     instruments.
 //   - A count that a component already keeps in its own ledger is not
 //     incremented a second time: CounterFunc publishes it as a view the
-//     registry evaluates when it is read.
+//     registry evaluates when it is read, and HistogramFunc does the same
+//     for a histogram whose buckets the component keeps under a lock it
+//     already holds, where plain adds replace two atomic updates per
+//     observation.
 //   - Snapshot returns plain structs/maps (JSON-ready), decoupled from the
 //     live instruments, so exposition (HTTP endpoints, end-of-run dumps)
 //     never perturbs the measured system beyond the atomic loads.
@@ -26,7 +29,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,17 +125,28 @@ type Histogram struct {
 	bounds  []float64 // ascending upper bounds; immutable after creation
 	buckets []atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
+	// views are the HistogramFunc views a registry added under this
+	// histogram's name, guarded by that registry's lock. The registry's
+	// Snapshot adds them in; Count and Observe see only this histogram's
+	// own buckets.
+	views []func(counts []int64) float64
 }
 
 // NewHistogram builds a histogram from ascending upper bounds. Bounds are
 // copied and sorted defensively.
 func NewHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
+	bs := sortedCopy(bounds)
 	return &Histogram{
 		bounds:  bs,
 		buckets: make([]atomic.Int64, len(bs)+1),
 	}
+}
+
+// sortedCopy returns bounds copied and sorted ascending.
+func sortedCopy(bounds []float64) []float64 {
+	bs := append([]float64(nil), bounds...)
+	sort.Float64s(bs)
+	return bs
 }
 
 // Observe records one observation.
@@ -293,11 +309,47 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
+	return r.histogram(name, bounds)
+}
+
+// histogram is Histogram's creating half; r.mu is write-held.
+func (r *Registry) histogram(name string, bounds []float64) *Histogram {
+	h := r.histograms[name]
+	if h == nil {
 		h = NewHistogram(bounds)
 		r.histograms[name] = h
 	}
 	return h
+}
+
+// HistogramFunc registers a view histogram: buckets some component already
+// keeps itself, under a lock it holds anyway, which fn reads when the
+// registry is read instead of the component paying an atomic bucket add and
+// a sum compare-and-swap per observation. fn adds the component's count for
+// each bucket into counts (len(bounds)+1 entries, the last the overflow
+// bucket, in ascending order of bounds) and returns the sum of its
+// observations; the registry derives the count from the buckets. Views that
+// share a name — and a plain Histogram of that name — read as one histogram,
+// bucket by bucket, as CounterFunc's views add up. fn runs under the
+// registry's read lock: it must be safe for concurrent use and must not call
+// back into the registry.
+//
+// The first Histogram or HistogramFunc of a name fixes its bounds. A view
+// whose bounds differ from them cannot be added bucket by bucket, and
+// HistogramFunc panics rather than publish a histogram that reads wrong:
+// bounds are the caller's constants, so a mismatch is a programming error,
+// as a second registration of one pattern is to http.ServeMux.
+func (r *Registry) HistogramFunc(name string, bounds []float64, fn func(counts []int64) (sum float64)) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.histogram(name, bounds)
+	if want := sortedCopy(bounds); !slices.Equal(h.bounds, want) {
+		panic(fmt.Sprintf("metrics: histogram %s has bounds %v, a view of it %v", name, h.bounds, want))
+	}
+	h.views = append(h.views, fn)
 }
 
 // HistogramSnapshot is a point-in-time copy of one histogram.
@@ -361,7 +413,12 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		for i := range h.buckets {
 			hs.Counts[i] = h.buckets[i].Load()
-			hs.Count += hs.Counts[i]
+		}
+		for _, fn := range h.views {
+			hs.Sum += fn(hs.Counts)
+		}
+		for _, n := range hs.Counts {
+			hs.Count += n
 		}
 		s.Histograms[name] = hs
 	}

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +57,64 @@ func TestCounterFuncViews(t *testing.T) {
 	r.CounterFunc("ignored", nil)
 	if _, ok := r.Snapshot().Counters["ignored"]; ok {
 		t.Fatal("a nil view registered")
+	}
+}
+
+// TestHistogramFuncViews covers the snapshot-time histograms: a view adds
+// its owner's buckets and sum on every read, views sharing a name add up
+// bucket by bucket (with a plain histogram of that name too), the count is
+// the buckets' total, nil registries and nil views are no-ops, and a view
+// whose bounds differ from the name's is refused with a panic that names
+// the histogram, leaving what was registered before it in place.
+func TestHistogramFuncViews(t *testing.T) {
+	bounds := []float64{1, 10}
+	r := NewRegistry()
+	var owned [2]struct {
+		counts [3]int64
+		sum    float64
+	}
+	for i := range owned {
+		r.HistogramFunc("batch", bounds, func(counts []int64) float64 {
+			for b, n := range owned[i].counts {
+				counts[b] += n
+			}
+			return owned[i].sum
+		})
+	}
+	if hs := r.Snapshot().Histograms["batch"]; hs.Count != 0 || hs.Sum != 0 || len(hs.Counts) != 3 {
+		t.Fatalf("fresh views read %+v, want 3 empty buckets", hs)
+	}
+	owned[0].counts, owned[0].sum = [3]int64{1, 0, 2}, 1+2*50
+	owned[1].counts, owned[1].sum = [3]int64{0, 3, 0}, 3*5
+	r.Histogram("batch", []float64{99}).Observe(7) // the name's bounds stand
+	hs := r.Snapshot().Histograms["batch"]
+	if want := []int64{1, 4, 2}; !slices.Equal(hs.Counts, want) || hs.Count != 7 || hs.Sum != 123 {
+		t.Fatalf("snapshot %+v, want counts %v, count 7, sum 123", hs, want)
+	}
+	if !slices.Equal(hs.Bounds, bounds) {
+		t.Fatalf("bounds %v, want %v", hs.Bounds, bounds)
+	}
+
+	r.HistogramFunc("batch", []float64{10, 1}, func([]int64) float64 { return 1 }) // the same bounds, unsorted
+	r.HistogramFunc("ignored", bounds, nil)
+	if _, ok := r.Snapshot().Histograms["ignored"]; ok {
+		t.Fatal("a nil view registered")
+	}
+	var nilReg *Registry
+	nilReg.HistogramFunc("batch", bounds, func([]int64) float64 { return 1 })
+
+	for _, other := range [][]float64{{1, 100}, {1}, {1, 10, 100}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "batch") {
+					t.Errorf("bounds %v: recovered %q, want a panic naming the histogram", other, msg)
+				}
+			}()
+			r.HistogramFunc("batch", other, func([]int64) float64 { return 1e9 })
+		}()
+	}
+	if hs := r.Snapshot().Histograms["batch"]; hs.Count != 7 || hs.Sum != 124 {
+		t.Fatalf("after the refusals: count %d, sum %g; want 7 and 124", hs.Count, hs.Sum)
 	}
 }
 

@@ -772,3 +772,17 @@ func TestMemoryAdmitterRefusesBadLevels(t *testing.T) {
 		t.Error("NaN target accepted")
 	}
 }
+
+// TestMemoryAdmitterRefusesBadTarget: a target outside (0, 1) is refused by
+// the constructor in an error that names the target and nothing else — no
+// capacity, since the only one in reach is the trial controller's own,
+// which the caller never gave.
+func TestMemoryAdmitterRefusesBadTarget(t *testing.T) {
+	for _, target := range []float64{0, 1, 2, -1e-3, math.NaN(), math.Inf(1)} {
+		_, err := NewMemoryAdmitter([]float64{64e3, 4e6}, target)
+		want := fmt.Sprintf("target %g outside (0, 1)", target)
+		if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "capacity") {
+			t.Errorf("target %g: error %v, want one saying %q and naming no capacity", target, err, want)
+		}
+	}
+}

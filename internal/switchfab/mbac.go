@@ -36,9 +36,12 @@ type MemoryAdmitter struct {
 // ascending bandwidth levels with the given target renegotiation-failure
 // probability (0 < target < 1).
 func NewMemoryAdmitter(levels []float64, target float64) (*MemoryAdmitter, error) {
-	// A trial controller checks what every port's will be built from, so
-	// creating one for a port — whose capacity AddPort validated — cannot
-	// fail.
+	if !(target > 0 && target < 1) {
+		return nil, fmt.Errorf("switchfab: memory admitter: target %g outside (0, 1)", target)
+	}
+	// A trial controller checks the levels every port's will be built from,
+	// so creating one for a port — whose capacity AddPort validated — cannot
+	// fail. Its capacity is the trial's own, so only the levels can fail it.
 	if _, err := admission.NewLiveMemory(levels, 1, target); err != nil {
 		return nil, fmt.Errorf("switchfab: memory admitter: %w", err)
 	}

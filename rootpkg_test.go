@@ -407,13 +407,14 @@ func TestOneEventHeap(t *testing.T) {
 // README's metric tables rely on (once the metricname analyzer's; DESIGN §9).
 // Every Metric* constant is a string literal in the dotted lower-case
 // namespace, declared once repo-wide so no two copies drift apart. Every name
-// handed to a registry's Counter, CounterFunc, Gauge or Histogram is a
-// Metric* constant or a *Counter/*Gauge/*Histogram builder's result, never a
-// literal, which records to a dead name when mistyped.
+// handed to a registry's Counter, CounterFunc, Gauge, Histogram or
+// HistogramFunc is a Metric* constant or a *Counter/*Gauge/*Histogram
+// builder's result, never a literal, which records to a dead name when
+// mistyped.
 func TestMetricNamesAreOwnedConstants(t *testing.T) {
 	nameRE := regexp.MustCompile(`^[a-z]+(\.[a-z_]+)+$`)
 	builderRE := regexp.MustCompile(`(Counter|Gauge|Histogram)$`)
-	registryRE := regexp.MustCompile(`^(Counter|CounterFunc|Gauge|Histogram)$`)
+	registryRE := regexp.MustCompile(`^(Counter|CounterFunc|Gauge|Histogram|HistogramFunc)$`)
 	fset := token.NewFileSet()
 	declared := map[string][]token.Pos{}
 	for _, f := range goFiles(t, fset, false) {
