@@ -10,7 +10,8 @@
 // so a baseline carries its own spread. The goos/goarch/pkg/cpu header lines
 // are captured, and beside them the CPU count, the GOMAXPROCS the benchmarks
 // ran at and the Go version, so a baseline records the machine and toolchain
-// it was measured on. Lines that are not benchmark results (test chatter,
+// it was measured on. Each record also keeps the cpu line it ran under, so
+// an entry later merged by hand from another run still names its host. Lines that are not benchmark results (test chatter,
 // PASS/ok) pass through to stdout untouched, so the command can sit at the
 // end of a pipe without hiding failures.
 //
@@ -49,7 +50,8 @@ import (
 // A benchmark run once is its line. One run N > 1 times is folded (see
 // fold): NsPerOp is the median of the runs with Q1 and Q3 its quartiles and
 // Runs their number, AllocsPerOp the largest any run reported, and the rest
-// is the median run's.
+// is the median run's. CPU is the `cpu:` header line the benchmark ran
+// under; -compare ignores it.
 type Result struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
@@ -60,6 +62,7 @@ type Result struct {
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
+	CPU         string             `json:"cpu,omitempty"`
 }
 
 // Baseline is the file format of BENCH_trellis.json. NumCPU and GoVersion
@@ -236,6 +239,7 @@ func parse(sc *bufio.Scanner) (Baseline, error) {
 				fmt.Println(line)
 				continue
 			}
+			r.CPU = base.CPU
 			printed := strings.Fields(line)[0]
 			if _, procs := stripProcs(printed); len(runs) == 0 {
 				base.GOMAXPROCS = procs

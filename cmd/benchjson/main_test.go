@@ -179,6 +179,11 @@ ok  	rcbr	12.3s
 	if base.Results[1].Name != "BenchmarkTrellisLevels5" || base.Results[1].BytesPerOp != 0 {
 		t.Fatalf("second result %+v", base.Results[1])
 	}
+	for _, r := range base.Results {
+		if r.CPU != "Fake CPU @ 2.00GHz" {
+			t.Errorf("%s records host %q, want the cpu line it ran under", r.Name, r.CPU)
+		}
+	}
 	// A -cpu list ran at no one GOMAXPROCS: the field is left out, not set
 	// to whichever line came last.
 	mixed, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkA 10 5.0 ns/op\nBenchmarkA-2 10 5.0 ns/op\nBenchmarkA-4 10 5.0 ns/op\n")))
@@ -327,5 +332,57 @@ func TestTrackedBaselineHasNoSmokeCaptures(t *testing.T) {
 			t.Errorf("%s: iterations 1 at %.0f ns/op is a smoke capture; re-record with `make bench-json BENCHTIME=2s`",
 				r.Name, r.NsPerOp)
 		}
+	}
+}
+
+// TestResultsRecordTheirHost: the output of runs on two hosts, joined, is
+// one file whose every record names the cpu line it ran under — so an entry
+// merged by hand from another host says where it was taken — and -compare
+// matches records by name alone, whatever host each names.
+func TestResultsRecordTheirHost(t *testing.T) {
+	const out = `cpu: Host A
+BenchmarkRMCellRoundTrip-2 	100	 250.0 ns/op
+BenchmarkFabricRM64k-2 	100	 90.0 ns/op
+cpu: Host B
+BenchmarkRMCellRoundTrip-2 	100	 60.0 ns/op
+BenchmarkLater-2 	100	 10.0 ns/op
+`
+	base, err := parse(bufio.NewScanner(strings.NewReader(out)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := map[string]string{}
+	for _, r := range base.Results {
+		hosts[r.Name] = r.CPU
+	}
+	// The folded record is the median run's; of two runs, the slower.
+	want := map[string]string{"BenchmarkRMCellRoundTrip": "Host A", "BenchmarkFabricRM64k": "Host A", "BenchmarkLater": "Host B"}
+	if !reflect.DeepEqual(hosts, want) {
+		t.Fatalf("hosts %v, want %v", hosts, want)
+	}
+	enc, err := json.Marshal(base.Results[2])
+	if err != nil || !strings.Contains(string(enc), `"cpu":"Host B"`) {
+		t.Fatalf("encoded record lacks its host: %s %v", enc, err)
+	}
+
+	// Two files alike but for the hosts compare as two alike files.
+	alike := func(host string) []Result {
+		rs := append([]Result(nil), base.Results...)
+		for i := range rs {
+			rs[i].CPU = host
+		}
+		return rs
+	}
+	var same, mixed strings.Builder
+	pathA := writeBaseline(t, "a.json", alike("Host A")...)
+	pathB := writeBaseline(t, "b.json", alike("Host B")...)
+	if broken, err := compareBaselines(&same, pathA, pathA); err != nil || broken {
+		t.Fatalf("self-compare: %v %v", broken, err)
+	}
+	if broken, err := compareBaselines(&mixed, pathA, pathB); err != nil || broken {
+		t.Fatalf("cross-host compare: %v %v", broken, err)
+	}
+	if same.String() != mixed.String() {
+		t.Fatalf("-compare reads the host:\n%s\nvs\n%s", same.String(), mixed.String())
 	}
 }

@@ -112,32 +112,29 @@ func VCID(b []byte) (uint32, bool) {
 // floating-point format: bit 15 = nonzero flag, bits 14..10 = exponent e,
 // bits 9..0 omitted-leading-one mantissa m, value = 2^e * (1 + m/512).
 // (TM 4.0 uses a 9-bit mantissa; the tenth bit is reserved-zero here.)
-// Rates above the encodable maximum return ErrRateRange; zero encodes as 0.
+// The mantissa rounds to nearest, halves away from zero; rates below 1
+// round up to 1, the smallest encodable value. Rates above the encodable
+// maximum (and +Inf) return ErrRateRange; zero encodes as 0. math.Frexp
+// gives the exponent and mantissa exactly, where a logarithm would round.
 func EncodeRate16(rate float64) (uint16, error) {
-	if rate < 0 || math.IsNaN(rate) {
+	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 1) {
 		return 0, fmt.Errorf("%w: %g", ErrRateRange, rate)
 	}
 	if rate == 0 {
 		return 0, nil
 	}
-	e := math.Floor(math.Log2(rate))
-	if e < 0 {
-		// Sub-1 rates round up to the smallest encodable value.
-		e = 0
+	if rate < 1 {
+		return 1 << 15, nil
+	}
+	frac, exp := math.Frexp(rate)
+	e := exp - 1
+	m := int(math.Round(frac*1024)) - 512 // frac*1024 is exact: 2^e * (1 + m/512) ~ rate
+	if m == 512 {
+		m = 0
+		e++
 	}
 	if e > 31 {
 		return 0, fmt.Errorf("%w: %g", ErrRateRange, rate)
-	}
-	m := math.Round((rate/math.Exp2(e) - 1) * 512)
-	if m >= 512 {
-		m = 0
-		e++
-		if e > 31 {
-			return 0, fmt.Errorf("%w: %g", ErrRateRange, rate)
-		}
-	}
-	if m < 0 {
-		m = 0
 	}
 	return 1<<15 | uint16(e)<<10 | uint16(m), nil
 }
@@ -147,7 +144,5 @@ func DecodeRate16(v uint16) float64 {
 	if v&(1<<15) == 0 {
 		return 0
 	}
-	e := float64(v >> 10 & 0x1F)
-	m := float64(v & 0x1FF)
-	return math.Exp2(e) * (1 + m/512)
+	return math.Ldexp(float64(512+v&0x1FF), int(v>>10&0x1F)-9)
 }

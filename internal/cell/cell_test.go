@@ -284,6 +284,23 @@ func TestParseRMErrors(t *testing.T) {
 			t.Errorf("rate code %#x: %v", er, err)
 		}
 	}
+	// A nonzero reserved byte is a bad CRC while the CRC is the one the
+	// zero payload marshalled with (the CRC verdict comes first), and a
+	// protocol error once the CRC covers it.
+	for _, i := range []int{8, 15, 16, 37, 38, 45} {
+		p, err := RM{ER: 64000, Seq: 7}.MarshalPayload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p[i] = 0x80
+		if _, err := ParseRM(p[:]); !errors.Is(err, ErrCRC) {
+			t.Errorf("reserved byte %d under a bad CRC: %v", i, err)
+		}
+		binary.BigEndian.PutUint16(p[46:48], crc10Ref(p[:PayloadSize-2]))
+		if _, err := ParseRM(p[:]); !errors.Is(err, ErrProtocol) {
+			t.Errorf("reserved byte %d under a good CRC: %v", i, err)
+		}
+	}
 }
 
 func TestFullCellRoundTrip(t *testing.T) {

@@ -1,10 +1,12 @@
 package cell
 
-// Byte-at-a-time lookup tables for the two cell CRCs. The bit-serial
-// definitions (see hecRef/crc10Ref in the tests) cost 8 branches per byte;
-// the data path verifies a HEC on every forwarded cell, so both CRCs run
-// from 256-entry tables built once at init. Equivalence with the bit-serial
-// forms is pinned by TestCRCTablesMatchBitSerial.
+import "encoding/binary"
+
+// Lookup tables for the two cell CRCs. The bit-serial definitions (see
+// hecRef/crc10Ref in the tests) cost 8 branches per byte; the data path
+// verifies a HEC on every forwarded cell, so both CRCs run from 256-entry
+// tables built once at init. Equivalence with the bit-serial forms is
+// pinned by TestCRCTablesMatchBitSerial.
 
 // crc8Table[i] is the CRC-8 (poly x^8+x^2+x+1, 0x07) of the single byte i.
 var crc8Table = func() (t [256]byte) {
@@ -56,6 +58,45 @@ var hecTable = func() (t [4][256]byte) {
 	}
 	return t
 }()
+
+// rmCRCTable[k][x] is the CRC-10 of byte x at offset k of an RM payload's
+// 46 checked bytes with every other byte zero: crc10Table's entry advanced
+// through the 45-k zero bytes behind it. CRC-10 (zero initial register) is
+// linear over XOR, as the HEC is, and a valid payload is zero from byte 8
+// on, so its CRC is the XOR of eight lookups (crc10RM) where crc10 walks all
+// 46 bytes one dependent step at a time.
+var rmCRCTable = func() (t [8][256]uint16) {
+	for x := range t[0] {
+		r := crc10Table[x]
+		for k := rmCRCBytes - 1; k >= 0; k-- {
+			if k < len(t) {
+				t[k][x] = r
+			}
+			r = (r<<8)&0x3FF ^ crc10Table[byte(r>>2)]
+		}
+	}
+	return t
+}()
+
+// rmCRCBytes is how many payload bytes the RM CRC-10 covers: all but the
+// two that carry it.
+const rmCRCBytes = PayloadSize - 2
+
+// crc10RM is crc10(p[:rmCRCBytes]) for an RM payload whose reserved bytes
+// 8..45 are zero (rmReservedZero); on any other payload it is wrong.
+func crc10RM(p []byte) uint16 {
+	_ = p[7]
+	return rmCRCTable[0][p[0]] ^ rmCRCTable[1][p[1]] ^ rmCRCTable[2][p[2]] ^ rmCRCTable[3][p[3]] ^
+		rmCRCTable[4][p[4]] ^ rmCRCTable[5][p[5]] ^ rmCRCTable[6][p[6]] ^ rmCRCTable[7][p[7]]
+}
+
+// rmReservedZero reports whether the reserved bytes 8..45 of an RM payload
+// are all zero, by five word loads (the last overlapping the fourth).
+func rmReservedZero(p []byte) bool {
+	_ = p[rmCRCBytes-1]
+	le := binary.LittleEndian
+	return le.Uint64(p[8:])|le.Uint64(p[16:])|le.Uint64(p[24:])|le.Uint64(p[32:])|le.Uint64(p[rmCRCBytes-8:]) == 0
+}
 
 // hec computes the ATM header error control byte: CRC-8 with polynomial
 // x^8+x^2+x+1 over the four header bytes b[0..3], XORed with 0x55 (I.432),

@@ -50,6 +50,25 @@ func TestCRCTablesMatchBitSerial(t *testing.T) {
 			t.Fatalf("crc10(%x) = %#x, bit-serial %#x", buf, got, want)
 		}
 	}
+	// crc10RM is the sliced form over an RM payload's first eight bytes,
+	// the rest zero: every single-byte payload pins one table each, random
+	// ones their XOR.
+	for pos := 0; pos < 8; pos++ {
+		for x := 0; x < 256; x++ {
+			var p [PayloadSize]byte
+			p[pos] = byte(x)
+			if got, want := crc10RM(p[:]), crc10Ref(p[:rmCRCBytes]); got != want {
+				t.Fatalf("crc10RM(%x) = %#x, bit-serial %#x", p[:8], got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 10_000; trial++ {
+		var p [PayloadSize]byte
+		rng.Read(p[:8])
+		if got, want := crc10RM(p[:]), crc10Ref(p[:rmCRCBytes]); got != want {
+			t.Fatalf("crc10RM(%x) = %#x, bit-serial %#x", p[:8], got, want)
+		}
+	}
 	// hec is the sliced form over a four-byte header: every single-byte
 	// header at each position pins one table each (position 3 the byte
 	// table itself), random headers their XOR.

@@ -41,12 +41,19 @@ func cell() RM {
 }
 
 // FuzzRate16 checks the 16-bit rate codec over the whole code space:
-// decoding any code and re-encoding must be idempotent.
+// decoding any code and re-encoding must be idempotent. It also encodes an
+// arbitrary float64, given by its bits so that +Inf, NaN, negatives,
+// subnormals and rates above the top code are all reachable, and holds the
+// result to the logarithm-based reference: the same code or the same error.
 func FuzzRate16(f *testing.F) {
-	f.Add(uint16(0))
-	f.Add(uint16(1 << 15))
-	f.Add(uint16(0xFFFF))
-	f.Fuzz(func(t *testing.T, v uint16) {
+	f.Add(uint16(0), math.Float64bits(0))
+	f.Add(uint16(1<<15), math.Float64bits(1))
+	f.Add(uint16(0xFFFF), math.Float64bits(math.Inf(1)))
+	f.Add(uint16(0x8001), math.Float64bits(math.NaN()))
+	f.Add(uint16(0x7FFF), math.Float64bits(-374e3))
+	f.Add(uint16(0x8400), math.Float64bits(math.SmallestNonzeroFloat64))
+	f.Add(uint16(0xFDFF), math.Float64bits(0x1p32))
+	f.Fuzz(func(t *testing.T, v uint16, bits uint64) {
 		r := DecodeRate16(v)
 		if r < 0 || math.IsNaN(r) {
 			t.Fatalf("decode(%#x) = %v", v, r)
@@ -59,5 +66,6 @@ func FuzzRate16(f *testing.F) {
 			t.Fatalf("codec not idempotent: %#x -> %v -> %#x -> %v",
 				v, r, v2, DecodeRate16(v2))
 		}
+		checkEncodeMatchesRef(t, math.Float64frombits(bits))
 	})
 }

@@ -76,15 +76,18 @@ func (m RM) MarshalPayload() ([PayloadSize]byte, error) {
 	}
 	binary.BigEndian.PutUint16(p[2:4], er)
 	binary.BigEndian.PutUint32(p[4:8], m.Seq)
-	crc := crc10(p[:PayloadSize-2])
-	binary.BigEndian.PutUint16(p[46:48], crc)
+	binary.BigEndian.PutUint16(p[46:48], crc10RM(p[:]))
 	return p, nil
 }
 
 // ParseRM decodes and verifies a 48-byte RM payload. Reserved bytes and
 // undefined flag bits must be zero and ER must be a code EncodeRate16 emits
 // (reserved mantissa bit clear, zero spelled 0): the codec is strict so that
-// every accepted payload re-marshals to identical wire bytes.
+// every accepted payload re-marshals to identical wire bytes. The reserved
+// rule is also what makes the CRC cheap: a payload whose reserved bytes are
+// zero is checked by eight table lookups (crc10RM), and only one that will
+// be refused anyway pays the byte-serial walk, which keeps the verdict of a
+// bad CRC ahead of the reserved-byte one.
 func ParseRM(p []byte) (RM, error) {
 	if len(p) < PayloadSize {
 		return RM{}, ErrShort
@@ -92,16 +95,24 @@ func ParseRM(p []byte) (RM, error) {
 	if p[0] != ProtocolRCBR {
 		return RM{}, fmt.Errorf("%w: protocol %d", ErrProtocol, p[0])
 	}
-	want := binary.BigEndian.Uint16(p[46:48])
-	if crc10(p[:PayloadSize-2]) != want {
+	reservedZero := rmReservedZero(p)
+	var crc uint16
+	if reservedZero {
+		crc = crc10RM(p)
+	} else {
+		crc = crc10(p[:rmCRCBytes])
+	}
+	if crc != binary.BigEndian.Uint16(p[46:48]) {
 		return RM{}, ErrCRC
 	}
 	if p[1]&^(flagBackward|flagResponse|flagResync|flagDeny|flagDecrease) != 0 {
 		return RM{}, fmt.Errorf("%w: undefined flag bits %#x", ErrProtocol, p[1])
 	}
-	for i := 8; i < PayloadSize-2; i++ {
-		if p[i] != 0 {
-			return RM{}, fmt.Errorf("%w: nonzero reserved byte %d", ErrProtocol, i)
+	if !reservedZero {
+		for i := 8; i < rmCRCBytes; i++ {
+			if p[i] != 0 {
+				return RM{}, fmt.Errorf("%w: nonzero reserved byte %d", ErrProtocol, i)
+			}
 		}
 	}
 	er := binary.BigEndian.Uint16(p[2:4])

@@ -131,3 +131,57 @@ func TestServerHandleRMZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// clientRoundTripAllocs is the whole-process allocation count of one
+// loopback Renegotiate with the server in the same process. Each is named:
+//
+//   - 3 for the request's reply timer: time.NewTimer allocates the Timer
+//     and its channel, whose buffer of time.Time (which holds a pointer)
+//     is a second object. One timer per request, not per attempt.
+//   - 2 for the server's ReadFrom: net.UDPConn.ReadFrom returns a fresh
+//     *net.UDPAddr and the IP slice behind it for every datagram, the
+//     price of net.PacketConn as the server's transport.
+//
+// The client's wait state (reply channel and payload buffer) is recycled,
+// and nothing else on either side allocates: encode, decode and the switch
+// decision are held at zero by the tests above.
+const clientRoundTripAllocs = 5
+
+// TestClientRoundTripAllocs pins what one renegotiation round trip
+// allocates across the whole process: client, socket and server.
+func TestClientRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	sw := switchfab.New()
+	if err := sw.AddPort(1, 1e12); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer("127.0.0.1:0", sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve() //nolint:errcheck
+	cl, err := DialContext(ctx, srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Setup(ctx, 7, 1, 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	// Rates step by 2^16, exact in the 16-bit code, so every grant is exact.
+	cur, next := float64(1<<16), float64(2<<16)
+	allocs := testing.AllocsPerRun(500, func() {
+		granted, ok, err := cl.Renegotiate(ctx, 7, cur, next)
+		if err != nil || !ok || granted != next {
+			t.Fatalf("renegotiate %v -> %v: %v %v %v", cur, next, granted, ok, err)
+		}
+		cur, next = next, cur
+	})
+	if allocs > clientRoundTripAllocs {
+		t.Errorf("a loopback renegotiation allocates %.1f objects, want at most %d", allocs, clientRoundTripAllocs)
+	}
+	t.Logf("allocations per round trip: %.1f", allocs)
+}

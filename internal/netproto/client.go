@@ -46,9 +46,23 @@ type rxResult struct {
 	err   error
 }
 
+// waiter is one in-flight request's wait state: the channel its one
+// delivery arrives on and the buffer the reader copies the reply payload
+// into, so the frame a request receives is its own and not the reader's
+// next datagram. Waiters are recycled through the client's free list.
+// Every delivery and every recycling happens under Client.mu, and a waiter
+// takes one delivery per registration (delivered), so a duplicate or late
+// reply is dropped rather than overwriting a buffer its request is still
+// decoding, and none reaches a waiter recycled for another request.
+type waiter struct {
+	ch        chan rxResult // capacity 1: the reader never blocks on it
+	delivered bool          // guarded by Client.mu
+	buf       [maxFrame]byte
+}
+
 // Client signals an RCBR switch daemon over UDP. It is safe for concurrent
 // use: a single reader goroutine demultiplexes replies by request ID to
-// per-request channels, so any number of Setup/Renegotiate/Resync calls can
+// per-request waiters, so any number of Setup/Renegotiate/Resync calls can
 // be in flight on the one socket at once, each pacing its own retries.
 // Every request method takes a context for cancellation and deadlines: the
 // context bounds the whole request including retransmissions, while the
@@ -62,8 +76,9 @@ type Client struct {
 	nextID  atomic.Uint32
 	nextSeq atomic.Uint32
 
-	mu      sync.Mutex // guards pending and closed
-	pending map[uint32]chan rxResult
+	mu      sync.Mutex // guards pending, free, closed and every waiter's delivery
+	pending map[uint32]*waiter
+	free    []*waiter // recycled waiters: as many as requests were ever in flight at once
 	closed  bool
 
 	readerDone chan struct{}
@@ -141,7 +156,7 @@ func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Clien
 		conn:       conn,
 		timeout:    500 * time.Millisecond,
 		retries:    3,
-		pending:    make(map[uint32]chan rxResult),
+		pending:    make(map[uint32]*waiter),
 		readerDone: make(chan struct{}),
 	}
 	for _, opt := range opts {
@@ -187,19 +202,25 @@ func (c *Client) readLoop() {
 		if perr != nil {
 			continue // garbage datagram; nobody to attribute it to
 		}
+		c.deliver(f)
+	}
+}
+
+// deliver hands a reply to the request in flight with its ReqID. A reply
+// for no request in flight is late, and a second one for a request already
+// answered is a duplicate: either way the first delivery won, and the
+// reply is dropped.
+func (c *Client) deliver(f Frame) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w := c.pending[f.ReqID]; w != nil && !w.delivered {
 		// Copy the payload out of the shared read buffer before handing the
 		// frame to another goroutine.
-		payload := make([]byte, len(f.Payload))
-		copy(payload, f.Payload)
-		f.Payload = payload
-		c.mu.Lock()
-		ch := c.pending[f.ReqID]
-		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- rxResult{frame: f}:
-			default: // duplicate reply; the first one already won
-			}
+		f.Payload = w.buf[:copy(w.buf[:], f.Payload)]
+		w.delivered = true
+		select {
+		case w.ch <- rxResult{frame: f}:
+		default: // never taken: the one delivery finds the slot empty
 		}
 	}
 }
@@ -213,30 +234,52 @@ func (c *Client) deliverError(err error) (done bool) {
 	if done {
 		err = net.ErrClosed
 	}
-	for _, ch := range c.pending {
-		select {
-		case ch <- rxResult{err: err}:
-		default:
+	for _, w := range c.pending {
+		if !w.delivered {
+			w.delivered = true
+			select {
+			case w.ch <- rxResult{err: err}:
+			default: // never taken, as in deliver
+			}
 		}
 	}
 	return done
 }
 
-// register enters a request into the demux table; it fails once the client
-// is closed.
-func (c *Client) register(reqID uint32, ch chan rxResult) error {
+// register enters a request into the demux table under a recycled (or new)
+// waiter; it fails once the client is closed.
+func (c *Client) register(reqID uint32) (*waiter, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return net.ErrClosed
+		return nil, net.ErrClosed
 	}
-	c.pending[reqID] = ch
-	return nil
+	var w *waiter
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		w = &waiter{ch: make(chan rxResult, 1)}
+	}
+	c.pending[reqID] = w
+	return w, nil
 }
 
-func (c *Client) unregister(reqID uint32) {
+// unregister takes the request out of the demux table and recycles its
+// waiter. Under c.mu no delivery can be in progress, and once the entry is
+// gone none can come, so the waiter is emptied of a delivery its request
+// did not wait for and is clean for the next request.
+func (c *Client) unregister(reqID uint32, w *waiter) {
 	c.mu.Lock()
 	delete(c.pending, reqID)
+	if w.delivered {
+		select {
+		case <-w.ch:
+		default:
+		}
+		w.delivered = false
+	}
+	c.free = append(c.free, w)
 	c.mu.Unlock()
 }
 
@@ -244,66 +287,78 @@ func (c *Client) unregister(reqID uint32) {
 // retransmitting on timeout, until ctx is done or the retries are
 // exhausted. resend generates the datagram for each attempt (attempt 0 is
 // the original), letting callers switch to an idempotent encoding for
-// retries. rmCells is how many RM cells the datagram carries (0 for setup
-// and teardown), for the metrics split; an RM reply counts the cells it
-// brings back. Concurrent round trips share the socket; each paces its own
-// timer.
-func (c *Client) roundTrip(ctx context.Context, reqID uint32, rmCells int, resend func(attempt int) ([]byte, error)) (Frame, error) {
+// retries. reply decodes the frame that answered: its payload lives in the
+// request's waiter, which is recycled when roundTrip returns. rmCells is
+// how many RM cells the datagram carries (0 for setup and teardown), for
+// the metrics split; an RM reply counts the cells it brings back.
+// Concurrent round trips share the socket; each paces its own timer.
+func (c *Client) roundTrip(ctx context.Context, reqID uint32, rmCells int, resend func(attempt int) ([]byte, error), reply func(Frame) error) error {
 	c.ins.requests.Inc()
-	ch := make(chan rxResult, 1)
-	if err := c.register(reqID, ch); err != nil {
-		return Frame{}, err
+	w, err := c.register(reqID)
+	if err != nil {
+		return err
 	}
-	defer c.unregister(reqID)
-	var timer *time.Timer
+	// One timer per request, started here and reset for each retry. Under
+	// go.mod's go 1.22 timer channels are asynchronous and Stop does not
+	// promise to empty one, so no timer is carried to the next request.
+	timer := time.NewTimer(c.timeout)
+	r := c.await(ctx, w, timer, rmCells, resend)
+	timer.Stop()
+	if r.err == nil {
+		r.err = reply(r.frame)
+	}
+	c.unregister(reqID, w)
+	return r.err
+}
+
+// await runs the attempts of one round trip and returns what ended them:
+// the reply frame, or the error.
+func (c *Client) await(ctx context.Context, w *waiter, timer *time.Timer, rmCells int, resend func(attempt int) ([]byte, error)) rxResult {
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return Frame{}, err
+			return rxResult{err: err}
 		}
 		if attempt > 0 {
 			c.ins.retries.Inc()
 		}
 		pkt, err := resend(attempt)
 		if err != nil {
-			return Frame{}, err
+			return rxResult{err: err}
 		}
 		sentAt := metrics.Nanotime()
 		if _, err := c.conn.Write(pkt); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				return Frame{}, cerr
+				return rxResult{err: cerr}
 			}
-			return Frame{}, err
+			return rxResult{err: err}
 		}
 		c.ins.sent.Inc()
 		if rmCells > 0 {
 			c.ins.rmSent.Add(int64(rmCells))
 		}
-		if timer == nil {
-			timer = time.NewTimer(c.timeout)
-			defer timer.Stop()
-		} else {
+		if attempt > 0 {
 			// The previous attempt left timer.C drained (its timeout is the
 			// only way to reach another attempt), so Reset is safe.
 			timer.Reset(c.timeout)
 		}
 		select {
-		case r := <-ch:
+		case r := <-w.ch:
 			if r.err != nil {
-				return Frame{}, r.err
+				return r
 			}
 			c.ins.recv.Inc()
 			if r.frame.Type == TypeRMReply {
 				c.ins.rmRecv.Add(int64(len(r.frame.Payload) / cell.Size))
 			}
 			c.ins.rtt.ObserveSince(sentAt)
-			return r.frame, nil
+			return r
 		case <-timer.C:
 			c.ins.timeouts.Inc() // next attempt, if any remain
 		case <-ctx.Done():
-			return Frame{}, ctx.Err()
+			return rxResult{err: ctx.Err()}
 		}
 	}
-	return Frame{}, ErrTimeout
+	return rxResult{err: ErrTimeout}
 }
 
 func (c *Client) newID() uint32 {
@@ -332,18 +387,16 @@ func (c *Client) control(ctx context.Context, okType uint8, encode func(dst []by
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
 	pkt := encode((*bufp)[:0], id)
-	f, err := c.roundTrip(ctx, id, 0, func(int) ([]byte, error) { return pkt, nil })
-	if err != nil {
-		return err
-	}
-	switch f.Type {
-	case okType:
-		return nil
-	case TypeErr:
-		return remoteError(f.Payload)
-	default:
-		return fmt.Errorf("%w: unexpected reply type %d", ErrFrame, f.Type)
-	}
+	return c.roundTrip(ctx, id, 0, func(int) ([]byte, error) { return pkt, nil }, func(f Frame) error {
+		switch f.Type {
+		case okType:
+			return nil
+		case TypeErr:
+			return remoteError(f.Payload)
+		default:
+			return fmt.Errorf("%w: unexpected reply type %d", ErrFrame, f.Type)
+		}
+	})
 }
 
 // Renegotiate requests a rate change from current to target bits/second on
@@ -357,17 +410,17 @@ func (c *Client) Renegotiate(ctx context.Context, vci uint16, current, target fl
 	h := cell.Header{VCI: vci}
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
-	f, err := c.roundTrip(ctx, id, 1, func(attempt int) ([]byte, error) {
+	err = c.roundTrip(ctx, id, 1, func(attempt int) ([]byte, error) {
 		seq := c.nextSeq.Add(1)
 		if attempt == 0 {
 			return AppendRM((*bufp)[:0], id, h, deltaRM(current, target, seq))
 		}
 		return AppendRM((*bufp)[:0], id, h, cell.RM{Resync: true, ER: target, Seq: seq})
+	}, func(f Frame) (err error) {
+		granted, ok, err = parseRMReply(f)
+		return err
 	})
-	if err != nil {
-		return 0, false, err
-	}
-	return c.parseRMReply(f)
+	return granted, ok, err
 }
 
 // deltaRM builds the sequenced delta RM message requesting a move from
@@ -390,16 +443,18 @@ func (c *Client) Resync(ctx context.Context, vci uint16, rate float64) (granted 
 	h := cell.Header{VCI: vci}
 	bufp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bufp)
-	f, err := c.roundTrip(ctx, id, 1, func(int) ([]byte, error) {
+	err = c.roundTrip(ctx, id, 1, func(int) ([]byte, error) {
 		return AppendRM((*bufp)[:0], id, h, cell.RM{Resync: true, ER: rate, Seq: c.nextSeq.Add(1)})
+	}, func(f Frame) (err error) {
+		granted, ok, err = parseRMReply(f)
+		return err
 	})
-	if err != nil {
-		return 0, false, err
-	}
-	return c.parseRMReply(f)
+	return granted, ok, err
 }
 
-func (c *Client) parseRMReply(f Frame) (float64, bool, error) {
+// parseRMReply decodes the reply to a renegotiation or resync: the rate in
+// force and whether the request was granted, or the remote error.
+func parseRMReply(f Frame) (float64, bool, error) {
 	switch f.Type {
 	case TypeRMReply:
 		_, m, err := DecodeRM(f.Payload)

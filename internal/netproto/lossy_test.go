@@ -18,7 +18,8 @@ import (
 // delaying (reordering) them according to delay(i). Replies are never
 // dropped (dropping the request is equivalent for the client's retry logic
 // and keeps the bookkeeping simple), but the j-th reply is held for
-// replyDelay(j) when that is set.
+// replyDelay(j) when that is set, and every reply is sent twice when
+// dupReplies is.
 type lossyProxy struct {
 	front net.PacketConn // clients talk to this
 	back  *net.UDPConn   // towards the real server
@@ -31,6 +32,7 @@ type lossyProxy struct {
 
 	nReply     int
 	replyDelay func(j int) time.Duration // nil: deliver immediately
+	dupReplies bool
 	closed     bool
 }
 
@@ -120,6 +122,10 @@ func (p *lossyProxy) serverLoop() {
 			hold = p.replyDelay(p.nReply)
 		}
 		p.nReply++
+		copies := 1
+		if p.dupReplies {
+			copies = 2
+		}
 		p.mu.Unlock()
 		if to == nil {
 			continue
@@ -128,12 +134,16 @@ func (p *lossyProxy) serverLoop() {
 			held := append([]byte(nil), buf[:n]...)
 			go func() {
 				time.Sleep(hold)
-				p.front.WriteTo(held, to) //nolint:errcheck
+				for range copies {
+					p.front.WriteTo(held, to) //nolint:errcheck
+				}
 			}()
 			continue
 		}
-		if _, err := p.front.WriteTo(buf[:n], to); err != nil {
-			return
+		for range copies {
+			if _, err := p.front.WriteTo(buf[:n], to); err != nil {
+				return
+			}
 		}
 	}
 }
@@ -390,5 +400,119 @@ func TestStaleResyncRetryDoesNotRestoreOldRate(t *testing.T) {
 	}
 	if vc, _ := sw.VC(9); vc.Rate != granted {
 		t.Fatalf("switch rate = %v, source believes %v: the overtaken retry restored the old rate", vc.Rate, granted)
+	}
+}
+
+// TestLateAndDuplicateRepliesMissRecycledWaiters runs many sequential
+// renegotiations through a path that answers every request twice and
+// holds one reply past the client's timeout, so that reply and the second
+// copies arrive while the client is already waiting on a later request —
+// in the waiter (reply channel and payload buffer) the earlier one
+// recycled. Every request must still be answered by its own reply: the
+// targets walk a long cycle, so a stale reply reads as the wrong grant.
+// The one held reply costs exactly one timeout and one retry; a stale
+// delivery mistaken for a reply, or one that ended a wait early, would
+// show as a spurious retry or a wrong grant, and a reply copied into a
+// buffer still being decoded as a race under -race.
+func TestLateAndDuplicateRepliesMissRecycledWaiters(t *testing.T) {
+	sw := switchfab.New()
+	if err := sw.AddPort(1, 1e12); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer("127.0.0.1:0", sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve() //nolint:errcheck
+
+	const (
+		timeout = 200 * time.Millisecond
+		hold    = 300 * time.Millisecond // past the timeout
+		heldJ   = 5                      // reply 0 is the setup's
+		minReqs = 500
+		step    = 1 << 16 // rates step by 2^16: exact in the 16-bit code
+	)
+	proxy := newLossyProxy(t, srv.Addr().String(), nil)
+	proxy.mu.Lock()
+	proxy.dupReplies = true
+	proxy.replyDelay = func(j int) time.Duration {
+		if j == heldJ {
+			return hold
+		}
+		return 0
+	}
+	proxy.mu.Unlock()
+	reg := metrics.NewRegistry()
+	cl, err := DialContext(ctx, proxy.Addr(), WithTimeout(timeout), WithRetries(3), WithClientMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if err := cl.Setup(ctx, 9, 1, step); err != nil {
+		t.Fatal(err)
+	}
+	// Run until the held reply and its copy have long arrived, and for at
+	// least minReqs requests.
+	start := time.Now()
+	cur := float64(step)
+	n := 0
+	for ; n < minReqs || time.Since(start) < 2*hold; n++ {
+		target := float64(2+n%1000) * step
+		granted, ok, err := cl.Renegotiate(ctx, 9, cur, target)
+		if err != nil || !ok || granted != target {
+			t.Fatalf("request %d: %v -> %v answered %v %v %v", n, cur, target, granted, ok, err)
+		}
+		cur = target
+	}
+	s := reg.Snapshot()
+	if got := s.Counters[MetricClientRetries]; got != 1 {
+		t.Errorf("retries = %d over %d requests, want 1 (the held reply's)", got, n)
+	}
+	if got := s.Counters[MetricClientTimeouts]; got != 1 {
+		t.Errorf("timeouts = %d, want 1", got)
+	}
+	if got := s.Counters[MetricClientRecv]; got != int64(n+1) {
+		t.Errorf("replies received = %d, want one per request (%d)", got, n+1)
+	}
+	if vc, _ := sw.VC(9); vc.Rate != cur {
+		t.Errorf("switch rate = %v, source believes %v", vc.Rate, cur)
+	}
+}
+
+// TestWaiterRecycledEmpty covers the delivery a request never takes: the
+// reply lands as the request gives up (its context done, its last attempt
+// timed out). The waiter goes back to the free list emptied, and the
+// request that draws it next waits for its own reply, not that one.
+func TestWaiterRecycledEmpty(t *testing.T) {
+	c := &Client{pending: make(map[uint32]*waiter)}
+	w, err := c.register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.deliver(Frame{Type: TypeRMReply, ReqID: 1, Payload: []byte{1}})
+	c.deliver(Frame{Type: TypeRMReply, ReqID: 1, Payload: []byte{2}}) // duplicate: dropped
+	if got := w.buf[0]; got != 1 {
+		t.Fatalf("duplicate overwrote the delivered payload: %d", got)
+	}
+	// The request gives up without receiving; a late copy follows.
+	c.unregister(1, w)
+	c.deliver(Frame{Type: TypeRMReply, ReqID: 1, Payload: []byte{3}})
+	w2, err := c.register(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w2 != w {
+		t.Fatal("the waiter was not recycled")
+	}
+	select {
+	case r := <-w2.ch:
+		t.Fatalf("recycled waiter holds a stale delivery for request %d", r.frame.ReqID)
+	default:
+	}
+	c.deliver(Frame{Type: TypeRMReply, ReqID: 2, Payload: []byte{4}})
+	if r := <-w2.ch; r.frame.ReqID != 2 || r.frame.Payload[0] != 4 {
+		t.Fatalf("request 2 received %+v", r.frame)
 	}
 }
